@@ -7,10 +7,11 @@
 //! it replaced, the full pooled exchange step against the old
 //! `Vec`-returning shim APIs on a live 2-rank [`VirtualCluster`], the
 //! pool's allocation and bytes-moved counters, the executable tree
-//! reduce against the flat gather-sum at 8 ranks, and the ISSUE 7
+//! reduce against the flat gather-sum at 8 ranks, the ISSUE 7
 //! compute/communication overlap (serial vs segment-pipelined tree
-//! exchange vs the compute-only floor, simulated at 8 ranks) — and emits
-//! `BENCH_comm.json` at the repo root.
+//! exchange vs the compute-only floor, simulated at 8 ranks), and the
+//! ISSUE 12 copy and allocation counts of one `tree_exchange_round` at 4
+//! and 8 ranks — and emits `BENCH_comm.json` at the repo root.
 //!
 //! ```text
 //! cargo run --release -p easgd-bench --bin comm            # full run, writes JSON
@@ -24,13 +25,14 @@
 //! the fused kernel must not lose to the two-pass form, the tree reduce
 //! must cost no more simulated time than the flat gather at 8 ranks, the
 //! pipelined exchange must hide ≥ 50% of the serial round's exposed
-//! exchange time (and beat it outright) on the VGG arena, and the
-//! pipelined round must stay allocation-free.
+//! exchange time (and beat it outright) on the VGG arena, the pipelined
+//! round must stay allocation-free, and a `tree_exchange_round` must
+//! copy the arena at most once and allocate nothing.
 
 use easgd::sync::{tree_exchange_pipelined, tree_exchange_round};
 use easgd_bench::arg_value;
 use easgd_cluster::collectives::{flat_gather_sum, tree_reduce_sum};
-use easgd_cluster::{ClusterConfig, Comm, PoolStats, TimeCategory, VirtualCluster};
+use easgd_cluster::{ClusterBackend, ClusterConfig, Comm, PoolStats, TimeCategory, VirtualCluster};
 use easgd_hardware::AlphaBeta;
 use easgd_tensor::{ops, Rng};
 use std::time::Instant;
@@ -56,6 +58,8 @@ struct Entry {
     /// `"melem_per_s"` (wall) or `"sim_ms"`-style simulated entries keep
     /// the same unit for uniformity.
     rate_unit: &'static str,
+    /// Further `"key": value` columns of this row.
+    extra: Vec<(&'static str, f64)>,
 }
 
 impl Entry {
@@ -147,6 +151,7 @@ fn bench_exchange_kernels(entries: &mut Vec<Entry>, smoke: bool) -> f64 {
             ms,
             work: n as u64,
             rate_unit: "melem_per_s",
+            extra: Vec::new(),
         });
     }
 
@@ -174,6 +179,7 @@ fn bench_exchange_kernels(entries: &mut Vec<Entry>, smoke: bool) -> f64 {
             ms,
             work: n as u64,
             rate_unit: "melem_per_s",
+            extra: Vec::new(),
         });
     }
     if fused_ms > 0.0 {
@@ -335,6 +341,7 @@ fn bench_exchange_step(entries: &mut Vec<Entry>, smoke: bool) -> StepOutcome {
             ms,
             work: n as u64,
             rate_unit: "melem_per_s",
+            extra: Vec::new(),
         });
     }
     StepOutcome {
@@ -374,6 +381,7 @@ fn bench_tree_vs_flat(entries: &mut Vec<Entry>, smoke: bool) -> (f64, f64) {
             ms: s * 1e3,
             work: n as u64,
             rate_unit: "melem_per_s",
+            extra: Vec::new(),
         });
     }
     (tree_s, flat_s)
@@ -400,7 +408,12 @@ struct OverlapOutcome {
 /// `(serial − pipelined) / (serial − compute_only)`.
 ///
 /// Virtual clocks make the simulated times deterministic; one measured
-/// window suffices. `ms` holds *simulated* millis.
+/// window suffices. `ms` holds *simulated* millis. Event-hosted: the
+/// simulated times are bit-identical on either backend, and the
+/// allocation count is then a property of the schedule — on threads the
+/// shared pool grows to whatever the worst interleaving of takes and
+/// recycles needs, whenever the OS first produces it (the parent commit
+/// read 0.5–1.0 allocations per round on a 2-thread host).
 fn bench_overlap(entries: &mut Vec<Entry>, smoke: bool) -> OverlapOutcome {
     let n = if smoke { 65_536 } else { VGG_ARENA };
     let p = 8;
@@ -420,7 +433,9 @@ fn bench_overlap(entries: &mut Vec<Entry>, smoke: bool) -> OverlapOutcome {
     }
 
     let run = |mode: Mode| -> (f64, f64) {
-        let cfg = ClusterConfig::new(p).with_link(link.clone());
+        let cfg = ClusterConfig::new(p)
+            .with_link(link.clone())
+            .with_backend(ClusterBackend::Events);
         let outs = VirtualCluster::run(&cfg, |comm: &mut Comm| {
             // Only the root owns a center; everyone tracks center_t.
             let center = if comm.rank() == 0 {
@@ -506,6 +521,7 @@ fn bench_overlap(entries: &mut Vec<Entry>, smoke: bool) -> OverlapOutcome {
             ms: s * 1e3,
             work: n as u64,
             rate_unit: "melem_per_s",
+            extra: Vec::new(),
         });
     }
     OverlapOutcome {
@@ -514,6 +530,77 @@ fn bench_overlap(entries: &mut Vec<Entry>, smoke: bool) -> OverlapOutcome {
         pipe_s,
         pipe_allocs_per_round,
     }
+}
+
+/// Pool counters of one steady-state `tree_exchange_round`.
+struct TreeRoundOutcome {
+    /// Payload bytes copied per round ÷ arena bytes.
+    copies_per_arena: f64,
+    allocs_per_round: f64,
+}
+
+/// The Sync EASGD executable-tree round ([`tree_exchange_round`]) on the
+/// VGG arena at `p` ranks, event-hosted (one rank runs at a time, so the
+/// wall milliseconds are the program's, not the OS scheduler's). The
+/// broadcast is one shared payload and the reduce moves buffers, so a
+/// warm round copies the arena exactly once — the root's payload — and
+/// allocates nothing; both counts are acceptance keys.
+fn bench_tree_round(entries: &mut Vec<Entry>, smoke: bool, p: usize) -> TreeRoundOutcome {
+    let n = if smoke { 65_536 } else { VGG_ARENA };
+    let rounds: u64 = if smoke { 2 } else { 4 };
+    let participants: Vec<usize> = (0..p).collect();
+    let cfg = ClusterConfig::new(p).with_backend(ClusterBackend::Events);
+    let outs = VirtualCluster::run(&cfg, |comm: &mut Comm| {
+        let center = if comm.rank() == 0 {
+            rand_vec(n, 50)
+        } else {
+            Vec::new()
+        };
+        let mut center_t = Vec::new();
+        let mut weight_sum = vec![0.0f32; n];
+        let mut round = |comm: &mut Comm| {
+            tree_exchange_round(
+                comm,
+                &participants,
+                0,
+                &center,
+                &mut center_t,
+                &mut weight_sum,
+                TimeCategory::GpuGpuParam,
+                |w_bar, weight_sum| weight_sum.copy_from_slice(w_bar),
+            )
+        };
+        for _ in 0..2 {
+            round(comm);
+        }
+        comm.barrier();
+        let before = comm.pool_stats();
+        let t = Instant::now();
+        for _ in 0..rounds {
+            round(comm);
+        }
+        comm.barrier();
+        let ms = t.elapsed().as_secs_f64() * 1e3 / rounds as f64;
+        (ms, comm.pool_stats().since(&before))
+    });
+    let (ms, pool) = outs[0];
+    let outcome = TreeRoundOutcome {
+        copies_per_arena: pool.bytes_copied as f64 / rounds as f64 / (n * 4) as f64,
+        allocs_per_round: pool.allocations() as f64 / rounds as f64,
+    };
+    entries.push(Entry {
+        bench: "tree_exchange_round",
+        shape: format!("{p}ranks/{n}"),
+        implementation: "shared_bcast_moving_reduce",
+        ms,
+        work: n as u64,
+        rate_unit: "melem_per_s",
+        extra: vec![
+            ("copies_per_arena", outcome.copies_per_arena),
+            ("allocs_per_round", outcome.allocs_per_round),
+        ],
+    });
+    outcome
 }
 
 fn json_escape(s: &str) -> String {
@@ -531,6 +618,9 @@ struct Acceptance {
     overlap_efficiency: f64,
     pipelined_over_serial: f64,
     pipelined_allocs_per_round: f64,
+    /// Worst of the P = 4 and P = 8 `tree_exchange_round` rows.
+    tree_round_copies_per_arena: f64,
+    tree_round_allocs_per_round: f64,
 }
 
 fn render_json(entries: &[Entry], acc: &Acceptance) -> String {
@@ -580,20 +670,34 @@ fn render_json(entries: &[Entry], acc: &Acceptance) -> String {
         acc.pipelined_over_serial
     ));
     out.push_str(&format!(
-        "    \"pipelined_allocs_per_round\": {:.2}\n",
+        "    \"pipelined_allocs_per_round\": {:.2},\n",
         acc.pipelined_allocs_per_round
+    ));
+    out.push_str(&format!(
+        "    \"tree_round_copies_per_arena\": {:.3},\n",
+        acc.tree_round_copies_per_arena
+    ));
+    out.push_str(&format!(
+        "    \"tree_round_allocs_per_round\": {:.2}\n",
+        acc.tree_round_allocs_per_round
     ));
     out.push_str("  },\n");
     out.push_str("  \"entries\": [\n");
     for (i, e) in entries.iter().enumerate() {
+        let extra: String = e
+            .extra
+            .iter()
+            .map(|(key, value)| format!(", \"{key}\": {value:.3}"))
+            .collect();
         out.push_str(&format!(
-            "    {{\"bench\": \"{}\", \"shape\": \"{}\", \"impl\": \"{}\", \"ms\": {:.4}, \"{}\": {:.3}}}{}\n",
+            "    {{\"bench\": \"{}\", \"shape\": \"{}\", \"impl\": \"{}\", \"ms\": {:.4}, \"{}\": {:.3}{}}}{}\n",
             json_escape(e.bench),
             json_escape(&e.shape),
             json_escape(e.implementation),
             e.ms,
             e.rate_unit,
             e.rate(),
+            extra,
             if i + 1 == entries.len() { "" } else { "," }
         ));
     }
@@ -665,6 +769,20 @@ fn validate_checked_in(path: &str) -> Result<(), String> {
             "pipelined_allocs_per_round = {pipe_allocs}, want 0"
         ));
     }
+    let copies = json_number(&text, "tree_round_copies_per_arena")
+        .ok_or("missing tree_round_copies_per_arena")?;
+    let round_allocs = json_number(&text, "tree_round_allocs_per_round")
+        .ok_or("missing tree_round_allocs_per_round")?;
+    if copies > 1.0 {
+        return Err(format!(
+            "tree_round_copies_per_arena = {copies}, want <= 1.0"
+        ));
+    }
+    if round_allocs != 0.0 {
+        return Err(format!(
+            "tree_round_allocs_per_round = {round_allocs}, want 0"
+        ));
+    }
     Ok(())
 }
 
@@ -676,6 +794,7 @@ fn main() {
     let step = bench_exchange_step(&mut entries, smoke);
     let (tree_s, flat_s) = bench_tree_vs_flat(&mut entries, smoke);
     let overlap = bench_overlap(&mut entries, smoke);
+    let tree_rounds = [4, 8].map(|p| bench_tree_round(&mut entries, smoke, p));
 
     let per_step = |stats: &PoolStats, steps: u64| {
         let s = steps.max(1) as f64;
@@ -712,6 +831,14 @@ fn main() {
             0.0
         },
         pipelined_allocs_per_round: overlap.pipe_allocs_per_round,
+        tree_round_copies_per_arena: tree_rounds
+            .iter()
+            .map(|r| r.copies_per_arena)
+            .fold(0.0, f64::max),
+        tree_round_allocs_per_round: tree_rounds
+            .iter()
+            .map(|r| r.allocs_per_round)
+            .fold(0.0, f64::max),
     };
 
     println!(
@@ -743,6 +870,10 @@ fn main() {
         "overlap efficiency {:.3} | pipelined/serial {:.3} | pipelined allocs/round {:.2}",
         acc.overlap_efficiency, acc.pipelined_over_serial, acc.pipelined_allocs_per_round,
     );
+    println!(
+        "tree round: {:.3} arena copies, {:.2} allocs per round (worst of P = 4, 8)",
+        acc.tree_round_copies_per_arena, acc.tree_round_allocs_per_round,
+    );
 
     let default_out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_comm.json");
     let out_path = arg_value("--out").unwrap_or_else(|| default_out.to_string());
@@ -770,6 +901,14 @@ fn main() {
             eprintln!(
                 "smoke: pipelined exchange allocated ({} allocs/round)",
                 acc.pipelined_allocs_per_round
+            );
+            std::process::exit(1);
+        }
+        // One shared payload, moved buffers: the counts hold at any size.
+        if acc.tree_round_copies_per_arena > 1.0 || acc.tree_round_allocs_per_round != 0.0 {
+            eprintln!(
+                "smoke: tree_exchange_round copied {} arenas and allocated {} times per round",
+                acc.tree_round_copies_per_arena, acc.tree_round_allocs_per_round
             );
             std::process::exit(1);
         }

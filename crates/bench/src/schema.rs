@@ -54,6 +54,8 @@ pub const SCHEMAS: &[BenchSchema] = &[
             "overlap_efficiency_p8",
             "pipelined_over_serial_step_ratio_p8",
             "pipelined_allocs_per_round",
+            "tree_round_copies_per_arena",
+            "tree_round_allocs_per_round",
         ],
         required_true: &[],
     },

@@ -21,12 +21,13 @@
 //! * [`flat_gather_sum`] — the `Θ(P)` root-serialized baseline the tree
 //!   is measured against in `BENCH_comm.json`.
 //!
-//! All receive paths use pooled scratch ([`Comm::take_buffer`] /
-//! [`Comm::recycle_buffer`]), so steady-state collectives allocate
-//! nothing.
+//! The trees move buffers instead of copying them: a broadcast is one
+//! shared [`Payload`] (the root's single pooled copy, forwarded by
+//! reference), a reduce climbs by handing each rank's own buffer to its
+//! parent. Steady-state collectives allocate nothing.
 
 use crate::clock::TimeCategory;
-use crate::comm::Comm;
+use crate::comm::{Comm, Payload};
 use crate::tags;
 
 /// Chunk boundaries: `n` elements into `p` nearly equal chunks.
@@ -98,11 +99,10 @@ fn vrank_of(ranks: &[usize], rank: usize) -> usize {
 }
 
 /// A rank's position in the binomial tree over `ranks` rooted at `root`
-/// — the edge set [`tree_broadcast_among`] / [`tree_reduce_sum_among`]
-/// walk, precomputed so segmented (pipelined) schedules traverse the
-/// *identical* tree: same parent, same children, same per-element fold
-/// order as the serial collectives, which is what makes the pipelined
-/// exchange bit-identical to the whole-vector one.
+/// — the one edge set the serial collectives here and the segmented
+/// (pipelined) schedules walk: same parent, same children, same
+/// per-element fold order, which is what makes the pipelined exchange
+/// bit-identical to the whole-vector one.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TreeRole {
     /// `(real rank, level mask)` of the tree parent: where a broadcast
@@ -111,8 +111,7 @@ pub struct TreeRole {
     pub parent: Option<(usize, usize)>,
     /// `(real rank, level mask)` of each child, in **mask-descending**
     /// order — the broadcast fan-out order. The reduce gathers children
-    /// in the reverse (mask-ascending) order, exactly like the serial
-    /// reduce loop.
+    /// in the reverse (mask-ascending) order.
     pub children: Vec<(usize, usize)>,
 }
 
@@ -125,7 +124,7 @@ impl TreeRole {
         let vr = (vrank_of(ranks, me) + p - vroot) % p;
         let to_real = |v: usize| ranks[(v + vroot) % p];
         // Climb to the mask at which this rank receives (the root never
-        // does) — the broadcast climb loop.
+        // does).
         let mut parent = None;
         let mut mask = 1usize;
         while mask < p {
@@ -135,7 +134,7 @@ impl TreeRole {
             }
             mask <<= 1;
         }
-        // Fan out below that mask — the broadcast send loop.
+        // Fan out below that mask.
         let mut children = Vec::new();
         mask >>= 1;
         while mask > 0 {
@@ -150,9 +149,11 @@ impl TreeRole {
 
 /// Binomial-tree reduce-sum over the subgroup `ranks`, rooted at `root`
 /// (which must be a member). Every participant calls with its own
-/// `data`; after the call **only `root`'s `data` holds the sum** — the
-/// other participants' buffers hold partial sums and must be treated as
-/// garbage. Non-participant ranks must not call.
+/// `data`; after the call **only `root`'s `data` holds the sum**. Every
+/// other participant's buffer has *moved* to its tree parent (which
+/// folds it in mask-ascending order and recycles it) and been replaced
+/// by a pooled one of the same length with unspecified contents.
+/// Non-participant ranks must not call.
 ///
 /// The critical path is `ceil(log2(ranks.len()))` full-size messages —
 /// the executable form of
@@ -161,58 +162,76 @@ pub fn tree_reduce_sum_among(
     comm: &mut Comm,
     ranks: &[usize],
     root: usize,
-    data: &mut [f32],
+    data: &mut Vec<f32>,
     category: TimeCategory,
 ) {
-    let p = ranks.len();
-    if p <= 1 {
-        return;
-    }
-    let vroot = vrank_of(ranks, root);
-    let vme = vrank_of(ranks, comm.rank());
-    // Virtual rank with the root shifted to 0.
-    let vr = (vme + p - vroot) % p;
-    let to_real = |v: usize| ranks[(v + vroot) % p];
-    let mut tmp: Option<Vec<f32>> = None;
-    let mut mask = 1usize;
-    while mask < p {
-        if vr & mask != 0 {
-            // My subtree is folded; push it to the parent and stop.
-            let parent = to_real(vr - mask);
-            comm.send(parent, tags::TREE_REDUCE | mask as u32, data, category);
-            break;
-        } else if vr + mask < p {
-            let child = to_real(vr + mask);
-            // The accumulation scratch comes from the pool (taken once,
-            // recycled below), keeping the reduce allocation-free in
-            // steady state and its buffer ledger balanced.
-            if tmp.is_none() {
-                tmp = Some(comm.take_buffer(data.len()));
-            }
-            if let Some(buf) = tmp.as_mut() {
-                comm.recv_into(child, tags::TREE_REDUCE | mask as u32, category, buf);
-                assert_eq!(buf.len(), data.len(), "tree reduce length mismatch");
-                for (d, v) in data.iter_mut().zip(buf.iter()) {
-                    *d += v;
-                }
+    let role = TreeRole::compute(ranks, root, comm.rank());
+    if !role.children.is_empty() {
+        // Where the partials land: each `recv_into` moves the arrived
+        // buffer in and recycles the one before it, so it starts empty.
+        let mut arrived = comm.take_buffer(0);
+        for &(child, mask) in role.children.iter().rev() {
+            comm.recv_into(
+                child,
+                tags::TREE_REDUCE | mask as u32,
+                category,
+                &mut arrived,
+            );
+            assert_eq!(arrived.len(), data.len(), "tree reduce length mismatch");
+            for (d, v) in data.iter_mut().zip(&arrived) {
+                *d += v;
             }
         }
-        mask <<= 1;
+        comm.recycle_buffer(arrived);
     }
-    if let Some(buf) = tmp {
-        comm.recycle_buffer(buf);
+    if let Some((parent, mask)) = role.parent {
+        // My subtree is folded; hand the buffer itself to the parent.
+        let spare = comm.take_buffer_sized(data.len());
+        let partial = std::mem::replace(data, spare);
+        comm.send_from(parent, tags::TREE_REDUCE | mask as u32, partial, category);
     }
 }
 
 /// [`tree_reduce_sum_among`] over all ranks of the cluster.
-pub fn tree_reduce_sum(comm: &mut Comm, root: usize, data: &mut [f32], category: TimeCategory) {
+pub fn tree_reduce_sum(comm: &mut Comm, root: usize, data: &mut Vec<f32>, category: TimeCategory) {
     let ranks: Vec<usize> = (0..comm.size()).collect();
     tree_reduce_sum_among(comm, &ranks, root, data, category);
 }
 
-/// Binomial-tree broadcast of `root`'s `data` over the subgroup `ranks`.
-/// On return every participant's `data` holds root's contents (lengths
-/// must agree across participants).
+/// Binomial-tree broadcast of `root`'s `data` over the subgroup `ranks`
+/// as **one shared payload** (§5.2's packed message): the root copies
+/// `data` once into a pooled buffer, interior ranks forward the
+/// reference they received, and every participant returns holding one —
+/// read it in place, then [`Comm::release_payload`] it. Only the root's
+/// `data` is read. Each hop is charged the link's α-β price.
+pub fn tree_broadcast_shared_among(
+    comm: &mut Comm,
+    ranks: &[usize],
+    root: usize,
+    data: &[f32],
+    category: TimeCategory,
+) -> Payload {
+    let role = TreeRole::compute(ranks, root, comm.rank());
+    let payload = match role.parent {
+        Some((parent, mask)) => comm.recv_payload(parent, tags::TREE_BCAST | mask as u32, category),
+        None => comm.make_payload(data),
+    };
+    let hop = comm.link_time(payload.len() * 4);
+    for &(child, mask) in &role.children {
+        comm.send_payload_costed(
+            child,
+            tags::TREE_BCAST | mask as u32,
+            &payload,
+            hop,
+            category,
+        );
+    }
+    payload
+}
+
+/// [`tree_broadcast_shared_among`] into every participant's own `data`
+/// (lengths need not agree beforehand): moved out of the payload by its
+/// last holder, copied by the others.
 pub fn tree_broadcast_among(
     comm: &mut Comm,
     ranks: &[usize],
@@ -220,32 +239,14 @@ pub fn tree_broadcast_among(
     data: &mut Vec<f32>,
     category: TimeCategory,
 ) {
-    let p = ranks.len();
-    if p <= 1 {
+    if ranks.len() <= 1 {
         return;
     }
-    let vroot = vrank_of(ranks, root);
-    let vme = vrank_of(ranks, comm.rank());
-    let vr = (vme + p - vroot) % p;
-    let to_real = |v: usize| ranks[(v + vroot) % p];
-    // Climb to the mask at which this rank receives (root never does).
-    let mut mask = 1usize;
-    while mask < p {
-        if vr & mask != 0 {
-            let parent = to_real(vr - mask);
-            comm.recv_into(parent, tags::TREE_BCAST | mask as u32, category, data);
-            break;
-        }
-        mask <<= 1;
-    }
-    // Then fan out to the subtree below that mask.
-    mask >>= 1;
-    while mask > 0 {
-        if vr + mask < p {
-            let child = to_real(vr + mask);
-            comm.send(child, tags::TREE_BCAST | mask as u32, data, category);
-        }
-        mask >>= 1;
+    let payload = tree_broadcast_shared_among(comm, ranks, root, data, category);
+    if comm.rank() == root {
+        comm.release_payload(payload);
+    } else {
+        comm.release_payload_into(payload, data);
     }
 }
 

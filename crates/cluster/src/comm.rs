@@ -1,14 +1,15 @@
 //! The per-rank communicator.
 //!
-//! Steady-state data movement is zero-allocation: point-to-point payloads
-//! ride in pool-recycled buffers that migrate with the message (the
-//! receiver recycles them), collectives write into caller-provided
-//! outputs, and the `Vec`-returning APIs remain as thin shims so call
-//! sites can migrate incrementally (DESIGN.md §10).
+//! Steady-state data movement is zero-allocation and zero-copy:
+//! point-to-point payloads ride in pool-recycled buffers that migrate
+//! with the message and are *moved* into the receiver's output (whose
+//! previous storage is recycled), fan-out rides one reference-counted
+//! [`Payload`], collectives write into caller-provided outputs, and the
+//! `Vec`-returning APIs remain as thin shims (DESIGN.md §10).
 
 use crate::clock::{RankReport, SimClock, TimeCategory};
 use crate::cluster::{CollOp, Shared};
-use crate::pool::PoolStats;
+use crate::pool::{FreeList, PoolStats};
 use crate::request::{ReqState, Request, RequestCollection};
 use crate::trace::TraceOp;
 #[cfg(feature = "strict-invariants")]
@@ -22,6 +23,12 @@ use std::sync::Arc;
 /// visible to other ranks.
 const LOCAL_FREE_MAX: usize = 4;
 
+/// ...and how many bytes. The private list spares small messages the
+/// shared mutex; next to touching this much memory the lock is noise, so
+/// parameter-sized buffers always go where every rank can reuse them
+/// (the tree root must not hoard what the leaves are allocating).
+const LOCAL_FREE_MAX_BYTES: usize = 64 * 1024;
+
 /// Backing storage of a message payload: either a pool-recycled buffer
 /// owned by the message (the common case), or a shared reference-counted
 /// buffer for one-copy fan-out of the same data to many destinations
@@ -33,13 +40,6 @@ pub(crate) enum PayloadBuf {
 }
 
 impl PayloadBuf {
-    fn as_slice(&self) -> &[f32] {
-        match self {
-            PayloadBuf::Owned(v) => v,
-            PayloadBuf::Shared(a) => a,
-        }
-    }
-
     /// Extracts an owned `Vec`, copying only when the buffer is still
     /// shared with other in-flight messages.
     fn into_vec(self) -> Vec<f32> {
@@ -109,7 +109,7 @@ pub struct Comm {
     /// Private free list in front of the cluster-wide pool: the
     /// steady-state p2p path pops and pushes here without touching the
     /// shared mutex.
-    local_free: Vec<Vec<f32>>,
+    local_free: FreeList,
     /// When `Some`, every comm operation appends its [`TraceOp`] — the
     /// trace-recording shim behind the xtask protocol model checker
     /// (DESIGN.md §12). `None` (the default) costs one branch per op.
@@ -154,7 +154,7 @@ impl Comm {
             pending: VecDeque::new(),
             clock: SimClock::new(),
             shared,
-            local_free: Vec::new(),
+            local_free: FreeList::default(),
             trace: None,
             nic_free: 0.0,
             #[cfg(feature = "strict-invariants")]
@@ -276,37 +276,52 @@ impl Comm {
     // Buffer pool
     // ------------------------------------------------------------------
 
-    /// Takes a cleared buffer with capacity ≥ `len` from this rank's
-    /// private free list, falling back to the cluster-wide pool.
+    /// Takes a cleared buffer with capacity ≥ `len`: the best fit on this
+    /// rank's private free list, else on the cluster-wide pool, else a
+    /// fresh allocation of `len`.
     pub fn take_buffer(&mut self, len: usize) -> Vec<f32> {
+        let mut buf = self.take_stale(len);
+        buf.clear();
+        buf
+    }
+
+    /// Takes a buffer of exactly `len` elements with unspecified contents
+    /// (its previous user's, zeros where extended): for outputs written
+    /// before they are read, it spares `take_buffer` + `resize`'s fill.
+    pub fn take_buffer_sized(&mut self, len: usize) -> Vec<f32> {
+        let mut buf = self.take_stale(len);
+        buf.resize(len, 0.0);
+        buf
+    }
+
+    fn take_stale(&mut self, len: usize) -> Vec<f32> {
         self.note(TraceOp::TakeBuf);
-        match self.local_free.pop() {
-            Some(mut buf) => {
-                buf.clear();
-                if buf.capacity() < len {
-                    self.shared.pool.note_external_alloc();
-                    buf.reserve(len);
-                }
-                buf
-            }
-            None => self.shared.pool.take(len),
+        match self.local_free.take(len) {
+            Some(buf) => buf,
+            None => self.shared.pool.take_stale(len),
         }
     }
 
-    /// Returns a buffer for reuse: to the private free list while it has
-    /// room, else to the cluster-wide pool.
+    /// Returns a buffer for reuse: to the private free list, which then
+    /// spills its largest buffers to the cluster-wide pool until it is
+    /// within [`LOCAL_FREE_MAX`] buffers and [`LOCAL_FREE_MAX_BYTES`].
     pub fn recycle_buffer(&mut self, buf: Vec<f32>) {
         // Recorded even for capacity-0 buffers: the recycle call is what
         // discharges the ledger obligation, whether or not the pool keeps
         // the storage.
         self.note(TraceOp::Recycle);
-        if buf.capacity() == 0 {
-            return;
-        }
-        if self.local_free.len() < LOCAL_FREE_MAX {
-            self.local_free.push(buf);
-        } else {
-            self.shared.pool.put(buf);
+        self.stash(buf);
+    }
+
+    /// [`recycle_buffer`](Self::recycle_buffer) without the ledger entry.
+    fn stash(&mut self, buf: Vec<f32>) {
+        let free = &mut self.local_free;
+        free.put(buf);
+        while free.len > LOCAL_FREE_MAX || free.bytes > LOCAL_FREE_MAX_BYTES {
+            let Some(largest) = free.take_largest() else {
+                break;
+            };
+            self.shared.pool.put(largest);
         }
     }
 
@@ -403,16 +418,18 @@ impl Comm {
     /// Builds a reusable shared payload from `data` (one pooled copy
     /// plus a constant-size reference count), for fanning the same data
     /// out to several destinations via
-    /// [`send_payload_costed`](Self::send_payload_costed).
+    /// [`send_payload_costed`](Self::send_payload_costed). Hand it back
+    /// with [`release_payload`](Self::release_payload) when done.
     pub fn make_payload(&mut self, data: &[f32]) -> Payload {
         let buf = self.pooled_copy(data);
+        self.note(TraceOp::Share);
         Payload(Arc::new(buf))
     }
 
     /// Like [`send_costed`](Self::send_costed) but posts a shared
     /// [`Payload`] without copying it: N destinations cost one copy
-    /// total. The backing buffer is recycled by whichever receiver drops
-    /// the last reference.
+    /// total. The backing buffer returns to the pool with whichever
+    /// holder releases the last reference.
     pub fn send_payload_costed(
         &mut self,
         to: usize,
@@ -425,7 +442,41 @@ impl Comm {
         assert_ne!(to, self.rank, "send to self");
         self.drain_nic(category);
         self.clock.charge(category, seconds);
+        self.note(TraceOp::Fork);
         self.post(to, tag, PayloadBuf::Shared(Arc::clone(&payload.0)));
+    }
+
+    /// Blocking receive of the next `(from, tag)` message *as a shared
+    /// payload*: a fan-out reference arrives as it was sent (no copy), to
+    /// be read in place and forwarded with
+    /// [`send_payload_costed`](Self::send_payload_costed); an owned
+    /// message is wrapped.
+    pub fn recv_payload(&mut self, from: usize, tag: u32, category: TimeCategory) -> Payload {
+        match self.recv_message(from, tag, category).data {
+            PayloadBuf::Shared(a) => Payload(a),
+            PayloadBuf::Owned(v) => {
+                self.note(TraceOp::Share);
+                Payload(Arc::new(v))
+            }
+        }
+    }
+
+    /// Gives up this rank's reference to `payload`; the last release
+    /// cluster-wide returns the backing buffer to the pool.
+    pub fn release_payload(&mut self, payload: Payload) {
+        self.note(TraceOp::Release);
+        // `into_inner`, not `try_unwrap`: of two ranks releasing the last
+        // two references at once, exactly one must get the buffer.
+        if let Some(buf) = Arc::into_inner(payload.0) {
+            self.stash(buf);
+        }
+    }
+
+    /// [`release_payload`](Self::release_payload) that leaves the
+    /// contents in `out`: moved when this was the last reference, copied
+    /// while other holders remain.
+    pub fn release_payload_into(&mut self, payload: Payload, out: &mut Vec<f32>) {
+        self.payload_into(PayloadBuf::Shared(payload.0), out);
     }
 
     /// Pulls the next message matching `pred` — from `pending` first
@@ -460,22 +511,32 @@ impl Comm {
         }
     }
 
-    /// Copies a received payload into `out` and recycles the backing
-    /// buffer when this was its last reference.
+    /// Moves a received payload into `out` by swapping storage —
+    /// `out`'s previous buffer is what gets recycled — copying only when
+    /// a shared payload still has other holders.
     fn payload_into(&mut self, data: PayloadBuf, out: &mut Vec<f32>) {
-        let src = data.as_slice();
-        out.clear();
-        if out.capacity() < src.len() {
-            self.shared.pool.note_external_alloc();
-        }
-        out.extend_from_slice(src);
-        self.shared.pool.note_copy(src.len() * 4);
-        match data {
-            PayloadBuf::Owned(v) => self.recycle_buffer(v),
-            PayloadBuf::Shared(a) => {
-                if let Ok(v) = Arc::try_unwrap(a) {
-                    self.recycle_buffer(v);
+        let shared = match data {
+            PayloadBuf::Owned(v) => {
+                let previous = std::mem::replace(out, v);
+                self.recycle_buffer(previous);
+                return;
+            }
+            PayloadBuf::Shared(a) => a,
+        };
+        match Arc::try_unwrap(shared) {
+            Ok(v) => {
+                self.note(TraceOp::Release);
+                let previous = std::mem::replace(out, v);
+                self.stash(previous);
+            }
+            Err(held_elsewhere) => {
+                out.clear();
+                if out.capacity() < held_elsewhere.len() {
+                    self.shared.pool.note_external_alloc();
                 }
+                out.extend_from_slice(&held_elsewhere);
+                self.shared.pool.note_copy(held_elsewhere.len() * 4);
+                self.release_payload(Payload(held_elsewhere));
             }
         }
     }
@@ -484,24 +545,28 @@ impl Comm {
     /// Simulated time advances to the message's arrival (waiting charged
     /// to `category`).
     pub fn recv(&mut self, from: usize, tag: u32, category: TimeCategory) -> Vec<f32> {
-        let msg = self.next_matching(|m| m.from == from && m.tag == tag);
-        self.check_fifo(&msg);
-        self.note(TraceOp::Recv { from, tag });
+        let msg = self.recv_message(from, tag, category);
         // The buffer leaves pool custody with the returned Vec.
         self.note(TraceOp::Retire);
-        self.clock.advance_to(msg.arrival, category);
         msg.data.into_vec()
     }
 
-    /// Like [`recv`](Self::recv) but writes the payload into `out`
-    /// (cleared first) and recycles the message's buffer — the
-    /// zero-allocation receive once `out` has warmed up to capacity.
-    pub fn recv_into(&mut self, from: usize, tag: u32, category: TimeCategory, out: &mut Vec<f32>) {
+    /// Blocks for the next `(from, tag)` message, records the `Recv` and
+    /// advances the clock to its arrival (waiting charged to `category`).
+    fn recv_message(&mut self, from: usize, tag: u32, category: TimeCategory) -> Message {
         let msg = self.next_matching(|m| m.from == from && m.tag == tag);
         self.check_fifo(&msg);
         self.note(TraceOp::Recv { from, tag });
         self.clock.advance_to(msg.arrival, category);
-        // `payload_into` recycles the carcass, recording the Recycle.
+        msg
+    }
+
+    /// Like [`recv`](Self::recv) but leaves the payload in `out`: the
+    /// message's buffer is moved in and `out`'s previous storage is
+    /// recycled — the zero-copy, zero-allocation receive.
+    pub fn recv_into(&mut self, from: usize, tag: u32, category: TimeCategory, out: &mut Vec<f32>) {
+        let msg = self.recv_message(from, tag, category);
+        // `payload_into` recycles `out`'s old storage (the Recycle).
         self.payload_into(msg.data, out);
     }
 
@@ -593,8 +658,8 @@ impl Comm {
     /// Nonblocking [`recv_into`](Self::recv_into): registers interest in
     /// the next `(from, tag)` message, taking ownership of `out` until
     /// completion. [`wait`](Self::wait) matches FCFS against the pending
-    /// queue (exactly like the blocking form), fills `out`, recycles the
-    /// message's carcass, and returns the buffer.
+    /// queue (exactly like the blocking form) and returns the message's
+    /// buffer, recycling `out` in its place.
     pub fn irecv_into(
         &mut self,
         from: usize,
@@ -612,7 +677,7 @@ impl Comm {
     /// the clock to the NIC injection's completion (free if local work
     /// already ran past it) and returns `None`. For a receive request:
     /// blocks for the matching message, advances the clock to its
-    /// arrival, and returns the filled destination buffer.
+    /// arrival, and returns its payload.
     ///
     /// # Panics
     /// Panics if the request was already completed (double wait).
@@ -633,8 +698,7 @@ impl Comm {
                 self.check_fifo(&msg);
                 self.note(TraceOp::Wait { from, tag });
                 self.clock.advance_to(msg.arrival, req.category);
-                // `payload_into` recycles the carcass, recording the
-                // Recycle — identical custody to the blocking `recv_into`.
+                // Identical custody to the blocking `recv_into`.
                 self.payload_into(msg.data, &mut out);
                 Some(out)
             }
@@ -1211,12 +1275,132 @@ mod tests {
     }
 
     #[test]
+    fn recv_into_moves_the_message_buffer_without_copying() {
+        let cfg = ClusterConfig::new(2);
+        let out = VirtualCluster::run(&cfg, |comm| {
+            let before = comm.pool_stats();
+            if comm.rank() == 0 {
+                let mut buf = comm.take_buffer(1000);
+                buf.resize(1000, 2.5);
+                let sent_at = buf.as_ptr() as usize;
+                comm.send_from(1, TAG, buf, TimeCategory::Other);
+                comm.barrier();
+                (sent_at, comm.pool_stats().since(&before).bytes_copied)
+            } else {
+                let mut dest = vec![9.0f32; 7];
+                comm.recv_into(0, TAG, TimeCategory::Other, &mut dest);
+                assert_eq!(dest, vec![2.5; 1000]);
+                let landed_at = dest.as_ptr() as usize;
+                comm.barrier();
+                (landed_at, 0)
+            }
+        });
+        assert_eq!(
+            out[0].0, out[1].0,
+            "the receiver holds the sender's storage"
+        );
+        assert_eq!(out[0].1, 0, "a moved payload copies no payload bytes");
+    }
+
+    #[test]
+    fn private_list_keeps_small_buffers_and_spills_large_ones() {
+        // Rank 0 recycles one small and one parameter-sized buffer. The
+        // small one stays private (rank 0 reuses it without touching the
+        // shared pool's counters); the large one must be visible to
+        // rank 1, whose same-size take is then a reuse, not a fresh
+        // allocation.
+        let big = LOCAL_FREE_MAX_BYTES / 4 + 1;
+        let cfg = ClusterConfig::new(2);
+        let out = VirtualCluster::run(&cfg, |comm| {
+            if comm.rank() == 0 {
+                let bufs = [comm.take_buffer(16), comm.take_buffer(big)];
+                for b in bufs {
+                    comm.recycle_buffer(b);
+                }
+            }
+            comm.barrier();
+            let before = comm.pool_stats();
+            comm.barrier();
+            let taken = if comm.rank() == 0 {
+                comm.take_buffer(16)
+            } else {
+                comm.take_buffer(big)
+            };
+            comm.barrier();
+            (taken.capacity(), comm.pool_stats().since(&before))
+        });
+        assert!(out[0].0 >= 16 && out[1].0 >= big);
+        // Cluster-wide: no allocation, and exactly one shared-pool hit —
+        // rank 1's (private hits are not pool traffic).
+        for (_, delta) in &out {
+            assert_eq!((delta.allocations(), delta.reused), (0, 1), "{out:?}");
+        }
+    }
+
+    #[test]
+    fn private_list_never_exceeds_its_count_and_byte_bounds() {
+        let cfg = ClusterConfig::new(1);
+        VirtualCluster::run(&cfg, |comm| {
+            let small: Vec<_> = (0..10).map(|_| comm.take_buffer(100)).collect();
+            for b in small {
+                comm.recycle_buffer(b);
+                assert!(comm.local_free.len <= LOCAL_FREE_MAX);
+            }
+            let quarter = LOCAL_FREE_MAX_BYTES / 16;
+            let mid: Vec<_> = (0..6).map(|_| comm.take_buffer(quarter)).collect();
+            for b in mid {
+                comm.recycle_buffer(b);
+                assert!(comm.local_free.bytes <= LOCAL_FREE_MAX_BYTES);
+                assert!(comm.local_free.len <= LOCAL_FREE_MAX);
+            }
+        });
+    }
+
+    #[test]
+    fn forwarded_payload_is_read_in_place_and_recycled_by_the_last_release() {
+        // 0 → 1 → 2 along a chain: one pooled copy at rank 0, the same
+        // storage read by all three, and after the last release the
+        // buffer is back in the pool (the next same-size take reuses it).
+        let n = LOCAL_FREE_MAX_BYTES; // floats: 4x the private byte bound
+        let cfg = ClusterConfig::new(3);
+        let out = VirtualCluster::run(&cfg, |comm| {
+            let before = comm.pool_stats();
+            let me = comm.rank();
+            let payload = if me == 0 {
+                comm.make_payload(&vec![1.5f32; n])
+            } else {
+                comm.recv_payload(me - 1, TAG, TimeCategory::Other)
+            };
+            if me < 2 {
+                comm.send_payload_costed(me + 1, TAG, &payload, 0.0, TimeCategory::Other);
+            }
+            assert!(payload.as_slice().iter().all(|&x| x == 1.5));
+            let at = payload.as_slice().as_ptr() as usize;
+            comm.release_payload(payload);
+            comm.barrier();
+            let again = comm.take_buffer(if me == 0 { n } else { 0 });
+            comm.barrier();
+            let delta = comm.pool_stats().since(&before);
+            (at, again.capacity(), delta)
+        });
+        assert!(
+            out.iter().all(|o| o.0 == out[0].0),
+            "one storage, three readers"
+        );
+        assert_eq!(out[0].2.bytes_copied, (n * 4) as u64, "one copy in total");
+        assert_eq!(
+            out[0].2.fresh, 1,
+            "the released payload served the second take"
+        );
+        assert_eq!(out[0].2.reused, 1);
+    }
+
+    #[test]
     fn steady_state_pooled_exchange_does_not_allocate() {
         let cfg = ClusterConfig::new(2);
         let allocs = VirtualCluster::run(&cfg, |comm| {
             // All buffers share one arena size, mirroring a parameter
-            // exchange; the pool's LIFO free list then always hands back
-            // a big-enough buffer.
+            // exchange.
             let n = 512;
             let mut scratch = comm.take_buffer(n);
             scratch.resize(n, 0.5);
@@ -1498,8 +1682,8 @@ mod tests {
     #[test]
     fn steady_state_nonblocking_exchange_does_not_allocate() {
         // The pooled zero-allocation guarantee must survive the request
-        // path: isend takes pooled buffers, the receiver's wait recycles
-        // the carcasses into its caller-owned destination buffer.
+        // path: isend takes pooled buffers, the receiver's wait keeps the
+        // arrived one and recycles the destination buffer it displaced.
         let cfg = ClusterConfig::new(2);
         let allocs = VirtualCluster::run(&cfg, |comm| {
             let n = 512;
@@ -1599,7 +1783,7 @@ mod tests {
                 },
                 TraceOp::Recycle
             ],
-            "recv-side: post, completing wait, carcass recycle"
+            "recv-side: post, completing wait, recycle of the displaced buffer"
         );
     }
 

@@ -4,22 +4,25 @@
 //!
 //! Ownership rules (DESIGN.md §10): a buffer is owned by exactly one of
 //! (a) the rank that took it from the pool, (b) a `Message` in flight,
-//! or (c) the gate's result store. Point-to-point payloads migrate with
-//! the message — the *receiver* recycles them — so the pool is shared
-//! across the whole cluster: asymmetric traffic (the CPU rank streaming
-//! batches to the GPUs) drains nobody. Each [`crate::Comm`] additionally
-//! keeps a small private free list in front of this pool so the
-//! steady-state exchange path never touches the shared mutex.
+//! (c) a shared [`Payload`](crate::Payload) until its last reference is
+//! released, or (d) the gate's result store. Point-to-point payloads
+//! migrate with the message — the *receiver* keeps or recycles them — so
+//! the pool is shared across the whole cluster: asymmetric traffic
+//! (batches streaming to the GPUs, contributions climbing the tree)
+//! drains nobody. Each [`crate::Comm`] keeps a small private [`FreeList`]
+//! in front of it so small messages never touch the shared mutex.
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 /// Counter snapshot of pool activity (see [`BufferPool::stats`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PoolStats {
     /// Buffers handed out that required a fresh heap allocation.
     pub fresh: u64,
-    /// Reused buffers whose capacity had to grow (a realloc).
+    /// Buffers managed outside the free list (a caller's `_into` output,
+    /// a gate input slot) whose capacity had to grow (a realloc).
     pub grown: u64,
     /// Buffers handed out without touching the allocator.
     pub reused: u64,
@@ -45,13 +48,64 @@ impl PoolStats {
     }
 }
 
-/// A mutex-guarded free list of `Vec<f32>` buffers with allocation and
-/// copy counters. All counters are `Relaxed`: they are statistics — no
-/// memory is published through them, and the bench reads them only after
-/// the cluster's threads have joined.
+/// Free buffers keyed by capacity: best-fit lookup in `O(log k)` over
+/// the `k` distinct capacities present, so neither the shared pool (under
+/// its lock) nor a rank's private list ever scans.
+#[derive(Default)]
+pub(crate) struct FreeList {
+    by_cap: BTreeMap<usize, Vec<Vec<f32>>>,
+    /// Number of free buffers.
+    pub(crate) len: usize,
+    /// Bytes of capacity they hold.
+    pub(crate) bytes: usize,
+}
+
+impl FreeList {
+    /// The smallest free buffer with `len ≤ capacity ≤ 2·len`, contents
+    /// as recycled. Larger buffers are left for the requests that need
+    /// them: a batch message never takes a parameter-sized buffer.
+    pub(crate) fn take(&mut self, len: usize) -> Option<Vec<f32>> {
+        let cap = *self.by_cap.range(len..=len.saturating_mul(2)).next()?.0;
+        self.remove(cap)
+    }
+
+    /// The largest free buffer (what a full private list spills first).
+    pub(crate) fn take_largest(&mut self) -> Option<Vec<f32>> {
+        let cap = *self.by_cap.keys().next_back()?;
+        self.remove(cap)
+    }
+
+    fn remove(&mut self, cap: usize) -> Option<Vec<f32>> {
+        let bufs = self.by_cap.get_mut(&cap)?;
+        let buf = bufs.pop()?;
+        if bufs.is_empty() {
+            self.by_cap.remove(&cap);
+        }
+        self.len -= 1;
+        self.bytes -= cap * 4;
+        Some(buf)
+    }
+
+    /// Adds a buffer; capacity-less ones are dropped — recycling them
+    /// would only inflate the list.
+    pub(crate) fn put(&mut self, buf: Vec<f32>) {
+        let cap = buf.capacity();
+        if cap == 0 {
+            return;
+        }
+        self.len += 1;
+        self.bytes += cap * 4;
+        self.by_cap.entry(cap).or_default().push(buf);
+    }
+}
+
+/// A mutex-guarded [`FreeList`] with allocation and copy counters. All
+/// counters are `Relaxed`: they are statistics — no memory is published
+/// through them, and the bench reads them only after the cluster's
+/// threads have joined.
 #[derive(Default)]
 pub struct BufferPool {
-    free: Mutex<Vec<Vec<f32>>>,
+    free: Mutex<FreeList>,
     fresh: AtomicU64,
     grown: AtomicU64,
     reused: AtomicU64,
@@ -64,46 +118,40 @@ impl BufferPool {
         Self::default()
     }
 
-    /// Takes a cleared buffer with capacity ≥ `len`. Zero-length requests
-    /// return a fresh `Vec::new()` without touching the pool or the
-    /// counters (an empty `Vec` never allocates).
+    /// Takes a cleared buffer with capacity ≥ `len`: the best-fitting
+    /// free one, else a fresh allocation of exactly `len` (a small free
+    /// buffer is never regrown). Zero-length requests return `Vec::new()`
+    /// without touching the pool or the counters.
     pub fn take(&self, len: usize) -> Vec<f32> {
+        let mut buf = self.take_stale(len);
+        buf.clear();
+        buf
+    }
+
+    /// [`take`](Self::take) without the clear: the buffer keeps whatever
+    /// length and contents its previous user left.
+    pub(crate) fn take_stale(&self, len: usize) -> Vec<f32> {
         if len == 0 {
             return Vec::new();
         }
-        let popped = {
-            let mut free = self.free.lock().unwrap_or_else(|e| e.into_inner());
-            free.pop()
+        let hit = self.lock_free().take(len);
+        let counter = if hit.is_some() {
+            &self.reused
+        } else {
+            &self.fresh
         };
-        match popped {
-            Some(mut buf) => {
-                buf.clear();
-                if buf.capacity() < len {
-                    // ordering: statistics counter, see type docs.
-                    self.grown.fetch_add(1, Ordering::Relaxed);
-                    buf.reserve(len - buf.len());
-                } else {
-                    // ordering: statistics counter, see type docs.
-                    self.reused.fetch_add(1, Ordering::Relaxed);
-                }
-                buf
-            }
-            None => {
-                // ordering: statistics counter, see type docs.
-                self.fresh.fetch_add(1, Ordering::Relaxed);
-                Vec::with_capacity(len)
-            }
-        }
+        // ordering: statistics counter, see type docs.
+        counter.fetch_add(1, Ordering::Relaxed);
+        hit.unwrap_or_else(|| Vec::with_capacity(len))
     }
 
-    /// Returns a buffer to the free list. Capacity-less buffers are
-    /// dropped — recycling them would only inflate the list.
+    fn lock_free(&self) -> MutexGuard<'_, FreeList> {
+        self.free.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Returns a buffer to the free list (capacity-less ones are dropped).
     pub fn put(&self, buf: Vec<f32>) {
-        if buf.capacity() == 0 {
-            return;
-        }
-        let mut free = self.free.lock().unwrap_or_else(|e| e.into_inner());
-        free.push(buf);
+        self.lock_free().put(buf);
     }
 
     /// Records `bytes` of payload copied through the exchange path.
@@ -152,13 +200,34 @@ mod tests {
     }
 
     #[test]
-    fn growing_a_small_recycled_buffer_counts_as_allocation() {
+    fn a_small_free_buffer_is_left_alone_not_regrown() {
         let pool = BufferPool::new();
         let a = pool.take(4);
         pool.put(a);
         let b = pool.take(1024);
         assert!(b.capacity() >= 1024);
-        assert_eq!(pool.stats().allocations(), 2);
+        let s = pool.stats();
+        assert_eq!((s.fresh, s.grown, s.reused), (2, 0, 0));
+        // The small buffer is still there for a request it fits.
+        assert!(pool.take(3).capacity() >= 4);
+        assert_eq!(pool.stats().reused, 1);
+    }
+
+    #[test]
+    fn free_list_hands_out_the_best_fit_within_twice_the_request() {
+        let mut free = FreeList::default();
+        for cap in [10usize, 12, 40, 1000] {
+            free.put(Vec::with_capacity(cap));
+        }
+        assert_eq!((free.len, free.bytes), (4, 4 * 1062));
+        assert_eq!(free.take(11).map(|b| b.capacity()), Some(12));
+        assert_eq!(free.take(11), None, "10 is too small, 40 more than twice");
+        assert_eq!(free.take(300), None, "a batch never takes an arena");
+        assert_eq!(free.take_largest().map(|b| b.capacity()), Some(1000));
+        assert_eq!(free.take(10).map(|b| b.capacity()), Some(10));
+        assert_eq!((free.len, free.bytes), (1, 160));
+        free.put(Vec::new());
+        assert_eq!(free.len, 1, "capacity-less buffers are dropped");
     }
 
     #[test]

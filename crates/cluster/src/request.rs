@@ -4,8 +4,8 @@
 //! [`Request`]; completion happens at [`Comm::wait`] (or
 //! [`Comm::wait_all`] over a [`RequestCollection`]), which is where
 //! simulated time is settled and — for receives — where the matched
-//! message's pooled carcass is recycled, exactly like the blocking
-//! `_into` forms (DESIGN.md §13).
+//! message's buffer is moved in and the posted one recycled, exactly
+//! like the blocking `_into` forms (DESIGN.md §13).
 //!
 //! The semantics mirror MPI's request objects:
 //!
@@ -18,8 +18,8 @@
 //! * a nonblocking **receive** takes ownership of the caller's
 //!   destination buffer; matching is deferred to `wait`, which serves
 //!   the oldest in-flight `(from, tag)` message FCFS (the same
-//!   pending-queue discipline as [`Comm::recv_into`]), copies it into
-//!   the buffer, recycles the carcass, and hands the buffer back.
+//!   pending-queue discipline as [`Comm::recv_into`]), hands back the
+//!   message's own buffer, and recycles the posted one in its place.
 //! * waiting twice on the same request is a bug and panics; dropping a
 //!   request without waiting is flagged by a debug assertion (a lost
 //!   completion — the runtime mirror of the protocol checker's

@@ -12,14 +12,20 @@
 //! buffer; `Send` moves a held buffer into the in-flight message (the
 //! receiver inherits the obligation); `Recv`/`RecvAny` acquire the
 //! arriving message's buffer; `Recycle` returns a held buffer to the
-//! pool; `Retire` passes a held buffer out of pool custody (the
-//! `Vec`-returning receive shims). The nonblocking ops follow the same
-//! ledger: `Isend` consumes a held buffer at post time exactly like
-//! `Send`, and an `Irecv`'s buffer obligation materializes at its `Wait`
-//! (which acquires the matched message's buffer, immediately recycled by
-//! the runtime's copy-out). In every terminal state the checker requires
-//! each rank's held count to be zero, `taken == recycled + retired`, and
-//! every posted `Irecv` discharged by a `Wait` (no lost completions).
+//! pool (`recv_into` keeps the arrived buffer and recycles the one it
+//! displaced — one credit either way); `Retire` passes a held buffer out
+//! of pool custody (the `Vec`-returning receive shims). A shared payload
+//! is **one** obligation however many ranks read it: `Share` turns a
+//! held buffer into a payload with one reference, `Fork` adds the
+//! reference the following `Send` carries, a receive of such a message
+//! acquires a reference instead of a buffer, and `Release` drops one —
+//! the *last* release cluster-wide discharges the obligation. `Isend`
+//! consumes a held buffer at post time exactly like `Send`; an `Irecv`'s
+//! obligation materializes at its `Wait`, which acquires the matched
+//! message's buffer and recycles the posted one. In every terminal state
+//! the checker requires each rank to hold no buffer and no payload
+//! reference, a balanced ledger, and every posted `Irecv` discharged by
+//! a `Wait` (no lost completions).
 //!
 //! [`Comm`]: crate::Comm
 //! [`Comm::trace_start`]: crate::Comm::trace_start
@@ -38,8 +44,21 @@ pub enum TraceOp {
     /// held buffer to the pool.
     Recycle,
     /// A message posted to rank `to` with `tag`, consuming one held
-    /// buffer (all send variants funnel here).
+    /// buffer — or the reference a preceding `Fork` added (all send
+    /// variants funnel here).
     Send { to: usize, tag: u32 },
+    /// [`Comm::make_payload`](crate::Comm::make_payload) (or an owned
+    /// message received as a payload): one held buffer becomes a shared
+    /// payload, this rank holding its first reference.
+    Share,
+    /// [`Comm::send_payload_costed`](crate::Comm::send_payload_costed):
+    /// one more reference to a held payload, carried by the `Send` that
+    /// follows.
+    Fork,
+    /// One reference to a shared payload dropped
+    /// ([`Comm::release_payload`](crate::Comm::release_payload), or a
+    /// `recv_into`/`wait` that copied or moved it out).
+    Release,
     /// A blocking source- and tag-selective receive completed.
     Recv { from: usize, tag: u32 },
     /// A blocking tag-selective FCFS receive from any source completed.
@@ -71,6 +90,9 @@ impl fmt::Display for TraceOp {
             TraceOp::TakeBuf => write!(f, "take_buf"),
             TraceOp::Recycle => write!(f, "recycle"),
             TraceOp::Send { to, tag } => write!(f, "send(to={to}, tag={tag:#x})"),
+            TraceOp::Share => write!(f, "share"),
+            TraceOp::Fork => write!(f, "fork"),
+            TraceOp::Release => write!(f, "release"),
             TraceOp::Recv { from, tag } => write!(f, "recv(from={from}, tag={tag:#x})"),
             TraceOp::RecvAny { tag } => write!(f, "recv_any(tag={tag:#x})"),
             TraceOp::Retire => write!(f, "retire"),
@@ -90,7 +112,13 @@ impl TraceOp {
     pub fn is_local(&self) -> bool {
         matches!(
             self,
-            TraceOp::TakeBuf | TraceOp::Recycle | TraceOp::Retire | TraceOp::Irecv { .. }
+            TraceOp::TakeBuf
+                | TraceOp::Recycle
+                | TraceOp::Retire
+                | TraceOp::Share
+                | TraceOp::Fork
+                | TraceOp::Release
+                | TraceOp::Irecv { .. }
         )
     }
 }

@@ -21,7 +21,7 @@ use crate::engine::{
 };
 use crate::metrics::RunResult;
 use crate::simcost::SimCosts;
-use easgd_cluster::collectives::{tree_broadcast_among, tree_reduce_sum_among, TreeRole};
+use easgd_cluster::collectives::{tree_broadcast_shared_among, tree_reduce_sum_among, TreeRole};
 use easgd_cluster::{
     tags, BatchMsg, ClusterConfig, Comm, Request, RequestCollection, TimeCategory, VirtualCluster,
 };
@@ -78,9 +78,15 @@ pub enum SyncExchange {
 /// One executable-tree exchange round — the exact comm structure the
 /// Sync EASGD trainer runs per iteration under
 /// [`SyncExchange::ExecutableTree`]: tree-broadcast the center from
-/// `center_rank` into `center_t`, let `contribute` build this rank's
-/// reduce input in `weight_sum`, then tree-reduce the sum back to
-/// `center_rank`.
+/// `center_rank` as one shared payload (§5.2: the root's single copy,
+/// forwarded by reference), let `contribute` read W̄_t in place and build
+/// this rank's reduce input in `weight_sum`, then tree-reduce the sum
+/// back to `center_rank` by moving the buffers up the tree. On return
+/// only `center_rank`'s `weight_sum` holds Σ W_i; the others hold a
+/// pooled buffer of the same length with unspecified contents.
+///
+/// `_center_t` is unused — W̄_t lives in the payload — and stays in the
+/// signature for the hosted replays (`benchmark/`) that call it.
 ///
 /// Extracted so the xtask protocol model checker can record the *same*
 /// production code path it verifies (DESIGN.md §12) instead of a
@@ -91,19 +97,16 @@ pub fn tree_exchange_round<F>(
     participants: &[usize],
     center_rank: usize,
     center: &[f32],
-    center_t: &mut Vec<f32>,
+    _center_t: &mut Vec<f32>,
     weight_sum: &mut Vec<f32>,
     category: TimeCategory,
     contribute: F,
 ) where
     F: FnOnce(&[f32], &mut Vec<f32>),
 {
-    center_t.clear();
-    if comm.rank() == center_rank {
-        center_t.extend_from_slice(center);
-    }
-    tree_broadcast_among(comm, participants, center_rank, center_t, category);
-    contribute(center_t, weight_sum);
+    let w_bar = tree_broadcast_shared_among(comm, participants, center_rank, center, category);
+    contribute(w_bar.as_slice(), weight_sum);
+    comm.release_payload(w_bar);
     tree_reduce_sum_among(comm, participants, center_rank, weight_sum, category);
 }
 

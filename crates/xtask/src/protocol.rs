@@ -9,8 +9,9 @@
 //!
 //! A rank's behaviour is a straight-line **program** of
 //! [`TraceOp`]s. The global state is, per rank: a program counter, a
-//! count of held pooled-buffer credits, and an in-order queue of
-//! delivered-but-unmatched messages. The semantics mirror
+//! count of held pooled-buffer credits, a count of held shared-payload
+//! references, and an in-order queue of delivered-but-unmatched
+//! messages. The semantics mirror
 //! `easgd_cluster::channel` exactly: a send deposits the message
 //! directly into the receiver's queue (the production channel pushes
 //! into the receiver's mutex-protected queue inside `send`, so arrival
@@ -29,6 +30,16 @@
 //! discharges the oldest matching obligation. A rank that finishes with
 //! an undischarged obligation dropped a request without waiting — the
 //! model form of a lost completion.
+//!
+//! A shared payload (`make_payload` → `send_payload_costed` fan-out →
+//! `recv_payload` → `release_payload`) is **one** pool obligation held by
+//! reference: `share` turns a held credit into a payload with one
+//! reference, `fork` adds the reference the next send carries, a receive
+//! of such a message acquires a reference, `release` drops one. The
+//! model counts live references cluster-wide (held, staged, in flight);
+//! when the count returns to zero every outstanding payload is
+//! discharged. A rank that finishes holding a reference has leaked the
+//! payload's buffer.
 //!
 //! ## Trace-from-production guarantee
 //!
@@ -49,10 +60,11 @@
 //! match it). Sleep sets prune *redundant interleavings* of commuting
 //! ops while still visiting every reachable state, so all deadlocks and
 //! all terminal states — where the loss/leak/ledger invariants are
-//! evaluated — are preserved. Local ops (`TakeBuf`/`Recycle`/`Retire`)
-//! commute with everything and are folded into the preceding scheduling
-//! point; their violations (double-discharge) depend only on the rank's
-//! own prefix, so folding cannot mask one.
+//! evaluated — are preserved. Local ops (`TakeBuf`/`Recycle`/`Retire`,
+//! `Share`/`Fork`/`Release`) commute with everything and are folded into
+//! the preceding scheduling point; their violations (double-discharge,
+//! releasing a payload not held) depend only on the rank's own prefix,
+//! so folding cannot mask one.
 //!
 //! [`TraceOp`]: easgd_cluster::TraceOp
 //! [`Comm`]: easgd_cluster::Comm
@@ -128,6 +140,8 @@ struct InFlight {
     tag: u32,
     /// Per-(src, dst) send sequence number, for the FIFO invariant.
     seq: u64,
+    /// Carries a shared-payload reference rather than an owned buffer.
+    shared: bool,
 }
 
 /// The abstract global state.
@@ -137,6 +151,14 @@ struct State {
     pc: Vec<usize>,
     /// Pooled-buffer credits currently held per rank.
     held: Vec<u64>,
+    /// Shared-payload references currently held per rank.
+    shared: Vec<u64>,
+    /// References a `Fork` staged for the rank's next send.
+    forked: Vec<u64>,
+    /// Live payload references cluster-wide (held, staged, in flight)
+    /// and the payload obligations they keep open.
+    live_refs: u64,
+    payloads: u64,
     /// Delivered-but-unmatched messages, per receiving rank, in arrival
     /// order.
     queues: Vec<VecDeque<InFlight>>,
@@ -161,6 +183,10 @@ impl State {
         State {
             pc: vec![0; p],
             held: vec![0; p],
+            shared: vec![0; p],
+            forked: vec![0; p],
+            live_refs: 0,
+            payloads: 0,
             queues: vec![VecDeque::new(); p],
             next_seq: vec![vec![0; p]; p],
             matched: HashMap::new(),
@@ -175,10 +201,11 @@ impl State {
     /// enabledness, and FIFO violations are impossible in the model by
     /// construction (receives match the *oldest* candidate), so two
     /// states equal elsewhere behave identically.
-    fn fingerprint(&self) -> (Vec<usize>, Vec<u64>, Vec<Vec<InFlight>>) {
+    fn fingerprint(&self) -> (Vec<usize>, Vec<u64>, Vec<u64>, Vec<Vec<InFlight>>) {
         (
             self.pc.clone(),
             self.held.clone(),
+            self.shared.clone(),
             self.queues
                 .iter()
                 .map(|q| q.iter().copied().collect())
@@ -199,15 +226,25 @@ fn match_index(queue: &VecDeque<InFlight>, from: Option<usize>, tag: u32) -> Opt
 fn apply_visible(state: &mut State, r: usize, op: TraceOp) -> Result<(), String> {
     match op {
         TraceOp::Send { to, tag } | TraceOp::Isend { to, tag } => {
-            if state.held[r] == 0 {
+            // A staged fork rides this send; otherwise a held buffer does.
+            let shared = state.forked[r] > 0;
+            if shared {
+                state.forked[r] -= 1;
+            } else if state.held[r] == 0 {
                 return Err(format!(
                     "rank {r} sent {op} without a held pool buffer (send_from of a non-pooled Vec?)"
                 ));
+            } else {
+                state.held[r] -= 1;
             }
-            state.held[r] -= 1;
             let seq = state.next_seq[r][to];
             state.next_seq[r][to] += 1;
-            state.queues[to].push_back(InFlight { from: r, tag, seq });
+            state.queues[to].push_back(InFlight {
+                from: r,
+                tag,
+                seq,
+                shared,
+            });
         }
         TraceOp::Wait { from, tag } => {
             let posted = state.outstanding[r].entry((from, tag)).or_insert(0);
@@ -220,26 +257,35 @@ fn apply_visible(state: &mut State, r: usize, op: TraceOp) -> Result<(), String>
             let i = match_index(&state.queues[r], Some(from), tag)
                 .unwrap_or_else(|| panic!("wait scheduled while disabled (rank {r})"));
             let msg = state.queues[r].remove(i).unwrap_or_else(|| unreachable!());
-            check_fifo(state, r, &msg)?;
-            state.held[r] += 1;
+            acquire(state, r, &msg)?;
         }
         TraceOp::Recv { from, tag } => {
             let i = match_index(&state.queues[r], Some(from), tag)
                 .unwrap_or_else(|| panic!("recv scheduled while disabled (rank {r})"));
             let msg = state.queues[r].remove(i).unwrap_or_else(|| unreachable!());
-            check_fifo(state, r, &msg)?;
-            state.held[r] += 1;
+            acquire(state, r, &msg)?;
         }
         TraceOp::RecvAny { tag } => {
             let i = match_index(&state.queues[r], None, tag)
                 .unwrap_or_else(|| panic!("recv_any scheduled while disabled (rank {r})"));
             let msg = state.queues[r].remove(i).unwrap_or_else(|| unreachable!());
-            check_fifo(state, r, &msg)?;
-            state.held[r] += 1;
+            acquire(state, r, &msg)?;
         }
         local => panic!("local op {local} reached the scheduler"),
     }
     state.pc[r] += 1;
+    Ok(())
+}
+
+/// Rank `r` matched `msg`: FIFO-check it and take over what it carries —
+/// a payload reference or the buffer itself.
+fn acquire(state: &mut State, r: usize, msg: &InFlight) -> Result<(), String> {
+    check_fifo(state, r, msg)?;
+    if msg.shared {
+        state.shared[r] += 1;
+    } else {
+        state.held[r] += 1;
+    }
     Ok(())
 }
 
@@ -278,7 +324,7 @@ fn fold_locals(state: &mut State, programs: &[Vec<TraceOp>]) -> Result<(), Strin
                 TraceOp::Irecv { from, tag } => {
                     *state.outstanding[r].entry((*from, *tag)).or_insert(0) += 1;
                 }
-                TraceOp::Recycle | TraceOp::Retire => {
+                TraceOp::Recycle | TraceOp::Retire | TraceOp::Share => {
                     if state.held[r] == 0 {
                         return Err(format!(
                             "rank {r} ran {op} holding no buffer (double recycle/retire, \
@@ -286,7 +332,34 @@ fn fold_locals(state: &mut State, programs: &[Vec<TraceOp>]) -> Result<(), Strin
                         ));
                     }
                     state.held[r] -= 1;
-                    state.discharged += 1;
+                    if matches!(op, TraceOp::Share) {
+                        state.shared[r] += 1;
+                        state.live_refs += 1;
+                        state.payloads += 1;
+                    } else {
+                        state.discharged += 1;
+                    }
+                }
+                TraceOp::Fork | TraceOp::Release => {
+                    if state.shared[r] == 0 {
+                        return Err(format!(
+                            "rank {r} ran {op} holding no payload reference (double release, \
+                             or forwarding a payload never received)"
+                        ));
+                    }
+                    if matches!(op, TraceOp::Fork) {
+                        state.forked[r] += 1;
+                        state.live_refs += 1;
+                    } else {
+                        state.shared[r] -= 1;
+                        state.live_refs -= 1;
+                        // The last release returns every open payload's
+                        // buffer to the pool.
+                        if state.live_refs == 0 {
+                            state.discharged += state.payloads;
+                            state.payloads = 0;
+                        }
+                    }
                 }
                 _ => unreachable!(),
             }
@@ -364,6 +437,15 @@ fn check_terminal(state: &State) -> Result<(), String> {
         if h > 0 {
             problems.push(format!(
                 "rank {r} finished still holding {h} pooled buffer(s)"
+            ));
+        }
+    }
+    for (r, &k) in state.shared.iter().enumerate() {
+        if k + state.forked[r] > 0 {
+            problems.push(format!(
+                "rank {r} finished still holding {} shared payload reference(s): the \
+                 payload's buffer never returns to the pool",
+                k + state.forked[r]
             ));
         }
     }
@@ -846,16 +928,37 @@ pub fn negative_recv_any_starvation() -> Vec<Vec<TraceOp>> {
     ]
 }
 
-/// A tree broadcast whose last leaf drops its `Recycle`: the production
-/// trace of [`trace_tree_broadcast`] with the final local op removed —
-/// a pool leak in every terminal state.
-pub fn negative_leaky_broadcast() -> Vec<Vec<TraceOp>> {
-    let mut programs = trace_tree_broadcast(4, 0);
-    let leaked = programs[3].pop();
+/// A tree reduce whose root drops its `Recycle`: the production trace
+/// of [`trace_tree_reduce`] with the final local op removed — the last
+/// child's buffer leaks in every terminal state.
+pub fn negative_leaky_reduce() -> Vec<Vec<TraceOp>> {
+    let mut programs = trace_tree_reduce(4, 0);
+    let leaked = programs[0].pop();
     assert_eq!(
         leaked,
         Some(TraceOp::Recycle),
         "fixture drift: expected a trailing recycle"
+    );
+    programs
+}
+
+/// A tree broadcast whose interior rank forwards the shared payload but
+/// never releases its own reference: the production trace of
+/// [`trace_tree_broadcast`] with rank 2's `Release` removed. Every other
+/// holder releases, yet the payload's buffer never returns to the pool.
+pub fn negative_unreleased_forward() -> Vec<Vec<TraceOp>> {
+    let mut programs = trace_tree_broadcast(4, 0);
+    let interior = &mut programs[2];
+    assert!(
+        interior.contains(&TraceOp::Fork),
+        "fixture drift: rank 2 should forward the payload"
+    );
+    let before = interior.len();
+    interior.retain(|op| *op != TraceOp::Release);
+    assert_eq!(
+        interior.len() + 1,
+        before,
+        "fixture drift: expected one release"
     );
     programs
 }
@@ -966,8 +1069,14 @@ pub fn suite(smoke: bool) -> Vec<Scenario> {
             compare_naive: false,
         },
         Scenario {
-            name: "negative: leaking broadcast leaf",
-            programs: negative_leaky_broadcast(),
+            name: "negative: leaking reduce root",
+            programs: negative_leaky_reduce(),
+            expect_pass: false,
+            compare_naive: false,
+        },
+        Scenario {
+            name: "negative: payload forwarded, never released",
+            programs: negative_unreleased_forward(),
             expect_pass: false,
             compare_naive: false,
         },
@@ -1103,7 +1212,7 @@ mod tests {
 
     #[test]
     fn leak_and_loss_are_reported() {
-        let Outcome::Fail(v, _) = check(&negative_leaky_broadcast(), true, None) else {
+        let Outcome::Fail(v, _) = check(&negative_leaky_reduce(), true, None) else {
             panic!("leak must be found");
         };
         assert!(v.message.contains("holding"), "{}", v.message);
@@ -1128,6 +1237,51 @@ mod tests {
             panic!("double recycle must be found");
         };
         assert!(v.message.contains("holding no buffer"), "{}", v.message);
+    }
+
+    #[test]
+    fn shared_payload_is_one_obligation_released_last() {
+        // Rank 0 shares one buffer with both peers; whichever release
+        // comes last discharges it, in every interleaving.
+        let t = tags::SYNC_DATA;
+        let reader = |from| vec![TraceOp::Recv { from, tag: t }, TraceOp::Release];
+        let mut programs = vec![
+            vec![
+                TraceOp::TakeBuf,
+                TraceOp::Share,
+                TraceOp::Fork,
+                TraceOp::Send { to: 1, tag: t },
+                TraceOp::Fork,
+                TraceOp::Send { to: 2, tag: t },
+                TraceOp::Release,
+            ],
+            reader(0),
+            reader(0),
+        ];
+        assert!(matches!(check(&programs, false, None), Outcome::Pass(_)));
+        assert!(matches!(check(&programs, true, None), Outcome::Pass(_)));
+        // A second release of the same reference is a local violation.
+        programs[2].push(TraceOp::Release);
+        let Outcome::Fail(v, _) = check(&programs, true, None) else {
+            panic!("double release must be found");
+        };
+        assert!(
+            v.message.contains("holding no payload reference"),
+            "{}",
+            v.message
+        );
+    }
+
+    #[test]
+    fn unreleased_forward_is_a_pool_leak() {
+        let Outcome::Fail(v, _) = check(&negative_unreleased_forward(), true, None) else {
+            panic!("unreleased payload must be found");
+        };
+        assert!(
+            v.message.contains("never returns to the pool"),
+            "{}",
+            v.message
+        );
     }
 
     #[test]

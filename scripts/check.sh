@@ -50,6 +50,18 @@ cargo run -q --release -p easgd-bench --bin serve -- --smoke
 echo "==> bench artifact schema check (every checked-in BENCH_*.json)"
 cargo run -q --release -p easgd-bench --bin schema_check
 
+# benchmark/ is a package of its own (outside the workspace) that hosts
+# replays of the trainers from public library pieces: a signature change
+# that breaks them must fail here, not in the perf pipeline. run.sh
+# refuses to run with RUSTFLAGS set (see the warning above).
+if [[ -z "${RUSTFLAGS+set}" ]]; then
+  echo "==> benchmark package: clippy + every workload in smoke mode"
+  cargo clippy --quiet --manifest-path benchmark/Cargo.toml --target-dir target -- -D warnings
+  bash benchmark/run.sh --smoke
+else
+  echo "==> benchmark package: SKIPPED (RUSTFLAGS is set)"
+fi
+
 echo "==> cargo test --workspace"
 cargo test --workspace -q
 

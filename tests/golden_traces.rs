@@ -36,6 +36,7 @@ use knl_easgd::prelude::*;
 use alg::{
     async_server_sim, hierarchical_sync_easgd, knl_partition_run, run_method, serial_sgd,
     AsyncVariant, GpuClusterTopology, LrSchedule, MethodId, OriginalMode, RunResult, SerialConfig,
+    SyncExchange,
 };
 use easgd_nn::LayoutKind;
 use std::collections::BTreeMap;
@@ -181,6 +182,33 @@ fn run_all() -> BTreeMap<String, RunResult> {
     ] {
         let r = alg::sync_easgd_sim(&net, &train, &test, &cfg(4, 20), &costs, v, 5);
         put(&format!("sim_sync_{suffix}_w4"), r);
+    }
+    // The executable and pipelined trees: message-by-message α-β time
+    // and a pairwise fold order, so the digests pin the collectives'
+    // bits — odd participant counts and the CPU-rooted EASGD1 included.
+    for (vname, v) in [
+        ("easgd1", SyncVariant::Easgd1),
+        ("easgd2", SyncVariant::Easgd2),
+        ("easgd3", SyncVariant::Easgd3),
+    ] {
+        for p in [2usize, 3, 4, 5, 8] {
+            for (xname, exchange) in [
+                ("exectree", SyncExchange::ExecutableTree),
+                ("pipetree5", SyncExchange::PipelinedTree { segments: 5 }),
+            ] {
+                let r = alg::sync_easgd_sim_with(
+                    &net,
+                    &train,
+                    &test,
+                    &cfg(p, 12),
+                    &costs,
+                    v,
+                    4,
+                    exchange,
+                );
+                put(&format!("sim_sync_{vname}_{xname}_w{p}"), r);
+            }
+        }
     }
     {
         let c = cfg(2, 20);

@@ -578,6 +578,81 @@ proptest! {
         prop_assert_eq!(s.allocations(), s.fresh + s.grown);
     }
 
+    /// Size-aware reuse: a `take` never touches the allocator while a
+    /// free buffer with `len ≤ capacity ≤ 2·len` exists (and then hands
+    /// out the smallest such), never regrows anything, and otherwise
+    /// allocates fresh — checked against a model of the free capacities.
+    #[test]
+    fn pool_take_reuses_the_best_fit_and_never_grows(
+        ops in proptest::collection::vec(0u64..1024, 0..80),
+    ) {
+        use knl_easgd::cluster::pool::BufferPool;
+        let pool = BufferPool::new();
+        let mut live: Vec<Vec<f32>> = Vec::new();
+        let mut free_caps: Vec<usize> = Vec::new();
+        for op in ops {
+            let (is_take, len) = (op & 1 == 1, (op >> 1) as usize);
+            if is_take {
+                let before = pool.stats();
+                let buf = pool.take(len);
+                let d = pool.stats().since(&before);
+                prop_assert!(buf.is_empty(), "taken buffers arrive cleared");
+                prop_assert!(buf.capacity() >= len, "capacity contract broken");
+                prop_assert_eq!(d.grown, 0, "the pool never regrows a buffer");
+                let fit = free_caps
+                    .iter()
+                    .copied()
+                    .filter(|&c| len > 0 && c >= len && c <= 2 * len)
+                    .min();
+                match fit {
+                    Some(cap) => {
+                        prop_assert_eq!((d.fresh, d.reused), (0, 1), "allocated past a fit");
+                        prop_assert_eq!(buf.capacity(), cap, "not the best fit");
+                        let i = free_caps.iter().position(|&c| c == cap).unwrap();
+                        free_caps.swap_remove(i);
+                    }
+                    None => prop_assert_eq!((d.fresh, d.reused), (u64::from(len > 0), 0)),
+                }
+                live.push(buf);
+            } else if let Some(buf) = live.pop() {
+                if buf.capacity() > 0 {
+                    free_caps.push(buf.capacity());
+                }
+                pool.put(buf);
+            }
+        }
+    }
+
+    /// A moved-in `recv_into` leaves `out` equal to the sent payload
+    /// whatever `out` held before — empty, shorter, or longer than the
+    /// message, zero-length messages included.
+    #[test]
+    fn recv_into_leaves_out_equal_to_the_sent_payload(
+        cases in proptest::collection::vec((0usize..300, 0usize..300), 1..10),
+    ) {
+        use knl_easgd::cluster::tags::SYNC_DATA;
+        let cases = &cases;
+        let value = |case: usize, j: usize| (case * 1000 + j) as f32;
+        let cfg = ClusterConfig::new(2);
+        let ok = VirtualCluster::run(&cfg, |comm| {
+            let mut ok = true;
+            for (case, &(len, out_len)) in cases.iter().enumerate() {
+                if comm.rank() == 0 {
+                    let mut buf = comm.take_buffer(len);
+                    buf.extend((0..len).map(|j| value(case, j)));
+                    comm.send_from(1, SYNC_DATA, buf, TimeCategory::Other);
+                } else {
+                    let mut out = vec![-1.0f32; out_len];
+                    comm.recv_into(0, SYNC_DATA, TimeCategory::Other, &mut out);
+                    ok &= out.len() == len
+                        && out.iter().enumerate().all(|(j, &x)| x == value(case, j));
+                }
+            }
+            ok
+        });
+        prop_assert!(ok[1], "recv_into returned something other than the payload");
+    }
+
     /// `bytes_copied` is monotone under `note_copy` and sums exactly.
     #[test]
     fn pool_bytes_copied_is_monotone_and_exact(

@@ -9,10 +9,10 @@
 //! schedule.
 
 use easgd_xtask::protocol::{
-    check, negative_cyclic_pair, negative_leaky_broadcast, negative_lost_message,
-    negative_recv_any_starvation, negative_unmatched_wait, shortest_violation, suite,
-    trace_pipelined_exchange, trace_sync_exchange, trace_tree_allreduce, trace_tree_reduce,
-    Outcome, NAIVE_CAP, REDUCED_CAP,
+    check, negative_cyclic_pair, negative_leaky_reduce, negative_lost_message,
+    negative_recv_any_starvation, negative_unmatched_wait, negative_unreleased_forward,
+    shortest_violation, suite, trace_pipelined_exchange, trace_sync_exchange, trace_tree_allreduce,
+    trace_tree_broadcast, trace_tree_reduce, Outcome, NAIVE_CAP, REDUCED_CAP,
 };
 use knl_easgd::cluster::TraceOp;
 
@@ -87,11 +87,42 @@ fn recorded_programs_are_deterministic_and_send_recv_balanced() {
         sends, recvs,
         "unbalanced send/recv in the recorded exchange"
     );
+    // Every taken buffer is recycled, retired, or became a shared
+    // payload (one obligation, discharged by its last release).
     let takes = count(|op| matches!(op, TraceOp::TakeBuf));
-    let discharges = count(|op| matches!(op, TraceOp::Recycle | TraceOp::Retire));
+    let discharges = count(|op| matches!(op, TraceOp::Recycle | TraceOp::Retire | TraceOp::Share));
     assert_eq!(
         takes, discharges,
         "unbalanced pool ledger in the recorded exchange"
+    );
+    // The centre is broadcast as ONE payload: the root's share, a fork
+    // per tree edge, and a release by every participant.
+    assert_eq!(count(|op| matches!(op, TraceOp::Share)), 1);
+    assert_eq!(count(|op| matches!(op, TraceOp::Fork)), 2);
+    assert_eq!(count(|op| matches!(op, TraceOp::Release)), 3);
+}
+
+#[test]
+fn tree_broadcast_is_one_shared_payload() {
+    // P ranks, one pooled copy: the root takes + shares once, every edge
+    // is a fork riding a send, every rank releases exactly once.
+    let programs = trace_tree_broadcast(4, 0);
+    let count =
+        |pred: fn(&TraceOp) -> bool| programs.iter().flatten().filter(|op| pred(op)).count();
+    assert_eq!(count(|op| matches!(op, TraceOp::TakeBuf)), 1);
+    assert_eq!(count(|op| matches!(op, TraceOp::Share)), 1);
+    assert_eq!(count(|op| matches!(op, TraceOp::Fork)), 3);
+    assert_eq!(count(|op| matches!(op, TraceOp::Release)), 4);
+    assert_eq!(
+        programs[3],
+        vec![
+            TraceOp::Recv {
+                from: 2,
+                tag: knl_easgd::cluster::tags::TREE_BCAST | 1
+            },
+            TraceOp::Release
+        ],
+        "a leaf receives the reference and releases it"
     );
 }
 
@@ -127,14 +158,39 @@ fn schedule_dependent_starvation_is_found_even_under_reduction() {
 
 #[test]
 fn pool_leak_in_a_production_trace_is_caught() {
-    let Outcome::Fail(v, _) = check(&negative_leaky_broadcast(), true, None) else {
-        panic!("leaking broadcast must fail");
+    let Outcome::Fail(v, _) = check(&negative_leaky_reduce(), true, None) else {
+        panic!("leaking reduce must fail");
     };
     assert!(v.message.contains("holding"), "{v}");
     assert!(
-        shortest_violation(&negative_leaky_broadcast(), 100_000).is_some(),
+        shortest_violation(&negative_leaky_reduce(), 100_000).is_some(),
         "leak needs a counterexample schedule"
     );
+}
+
+#[test]
+fn forwarded_but_unreleased_payload_is_a_pool_leak() {
+    // Rank 2 forwards the shared payload to rank 3 and keeps its own
+    // reference forever: all three other holders release, so only the
+    // last-release rule can notice the buffer never comes back.
+    let programs = negative_unreleased_forward();
+    for reduce in [false, true] {
+        let Outcome::Fail(v, _) = check(&programs, reduce, None) else {
+            panic!("unreleased payload must fail (reduce={reduce})");
+        };
+        assert!(
+            v.message
+                .contains("rank 2 finished still holding 1 shared payload reference"),
+            "{v}"
+        );
+        assert!(v.message.contains("never returns to the pool"), "{v}");
+    }
+    // Minimal counterexample: the leak is only visible in a terminal
+    // state, so the shortest schedule is exactly the three sends and
+    // three receives of the broadcast — nothing shorter reaches it.
+    let minimal = shortest_violation(&programs, 100_000).expect("minimal counterexample");
+    assert_eq!(minimal.schedule.len(), 6, "schedule {:?}", minimal.schedule);
+    assert!(minimal.message.contains("shared payload reference"));
 }
 
 #[test]
