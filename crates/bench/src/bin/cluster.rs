@@ -38,6 +38,7 @@ use easgd::weak_scaling::{
 };
 use easgd::WeakScalingModel;
 use easgd_bench::arg_value;
+use easgd_bench::schema::{json_escape, json_number};
 use easgd_cluster::collectives::tree_allreduce_sum;
 use easgd_cluster::{ClusterBackend, ClusterConfig, TimeCategory, VirtualCluster};
 
@@ -104,7 +105,7 @@ fn run_table4_point(model: &WeakScalingModel, nodes: usize) -> Table4Point {
         let mut out = Vec::new();
         for _ in 0..TABLE4_ITERS {
             comm.charge(TimeCategory::ForwardBackward, base);
-            comm.allreduce_sum_costed_into(&buf, comm_cost, TimeCategory::GpuGpuParam, &mut out);
+            comm.reduce_sum_costed_into(&buf, comm_cost, TimeCategory::GpuGpuParam, &mut out);
         }
         comm.now()
     });
@@ -249,10 +250,6 @@ fn bench_figure13(
         .collect()
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 struct Acceptance {
     /// Worst |emergent − closed-form| efficiency across every point.
     max_model_delta: f64,
@@ -326,18 +323,6 @@ fn render_json(entries: &[Entry], acc: &Acceptance) -> String {
     }
     out.push_str("  ]\n}\n");
     out
-}
-
-/// Pulls `"key": <number>` out of the checked-in JSON (hand-rolled like
-/// the writer; the bench has no JSON dependency by design).
-fn json_number(text: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = text.find(&needle)? + needle.len();
-    let rest = text[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == '+' || c == 'e'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 /// `--smoke` re-validates the checked-in acceptance numbers, so CI fails

@@ -4,8 +4,8 @@
 //!
 //! Measures the zero-allocation exchange path of ISSUE 4 — the fused
 //! `elastic_exchange` kernel against the two-pass copy+Eq(1) composition
-//! it replaced, the full pooled exchange step against the old
-//! `Vec`-returning shim APIs on a live 2-rank [`VirtualCluster`], the
+//! it replaced, the full pooled exchange step against the seed's
+//! allocate-per-call shape on a live 2-rank [`VirtualCluster`], the
 //! pool's allocation and bytes-moved counters, the executable tree
 //! reduce against the flat gather-sum at 8 ranks, the ISSUE 7
 //! compute/communication overlap (serial vs segment-pipelined tree
@@ -31,6 +31,8 @@
 
 use easgd::sync::{tree_exchange_pipelined, tree_exchange_round};
 use easgd_bench::arg_value;
+use easgd_bench::schema::{json_escape, json_number};
+use easgd_bench::timing::time_pair_ms;
 use easgd_cluster::collectives::{flat_gather_sum, tree_reduce_sum};
 use easgd_cluster::{ClusterBackend, ClusterConfig, Comm, PoolStats, TimeCategory, VirtualCluster};
 use easgd_hardware::AlphaBeta;
@@ -66,61 +68,6 @@ impl Entry {
     fn rate(&self) -> f64 {
         self.work as f64 / (self.ms / 1e3).max(1e-12) / 1e6
     }
-}
-
-/// Best-of-several wall time for `f`, in milliseconds. In smoke mode a
-/// single iteration (compile-and-run sanity, no timing claims).
-fn time_ms(smoke: bool, mut f: impl FnMut()) -> f64 {
-    if smoke {
-        let t = Instant::now();
-        f();
-        return t.elapsed().as_secs_f64() * 1e3;
-    }
-    let mut best = f64::INFINITY;
-    let mut spent = 0.0;
-    let mut iters = 0u32;
-    while iters < 3 || (spent < 0.6 && iters < 40) {
-        let t = Instant::now();
-        f();
-        let s = t.elapsed().as_secs_f64();
-        best = best.min(s);
-        spent += s;
-        iters += 1;
-    }
-    best * 1e3
-}
-
-/// Interleaved A/B measurement (see `kernels.rs`): alternating the two
-/// sides spreads cache state and thermal drift over both, and the
-/// per-side minimum estimates true cost under transient load.
-fn time_pair_ms(
-    smoke: bool,
-    budget_s: f64,
-    mut fa: impl FnMut(),
-    mut fb: impl FnMut(),
-) -> (f64, f64) {
-    if smoke {
-        let (a, b) = (time_ms(true, &mut fa), time_ms(true, &mut fb));
-        return (a, b);
-    }
-    let mut best_a = f64::INFINITY;
-    let mut best_b = f64::INFINITY;
-    let mut spent = 0.0;
-    let mut rounds = 0u32;
-    while rounds < 5 || (spent < budget_s && rounds < 60) {
-        for (best, f) in [
-            (&mut best_a, &mut fa as &mut dyn FnMut()),
-            (&mut best_b, &mut fb),
-        ] {
-            let t = Instant::now();
-            f();
-            let s = t.elapsed().as_secs_f64();
-            *best = best.min(s);
-            spent += s;
-        }
-        rounds += 1;
-    }
-    (best_a * 1e3, best_b * 1e3)
 }
 
 /// Kernel-level rows: the fused exchange sweep vs the two-pass
@@ -204,10 +151,11 @@ struct StepOutcome {
 /// vector, dilute.
 ///
 /// The seed's rendezvous consumed an *owned* input (`data.to_vec()`
-/// inside `broadcast_costed`/`reduce_sum_costed`) and every reader cloned
-/// the result; today's `Vec`-returning shims already route through the
-/// pooled slot path, so the input copies the seed paid are restored here
-/// explicitly to keep the baseline honest.
+/// inside its `Vec`-returning broadcast/reduce) and returned a fresh
+/// vector to every reader. Those methods are gone; the same allocations
+/// and copies are spelled out here — an owned input per collective, a
+/// fresh output vector that leaves the pool — to keep the baseline
+/// honest.
 fn old_step(comm: &mut Comm, local: &mut [f32], grad: &[f32], center: &mut Vec<f32>) {
     let workers = comm.size();
     let bcast_in = if comm.rank() == 0 {
@@ -215,11 +163,13 @@ fn old_step(comm: &mut Comm, local: &mut [f32], grad: &[f32], center: &mut Vec<f
     } else {
         Vec::new()
     };
-    let center_t = comm.broadcast_costed(0, &bcast_in, 0.0, TimeCategory::GpuGpuParam);
+    let mut center_t = Vec::new();
+    comm.broadcast_costed_into(0, &bcast_in, 0.0, TimeCategory::GpuGpuParam, &mut center_t);
     let contribution = local.to_vec();
     ops::elastic_worker_update(ETA, RHO, local, grad, &center_t);
     let reduce_in = contribution.to_vec();
-    let sum = comm.reduce_sum_costed(&reduce_in, 0.0, TimeCategory::GpuGpuParam);
+    let mut sum = Vec::new();
+    comm.reduce_sum_costed_into(&reduce_in, 0.0, TimeCategory::GpuGpuParam, &mut sum);
     *center = center_t;
     ops::center_dilution(ETA, RHO, center, &sum, workers);
 }
@@ -260,11 +210,11 @@ fn bench_exchange_step(entries: &mut Vec<Entry>, smoke: bool) -> StepOutcome {
         let mut contribution = vec![0.0f32; n];
         let mut sum: Vec<f32> = Vec::new();
 
-        // Warm both paths (grows persistent scratch and gate slots), then
-        // park spares: the pool's steady state needs one buffer of slack
-        // per pipeline stage (the gate retires its combine buffer on the
-        // *last* read, which can land after the fastest rank has already
-        // started the next step).
+        // Warm both paths (grows persistent scratch), then park spares:
+        // the pool's steady state needs one buffer of slack per pipeline
+        // stage (a collective's result payload returns to the pool on
+        // its *last* release, which can land after the fastest rank has
+        // already started the next step).
         for _ in 0..2 {
             old_step(comm, &mut local, &grad, &mut center);
             new_step(
@@ -285,14 +235,10 @@ fn bench_exchange_step(entries: &mut Vec<Entry>, smoke: bool) -> StepOutcome {
         }
         comm.barrier();
 
-        // Pool counters over a pure-old window, then a pure-new window.
-        let before_old = comm.pool_stats();
-        for _ in 0..rounds {
-            old_step(comm, &mut local, &grad, &mut center);
-        }
-        comm.barrier();
+        // Pool counters over a pure-new window, then a pure-old window
+        // (in that order: every old step carries two buffers out of the
+        // pool for good, which the next new step would have to replace).
         let before_new = comm.pool_stats();
-        let old_pool = before_new.since(&before_old);
         for _ in 0..rounds {
             new_step(
                 comm,
@@ -305,7 +251,13 @@ fn bench_exchange_step(entries: &mut Vec<Entry>, smoke: bool) -> StepOutcome {
             );
         }
         comm.barrier();
-        let new_pool = comm.pool_stats().since(&before_new);
+        let before_old = comm.pool_stats();
+        let new_pool = before_old.since(&before_new);
+        for _ in 0..rounds {
+            old_step(comm, &mut local, &grad, &mut center);
+        }
+        comm.barrier();
+        let old_pool = comm.pool_stats().since(&before_old);
 
         // Interleaved wall timing, min per side (both ranks step in
         // lockstep through the collectives, so rank 0's clock stands for
@@ -603,10 +555,6 @@ fn bench_tree_round(entries: &mut Vec<Entry>, smoke: bool, p: usize) -> TreeRoun
     outcome
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 struct Acceptance {
     fused_kernel_speedup: f64,
     step_speedup: f64,
@@ -703,18 +651,6 @@ fn render_json(entries: &[Entry], acc: &Acceptance) -> String {
     }
     out.push_str("  ]\n}\n");
     out
-}
-
-/// Pulls `"key": <number>` out of the checked-in JSON (hand-rolled like
-/// the writer; the bench has no JSON dependency by design).
-fn json_number(text: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = text.find(&needle)? + needle.len();
-    let rest = text[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == '+'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 /// `--smoke` also re-validates the checked-in acceptance ratios, so CI

@@ -4,8 +4,9 @@
 //!
 //! Measures the zero-allocation training step of ISSUE 5 — the pooled
 //! `forward_backward` path (activations, gradients, masks, and im2col
-//! panels sized through the counted [`TrainScratch`]) against the **seed
-//! allocating path**, frozen byte-faithfully in [`seed`]: the pre-arena
+//! panels sized through the counted [`easgd_tensor::TrainScratch`])
+//! against the **seed allocating path**, frozen byte-faithfully in
+//! [`seed`]: the pre-arena
 //! layer code, per-element im2col/col2im, and the seed GEMM with its
 //! per-call packing allocations. Freezing the baseline keeps the A/B
 //! honest — kernel improvements in the live library cannot leak into the
@@ -30,10 +31,11 @@
 mod seed;
 
 use easgd_bench::arg_value;
+use easgd_bench::schema::{json_escape, json_number};
+use easgd_bench::timing::time_pair_ms;
 use easgd_nn::models::lenet;
 use easgd_nn::{Network, NetworkBuilder};
-use easgd_tensor::{Rng, ScratchPolicy, Tensor};
-use std::time::Instant;
+use easgd_tensor::{Rng, Tensor};
 
 /// One measured training-step row.
 struct Entry {
@@ -50,37 +52,6 @@ impl Entry {
     fn rate(&self) -> f64 {
         self.batch as f64 / (self.ms / 1e3).max(1e-12)
     }
-}
-
-/// Interleaved A/B measurement (see `comm.rs`): alternating the two
-/// sides spreads cache state and thermal drift over both, and the
-/// per-side minimum estimates true cost under transient load.
-fn time_pair_ms(
-    smoke: bool,
-    budget_s: f64,
-    mut fa: impl FnMut(),
-    mut fb: impl FnMut(),
-) -> (f64, f64) {
-    let mut best_a = f64::INFINITY;
-    let mut best_b = f64::INFINITY;
-    let mut spent = 0.0;
-    let mut rounds = 0u32;
-    let min_rounds = if smoke { 1 } else { 5 };
-    let max_rounds = if smoke { 1 } else { 60 };
-    while rounds < min_rounds || (spent < budget_s && rounds < max_rounds) {
-        for (best, f) in [
-            (&mut best_a, &mut fa as &mut dyn FnMut()),
-            (&mut best_b, &mut fb),
-        ] {
-            let t = Instant::now();
-            f();
-            let s = t.elapsed().as_secs_f64();
-            *best = best.min(s);
-            spent += s;
-        }
-        rounds += 1;
-    }
-    (best_a * 1e3, best_b * 1e3)
 }
 
 /// A VGG-shaped classifier: stacked 3×3 same-pad conv blocks with
@@ -163,10 +134,9 @@ impl ModelOutcome {
 }
 
 /// Runs the frozen-seed-vs-pooled comparison on one model: asserts the
-/// two paths produce bit-identical losses and gradients (and that the
-/// `Churn` scratch policy still cross-checks against the pooled one),
-/// windows the allocation counters over pure steady-state steps, then
-/// interleaves the wall timing.
+/// two paths produce bit-identical losses and gradients, windows the
+/// allocation counters over pure steady-state steps, then interleaves the
+/// wall timing.
 fn bench_model(
     entries: &mut Vec<Entry>,
     smoke: bool,
@@ -176,9 +146,6 @@ fn bench_model(
     batch: usize,
 ) -> ModelOutcome {
     let mut pooled = net;
-    let mut churn = pooled.clone();
-    churn.set_scratch_policy(ScratchPolicy::Churn);
-
     let mut shape = vec![batch];
     shape.extend_from_slice(pooled.input_shape());
     let mut rng = Rng::new(0xbe7c);
@@ -186,16 +153,8 @@ fn bench_model(
     rng.fill_normal(x.as_mut_slice(), 0.0, 1.0);
     let labels: Vec<usize> = (0..batch).map(|i| i % pooled.num_classes()).collect();
 
-    // Warm-up (the pooled path's one allowed allocating step), plus the
-    // policy cross-check: Churn (fresh buffer per request) and Pooled
-    // (reused buffers) must agree to the bit.
+    // Warm-up (the pooled path's one allowed allocating step).
     let lp = pooled.forward_backward(&x, &labels).loss;
-    let lc = churn.forward_backward(&x, &labels).loss;
-    assert_eq!(
-        lp.to_bits(),
-        lc.to_bits(),
-        "{model}: pooled and churn losses diverged"
-    );
 
     // The frozen seed step runs on a clone of the same parameters and
     // must reproduce the pooled loss AND every gradient bit — the
@@ -233,12 +192,6 @@ fn bench_model(
         let _ = pooled.forward_backward(&x, &labels);
     }
     let pooled_delta = pooled.scratch_stats().since(&before);
-    let churn_before = churn.scratch_stats();
-    let _ = churn.forward_backward(&x, &labels);
-    assert!(
-        churn.scratch_stats().since(&churn_before).allocations() > 0,
-        "{model}: churn policy reported no allocations — counter broken"
-    );
     let seed_before = seed_net.allocs;
     for _ in 0..alloc_steps {
         let _ = seed_net.step(&params, &mut seed_grads, x.as_slice(), batch, &labels);
@@ -270,10 +223,6 @@ fn bench_model(
         pooled_allocs_per_step: pooled_delta.allocations() as f64 / alloc_steps as f64,
         seed_allocs_per_step,
     }
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 struct Acceptance {
@@ -324,18 +273,6 @@ fn render_json(entries: &[Entry], acc: &Acceptance) -> String {
     }
     out.push_str("  ]\n}\n");
     out
-}
-
-/// Pulls `"key": <number>` out of the checked-in JSON (hand-rolled like
-/// the writer; the bench has no JSON dependency by design).
-fn json_number(text: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = text.find(&needle)? + needle.len();
-    let rest = text[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == '+'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 /// `--smoke` also re-validates the checked-in acceptance numbers, so CI

@@ -23,9 +23,11 @@
 //! `collectives`, `packed_comm`, `hogwild`, `elastic_update`.
 //!
 //! This library hosts the pieces the binaries share: the standard
-//! experiment task, iteration sweeps, and table printers.
+//! experiment task, iteration sweeps, table printers, the wall-clock
+//! timers ([`timing`]) and the hand-rolled JSON helpers ([`schema`]).
 
 pub mod schema;
+pub mod timing;
 
 use easgd::metrics::RunResult;
 use easgd_data::{Dataset, SyntheticSpec};

@@ -107,6 +107,11 @@ pub fn json_number(text: &str, key: &str) -> Option<f64> {
     rest[..end].parse().ok()
 }
 
+/// Escapes `s` for a hand-rolled JSON string literal.
+pub fn json_escape(s: &str) -> String {
+    s.replace('\\', "\\\\").replace('"', "\\\"")
+}
+
 /// Whether `"key": true` appears literally (the writers emit bare JSON
 /// booleans).
 pub fn json_true(text: &str, key: &str) -> bool {

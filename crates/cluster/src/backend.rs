@@ -7,12 +7,12 @@
 //! Two backends implement it:
 //!
 //! * [`ClusterBackend::Threads`] — one OS thread per rank, preemptive,
-//!   blocking on channel/condvar. The seed behavior; real parallelism,
+//!   blocking on its channel. The seed behavior; real parallelism,
 //!   practical up to ~tens of ranks.
 //! * [`ClusterBackend::Events`] — a single-token discrete-event engine.
 //!   Every rank still runs its real trainer code on its own (small,
 //!   lazily-committed) stack, but exactly **one** rank is runnable at a
-//!   time: a rank that must wait for a message or a collective parks its
+//!   time: a rank that must wait for a message parks its
 //!   fiber and hands the run token to the runnable rank with the
 //!   smallest `(simulated time, rank)` key in the event queue. Thousands
 //!   of ranks (the paper's 4352-core weak-scaling sweeps and beyond)
@@ -35,7 +35,7 @@
 
 use crate::channel::Receiver;
 use crate::cluster::Shared;
-use crate::comm::{Comm, Message};
+use crate::comm::{Awaited, Comm, Message};
 use std::cell::Cell;
 use std::collections::BinaryHeap;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -98,21 +98,22 @@ pub(crate) enum Executor {
 }
 
 impl Executor {
-    /// Called by `Comm` when no buffered message matches: blocks until
-    /// more traffic *may* be available. Threads: one blocking channel
-    /// receive (returns the message). Events: parks this rank's fiber
-    /// until a sender signals it, then returns `None` — the caller
-    /// re-drains its channel and re-scans.
+    /// Called by `Comm` when no buffered message matches `awaited`:
+    /// blocks until more traffic *may* be available. Threads: one
+    /// blocking channel receive (returns the message). Events: parks
+    /// this rank's fiber until a sender signals it, then returns `None`
+    /// — the caller re-drains its channel and re-scans.
     pub(crate) fn wait_message(
         &self,
         rank: usize,
         rx: &Receiver<Message>,
         now: f64,
+        awaited: Awaited,
     ) -> Option<Message> {
         match self {
             Executor::Threads => Some(rx.recv().expect("all senders hung up")),
             Executor::Events(sched) => {
-                sched.park(rank, now);
+                sched.park(rank, now, awaited);
                 None
             }
         }
@@ -163,8 +164,8 @@ enum RankState {
     Ready,
     /// Holds the run token (at most one rank at any time).
     Running,
-    /// Parked: waiting for a message or a collective.
-    Blocked,
+    /// Parked: waiting for the message it names.
+    Blocked(Awaited),
     /// Returned from its trainer closure.
     Done,
 }
@@ -224,20 +225,26 @@ impl EventSched {
             st.status[next.rank] = RankState::Running;
             self.wake[next.rank].notify_all();
         } else if st.done < st.status.len() && !st.aborted {
-            let blocked: Vec<usize> = st
+            let blocked: Vec<String> = st
                 .status
                 .iter()
                 .enumerate()
-                .filter(|(_, s)| **s == RankState::Blocked)
-                .map(|(r, _)| r)
+                .filter_map(|(rank, s)| match s {
+                    RankState::Blocked(Awaited { from, tag }) => Some(match from {
+                        Some(from) => format!("rank {rank} (tag {tag:#x} from rank {from})"),
+                        None => format!("rank {rank} (tag {tag:#x} from any rank)"),
+                    }),
+                    _ => None,
+                })
                 .collect();
             st.aborted = true;
             for cv in &self.wake {
                 cv.notify_all();
             }
             panic!(
-                "event backend deadlock: no rank is runnable; \
-                 ranks {blocked:?} are blocked waiting for traffic that will never arrive"
+                "event backend deadlock: no rank is runnable; blocked waiting for \
+                 traffic that will never arrive: {}",
+                blocked.join(", ")
             );
         }
     }
@@ -254,15 +261,15 @@ impl EventSched {
         }
     }
 
-    /// Parks the calling rank at simulated time `now`, dispatches the
-    /// next runnable rank, and blocks until a sender signals this rank
-    /// and the scheduler hands the token back.
-    pub(crate) fn park(&self, rank: usize, now: f64) {
+    /// Parks the calling rank at simulated time `now` waiting for
+    /// `awaited`, dispatches the next runnable rank, and blocks until a
+    /// sender signals this rank and the scheduler hands the token back.
+    pub(crate) fn park(&self, rank: usize, now: f64, awaited: Awaited) {
         let mut st = self.lock();
         if st.aborted {
             panic!("event cluster aborted (a sibling rank panicked or deadlocked)");
         }
-        st.status[rank] = RankState::Blocked;
+        st.status[rank] = RankState::Blocked(awaited);
         st.block_time[rank] = now;
         self.dispatch(&mut st);
         while st.status[rank] != RankState::Running {
@@ -280,7 +287,7 @@ impl EventSched {
     /// own recorded block time once dispatched.
     pub(crate) fn signal(&self, rank: usize) {
         let mut st = self.lock();
-        if st.status[rank] == RankState::Blocked {
+        if matches!(st.status[rank], RankState::Blocked(_)) {
             st.status[rank] = RankState::Ready;
             let time = st.block_time[rank];
             st.queue.push(Runnable { time, rank });
@@ -417,14 +424,20 @@ mod tests {
         ClusterConfig::new(p).with_backend(ClusterBackend::Events)
     }
 
+    fn recv(comm: &mut Comm, from: usize, tag: u32) -> Vec<f32> {
+        let mut out = Vec::new();
+        comm.recv_into(from, tag, TimeCategory::Other, &mut out);
+        out
+    }
+
     #[test]
     fn event_backend_runs_basic_p2p() {
         let out = VirtualCluster::run(&events(2), |comm| {
             if comm.rank() == 0 {
                 comm.send(1, 5, &[1.0, 2.0], TimeCategory::Other);
-                comm.recv(1, 6, TimeCategory::Other)
+                recv(comm, 1, 6)
             } else {
-                let got = comm.recv(0, 5, TimeCategory::Other);
+                let got = recv(comm, 0, 5);
                 let doubled: Vec<f32> = got.iter().map(|x| x * 2.0).collect();
                 comm.send(0, 6, &doubled, TimeCategory::Other);
                 got
@@ -439,7 +452,8 @@ mod tests {
         let body = |comm: &mut Comm| {
             comm.charge(TimeCategory::ForwardBackward, comm.rank() as f64 * 0.5);
             let x = vec![comm.rank() as f32, 1.0];
-            let sum = comm.allreduce_sum(&x, TimeCategory::GpuGpuParam);
+            let mut sum = Vec::new();
+            comm.allreduce_sum_into(&x, TimeCategory::GpuGpuParam, &mut sum);
             comm.barrier();
             (sum, comm.now())
         };
@@ -461,7 +475,8 @@ mod tests {
         // parallelism is routine for the event engine.
         let p = 1024;
         let out = VirtualCluster::run(&events(p), |comm| {
-            let sum = comm.allreduce_sum(&[1.0f32], TimeCategory::GpuGpuParam);
+            let mut sum = Vec::new();
+            comm.allreduce_sum_into(&[1.0f32], TimeCategory::GpuGpuParam, &mut sum);
             sum[0]
         });
         assert_eq!(out.len(), p);
@@ -480,8 +495,7 @@ mod tests {
                 if comm.rank() == 0 {
                     let mut order = Vec::new();
                     for _ in 0..8 {
-                        let (from, _) = comm.recv_any(3, TimeCategory::Other);
-                        order.push(from);
+                        order.push(comm.recv_any_into(3, TimeCategory::Other, &mut Vec::new()));
                     }
                     order
                 } else {
@@ -509,9 +523,106 @@ mod tests {
         // aborts.
         let _ = VirtualCluster::run(&events(2), |comm| {
             if comm.rank() == 1 {
-                let _ = comm.recv(0, 9, TimeCategory::Other);
+                let _ = recv(comm, 0, 9);
             }
         });
+    }
+
+    /// Runs `body` on a `p`-rank event cluster that is expected to die,
+    /// and returns the panic messages its ranks raised (the host's join
+    /// only says "rank panicked").
+    fn rank_panics(p: usize, body: impl Fn(&mut Comm) + Send + Sync) -> Vec<String> {
+        use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+        let seen = std::sync::Mutex::new(Vec::new());
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            VirtualCluster::run(&events(p), |comm| {
+                if let Err(panic) = catch_unwind(AssertUnwindSafe(|| body(comm))) {
+                    if let Some(msg) = panic.downcast_ref::<String>() {
+                        seen.lock().unwrap().push(msg.clone());
+                    }
+                    resume_unwind(panic);
+                }
+            })
+        }));
+        assert!(run.is_err(), "the cluster was expected to panic");
+        seen.into_inner().unwrap()
+    }
+
+    #[test]
+    fn mismatched_collectives_deadlock_naming_ranks_and_tags() {
+        // Rank 2 enters a broadcast while its peers reduce. Each op kind
+        // has its own tag, so nothing matches: the hub starves on rank
+        // 2's contribution and the engine reports who waits for what.
+        let cat = TimeCategory::GpuGpuParam;
+        let seen = rank_panics(3, |comm| {
+            let mut out = Vec::new();
+            if comm.rank() == 2 {
+                comm.broadcast_costed_into(0, &[1.0], 0.0, cat, &mut out);
+            } else {
+                comm.reduce_sum_costed_into(&[1.0], 0.0, cat, &mut out);
+            }
+        });
+        let report = seen
+            .iter()
+            .find(|m| m.contains("event backend deadlock"))
+            .unwrap_or_else(|| panic!("no deadlock report among {seen:?}"));
+        let (reduce, bcast) = (crate::tags::hub(2, 0), crate::tags::hub(1, 0));
+        for waiter in [
+            format!("rank 0 (tag {reduce:#x} from rank 2)"),
+            format!("rank 1 (tag {reduce:#x} from rank 0)"),
+            format!("rank 2 (tag {bcast:#x} from rank 0)"),
+        ] {
+            assert!(report.contains(&waiter), "{waiter:?} not in {report:?}");
+        }
+    }
+
+    #[test]
+    fn unequal_reduce_contributions_panic_on_the_hub() {
+        let seen = rank_panics(3, |comm| {
+            let mine = vec![1.0f32; 1 + comm.rank() / 2];
+            let mut out = Vec::new();
+            comm.allreduce_sum_into(&mine, TimeCategory::GpuGpuParam, &mut out);
+        });
+        assert!(
+            seen.iter()
+                .any(|m| m.contains("collective contributions must have equal length")),
+            "{seen:?}"
+        );
+    }
+
+    #[test]
+    fn every_collective_runs_at_one_rank_and_at_1024() {
+        use easgd_hardware::collective::{broadcast_tree, reduce_tree};
+        let cat = TimeCategory::GpuGpuParam;
+        for p in [1usize, 1024] {
+            let cfg = events(p);
+            let link = cfg.link.clone();
+            let outs = VirtualCluster::run(&cfg, |comm| {
+                let me = comm.rank() as f32;
+                let (mut b, mut r, mut g, mut a) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+                comm.barrier();
+                comm.broadcast_costed_into(p - 1, &[me, 2.0], 0.5, cat, &mut b);
+                comm.reduce_sum_costed_into(&[1.0, me], 0.25, cat, &mut r);
+                comm.allgather_into(&[me], cat, &mut g);
+                comm.allreduce_sum_into(&[1.0], cat, &mut a);
+                (b, r, g, a, comm.now())
+            });
+            let ranks: Vec<f32> = (0..p).map(|r| r as f32).collect();
+            let want_time = reduce_tree(&link, p, 0)
+                + 0.5
+                + 0.25
+                + reduce_tree(&link, p, 4)
+                + broadcast_tree(&link, p, 4 * p)
+                + (reduce_tree(&link, p, 4) + broadcast_tree(&link, p, 4));
+            assert_eq!(outs.len(), p);
+            for (b, r, g, a, t) in outs {
+                assert_eq!(b, vec![(p - 1) as f32, 2.0]);
+                assert_eq!(r, vec![p as f32, ranks.iter().sum::<f32>()]);
+                assert_eq!(g, ranks);
+                assert_eq!(a, vec![p as f32]);
+                assert!((t - want_time).abs() < 1e-12, "p={p}: {t} vs {want_time}");
+            }
+        }
     }
 
     #[test]
@@ -523,7 +634,7 @@ mod tests {
                 panic!("boom");
             }
             // Parked ranks must be woken into the abort, not left hanging.
-            let _ = comm.recv(3, 1, TimeCategory::Other);
+            let _ = recv(comm, 3, 1);
         });
     }
 

@@ -1,24 +1,11 @@
-//! Cluster construction and the rendezvous machinery behind collectives.
+//! Cluster configuration and construction.
 
 use crate::backend::{self, ClusterBackend, Executor};
 use crate::channel;
 use crate::comm::{Comm, Message};
 use crate::pool::BufferPool;
-use easgd_hardware::collective as cost;
 use easgd_hardware::net::AlphaBeta;
-use std::collections::HashMap;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-
-/// Which allreduce schedule the cluster charges for (§6.1.1's contrast).
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum CollectiveAlgo {
-    /// Binomial tree: Θ(log P) full-size messages (Sync EASGD1+).
-    Tree,
-    /// One-at-a-time linear exchange: Θ(P) (the round-robin baseline).
-    Linear,
-    /// Reduce-scatter + allgather: bandwidth-optimal for large messages.
-    Rabenseifner,
-}
+use std::sync::Arc;
 
 /// Configuration of a virtual cluster.
 ///
@@ -31,8 +18,6 @@ pub struct ClusterConfig {
     pub ranks: usize,
     /// Inter-rank link model (shared, not copied, between handles).
     pub link: Arc<AlphaBeta>,
-    /// Collective schedule to charge for.
-    pub collective: CollectiveAlgo,
     /// Execution substrate hosting the ranks (threads vs events).
     pub backend: ClusterBackend,
     /// Per-fiber stack size for the event backend (ignored by the
@@ -42,15 +27,14 @@ pub struct ClusterConfig {
 }
 
 impl ClusterConfig {
-    /// `ranks` ranks over FDR InfiniBand with tree collectives, hosted
-    /// on the thread-local default backend (threads unless scoped with
+    /// `ranks` ranks over FDR InfiniBand, hosted on the thread-local
+    /// default backend (threads unless scoped with
     /// [`ClusterBackend::with_default`]).
     pub fn new(ranks: usize) -> Self {
         assert!(ranks > 0, "cluster needs at least one rank");
         Self {
             ranks,
             link: Arc::new(AlphaBeta::fdr_infiniband()),
-            collective: CollectiveAlgo::Tree,
             backend: ClusterBackend::default_backend(),
             event_stack_bytes: backend::DEFAULT_EVENT_STACK_BYTES,
         }
@@ -59,12 +43,6 @@ impl ClusterConfig {
     /// Replaces the link model.
     pub fn with_link(mut self, link: AlphaBeta) -> Self {
         self.link = Arc::new(link);
-        self
-    }
-
-    /// Replaces the collective algorithm.
-    pub fn with_collective(mut self, algo: CollectiveAlgo) -> Self {
-        self.collective = algo;
         self
     }
 
@@ -88,257 +66,15 @@ impl ClusterConfig {
         ClusterConfig {
             ranks: self.ranks,
             link: Arc::clone(&self.link),
-            collective: self.collective,
             backend: self.backend,
             event_stack_bytes: self.event_stack_bytes,
         }
     }
 }
 
-/// Operation performed at a rendezvous.
-#[derive(Clone, Debug)]
-pub(crate) enum CollOp {
-    /// Synchronize only.
-    Barrier,
-    /// Everyone receives root's contribution.
-    Broadcast {
-        /// Root rank.
-        root: usize,
-    },
-    /// Element-wise sum of all contributions (delivered to every rank;
-    /// non-roots of a rooted reduce simply ignore it).
-    ReduceSum,
-    /// Sum delivered to all, charged as an allreduce.
-    AllReduceSum,
-    /// Concatenation of all contributions in rank order (gather /
-    /// allgather; rooted gathers simply ignore the result on non-roots).
-    Concat,
-}
-
-struct ResultEntry {
-    /// Combined data, in a pool-recycled buffer: readers copy out of it
-    /// under the gate lock, and the last reader returns it to the pool.
-    data: Vec<f32>,
-    time: f64,
-    pending_reads: usize,
-}
-
-struct GateInner {
-    arrived: usize,
-    generation: u64,
-    /// Per-rank input slots. Persistent across generations (cleared, not
-    /// replaced) so a steady-state rendezvous never allocates.
-    inputs: Vec<Vec<f32>>,
-    times: Vec<f64>,
-    results: HashMap<u64, ResultEntry>,
-}
-
-/// A reusable all-ranks rendezvous point implementing the synchronizing
-/// collectives: the last arriver combines the inputs, prices the
-/// operation, and publishes `(result, completion_time)` to everyone.
-pub(crate) struct Gate {
-    size: usize,
-    config: Arc<ClusterConfig>,
-    inner: Mutex<GateInner>,
-    cv: Condvar,
-}
-
-impl Gate {
-    /// Locks the gate, recovering from poisoning (a panicked rank's panic
-    /// is what surfaces to the caller via the join, not the poison).
-    fn lock_inner(&self) -> MutexGuard<'_, GateInner> {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn new(config: Arc<ClusterConfig>) -> Self {
-        let size = config.ranks;
-        Self {
-            size,
-            config,
-            inner: Mutex::new(GateInner {
-                arrived: 0,
-                generation: 0,
-                inputs: vec![Vec::new(); size],
-                times: vec![0.0; size],
-                results: HashMap::new(),
-            }),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn price(&self, op: &CollOp, bytes: usize) -> f64 {
-        let p = self.size;
-        let link = &self.config.link;
-        match op {
-            CollOp::Barrier => cost::reduce_tree(link, p, 0),
-            CollOp::Broadcast { .. } => match self.config.collective {
-                CollectiveAlgo::Linear => cost::linear_exchange(link, p.saturating_sub(1), bytes),
-                _ => cost::broadcast_tree(link, p, bytes),
-            },
-            CollOp::ReduceSum => match self.config.collective {
-                CollectiveAlgo::Linear => cost::linear_exchange(link, p.saturating_sub(1), bytes),
-                _ => cost::reduce_tree(link, p, bytes),
-            },
-            CollOp::AllReduceSum => match self.config.collective {
-                CollectiveAlgo::Tree => {
-                    cost::reduce_tree(link, p, bytes) + cost::broadcast_tree(link, p, bytes)
-                }
-                CollectiveAlgo::Linear => {
-                    2.0 * cost::linear_exchange(link, p.saturating_sub(1), bytes)
-                }
-                CollectiveAlgo::Rabenseifner => cost::allreduce_rabenseifner(link, p, bytes),
-            },
-            // Gather: per-rank message sizes differ along the tree; the
-            // dominant term is the root receiving (P−1) contributions.
-            CollOp::Concat => match self.config.collective {
-                CollectiveAlgo::Linear => cost::linear_exchange(link, p.saturating_sub(1), bytes),
-                _ => cost::reduce_tree(link, p, bytes),
-            },
-        }
-    }
-
-    /// Enters the rendezvous and writes the combined result into `out`.
-    /// Blocks until all `size` ranks have entered with the same `op`,
-    /// then returns the simulated completion time.
-    ///
-    /// Zero-allocation in steady state: the caller's `input` is copied
-    /// into a persistent per-rank slot, the last arriver combines into a
-    /// buffer recycled through `pool`, every rank copies the result into
-    /// its own `out`, and the last reader returns the combine buffer to
-    /// the pool. The combine's FP order — accumulator seeded from rank
-    /// 0's input, then `+=` in rank order — is pinned by the golden-trace
-    /// tests.
-    // One parameter per rendezvous ingredient; bundling them into a
-    // struct would just move the argument list one call site up.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn rendezvous_into(
-        &self,
-        exec: &Executor,
-        pool: &BufferPool,
-        rank: usize,
-        time_in: f64,
-        input: &[f32],
-        op: CollOp,
-        cost_override: Option<f64>,
-        out: &mut Vec<f32>,
-    ) -> f64 {
-        let mut inner = self.lock_inner();
-        let gen = inner.generation;
-        inner.times[rank] = time_in;
-        let slot = &mut inner.inputs[rank];
-        slot.clear();
-        if slot.capacity() < input.len() {
-            pool.note_external_alloc();
-        }
-        slot.extend_from_slice(input);
-        pool.note_copy(input.len() * 4);
-        inner.arrived += 1;
-        if inner.arrived == self.size {
-            let start = inner.times.iter().cloned().fold(0.0f64, f64::max);
-            let bytes = inner.inputs.iter().map(|v| v.len()).max().unwrap_or(0) * 4;
-            let data = match &op {
-                CollOp::Barrier => Vec::new(),
-                CollOp::Broadcast { root } => {
-                    let src = &inner.inputs[*root];
-                    let mut data = pool.take(src.len());
-                    data.extend_from_slice(src);
-                    pool.note_copy(src.len() * 4);
-                    data
-                }
-                CollOp::Concat => {
-                    let total: usize = inner.inputs.iter().map(|v| v.len()).sum();
-                    let mut data = pool.take(total);
-                    for r in 0..self.size {
-                        data.extend_from_slice(&inner.inputs[r]);
-                    }
-                    pool.note_copy(total * 4);
-                    data
-                }
-                CollOp::ReduceSum | CollOp::AllReduceSum => {
-                    // Accumulator seeded from rank 0, folded in rank order
-                    // — the pinned combine order.
-                    let mut acc = pool.take(inner.inputs[0].len());
-                    acc.extend_from_slice(&inner.inputs[0]);
-                    pool.note_copy(acc.len() * 4);
-                    for r in 1..self.size {
-                        let src = &inner.inputs[r];
-                        assert_eq!(
-                            src.len(),
-                            acc.len(),
-                            "collective contributions must have equal length"
-                        );
-                        for (a, b) in acc.iter_mut().zip(src) {
-                            *a += b;
-                        }
-                    }
-                    acc
-                }
-            };
-            let time = start + cost_override.unwrap_or_else(|| self.price(&op, bytes));
-            inner.results.insert(
-                gen,
-                ResultEntry {
-                    data,
-                    time,
-                    pending_reads: self.size,
-                },
-            );
-            for v in inner.inputs.iter_mut() {
-                v.clear();
-            }
-            inner.arrived = 0;
-            inner.generation += 1;
-            self.cv.notify_all();
-            // On the event backend the waiters are parked fibers, not
-            // condvar sleepers: mark every sibling runnable again.
-            if let Executor::Events(sched) = exec {
-                for r in 0..self.size {
-                    if r != rank {
-                        sched.signal(r);
-                    }
-                }
-            }
-        } else {
-            match exec {
-                Executor::Threads => {
-                    while !inner.results.contains_key(&gen) {
-                        inner = self.cv.wait(inner).unwrap_or_else(|e| e.into_inner());
-                    }
-                }
-                Executor::Events(sched) => {
-                    // Park (yielding the run token) until the last
-                    // arriver publishes this generation; re-check on
-                    // every wake — a message delivery can signal a
-                    // gate-parked rank spuriously.
-                    while !inner.results.contains_key(&gen) {
-                        drop(inner);
-                        sched.park(rank, time_in);
-                        inner = self.lock_inner();
-                    }
-                }
-            }
-        }
-        let entry = inner.results.get_mut(&gen).unwrap();
-        out.clear();
-        if out.capacity() < entry.data.len() {
-            pool.note_external_alloc();
-        }
-        out.extend_from_slice(&entry.data);
-        pool.note_copy(entry.data.len() * 4);
-        let time = entry.time;
-        entry.pending_reads -= 1;
-        if entry.pending_reads == 0 {
-            let retired = inner.results.remove(&gen).expect("result entry vanished");
-            pool.put(retired.data);
-        }
-        time
-    }
-}
-
 /// Shared state of one virtual cluster.
 pub(crate) struct Shared {
     pub(crate) config: Arc<ClusterConfig>,
-    pub(crate) gate: Gate,
     pub(crate) senders: Vec<channel::Sender<Message>>,
     /// Cluster-wide payload buffer pool (see [`crate::pool`]).
     pub(crate) pool: BufferPool,
@@ -374,7 +110,6 @@ impl VirtualCluster {
         }
         let config = Arc::new(config.handle());
         let shared = Arc::new(Shared {
-            gate: Gate::new(Arc::clone(&config)),
             exec: config.backend.executor(p),
             config,
             senders,
@@ -389,6 +124,12 @@ mod tests {
     use super::*;
     use crate::clock::TimeCategory;
 
+    fn allreduce(comm: &mut Comm, x: &[f32], category: TimeCategory) -> Vec<f32> {
+        let mut out = Vec::new();
+        comm.allreduce_sum_into(x, category, &mut out);
+        out
+    }
+
     #[test]
     fn run_returns_results_in_rank_order() {
         let cfg = ClusterConfig::new(6);
@@ -401,7 +142,7 @@ mod tests {
         let cfg = ClusterConfig::new(5);
         let out = VirtualCluster::run(&cfg, |comm| {
             let x = vec![comm.rank() as f32, 1.0];
-            comm.allreduce_sum(&x, TimeCategory::GpuGpuParam)
+            allreduce(comm, &x, TimeCategory::GpuGpuParam)
         });
         for v in out {
             assert_eq!(v, vec![0.0 + 1.0 + 2.0 + 3.0 + 4.0, 5.0]);
@@ -413,7 +154,9 @@ mod tests {
         let cfg = ClusterConfig::new(4);
         let out = VirtualCluster::run(&cfg, |comm| {
             let mine = vec![comm.rank() as f32; 3];
-            comm.broadcast(2, &mine, TimeCategory::GpuGpuParam)
+            let mut got = Vec::new();
+            comm.broadcast_costed_into(2, &mine, 0.0, TimeCategory::GpuGpuParam, &mut got);
+            got
         });
         for v in out {
             assert_eq!(v, vec![2.0, 2.0, 2.0]);
@@ -424,7 +167,9 @@ mod tests {
     fn reduce_delivers_sum() {
         let cfg = ClusterConfig::new(3);
         let out = VirtualCluster::run(&cfg, |comm| {
-            comm.reduce_sum(0, &[1.0f32], TimeCategory::GpuGpuParam)
+            let mut sum = Vec::new();
+            comm.reduce_sum_costed_into(&[1.0f32], 0.0, TimeCategory::GpuGpuParam, &mut sum);
+            sum
         });
         for v in out {
             assert_eq!(v, vec![3.0]);
@@ -449,34 +194,12 @@ mod tests {
     }
 
     #[test]
-    fn tree_collective_is_cheaper_than_linear() {
-        let run_with = |algo| {
-            let cfg = ClusterConfig::new(8).with_collective(algo);
-            let times = VirtualCluster::run(&cfg, |comm| {
-                let x = vec![0.0f32; 250_000]; // 1 MB
-                let _ = comm.allreduce_sum(&x, TimeCategory::GpuGpuParam);
-                comm.now()
-            });
-            times[0]
-        };
-        let tree = run_with(CollectiveAlgo::Tree);
-        let linear = run_with(CollectiveAlgo::Linear);
-        assert!(
-            tree < linear,
-            "tree {tree} should beat linear {linear} at P=8"
-        );
-        // Θ(log P) vs Θ(P): ratio about (2·log₂8)/(2·7) = 3/7.
-        let ratio = tree / linear;
-        assert!((0.3..0.6).contains(&ratio), "ratio = {ratio}");
-    }
-
-    #[test]
-    fn consecutive_collectives_reuse_gate() {
+    fn consecutive_collectives_reuse_the_hub() {
         let cfg = ClusterConfig::new(3);
         let out = VirtualCluster::run(&cfg, |comm| {
             let mut acc = 0.0;
             for i in 0..10 {
-                let s = comm.allreduce_sum(&[i as f32], TimeCategory::Other);
+                let s = allreduce(comm, &[i as f32], TimeCategory::Other);
                 acc += s[0];
             }
             acc
@@ -491,7 +214,7 @@ mod tests {
     fn single_rank_cluster_works() {
         let cfg = ClusterConfig::new(1);
         let out = VirtualCluster::run(&cfg, |comm| {
-            let s = comm.allreduce_sum(&[7.0], TimeCategory::Other);
+            let s = allreduce(comm, &[7.0], TimeCategory::Other);
             comm.barrier();
             s[0]
         });

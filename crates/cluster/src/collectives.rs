@@ -1,10 +1,10 @@
 //! Executable collectives over the point-to-point layer.
 //!
-//! The priced collectives in [`crate::comm`] synchronize at a gate and
+//! The priced collectives in [`crate::comm`] gather at a hub rank and
 //! charge a closed-form cost. This module is the *executable* schedule:
-//! every message really traverses the point-to-point layer, so simulated
-//! time emerges from the α-β send/recv accounting instead of a formula.
-//! Two families live here:
+//! every message is priced where it is sent, so simulated time emerges
+//! from the α-β send/recv accounting instead of a formula. Three
+//! families live here:
 //!
 //! * [`ring_allreduce_sum`] — reduce-scatter + allgather, `2(P−1)`
 //!   messages of `n/P` elements per rank: the bandwidth-optimal pattern
@@ -328,18 +328,19 @@ mod tests {
     }
 
     #[test]
-    fn matches_gate_allreduce() {
+    fn matches_hub_allreduce() {
         for p in [2usize, 3, 4, 7] {
             let cfg = ClusterConfig::new(p);
             let outs = VirtualCluster::run(&cfg, |comm| {
                 let n = 23;
                 let mut ring: Vec<f32> = (0..n).map(|i| (comm.rank() * n + i) as f32).collect();
-                let gate = comm.allreduce_sum(&ring, TimeCategory::Other);
+                let mut hub = Vec::new();
+                comm.allreduce_sum_into(&ring, TimeCategory::Other, &mut hub);
                 ring_allreduce_sum(comm, &mut ring, TimeCategory::GpuGpuParam);
-                (ring, gate)
+                (ring, hub)
             });
-            for (ring, gate) in outs {
-                for (a, b) in ring.iter().zip(&gate) {
+            for (ring, hub) in outs {
+                for (a, b) in ring.iter().zip(&hub) {
                     assert!((a - b).abs() < 1e-3, "p={p}: {a} vs {b}");
                 }
             }
@@ -396,18 +397,19 @@ mod tests {
     }
 
     #[test]
-    fn tree_allreduce_matches_gate_allreduce() {
+    fn tree_allreduce_matches_hub_allreduce() {
         for p in [2usize, 3, 4, 7, 8] {
             let cfg = ClusterConfig::new(p);
             let outs = VirtualCluster::run(&cfg, |comm| {
                 let n = 19;
                 let mut mine: Vec<f32> = (0..n).map(|i| (comm.rank() * n + i) as f32).collect();
-                let gate = comm.allreduce_sum(&mine, TimeCategory::Other);
+                let mut hub = Vec::new();
+                comm.allreduce_sum_into(&mine, TimeCategory::Other, &mut hub);
                 tree_allreduce_sum(comm, &mut mine, TimeCategory::GpuGpuParam);
-                (mine, gate)
+                (mine, hub)
             });
-            for (tree, gate) in outs {
-                for (a, b) in tree.iter().zip(&gate) {
+            for (tree, hub) in outs {
+                for (a, b) in tree.iter().zip(&hub) {
                     assert!((a - b).abs() < 1e-3, "p={p}: {a} vs {b}");
                 }
             }

@@ -4,14 +4,24 @@
 //! point-to-point payloads ride in pool-recycled buffers that migrate
 //! with the message and are *moved* into the receiver's output (whose
 //! previous storage is recycled), fan-out rides one reference-counted
-//! [`Payload`], collectives write into caller-provided outputs, and the
-//! `Vec`-returning APIs remain as thin shims (DESIGN.md §10).
+//! [`Payload`], and collectives write into caller-provided outputs
+//! (DESIGN.md §10).
+//!
+//! There is one transport: the synchronizing collectives are message
+//! programs over the same point-to-point primitives (every rank sends
+//! its contribution to the hub rank, which folds, prices and returns one
+//! shared payload), so the pool, the trace recorder, the FIFO checks,
+//! the protocol model checker and the event scheduler see every
+//! inter-rank byte.
 
 use crate::clock::{RankReport, SimClock, TimeCategory};
-use crate::cluster::{CollOp, Shared};
+use crate::cluster::Shared;
 use crate::pool::{FreeList, PoolStats};
 use crate::request::{ReqState, Request, RequestCollection};
+use crate::tags;
 use crate::trace::TraceOp;
+use easgd_hardware::collective as cost;
+use easgd_hardware::net::AlphaBeta;
 #[cfg(feature = "strict-invariants")]
 use std::collections::HashMap;
 use std::collections::VecDeque;
@@ -37,22 +47,6 @@ const LOCAL_FREE_MAX_BYTES: usize = 64 * 1024;
 pub(crate) enum PayloadBuf {
     Owned(Vec<f32>),
     Shared(Arc<Vec<f32>>),
-}
-
-impl PayloadBuf {
-    /// Extracts an owned `Vec`, copying only when the buffer is still
-    /// shared with other in-flight messages.
-    fn into_vec(self) -> Vec<f32> {
-        match self {
-            PayloadBuf::Owned(v) => v,
-            PayloadBuf::Shared(a) => {
-                // xtask: allow(payload-copy) — Vec-returning shim: a
-                // still-shared fan-out buffer must be copied to hand the
-                // caller ownership. Pooled callers use `recv_into`.
-                Arc::try_unwrap(a).unwrap_or_else(|a| a.as_ref().clone())
-            }
-        }
-    }
 }
 
 /// A reusable, reference-counted payload for fanning the same data out to
@@ -92,6 +86,63 @@ pub(crate) struct Message {
     /// runtime mirror of the xtask protocol checker's FIFO invariant.
     #[cfg(feature = "strict-invariants")]
     pub(crate) seq: u64,
+}
+
+/// What a blocked receive waits for: the next message with `tag` from
+/// rank `from`, or — `None` — from any rank. Handed to the backend when
+/// the rank blocks, so the event engine's deadlock report can name it.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub(crate) struct Awaited {
+    pub(crate) from: Option<usize>,
+    pub(crate) tag: u32,
+}
+
+impl Awaited {
+    fn matches(&self, msg: &Message) -> bool {
+        msg.tag == self.tag && self.from.is_none_or(|from| msg.from == from)
+    }
+}
+
+/// The rank every collective gathers at and fans out from.
+const HUB: usize = 0;
+
+/// A synchronizing collective, as [`Comm::collective_into`] runs it.
+#[derive(Copy, Clone, Debug)]
+enum CollOp {
+    /// Synchronize only.
+    Barrier,
+    /// Everyone receives `root`'s contribution.
+    Broadcast { root: usize },
+    /// Everyone receives the element-wise sum of all contributions.
+    Sum,
+    /// Everyone receives all contributions, concatenated in rank order.
+    Concat,
+}
+
+impl CollOp {
+    /// One tag per op kind (and broadcast root): ranks that disagree on
+    /// the collective they are in never match each other's messages.
+    fn tag(self) -> u32 {
+        match self {
+            CollOp::Barrier => tags::hub(0, 0),
+            CollOp::Broadcast { root } => tags::hub(1, root),
+            CollOp::Sum => tags::hub(2, 0),
+            CollOp::Concat => tags::hub(3, 0),
+        }
+    }
+
+    /// The binomial-tree closed form (§6.1.1's Θ(log P) schedule) for
+    /// `p` ranks whose largest contribution is `bytes`.
+    fn tree_cost(self, link: &AlphaBeta, p: usize, bytes: usize) -> f64 {
+        match self {
+            // A barrier is a reduce of nothing (`bytes` is 0). Gather:
+            // per-rank message sizes differ along the tree; the dominant
+            // term is the root receiving (P−1) contributions.
+            CollOp::Barrier | CollOp::Concat => cost::reduce_tree(link, p, bytes),
+            CollOp::Broadcast { .. } => cost::broadcast_tree(link, p, bytes),
+            CollOp::Sum => cost::reduce_tree(link, p, bytes) + cost::broadcast_tree(link, p, bytes),
+        }
+    }
 }
 
 /// A rank's handle to the cluster: identity, simulated clock,
@@ -304,7 +355,7 @@ impl Comm {
 
     /// Returns a buffer for reuse: to the private free list, which then
     /// spills its largest buffers to the cluster-wide pool until it is
-    /// within [`LOCAL_FREE_MAX`] buffers and [`LOCAL_FREE_MAX_BYTES`].
+    /// within `LOCAL_FREE_MAX` buffers and `LOCAL_FREE_MAX_BYTES`.
     pub fn recycle_buffer(&mut self, buf: Vec<f32>) {
         // Recorded even for capacity-0 buffers: the recycle call is what
         // discharges the ledger obligation, whether or not the pool keeps
@@ -394,25 +445,16 @@ impl Comm {
     /// # Panics
     /// Panics if `to` is out of range or is this rank.
     pub fn send(&mut self, to: usize, tag: u32, data: &[f32], category: TimeCategory) {
-        assert!(to < self.size(), "send to rank {to} out of range");
-        assert_ne!(to, self.rank, "send to self");
-        self.drain_nic(category);
-        let cost = self.shared.config.link.time(data.len() * 4);
-        self.clock.charge(category, cost);
-        let buf = self.pooled_copy(data);
-        self.post(to, tag, PayloadBuf::Owned(buf));
+        let cost = self.link_time(data.len() * 4);
+        self.send_costed(to, tag, data, cost, category);
     }
 
     /// Zero-copy send: `buf` (typically from
     /// [`take_buffer`](Self::take_buffer)) migrates with the message and
     /// is recycled by the *receiver*. Charged like [`send`](Self::send).
     pub fn send_from(&mut self, to: usize, tag: u32, buf: Vec<f32>, category: TimeCategory) {
-        assert!(to < self.size(), "send to rank {to} out of range");
-        assert_ne!(to, self.rank, "send to self");
-        self.drain_nic(category);
-        let cost = self.shared.config.link.time(buf.len() * 4);
-        self.clock.charge(category, cost);
-        self.post(to, tag, PayloadBuf::Owned(buf));
+        let cost = self.link_time(buf.len() * 4);
+        self.send_from_costed(to, tag, buf, cost, category);
     }
 
     /// Builds a reusable shared payload from `data` (one pooled copy
@@ -422,6 +464,11 @@ impl Comm {
     /// with [`release_payload`](Self::release_payload) when done.
     pub fn make_payload(&mut self, data: &[f32]) -> Payload {
         let buf = self.pooled_copy(data);
+        self.share(buf)
+    }
+
+    /// Turns a held pooled buffer into a shared payload.
+    fn share(&mut self, buf: Vec<f32>) -> Payload {
         self.note(TraceOp::Share);
         Payload(Arc::new(buf))
     }
@@ -454,10 +501,7 @@ impl Comm {
     pub fn recv_payload(&mut self, from: usize, tag: u32, category: TimeCategory) -> Payload {
         match self.recv_message(from, tag, category).data {
             PayloadBuf::Shared(a) => Payload(a),
-            PayloadBuf::Owned(v) => {
-                self.note(TraceOp::Share);
-                Payload(Arc::new(v))
-            }
+            PayloadBuf::Owned(v) => self.share(v),
         }
     }
 
@@ -479,7 +523,7 @@ impl Comm {
         self.payload_into(PayloadBuf::Shared(payload.0), out);
     }
 
-    /// Pulls the next message matching `pred` — from `pending` first
+    /// Pulls the next message `awaited` matches — from `pending` first
     /// (FCFS), then the channel, buffering non-matches.
     ///
     /// The channel is drained into `pending` before every scan so the
@@ -488,22 +532,22 @@ impl Comm {
     /// cannot be missed before parking (its sender has already spent its
     /// wake-up signal). Only when nothing buffered matches does the
     /// backend block this rank.
-    fn next_matching(&mut self, pred: impl Fn(&Message) -> bool) -> Message {
+    fn next_matching(&mut self, awaited: Awaited) -> Message {
         loop {
             while let Ok(msg) = self.rx.try_recv() {
                 self.check_ingest(&msg);
                 self.pending.push_back(msg);
             }
-            if let Some(pos) = self.pending.iter().position(&pred) {
+            if let Some(pos) = self.pending.iter().position(|m| awaited.matches(m)) {
                 return self.pending.remove(pos).expect("indexed message present");
             }
-            let waited = self
-                .shared
-                .exec
-                .wait_message(self.rank, &self.rx, self.clock.now());
+            let waited =
+                self.shared
+                    .exec
+                    .wait_message(self.rank, &self.rx, self.clock.now(), awaited);
             if let Some(msg) = waited {
                 self.check_ingest(&msg);
-                if pred(&msg) {
+                if awaited.matches(&msg) {
                     return msg;
                 }
                 self.pending.push_back(msg);
@@ -530,93 +574,64 @@ impl Comm {
                 self.stash(previous);
             }
             Err(held_elsewhere) => {
-                out.clear();
-                if out.capacity() < held_elsewhere.len() {
-                    self.shared.pool.note_external_alloc();
-                }
-                out.extend_from_slice(&held_elsewhere);
-                self.shared.pool.note_copy(held_elsewhere.len() * 4);
+                self.copy_out(&held_elsewhere, out);
                 self.release_payload(Payload(held_elsewhere));
             }
         }
     }
 
-    /// Blocking receive of the next message from `from` with `tag`.
-    /// Simulated time advances to the message's arrival (waiting charged
-    /// to `category`).
-    pub fn recv(&mut self, from: usize, tag: u32, category: TimeCategory) -> Vec<f32> {
-        let msg = self.recv_message(from, tag, category);
-        // The buffer leaves pool custody with the returned Vec.
-        self.note(TraceOp::Retire);
-        msg.data.into_vec()
+    /// Copies `data` into `out`, counting the bytes and any growth.
+    fn copy_out(&mut self, data: &[f32], out: &mut Vec<f32>) {
+        out.clear();
+        if out.capacity() < data.len() {
+            self.shared.pool.note_external_alloc();
+        }
+        out.extend_from_slice(data);
+        self.shared.pool.note_copy(data.len() * 4);
     }
 
     /// Blocks for the next `(from, tag)` message, records the `Recv` and
     /// advances the clock to its arrival (waiting charged to `category`).
     fn recv_message(&mut self, from: usize, tag: u32, category: TimeCategory) -> Message {
-        let msg = self.next_matching(|m| m.from == from && m.tag == tag);
-        self.check_fifo(&msg);
-        self.note(TraceOp::Recv { from, tag });
+        let msg = self.pull(from, tag);
         self.clock.advance_to(msg.arrival, category);
         msg
     }
 
-    /// Like [`recv`](Self::recv) but leaves the payload in `out`: the
-    /// message's buffer is moved in and `out`'s previous storage is
-    /// recycled — the zero-copy, zero-allocation receive.
+    /// Blocks for the next `(from, tag)` message and records the `Recv`,
+    /// leaving the clock where it is.
+    fn pull(&mut self, from: usize, tag: u32) -> Message {
+        let msg = self.next_matching(Awaited {
+            from: Some(from),
+            tag,
+        });
+        self.check_fifo(&msg);
+        self.note(TraceOp::Recv { from, tag });
+        msg
+    }
+
+    /// Blocking receive of the next message from `from` with `tag` into
+    /// `out`: the message's buffer is moved in and `out`'s previous
+    /// storage is recycled — the zero-copy, zero-allocation receive.
+    /// Simulated time advances to the message's arrival (waiting charged
+    /// to `category`).
     pub fn recv_into(&mut self, from: usize, tag: u32, category: TimeCategory, out: &mut Vec<f32>) {
         let msg = self.recv_message(from, tag, category);
         // `payload_into` recycles `out`'s old storage (the Recycle).
         self.payload_into(msg.data, out);
     }
 
-    /// Blocking receive of the next message with `tag` from *any* rank —
-    /// the FCFS order of a parameter server (§3.1). Returns
-    /// `(sender, data)`.
-    pub fn recv_any(&mut self, tag: u32, category: TimeCategory) -> (usize, Vec<f32>) {
-        let msg = self.next_matching(|m| m.tag == tag);
-        self.check_fifo(&msg);
-        self.note(TraceOp::RecvAny { tag });
-        self.note(TraceOp::Retire);
-        self.clock.advance_to(msg.arrival, category);
-        (msg.from, msg.data.into_vec())
-    }
-
-    /// [`recv_any`](Self::recv_any) into a caller-provided buffer;
-    /// returns the sender.
+    /// Blocking receive into `out` of the next message with `tag` from
+    /// *any* rank — the FCFS order of a parameter server (§3.1). Returns
+    /// the sender.
     pub fn recv_any_into(&mut self, tag: u32, category: TimeCategory, out: &mut Vec<f32>) -> usize {
-        let msg = self.next_matching(|m| m.tag == tag);
+        let msg = self.next_matching(Awaited { from: None, tag });
         self.check_fifo(&msg);
         self.note(TraceOp::RecvAny { tag });
         self.clock.advance_to(msg.arrival, category);
         let from = msg.from;
         self.payload_into(msg.data, out);
         from
-    }
-
-    /// Non-blocking variant of [`recv_any`](Self::recv_any): returns
-    /// `None` if no matching message has arrived yet.
-    pub fn try_recv_any(&mut self, tag: u32, category: TimeCategory) -> Option<(usize, Vec<f32>)> {
-        if let Some(pos) = self.pending.iter().position(|m| m.tag == tag) {
-            let msg = self.pending.remove(pos).expect("indexed message present");
-            self.check_fifo(&msg);
-            self.note(TraceOp::RecvAny { tag });
-            self.note(TraceOp::Retire);
-            self.clock.advance_to(msg.arrival, category);
-            return Some((msg.from, msg.data.into_vec()));
-        }
-        while let Ok(msg) = self.rx.try_recv() {
-            self.check_ingest(&msg);
-            if msg.tag == tag {
-                self.check_fifo(&msg);
-                self.note(TraceOp::RecvAny { tag });
-                self.note(TraceOp::Retire);
-                self.clock.advance_to(msg.arrival, category);
-                return Some((msg.from, msg.data.into_vec()));
-            }
-            self.pending.push_back(msg);
-        }
-        None
     }
 
     // ------------------------------------------------------------------
@@ -694,7 +709,10 @@ impl Comm {
                 None
             }
             ReqState::Recv { from, tag, mut out } => {
-                let msg = self.next_matching(|m| m.from == from && m.tag == tag);
+                let msg = self.next_matching(Awaited {
+                    from: Some(from),
+                    tag,
+                });
                 self.check_fifo(&msg);
                 self.note(TraceOp::Wait { from, tag });
                 self.clock.advance_to(msg.arrival, req.category);
@@ -762,12 +780,8 @@ impl Comm {
         seconds: f64,
         category: TimeCategory,
     ) {
-        assert!(to < self.size(), "send to rank {to} out of range");
-        assert_ne!(to, self.rank, "send to self");
-        self.drain_nic(category);
-        self.clock.charge(category, seconds);
         let buf = self.pooled_copy(data);
-        self.post(to, tag, PayloadBuf::Owned(buf));
+        self.send_from_costed(to, tag, buf, seconds, category);
     }
 
     /// [`send_from`](Self::send_from) with an explicit cost.
@@ -786,25 +800,12 @@ impl Comm {
         self.post(to, tag, PayloadBuf::Owned(buf));
     }
 
-    /// Receiver-driven transfer: waits for the message (the wait — e.g.
-    /// the sender still computing — is attributed to `wait_category`),
-    /// then charges `seconds` of transfer to `transfer_category`. Models
-    /// a host-initiated DMA pull, where the receiver's timeline carries
-    /// the transfer cost (how Table 3 accounts CPU↔GPU traffic).
-    pub fn recv_costed(
-        &mut self,
-        from: usize,
-        tag: u32,
-        seconds: f64,
-        wait_category: TimeCategory,
-        transfer_category: TimeCategory,
-    ) -> Vec<f32> {
-        let data = self.recv(from, tag, wait_category);
-        self.clock.charge(transfer_category, seconds);
-        data
-    }
-
-    /// [`recv_costed`](Self::recv_costed) into a caller-provided buffer.
+    /// Receiver-driven transfer into `out`: waits for the message (the
+    /// wait — e.g. the sender still computing — is attributed to
+    /// `wait_category`), then charges `seconds` of transfer to
+    /// `transfer_category`. Models a host-initiated DMA pull, where the
+    /// receiver's timeline carries the transfer cost (how Table 3
+    /// accounts CPU↔GPU traffic).
     pub fn recv_costed_into(
         &mut self,
         from: usize,
@@ -818,7 +819,114 @@ impl Comm {
         self.clock.charge(transfer_category, seconds);
     }
 
-    /// [`broadcast_into`](Self::broadcast_into) with an explicit cost.
+    // ------------------------------------------------------------------
+    // Collectives (synchronizing; all ranks must call with matching op)
+    // ------------------------------------------------------------------
+
+    /// Runs one collective as a message program and advances this rank's
+    /// clock to the collective's completion.
+    ///
+    /// Every rank but the hub sends `input` to the hub at no charge —
+    /// the whole operation is priced once, below — and receives the
+    /// result. The hub pulls the contributions in rank order without
+    /// moving its clock, folds them, advances to
+    /// `max(entry clocks) + cost`, where cost is `cost_override` or the
+    /// binomial-tree closed form for the largest contribution, and sends
+    /// the others the result as one shared payload, again at no charge.
+    ///
+    /// The fold's FP order — accumulator seeded from rank 0's input,
+    /// then `+=` in rank order — is pinned by the golden-trace tests.
+    fn collective_into(
+        &mut self,
+        input: &[f32],
+        op: CollOp,
+        cost_override: Option<f64>,
+        category: TimeCategory,
+        out: &mut Vec<f32>,
+    ) {
+        let tag = op.tag();
+        if self.rank != HUB {
+            self.send_costed(HUB, tag, input, 0.0, category);
+            self.recv_into(HUB, tag, category, out);
+            return;
+        }
+        let p = self.size();
+        let mut start = self.clock.now();
+        let mut bytes = input.len() * 4;
+        let mut result = match op {
+            // Equal contributions are the common case; a ragged gather
+            // grows the buffer and is counted below.
+            CollOp::Concat => {
+                let mut all = self.take_buffer(input.len() * p);
+                all.extend_from_slice(input);
+                self.shared.pool.note_copy(input.len() * 4);
+                all
+            }
+            _ => self.pooled_copy(input),
+        };
+        for from in 1..p {
+            let msg = self.pull(from, tag);
+            let PayloadBuf::Owned(mut part) = msg.data else {
+                unreachable!("collective contributions are posted as owned buffers")
+            };
+            start = start.max(msg.arrival);
+            bytes = bytes.max(part.len() * 4);
+            match op {
+                CollOp::Barrier => {}
+                CollOp::Broadcast { root } => {
+                    if from == root {
+                        std::mem::swap(&mut result, &mut part);
+                    }
+                }
+                CollOp::Concat => {
+                    if result.capacity() < result.len() + part.len() {
+                        self.shared.pool.note_external_alloc();
+                    }
+                    result.extend_from_slice(&part);
+                    self.shared.pool.note_copy(part.len() * 4);
+                }
+                CollOp::Sum => {
+                    assert_eq!(
+                        part.len(),
+                        result.len(),
+                        "collective contributions must have equal length"
+                    );
+                    for (acc, x) in result.iter_mut().zip(&part) {
+                        *acc += x;
+                    }
+                }
+            }
+            self.recycle_buffer(part);
+        }
+        let cost =
+            cost_override.unwrap_or_else(|| op.tree_cost(&self.shared.config.link, p, bytes));
+        self.clock.advance_to(start + cost, category);
+        // The hub reads the result out first and hands its own reference
+        // to the last receiver: no receiver can find the hub still
+        // copying, so who ends up with the buffer is not a thread race.
+        self.copy_out(&result, out);
+        let result = self.share(result);
+        for to in 1..p - 1 {
+            self.send_payload_costed(to, tag, &result, 0.0, category);
+        }
+        if p > 1 {
+            self.drain_nic(category);
+            self.note(TraceOp::Fork);
+            self.post(p - 1, tag, PayloadBuf::Shared(result.0));
+            self.note(TraceOp::Release);
+        } else {
+            self.release_payload(result);
+        }
+    }
+
+    /// Barrier across all ranks (tree-priced).
+    pub fn barrier(&mut self) {
+        let mut out = Vec::new();
+        self.collective_into(&[], CollOp::Barrier, None, TimeCategory::Other, &mut out);
+    }
+
+    /// Broadcast `data` from `root` into `out` on every rank, charging
+    /// `seconds`.
     pub fn broadcast_costed_into(
         &mut self,
         root: usize,
@@ -838,21 +946,13 @@ impl Comm {
         );
     }
 
-    /// [`broadcast`](Self::broadcast) with an explicit cost.
-    pub fn broadcast_costed(
-        &mut self,
-        root: usize,
-        data: &[f32],
-        seconds: f64,
-        category: TimeCategory,
-    ) -> Vec<f32> {
-        let mut out = Vec::new();
-        self.broadcast_costed_into(root, data, seconds, category, &mut out);
-        out
-    }
-
-    /// [`reduce_sum_into`](Self::reduce_sum_into) with an explicit cost
-    /// (and no explicit root: every rank receives the sum).
+    /// Element-wise sum of every rank's `data` written into `out` on
+    /// every rank — a reduce whose non-roots are free to ignore the
+    /// result, or an allreduce — charging `seconds` in place of the
+    /// link-derived price: for Table 3's closed forms and calibrated
+    /// models (e.g. the weak-scaling study's measured MPI allreduce
+    /// seconds), where the data motion is real but the charge comes
+    /// from elsewhere.
     pub fn reduce_sum_costed_into(
         &mut self,
         data: &[f32],
@@ -860,164 +960,27 @@ impl Comm {
         category: TimeCategory,
         out: &mut Vec<f32>,
     ) {
-        self.collective_into(data, CollOp::ReduceSum, Some(seconds), category, out);
-    }
-
-    /// [`reduce_sum`](Self::reduce_sum) with an explicit cost.
-    pub fn reduce_sum_costed(
-        &mut self,
-        data: &[f32],
-        seconds: f64,
-        category: TimeCategory,
-    ) -> Vec<f32> {
-        let mut out = Vec::new();
-        self.reduce_sum_costed_into(data, seconds, category, &mut out);
-        out
-    }
-
-    // ------------------------------------------------------------------
-    // Collectives (synchronizing; all ranks must call with matching op)
-    // ------------------------------------------------------------------
-
-    /// Enters the gate, writes the combined result into `out`, and
-    /// advances this rank's clock to the collective's completion.
-    fn collective_into(
-        &mut self,
-        input: &[f32],
-        op: CollOp,
-        cost_override: Option<f64>,
-        category: TimeCategory,
-        out: &mut Vec<f32>,
-    ) {
-        let t = self.shared.gate.rendezvous_into(
-            &self.shared.exec,
-            &self.shared.pool,
-            self.rank,
-            self.clock.now(),
-            input,
-            op,
-            cost_override,
-            out,
-        );
-        self.clock.advance_to(t, category);
-    }
-
-    /// Barrier across all ranks (tree-priced).
-    pub fn barrier(&mut self) {
-        let mut out = Vec::new();
-        self.collective_into(&[], CollOp::Barrier, None, TimeCategory::Other, &mut out);
-    }
-
-    /// Broadcast `data` from `root` into `out` on every rank.
-    pub fn broadcast_into(
-        &mut self,
-        root: usize,
-        data: &[f32],
-        category: TimeCategory,
-        out: &mut Vec<f32>,
-    ) {
-        assert!(root < self.size(), "broadcast root out of range");
-        let input: &[f32] = if self.rank == root { data } else { &[] };
-        self.collective_into(input, CollOp::Broadcast { root }, None, category, out);
-    }
-
-    /// Broadcast `data` from `root` to every rank; returns root's data.
-    pub fn broadcast(&mut self, root: usize, data: &[f32], category: TimeCategory) -> Vec<f32> {
-        let mut out = Vec::new();
-        self.broadcast_into(root, data, category, &mut out);
-        out
-    }
-
-    /// Element-wise sum of every rank's `data` written into `out`, priced
-    /// as a rooted tree reduce. The sum lands on all ranks (non-roots of
-    /// the logical reduce are free to ignore it).
-    pub fn reduce_sum_into(
-        &mut self,
-        root: usize,
-        data: &[f32],
-        category: TimeCategory,
-        out: &mut Vec<f32>,
-    ) {
-        assert!(root < self.size(), "reduce root out of range");
-        self.collective_into(data, CollOp::ReduceSum, None, category, out);
-    }
-
-    /// Element-wise sum of every rank's `data`, priced as a rooted tree
-    /// reduce. The sum is returned on all ranks (non-roots of the logical
-    /// reduce are free to ignore it).
-    pub fn reduce_sum(&mut self, root: usize, data: &[f32], category: TimeCategory) -> Vec<f32> {
-        let mut out = Vec::new();
-        self.reduce_sum_into(root, data, category, &mut out);
-        out
-    }
-
-    /// Gather written into `out`: concatenation of every rank's `data` in
-    /// rank order, priced as a rooted tree gather. As with
-    /// [`reduce_sum`](Self::reduce_sum), the result is visible on every
-    /// rank; non-roots are free to ignore it.
-    pub fn gather_into(
-        &mut self,
-        root: usize,
-        data: &[f32],
-        category: TimeCategory,
-        out: &mut Vec<f32>,
-    ) {
-        assert!(root < self.size(), "gather root out of range");
-        self.collective_into(data, CollOp::Concat, None, category, out);
-    }
-
-    /// Gather: concatenation of every rank's `data` in rank order.
-    pub fn gather(&mut self, root: usize, data: &[f32], category: TimeCategory) -> Vec<f32> {
-        let mut out = Vec::new();
-        self.gather_into(root, data, category, &mut out);
-        out
+        self.collective_into(data, CollOp::Sum, Some(seconds), category, out);
     }
 
     /// Allgather written into `out`: every rank receives the rank-ordered
-    /// concatenation. Priced like a gather followed by a broadcast of the
-    /// concatenation.
+    /// concatenation of every rank's `data` (contributions may differ in
+    /// length). Priced as a tree gather followed by a tree broadcast of
+    /// the concatenation.
     pub fn allgather_into(&mut self, data: &[f32], category: TimeCategory, out: &mut Vec<f32>) {
-        self.gather_into(0, data, category, out);
-        // The broadcast of the assembled buffer (non-roots already hold
-        // the data in shared memory; only the time is charged).
+        self.collective_into(data, CollOp::Concat, None, category, out);
+        // Every rank already holds the concatenation; the second
+        // collective charges the broadcast's time.
         let gathered = std::mem::take(out);
-        self.broadcast_into(0, &gathered, category, out);
+        let input: &[f32] = if self.rank == HUB { &gathered } else { &[] };
+        self.collective_into(input, CollOp::Broadcast { root: HUB }, None, category, out);
         self.recycle_buffer(gathered);
     }
 
-    /// Allgather: every rank receives the rank-ordered concatenation.
-    pub fn allgather(&mut self, data: &[f32], category: TimeCategory) -> Vec<f32> {
-        let mut out = Vec::new();
-        self.allgather_into(data, category, &mut out);
-        out
-    }
-
-    /// Element-wise allreduce-sum written into `out`, priced per the
-    /// configured [`CollectiveAlgo`](crate::cluster::CollectiveAlgo).
+    /// Element-wise allreduce-sum written into `out`, priced as a tree
+    /// reduce plus a tree broadcast.
     pub fn allreduce_sum_into(&mut self, data: &[f32], category: TimeCategory, out: &mut Vec<f32>) {
-        self.collective_into(data, CollOp::AllReduceSum, None, category, out);
-    }
-
-    /// Element-wise allreduce-sum, priced per the configured
-    /// [`CollectiveAlgo`](crate::cluster::CollectiveAlgo).
-    pub fn allreduce_sum(&mut self, data: &[f32], category: TimeCategory) -> Vec<f32> {
-        let mut out = Vec::new();
-        self.allreduce_sum_into(data, category, &mut out);
-        out
-    }
-
-    /// Allreduce-sum with an explicit cost in place of the link-derived
-    /// price — for calibrated models (e.g. the weak-scaling study's
-    /// measured MPI allreduce seconds) where the data motion is real but
-    /// the charge comes from elsewhere.
-    pub fn allreduce_sum_costed_into(
-        &mut self,
-        data: &[f32],
-        seconds: f64,
-        category: TimeCategory,
-        out: &mut Vec<f32>,
-    ) {
-        self.collective_into(data, CollOp::AllReduceSum, Some(seconds), category, out);
+        self.collective_into(data, CollOp::Sum, None, category, out);
     }
 }
 
@@ -1052,15 +1015,33 @@ mod tests {
 
     const TAG: u32 = 7;
 
+    fn recv(comm: &mut Comm, from: usize, tag: u32, category: TimeCategory) -> Vec<f32> {
+        let mut out = Vec::new();
+        comm.recv_into(from, tag, category, &mut out);
+        out
+    }
+
+    fn recv_any(comm: &mut Comm, tag: u32, category: TimeCategory) -> (usize, Vec<f32>) {
+        let mut out = Vec::new();
+        let from = comm.recv_any_into(tag, category, &mut out);
+        (from, out)
+    }
+
+    fn allgather(comm: &mut Comm, data: &[f32], category: TimeCategory) -> Vec<f32> {
+        let mut out = Vec::new();
+        comm.allgather_into(data, category, &mut out);
+        out
+    }
+
     #[test]
     fn p2p_roundtrip_carries_data() {
         let cfg = ClusterConfig::new(2);
         let out = VirtualCluster::run(&cfg, |comm| {
             if comm.rank() == 0 {
                 comm.send(1, TAG, &[1.0, 2.0, 3.0], TimeCategory::CpuGpuParam);
-                comm.recv(1, TAG, TimeCategory::CpuGpuParam)
+                recv(comm, 1, TAG, TimeCategory::CpuGpuParam)
             } else {
-                let got = comm.recv(0, TAG, TimeCategory::CpuGpuParam);
+                let got = recv(comm, 0, TAG, TimeCategory::CpuGpuParam);
                 let doubled: Vec<f32> = got.iter().map(|x| x * 2.0).collect();
                 comm.send(0, TAG, &doubled, TimeCategory::CpuGpuParam);
                 got
@@ -1079,7 +1060,7 @@ mod tests {
                 comm.send(1, TAG, &[0.0; 1024], TimeCategory::CpuGpuParam);
                 comm.now()
             } else {
-                let _ = comm.recv(0, TAG, TimeCategory::CpuGpuParam);
+                let _ = recv(comm, 0, TAG, TimeCategory::CpuGpuParam);
                 comm.now()
             }
         });
@@ -1095,8 +1076,8 @@ mod tests {
             0 => {
                 // Expect specifically rank 2's message even if rank 1's
                 // arrives first.
-                let from2 = comm.recv(2, TAG, TimeCategory::Other);
-                let from1 = comm.recv(1, TAG, TimeCategory::Other);
+                let from2 = recv(comm, 2, TAG, TimeCategory::Other);
+                let from1 = recv(comm, 1, TAG, TimeCategory::Other);
                 vec![from2[0], from1[0]]
             }
             r => {
@@ -1122,9 +1103,9 @@ mod tests {
                 comm.send(1, X, &[3.0], TimeCategory::Other);
                 vec![]
             } else {
-                let y = comm.recv(0, Y, TimeCategory::Other);
-                let x1 = comm.recv(0, X, TimeCategory::Other);
-                let x2 = comm.recv(0, X, TimeCategory::Other);
+                let y = recv(comm, 0, Y, TimeCategory::Other);
+                let x1 = recv(comm, 0, X, TimeCategory::Other);
+                let x2 = recv(comm, 0, X, TimeCategory::Other);
                 vec![y[0], x1[0], x2[0]]
             }
         });
@@ -1145,11 +1126,11 @@ mod tests {
                 comm.send(1, OTHER, &[9.0], TimeCategory::Other);
                 vec![]
             } else {
-                let marker = comm.recv(0, OTHER, TimeCategory::Other);
+                let marker = recv(comm, 0, OTHER, TimeCategory::Other);
                 assert_eq!(marker, vec![9.0]);
                 let mut seen = Vec::new();
                 for _ in 0..3 {
-                    let (from, data) = comm.recv_any(TAG, TimeCategory::Other);
+                    let (from, data) = recv_any(comm, TAG, TimeCategory::Other);
                     assert_eq!(from, 0);
                     seen.push(data[0]);
                 }
@@ -1166,7 +1147,7 @@ mod tests {
             if comm.rank() == 0 {
                 let mut seen = Vec::new();
                 for _ in 0..3 {
-                    let (from, data) = comm.recv_any(TAG, TimeCategory::Other);
+                    let (from, data) = recv_any(comm, TAG, TimeCategory::Other);
                     assert_eq!(data[0] as usize, from);
                     seen.push(from);
                 }
@@ -1193,27 +1174,9 @@ mod tests {
                 comm.send(1, 1, &[1.0], TimeCategory::Other);
                 comm.send(1, 2, &[2.0], TimeCategory::Other);
             } else {
-                let _ = comm.recv(0, 2, TimeCategory::Other);
+                let _ = recv(comm, 0, 2, TimeCategory::Other);
             }
         });
-    }
-
-    #[test]
-    fn try_recv_any_returns_none_when_empty() {
-        let cfg = ClusterConfig::new(2);
-        let out = VirtualCluster::run(&cfg, |comm| {
-            if comm.rank() == 0 {
-                let empty = comm.try_recv_any(99, TimeCategory::Other).is_none();
-                // Now wait for the real message so the test is race-free.
-                let (_, d) = comm.recv_any(TAG, TimeCategory::Other);
-                (empty, d[0])
-            } else {
-                comm.send(0, TAG, &[5.0], TimeCategory::Other);
-                (true, 0.0)
-            }
-        });
-        assert!(out[0].0);
-        assert_eq!(out[0].1, 5.0);
     }
 
     #[test]
@@ -1225,7 +1188,7 @@ mod tests {
                 comm.send(1, TAG, &[0.0; 1000], TimeCategory::CpuGpuParam);
                 comm.now()
             } else {
-                let _ = comm.recv(0, TAG, TimeCategory::CpuGpuParam);
+                let _ = recv(comm, 0, TAG, TimeCategory::CpuGpuParam);
                 0.0
             }
         });
@@ -1265,7 +1228,7 @@ mod tests {
                 comm.send_payload_costed(2, TAG, &payload, 0.0, TimeCategory::Other);
                 vec![copied as f32]
             } else {
-                comm.recv(0, TAG, TimeCategory::Other)
+                recv(comm, 0, TAG, TimeCategory::Other)
             }
         });
         // Building the payload copied it exactly once (8 bytes).
@@ -1416,12 +1379,11 @@ mod tests {
                 let (s, out) = (&scratch[..], sum);
                 comm.allreduce_sum_into(s, TimeCategory::Other, out);
             };
-            // Warm up buffer capacities, then measure. The sender also
-            // parks a few spares in its private free list: the pool's
-            // steady state needs one buffer of slack per pipeline stage
-            // (the gate retires its combine buffer on the *last* read,
-            // which can land after the fastest rank has already started
-            // the next step).
+            // Warm up buffer capacities, then measure. The hub also parks
+            // a few spares: the pool's steady state needs one buffer of
+            // slack per pipeline stage (the result payload returns to
+            // the pool on its *last* release, which can land after the
+            // fastest rank has already started the next step).
             for _ in 0..4 {
                 exchange(comm, &mut scratch, &mut sum);
             }
@@ -1466,7 +1428,7 @@ mod tests {
         let cfg = ClusterConfig::new(3);
         let out = VirtualCluster::run(&cfg, |comm| {
             let mine = vec![comm.rank() as f32; 2];
-            comm.gather(0, &mine, TimeCategory::Other)
+            allgather(comm, &mine, TimeCategory::Other)
         });
         for v in out {
             assert_eq!(v, vec![0.0, 0.0, 1.0, 1.0, 2.0, 2.0]);
@@ -1479,7 +1441,7 @@ mod tests {
         let out = VirtualCluster::run(&cfg, |comm| {
             let mine = vec![comm.rank() as f32];
             let t0 = comm.now();
-            let g = comm.allgather(&mine, TimeCategory::GpuGpuParam);
+            let g = allgather(comm, &mine, TimeCategory::GpuGpuParam);
             (g, comm.now() - t0)
         });
         for (g, dt) in out {
@@ -1493,7 +1455,7 @@ mod tests {
         let cfg = ClusterConfig::new(3);
         let out = VirtualCluster::run(&cfg, |comm| {
             let mine = vec![comm.rank() as f32; comm.rank() + 1];
-            comm.gather(0, &mine, TimeCategory::Other)
+            allgather(comm, &mine, TimeCategory::Other)
         });
         for v in out {
             assert_eq!(v, vec![0.0, 1.0, 1.0, 2.0, 2.0, 2.0]);
@@ -1569,7 +1531,7 @@ mod tests {
                 comm.wait(&mut r);
                 comm.wait(&mut r); // panics: already completed
             } else {
-                let _ = comm.recv(0, TAG, TimeCategory::Other);
+                let _ = recv(comm, 0, TAG, TimeCategory::Other);
             }
         });
     }
@@ -1586,7 +1548,7 @@ mod tests {
                 let r = comm.isend(1, TAG, &[1.0], TimeCategory::Other);
                 drop(r);
             } else {
-                let _ = comm.recv(0, TAG, TimeCategory::Other);
+                let _ = recv(comm, 0, TAG, TimeCategory::Other);
             }
         });
     }
@@ -1605,10 +1567,10 @@ mod tests {
                 comm.send(1, MARKER, &[0.0], TimeCategory::Other);
                 vec![]
             } else {
-                let _ = comm.recv(0, MARKER, TimeCategory::Other);
+                let _ = recv(comm, 0, MARKER, TimeCategory::Other);
                 let mut r = comm.irecv_into(0, TAG, TimeCategory::Other, Vec::new());
                 let first = comm.wait(&mut r).expect("recv buffer");
-                let second = comm.recv(0, TAG, TimeCategory::Other);
+                let second = recv(comm, 0, TAG, TimeCategory::Other);
                 vec![first[0], second[0]]
             }
         });
@@ -1635,7 +1597,7 @@ mod tests {
                 comm.wait(&mut r);
                 (before, comm.now())
             } else {
-                let _ = comm.recv(0, TAG, TimeCategory::Other);
+                let _ = recv(comm, 0, TAG, TimeCategory::Other);
                 (comm.now(), comm.now())
             }
         });
@@ -1725,7 +1687,7 @@ mod tests {
                 let early = comm.test(&r);
                 // Rendezvous so the peer's message is physically in flight,
                 // then advance our clock past its arrival.
-                let _ = comm.recv(1, TAG, TimeCategory::Other);
+                let _ = recv(comm, 1, TAG, TimeCategory::Other);
                 comm.charge(TimeCategory::Other, 10.0);
                 let mut r = r;
                 while !comm.test(&r) {

@@ -20,8 +20,9 @@
 //!   breakdown (`cpu-gpu para comm`, `for/backward`, …).
 //! * [`comm`] — the per-rank communicator: point-to-point send / recv /
 //!   recv-any (FCFS), and synchronizing collectives (barrier, broadcast,
-//!   reduce, allreduce) with selectable algorithms (linear Θ(P) vs
-//!   binomial tree Θ(log P) vs Rabenseifner).
+//!   reduce, allgather, allreduce) that run as message programs over
+//!   those same primitives and charge the binomial-tree Θ(log P) closed
+//!   form or a caller-supplied cost.
 //! * [`cluster`] — [`cluster::VirtualCluster::run`]:
 //!   spawns the ranks, hands each a [`comm::Comm`], joins results.
 //! * [`collectives`] — *executable* ring / binomial-tree collectives
@@ -41,7 +42,8 @@
 //! let config = ClusterConfig::new(4);
 //! let sums = VirtualCluster::run(&config, |comm| {
 //!     let mine = vec![comm.rank() as f32];
-//!     let total = comm.allreduce_sum(&mine, TimeCategory::GpuGpuParam);
+//!     let mut total = Vec::new();
+//!     comm.allreduce_sum_into(&mine, TimeCategory::GpuGpuParam, &mut total);
 //!     total[0]
 //! });
 //! assert_eq!(sums, vec![6.0; 4]);
@@ -61,7 +63,7 @@ pub mod trace;
 
 pub use backend::ClusterBackend;
 pub use clock::{RankReport, SimClock, TimeBreakdown, TimeCategory};
-pub use cluster::{ClusterConfig, CollectiveAlgo, VirtualCluster};
+pub use cluster::{ClusterConfig, VirtualCluster};
 pub use codec::{BatchMsg, CodecError};
 pub use collectives::{
     flat_gather_sum, ring_allreduce_sum, tree_allreduce_sum, tree_allreduce_sum_among,

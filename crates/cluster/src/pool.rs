@@ -4,13 +4,13 @@
 //!
 //! Ownership rules (DESIGN.md §10): a buffer is owned by exactly one of
 //! (a) the rank that took it from the pool, (b) a `Message` in flight,
-//! (c) a shared [`Payload`](crate::Payload) until its last reference is
-//! released, or (d) the gate's result store. Point-to-point payloads
-//! migrate with the message — the *receiver* keeps or recycles them — so
-//! the pool is shared across the whole cluster: asymmetric traffic
-//! (batches streaming to the GPUs, contributions climbing the tree)
-//! drains nobody. Each [`crate::Comm`] keeps a small private [`FreeList`]
-//! in front of it so small messages never touch the shared mutex.
+//! or (c) a shared [`Payload`](crate::Payload) until its last reference
+//! is released. Payloads migrate with the message — the *receiver* keeps
+//! or recycles them — so the pool is shared across the whole cluster:
+//! asymmetric traffic (batches streaming to the GPUs, contributions
+//! climbing the tree) drains nobody. Each [`crate::Comm`] keeps a small
+//! private `FreeList` in front of it so small messages never touch the
+//! shared mutex.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -21,13 +21,13 @@ use std::sync::{Mutex, MutexGuard};
 pub struct PoolStats {
     /// Buffers handed out that required a fresh heap allocation.
     pub fresh: u64,
-    /// Buffers managed outside the free list (a caller's `_into` output,
-    /// a gate input slot) whose capacity had to grow (a realloc).
+    /// Buffers managed outside the free list (a caller's `_into`
+    /// output) whose capacity had to grow (a realloc).
     pub grown: u64,
     /// Buffers handed out without touching the allocator.
     pub reused: u64,
     /// Payload bytes copied through the exchange path (sends into
-    /// messages, gate combine traffic, results copied out).
+    /// messages, collective folds, results copied out).
     pub bytes_copied: u64,
 }
 
@@ -99,7 +99,7 @@ impl FreeList {
     }
 }
 
-/// A mutex-guarded [`FreeList`] with allocation and copy counters. All
+/// A mutex-guarded `FreeList` with allocation and copy counters. All
 /// counters are `Relaxed`: they are statistics — no memory is published
 /// through them, and the bench reads them only after the cluster's
 /// threads have joined.
@@ -161,9 +161,9 @@ impl BufferPool {
     }
 
     /// Records one allocator event on a buffer managed *outside* the free
-    /// list (a caller-provided `_into` output or gate input slot growing
-    /// its capacity) so allocs-per-step counts every allocation on the
-    /// exchange path, pooled or not.
+    /// list (a caller-provided `_into` output growing its capacity) so
+    /// allocs-per-step counts every allocation on the exchange path,
+    /// pooled or not.
     pub fn note_external_alloc(&self) {
         // ordering: statistics counter, see type docs.
         self.grown.fetch_add(1, Ordering::Relaxed);

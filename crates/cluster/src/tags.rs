@@ -22,6 +22,7 @@
 //! | `0x4200_0000 \| mask`       | Binomial-tree broadcast steps            |
 //! | `0x4300_0000`               | Flat gather-sum baseline                 |
 //! | `0x4400_0000 \| …`          | Nonblocking segmented exchange           |
+//! | `0x4500_0000 \| kind, root` | Hub collectives (`Comm::barrier`, …)     |
 //! | `0x8000_0000 \| …`          | Ring allreduce (phase, step)             |
 
 /// Sync EASGD's CPU→GPU batch fan-out ([`BatchMsg`](crate::BatchMsg)
@@ -101,6 +102,23 @@ pub fn seg_tree(segment: usize, phase: u32, mask: usize) -> u32 {
     SEG_EXCHANGE_BASE | ((segment as u32) << 16) | (phase << 15) | (mask as u32)
 }
 
+/// Base of the hub-collective range; use [`hub`].
+pub const HUB_BASE: u32 = 0x4500_0000;
+/// Width of the hub range: op kind (4 bits) << 20 | root (20 bits).
+pub const HUB_SPAN: u32 = 0x0100_0000;
+
+/// Tag of one hub collective (`Comm::barrier`, `allreduce_sum_into`, …),
+/// for contributions and result alike. One per op `kind` — and `root`,
+/// for a broadcast — so ranks that disagree about the collective they
+/// are in never match each other's messages: a deadlock, not an answer.
+pub fn hub(kind: u32, root: usize) -> u32 {
+    debug_assert!(
+        kind < 16 && root < 0x10_0000,
+        "hub tag out of range: kind {kind}, root {root}"
+    );
+    HUB_BASE | (kind << 20) | (root as u32)
+}
+
 /// Base of the ring-allreduce range; use [`ring`].
 pub const RING_BASE: u32 = 0x8000_0000;
 /// Width of the ring range: phase (1 bit) << 16 | step (16 bits).
@@ -129,6 +147,7 @@ pub const RANGES: &[(&str, u32, u32)] = &[
     ("tree-bcast", TREE_BCAST, TREE_SPAN),
     ("flat-gather", FLAT_GATHER, 1),
     ("seg-exchange", SEG_EXCHANGE_BASE, SEG_EXCHANGE_SPAN),
+    ("hub", HUB_BASE, HUB_SPAN),
     ("ring", RING_BASE, RING_SPAN),
 ];
 
@@ -176,6 +195,8 @@ mod tests {
             owner_of(seg_tree(255, SEG_PHASE_REDUCE, 0x7fff)),
             Some("seg-exchange")
         );
+        assert_eq!(owner_of(hub(0, 0)), Some("hub"));
+        assert_eq!(owner_of(hub(15, 0xf_ffff)), Some("hub"));
     }
 
     #[test]

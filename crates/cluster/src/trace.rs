@@ -13,13 +13,12 @@
 //! receiver inherits the obligation); `Recv`/`RecvAny` acquire the
 //! arriving message's buffer; `Recycle` returns a held buffer to the
 //! pool (`recv_into` keeps the arrived buffer and recycles the one it
-//! displaced — one credit either way); `Retire` passes a held buffer out
-//! of pool custody (the `Vec`-returning receive shims). A shared payload
-//! is **one** obligation however many ranks read it: `Share` turns a
-//! held buffer into a payload with one reference, `Fork` adds the
-//! reference the following `Send` carries, a receive of such a message
-//! acquires a reference instead of a buffer, and `Release` drops one —
-//! the *last* release cluster-wide discharges the obligation. `Isend`
+//! displaced — one credit either way). A shared payload is **one**
+//! obligation however many ranks read it: `Share` turns a held buffer
+//! into a payload with one reference, `Fork` adds the reference the
+//! following `Send` carries, a receive of such a message acquires a
+//! reference instead of a buffer, and `Release` drops one — the *last*
+//! release cluster-wide discharges the obligation. `Isend`
 //! consumes a held buffer at post time exactly like `Send`; an `Irecv`'s
 //! obligation materializes at its `Wait`, which acquires the matched
 //! message's buffer and recycles the posted one. In every terminal state
@@ -63,9 +62,6 @@ pub enum TraceOp {
     Recv { from: usize, tag: u32 },
     /// A blocking tag-selective FCFS receive from any source completed.
     RecvAny { tag: u32 },
-    /// A received buffer handed out of pool custody (the `Vec`-returning
-    /// receive shims).
-    Retire,
     /// [`Comm::isend`](crate::Comm::isend) /
     /// [`Comm::isend_from`](crate::Comm::isend_from): a nonblocking send
     /// posted. The message is deposited *at post time* (consuming one
@@ -95,7 +91,6 @@ impl fmt::Display for TraceOp {
             TraceOp::Release => write!(f, "release"),
             TraceOp::Recv { from, tag } => write!(f, "recv(from={from}, tag={tag:#x})"),
             TraceOp::RecvAny { tag } => write!(f, "recv_any(tag={tag:#x})"),
-            TraceOp::Retire => write!(f, "retire"),
             TraceOp::Isend { to, tag } => write!(f, "isend(to={to}, tag={tag:#x})"),
             TraceOp::Irecv { from, tag } => write!(f, "irecv(from={from}, tag={tag:#x})"),
             TraceOp::Wait { from, tag } => write!(f, "wait(from={from}, tag={tag:#x})"),
@@ -114,7 +109,6 @@ impl TraceOp {
             self,
             TraceOp::TakeBuf
                 | TraceOp::Recycle
-                | TraceOp::Retire
                 | TraceOp::Share
                 | TraceOp::Fork
                 | TraceOp::Release
@@ -166,14 +160,15 @@ mod tests {
     }
 
     #[test]
-    fn copying_send_and_vec_receive_record_take_and_retire() {
+    fn copying_send_and_any_source_receive_record_take_and_recycle() {
         let cfg = ClusterConfig::new(2);
         let traces = VirtualCluster::run(&cfg, |comm| {
             comm.trace_start();
             if comm.rank() == 0 {
                 comm.send(1, crate::tags::SYNC_DATA, &[1.0, 2.0], TimeCategory::Other);
             } else {
-                let (_, _data) = comm.recv_any(crate::tags::SYNC_DATA, TimeCategory::Other);
+                let mut data = Vec::new();
+                comm.recv_any_into(crate::tags::SYNC_DATA, TimeCategory::Other, &mut data);
             }
             comm.trace_take()
         });
@@ -188,14 +183,15 @@ mod tests {
                 }
             ]
         );
-        // `recv_any` hands the buffer out of pool custody: Retire.
+        // `recv_any_into` keeps the arrived buffer and recycles the one
+        // it displaced.
         assert_eq!(
             traces[1],
             vec![
                 TraceOp::RecvAny {
                     tag: crate::tags::SYNC_DATA
                 },
-                TraceOp::Retire
+                TraceOp::Recycle
             ]
         );
     }
@@ -211,7 +207,8 @@ mod tests {
                 comm.trace_start();
                 let first = comm.trace_take();
                 // After take, recording is off again.
-                let _ = comm.recv(0, crate::tags::SYNC_DATA, TimeCategory::Other);
+                let mut data = Vec::new();
+                comm.recv_into(0, crate::tags::SYNC_DATA, TimeCategory::Other, &mut data);
                 assert!(comm.trace_take().is_empty());
                 first
             }

@@ -55,7 +55,7 @@ impl SyncVariant {
 /// How the Sync EASGD exchange step moves data (§6.1).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum SyncExchange {
-    /// Gate-synchronized collectives charged at the Table 3 closed-form
+    /// Hub collectives charged at the Table 3 closed-form
     /// prices — the default, pinned by the golden-trace suite.
     Priced,
     /// Executable binomial-tree broadcast/reduce over the point-to-point
@@ -851,7 +851,7 @@ mod tests {
     #[test]
     fn executable_tree_agrees_with_priced_path_on_learning() {
         // Same schedule, different reduction order (pairwise tree vs the
-        // gate's rank-ordered fold): accuracies must land close.
+        // hub's rank-ordered fold): accuracies must land close.
         let (proto, train, test) = setup();
         let costs = SimCosts::mnist_lenet_4gpu();
         let c = cfg(40);

@@ -11,7 +11,7 @@
 use crate::layer::{batch_of, Init, Layer, ParamSpec};
 use easgd_tensor::par::{pool, WorkerPool};
 use easgd_tensor::{col2im, im2col, Conv2dGeometry};
-use easgd_tensor::{gemm, ParamArena, ScratchPolicy, Tensor, TrainScratch, Transpose};
+use easgd_tensor::{gemm, ParamArena, Tensor, TrainScratch, Transpose};
 use std::sync::Arc;
 
 /// Batches below this many forward flops (`2·b·oc·cols·rows`) run the
@@ -95,23 +95,21 @@ fn ensure_slots(cache: &mut Vec<Vec<f32>>, b: usize) {
     }
 }
 
-/// Refreshes an `Arc`-shared operand copy from `src`, replacing it
-/// outright under the churn policy (the seed path built a fresh
-/// `Arc<Vec<f32>>` every step). Returns a handle to the refreshed
-/// buffer for fanning out to worker jobs.
+/// Refreshes an `Arc`-shared operand copy from `src` and returns a
+/// handle to it for fanning out to worker jobs.
 fn refresh_shared(
     shared: &mut Option<Arc<Vec<f32>>>,
     src: &[f32],
     scratch: &mut TrainScratch,
 ) -> Arc<Vec<f32>> {
     match shared {
-        Some(arc) if scratch.policy() == ScratchPolicy::Pooled => {
+        Some(arc) => {
             let buf = Arc::make_mut(arc);
             buf.resize(src.len(), 0.0);
             buf.copy_from_slice(src);
             arc.clone()
         }
-        _ => {
+        None => {
             let arc = Arc::new(src.to_vec());
             scratch.note_external_alloc();
             *shared = Some(arc.clone());

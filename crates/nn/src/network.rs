@@ -10,8 +10,7 @@ use crate::loss::SoftmaxCrossEntropy;
 use crate::lrn::LocalResponseNorm;
 use crate::pool::{AvgPool2d, MaxPool2d};
 use easgd_tensor::{
-    Conv2dGeometry, InferScratch, ParamArena, Rng, ScratchPolicy, ScratchStats, Tensor,
-    TrainScratch,
+    Conv2dGeometry, InferScratch, ParamArena, Rng, ScratchStats, Tensor, TrainScratch,
 };
 
 /// Statistics of one training step.
@@ -289,8 +288,8 @@ impl Clone for Network {
             loss: SoftmaxCrossEntropy,
             input_shape: self.input_shape.clone(),
             num_classes: self.num_classes,
-            // Replicas warm their own buffers; only the policy carries over.
-            scratch: TrainScratch::new(self.scratch.policy()),
+            // Replicas warm their own buffers.
+            scratch: TrainScratch::default(),
             batch_dims: self.batch_dims.clone(),
         }
     }
@@ -533,13 +532,6 @@ impl Network {
     /// the train bench and the regression tests assert exactly that.
     pub fn scratch_stats(&self) -> ScratchStats {
         self.scratch.stats()
-    }
-
-    /// Replaces the step scratch with a fresh one running `policy`
-    /// (buffers and counters reset). [`ScratchPolicy::Churn`] reproduces
-    /// the seed's allocate-every-step behaviour for baseline timing.
-    pub fn set_scratch_policy(&mut self, policy: ScratchPolicy) {
-        self.scratch = TrainScratch::new(policy);
     }
 
     /// Classification accuracy over a labelled set, evaluated in batches

@@ -101,7 +101,7 @@ pub mod collection {
     use crate::strategy::Strategy;
     use crate::test_runner::TestRng;
 
-    /// Length specification for [`vec`]: a fixed size or a range.
+    /// Length specification for [`vec()`]: a fixed size or a range.
     pub trait SizeRange {
         /// Draws a concrete length.
         fn pick(&self, rng: &mut TestRng) -> usize;

@@ -224,20 +224,6 @@ pub enum BufGrowth {
     Reused,
 }
 
-/// Allocation policy of a [`TrainScratch`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ScratchPolicy {
-    /// Reuse buffer capacity across steps. After one warm-up step the
-    /// steady state performs zero heap allocations (the default).
-    #[default]
-    Pooled,
-    /// Replace every requested buffer with a fresh allocation, exactly as
-    /// the pre-arena layers did (`input.clone()`, `to_vec()` caches,
-    /// fresh im2col panels). This is the honest seed baseline the
-    /// `train` bench times the pooled path against.
-    Churn,
-}
-
 /// Counter snapshot of scratch activity (the [`crate::Tensor`]-side
 /// sibling of the cluster pool's `PoolStats`). Counters are plain `u64`s:
 /// the scratch is owned by one training thread and handed down the layer
@@ -295,7 +281,6 @@ impl ScratchStats {
 /// variant (the scatter-accumulate backward passes).
 #[derive(Debug, Default)]
 pub struct TrainScratch {
-    policy: ScratchPolicy,
     stats: ScratchStats,
     // Slot tensors are `Option` so checkout is `Option::take` — a pointer
     // swap, not a `mem::take` that would build a placeholder shape (and
@@ -307,19 +292,6 @@ pub struct TrainScratch {
 }
 
 impl TrainScratch {
-    /// An empty scratch with the given policy.
-    pub fn new(policy: ScratchPolicy) -> Self {
-        Self {
-            policy,
-            ..Self::default()
-        }
-    }
-
-    /// The allocation policy.
-    pub fn policy(&self) -> ScratchPolicy {
-        self.policy
-    }
-
     /// Snapshot of the counters.
     pub fn stats(&self) -> ScratchStats {
         self.stats
@@ -340,18 +312,17 @@ impl TrainScratch {
         self.stats.fresh += 1;
     }
 
-    /// Sizes `buf` to exactly `len` elements through the counting policy.
+    /// Sizes `buf` to exactly `len` elements, counting the request.
     /// Contents are unspecified (kept capacity is dirty); callers fully
     /// overwrite. Zero-length requests never touch the allocator or the
     /// counters (an empty `Vec` never allocates).
     pub fn ensure_f32(&mut self, buf: &mut Vec<f32>, len: usize) {
+        self.ensure(buf, len);
+    }
+
+    fn ensure<T: Copy + Default>(&mut self, buf: &mut Vec<T>, len: usize) {
         if len == 0 {
             buf.clear();
-            return;
-        }
-        if self.policy == ScratchPolicy::Churn {
-            *buf = vec![0.0; len];
-            self.tally(BufGrowth::Fresh);
             return;
         }
         let growth = if buf.capacity() >= len {
@@ -361,63 +332,27 @@ impl TrainScratch {
         } else {
             BufGrowth::Grown
         };
-        if buf.len() > len {
-            buf.truncate(len);
-        } else {
-            buf.resize(len, 0.0);
-        }
+        buf.resize(len, T::default());
         self.tally(growth);
     }
 
     /// [`ensure_f32`](Self::ensure_f32) followed by a zero fill — for
-    /// scatter-accumulate targets that relied on `Tensor::zeros`. Under
-    /// `Churn` the fresh buffer is already zeroed, so the baseline pays
-    /// the fill exactly once, like the seed did.
+    /// scatter-accumulate targets that relied on `Tensor::zeros`.
     pub fn ensure_f32_zeroed(&mut self, buf: &mut Vec<f32>, len: usize) {
         self.ensure_f32(buf, len);
-        if self.policy != ScratchPolicy::Churn {
-            buf.iter_mut().for_each(|x| *x = 0.0);
-        }
+        buf.iter_mut().for_each(|x| *x = 0.0);
     }
 
     /// `usize`-typed sibling of [`ensure_f32`](Self::ensure_f32) (pooling
     /// argmax indices and label buffers).
     pub fn ensure_usize(&mut self, buf: &mut Vec<usize>, len: usize) {
-        if len == 0 {
-            buf.clear();
-            return;
-        }
-        if self.policy == ScratchPolicy::Churn {
-            *buf = vec![0; len];
-            self.tally(BufGrowth::Fresh);
-            return;
-        }
-        let growth = if buf.capacity() >= len {
-            BufGrowth::Reused
-        } else if buf.capacity() == 0 {
-            BufGrowth::Fresh
-        } else {
-            BufGrowth::Grown
-        };
-        if buf.len() > len {
-            buf.truncate(len);
-        } else {
-            buf.resize(len, 0);
-        }
-        self.tally(growth);
+        self.ensure(buf, len);
     }
 
-    /// Re-shapes `t` to `dims` through the counting policy, reusing its
-    /// storage when pooled. Contents are unspecified; callers fully
-    /// overwrite (or use [`shape_tensor_zeroed`](Self::shape_tensor_zeroed)).
+    /// Re-shapes `t` to `dims`, reusing its storage and counting the
+    /// request. Contents are unspecified; callers fully overwrite (or use
+    /// [`shape_tensor_zeroed`](Self::shape_tensor_zeroed)).
     pub fn shape_tensor(&mut self, t: &mut Tensor, dims: &[usize]) {
-        if self.policy == ScratchPolicy::Churn {
-            *t = Tensor::zeros(dims.to_vec());
-            if !t.is_empty() {
-                self.tally(BufGrowth::Fresh);
-            }
-            return;
-        }
         let growth = t.resize_in_place(dims);
         if !t.is_empty() {
             self.tally(growth);
@@ -429,9 +364,7 @@ impl TrainScratch {
     /// scatter-accumulate kernel reads back.
     pub fn shape_tensor_zeroed(&mut self, t: &mut Tensor, dims: &[usize]) {
         self.shape_tensor(t, dims);
-        if self.policy != ScratchPolicy::Churn {
-            t.fill(0.0);
-        }
+        t.fill(0.0);
     }
 
     /// Checks the forward/backward ping tensor out of the scratch. The
@@ -488,8 +421,7 @@ impl TrainScratch {
 /// probabilities, no backward ping-pong traffic, no col2im scatter
 /// panels. `InferScratch` encodes that contract in the type: it is a
 /// [`TrainScratch`] that is only ever handed to `forward_into` paths
-/// (via [`train_scratch`](Self::train_scratch)), always runs the
-/// [`ScratchPolicy::Pooled`] policy, and therefore reaches the same
+/// (via [`train_scratch`](Self::train_scratch)), and reaches the same
 /// zero-allocations-per-request steady state the training step reaches
 /// per step — proved by the same counters ([`stats`](Self::stats)).
 ///
@@ -502,11 +434,9 @@ pub struct InferScratch {
 }
 
 impl InferScratch {
-    /// An empty forward-only scratch (always [`ScratchPolicy::Pooled`]).
+    /// An empty forward-only scratch.
     pub fn new() -> Self {
-        Self {
-            inner: TrainScratch::new(ScratchPolicy::Pooled),
-        }
+        Self::default()
     }
 
     /// Snapshot of the allocation counters (same invariant as the
@@ -610,7 +540,7 @@ mod tests {
 
     #[test]
     fn scratch_pooled_counts_fresh_then_reused() {
-        let mut s = TrainScratch::new(ScratchPolicy::Pooled);
+        let mut s = TrainScratch::default();
         let mut buf = Vec::new();
         s.ensure_f32(&mut buf, 16);
         assert_eq!(s.stats().fresh, 1);
@@ -624,19 +554,8 @@ mod tests {
     }
 
     #[test]
-    fn scratch_churn_counts_every_request_as_fresh() {
-        let mut s = TrainScratch::new(ScratchPolicy::Churn);
-        let mut buf = Vec::new();
-        for _ in 0..3 {
-            s.ensure_f32(&mut buf, 32);
-        }
-        let st = s.stats();
-        assert_eq!((st.fresh, st.grown, st.reused), (3, 0, 0));
-    }
-
-    #[test]
     fn scratch_zero_len_requests_are_uncounted() {
-        let mut s = TrainScratch::new(ScratchPolicy::Pooled);
+        let mut s = TrainScratch::default();
         let mut buf = vec![1.0; 4];
         s.ensure_f32(&mut buf, 0);
         assert!(buf.is_empty());
@@ -645,7 +564,7 @@ mod tests {
 
     #[test]
     fn scratch_zeroed_variant_clears_dirty_capacity() {
-        let mut s = TrainScratch::new(ScratchPolicy::Pooled);
+        let mut s = TrainScratch::default();
         let mut buf = vec![7.0; 8];
         s.ensure_f32_zeroed(&mut buf, 6);
         assert_eq!(buf, vec![0.0; 6]);
@@ -653,7 +572,7 @@ mod tests {
 
     #[test]
     fn scratch_shape_tensor_reuses_storage() {
-        let mut s = TrainScratch::new(ScratchPolicy::Pooled);
+        let mut s = TrainScratch::default();
         let mut t = Tensor::default();
         s.shape_tensor(&mut t, &[4, 8]);
         assert_eq!(t.shape().dims(), &[4, 8]);
@@ -669,7 +588,6 @@ mod tests {
     #[test]
     fn infer_scratch_is_pooled_and_counted() {
         let mut s = InferScratch::new();
-        assert_eq!(s.train_scratch().policy(), ScratchPolicy::Pooled);
         let mut buf = Vec::new();
         s.train_scratch().ensure_f32(&mut buf, 32);
         assert_eq!(s.stats().fresh, 1);
@@ -681,7 +599,7 @@ mod tests {
 
     #[test]
     fn scratch_slots_cycle_without_counting() {
-        let mut s = TrainScratch::new(ScratchPolicy::Pooled);
+        let mut s = TrainScratch::default();
         let mut p = s.take_ping();
         s.shape_tensor(&mut p, &[3, 3]);
         p.fill(2.0);

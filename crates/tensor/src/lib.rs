@@ -40,9 +40,7 @@ pub mod shape;
 pub mod simd;
 pub mod tensor;
 
-pub use arena::{
-    BufGrowth, InferScratch, ParamArena, ScratchPolicy, ScratchStats, Segment, TrainScratch,
-};
+pub use arena::{BufGrowth, InferScratch, ParamArena, ScratchStats, Segment, TrainScratch};
 pub use atomic::{AtomicBuffer, AtomicF32};
 pub use gemm::{gemm, gemm_naive, gemm_naive_par, gemm_rowstable, gemm_serial, matmul, Transpose};
 pub use im2col::{col2im, im2col, Conv2dGeometry};

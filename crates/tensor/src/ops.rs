@@ -289,7 +289,7 @@ pub fn elastic_momentum_update(
 /// so fusing removes two of the seven memory streams without moving a
 /// single rounding.
 ///
-/// The sweep is cache-blocked: each [`EXCHANGE_BLOCK`]-element band is
+/// The sweep is cache-blocked: each `EXCHANGE_BLOCK`-element band is
 /// captured with one straight `copy_from_slice` (which vectorizes as a
 /// plain memcpy) and then updated while still resident in L1 — the
 /// four-stream interleaved form defeats the copy's vectorization and

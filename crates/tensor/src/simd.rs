@@ -1,5 +1,5 @@
 //! Explicit-SIMD kernel tier: the hand-tiled FMA microkernel behind the
-//! blocked GEMM ([`crate::gemm`]) and the wide-lane bodies behind the
+//! blocked GEMM ([`mod@crate::gemm`]) and the wide-lane bodies behind the
 //! elastic-update kernels ([`crate::ops`], Equations 1/2/5/6 and axpy).
 //!
 //! # Tier selection

@@ -1,6 +1,6 @@
 //! Bounded deterministic interleaving explorer for small Hogwild kernels.
 //!
-//! The real Hogwild trainers ([`easgd_tensor::AtomicBuffer`]) run lock-free
+//! The real Hogwild trainers (`easgd_tensor::AtomicBuffer`) run lock-free
 //! updates as per-component CAS loops under `Ordering::Relaxed`. This module
 //! model-checks that design on tiny instances: each thread runs a short
 //! straight-line program of atomic operations, and the explorer enumerates

@@ -27,10 +27,10 @@
 //! 5. **payload-copy** — `.to_vec()` / `.clone()` are banned inside
 //!    `crates/cluster/src/` (outside `#[cfg(test)]`): the exchange path
 //!    is zero-allocation by design, so payload copies must go through
-//!    the buffer pool's counted entry points. Deliberate sites (the
-//!    `Vec`-returning compatibility shims, non-payload handle clones)
-//!    carry a `// xtask: allow(payload-copy)` justification on the same
-//!    line or in the comment block directly above.
+//!    the buffer pool's counted entry points. Deliberate sites
+//!    (non-payload handle clones) carry a
+//!    `// xtask: allow(payload-copy)` justification on the same line or
+//!    in the comment block directly above.
 //! 6. **step-alloc** — `.to_vec()` / `.clone()` / `Vec::new()` are
 //!    banned inside the per-step hot-path function bodies (outside
 //!    `#[cfg(test)]`): `fn forward*` / `fn backward*` / `fn infer*` in
@@ -123,13 +123,9 @@ const TAG_ARG_METHODS: &[(&str, usize)] = &[
     (".send_costed(", 1),
     (".send_from_costed(", 1),
     (".send_payload_costed(", 1),
-    (".recv(", 1),
     (".recv_into(", 1),
-    (".recv_costed(", 1),
     (".recv_costed_into(", 1),
-    (".recv_any(", 0),
     (".recv_any_into(", 0),
-    (".try_recv_any(", 0),
     (".isend(", 1),
     (".isend_from(", 1),
     (".irecv_into(", 1),
@@ -611,8 +607,8 @@ pub fn lint_source_with(
         // reach for thread primitives or blocking calls directly; those
         // live behind the execution-backend seam so the same code runs
         // on the discrete-event engine. `.recv()`/`.join()` match only
-        // the argless blocking forms (a tagged `comm.recv(from, tag, …)`
-        // or a `join("…")` on strings has arguments and is fine).
+        // the argless blocking forms (a call with arguments, such as a
+        // `join("…")` on strings, is fine).
         if backend_scope && !in_spans(&test_spans, idx) {
             let thread_tok = THREAD_PRIMITIVE_TOKENS
                 .iter()
@@ -1319,7 +1315,7 @@ mod tests {
     #[test]
     fn tag_discipline_accepts_registry_names_and_pragma() {
         let src = "fn f(comm: &mut Comm) { comm.send(1, tags::SYNC_DATA, &[], cat); \
-                   comm.recv_any(tags::ASYNC_REQ, cat); }";
+                   comm.recv_any_into(tags::ASYNC_REQ, cat, &mut buf); }";
         assert!(lint_source("crates/core/src/sync.rs", src, false).is_empty());
         let src = "fn f(comm: &mut Comm) {\n    // xtask: allow(tag-literal) — fixture tag.\n    comm.send(1, 7, &[], cat);\n}";
         assert!(lint_source("crates/core/src/sync.rs", src, false).is_empty());

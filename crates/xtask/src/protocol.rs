@@ -1,7 +1,8 @@
 //! Protocol model checker for the comm layer (DESIGN.md §12).
 //!
-//! Verifies the tree collectives and the Sync EASGD exchange against
-//! deadlock, message-loss, buffer-pool-leak, and FIFO-delivery
+//! Verifies the tree collectives, the hub collectives behind
+//! `Comm::barrier`/`allreduce_sum_into`/… and the Sync EASGD exchange
+//! against deadlock, message-loss, buffer-pool-leak, and FIFO-delivery
 //! invariants by exhaustively exploring rank interleavings of an
 //! abstract comm model.
 //!
@@ -60,7 +61,7 @@
 //! match it). Sleep sets prune *redundant interleavings* of commuting
 //! ops while still visiting every reachable state, so all deadlocks and
 //! all terminal states — where the loss/leak/ledger invariants are
-//! evaluated — are preserved. Local ops (`TakeBuf`/`Recycle`/`Retire`,
+//! evaluated — are preserved. Local ops (`TakeBuf`/`Recycle`,
 //! `Share`/`Fork`/`Release`) commute with everything and are folded into
 //! the preceding scheduling point; their violations (double-discharge,
 //! releasing a payload not held) depend only on the rank's own prefix,
@@ -172,8 +173,8 @@ struct State {
     /// Prefix-determined by the rank's own `pc` (like `matched`), so it
     /// stays out of the fingerprint.
     outstanding: Vec<HashMap<(usize, u32), u64>>,
-    /// Total pool credits acquired (TakeBuf) and discharged
-    /// (Recycle/Retire) across all ranks.
+    /// Total pool credits acquired (TakeBuf) and discharged (Recycle,
+    /// or a payload's last Release) across all ranks.
     taken: u64,
     discharged: u64,
 }
@@ -324,10 +325,10 @@ fn fold_locals(state: &mut State, programs: &[Vec<TraceOp>]) -> Result<(), Strin
                 TraceOp::Irecv { from, tag } => {
                     *state.outstanding[r].entry((*from, *tag)).or_insert(0) += 1;
                 }
-                TraceOp::Recycle | TraceOp::Retire | TraceOp::Share => {
+                TraceOp::Recycle | TraceOp::Share => {
                     if state.held[r] == 0 {
                         return Err(format!(
-                            "rank {r} ran {op} holding no buffer (double recycle/retire, \
+                            "rank {r} ran {op} holding no buffer (double recycle, \
                              or recycling a buffer never taken from the pool)"
                         ));
                     }
@@ -463,7 +464,7 @@ fn check_terminal(state: &State) -> Result<(), String> {
     // balance; an imbalance here means the model itself miscounted.
     if problems.is_empty() && state.taken != state.discharged {
         problems.push(format!(
-            "pool ledger imbalance: {} taken vs {} recycled/retired",
+            "pool ledger imbalance: {} taken vs {} recycled",
             state.taken, state.discharged
         ));
     }
@@ -667,15 +668,7 @@ pub fn check(programs: &[Vec<TraceOp>], reduce: bool, max_executions: Option<u64
 /// controls. Returns `None` if no violation is reachable within
 /// `max_states` explored states.
 pub fn shortest_violation(programs: &[Vec<TraceOp>], max_states: u64) -> Option<Box<Violation>> {
-    let mut recv_any_tags = vec![HashSet::new(); programs.len()];
-    for (r, prog) in programs.iter().enumerate() {
-        for op in prog {
-            if let TraceOp::RecvAny { tag } = op {
-                recv_any_tags[r].insert(*tag);
-            }
-        }
-    }
-    let _ = recv_any_tags; // BFS explores unreduced: minimality over all schedules.
+    // BFS explores unreduced: minimality over all schedules.
     let mut queue: VecDeque<(State, Vec<usize>)> = VecDeque::new();
     let mut seen = HashSet::new();
     queue.push_back((State::new(programs.len()), Vec::new()));
@@ -796,9 +789,57 @@ pub fn trace_ring_allreduce(p: usize) -> Vec<Vec<TraceOp>> {
     })
 }
 
+/// Programs of the hub [`Comm::allreduce_sum_into`] over all `p` ranks.
+pub fn trace_hub_allreduce(p: usize) -> Vec<Vec<TraceOp>> {
+    record_traces(p, |comm| {
+        let mut sum = Vec::new();
+        comm.allreduce_sum_into(&[comm.rank() as f32; 4], TimeCategory::Other, &mut sum);
+    })
+}
+
+/// Programs of [`Comm::barrier`] over all `p` ranks.
+pub fn trace_hub_barrier(p: usize) -> Vec<Vec<TraceOp>> {
+    record_traces(p, Comm::barrier)
+}
+
+/// The Sync EASGD batch fan-out that opens every exchange scenario: rank
+/// 0 (the data CPU) sends a packed [`BatchMsg`] to GPUs `1..=g` through
+/// the pool; each GPU receives and decodes its batch.
+fn fan_out_batch(comm: &mut Comm, g: usize) {
+    let pixels = [0.25f32; 4];
+    let labels = [1usize];
+    if comm.rank() == 0 {
+        for j in 1..=g {
+            let mut buf = comm.take_buffer(3 + labels.len() + pixels.len());
+            BatchMsg::encode_into(&pixels, &labels, &mut buf);
+            comm.send_from_costed(j, tags::SYNC_DATA, buf, 0.0, TimeCategory::CpuGpuData);
+        }
+    } else {
+        let mut payload = Vec::new();
+        comm.recv_into(0, tags::SYNC_DATA, TimeCategory::Other, &mut payload);
+        let mut got_labels = Vec::new();
+        let decoded = BatchMsg::decode_into(&payload, 1, &mut got_labels);
+        assert!(decoded.is_ok(), "batch codec: {:?}", decoded.err());
+    }
+}
+
+/// Programs of one `SyncExchange::Priced` round on `g` GPUs plus the
+/// data CPU: after the batch fan-out *every* rank (the CPU contributes
+/// zeros) joins the explicitly priced hub broadcast of the center from
+/// rank 1 and the hub reduce of the contributions.
+pub fn trace_priced_exchange(g: usize) -> Vec<Vec<TraceOp>> {
+    record_traces(g + 1, move |comm| {
+        fan_out_batch(comm, g);
+        let cat = TimeCategory::GpuGpuParam;
+        let (mut center_t, mut weight_sum) = (Vec::new(), Vec::new());
+        comm.broadcast_costed_into(1, &[0.5; 4], 1e-3, cat, &mut center_t);
+        let contribution = [comm.rank().min(1) as f32; 4];
+        comm.reduce_sum_costed_into(&contribution, 1e-3, cat, &mut weight_sum);
+    })
+}
+
 /// Programs of one Sync EASGD2/3 round on `g` GPUs plus the data CPU
-/// (`P = g + 1`): rank 0 fans a packed [`BatchMsg`] out to every GPU
-/// through the pool, each GPU decodes it, and the GPU set runs the
+/// (`P = g + 1`): after the batch fan-out the GPU set runs the
 /// production [`tree_exchange_round`](easgd::sync::tree_exchange_round)
 /// (tree broadcast of the center + tree reduce of the contributions,
 /// center on rank 1) — exactly the per-iteration comm structure of the
@@ -806,22 +847,10 @@ pub fn trace_ring_allreduce(p: usize) -> Vec<Vec<TraceOp>> {
 pub fn trace_sync_exchange(g: usize) -> Vec<Vec<TraceOp>> {
     let participants: Vec<usize> = (1..=g).collect();
     record_traces(g + 1, move |comm| {
-        let me = comm.rank();
-        let pixels = [0.25f32; 4];
-        let labels = [1usize];
-        if me == 0 {
-            for j in 1..=g {
-                let mut buf = comm.take_buffer(3 + labels.len() + pixels.len());
-                BatchMsg::encode_into(&pixels, &labels, &mut buf);
-                comm.send_from_costed(j, tags::SYNC_DATA, buf, 0.0, TimeCategory::CpuGpuData);
-            }
+        fan_out_batch(comm, g);
+        if comm.rank() == 0 {
             return;
         }
-        let mut payload = Vec::new();
-        comm.recv_into(0, tags::SYNC_DATA, TimeCategory::Other, &mut payload);
-        let mut got_labels = Vec::new();
-        let decoded = BatchMsg::decode_into(&payload, 1, &mut got_labels);
-        assert!(decoded.is_ok(), "batch codec: {:?}", decoded.err());
         let center = vec![0.5f32; 4];
         let mut center_t = Vec::new();
         let mut weight_sum = vec![0.0f32; 4];
@@ -851,22 +880,10 @@ pub fn trace_sync_exchange(g: usize) -> Vec<Vec<TraceOp>> {
 pub fn trace_pipelined_exchange(g: usize, segments: usize) -> Vec<Vec<TraceOp>> {
     let participants: Vec<usize> = (1..=g).collect();
     record_traces(g + 1, move |comm| {
-        let me = comm.rank();
-        let pixels = [0.25f32; 4];
-        let labels = [1usize];
-        if me == 0 {
-            for j in 1..=g {
-                let mut buf = comm.take_buffer(3 + labels.len() + pixels.len());
-                BatchMsg::encode_into(&pixels, &labels, &mut buf);
-                comm.send_from_costed(j, tags::SYNC_DATA, buf, 0.0, TimeCategory::CpuGpuData);
-            }
+        fan_out_batch(comm, g);
+        if comm.rank() == 0 {
             return;
         }
-        let mut payload = Vec::new();
-        comm.recv_into(0, tags::SYNC_DATA, TimeCategory::Other, &mut payload);
-        let mut got_labels = Vec::new();
-        let decoded = BatchMsg::decode_into(&payload, 1, &mut got_labels);
-        assert!(decoded.is_ok(), "batch codec: {:?}", decoded.err());
         let center = vec![0.5f32; 4];
         let mut center_t = vec![0.0f32; 4];
         let mut weight_sum = vec![0.0f32; 4];
@@ -919,9 +936,9 @@ pub fn negative_recv_any_starvation() -> Vec<Vec<TraceOp>> {
     vec![
         vec![
             TraceOp::RecvAny { tag: t },
-            TraceOp::Retire,
+            TraceOp::Recycle,
             TraceOp::Recv { from: 1, tag: t },
-            TraceOp::Retire,
+            TraceOp::Recycle,
         ],
         vec![TraceOp::TakeBuf, TraceOp::Send { to: 0, tag: t }],
         vec![TraceOp::TakeBuf, TraceOp::Send { to: 0, tag: t }],
@@ -960,6 +977,20 @@ pub fn negative_unreleased_forward() -> Vec<Vec<TraceOp>> {
         before,
         "fixture drift: expected one release"
     );
+    programs
+}
+
+/// A hub allreduce that rank 2 never enters: the production trace of
+/// [`trace_hub_allreduce`] with that rank's program emptied. The hub
+/// starves on the missing contribution and every other rank on the
+/// result.
+pub fn negative_skipped_collective() -> Vec<Vec<TraceOp>> {
+    let mut programs = trace_hub_allreduce(4);
+    assert!(
+        !programs[2].is_empty(),
+        "fixture drift: rank 2 should take part"
+    );
+    programs[2].clear();
     programs
 }
 
@@ -1016,124 +1047,97 @@ pub struct Scenario {
 }
 
 /// The scenario suite. `smoke` keeps to the P=4 instances CI runs per
-/// push; the full suite (scheduled / manual CI job, and the acceptance
+/// push, each passing one also explored unreduced for the reduction
+/// factor; the full suite (scheduled / manual CI job, and the acceptance
 /// run) adds P=5–6 and the ring.
 pub fn suite(smoke: bool) -> Vec<Scenario> {
-    let mut s = vec![
-        Scenario {
-            name: "tree_reduce(P=4, root=0)",
-            programs: trace_tree_reduce(4, 0),
-            expect_pass: true,
-            compare_naive: true,
-        },
-        Scenario {
-            name: "tree_broadcast(P=4, root=0)",
-            programs: trace_tree_broadcast(4, 0),
-            expect_pass: true,
-            compare_naive: true,
-        },
-        Scenario {
-            name: "tree_allreduce(P=4)",
-            programs: trace_tree_allreduce(4),
-            expect_pass: true,
-            compare_naive: true,
-        },
-        Scenario {
-            name: "flat_gather_sum(P=4, root=0)",
-            programs: trace_flat_gather(4, 0),
-            expect_pass: true,
-            compare_naive: true,
-        },
-        Scenario {
-            name: "sync_easgd_exchange(G=3)",
-            programs: trace_sync_exchange(3),
-            expect_pass: true,
-            compare_naive: true,
-        },
-        Scenario {
-            name: "sync_easgd_pipelined_exchange(G=3, S=2)",
-            programs: trace_pipelined_exchange(3, 2),
-            expect_pass: true,
-            compare_naive: true,
-        },
-        Scenario {
-            name: "negative: cyclic send/recv pair",
-            programs: negative_cyclic_pair(),
-            expect_pass: false,
-            compare_naive: false,
-        },
-        Scenario {
-            name: "negative: recv_any starvation",
-            programs: negative_recv_any_starvation(),
-            expect_pass: false,
-            compare_naive: false,
-        },
-        Scenario {
-            name: "negative: leaking reduce root",
-            programs: negative_leaky_reduce(),
-            expect_pass: false,
-            compare_naive: false,
-        },
-        Scenario {
-            name: "negative: payload forwarded, never released",
-            programs: negative_unreleased_forward(),
-            expect_pass: false,
-            compare_naive: false,
-        },
-        Scenario {
-            name: "negative: lost message",
-            programs: negative_lost_message(),
-            expect_pass: false,
-            compare_naive: false,
-        },
-        Scenario {
-            name: "negative: wait on a never-matched irecv",
-            programs: negative_unmatched_wait(),
-            expect_pass: false,
-            compare_naive: false,
-        },
+    let per_push = [
+        ("tree_reduce(P=4, root=0)", trace_tree_reduce(4, 0), true),
+        (
+            "tree_broadcast(P=4, root=0)",
+            trace_tree_broadcast(4, 0),
+            true,
+        ),
+        ("tree_allreduce(P=4)", trace_tree_allreduce(4), true),
+        (
+            "flat_gather_sum(P=4, root=0)",
+            trace_flat_gather(4, 0),
+            true,
+        ),
+        ("sync_easgd_exchange(G=3)", trace_sync_exchange(3), true),
+        (
+            "sync_easgd_pipelined_exchange(G=3, S=2)",
+            trace_pipelined_exchange(3, 2),
+            true,
+        ),
+        ("hub_allreduce(P=4)", trace_hub_allreduce(4), true),
+        ("hub_barrier(P=4)", trace_hub_barrier(4), true),
+        (
+            "sync_easgd_priced_exchange(G=3)",
+            trace_priced_exchange(3),
+            true,
+        ),
+        (
+            "negative: cyclic send/recv pair",
+            negative_cyclic_pair(),
+            false,
+        ),
+        (
+            "negative: recv_any starvation",
+            negative_recv_any_starvation(),
+            false,
+        ),
+        (
+            "negative: leaking reduce root",
+            negative_leaky_reduce(),
+            false,
+        ),
+        (
+            "negative: payload forwarded, never released",
+            negative_unreleased_forward(),
+            false,
+        ),
+        (
+            "negative: one rank skips the collective",
+            negative_skipped_collective(),
+            false,
+        ),
+        ("negative: lost message", negative_lost_message(), false),
+        (
+            "negative: wait on a never-matched irecv",
+            negative_unmatched_wait(),
+            false,
+        ),
     ];
+    let mut suite: Vec<Scenario> = per_push
+        .into_iter()
+        .map(|(name, programs, expect_pass)| Scenario {
+            name,
+            programs,
+            expect_pass,
+            compare_naive: expect_pass,
+        })
+        .collect();
     if !smoke {
-        s.extend([
-            Scenario {
-                name: "tree_reduce(P=6, root=2)",
-                programs: trace_tree_reduce(6, 2),
-                expect_pass: true,
-                compare_naive: false,
-            },
-            Scenario {
-                name: "tree_broadcast(P=5, root=1)",
-                programs: trace_tree_broadcast(5, 1),
-                expect_pass: true,
-                compare_naive: false,
-            },
-            Scenario {
-                name: "tree_allreduce(P=6)",
-                programs: trace_tree_allreduce(6),
-                expect_pass: true,
-                compare_naive: false,
-            },
-            Scenario {
-                name: "ring_allreduce(P=3)",
-                programs: trace_ring_allreduce(3),
-                expect_pass: true,
-                compare_naive: false,
-            },
-            Scenario {
-                name: "sync_easgd_exchange(G=5)",
-                programs: trace_sync_exchange(5),
-                expect_pass: true,
-                compare_naive: false,
-            },
-            Scenario {
-                name: "sync_easgd_pipelined_exchange(G=3, S=3)",
-                programs: trace_pipelined_exchange(3, 3),
-                expect_pass: true,
-                compare_naive: false,
-            },
-        ]);
+        let nightly = [
+            ("tree_reduce(P=6, root=2)", trace_tree_reduce(6, 2)),
+            ("tree_broadcast(P=5, root=1)", trace_tree_broadcast(5, 1)),
+            ("tree_allreduce(P=6)", trace_tree_allreduce(6)),
+            ("ring_allreduce(P=3)", trace_ring_allreduce(3)),
+            ("sync_easgd_exchange(G=5)", trace_sync_exchange(5)),
+            (
+                "sync_easgd_pipelined_exchange(G=3, S=3)",
+                trace_pipelined_exchange(3, 3),
+            ),
+        ];
+        suite.extend(nightly.into_iter().map(|(name, programs)| Scenario {
+            name,
+            programs,
+            expect_pass: true,
+            compare_naive: false,
+        }));
     }
-    s
+    suite
 }
 
 /// Execution cap for the reduced search (safety net; the suite's
@@ -1279,6 +1283,19 @@ mod tests {
         };
         assert!(
             v.message.contains("never returns to the pool"),
+            "{}",
+            v.message
+        );
+    }
+
+    #[test]
+    fn skipped_collective_starves_the_hub() {
+        let Outcome::Fail(v, _) = check(&negative_skipped_collective(), true, None) else {
+            panic!("a skipped collective must deadlock");
+        };
+        assert!(v.message.contains("deadlock"), "{}", v.message);
+        assert!(
+            v.message.contains("rank 0 blocked on recv(from=2"),
             "{}",
             v.message
         );

@@ -20,6 +20,9 @@ cargo fmt --all -- --check
 echo "==> cargo clippy --workspace --all-targets -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc --workspace --no-deps with rustdoc warnings denied (no dangling intra-doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
+
 echo "==> easgd-xtask lint"
 cargo run -q -p easgd-xtask -- lint
 
@@ -82,5 +85,8 @@ if [[ "$(uname -m)" == "x86_64" ]]; then
   echo "==> SIMD tier bit-identity: avx2+fma tier"
   RUSTFLAGS="-C target-feature=+avx2,+fma" CARGO_TARGET_DIR=target/avx2 cargo test -q -p easgd-tensor
 fi
+
+echo "==> non-test lines per crate (scripts/loc.sh)"
+scripts/loc.sh
 
 echo "==> all checks passed"

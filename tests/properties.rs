@@ -291,7 +291,9 @@ proptest! {
         }
         let inputs_ref = &inputs;
         let outs = VirtualCluster::run(&cfg, move |comm| {
-            comm.allreduce_sum(&inputs_ref[comm.rank()], TimeCategory::Other)
+            let mut sum = Vec::new();
+            comm.allreduce_sum_into(&inputs_ref[comm.rank()], TimeCategory::Other, &mut sum);
+            sum
         });
         for out in outs {
             for i in 0..len {
@@ -300,10 +302,10 @@ proptest! {
         }
     }
 
-    /// The executable ring allreduce matches the gate allreduce for any
+    /// The executable ring allreduce matches the hub allreduce for any
     /// rank count and vector length (including lengths < P).
     #[test]
-    fn ring_matches_gate_allreduce(p in 1usize..7, len in 1usize..40, seed in 0u64..50) {
+    fn ring_matches_hub_allreduce(p in 1usize..7, len in 1usize..40, seed in 0u64..50) {
         let cfg = ClusterConfig::new(p);
         let mut rng = Rng::new(seed);
         let inputs: Vec<Vec<f32>> = (0..p)
@@ -312,12 +314,13 @@ proptest! {
         let inputs_ref = &inputs;
         let outs = VirtualCluster::run(&cfg, move |comm| {
             let mut ring = inputs_ref[comm.rank()].clone();
-            let gate = comm.allreduce_sum(&ring, TimeCategory::Other);
+            let mut hub = Vec::new();
+            comm.allreduce_sum_into(&ring, TimeCategory::Other, &mut hub);
             knl_easgd::cluster::ring_allreduce_sum(comm, &mut ring, TimeCategory::Other);
-            (ring, gate)
+            (ring, hub)
         });
-        for (ring, gate) in outs {
-            for (a, b) in ring.iter().zip(&gate) {
+        for (ring, hub) in outs {
+            for (a, b) in ring.iter().zip(&hub) {
                 prop_assert!((a - b).abs() < 1e-3, "{a} vs {b}");
             }
         }

@@ -87,10 +87,10 @@ fn recorded_programs_are_deterministic_and_send_recv_balanced() {
         sends, recvs,
         "unbalanced send/recv in the recorded exchange"
     );
-    // Every taken buffer is recycled, retired, or became a shared
-    // payload (one obligation, discharged by its last release).
+    // Every taken buffer is recycled or became a shared payload (one
+    // obligation, discharged by its last release).
     let takes = count(|op| matches!(op, TraceOp::TakeBuf));
-    let discharges = count(|op| matches!(op, TraceOp::Recycle | TraceOp::Retire | TraceOp::Share));
+    let discharges = count(|op| matches!(op, TraceOp::Recycle | TraceOp::Share));
     assert_eq!(
         takes, discharges,
         "unbalanced pool ledger in the recorded exchange"
