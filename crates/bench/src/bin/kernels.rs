@@ -17,21 +17,24 @@
 //! Every entry records wall milliseconds (best of several runs) and a
 //! derived rate, plus the two acceptance ratios of ISSUE 2: blocked vs
 //! naive single-threaded at 256³ and blocked vs the seed's fork-join
-//! path at 1024³.
+//! path at 1024³ — and the `gemm_par_vs_serial` table that keeps
+//! `gemm`'s fork-join honest: at two threads, `gemm` must never be
+//! slower than `gemm_serial` at any shape the workloads issue
+//! (`gemm_min_par_over_serial`), and the forced fork beside it shows the
+//! crossover `par::FORK_JOIN_FLOPS` was read from.
 
 use easgd::{partitioned_hogwild_easgd, partitioned_sync_easgd, TrainConfig};
 use easgd_bench::arg_value;
-use easgd_bench::schema::json_escape;
+use easgd_bench::schema::{json_escape, json_number};
 use easgd_bench::timing::{time_ms, time_pair_ms};
 use easgd_data::SyntheticSpec;
 use easgd_nn::models::lenet_tiny;
 use easgd_tensor::ops;
 use easgd_tensor::par::{self, PartitionedPool, WorkerPool};
 use easgd_tensor::{
-    active_tier, gemm, gemm_naive, gemm_naive_par, gemm_serial, im2col, Conv2dGeometry, Rng,
-    Transpose,
+    active_tier, gemm, gemm_fork_join, gemm_naive, gemm_naive_par, gemm_serial, im2col,
+    Conv2dGeometry, Rng, Transpose,
 };
-use std::sync::Arc;
 
 fn rand_vec(n: usize, seed: u64) -> Vec<f32> {
     let mut rng = Rng::new(seed);
@@ -144,7 +147,7 @@ fn bench_gemm(entries: &mut Vec<Entry>, smoke: bool) {
         ("blocked_serial", run_blocked_serial, 1),
     );
 
-    // Acceptance point 2: full blocked dispatch (persistent pool) vs the
+    // Acceptance point 2: full blocked dispatch (scoped fork-join) vs the
     // seed's spawn-per-call fork-join at 1024³.
     let s = if smoke { 96 } else { 1024 };
     gemm_pair(
@@ -213,8 +216,7 @@ fn bench_gemm_scaling(entries: &mut Vec<Entry>, smoke: bool) {
     }
     counts.push(max);
     for &threads in &counts {
-        let pool = Arc::new(WorkerPool::new(threads - 1));
-        let ms = par::with_pool(&pool, || {
+        let ms = par::with_pool(&WorkerPool::new(threads - 1), || {
             time_ms(smoke, || {
                 gemm(
                     Transpose::No,
@@ -240,6 +242,144 @@ fn bench_gemm_scaling(entries: &mut Vec<Entry>, smoke: bool) {
             rate_unit: "gflops",
         });
     }
+}
+
+/// Every GEMM shape the benchmark's workloads issue, plus the cubes and
+/// the fc layer the other tables use: `(label, ta, tb, m, n, k)`.
+fn par_vs_serial_shapes() -> Vec<(String, Transpose, Transpose, usize, usize, usize)> {
+    use Transpose::{No, Yes};
+    let mut shapes = Vec::new();
+    // The VGG-shaped CIFAR net's five conv layers `(oc, col_rows,
+    // col_cols)`: forward NN, weight gradient NT, column gradient TN.
+    for (i, (oc, rows, cols)) in [
+        (32, 27, 1024),
+        (32, 288, 1024),
+        (64, 288, 256),
+        (64, 576, 256),
+        (128, 576, 64),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let name = format!("vgg_conv{}", i + 1);
+        shapes.push((format!("{name}_fwd_nn"), No, No, oc, cols, rows));
+        shapes.push((format!("{name}_dw_nt"), No, Yes, oc, rows, cols));
+        shapes.push((format!("{name}_dcol_tn"), Yes, No, rows, cols, oc));
+    }
+    // Dense layers at batch `b`: forward NT, weight gradient TN, input
+    // gradient NN (the VGG net's 2048→256 head, the MLP's 1024→1024).
+    for (name, b, out, inp) in [
+        ("dense256_b8", 8, 256, 2048),
+        ("mlp1024_b2", 2, 1024, 1024),
+        ("mlp1024_b8", 8, 1024, 1024),
+        ("mlp1024_b32", 32, 1024, 1024),
+    ] {
+        shapes.push((format!("{name}_fwd_nt"), No, Yes, b, out, inp));
+        shapes.push((format!("{name}_dw_tn"), Yes, No, out, inp, b));
+        shapes.push((format!("{name}_dx_nn"), No, No, b, inp, out));
+    }
+    shapes.push(("vgg_fc6_b32".to_string(), No, No, 32, 4096, 4096));
+    for s in [256, 384, 512, 768, 1024] {
+        shapes.push((format!("cube{s}"), No, No, s, s, s));
+    }
+    shapes
+}
+
+/// Threads the `gemm_par_vs_serial` table runs at.
+const PAR_TABLE_THREADS: usize = 2;
+
+/// What the `gemm_par_vs_serial` rows say about the fork-join gate.
+struct ParVsSerial {
+    /// Minimum over shapes of `gemm` speed / `gemm_serial` speed.
+    min_par_over_serial: f64,
+    /// Flops of the largest shape whose forced fork ran below 0.95× the
+    /// serial speed — "lost" beyond the table's own noise, the same 5 %
+    /// the acceptance key allows `gemm`.
+    largest_losing_fork_flops: u64,
+    /// Flops of the smallest shape above that one (the fork won there and
+    /// at everything bigger).
+    smallest_winning_fork_flops: u64,
+}
+
+/// `gemm` against `gemm_serial` at a two-thread budget, and the fork
+/// forced (`gemm_fork_join`, whatever the gate says) against
+/// `gemm_serial` again: the first pair gives `gemm_min_par_over_serial`,
+/// the second shows where the fork starts to pay. Two interleaved pairs
+/// rather than one triple, so the gated pair never runs on caches the
+/// forced fork just split over two cores. Prints a skip notice on a
+/// one-thread host, where a second thread would only time-slice the
+/// first.
+fn bench_gemm_par_vs_serial(entries: &mut Vec<Entry>, smoke: bool) -> Option<ParVsSerial> {
+    if par::max_threads() < PAR_TABLE_THREADS {
+        println!("gemm_par_vs_serial: SKIPPED (host has 1 thread; the table needs 2)");
+        return None;
+    }
+    let mut min_par_over_serial = f64::INFINITY;
+    let mut forked_speed = Vec::new();
+    for (label, ta, tb, m, n, k) in par_vs_serial_shapes() {
+        let (m, n, k) = if smoke {
+            (m.min(32), n.min(64), k.min(64))
+        } else {
+            (m, n, k)
+        };
+        let a = rand_vec(m * k, 0xA + m as u64);
+        let b = rand_vec(k * n, 0xB + n as u64);
+        let flops = 2 * (m * n * k) as u64;
+        // Sub-millisecond kernels: batch calls so one sample is ~1 ms.
+        let reps = (2_000_000 / flops.max(1)).clamp(1, 64) as usize;
+        // One output buffer for every side: where a 4 MiB C lands in
+        // physical memory moves a store-bound shape by more than the
+        // 5 % the acceptance allows.
+        let c = std::cell::RefCell::new(vec![0.0f32; m * n]);
+        let pair = |f: &dyn Fn(&mut [f32])| {
+            let run = |f: &dyn Fn(&mut [f32])| {
+                let mut c = c.borrow_mut();
+                (0..reps).for_each(|_| f(&mut c));
+            };
+            let serial = |c: &mut [f32]| gemm_serial(ta, tb, m, n, k, 1.0, &a, &b, 0.0, c);
+            let (s, o) = par::with_pool(&WorkerPool::new(PAR_TABLE_THREADS - 1), || {
+                time_pair_ms(smoke, 1.5, || run(&serial), || run(f))
+            });
+            (s / reps as f64, o / reps as f64)
+        };
+        let (serial, gated) = pair(&|c| gemm(ta, tb, m, n, k, 1.0, &a, &b, 0.0, c));
+        let (serial_again, forked) =
+            pair(&|c| gemm_fork_join(PAR_TABLE_THREADS, ta, tb, m, n, k, 1.0, &a, &b, 0.0, c));
+        min_par_over_serial = min_par_over_serial.min(serial / gated);
+        forked_speed.push((flops, serial_again / forked));
+        for (implementation, threads, ms) in [
+            ("serial", 1, serial),
+            ("gemm", PAR_TABLE_THREADS, gated),
+            ("forked", PAR_TABLE_THREADS, forked),
+        ] {
+            entries.push(Entry {
+                bench: "gemm_par_vs_serial",
+                shape: format!("{label}/{m}x{n}x{k}"),
+                implementation,
+                threads,
+                ms,
+                work: flops,
+                rate_unit: "gflops",
+            });
+        }
+    }
+    let largest_losing_fork_flops = forked_speed
+        .iter()
+        .filter(|&&(_, speed)| speed < 0.95)
+        .map(|&(flops, _)| flops)
+        .max()
+        .unwrap_or(0);
+    let smallest_winning_fork_flops = forked_speed
+        .iter()
+        .map(|&(flops, _)| flops)
+        .filter(|&flops| flops > largest_losing_fork_flops)
+        .min()
+        .unwrap_or(u64::MAX);
+    Some(ParVsSerial {
+        min_par_over_serial,
+        largest_losing_fork_flops,
+        smallest_winning_fork_flops,
+    })
 }
 
 /// The Figure 12-style table on real threads: the §6.2 chip partition
@@ -432,7 +572,7 @@ fn gflops(entries: &[Entry], bench: &str, implementation: &str, shape_prefix: &s
         .unwrap_or(0.0)
 }
 
-fn render_json(entries: &[Entry]) -> String {
+fn render_json(entries: &[Entry], par_table: Option<&ParVsSerial>) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"schema\": 2,\n");
@@ -481,9 +621,23 @@ fn render_json(entries: &[Entry]) -> String {
     ));
     out.push_str(&format!("    \"vgg_fc6_b32_gflops\": {vgg_gf:.2},\n"));
     out.push_str(&format!(
-        "    \"vgg_fc6_b32_speedup_vs_seed_fork_join\": {vgg_speedup:.2}\n"
+        "    \"vgg_fc6_b32_speedup_vs_seed_fork_join\": {vgg_speedup:.2}"
     ));
-    out.push_str("  },\n");
+    // The fork-join gate's ledger (absent on a one-thread host, where
+    // the table is skipped): `gemm` must not lose to `gemm_serial`
+    // anywhere, and the constant sits between the largest shape whose
+    // forced fork lost and the smallest above it.
+    if let Some(p) = par_table {
+        out.push_str(&format!(
+            ",\n    \"gemm_min_par_over_serial\": {:.3},\n    \"fork_join_flops\": {},\n    \
+             \"largest_losing_fork_flops\": {},\n    \"smallest_winning_fork_flops\": {}",
+            p.min_par_over_serial,
+            par::FORK_JOIN_FLOPS,
+            p.largest_losing_fork_flops,
+            p.smallest_winning_fork_flops
+        ));
+    }
+    out.push_str("\n  },\n");
     out.push_str("  \"entries\": [\n");
     for (i, e) in entries.iter().enumerate() {
         out.push_str(&format!(
@@ -534,7 +688,34 @@ fn validate_schema(json: &str, entries: &[Entry]) {
             "schema check: no {bench} rows"
         );
     }
+    if par::max_threads() >= PAR_TABLE_THREADS {
+        assert!(
+            json.contains("\"gemm_min_par_over_serial\""),
+            "schema check: missing gemm_min_par_over_serial on a multi-thread host"
+        );
+    }
     println!("schema check: acceptance fields + per-entry threads OK");
+}
+
+/// `--smoke` also re-validates the checked-in fork-join ledger, so CI
+/// fails if someone regenerates `BENCH_kernels.json` with a gate under
+/// which `gemm` loses to `gemm_serial` (or on a one-thread host, where
+/// the table is skipped and the key goes missing).
+fn validate_checked_in(path: &str) -> Result<(), String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let min =
+        json_number(&text, "gemm_min_par_over_serial").ok_or("missing gemm_min_par_over_serial")?;
+    if min < 0.95 {
+        return Err(format!("gemm_min_par_over_serial = {min}, want >= 0.95"));
+    }
+    let gate = json_number(&text, "fork_join_flops").ok_or("missing fork_join_flops")?;
+    if gate != par::FORK_JOIN_FLOPS as f64 {
+        return Err(format!(
+            "recorded at fork_join_flops = {gate}, the code says {}: re-record",
+            par::FORK_JOIN_FLOPS
+        ));
+    }
+    Ok(())
 }
 
 fn main() {
@@ -543,17 +724,18 @@ fn main() {
 
     bench_gemm(&mut entries, smoke);
     bench_gemm_scaling(&mut entries, smoke);
+    let par_table = bench_gemm_par_vs_serial(&mut entries, smoke);
     bench_im2col(&mut entries, smoke);
     bench_elastic(&mut entries, smoke);
     bench_partitioned(&mut entries, smoke);
 
     println!(
-        "{:<18} {:<28} {:<16} {:>7} {:>10} {:>12}",
+        "{:<18} {:<36} {:<16} {:>7} {:>10} {:>12}",
         "bench", "shape", "impl", "threads", "ms", "rate"
     );
     for e in &entries {
         println!(
-            "{:<18} {:<28} {:<16} {:>7} {:>10.3} {:>9.2} {}",
+            "{:<18} {:<36} {:<16} {:>7} {:>10.4} {:>9.2} {}",
             e.bench,
             e.shape,
             e.implementation,
@@ -564,14 +746,33 @@ fn main() {
         );
     }
 
-    let json = render_json(&entries);
-    if smoke {
-        validate_schema(&json, &entries);
-        println!("\nsmoke run: all kernel benches executed once; JSON not written");
-        return;
+    let json = render_json(&entries, par_table.as_ref());
+    // One smoke iteration says nothing about where the fork pays.
+    if let (Some(p), false) = (&par_table, smoke) {
+        println!(
+            "\nfork-join gate: FORK_JOIN_FLOPS = {} ({:.1} MFLOP); forced fork last lost to \
+             serial at {:.1} MFLOP, won from {:.1} MFLOP up; min gemm/serial speed = {:.3}",
+            par::FORK_JOIN_FLOPS,
+            par::FORK_JOIN_FLOPS as f64 / 1e6,
+            p.largest_losing_fork_flops as f64 / 1e6,
+            p.smallest_winning_fork_flops as f64 / 1e6,
+            p.min_par_over_serial,
+        );
     }
     let default_out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernels.json");
     let out_path = arg_value("--out").unwrap_or_else(|| default_out.to_string());
+    if smoke {
+        validate_schema(&json, &entries);
+        println!("\nsmoke run: all kernel benches executed once; JSON not written");
+        match validate_checked_in(&out_path) {
+            Ok(()) => println!("checked-in {out_path} acceptance holds"),
+            Err(e) => {
+                eprintln!("checked-in {out_path} fails acceptance: {e}");
+                std::process::exit(1);
+            }
+        }
+        return;
+    }
     match std::fs::write(&out_path, &json) {
         Ok(()) => println!("\nwrote {out_path}"),
         Err(e) => {

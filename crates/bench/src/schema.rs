@@ -38,6 +38,8 @@ pub const SCHEMAS: &[BenchSchema] = &[
             "gemm_256_serial_gflops",
             "vgg_fc6_b32_gflops",
             "vgg_fc6_b32_speedup_vs_seed_fork_join",
+            "gemm_min_par_over_serial",
+            "fork_join_flops",
         ],
         required_true: &[],
     },

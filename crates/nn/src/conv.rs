@@ -1,24 +1,21 @@
-//! 2-D convolution via im2col + GEMM.
+//! 2-D convolution via im2col + GEMM, thread-parallel over the batch.
 //!
-//! The forward pass is batch-parallel: for large enough batches the
-//! per-sample im2col + GEMM jobs fan out over the persistent
-//! [`easgd_tensor::par::pool()`]. Jobs are owned closures over
-//! `Arc`-shared weight/bias copies (the pool cannot borrow — see
-//! DESIGN.md §8), each returning its `(col, y)` buffers, which the caller
-//! writes back in sample order — so the result is bit-identical to the
-//! serial loop at any worker count.
+//! One sample's im2col GEMM is too small to feed every thread (the
+//! paper's §6.2 argument for giving each chip group its *own* samples),
+//! so the threads go where the work is: forward and backward hand each
+//! thread a contiguous run of the batch's samples through
+//! [`par::fan_out`], which lends it the layer's weights, the input and
+//! its own `&mut` pieces of the output and the column cache — nothing is
+//! copied, and the GEMMs inside a job stay serial. The weight gradient
+//! sums over samples, so it is split the other way — by output band, see
+//! [`Layer::backward_into`] — and every element keeps the float
+//! operation chain of the serial per-sample loop: results are
+//! bit-identical at any thread count (DESIGN.md §8).
 
 use crate::layer::{batch_of, Init, Layer, ParamSpec};
-use easgd_tensor::par::{pool, WorkerPool};
+use easgd_tensor::par;
 use easgd_tensor::{col2im, im2col, Conv2dGeometry};
-use easgd_tensor::{gemm, ParamArena, Tensor, TrainScratch, Transpose};
-use std::sync::Arc;
-
-/// Batches below this many forward flops (`2·b·oc·cols·rows`) run the
-/// serial per-sample loop: dispatch plus the owned operand copies would
-/// cost more than they parallelize. Mirrors the flop threshold used by
-/// `easgd_tensor::gemm` for the same reason.
-const PAR_FLOPS: u64 = 8 << 20;
+use easgd_tensor::{gemm, gemm_row_band, ParamArena, Tensor, TrainScratch, Transpose};
 
 /// One sample's forward work: lower `image` into `col` and compute
 /// `y = W·col + bias` (`y` laid out `[out_channels, out_h·out_w]`).
@@ -28,11 +25,10 @@ fn sample_forward(
     w: &[f32],
     bias: &[f32],
     image: &[f32],
-    col: &mut Vec<f32>,
+    col: &mut [f32],
     y: &mut [f32],
 ) {
     let (rows, cols) = (geom.col_rows(), geom.col_cols());
-    col.resize(rows * cols, 0.0);
     im2col(geom, image, col);
     gemm(
         Transpose::No,
@@ -69,53 +65,12 @@ pub struct Conv2d {
     b_seg: usize,
     /// Cached im2col matrices, one per sample of the last forward batch.
     col_cache: Vec<Vec<f32>>,
-    /// Per-sample output buffers recycled through the parallel fan-out
-    /// (jobs take them by move and hand them back as results).
-    y_cache: Vec<Vec<f32>>,
-    /// Per-sample input copies recycled through the parallel fan-out.
-    image_cache: Vec<Vec<f32>>,
-    /// Shared weight/bias copies for the parallel fan-out. Steady state
-    /// refreshes them in place via `Arc::make_mut` — after `pool.run`
-    /// returns, every job's clone has been dropped, so the refcount is
-    /// back to one and no reallocation happens.
-    w_shared: Option<Arc<Vec<f32>>>,
-    bias_shared: Option<Arc<Vec<f32>>>,
-    /// Backward's `Wᵀ·gy` panel, reused across samples and steps.
+    /// Backward's `Wᵀ·gy` panels, one per fan-out thread, reused across
+    /// samples and steps.
     grad_col: Vec<f32>,
-}
-
-/// Sizes a per-sample buffer list to at least `b` slots. Grow-only:
-/// shrinking batches (ragged serving dispatches alternate sizes) keep
-/// the extra slots and their accumulated capacity, so a later return to
-/// the larger batch reuses them instead of re-allocating. Callers
-/// iterate only the first `b` slots.
-fn ensure_slots(cache: &mut Vec<Vec<f32>>, b: usize) {
-    if cache.len() < b {
-        cache.resize_with(b, Vec::new);
-    }
-}
-
-/// Refreshes an `Arc`-shared operand copy from `src` and returns a
-/// handle to it for fanning out to worker jobs.
-fn refresh_shared(
-    shared: &mut Option<Arc<Vec<f32>>>,
-    src: &[f32],
-    scratch: &mut TrainScratch,
-) -> Arc<Vec<f32>> {
-    match shared {
-        Some(arc) => {
-            let buf = Arc::make_mut(arc);
-            buf.resize(src.len(), 0.0);
-            buf.copy_from_slice(src);
-            arc.clone()
-        }
-        None => {
-            let arc = Arc::new(src.to_vec());
-            scratch.note_external_alloc();
-            *shared = Some(arc.clone());
-            arc
-        }
-    }
+    /// Backward's weight gradient, transposed (`[col_rows, out_channels]`)
+    /// so that a band of it is contiguous.
+    grad_w_t: Vec<f32>,
 }
 
 impl Conv2d {
@@ -130,11 +85,8 @@ impl Conv2d {
             w_seg: usize::MAX,
             b_seg: usize::MAX,
             col_cache: Vec::new(),
-            y_cache: Vec::new(),
-            image_cache: Vec::new(),
-            w_shared: None,
-            bias_shared: None,
             grad_col: Vec::new(),
+            grad_w_t: Vec::new(),
         }
     }
 
@@ -153,103 +105,16 @@ impl Conv2d {
         self.out_channels * self.geom.col_cols()
     }
 
-    /// [`Layer::forward`] against an explicit pool (the trait method uses
-    /// the process-wide one); exposed for tests that need a local pool
-    /// with a known worker count.
-    pub fn forward_with_pool(
-        &mut self,
-        pool: &WorkerPool,
-        params: &ParamArena,
-        input: &Tensor,
-    ) -> Tensor {
-        let mut out = Tensor::default();
-        let mut scratch = TrainScratch::default();
-        self.forward_with_pool_into(pool, params, input, &mut out, &mut scratch);
-        out
-    }
-
-    /// [`Layer::forward_into`] against an explicit pool. All per-sample
-    /// panels (im2col columns, output rows, input copies for the fan-out)
-    /// and the shared weight/bias `Arc`s are recycled across calls, so a
-    /// warmed-up step allocates nothing on either the serial or the
-    /// parallel branch.
-    pub fn forward_with_pool_into(
-        &mut self,
-        pool: &WorkerPool,
-        params: &ParamArena,
-        input: &Tensor,
-        out: &mut Tensor,
-        scratch: &mut TrainScratch,
-    ) {
-        let b = batch_of(input);
-        let in_len = self.geom.input_len();
-        assert_eq!(
-            input.len(),
-            b * in_len,
-            "conv '{}' expected {} elements/sample, input is {:?}",
-            self.name,
-            in_len,
-            input.shape()
-        );
-        let w = params.segment(self.w_seg);
-        let bias = params.segment(self.b_seg);
-        let (rows, cols) = (self.geom.col_rows(), self.geom.col_cols());
-        let out_len = self.output_len();
-        // Every output element is stored by the β = 0 GEMM, so the reused
-        // buffer needs no zeroing.
-        scratch.shape_tensor(
-            out,
-            &[b, self.out_channels, self.geom.out_h(), self.geom.out_w()],
-        );
-
-        ensure_slots(&mut self.col_cache, b);
-        for col in self.col_cache.iter_mut().take(b) {
-            scratch.ensure_f32(col, rows * cols);
+    /// Threads one pass over a `b`-sample batch forks over: the calling
+    /// thread's budget when the batch's forward flops clear the fork-join
+    /// gate ([`par::fork_threads`]), never more than one per sample.
+    fn batch_threads(&self, b: usize) -> usize {
+        #[cfg(test)]
+        if tests::UNGATED.with(std::cell::Cell::get) {
+            return par::current_threads().min(b);
         }
-
-        let flops = 2 * (b * self.out_channels * cols * rows) as u64;
-        if pool.threads() > 1 && b >= 2 && flops >= PAR_FLOPS {
-            // Owned-job fan-out: one job per sample over Arc-shared
-            // weights; results return in sample order via `run`. Each job
-            // takes its sample's recycled buffers by move and returns them,
-            // so steady state allocates only the pool's job list.
-            let w_shared = refresh_shared(&mut self.w_shared, w, scratch);
-            let bias_shared = refresh_shared(&mut self.bias_shared, bias, scratch);
-            ensure_slots(&mut self.y_cache, b);
-            ensure_slots(&mut self.image_cache, b);
-            let geom = self.geom;
-            let out_channels = self.out_channels;
-            let mut tasks = Vec::with_capacity(b);
-            for s in 0..b {
-                scratch.ensure_f32(&mut self.y_cache[s], out_len);
-                scratch.ensure_f32(&mut self.image_cache[s], in_len);
-                self.image_cache[s]
-                    .copy_from_slice(&input.as_slice()[s * in_len..(s + 1) * in_len]);
-                let image = std::mem::take(&mut self.image_cache[s]);
-                let mut col = std::mem::take(&mut self.col_cache[s]);
-                let mut y = std::mem::take(&mut self.y_cache[s]);
-                // Arc refcount bumps, not data copies; the weight
-                // buffers themselves are reused across steps.
-                let w = w_shared.clone(); // xtask: allow(step-alloc)
-                let bias = bias_shared.clone(); // xtask: allow(step-alloc)
-                tasks.push(move || {
-                    sample_forward(&geom, out_channels, &w, &bias, &image, &mut col, &mut y);
-                    (image, col, y)
-                });
-            }
-            for (s, (image, col, y)) in pool.run(tasks).into_iter().enumerate() {
-                out.as_mut_slice()[s * out_len..(s + 1) * out_len].copy_from_slice(&y);
-                self.image_cache[s] = image;
-                self.col_cache[s] = col;
-                self.y_cache[s] = y;
-            }
-        } else {
-            for (s, col) in self.col_cache.iter_mut().take(b).enumerate() {
-                let image = &input.as_slice()[s * in_len..(s + 1) * in_len];
-                let y = &mut out.as_mut_slice()[s * out_len..(s + 1) * out_len];
-                sample_forward(&self.geom, self.out_channels, w, bias, image, col, y);
-            }
-        }
+        let flops = 2 * (b * self.weight_len() * self.geom.col_cols()) as u64;
+        par::fork_threads(flops).min(b)
     }
 }
 
@@ -293,9 +158,71 @@ impl Layer for Conv2d {
         out: &mut Tensor,
         scratch: &mut TrainScratch,
     ) {
-        self.forward_with_pool_into(pool(), params, input, out, scratch);
+        let b = batch_of(input);
+        let in_len = self.geom.input_len();
+        assert_eq!(
+            input.len(),
+            b * in_len,
+            "conv '{}' expected {} elements/sample, input is {:?}",
+            self.name,
+            in_len,
+            input.shape()
+        );
+        let w = params.segment(self.w_seg);
+        let bias = params.segment(self.b_seg);
+        let (geom, out_channels) = (self.geom, self.out_channels);
+        let col_len = geom.col_rows() * geom.col_cols();
+        let out_len = self.output_len();
+        // Every output element is stored by the β = 0 GEMM, so the reused
+        // buffer needs no zeroing.
+        scratch.shape_tensor(out, &[b, out_channels, geom.out_h(), geom.out_w()]);
+
+        // The slot list is grow-only: shrinking batches (ragged serving
+        // dispatches alternate sizes) keep the extra slots and their
+        // capacity, so a later return to the larger batch reuses them.
+        if self.col_cache.len() < b {
+            self.col_cache.resize_with(b, Vec::new);
+        }
+        for col in self.col_cache.iter_mut().take(b) {
+            scratch.ensure_f32(col, col_len);
+        }
+
+        // One job per thread, each a contiguous run of samples.
+        let per = b.div_ceil(self.batch_threads(b));
+        par::fan_out(
+            self.col_cache[..b]
+                .chunks_mut(per)
+                .zip(out.as_mut_slice().chunks_mut(per * out_len))
+                .zip(input.as_slice().chunks(per * in_len)),
+            |((cols, ys), images)| {
+                for ((col, y), image) in cols
+                    .iter_mut()
+                    .zip(ys.chunks_mut(out_len))
+                    .zip(images.chunks(in_len))
+                {
+                    sample_forward(&geom, out_channels, w, bias, image, col, y);
+                }
+            },
+        );
     }
 
+    /// Three passes, each bit-identical to the serial per-sample loop
+    /// `gradW += gy_s·col_sᵀ; gradB += Σ gy_s; gx_s = col2im(Wᵀ·gy_s)`:
+    ///
+    /// * `grad_in` is per-sample, so it fans out over samples like the
+    ///   forward pass, each thread with a `Wᵀ·gy` panel of its own.
+    /// * `gradW` sums over samples, and float addition does not
+    ///   reassociate — so it is banded by **output**, not by sample: each
+    ///   thread owns a band of `col` rows and walks samples `0..b` in
+    ///   order through the transposed product
+    ///   `gradWᵀ[band, oc] += col_s[band, :] · gy_sᵀ`, whose band is a
+    ///   contiguous run of both `col_s` and the layer's `gradWᵀ` panel.
+    ///   `a·b` commutes inside every FMA, so element `(oc, r)` sees the
+    ///   very chain the untransposed per-sample GEMMs gave it
+    ///   ([`gemm_row_band`] keeps the unsplit product's kernel tier). The
+    ///   panel starts as the incoming gradient and is stored back after
+    ///   the join.
+    /// * `gradB` is `b·oc` short sums; it stays on the calling thread.
     fn backward_into(
         &mut self,
         params: &ParamArena,
@@ -304,7 +231,8 @@ impl Layer for Conv2d {
         grad_in: &mut Tensor,
         scratch: &mut TrainScratch,
     ) {
-        let (rows, cols) = (self.geom.col_rows(), self.geom.col_cols());
+        let (geom, oc) = (self.geom, self.out_channels);
+        let (rows, cols) = (geom.col_rows(), geom.col_cols());
         let out_len = self.output_len();
         // The slot list is grow-only, so its length is the *largest*
         // batch seen, not necessarily the last one — take the batch from
@@ -316,56 +244,86 @@ impl Layer for Conv2d {
             self.col_cache.len() >= b,
             "backward batch exceeds cached forward panels"
         );
-        let in_len = self.geom.input_len();
+        let in_len = geom.input_len();
         let w = params.segment(self.w_seg);
+        let gys = grad_out.as_slice();
+        let threads = self.batch_threads(b);
+        let per = b.div_ceil(threads);
 
         // col2im zeroes each per-sample image slice itself before its
         // `+=` accumulation, and the slices tile grad_in exactly, so the
         // reused buffer needs no zeroing here. The β = 0 GEMM likewise
-        // stores every element of grad_col.
-        scratch.shape_tensor(
-            grad_in,
-            &[b, self.geom.in_channels, self.geom.in_h, self.geom.in_w],
-        );
-        scratch.ensure_f32(&mut self.grad_col, rows * cols);
-        for s in 0..b {
-            let gy = &grad_out.as_slice()[s * out_len..(s + 1) * out_len];
-            let col = &self.col_cache[s];
-            // gradW[oc, rows] += gy[oc, cols] · colᵀ
-            gemm(
-                Transpose::No,
-                Transpose::Yes,
-                self.out_channels,
-                rows,
-                cols,
-                1.0,
-                gy,
-                col,
-                1.0,
-                grads.segment_mut(self.w_seg),
-            );
-            // gradB[oc] += Σ gy[oc,:]
-            {
-                let gb = grads.segment_mut(self.b_seg);
-                for (oc, plane) in gy.chunks(cols).enumerate() {
-                    gb[oc] += easgd_tensor::ops::sum(plane);
+        // stores every element of a grad_col panel.
+        scratch.shape_tensor(grad_in, &[b, geom.in_channels, geom.in_h, geom.in_w]);
+        scratch.ensure_f32(&mut self.grad_col, threads * rows * cols);
+        par::fan_out(
+            grad_in
+                .as_mut_slice()
+                .chunks_mut(per * in_len)
+                .zip(self.grad_col.chunks_mut(rows * cols))
+                .zip(gys.chunks(per * out_len)),
+            |((gxs, grad_col), gys)| {
+                for (gx, gy) in gxs.chunks_mut(in_len).zip(gys.chunks(out_len)) {
+                    // gradCol[rows, cols] = Wᵀ[rows, oc] · gy[oc, cols]
+                    gemm(
+                        Transpose::Yes,
+                        Transpose::No,
+                        rows,
+                        cols,
+                        oc,
+                        1.0,
+                        w,
+                        gy,
+                        0.0,
+                        grad_col,
+                    );
+                    col2im(&geom, grad_col, gx);
                 }
+            },
+        );
+
+        // gradB[oc] += Σ gy[oc,:]
+        let gb = grads.segment_mut(self.b_seg);
+        for gy in gys.chunks(out_len) {
+            for (oc, plane) in gy.chunks(cols).enumerate() {
+                gb[oc] += easgd_tensor::ops::sum(plane);
             }
-            // gradCol[rows, cols] = Wᵀ[rows, oc] · gy[oc, cols]
-            gemm(
-                Transpose::Yes,
-                Transpose::No,
-                rows,
-                cols,
-                self.out_channels,
-                1.0,
-                w,
-                gy,
-                0.0,
-                &mut self.grad_col,
-            );
-            let gx = &mut grad_in.as_mut_slice()[s * in_len..(s + 1) * in_len];
-            col2im(&self.geom, &self.grad_col, gx);
+        }
+
+        // gradWᵀ[rows, oc] += col_s[rows, cols] · gy_sᵀ[cols, oc], s in order.
+        let gw = grads.segment_mut(self.w_seg);
+        scratch.ensure_f32(&mut self.grad_w_t, rows * oc);
+        let band = rows.div_ceil(threads);
+        let (col_cache, seed) = (&self.col_cache, &*gw);
+        par::fan_out(
+            self.grad_w_t.chunks_mut(band * oc).enumerate(),
+            |(i, panel)| {
+                for (r, row) in panel.chunks_mut(oc).enumerate() {
+                    for (o, v) in row.iter_mut().enumerate() {
+                        *v = seed[o * rows + i * band + r];
+                    }
+                }
+                for (col, gy) in col_cache.iter().zip(gys.chunks(out_len)) {
+                    gemm_row_band(
+                        Transpose::No,
+                        Transpose::Yes,
+                        rows,
+                        oc,
+                        cols,
+                        i * band,
+                        1.0,
+                        col,
+                        gy,
+                        1.0,
+                        panel,
+                    );
+                }
+            },
+        );
+        for (o, row) in gw.chunks_mut(rows).enumerate() {
+            for (r, v) in row.iter_mut().enumerate() {
+                *v = self.grad_w_t[r * oc + o];
+            }
         }
     }
 
@@ -373,11 +331,8 @@ impl Layer for Conv2d {
         // Caches are transient; cloning the configuration is enough.
         let mut c = self.clone();
         c.col_cache = Vec::new();
-        c.y_cache = Vec::new();
-        c.image_cache = Vec::new();
-        c.w_shared = None;
-        c.bias_shared = None;
         c.grad_col = Vec::new();
+        c.grad_w_t = Vec::new();
         Box::new(c)
     }
 }
@@ -470,33 +425,163 @@ mod tests {
         check_layer(&mut l, params, grads, &[1, 7, 6], 3, 1e-2, 12);
     }
 
+    thread_local! {
+        /// Lets the split tests fork shapes far below the flop gate.
+        pub(super) static UNGATED: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    }
+
+    /// Runs `f` under a budget of `threads` with the flop gate lifted.
+    fn ungated<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+        UNGATED.with(|u| u.set(true));
+        let out = par::with_pool(&par::WorkerPool::new(threads - 1), f);
+        UNGATED.with(|u| u.set(false));
+        out
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The serial per-sample loop the batch split must reproduce bit for
+    /// bit: `(y, grad_in)`, with `gradW`/`gradB` accumulated into `grads`.
+    fn per_sample_reference(
+        l: &Conv2d,
+        params: &ParamArena,
+        grads: &mut ParamArena,
+        x: &Tensor,
+        gy: &Tensor,
+    ) -> (Vec<f32>, Vec<f32>) {
+        let (rows, cols) = (l.geom.col_rows(), l.geom.col_cols());
+        let (in_len, out_len) = (l.geom.input_len(), l.output_len());
+        let w = params.segment(l.w_seg);
+        let mut y = vec![0.0; gy.len()];
+        let mut gx = vec![0.0; x.len()];
+        let mut col = vec![0.0; rows * cols];
+        let mut grad_col = vec![0.0; rows * cols];
+        for s in 0..x.len() / in_len {
+            let ys = &mut y[s * out_len..(s + 1) * out_len];
+            let image = &x.as_slice()[s * in_len..(s + 1) * in_len];
+            let bias = params.segment(l.b_seg);
+            sample_forward(&l.geom, l.out_channels, w, bias, image, &mut col, ys);
+            let gys = &gy.as_slice()[s * out_len..(s + 1) * out_len];
+            gemm(
+                Transpose::No,
+                Transpose::Yes,
+                l.out_channels,
+                rows,
+                cols,
+                1.0,
+                gys,
+                &col,
+                1.0,
+                grads.segment_mut(l.w_seg),
+            );
+            let gb = grads.segment_mut(l.b_seg);
+            for (oc, plane) in gys.chunks(cols).enumerate() {
+                gb[oc] += easgd_tensor::ops::sum(plane);
+            }
+            gemm(
+                Transpose::Yes,
+                Transpose::No,
+                rows,
+                cols,
+                l.out_channels,
+                1.0,
+                w,
+                gys,
+                0.0,
+                &mut grad_col,
+            );
+            col2im(&l.geom, &grad_col, &mut gx[s * in_len..(s + 1) * in_len]);
+        }
+        (y, gx)
+    }
+
     #[test]
-    fn parallel_forward_is_bit_identical_to_serial() {
-        // Large enough batch to clear PAR_FLOPS: rows = 4·9 = 36,
-        // cols = 16·16 = 256, so flops = 2·48·16·256·36 ≈ 14.2M ≥ 8M.
+    fn batch_split_is_bit_identical_to_per_sample_loop() {
+        // (in_channels, h, w, k_h, k_w, stride, pad, out_channels), one
+        // per boundary the split and the GEMM under it can cross.
+        let shapes = [
+            (3, 8, 8, 3, 3, 1, 1, 5),     // col rows 27 (not ×MR), cols 64 < KC
+            (2, 18, 17, 3, 3, 1, 1, 9),   // cols 306: one KC block and a ragged second
+            (2, 9, 8, 3, 2, 2, 1, 4),     // stride 2 with padding
+            (1, 6, 6, 3, 3, 1, 0, 4),     // under SMALL_FLOPS: the direct row loop
+            (16, 10, 10, 3, 3, 1, 1, 12), // col rows 144: bands of whole and part tiles
+        ];
+        for (case, &(c, h, w, k_h, k_w, stride, pad, oc)) in shapes.iter().enumerate() {
+            let geom = Conv2dGeometry {
+                in_channels: c,
+                in_h: h,
+                in_w: w,
+                k_h,
+                k_w,
+                stride,
+                pad,
+            };
+            let mut l = Conv2d::new("c", geom, oc);
+            let (params, mut grads0) = build_arenas(&mut l, 40 + case as u64);
+            // A nonzero incoming gradient: the split must continue its
+            // chain, not start a fresh one and add.
+            easgd_tensor::Rng::new(50).fill_normal(grads0.as_mut_slice(), 0.0, 1.0);
+            for b in [1usize, 2, 3, 8] {
+                let mut rng = easgd_tensor::Rng::new(60 + b as u64);
+                let mut x = Tensor::zeros([b, c, h, w]);
+                rng.fill_normal(x.as_mut_slice(), 0.0, 1.0);
+                let mut gy = Tensor::zeros([b, oc, geom.out_h(), geom.out_w()]);
+                rng.fill_normal(gy.as_mut_slice(), 0.0, 1.0);
+                let mut want_grads = grads0.clone();
+                let (want_y, want_gx) = per_sample_reference(&l, &params, &mut want_grads, &x, &gy);
+                for threads in [1usize, 2, 3, 5] {
+                    let mut grads = grads0.clone();
+                    let (y, gx) = ungated(threads, || {
+                        let y = l.forward(&params, &x, true);
+                        (y, l.backward(&params, &mut grads, &gy))
+                    });
+                    let at = format!("case {case} b={b} threads={threads}");
+                    assert_eq!(bits(y.as_slice()), bits(&want_y), "y, {at}");
+                    assert_eq!(bits(gx.as_slice()), bits(&want_gx), "grad_in, {at}");
+                    assert_eq!(
+                        bits(grads.as_slice()),
+                        bits(want_grads.as_slice()),
+                        "gradW/gradB, {at}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn one_thread_group_keeps_conv_on_the_calling_thread() {
+        // Big enough to clear the fork-join gate (2·8·64·72·1024 flops),
+        // so only the budget decides. A serve shard or a §6.2 partition
+        // group of one thread must not borrow threads it does not own.
         let geom = Conv2dGeometry {
-            in_channels: 4,
-            in_h: 16,
-            in_w: 16,
+            in_channels: 8,
+            in_h: 32,
+            in_w: 32,
             k_h: 3,
             k_w: 3,
             stride: 1,
             pad: 1,
         };
-        let b = 48;
-        let mut l = Conv2d::new("c", geom, 16);
-        let (params, _) = build_arenas(&mut l, 3);
-        let mut x = Tensor::zeros([b, 4, 16, 16]);
+        let b = 8;
+        let mut l = Conv2d::new("c", geom, 64);
+        assert_eq!(
+            par::with_pool(&par::WorkerPool::new(1), || l.batch_threads(b)),
+            2
+        );
+        let (params, mut grads) = build_arenas(&mut l, 3);
+        let mut x = Tensor::zeros([b, 8, 32, 32]);
         easgd_tensor::Rng::new(21).fill_normal(x.as_mut_slice(), 0.0, 1.0);
-
-        let serial_pool = WorkerPool::new(0); // threads() == 1 → serial loop
-        let y_serial = l.forward_with_pool(&serial_pool, &params, &x);
-        for workers in [1, 3] {
-            let par_pool = WorkerPool::new(workers);
-            let y_par = l.forward_with_pool(&par_pool, &params, &x);
-            // Bit-exact, not approximate: the fan-out runs the same
-            // per-sample kernel and writes back in sample order.
-            assert_eq!(y_serial.as_slice(), y_par.as_slice(), "workers={workers}");
+        for (workers, forks) in [(0usize, 0u64), (1, 3)] {
+            let before = par::threads_spawned();
+            par::with_pool(&par::WorkerPool::new(workers), || {
+                let y = l.forward(&params, &x, true);
+                l.backward(&params, &mut grads, &y);
+            });
+            // One fork forward, two backward (grad_in, gradW), each
+            // spawning one thread per worker beyond the caller.
+            assert_eq!(par::threads_spawned() - before, forks, "workers={workers}");
         }
     }
 

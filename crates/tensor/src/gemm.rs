@@ -20,16 +20,16 @@
 //!   of a small-batch step) switch to a column-major nest that keeps the
 //!   register tiles live across every `KC` block, touching C once
 //!   instead of `k/KC` times (the `vgg_fc6` cliff fix, DESIGN.md §15).
-//! * **blocked parallel** — the same kernel fanned out over the
-//!   persistent [`crate::par::pool()`]: the operands are copied into
-//!   `Arc`-shared buffers, each worker runs the serial loop nest on an
-//!   owned output band (seeded with its C window so `β` blends exactly
-//!   as in the serial kernel), and the caller copies bands back — the
-//!   result is bit-identical to `gemm_serial`. The copies are
-//!   O(m·k + k·n + m·n) against O(m·n·k) compute, the price of lending
-//!   data to persistent threads in safe Rust. Outputs are banded along
-//!   their *larger* dimension, so skinny-M layers split over N rather
-//!   than serializing on one row band.
+//! * **blocked fork-join** — at or above [`par::FORK_JOIN_FLOPS`], when
+//!   the calling thread's budget allows more than one thread, the output
+//!   is cut into one band per thread along its *larger* dimension and
+//!   each band runs the serial loop nest on a scoped thread
+//!   ([`par::fan_out`]) against the caller's own operands. Row bands are
+//!   contiguous in C and are written in place; column bands (skinny-M
+//!   layers) interleave in C's rows, so each computes into its `m×band`
+//!   window of a reused staging buffer that the caller copies back.
+//!   Either way every element runs the exact operation sequence of
+//!   `gemm_serial` — the result is bit-identical at any thread count.
 //!
 //! The seed's naive kernel is retained as [`gemm_naive`] /
 //! [`gemm_naive_par`] so every future optimization can be A/B-measured
@@ -37,7 +37,6 @@
 
 use crate::par;
 use crate::simd::{self, MR, NR};
-use std::sync::Arc;
 
 /// Whether an operand is used as stored or transposed.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -60,12 +59,6 @@ const NC: usize = 2048;
 /// Below this many flops (`2·m·n·k`) the direct row loop wins: packing
 /// would touch more memory than the multiply itself.
 const SMALL_FLOPS: u64 = 1 << 17;
-/// Below this many flops parallel dispatch (pool wake + operand copies)
-/// costs more than it saves. Applied uniformly to every transpose
-/// combination — the old `m·n` element threshold misjudged tall-skinny
-/// and wide-flat shapes (an `m×1` weight-gradient GEMM has `m` output
-/// elements but `2·m·k` flops).
-const PAR_FLOPS: u64 = 8 << 20;
 
 // The microkernel spells out its MR row accumulators as straight-line
 // locals, so the row count is pinned at compile time.
@@ -207,27 +200,7 @@ pub fn gemm(
         naive_rows(ta, tb, m, n, k, alpha, a, b, c);
         return;
     }
-    // Only touch the global pool past the parallel threshold: fetching
-    // it eagerly would spawn ncores−1 persistent threads in processes
-    // that only ever run serial-path GEMMs. A chip-partition group
-    // (`par::with_pool`) substitutes its own pool — and with a
-    // single-thread group the GEMM must stay serial *without* waking the
-    // global pool, or partitions would share threads they don't own.
-    if flops >= PAR_FLOPS {
-        if let Some(pool) = par::pool_override() {
-            if pool.threads() > 1 {
-                gemm_blocked_parallel(&pool, ta, tb, m, n, k, alpha, a, b, beta, c);
-                return;
-            }
-        } else {
-            let pool = par::pool();
-            if pool.threads() > 1 {
-                gemm_blocked_parallel(pool, ta, tb, m, n, k, alpha, a, b, beta, c);
-                return;
-            }
-        }
-    }
-    blocked_accumulate(ta, tb, m, n, k, 0, m, 0, n, alpha, a, b, beta, c, n);
+    blocked_dispatch(ta, tb, m, n, k, alpha, a, b, beta, c);
 }
 
 /// `C ← α·op(A)·op(B) + β·C` with the kernel chosen by **per-row** work
@@ -243,7 +216,7 @@ pub fn gemm(
 /// `easgd-serve`), so its eval path needs a dispatch that is a pure
 /// function of the per-row shape `(n, k)`.
 ///
-/// Every blocked variant (serial, skinny, SIMD tiers, pool-parallel) is
+/// Every blocked variant (serial, skinny, SIMD tiers, fork-join) is
 /// pinned bit-identical per row, and both kernels compute row `r` from
 /// row `r` of `op(A)` alone, so per-row dispatch makes the whole result
 /// row-stable: parallelism may still engage by total flops without
@@ -278,27 +251,13 @@ pub fn gemm_rowstable(
         naive_rows(ta, tb, m, n, k, alpha, a, b, c);
         return;
     }
-    // Same pool engagement as `gemm` (total-flops keyed): the parallel
+    // Same fork-join gate as `gemm` (total-flops keyed): the banded
     // path is bit-identical to the serial one, so this m-dependence
     // cannot change bits.
-    if gemm_flops(m, n, k) >= PAR_FLOPS {
-        if let Some(pool) = par::pool_override() {
-            if pool.threads() > 1 {
-                gemm_blocked_parallel(&pool, ta, tb, m, n, k, alpha, a, b, beta, c);
-                return;
-            }
-        } else {
-            let pool = par::pool();
-            if pool.threads() > 1 {
-                gemm_blocked_parallel(pool, ta, tb, m, n, k, alpha, a, b, beta, c);
-                return;
-            }
-        }
-    }
-    blocked_accumulate(ta, tb, m, n, k, 0, m, 0, n, alpha, a, b, beta, c, n);
+    blocked_dispatch(ta, tb, m, n, k, alpha, a, b, beta, c);
 }
 
-/// The blocked kernel forced onto the calling thread (no pool), for
+/// The blocked kernel forced onto the calling thread (no fork-join), for
 /// single-threaded A/B measurement against [`gemm_naive`].
 ///
 /// # Panics
@@ -326,6 +285,57 @@ pub fn gemm_serial(
         return;
     }
     blocked_accumulate(ta, tb, m, n, k, 0, m, 0, n, alpha, a, b, beta, c, n);
+}
+
+/// Rows `i0..i0 + c_band.len()/n` of `C ← α·op(A)·op(B) + β·C`, computed
+/// on the calling thread into `c_band` (those rows of C, contiguous).
+///
+/// `a` and `b` are the operands of the *whole* `m×n×k` product and the
+/// kernel tier is chosen from its flop count, so the band holds exactly
+/// the bits [`gemm`] would put in those rows: a caller that owns a
+/// fork-join of its own (the convolution's weight gradient) can hand
+/// each thread a row band and keep the unsplit product's bits.
+///
+/// # Panics
+/// Panics if `a` or `b` is smaller than its dimensions imply, or
+/// `c_band` is not a whole number of rows inside `C`.
+#[allow(clippy::too_many_arguments)]
+pub fn gemm_row_band(
+    ta: Transpose,
+    tb: Transpose,
+    m: usize,
+    n: usize,
+    k: usize,
+    i0: usize,
+    alpha: f32,
+    a: &[f32],
+    b: &[f32],
+    beta: f32,
+    c_band: &mut [f32],
+) {
+    if n == 0 || c_band.is_empty() {
+        return;
+    }
+    let mc0 = c_band.len() / n;
+    assert!(
+        c_band.len() == mc0 * n && i0 + mc0 <= m,
+        "row band {i0}+{}/{n} is not whole rows of a {m}x{n} C",
+        c_band.len()
+    );
+    assert!(
+        a.len() >= m * k && b.len() >= k * n,
+        "operand buffer too small for {m}x{n}x{k}"
+    );
+    if k == 0 || alpha == 0.0 {
+        apply_beta(c_band, beta);
+    } else if gemm_flops(m, n, k) < SMALL_FLOPS {
+        apply_beta(c_band, beta);
+        for (i, c_row) in c_band.chunks_mut(n).enumerate() {
+            naive_row(ta, tb, m, n, k, alpha, a, b, i0 + i, c_row);
+        }
+    } else {
+        blocked_accumulate(ta, tb, m, n, k, i0, mc0, 0, n, alpha, a, b, beta, c_band, n);
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -523,7 +533,7 @@ fn blocked_accumulate(
     // panels are fully overwritten by `pack_a`/`pack_b` (short tiles are
     // zero-padded explicitly), so dirty reuse is safe.
     PACK_SCRATCH.with(|cell| {
-        let (ap, bp) = &mut *cell.borrow_mut();
+        let (ap, bp) = &mut cell.borrow_mut().0;
         // The skinny nest packs *all* of op(A)'s K extent up front (the
         // whole row block is at most SKINNY_M·k floats — e.g. 512 KiB for
         // the 32×4096×4096 fc layer); the standard nest packs one MC×KC
@@ -550,11 +560,38 @@ fn blocked_accumulate(
     });
 }
 
+/// A thread's (A-panel, B-panel) packing buffers, handed on when the
+/// thread exits: a fork-join's threads live for one band, so buffers that
+/// died with their thread would be allocated and zero-filled (over 1 MiB
+/// at the conv shapes) once per fork.
+struct PackLease(PackBuffers);
+
+/// An (A-panel, B-panel) pair.
+type PackBuffers = (Vec<f32>, Vec<f32>);
+
+/// Packing buffers of exited threads, waiting for the next one.
+static SPARE_PACKS: std::sync::Mutex<Vec<PackBuffers>> = std::sync::Mutex::new(Vec::new());
+
+impl Drop for PackLease {
+    fn drop(&mut self) {
+        // A poisoned list only means some thread panicked mid-push; the
+        // buffers are then simply freed.
+        if let Ok(mut spare) = SPARE_PACKS.lock() {
+            spare.push(std::mem::take(&mut self.0));
+        }
+    }
+}
+
 thread_local! {
-    /// Per-thread (A-panel, B-panel) packing buffers for
-    /// [`blocked_accumulate`]; see the reuse note there.
-    static PACK_SCRATCH: std::cell::RefCell<(Vec<f32>, Vec<f32>)> =
-        const { std::cell::RefCell::new((Vec::new(), Vec::new())) };
+    /// Per-thread packing buffers for [`blocked_accumulate`] (see the
+    /// reuse note there), leased from [`SPARE_PACKS`] on first use.
+    static PACK_SCRATCH: std::cell::RefCell<PackLease> = std::cell::RefCell::new(PackLease(
+        SPARE_PACKS
+            .lock()
+            .ok()
+            .and_then(|mut spare| spare.pop())
+            .unwrap_or_default(),
+    ));
 }
 
 /// [`blocked_accumulate`] against caller-provided packing buffers.
@@ -817,27 +854,14 @@ fn stage_b_rows(
 }
 
 // ---------------------------------------------------------------------------
-// Parallel dispatch over the persistent pool.
+// Fork-join over output bands.
 // ---------------------------------------------------------------------------
 
-/// Fans the blocked kernel out over `pool`: the output is split into
-/// `MR`/`NR`-aligned bands along its larger dimension, each worker
-/// computes an owned band from `Arc`-shared operand copies, and the
-/// caller copies the finished bands back into `c`.
-///
-/// Each band buffer is seeded with its window of the incoming C and run
-/// through [`blocked_accumulate`] with the *real* `β`, so the band job
-/// performs the exact per-element operation sequence of [`gemm_serial`]
-/// (β blended into the first `KC` pass, later passes accumulated in the
-/// same `pc` order; bands start on `MR`/`NR` multiples, so register
-/// tiles group the same rows/columns as the serial nest). Every output
-/// element is owned by exactly one band, making the result bit-identical
-/// to the serial kernel — and hence across runs and worker counts (the
-/// Sync-EASGD determinism property extends down through the compute
-/// kernel).
+/// The blocked kernel over the whole `m×n` output: forked over the
+/// calling thread's budget when [`par::fork_threads`] says the flop count
+/// pays for it, otherwise the serial nest. `k ≥ 1`, `α ≠ 0`.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_blocked_parallel(
-    pool: &par::WorkerPool,
+fn blocked_dispatch(
     ta: Transpose,
     tb: Transpose,
     m: usize,
@@ -849,72 +873,124 @@ pub(crate) fn gemm_blocked_parallel(
     beta: f32,
     c: &mut [f32],
 ) {
+    let threads = par::fork_threads(gemm_flops(m, n, k));
+    if threads > 1 {
+        gemm_fork_join(threads, ta, tb, m, n, k, alpha, a, b, beta, c);
+    } else {
+        blocked_accumulate(ta, tb, m, n, k, 0, m, 0, n, alpha, a, b, beta, c, n);
+    }
+}
+
+thread_local! {
+    /// The calling thread's staging buffer for column bands
+    /// ([`gemm_fork_join`]); grows monotonically like
+    /// [`PACK_SCRATCH`].
+    static COL_STAGE: std::cell::RefCell<Vec<f32>> = const { std::cell::RefCell::new(Vec::new()) };
+}
+
+/// The fork-join tier with an explicit thread count instead of
+/// [`par::fork_threads`] — the bit-identity tests and the kernels
+/// harness force a split through this entry point whatever the gate and
+/// the host say (the `par_*_bands` idiom).
+///
+/// Cuts the output into `threads` tile-aligned bands along its larger
+/// dimension and runs the blocked nest on each, one scoped thread per
+/// band ([`par::fan_out`]), all borrowing the caller's `a` and `b`.
+///
+/// A row band is a contiguous run of C and is computed in place. A
+/// column band is not (its rows interleave with its siblings'), so it is
+/// computed in its own `m×band` window of the caller's staging buffer —
+/// seeded from C when `β ≠ 0`, never read when `β = 0` — and the caller
+/// copies the windows back after the join.
+///
+/// Each band runs the real `β` through the first `KC` pass and
+/// accumulates later passes in the same `pc` order as [`gemm_serial`],
+/// and every output element belongs to exactly one band, so the result
+/// is bit-identical to the serial kernel — and hence across runs and
+/// thread counts (the Sync-EASGD determinism property extends down
+/// through the compute kernel).
+///
+/// # Panics
+/// Panics if `threads == 0` or any buffer is smaller than its dimensions
+/// imply.
+#[allow(clippy::too_many_arguments)]
+pub fn gemm_fork_join(
+    threads: usize,
+    ta: Transpose,
+    tb: Transpose,
+    m: usize,
+    n: usize,
+    k: usize,
+    alpha: f32,
+    a: &[f32],
+    b: &[f32],
+    beta: f32,
+    c: &mut [f32],
+) {
+    assert!(threads > 0, "a fork-join needs at least one thread");
+    check_dims(m, n, k, a, b, c);
+    if m == 0 || n == 0 {
+        return;
+    }
     let c = &mut c[..m * n];
     if k == 0 || alpha == 0.0 {
         apply_beta(c, beta);
         return;
     }
-    // Owned copies lend the operands to the persistent workers ('static
-    // jobs); O(m·k + k·n) against O(m·n·k) compute.
-    let a_shared: Arc<Vec<f32>> = Arc::new(a[..m * k].to_vec());
-    let b_shared: Arc<Vec<f32>> = Arc::new(b[..k * n].to_vec());
-
-    // Split the larger output dimension into tile-aligned bands, a few
-    // per thread so uneven bands still balance.
-    let target = pool.threads() * 3;
-    let split_rows = m >= n;
-    let (len, tile) = if split_rows { (m, MR) } else { (n, NR) };
-    let bands = target.min(len.div_ceil(tile));
-    let band_len = len.div_ceil(bands).next_multiple_of(tile);
-
-    let mut jobs: Vec<Box<dyn FnOnce() -> Vec<f32> + Send>> = Vec::new();
-    let mut starts = Vec::new();
-    let mut start = 0;
-    while start < len {
-        let this = band_len.min(len - start);
-        starts.push((start, this));
-        let (a_ref, b_ref) = (a_shared.clone(), b_shared.clone());
-        let (i0, mc0, j0, nc0) = if split_rows {
-            (start, this, 0, n)
-        } else {
-            (0, m, start, this)
-        };
-        let width = if split_rows { n } else { this };
-        // Seed the band with its window of the incoming C so the job
-        // blends the real β exactly as the serial kernel does; with
-        // β = 0 the first KC pass stores without reading, so the seed
-        // values are never observed and the copy is skipped.
-        let mut out = vec![0.0f32; mc0 * nc0];
-        if beta != 0.0 {
-            if split_rows {
-                out.copy_from_slice(&c[start * n..(start + this) * n]);
-            } else {
-                for r in 0..m {
-                    out[r * this..(r + 1) * this].copy_from_slice(&c[r * n + start..][..this]);
-                }
-            }
-        }
-        jobs.push(Box::new(move || {
+    if m >= n {
+        let band = m.div_ceil(threads).next_multiple_of(MR);
+        par::fan_out(c.chunks_mut(band * n).enumerate(), |(i, rows)| {
+            let mc0 = rows.len() / n;
             blocked_accumulate(
-                ta, tb, m, n, k, i0, mc0, j0, nc0, alpha, &a_ref, &b_ref, beta, &mut out, width,
+                ta,
+                tb,
+                m,
+                n,
+                k,
+                i * band,
+                mc0,
+                0,
+                n,
+                alpha,
+                a,
+                b,
+                beta,
+                rows,
+                n,
             );
-            out
-        }));
-        start += this;
+        });
+        return;
     }
-
-    let results = pool.run(jobs);
-    for ((start, this), band) in starts.into_iter().zip(results) {
-        if split_rows {
-            // Whole contiguous row band.
-            c[start * n..(start + this) * n].copy_from_slice(&band);
-        } else {
-            // Column band: copy row by row.
-            for r in 0..m {
-                c[r * n + start..][..this].copy_from_slice(&band[r * this..(r + 1) * this]);
+    let band = n.div_ceil(threads).next_multiple_of(NR);
+    COL_STAGE.with(|cell| {
+        let stage = &mut *cell.borrow_mut();
+        if stage.len() < m * n {
+            stage.resize(m * n, 0.0);
+        }
+        // Band `j` covers columns `j·band..`; its window sits at offset
+        // `m·j·band` with row stride equal to its own width.
+        let seed: &[f32] = c;
+        par::fan_out(
+            stage[..m * n].chunks_mut(m * band).enumerate(),
+            |(j, window)| {
+                let (j0, nc0) = (j * band, window.len() / m);
+                if beta != 0.0 {
+                    for (r, row) in window.chunks_mut(nc0).enumerate() {
+                        row.copy_from_slice(&seed[r * n + j0..][..nc0]);
+                    }
+                }
+                blocked_accumulate(
+                    ta, tb, m, n, k, 0, m, j0, nc0, alpha, a, b, beta, window, nc0,
+                );
+            },
+        );
+        for (j, window) in stage[..m * n].chunks(m * band).enumerate() {
+            let (j0, nc0) = (j * band, window.len() / m);
+            for (r, row) in window.chunks(nc0).enumerate() {
+                c[r * n + j0..][..nc0].copy_from_slice(row);
             }
         }
-    }
+    });
 }
 
 // ---------------------------------------------------------------------------
@@ -1377,53 +1453,86 @@ mod tests {
 
     #[test]
     fn parallel_path_is_bit_identical_to_serial() {
-        // Forced through a local pool regardless of host core count.
-        // Shapes cross the KC boundary (k > 256) with β ≠ 0 — the case
-        // where a pre-scale-then-add scheme would associate the β·C term
-        // differently from the serial kernel — plus row- and column-split
-        // bands and a k = 0 degenerate.
-        let pool = par::WorkerPool::new(3);
+        // Forced thread counts, regardless of host core count. Shapes
+        // cross the KC boundary (k > 256) with β ≠ 0 — the case where a
+        // pre-scale-then-add scheme would associate the β·C term
+        // differently from the serial kernel — in both split directions
+        // (m ≥ n: in-place row bands; m < n: staged column bands), with
+        // more threads than tiles, and a k = 0 degenerate. β = 0 runs
+        // over a poisoned C: a column band must not read what it stores.
         for &(m, n, k) in &[
             (96, 96, 33),
             (257, 19, 130),
             (19, 257, 130),
             (257, 257, 257),
             (70, 300, KC + 9),
-            (32, 600, 300), // skinny nest inside N-split band jobs
+            (32, 600, 300), // skinny nest inside column bands
+            (9, 5, 40),     // fewer tiles than threads, rows
+            (5, 17, 40),    // fewer tiles than threads, columns
             (40, 40, 0),
         ] {
-            let a = rand_vec(m * k, 6);
-            let b = rand_vec(k * n, 7);
-            let mut c_par = rand_vec(m * n, 8);
-            let mut c_ser = c_par.clone();
-            gemm_blocked_parallel(
-                &pool,
+            for (ta, a_len) in [(Transpose::No, m * k), (Transpose::Yes, k * m)] {
+                for (tb, b_len) in [(Transpose::No, k * n), (Transpose::Yes, n * k)] {
+                    for (threads, beta) in [(2, 0.5f32), (3, 0.0), (5, 1.0)] {
+                        let a = rand_vec(a_len, 6);
+                        let b = rand_vec(b_len, 7);
+                        let mut c_par = rand_vec(m * n, 8);
+                        if beta == 0.0 {
+                            c_par.fill(f32::NAN);
+                        }
+                        let mut c_ser = c_par.clone();
+                        gemm_fork_join(threads, ta, tb, m, n, k, 2.0, &a, &b, beta, &mut c_par);
+                        gemm_serial(ta, tb, m, n, k, 2.0, &a, &b, beta, &mut c_ser);
+                        assert_eq!(
+                            bits(&c_par),
+                            bits(&c_ser),
+                            "m={m} n={n} k={k} ta={ta:?} tb={tb:?} threads={threads}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn row_band_holds_the_bits_of_the_unsplit_product() {
+        // One shape per tier: under SMALL_FLOPS (direct row loop — a band
+        // keyed on its own flops would pick it for the second shape too)
+        // and over it (packed kernel), bands not aligned to MR.
+        for &(m, n, k) in &[(27, 8, 64), (27, 40, 300)] {
+            let a = rand_vec(m * k, 11);
+            let b = rand_vec(n * k, 12);
+            let c0 = rand_vec(m * n, 13);
+            let mut whole = c0.clone();
+            gemm(
                 Transpose::No,
-                Transpose::No,
+                Transpose::Yes,
                 m,
                 n,
                 k,
-                2.0,
+                1.0,
                 &a,
                 &b,
-                0.5,
-                &mut c_par,
+                1.0,
+                &mut whole,
             );
-            gemm_serial(
-                Transpose::No,
-                Transpose::No,
-                m,
-                n,
-                k,
-                2.0,
-                &a,
-                &b,
-                0.5,
-                &mut c_ser,
-            );
-            let bits_par: Vec<u32> = c_par.iter().map(|v| v.to_bits()).collect();
-            let bits_ser: Vec<u32> = c_ser.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(bits_par, bits_ser, "m={m} n={n} k={k}");
+            let mut banded = c0.clone();
+            for (i, band) in banded.chunks_mut(10 * n).enumerate() {
+                gemm_row_band(
+                    Transpose::No,
+                    Transpose::Yes,
+                    m,
+                    n,
+                    k,
+                    i * 10,
+                    1.0,
+                    &a,
+                    &b,
+                    1.0,
+                    band,
+                );
+            }
+            assert_eq!(bits(&banded), bits(&whole), "m={m} n={n} k={k}");
         }
     }
 
@@ -1499,18 +1608,17 @@ mod tests {
 
     #[test]
     fn parallel_path_is_bit_deterministic() {
-        // Two runs through the pool must agree bit-for-bit: every output
-        // element is computed by exactly one job in a fixed loop order,
-        // so scheduling cannot perturb float summation order.
-        let pool = par::WorkerPool::new(4);
+        // Two forked runs must agree bit-for-bit: every output element
+        // is computed by exactly one band in a fixed loop order, so
+        // scheduling cannot perturb float summation order.
         let (m, n, k) = (203, 111, 97);
         let a = rand_vec(m * k, 40);
         let b = rand_vec(k * n, 41);
         let mut c1 = vec![0.0; m * n];
         let mut c2 = vec![0.0; m * n];
         for c in [&mut c1, &mut c2] {
-            gemm_blocked_parallel(
-                &pool,
+            gemm_fork_join(
+                5,
                 Transpose::Yes,
                 Transpose::No,
                 m,
@@ -1526,45 +1634,6 @@ mod tests {
         let bits1: Vec<u32> = c1.iter().map(|v| v.to_bits()).collect();
         let bits2: Vec<u32> = c2.iter().map(|v| v.to_bits()).collect();
         assert_eq!(bits1, bits2);
-    }
-
-    #[test]
-    fn repeated_gemm_calls_spawn_no_new_pool_threads() {
-        // The global pool is created at most once per process; repeated
-        // large GEMMs must reuse its parked workers.
-        let (m, n, k) = (160, 160, 160);
-        let a = rand_vec(m * k, 50);
-        let b = rand_vec(k * n, 51);
-        let mut c = vec![0.0; m * n];
-        gemm(
-            Transpose::No,
-            Transpose::No,
-            m,
-            n,
-            k,
-            1.0,
-            &a,
-            &b,
-            0.0,
-            &mut c,
-        );
-        let baseline = par::pool().threads_spawned();
-        assert_eq!(baseline, par::pool().threads() - 1);
-        for _ in 0..10 {
-            gemm(
-                Transpose::No,
-                Transpose::No,
-                m,
-                n,
-                k,
-                1.0,
-                &a,
-                &b,
-                0.0,
-                &mut c,
-            );
-            assert_eq!(par::pool().threads_spawned(), baseline);
-        }
     }
 
     #[test]
@@ -1597,16 +1666,15 @@ mod tests {
     }
 
     #[test]
-    fn pool_override_path_is_bit_identical_to_serial() {
+    fn budgeted_dispatch_is_bit_identical_to_serial() {
         // A partition-group GEMM (dispatch under `par::with_pool`) must
-        // produce exactly the serial result: with a multi-thread group
-        // pool via the banded parallel kernel, and with a single-thread
-        // group via serial fall-through (which must not wake the global
-        // pool — asserted indirectly by the zero-worker pool staying
-        // unspawned). Shape chosen above PAR_FLOPS so dispatch actually
-        // consults the override.
-        let (m, n, k) = (192, 192, 192);
-        assert!(gemm_flops(m, n, k) >= PAR_FLOPS);
+        // produce exactly the serial result: with a multi-thread budget
+        // via the banded fork-join, and with a single-thread group via
+        // serial fall-through, which must not spawn at all — a partition
+        // never borrows threads it does not own. Shape chosen above
+        // FORK_JOIN_FLOPS so dispatch actually consults the budget.
+        let (m, n, k) = (336, 336, 336);
+        assert!(gemm_flops(m, n, k) >= par::FORK_JOIN_FLOPS);
         let a = rand_vec(m * k, 70);
         let b = rand_vec(k * n, 71);
         let mut reference = vec![0.25; m * n];
@@ -1623,8 +1691,9 @@ mod tests {
             &mut reference,
         );
         for workers in [0usize, 3] {
-            let group = std::sync::Arc::new(par::WorkerPool::new(workers));
+            let group = par::WorkerPool::new(workers);
             let mut c = vec![0.25; m * n];
+            let before = par::threads_spawned();
             par::with_pool(&group, || {
                 gemm(
                     Transpose::No,
@@ -1639,14 +1708,12 @@ mod tests {
                     &mut c,
                 );
             });
-            for i in 0..m * n {
-                assert_eq!(
-                    reference[i].to_bits(),
-                    c[i].to_bits(),
-                    "workers={workers} i={i}"
-                );
-            }
-            assert_eq!(group.threads_spawned(), workers);
+            assert_eq!(bits(&reference), bits(&c), "workers={workers}");
+            assert_eq!(
+                par::threads_spawned() - before,
+                workers as u64,
+                "one band per budgeted thread, the caller running the first"
+            );
         }
     }
 

@@ -10,8 +10,8 @@
 //! * [`Tensor`] — an owned, row-major dense tensor with shape metadata.
 //! * [`gemm()`](gemm::gemm) — cache-blocked, packed single-precision matrix
 //!   multiply with transpose variants (the workhorse of dense and
-//!   convolutional layers), fanned out over the persistent worker pool in
-//!   [`par`]; the seed kernel is retained as [`gemm_naive()`](gemm::gemm_naive)
+//!   convolutional layers), forked over borrowed output bands through
+//!   [`par`] where the flop count pays for it; the seed kernel is retained as [`gemm_naive()`](gemm::gemm_naive)
 //!   for in-repo A/B measurement (see DESIGN.md §8).
 //! * [`im2col()`](im2col::im2col) / [`col2im()`](im2col::col2im) — the lowering used to express convolution as
 //!   GEMM, exactly as cuDNN-era frameworks did.
@@ -42,7 +42,10 @@ pub mod tensor;
 
 pub use arena::{BufGrowth, InferScratch, ParamArena, ScratchStats, Segment, TrainScratch};
 pub use atomic::{AtomicBuffer, AtomicF32};
-pub use gemm::{gemm, gemm_naive, gemm_naive_par, gemm_rowstable, gemm_serial, matmul, Transpose};
+pub use gemm::{
+    gemm, gemm_fork_join, gemm_naive, gemm_naive_par, gemm_row_band, gemm_rowstable, gemm_serial,
+    matmul, Transpose,
+};
 pub use im2col::{col2im, im2col, Conv2dGeometry};
 pub use ops::*;
 pub use rng::Rng;

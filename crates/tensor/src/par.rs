@@ -1,42 +1,34 @@
-//! Thread-parallel execution substrate: a persistent worker pool plus
-//! scoped fork-join helpers.
+//! Thread-parallel execution substrate: scoped fork-join over borrowed
+//! data, sized by a per-thread budget.
 //!
 //! The workspace is hermetic (no registry access, `unsafe` forbidden), so
-//! instead of Rayon the compute kernels use two complementary mechanisms:
+//! instead of Rayon every parallel region is a `std::thread::scope`: the
+//! threads borrow the caller's operands and write disjoint `&mut` pieces
+//! of its output in place, and are joined before the call returns. A
+//! persistent pool cannot do that in safe Rust (lending a non-`'static`
+//! borrow to a parked thread means erasing the lifetime), and the owned
+//! copies it needs instead cost more than the fork they avoid at every
+//! shape this repo's workloads issue (DESIGN.md §8 has the table).
 //!
-//! * [`WorkerPool`] — a **persistent** pool of parked worker threads,
-//!   lazily spawned once per process ([`pool()`]). Jobs are owned
-//!   (`'static`) closures, so the blocked GEMM hands workers `Arc`-shared
-//!   packed panels and receives owned output tiles back. This replaces
-//!   the old thread-spawn-per-call fork-join for the compute-bound hot
-//!   path: dispatch to a parked worker costs a condvar wake (~µs), not a
-//!   thread spawn (~tens of µs).
-//! * [`par_chunks_mut`] / [`par_zip_mut`] / [`par_zip2_mut`] — scoped
-//!   band-split helpers for *borrowed* memory-bound kernels (the BLAS-1
-//!   elastic updates). Safe Rust cannot lend a non-`'static` borrow to a
-//!   persistent thread, and copying operands in and out would double the
-//!   memory traffic of an O(n) kernel — exactly the cost it exists to
-//!   avoid — so these spawn scoped threads per call and are gated behind
-//!   a large-slice threshold where the spawn cost is noise (see
-//!   DESIGN.md §8).
+//! * [`fan_out`] — the one fork-join: one scoped thread per job, the
+//!   caller running the first. Every job runs under a one-thread budget,
+//!   so a kernel inside a job never forks again. The batch-parallel
+//!   convolution and the GEMM band split are both built on it.
+//! * [`fork_threads`] / [`FORK_JOIN_FLOPS`] — the one measured gate: how
+//!   many threads a compute region of a given flop count should fork
+//!   over.
+//! * [`WorkerPool`] / [`with_pool`] / [`PartitionedPool`] — the budget:
+//!   how many threads the calling thread's regions may use. A §6.2 chip
+//!   partition or a serve shard installs its group's share and every
+//!   kernel below it sizes against [`current_threads`].
+//! * [`par_chunks_mut`] / [`par_zip_mut`] / [`par_zip2_mut`] — band-split
+//!   helpers for the memory-bound BLAS-1 elastic updates, gated behind a
+//!   large-slice threshold where the spawn cost is noise.
 //! * [`par_rows`] — the original row-band fork-join, kept as a
 //!   compatibility shim for the retained `gemm_naive` baseline.
-//!
-//! ## Why owned jobs (and not a scoped pool)
-//!
-//! A pool that runs borrowed closures on persistent threads requires
-//! erasing the closure lifetime — that is `unsafe` (it is how Rayon and
-//! crossbeam implement scopes), and this workspace forbids `unsafe`.
-//! Owned jobs sidestep the problem: the GEMM parallel path already packs
-//! its operands into fresh buffers, so sharing those via `Arc` and
-//! returning owned tiles adds only O(m·n + m·k + k·n) traffic against an
-//! O(m·n·k) kernel.
 
-use std::collections::VecDeque;
+use std::cell::Cell;
 use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 
 /// Number of threads a data-parallel kernel should use (workers + the
 /// submitting thread itself).
@@ -46,246 +38,164 @@ pub fn max_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// A unit of work: an owned, type-erased closure.
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// Shared state between the submitting side and the workers.
-struct Shared {
-    queue: Mutex<VecDeque<Job>>,
-    available: Condvar,
-}
-
-/// Recovers the guard from a poisoned lock: a panic in a sibling job
-/// must propagate as that job's missing result, not deadlock the queue.
-fn lock_queue(shared: &Shared) -> MutexGuard<'_, VecDeque<Job>> {
-    match shared.queue.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
-thread_local! {
-    /// True on pool worker threads; nested submissions run inline so a
-    /// job can never block waiting on work queued behind itself.
-    static IS_POOL_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-}
-
-/// A persistent pool of parked worker threads executing owned jobs.
+/// A compute region forks only at or above this many flops.
 ///
-/// Workers are spawned once (at construction) and then live for the
-/// lifetime of the pool — for the global [`pool()`], the lifetime of the
-/// process. Between jobs they park inside a condvar wait; submission is
-/// a queue push plus a wake.
-pub struct WorkerPool {
-    shared: Arc<Shared>,
-    workers: usize,
-    spawned: AtomicUsize,
-}
+/// One scoped fork-join costs a thread spawn and a join per extra thread
+/// (~45 µs on the recording host), and each band re-packs the operand it
+/// shares with its siblings. Read from `--bin kernels`'
+/// `gemm_par_vs_serial` table (`BENCH_kernels.json`, 2 threads): the
+/// forced fork loses at every 9–19 MFLOP conv shape (0.4–0.9× the speed
+/// of `gemm_serial`), straddles break-even at 256³ = 33.6 MFLOP
+/// (0.85–1.4× across recordings) and wins at every shape from
+/// 67.1 MFLOP up (1.1–1.9×) — so the gate sits at the first power of two
+/// where nothing in the table loses. [`gemm`](crate::gemm()) and the
+/// convolution's batch fan-out both read this constant.
+pub const FORK_JOIN_FLOPS: u64 = 64 << 20;
 
-impl WorkerPool {
-    /// A pool with `workers` background threads (0 is valid: all jobs
-    /// then run inline on the submitting thread).
-    pub fn new(workers: usize) -> Self {
-        let shared = Arc::new(Shared {
-            queue: Mutex::new(VecDeque::new()),
-            available: Condvar::new(),
-        });
-        let pool = Self {
-            shared: shared.clone(),
-            workers,
-            spawned: AtomicUsize::new(0),
-        };
-        for idx in 0..workers {
-            let shared = shared.clone();
-            // ordering: plain statistics counter read by tests; no memory
-            // is published through it.
-            pool.spawned.fetch_add(1, Ordering::Relaxed);
-            std::thread::Builder::new()
-                .name(format!("easgd-pool-{idx}"))
-                .spawn(move || {
-                    IS_POOL_WORKER.with(|f| f.set(true));
-                    loop {
-                        let job = {
-                            let mut q = lock_queue(&shared);
-                            loop {
-                                if let Some(job) = q.pop_front() {
-                                    break job;
-                                }
-                                q = match shared.available.wait(q) {
-                                    Ok(g) => g,
-                                    Err(poisoned) => poisoned.into_inner(),
-                                };
-                            }
-                        };
-                        // A panicking job must not kill the worker: the
-                        // pool is process-lifetime, so a dead worker would
-                        // silently degrade every later parallel region.
-                        // The panic still reaches the submitter — the
-                        // job's result-channel sender is dropped without
-                        // sending, which `run` reports as a panic. Jobs
-                        // own their captures (`'static` + `Send`), so no
-                        // caller-visible state is left half-mutated.
-                        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
-                    }
-                })
-                .unwrap_or_else(|e| panic!("failed to spawn pool worker: {e}"));
-        }
-        pool
+/// Threads a compute region of `flops` should fork over: the calling
+/// thread's budget ([`current_threads`]) at or above
+/// [`FORK_JOIN_FLOPS`], otherwise one.
+pub fn fork_threads(flops: u64) -> usize {
+    if flops >= FORK_JOIN_FLOPS {
+        current_threads()
+    } else {
+        1
     }
-
-    /// Number of threads this pool brings to a parallel region: its
-    /// workers plus the submitting thread.
-    pub fn threads(&self) -> usize {
-        self.workers + 1
-    }
-
-    /// Total worker threads ever spawned by this pool. Constant after
-    /// construction — the property the pool-lifecycle test asserts.
-    pub fn threads_spawned(&self) -> usize {
-        // ordering: plain statistics counter; see `new`.
-        self.spawned.load(Ordering::Relaxed)
-    }
-
-    /// Runs every task, returning their results in task order.
-    ///
-    /// Tasks are distributed over the parked workers; the calling thread
-    /// participates by draining the same queue instead of idling. Called
-    /// from inside a pool worker (nested parallelism) or on a pool with
-    /// zero workers, all tasks run inline on the current thread.
-    ///
-    /// # Panics
-    /// Propagates a panic if any task panicked (the worker side poisons
-    /// the result channel, surfacing here).
-    pub fn run<T, F>(&self, tasks: Vec<F>) -> Vec<T>
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-    {
-        let n = tasks.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let nested = IS_POOL_WORKER.with(|f| f.get());
-        if self.workers == 0 || nested || n == 1 {
-            return tasks.into_iter().map(|t| t()).collect();
-        }
-
-        let (tx, rx) = mpsc::channel::<(usize, T)>();
-        {
-            let mut q = lock_queue(&self.shared);
-            for (idx, task) in tasks.into_iter().enumerate() {
-                let tx = tx.clone();
-                q.push_back(Box::new(move || {
-                    // A send error means the submitter already gave up
-                    // (its receiver is gone), which only happens if it
-                    // panicked; dropping the result is then correct.
-                    let _ = tx.send((idx, task()));
-                }));
-            }
-        }
-        self.shared.available.notify_all();
-        drop(tx);
-
-        // Help drain the queue rather than blocking immediately: the
-        // submitting thread is one of the `threads()` compute threads.
-        loop {
-            let job = lock_queue(&self.shared).pop_front();
-            match job {
-                Some(job) => job(),
-                None => break,
-            }
-        }
-
-        let mut slots: Vec<Option<T>> = std::iter::repeat_with(|| None).take(n).collect();
-        for _ in 0..n {
-            match rx.recv() {
-                Ok((idx, value)) => slots[idx] = Some(value),
-                Err(_) => panic!("pool worker panicked while running a job"),
-            }
-        }
-        slots
-            .into_iter()
-            .map(|s| match s {
-                Some(v) => v,
-                None => panic!("pool job produced no result"),
-            })
-            .collect()
-    }
-}
-
-/// The process-wide pool, spawned on first use with one worker per
-/// available core beyond the submitting thread.
-pub fn pool() -> &'static WorkerPool {
-    static POOL: OnceLock<WorkerPool> = OnceLock::new();
-    POOL.get_or_init(|| WorkerPool::new(max_threads().saturating_sub(1)))
 }
 
 // ---------------------------------------------------------------------------
-// Per-thread pool override: the chip-partitioning seam (§6.2).
+// Per-thread budget: the chip-partitioning seam (§6.2).
 // ---------------------------------------------------------------------------
 
 thread_local! {
-    /// The pool installed by [`with_pool`] on this thread, if any.
-    static CURRENT_POOL: std::cell::RefCell<Option<Arc<WorkerPool>>> =
-        const { std::cell::RefCell::new(None) };
+    /// Threads this thread's compute regions may fork over; 0 = no budget
+    /// installed, use the whole machine.
+    static BUDGET: Cell<usize> = const { Cell::new(0) };
+    /// Scoped threads this thread has spawned through [`fan_out`].
+    static SPAWNED: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Installs `pool` as the calling thread's compute pool for the duration
-/// of `f` (restored on return or unwind).
-///
-/// While installed, the pool-aware kernels resolve their parallelism
-/// against it instead of the process-global [`pool()`]: GEMM's parallel
-/// dispatch submits to this pool, and the band-split helpers size their
-/// splits by [`current_threads`]. This is how a KNL-style chip partition
-/// ([`PartitionedPool`]) confines each group's compute to the group's
-/// own threads — a group driver never touches the global pool, even for
-/// work past the parallel thresholds.
-pub fn with_pool<R>(pool: &Arc<WorkerPool>, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<Arc<WorkerPool>>);
+/// Runs `f` with the calling thread's budget set to `threads` (restored
+/// on return or unwind).
+fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+    struct Restore(usize);
     impl Drop for Restore {
         fn drop(&mut self) {
-            CURRENT_POOL.with(|c| *c.borrow_mut() = self.0.take());
+            BUDGET.with(|b| b.set(self.0));
         }
     }
-    let prev = CURRENT_POOL.with(|c| c.borrow_mut().replace(pool.clone()));
-    let _restore = Restore(prev);
+    let _restore = Restore(BUDGET.with(|b| b.replace(threads)));
     f()
 }
 
-/// The pool override installed by [`with_pool`] on this thread, if any.
-/// Kernels that submit owned jobs (GEMM) clone the handle; `None` means
-/// "use the process-global [`pool()`]".
-pub fn pool_override() -> Option<Arc<WorkerPool>> {
-    CURRENT_POOL.with(|c| c.borrow().clone())
+/// A thread budget: how many threads (`workers` + the thread that
+/// installs it) one group's compute regions may fork over. It owns no
+/// threads — regions spawn scoped threads per call ([`fan_out`]).
+#[derive(Debug)]
+pub struct WorkerPool {
+    workers: usize,
 }
 
-/// Threads the calling thread's compute region should fan out over: the
-/// installed override's [`WorkerPool::threads`] when inside
-/// [`with_pool`], otherwise [`max_threads`]. The band-split helpers and
-/// the BLAS-1 parallel gates size against this, so a partition group
-/// never oversubscribes beyond its own share of the chip.
-pub fn current_threads() -> usize {
-    match pool_override() {
-        Some(p) => p.threads(),
-        None => max_threads(),
+impl WorkerPool {
+    /// A budget of `workers` threads beyond the installing one (0 is
+    /// valid: every region then runs on the calling thread).
+    pub fn new(workers: usize) -> Self {
+        Self { workers }
+    }
+
+    /// Threads this budget brings to a parallel region.
+    pub fn threads(&self) -> usize {
+        self.workers + 1
     }
 }
 
-/// A KNL-style chip partition (§6.2): `G` NUMA-like groups, each owning
-/// a private [`WorkerPool`] — the thread-level analogue of splitting a
-/// 68-core chip into groups that each hold a replica of the data and
-/// weights in their own MCDRAM slice and only meet at a gradient
-/// reduction.
+/// Installs `pool` as the calling thread's budget for the duration of
+/// `f` (restored on return or unwind).
+///
+/// While installed, every kernel sizes its parallelism against it
+/// instead of the whole machine: GEMM's band split, the convolution's
+/// batch fan-out and the band helpers all read [`current_threads`]. This
+/// is how a KNL-style chip partition ([`PartitionedPool`]) confines each
+/// group's compute to the group's own share of the threads.
+pub fn with_pool<R>(pool: &WorkerPool, f: impl FnOnce() -> R) -> R {
+    with_threads(pool.threads(), f)
+}
+
+/// Threads the calling thread's compute region may fan out over: the
+/// installed budget inside [`with_pool`] or a [`fan_out`] job, otherwise
+/// [`max_threads`].
+pub fn current_threads() -> usize {
+    match BUDGET.with(Cell::get) {
+        0 => max_threads(),
+        n => n,
+    }
+}
+
+/// Scoped threads the calling thread has spawned through [`fan_out`]
+/// since it started — a per-thread statistic, so a test can assert that
+/// a region stayed on its own thread without racing its neighbours.
+pub fn threads_spawned() -> u64 {
+    SPAWNED.with(Cell::get)
+}
+
+/// Fork-join over borrowed data: runs `f(job)` for every job, the first
+/// on the calling thread and each other on a scoped thread of its own,
+/// and returns when all are done. Callers build the jobs by zipping
+/// `chunks_mut` of their outputs, one job per thread they want.
+///
+/// With two or more jobs each runs under a one-thread budget, so a GEMM
+/// inside a job stays serial instead of forking again. A single job is
+/// called directly, budget untouched.
+///
+/// # Panics
+/// Propagates the panic if any job panicked.
+pub fn fan_out<T, F>(jobs: impl IntoIterator<Item = T>, f: F)
+where
+    T: Send,
+    F: Fn(T) + Sync,
+{
+    let mut jobs = jobs.into_iter();
+    let Some(first) = jobs.next() else { return };
+    let Some(second) = jobs.next() else {
+        f(first);
+        return;
+    };
+    let f = &f;
+    std::thread::scope(|s| {
+        let handles: Vec<_> = std::iter::once(second)
+            .chain(jobs)
+            .map(|job| {
+                SPAWNED.with(|n| n.set(n.get() + 1));
+                s.spawn(move || with_threads(1, || f(job)))
+            })
+            .collect();
+        with_threads(1, || f(first));
+        // Joined one by one, not left to the scope: a join returns only
+        // once the thread is gone, thread-locals destroyed — the next
+        // fork then finds the buffers this one's threads handed back —
+        // and it keeps the job's own panic message.
+        for h in handles {
+            if let Err(payload) = h.join() {
+                std::panic::resume_unwind(payload);
+            }
+        }
+    });
+}
+
+/// A KNL-style chip partition (§6.2): `G` NUMA-like groups, each with a
+/// budget of its own — the thread-level analogue of splitting a 68-core
+/// chip into groups that each hold a replica of the data and weights in
+/// their own MCDRAM slice and only meet at a gradient reduction.
 ///
 /// [`PartitionedPool::run`] drives one closure per group on its own
-/// scoped driver thread with the group's pool installed via
-/// [`with_pool`], so every tensor kernel the closure calls (GEMM, the
-/// banded elastic updates) parallelizes over that group's threads only.
-/// Groups therefore scale like independent small chips: no shared queue,
-/// no cross-group work stealing, communication only through whatever
-/// shared state the caller hands the closures.
+/// scoped driver thread with the group's budget installed via
+/// [`with_pool`], so every tensor kernel the closure calls (GEMM, conv,
+/// the banded elastic updates) parallelizes over that group's share
+/// only. Groups therefore scale like independent small chips: no shared
+/// queue, no cross-group work stealing, communication only through
+/// whatever shared state the caller hands the closures.
 pub struct PartitionedPool {
-    groups: Vec<Arc<WorkerPool>>,
+    groups: Vec<WorkerPool>,
 }
 
 impl PartitionedPool {
@@ -309,7 +219,7 @@ impl PartitionedPool {
         assert!(threads_per_group > 0, "a group needs at least one thread");
         Self {
             groups: (0..groups)
-                .map(|_| Arc::new(WorkerPool::new(threads_per_group - 1)))
+                .map(|_| WorkerPool::new(threads_per_group - 1))
                 .collect(),
         }
     }
@@ -324,16 +234,16 @@ impl PartitionedPool {
         self.groups.iter().map(|p| p.threads()).max().unwrap_or(1)
     }
 
-    /// The pool of group `g`.
+    /// The budget of group `g`.
     ///
     /// # Panics
     /// Panics if `g` is out of range.
-    pub fn group(&self, g: usize) -> &Arc<WorkerPool> {
+    pub fn group(&self, g: usize) -> &WorkerPool {
         &self.groups[g]
     }
 
     /// Runs `f(group_index)` once per group, each on its own driver
-    /// thread with the group's pool installed ([`with_pool`]). Returns
+    /// thread with the group's budget installed ([`with_pool`]). Returns
     /// the results in group order.
     ///
     /// # Panics
@@ -350,8 +260,7 @@ impl PartitionedPool {
                 .enumerate()
                 .map(|(g, pool)| {
                     let f = &f;
-                    let pool = pool.clone();
-                    s.spawn(move || with_pool(&pool, || f(g)))
+                    s.spawn(move || with_pool(pool, || f(g)))
                 })
                 .collect();
             handles
@@ -380,7 +289,7 @@ where
 }
 
 /// [`par_chunks_mut`] with an explicit band count instead of
-/// [`max_threads`] — the banded/serial bit-equivalence tests force a
+/// [`current_threads`] — the banded/serial bit-equivalence tests force a
 /// band split even on single-core machines through this entry point.
 pub fn par_chunks_mut_bands<F>(bands: usize, x: &mut [f32], f: F)
 where
@@ -562,7 +471,7 @@ pub fn par_zip22_mut_bands<F>(
 ///
 /// Compatibility shim: this is the seed's spawn-per-call fork-join,
 /// retained so the frozen `gemm_naive` baseline exercises exactly the
-/// threading it was benchmarked with. New code should use [`pool()`].
+/// threading it was benchmarked with. New code should use [`fan_out`].
 ///
 /// # Panics
 /// Panics if `n == 0` or `c.len()` is not a multiple of `n`.
@@ -629,94 +538,72 @@ mod tests {
     }
 
     #[test]
-    fn pool_runs_tasks_in_order() {
-        let pool = WorkerPool::new(2);
-        let tasks: Vec<_> = (0..17).map(|i| move || i * i).collect();
-        let out = pool.run(tasks);
-        assert_eq!(out, (0..17).map(|i| i * i).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn pool_with_zero_workers_runs_inline() {
-        let pool = WorkerPool::new(0);
-        assert_eq!(pool.threads(), 1);
-        assert_eq!(pool.threads_spawned(), 0);
-        let out = pool.run(vec![|| 41, || 42]);
-        assert_eq!(out, vec![41, 42]);
-    }
-
-    #[test]
-    fn pool_spawns_threads_exactly_once_across_repeated_use() {
-        let pool = WorkerPool::new(3);
-        assert_eq!(pool.threads_spawned(), 3);
-        for round in 0..50 {
-            let tasks: Vec<_> = (0..8).map(|i| move || round + i).collect();
-            let out = pool.run(tasks);
-            assert_eq!(out.len(), 8);
-            // Every submission reuses the same parked workers.
-            assert_eq!(pool.threads_spawned(), 3, "round {round}");
-        }
-    }
-
-    #[test]
-    fn worker_survives_job_panic() {
-        let pool = WorkerPool::new(1);
-        // Two tasks so `run` takes the queued path rather than inlining;
-        // whichever thread executes the panicking job, `run` must
-        // surface the panic to the submitter.
-        type Task = Box<dyn FnOnce() -> i32 + Send>;
-        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.run(vec![
-                Box::new(|| -> i32 { panic!("deliberate job panic") }) as Task,
-                Box::new(|| 1) as Task,
-            ])
-        }));
-        assert!(panicked.is_err());
-        // The worker must still be alive afterwards: across repeated
-        // submissions of briefly-sleeping jobs, at least one must land
-        // on the pool thread. If the panic had killed the worker, every
-        // job would run inline on this (test) thread.
-        let mut saw_worker = false;
-        for _ in 0..50 {
-            let names = pool.run(
-                (0..2)
-                    .map(|_| {
-                        || {
-                            std::thread::sleep(std::time::Duration::from_millis(2));
-                            std::thread::current()
-                                .name()
-                                .map(str::to_string)
-                                .unwrap_or_default()
-                        }
-                    })
-                    .collect::<Vec<_>>(),
-            );
-            if names.iter().any(|n| n.starts_with("easgd-pool")) {
-                saw_worker = true;
-                break;
+    fn fan_out_runs_every_job_once_on_borrowed_data() {
+        let mut out = vec![0u32; 10];
+        let src: Vec<u32> = (0..10).collect();
+        let before = threads_spawned();
+        fan_out(out.chunks_mut(3).zip(src.chunks(3)), |(o, s)| {
+            for (o, s) in o.iter_mut().zip(s) {
+                *o += s * s;
             }
-        }
-        assert!(saw_worker, "pool worker did not survive a panicking job");
+        });
+        assert_eq!(out, src.iter().map(|v| v * v).collect::<Vec<_>>());
+        // Four jobs: the caller ran one, three got a thread each.
+        assert_eq!(threads_spawned() - before, 3);
     }
 
     #[test]
-    fn nested_submission_runs_inline_without_deadlock() {
-        let pool = Arc::new(WorkerPool::new(1));
-        let inner = pool.clone();
-        // The outer job occupies the single worker; its nested `run`
-        // must execute inline instead of waiting on itself.
-        let out = pool.run(vec![move || {
-            inner.run(vec![|| 7, || 8]).iter().sum::<i32>()
-        }]);
-        assert_eq!(out, vec![15]);
+    fn fan_out_jobs_run_under_a_one_thread_budget() {
+        let outer = WorkerPool::new(3);
+        with_pool(&outer, || {
+            let mut seen = [0usize; 3];
+            fan_out(seen.iter_mut(), |slot| *slot = current_threads());
+            assert_eq!(seen, [1; 3], "a job must not fork again");
+            // The caller's own budget comes back after the join.
+            assert_eq!(current_threads(), 4);
+        });
     }
 
     #[test]
-    fn global_pool_is_one_instance() {
-        let a = pool() as *const WorkerPool;
-        let b = pool() as *const WorkerPool;
-        assert_eq!(a, b);
-        assert_eq!(pool().threads_spawned(), pool().threads() - 1);
+    fn fan_out_single_job_runs_inline_with_budget_untouched() {
+        let outer = WorkerPool::new(2);
+        let caller = std::thread::current().id();
+        let before = threads_spawned();
+        with_pool(&outer, || {
+            fan_out([7usize], |v| {
+                assert_eq!(v, 7);
+                assert_eq!(std::thread::current().id(), caller);
+                // One job is not a fork: kernels inside may still split.
+                assert_eq!(current_threads(), 3);
+            });
+        });
+        fan_out(std::iter::empty::<usize>(), |_| panic!("no jobs to run"));
+        assert_eq!(threads_spawned(), before);
+    }
+
+    #[test]
+    fn fan_out_propagates_a_job_panic_and_restores_the_budget() {
+        let caught = std::panic::catch_unwind(|| {
+            fan_out(0..3, |i| {
+                if i == 2 {
+                    panic!("deliberate job panic");
+                }
+            });
+        });
+        assert!(caught.is_err());
+        assert_eq!(current_threads(), max_threads());
+    }
+
+    #[test]
+    fn fork_threads_gates_on_the_one_constant() {
+        let pool = WorkerPool::new(4);
+        with_pool(&pool, || {
+            assert_eq!(fork_threads(FORK_JOIN_FLOPS - 1), 1);
+            assert_eq!(fork_threads(FORK_JOIN_FLOPS), 5);
+        });
+        with_pool(&WorkerPool::new(0), || {
+            assert_eq!(fork_threads(u64::MAX), 1);
+        });
     }
 
     #[test]
@@ -811,22 +698,16 @@ mod tests {
 
     #[test]
     fn with_pool_overrides_current_threads_and_restores() {
-        assert!(pool_override().is_none());
         assert_eq!(current_threads(), max_threads());
-        let p = Arc::new(WorkerPool::new(3));
-        let inner = with_pool(&p, || {
-            assert!(pool_override().is_some());
-            current_threads()
-        });
-        assert_eq!(inner, 4);
-        assert!(pool_override().is_none());
+        let p = WorkerPool::new(3);
+        assert_eq!(with_pool(&p, current_threads), 4);
         assert_eq!(current_threads(), max_threads());
     }
 
     #[test]
     fn with_pool_nests_and_restores_outer_override() {
-        let outer = Arc::new(WorkerPool::new(1));
-        let nested = Arc::new(WorkerPool::new(5));
+        let outer = WorkerPool::new(1);
+        let nested = WorkerPool::new(5);
         with_pool(&outer, || {
             assert_eq!(current_threads(), 2);
             let seen = with_pool(&nested, current_threads);
@@ -834,62 +715,43 @@ mod tests {
             // The outer override must come back, not the global default.
             assert_eq!(current_threads(), 2);
         });
-        assert!(pool_override().is_none());
+        assert_eq!(current_threads(), max_threads());
     }
 
     #[test]
     fn with_pool_restores_on_unwind() {
-        let p = Arc::new(WorkerPool::new(2));
+        let p = WorkerPool::new(2);
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             with_pool(&p, || panic!("deliberate"));
         }));
         assert!(caught.is_err());
-        assert!(pool_override().is_none(), "override leaked past a panic");
+        assert_eq!(
+            current_threads(),
+            max_threads(),
+            "override leaked past a panic"
+        );
     }
 
     #[test]
-    fn partitioned_pool_runs_groups_in_order_with_own_pools() {
+    fn partitioned_pool_runs_groups_in_order_with_own_budgets() {
         let part = PartitionedPool::with_group_threads(4, 2);
         assert_eq!(part.groups(), 4);
         assert_eq!(part.group_threads(), 2);
-        let expected: Vec<usize> = (0..4)
-            .map(|g| Arc::as_ptr(part.group(g)) as usize)
-            .collect();
-        let out = part.run(|g| {
-            let installed = pool_override().map(|p| Arc::as_ptr(&p) as usize);
-            (g, installed, current_threads())
-        });
-        assert_eq!(out.len(), 4);
+        let out = part.run(|g| (g, current_threads()));
         for (g, row) in out.iter().enumerate() {
             assert_eq!(row.0, g, "results must come back in group order");
-            assert_eq!(
-                row.1,
-                Some(expected[g]),
-                "group {g} must see its own pool installed"
-            );
-            assert_eq!(row.2, 2, "group {g} threads");
+            assert_eq!(row.1, 2, "group {g} must see its own budget installed");
         }
-        // Distinct groups own distinct pools.
-        assert!(expected.windows(2).all(|w| w[0] != w[1]));
     }
 
     #[test]
-    fn single_thread_groups_run_inline() {
-        // A 1-thread group must never fan out: its pool has zero
-        // workers, so any submitted work runs on the driver thread.
+    fn single_thread_groups_never_fork() {
         let part = PartitionedPool::with_group_threads(3, 1);
         let out = part.run(|_| {
             assert_eq!(current_threads(), 1);
-            let p = pool_override().expect("override installed");
-            assert_eq!(p.threads_spawned(), 0);
-            p.run(vec![|| std::thread::current().name().map(str::to_string)])
+            (fork_threads(u64::MAX), threads_spawned())
         });
-        for row in out {
-            // Driver threads are plain scoped threads (unnamed), never
-            // the global pool's named workers.
-            let name = row[0].clone().unwrap_or_default();
-            assert!(!name.starts_with("easgd-pool"), "leaked onto {name}");
-        }
+        assert_eq!(out, vec![(1, 0); 3]);
     }
 
     #[test]

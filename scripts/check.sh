@@ -35,7 +35,7 @@ cargo run -q -p easgd-xtask -- explore
 echo "==> easgd-xtask explore --protocol --smoke (full suite runs nightly in CI)"
 cargo run -q -p easgd-xtask -- explore --protocol --smoke
 
-echo "==> kernel perf harness (smoke: one iteration per bench, no JSON)"
+echo "==> kernel perf harness (smoke: one iteration per bench, no JSON; gemm_par_vs_serial key on >= 2 threads, skip notice on 1; checked-in BENCH_kernels.json fork-join acceptance)"
 cargo run -q --release -p easgd-bench --bin kernels -- --smoke
 
 echo "==> comm perf harness (smoke + checked-in BENCH_comm.json acceptance)"
