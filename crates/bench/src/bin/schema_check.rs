@@ -1,28 +1,25 @@
-//! Validates every checked-in `BENCH_*.json` against the pinned
-//! registry in [`easgd_bench::schema`].
+//! Validates every checked-in `BENCH_*.json` against the declarations in
+//! [`easgd_bench::report`] — the same ones the bins render from: frame,
+//! host block, every acceptance key's bound, and no row recorded at more
+//! threads than its host had.
 //!
 //! ```text
 //! cargo run --release -p easgd-bench --bin schema_check            # repo root
 //! cargo run --release -p easgd-bench --bin schema_check -- --root p
 //! ```
-//!
-//! Runs in every smoke leg of `scripts/check.sh`: a bench refactor that
-//! renames an acceptance key, drops a file, or emits a truncated
-//! artifact fails the per-push gate here, not at the next full bench
-//! regeneration.
 
-use easgd_bench::{arg_value, schema};
+use easgd_bench::{arg_value, report};
 use std::path::PathBuf;
 
 fn main() {
     let root = arg_value("--root")
         .map(PathBuf::from)
         .unwrap_or_else(|| PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../..")));
-    let errors = schema::validate_all(&root);
+    let errors = report::validate_all(&root);
     if errors.is_empty() {
         println!(
             "schema check ok: {} artifacts conform under {}",
-            schema::SCHEMAS.len(),
+            report::ARTIFACTS.len(),
             root.display()
         );
         return;

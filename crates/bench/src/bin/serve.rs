@@ -1,24 +1,15 @@
-// xtask: allow(wall-clock) — a benchmark harness measures real time by
-// definition; the pragma is confined to this bench timer binary.
-//! Micro-batching inference latency/QPS harness — `BENCH_serve.json`.
+//! Micro-batching latency sweep on logical time — `BENCH_serve.json`.
 //!
-//! Two halves, split by what can be deterministic:
-//!
-//! * **Executed** — real LeNet replicas served through
-//!   `ServeEngine<ReplicaSet>`: proves the zero-pooled-allocations
-//!   steady state on the real forward path (the counters are exact
-//!   integers, machine-independent) and the bitwise eval contract (a
-//!   ragged dispatch returns the bits of the full-batch forward).
-//!   Wall-clock QPS from this half goes to **stdout only** — it depends
-//!   on the host and would break JSON reproducibility.
-//! * **Simulated** — the open-loop latency sweep and the batching
-//!   throughput ratio, computed on logical time under the pinned
-//!   [`ServiceModel`] (α = per-dispatch overhead, β = per-sample
-//!   forward time from the M40 compute model — the serving twin of the
-//!   paper's §5.2 α-β analysis). Every number is a pure function of the
-//!   seeds, so the JSON is bit-identical across runs; the harness
-//!   *verifies* that by running the whole sweep twice and comparing the
-//!   rendered bytes (`sim_bit_identical`).
+//! The open-loop latency sweep and the batching throughput ratio,
+//! computed on logical time under the pinned [`ServiceModel`] (α =
+//! per-dispatch overhead, β = per-sample forward time from the M40
+//! compute model — the serving twin of the paper's §5.2 α-β analysis).
+//! Every number is a pure function of the seeds, so the rows are
+//! bit-identical across runs; the harness *verifies* that by running the
+//! whole sweep twice and comparing the rendered bytes
+//! (`sim_bit_identical`). Wall-clock latency and QPS of real LeNet
+//! replicas are `benchmark/`'s `serve_lenet` workload; the zero-allocation
+//! and bitwise-eval gates are `crates/serve`'s own tests.
 //!
 //! ```text
 //! cargo run --release -p easgd-bench --bin serve            # full run, writes JSON
@@ -26,21 +17,16 @@
 //! cargo run --release -p easgd-bench --bin serve -- --out p # write JSON to `p`
 //! ```
 //!
-//! Acceptance (checked in, re-validated by `--smoke` in CI):
-//! `qps_batch8_over_batch1 ≥ 3` (batching must amortize dispatch
-//! overhead), `steady_state_allocs_per_request = 0`,
+//! Acceptance (`easgd_bench::report::SERVE`): `qps_batch8_over_batch1 ≥ 3`
+//! (batching must amortize dispatch overhead),
 //! `p99_within_deadline_bound` (for the non-burst arrival processes,
-//! p99 ≤ T + 2·step(cap)), `sim_bit_identical`, and `eval_bitwise_ok`.
+//! p99 ≤ T + 2·step(cap)) and `sim_bit_identical`.
 
-use easgd_bench::{arg_value, schema};
+use easgd_bench::report::{self, Report};
 use easgd_hardware::ComputeModel;
-use easgd_nn::models::lenet;
 use easgd_serve::{
-    summarize, Arrival, BatcherConfig, LatencySummary, NullBackend, ReplicaSet, ServeEngine,
-    ServiceModel,
+    summarize, Arrival, BatcherConfig, LatencySummary, NullBackend, ServeEngine, ServiceModel,
 };
-use easgd_tensor::{Rng, Tensor};
-use std::time::Instant;
 
 /// Per-dispatch fixed cost α (µs): per-layer kernel launches on the
 /// paper's GPU-era serving stack plus batcher hand-off and response
@@ -135,84 +121,6 @@ fn saturation_ratio(n: usize) -> f64 {
     sat(8) / sat(1)
 }
 
-/// Executed half: real LeNet replicas. Returns (allocs per request at
-/// steady state, eval bitwise ok, wall QPS, requests measured).
-fn run_executed(smoke: bool) -> (f64, bool, f64, usize) {
-    let sample_len: usize = 28 * 28;
-    let mut rng = Rng::new(0x5EED);
-    let pool: Vec<f32> = (0..sample_len * 64).map(|_| rng.uniform()).collect();
-
-    // Bitwise eval contract: ragged session batches reproduce the rows
-    // of the full-batch allocating forward exactly.
-    let mut reference = lenet(101);
-    let full = 8usize;
-    let x_full = Tensor::from_vec([full, 1, 28, 28], pool[..full * sample_len].to_vec());
-    let y_full = reference.forward(&x_full, false);
-    let classes = reference.num_classes();
-    let mut session = easgd_serve::InferSession::new(lenet(101));
-    let mut bitwise_ok = true;
-    for (start, k) in [(0usize, 1usize), (2, 3), (4, 4), (0, 8)] {
-        let got = session.infer(k, &pool[start * sample_len..(start + k) * sample_len]);
-        bitwise_ok &= got == &y_full.as_slice()[start * classes..(start + k) * classes];
-    }
-
-    // Steady-state allocation audit + wall throughput on the sharded
-    // replica set (equal seeds; shard outputs are interchangeable).
-    let mut engine = ServeEngine::new(
-        BatcherConfig {
-            shards: SHARDS,
-            batch_cap: 8,
-            deadline_us: DEADLINE_US,
-            sample_len,
-        },
-        service_model(),
-        ReplicaSet::new(vec![lenet(101), lenet(101)]),
-    );
-    // Warm-up must cover the peak concurrent-request population (queue
-    // depth grows over the first few deadline/gap cycles), so it stays
-    // at 128 even for smoke; only the measured window shrinks.
-    let (warm_n, measure_n) = if smoke { (128, 64) } else { (128, 512) };
-    engine.reserve(warm_n + measure_n + 8);
-    let mut t = 0u64;
-    let submit = |engine: &mut ServeEngine<ReplicaSet>, t: &mut u64, i: usize| {
-        // A ragged schedule: mostly cap-closes with periodic idle gaps
-        // that force deadline-closes of partial batches.
-        *t += if i.is_multiple_of(11) { 5_000 } else { 40 };
-        let src = &pool[(i % 56) * sample_len..(i % 56 + 1) * sample_len];
-        let _ = engine.submit(*t, i % SHARDS, &mut |px| px.copy_from_slice(src));
-    };
-    for i in 0..warm_n {
-        submit(&mut engine, &mut t, i);
-    }
-    t += DEADLINE_US + 1;
-    engine.advance(t);
-    let warm_stats = engine.pool_stats();
-
-    let wall = Instant::now();
-    for i in 0..measure_n {
-        submit(&mut engine, &mut t, i + warm_n);
-    }
-    t += DEADLINE_US + 1;
-    engine.advance(t);
-    let wall_s = wall.elapsed().as_secs_f64();
-    let delta = engine.pool_stats().since(&warm_stats);
-    let allocs_per_request = delta.allocations() as f64 / measure_n as f64;
-    (
-        allocs_per_request,
-        bitwise_ok,
-        measure_n as f64 / wall_s.max(1e-12),
-        measure_n,
-    )
-}
-
-struct Acceptance {
-    qps_ratio: f64,
-    allocs_per_request: f64,
-    p99_bound_ok: bool,
-    sim_bit_identical: bool,
-    eval_bitwise_ok: bool,
-}
-
 /// p99 ≤ T + 2·step(cap) for the non-burst processes. (A burst of 8
 /// into cap 1 intentionally overloads one instant — its backlog is the
 /// tie-break stress case, not a deadline-scheduling claim.)
@@ -222,91 +130,25 @@ fn p99_bound_holds(rows: &[SweepRow], model: ServiceModel) -> bool {
         .all(|r| r.summary.p99_us <= DEADLINE_US as f64 + 2.0 * model.step_us(r.cap) + 1e-9)
 }
 
-fn render_rows(rows: &[SweepRow]) -> String {
-    let mut out = String::new();
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"arrival\": \"{}\", \"rate_per_s\": {:.1}, \"batch_cap\": {}, \
-             \"p50_us\": {:.3}, \"p99_us\": {:.3}, \"p999_us\": {:.3}, \"max_us\": {:.3}, \
-             \"qps\": {:.2}}}{}\n",
-            r.arrival,
-            r.rate_per_s,
-            r.cap,
-            r.summary.p50_us,
-            r.summary.p99_us,
-            r.summary.p999_us,
-            r.summary.max_us,
-            r.summary.qps,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    out
-}
-
-fn render_json(rows: &[SweepRow], acc: &Acceptance, model: ServiceModel) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema\": 1,\n");
-    out.push_str("  \"generated_by\": \"cargo run --release -p easgd-bench --bin serve\",\n");
-    out.push_str(&format!(
-        "  \"threads\": {},\n",
-        easgd_tensor::par::max_threads()
-    ));
-    out.push_str(&format!(
-        "  \"service_model\": {{\"fixed_us\": {:.3}, \"per_sample_us\": {:.4}, \
-         \"shards\": {SHARDS}, \"deadline_us\": {DEADLINE_US}}},\n",
-        model.fixed_us, model.per_sample_us
-    ));
-    out.push_str("  \"acceptance\": {\n");
-    out.push_str(&format!(
-        "    \"qps_batch8_over_batch1\": {:.2},\n",
-        acc.qps_ratio
-    ));
-    out.push_str(&format!(
-        "    \"steady_state_allocs_per_request\": {:.2},\n",
-        acc.allocs_per_request
-    ));
-    out.push_str(&format!(
-        "    \"p99_within_deadline_bound\": {},\n",
-        acc.p99_bound_ok
-    ));
-    out.push_str(&format!(
-        "    \"sim_bit_identical\": {},\n",
-        acc.sim_bit_identical
-    ));
-    out.push_str(&format!(
-        "    \"eval_bitwise_ok\": {}\n",
-        acc.eval_bitwise_ok
-    ));
-    out.push_str("  },\n");
-    out.push_str("  \"entries\": [\n");
-    out.push_str(&render_rows(rows));
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// `--smoke` re-validates the checked-in artifact, so CI fails if a
-/// regeneration lands below the bar (or never lands at all).
-fn validate_checked_in(path: &str) -> Result<(), String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let serve_schema = schema::SCHEMAS
-        .iter()
-        .find(|s| s.file == "BENCH_serve.json")
-        .ok_or("BENCH_serve.json missing from the schema registry")?;
-    schema::validate_text(serve_schema, &text)?;
-    let ratio = schema::json_number(&text, "qps_batch8_over_batch1")
-        .ok_or("missing qps_batch8_over_batch1")?;
-    let allocs = schema::json_number(&text, "steady_state_allocs_per_request")
-        .ok_or("missing steady_state_allocs_per_request")?;
-    if ratio < 3.0 {
-        return Err(format!("qps_batch8_over_batch1 = {ratio}, want >= 3"));
-    }
-    if allocs != 0.0 {
-        return Err(format!(
-            "steady_state_allocs_per_request = {allocs}, want 0"
-        ));
-    }
-    Ok(())
+/// The sweep rows as rendered JSON objects.
+fn render_rows(rows: &[SweepRow]) -> Vec<String> {
+    rows.iter()
+        .map(|r| {
+            format!(
+                "{{\"arrival\": \"{}\", \"rate_per_s\": {:.1}, \"batch_cap\": {}, \
+                 \"p50_us\": {:.3}, \"p99_us\": {:.3}, \"p999_us\": {:.3}, \"max_us\": {:.3}, \
+                 \"qps\": {:.2}}}",
+                r.arrival,
+                r.rate_per_s,
+                r.cap,
+                r.summary.p50_us,
+                r.summary.p99_us,
+                r.summary.p999_us,
+                r.summary.max_us,
+                r.summary.qps,
+            )
+        })
+        .collect()
 }
 
 fn main() {
@@ -320,21 +162,28 @@ fn main() {
 
     let rows = run_sweep(sweep_n);
     let qps_ratio = saturation_ratio(sat_n);
-    // Re-run the whole simulated half and compare rendered bytes: the
-    // claim that every JSON number is seed-deterministic, enforced.
-    let rows2 = run_sweep(sweep_n);
+    // Re-run the whole sweep and compare rendered bytes: the claim that
+    // every JSON number is seed-deterministic, enforced.
+    let rendered = render_rows(&rows);
     let sim_bit_identical =
-        render_rows(&rows) == render_rows(&rows2) && qps_ratio == saturation_ratio(sat_n);
+        rendered == render_rows(&run_sweep(sweep_n)) && qps_ratio == saturation_ratio(sat_n);
+    let p99_bound_ok = p99_bound_holds(&rows, model);
 
-    let (allocs_per_request, eval_bitwise_ok, wall_qps, measured) = run_executed(smoke);
-
-    let acc = Acceptance {
-        qps_ratio,
-        allocs_per_request,
-        p99_bound_ok: p99_bound_holds(&rows, model),
-        sim_bit_identical,
-        eval_bitwise_ok,
-    };
+    let mut report = Report::new(&report::SERVE);
+    report.header(
+        "service_model",
+        format!(
+            "{{\"fixed_us\": {:.3}, \"per_sample_us\": {:.4}, \
+             \"shards\": {SHARDS}, \"deadline_us\": {DEADLINE_US}}}",
+            model.fixed_us, model.per_sample_us
+        ),
+    );
+    report.set("qps_batch8_over_batch1", format!("{qps_ratio:.2}"));
+    report.set("p99_within_deadline_bound", p99_bound_ok);
+    report.set("sim_bit_identical", sim_bit_identical);
+    for row in rendered {
+        report.entry(row);
+    }
 
     println!(
         "{:<9} {:>10} {:>5} {:>10} {:>10} {:>10} {:>10} {:>10}",
@@ -354,47 +203,7 @@ fn main() {
         );
     }
     println!(
-        "\nqps(8)/qps(1) {:.2} | allocs/request {:.2} | p99 bound {} | sim bit-identical {} | eval bitwise {}",
-        acc.qps_ratio, acc.allocs_per_request, acc.p99_bound_ok, acc.sim_bit_identical, acc.eval_bitwise_ok
+        "\nqps(8)/qps(1) {qps_ratio:.2} | p99 bound {p99_bound_ok} | sim bit-identical {sim_bit_identical}"
     );
-    println!(
-        "executed LeNet replicas: {measured} requests at {wall_qps:.0} req/s wall (host-dependent; stdout only)"
-    );
-
-    let default_out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json");
-    let out_path = arg_value("--out").unwrap_or_else(|| default_out.to_string());
-    if smoke {
-        // Structural invariants that hold at any run length.
-        for (what, ok) in [
-            (
-                "pooled request path allocated",
-                acc.allocs_per_request == 0.0,
-            ),
-            ("sim numbers not deterministic", acc.sim_bit_identical),
-            ("ragged eval diverged bitwise", acc.eval_bitwise_ok),
-            ("batching ratio under 3x", acc.qps_ratio >= 3.0),
-            ("p99 deadline bound violated", acc.p99_bound_ok),
-        ] {
-            if !ok {
-                eprintln!("smoke: {what}");
-                std::process::exit(1);
-            }
-        }
-        match validate_checked_in(&out_path) {
-            Ok(()) => println!("smoke run ok; checked-in {out_path} acceptance holds"),
-            Err(e) => {
-                eprintln!("checked-in {out_path} fails acceptance: {e}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-    let json = render_json(&rows, &acc, model);
-    match std::fs::write(&out_path, &json) {
-        Ok(()) => println!("\nwrote {out_path}"),
-        Err(e) => {
-            eprintln!("failed to write {out_path}: {e}");
-            std::process::exit(1);
-        }
-    }
+    report.finish(smoke);
 }

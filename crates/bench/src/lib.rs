@@ -1,13 +1,16 @@
 //! # easgd-bench
 //!
-//! The benchmark harness of the `knl-easgd` reproduction: one binary per
-//! table/figure of the SC '17 paper's evaluation, plus Criterion
-//! microbenches ablating the co-design choices.
+//! The paper-table harness of the `knl-easgd` reproduction: one binary
+//! per table/figure of the SC '17 paper's evaluation, and four bins that
+//! write the checked-in `BENCH_*.json` artifacts. Wall-clock step,
+//! exchange and serving numbers are not measured here — `benchmark/`
+//! owns them ([`report`] states the keep-rule).
 //!
 //! | target | regenerates |
 //! |---|---|
 //! | `--bin datasets` | Table 1 (dataset card) |
 //! | `--bin table2`   | Table 2 (α-β network parameters) |
+//! | `--bin fig4`     | Figure 4 / §2.3 (data vs model parallelism) |
 //! | `--bin fig6`     | Figure 6 panels 1–4 (ours vs counterparts) |
 //! | `--bin fig8`     | Figure 8 (overall shoot-out) |
 //! | `--bin fig9`     | Figure 9 (method lineage) |
@@ -16,18 +19,22 @@
 //! | `--bin fig12`    | Figure 12 (KNL chip partitioning) |
 //! | `--bin fig13`    | Figure 13 (more machines + more data) |
 //! | `--bin table4`   | Table 4 (weak scaling vs Intel Caffe) |
-//! | `--bin serve`    | `BENCH_serve.json` (micro-batching latency/QPS) |
+//! | `--bin batch_size` | §7.2 (impact of batch size) |
+//! | `--bin convex`   | §1's convex case (least squares, closed-form optimum) |
+//! | `--bin hierarchy` | §10.4 testbed: hierarchical vs flat collectives |
+//! | `--bin stragglers` | the introduction's straggler argument |
+//! | `--bin tau_sweep` | communication-period (τ) ablation |
+//! | `--bin kernels`  | `BENCH_kernels.json` (fork-join gate ledger, Figure 12 on real threads) |
+//! | `--bin comm`     | `BENCH_comm.json` (tree vs flat reduce, §6.1 overlap, simulated) |
+//! | `--bin cluster`  | `BENCH_cluster.json` (Table 4 / Figure 13 live on the event backend) |
+//! | `--bin serve`    | `BENCH_serve.json` (logical-time micro-batching sweep) |
 //! | `--bin schema_check` | validates every checked-in `BENCH_*.json` |
 //!
-//! Criterion benches (`cargo bench -p easgd-bench`): `gemm`,
-//! `collectives`, `packed_comm`, `hogwild`, `elastic_update`.
-//!
 //! This library hosts the pieces the binaries share: the standard
-//! experiment task, iteration sweeps, table printers, the wall-clock
-//! timers ([`timing`]) and the hand-rolled JSON helpers ([`schema`]).
+//! experiment task, iteration sweeps, table printers, and the artifact
+//! writer/validator ([`report`]).
 
-pub mod schema;
-pub mod timing;
+pub mod report;
 
 use easgd::metrics::RunResult;
 use easgd_data::{Dataset, SyntheticSpec};

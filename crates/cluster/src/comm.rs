@@ -377,7 +377,7 @@ impl Comm {
     }
 
     /// Snapshot of the cluster-wide pool counters (allocations and bytes
-    /// copied across *all* ranks — the numbers behind `BENCH_comm.json`).
+    /// copied across *all* ranks — the numbers the allocation gates read).
     pub fn pool_stats(&self) -> PoolStats {
         self.shared.pool.stats()
     }

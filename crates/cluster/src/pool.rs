@@ -1,6 +1,8 @@
 //! The cluster-wide payload buffer pool: recycled `Vec<f32>` storage for
 //! every message and collective result, plus the counting instrumentation
-//! behind `BENCH_comm.json`'s allocs-per-step and bytes-moved columns.
+//! behind the allocation and bytes-copied gates (`tests/exchange_memory.rs`,
+//! `benchmark/`'s `cluster.pool_fresh_per_round` and
+//! `cluster.bytes_copied_per_round`).
 //!
 //! Ownership rules (DESIGN.md §10): a buffer is owned by exactly one of
 //! (a) the rank that took it from the pool, (b) a `Message` in flight,

@@ -11,7 +11,8 @@
 //! payload buffers and batch request-lists are checked out of free
 //! pools whose growth is counted through [`ScratchStats`]-style
 //! counters. At steady state a request's whole queue→batch→recycle life
-//! touches the allocator zero times — `BENCH_serve.json` asserts it.
+//! touches the allocator zero times — the engine's
+//! `steady_state_dispatches_without_pooled_allocations` test asserts it.
 
 use easgd_tensor::{BufGrowth, ScratchStats, TrainScratch};
 use std::collections::VecDeque;

@@ -18,7 +18,7 @@
 //! forward/backward path is routed through its counted `ensure_*` /
 //! `shape_tensor*` entry points, so after a warm-up step the steady state
 //! performs zero heap allocations — and the counters prove it (see
-//! DESIGN.md §11 and `BENCH_train.json`).
+//! DESIGN.md §11 and `tests/step_alloc.rs`).
 
 use crate::tensor::Tensor;
 use std::fmt;

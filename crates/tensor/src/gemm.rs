@@ -31,9 +31,8 @@
 //!   Either way every element runs the exact operation sequence of
 //!   `gemm_serial` — the result is bit-identical at any thread count.
 //!
-//! The seed's naive kernel is retained as [`gemm_naive`] /
-//! [`gemm_naive_par`] so every future optimization can be A/B-measured
-//! in-repo (`cargo run --release -p easgd-bench --bin kernels`).
+//! The seed's naive kernel is retained as [`gemm_naive`], the reference
+//! the tests compare against.
 
 use crate::par;
 use crate::simd::{self, MR, NR};
@@ -1075,8 +1074,8 @@ fn naive_row(
     }
 }
 
-/// The seed GEMM, frozen as the perf baseline: the naive row kernel run
-/// serially. See [`gemm_naive_par`] for the seed's fork-join path.
+/// The seed GEMM — the naive row kernel run serially — kept as the
+/// reference the tests compare the blocked kernels against.
 ///
 /// # Panics
 /// Panics if any buffer is smaller than its dimensions imply.
@@ -1103,46 +1102,6 @@ pub fn gemm_naive(
         return;
     }
     naive_rows(ta, tb, m, n, k, alpha, a, b, c);
-}
-
-/// The seed GEMM with its original spawn-per-call row parallelism
-/// ([`par::par_rows`]) and its original `m·n ≥ 64·64 && m > 1` dispatch
-/// threshold — the strongest honest multi-threaded baseline for the
-/// kernel-trajectory benches.
-///
-/// # Panics
-/// Panics if any buffer is smaller than its dimensions imply.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_naive_par(
-    ta: Transpose,
-    tb: Transpose,
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: f32,
-    a: &[f32],
-    b: &[f32],
-    beta: f32,
-    c: &mut [f32],
-) {
-    check_dims(m, n, k, a, b, c);
-    if m == 0 || n == 0 {
-        return;
-    }
-    let c = &mut c[..m * n];
-    if m * n >= 64 * 64 && m > 1 {
-        par::par_rows(c, n, |i, c_row| {
-            apply_beta(c_row, beta);
-            if k > 0 && alpha != 0.0 {
-                naive_row(ta, tb, m, n, k, alpha, a, b, i, c_row);
-            }
-        });
-    } else {
-        apply_beta(c, beta);
-        if k > 0 && alpha != 0.0 {
-            naive_rows(ta, tb, m, n, k, alpha, a, b, c);
-        }
-    }
 }
 
 /// Convenience: `C = A·B` with fresh output.
@@ -1280,20 +1239,6 @@ mod tests {
             &mut c1,
         );
         assert_all_close(&c1, &r, 1e-3);
-        let mut c2 = vec![0.0; m * n];
-        gemm_naive_par(
-            Transpose::No,
-            Transpose::No,
-            m,
-            n,
-            k,
-            1.0,
-            &a,
-            &b,
-            0.0,
-            &mut c2,
-        );
-        assert_all_close(&c2, &r, 1e-3);
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! * [`gemm()`](gemm::gemm) — cache-blocked, packed single-precision matrix
 //!   multiply with transpose variants (the workhorse of dense and
 //!   convolutional layers), forked over borrowed output bands through
-//!   [`par`] where the flop count pays for it; the seed kernel is retained as [`gemm_naive()`](gemm::gemm_naive)
-//!   for in-repo A/B measurement (see DESIGN.md §8).
+//!   [`par`] where the flop count pays for it; the seed kernel is retained as [`gemm_naive()`](gemm::gemm_naive),
+//!   the reference the tests compare against (see DESIGN.md §8).
 //! * [`im2col()`](im2col::im2col) / [`col2im()`](im2col::col2im) — the lowering used to express convolution as
 //!   GEMM, exactly as cuDNN-era frameworks did.
 //! * [`ParamArena`] — a *packed*, contiguous parameter buffer with named
@@ -43,8 +43,7 @@ pub mod tensor;
 pub use arena::{BufGrowth, InferScratch, ParamArena, ScratchStats, Segment, TrainScratch};
 pub use atomic::{AtomicBuffer, AtomicF32};
 pub use gemm::{
-    gemm, gemm_fork_join, gemm_naive, gemm_naive_par, gemm_row_band, gemm_rowstable, gemm_serial,
-    matmul, Transpose,
+    gemm, gemm_fork_join, gemm_naive, gemm_row_band, gemm_rowstable, gemm_serial, matmul, Transpose,
 };
 pub use im2col::{col2im, im2col, Conv2dGeometry};
 pub use ops::*;

@@ -24,8 +24,6 @@
 //! * [`par_chunks_mut`] / [`par_zip_mut`] / [`par_zip2_mut`] — band-split
 //!   helpers for the memory-bound BLAS-1 elastic updates, gated behind a
 //!   large-slice threshold where the spawn cost is noise.
-//! * [`par_rows`] — the original row-band fork-join, kept as a
-//!   compatibility shim for the retained `gemm_naive` baseline.
 
 use std::cell::Cell;
 use std::num::NonZeroUsize;
@@ -465,77 +463,9 @@ pub fn par_zip22_mut_bands<F>(
     });
 }
 
-/// Applies `f(row_index, row)` to every `n`-element row of `c`,
-/// fork-joining across available cores. `c.len()` must be a multiple of
-/// `n`. Falls back to a serial loop when a single band would remain.
-///
-/// Compatibility shim: this is the seed's spawn-per-call fork-join,
-/// retained so the frozen `gemm_naive` baseline exercises exactly the
-/// threading it was benchmarked with. New code should use [`fan_out`].
-///
-/// # Panics
-/// Panics if `n == 0` or `c.len()` is not a multiple of `n`.
-pub fn par_rows<F>(c: &mut [f32], n: usize, f: F)
-where
-    F: Fn(usize, &mut [f32]) + Sync,
-{
-    assert!(n > 0, "row length must be positive");
-    assert_eq!(c.len() % n, 0, "buffer is not a whole number of rows");
-    let rows = c.len() / n;
-    let threads = max_threads().min(rows);
-    if threads <= 1 {
-        for (i, row) in c.chunks_mut(n).enumerate() {
-            f(i, row);
-        }
-        return;
-    }
-    // Ceil split so every band is non-empty and bands cover all rows.
-    let rows_per_band = rows.div_ceil(threads);
-    std::thread::scope(|s| {
-        for (band_idx, band) in c.chunks_mut(rows_per_band * n).enumerate() {
-            let f = &f;
-            s.spawn(move || {
-                let base = band_idx * rows_per_band;
-                for (j, row) in band.chunks_mut(n).enumerate() {
-                    f(base + j, row);
-                }
-            });
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn visits_every_row_exactly_once() {
-        let n = 7;
-        let rows = 129; // deliberately not a multiple of any thread count
-        let mut c = vec![0.0f32; rows * n];
-        par_rows(&mut c, n, |i, row| {
-            for v in row.iter_mut() {
-                *v += i as f32 + 1.0;
-            }
-        });
-        for (i, chunk) in c.chunks(n).enumerate() {
-            assert!(chunk.iter().all(|&v| v == i as f32 + 1.0), "row {i}");
-        }
-    }
-
-    #[test]
-    fn serial_fallback_single_row() {
-        let mut c = vec![0.0f32; 5];
-        par_rows(&mut c, 5, |i, row| row[0] = i as f32 + 3.0);
-        assert_eq!(c[0], 3.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "whole number of rows")]
-    fn rejects_ragged_buffer() {
-        let mut c = vec![0.0f32; 7];
-        par_rows(&mut c, 3, |_, _| {});
-    }
 
     #[test]
     fn fan_out_runs_every_job_once_on_borrowed_data() {

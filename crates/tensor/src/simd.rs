@@ -110,7 +110,7 @@ pub fn with_scalar_kernels<R>(f: impl FnOnce() -> R) -> R {
 }
 
 /// Name of the kernel tier calls on this thread currently use —
-/// recorded per entry in `BENCH_kernels.json`.
+/// recorded in `BENCH_kernels.json`'s header.
 pub fn active_tier() -> &'static str {
     if scalar_forced() {
         "scalar"

@@ -35,22 +35,25 @@ cargo run -q -p easgd-xtask -- explore
 echo "==> easgd-xtask explore --protocol --smoke (full suite runs nightly in CI)"
 cargo run -q -p easgd-xtask -- explore --protocol --smoke
 
-echo "==> kernel perf harness (smoke: one iteration per bench, no JSON; gemm_par_vs_serial key on >= 2 threads, skip notice on 1; checked-in BENCH_kernels.json fork-join acceptance)"
+echo "==> the seed stays retired (its baselines and *_vs_seed keys were deleted, EXPERIMENTS.md has the frozen numbers)"
+if grep -rnE "gemm_naive_par|par_rows|SeedNet|_vs_seed" crates/ src/ BENCH_*.json; then
+  echo "error: a seed baseline is back (matches above)" >&2
+  exit 1
+fi
+
+echo "==> kernel tables (smoke: one iteration per row, no JSON; gemm_par_vs_serial on >= 2 threads, skip notice on 1; checked-in BENCH_kernels.json fork-join acceptance)"
 cargo run -q --release -p easgd-bench --bin kernels -- --smoke
 
-echo "==> comm perf harness (smoke + checked-in BENCH_comm.json acceptance)"
+echo "==> simulated exchange tables (smoke + checked-in BENCH_comm.json acceptance)"
 cargo run -q --release -p easgd-bench --bin comm -- --smoke
-
-echo "==> train perf harness (smoke + checked-in BENCH_train.json acceptance)"
-cargo run -q --release -p easgd-bench --bin train -- --smoke
 
 echo "==> cluster harness on the event backend (smoke: P<=512 + checked-in BENCH_cluster.json acceptance; full P=8192 sweep runs nightly in CI)"
 cargo run -q --release -p easgd-bench --bin cluster -- --smoke
 
-echo "==> serve harness (smoke: short sweep + zero-alloc/bitwise gates + checked-in BENCH_serve.json acceptance; full latency sweep runs nightly in CI)"
+echo "==> logical-time serve sweep (smoke: short sweep + checked-in BENCH_serve.json acceptance; full latency sweep runs nightly in CI)"
 cargo run -q --release -p easgd-bench --bin serve -- --smoke
 
-echo "==> bench artifact schema check (every checked-in BENCH_*.json)"
+echo "==> bench artifact check (every checked-in BENCH_*.json against easgd_bench::report's declarations)"
 cargo run -q --release -p easgd-bench --bin schema_check
 
 # benchmark/ is a package of its own (outside the workspace) that hosts
