@@ -28,7 +28,7 @@ use easgd::{partitioned_hogwild_easgd, partitioned_sync_easgd, TrainConfig};
 use easgd_bench::report::{self, bench_row, Report};
 use easgd_data::SyntheticSpec;
 use easgd_nn::models::lenet_tiny;
-use easgd_tensor::par::{self, PartitionedPool, WorkerPool};
+use easgd_tensor::par::{self, PartitionedPool};
 use easgd_tensor::{active_tier, gemm, gemm_fork_join, gemm_serial, Rng, Transpose};
 use std::time::Instant;
 
@@ -190,7 +190,7 @@ fn bench_gemm_par_vs_serial(entries: &mut Vec<Entry>, smoke: bool) -> Option<Par
                 (0..reps).for_each(|_| f(&mut c));
             };
             let serial = |c: &mut [f32]| gemm_serial(ta, tb, m, n, k, 1.0, &a, &b, 0.0, c);
-            let (s, o) = par::with_pool(&WorkerPool::new(PAR_TABLE_THREADS - 1), || {
+            let (s, o) = par::with_budget(PAR_TABLE_THREADS, || {
                 time_pair_ms(smoke, 1.5, || run(&serial), || run(f))
             });
             (s / reps as f64, o / reps as f64)

@@ -2,10 +2,9 @@
 //! wall-clock implementations — one entry point for sweeps and harnesses
 //! that iterate over the whole Figure 8/9 method family.
 //!
-//! Dispatch goes through the [`crate::engine::trainer`] registry, whose
-//! match over [`MethodId`] is exhaustive with no fallback arm: adding a
-//! lineage method without registering a trainer is a compile error, not a
-//! runtime surprise.
+//! [`run_method`]'s match over [`MethodId`] is exhaustive with no
+//! fallback arm: adding a lineage method without a trainer is a compile
+//! error, not a runtime surprise.
 
 use crate::config::TrainConfig;
 use crate::lineage::MethodId;
@@ -26,7 +25,17 @@ pub fn run_method(
     test: &Dataset,
     cfg: &TrainConfig,
 ) -> RunResult {
-    crate::engine::trainer(method).run(proto, train, test, cfg)
+    let run = match method {
+        MethodId::OriginalEasgd => crate::shared::original_easgd_turns,
+        MethodId::AsyncSgd => crate::shared::async_sgd,
+        MethodId::AsyncMsgd => crate::shared::async_msgd,
+        MethodId::HogwildSgd => crate::hogwild::hogwild_sgd,
+        MethodId::AsyncEasgd => crate::shared::async_easgd,
+        MethodId::AsyncMeasgd => crate::shared::async_measgd,
+        MethodId::HogwildEasgd => crate::hogwild::hogwild_easgd,
+        MethodId::SyncEasgd => crate::shared::sync_easgd_shared,
+    };
+    run(proto, train, test, cfg)
 }
 
 /// Runs a method and its Figure 6 counterpart under identical settings;
@@ -62,24 +71,9 @@ mod tests {
             let r = run_method(m, &net, &train, &test, &cfg);
             assert_eq!(r.method, m.name(), "dispatch mismatch for {m:?}");
             assert!(r.final_loss.is_finite(), "{m:?} diverged instantly");
-        }
-    }
-
-    #[test]
-    fn every_lineage_method_is_constructible_and_runnable() {
-        // Satellite guarantee: each Fig 9 lineage MethodId resolves to a
-        // registered trainer that reports the right id and completes a
-        // tiny task end-to-end, populating the engine's trace fields.
-        let task = SyntheticSpec::mnist_small().task(221);
-        let (train, test) = task.train_test(120, 48, 222);
-        let net = lenet_tiny(223);
-        let cfg = TrainConfig::figure6(3).with_eta(0.02).with_workers(2);
-        for m in MethodId::ALL {
-            let t = crate::engine::trainer(m);
-            assert_eq!(t.id(), m, "registry id mismatch for {m:?}");
-            let r = t.run(&net, &train, &test, &cfg);
-            assert_eq!(r.method, m.name());
-            assert_eq!(r.iterations, 3);
+            // Every trainer completes the task end-to-end and populates
+            // the engine's trace fields.
+            assert_eq!(r.iterations, 5);
             assert_ne!(r.center_hash, 0, "{m:?} left the center unfingerprinted");
             assert!(!r.loss_trace.is_empty(), "{m:?} produced no loss trace");
         }

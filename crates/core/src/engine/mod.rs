@@ -22,7 +22,7 @@
 //! ([`wall::run_exchange_loop`] or a `VirtualCluster` closure returning
 //! [`sim::RankOutcome`]s), write the exchange, and register it.
 //!
-//! The [`Trainer`] registry maps every [`MethodId`] of the Figure 9
+//! [`crate::run_method`] maps every [`crate::MethodId`] of the Figure 9
 //! lineage to its wall-clock implementation, exhaustively — there is no
 //! fallback arm, so adding a `MethodId` without a trainer is a compile
 //! error.
@@ -42,107 +42,3 @@ pub use shard::{
 pub use sim::{assemble_sim, RankOutcome};
 pub use trace::{center_fingerprint, evaluate_center, RunAssembler, TraceRecorder};
 pub use wall::{run_exchange_loop, run_worker_loop, WallRun};
-
-use crate::config::TrainConfig;
-use crate::lineage::MethodId;
-use crate::metrics::RunResult;
-use easgd_data::Dataset;
-use easgd_nn::Network;
-
-/// A runnable training method of the Figure 9 lineage.
-pub trait Trainer: Sync {
-    /// Which lineage method this trainer implements.
-    fn id(&self) -> MethodId;
-
-    /// Runs the method's wall-clock implementation.
-    fn run(&self, proto: &Network, train: &Dataset, test: &Dataset, cfg: &TrainConfig)
-        -> RunResult;
-}
-
-macro_rules! wall_trainer {
-    ($name:ident, $id:expr, $f:path) => {
-        struct $name;
-        impl Trainer for $name {
-            fn id(&self) -> MethodId {
-                $id
-            }
-            fn run(
-                &self,
-                proto: &Network,
-                train: &Dataset,
-                test: &Dataset,
-                cfg: &TrainConfig,
-            ) -> RunResult {
-                $f(proto, train, test, cfg)
-            }
-        }
-    };
-}
-
-wall_trainer!(
-    OriginalEasgdTrainer,
-    MethodId::OriginalEasgd,
-    crate::shared::original_easgd_turns
-);
-wall_trainer!(
-    AsyncSgdTrainer,
-    MethodId::AsyncSgd,
-    crate::shared::async_sgd
-);
-wall_trainer!(
-    AsyncMsgdTrainer,
-    MethodId::AsyncMsgd,
-    crate::shared::async_msgd
-);
-wall_trainer!(
-    HogwildSgdTrainer,
-    MethodId::HogwildSgd,
-    crate::hogwild::hogwild_sgd
-);
-wall_trainer!(
-    AsyncEasgdTrainer,
-    MethodId::AsyncEasgd,
-    crate::shared::async_easgd
-);
-wall_trainer!(
-    AsyncMeasgdTrainer,
-    MethodId::AsyncMeasgd,
-    crate::shared::async_measgd
-);
-wall_trainer!(
-    HogwildEasgdTrainer,
-    MethodId::HogwildEasgd,
-    crate::hogwild::hogwild_easgd
-);
-wall_trainer!(
-    SyncEasgdTrainer,
-    MethodId::SyncEasgd,
-    crate::shared::sync_easgd_shared
-);
-
-/// The exhaustive method registry: every [`MethodId`] resolves to its
-/// trainer; the match has no fallback arm by design.
-pub fn trainer(method: MethodId) -> &'static dyn Trainer {
-    match method {
-        MethodId::OriginalEasgd => &OriginalEasgdTrainer,
-        MethodId::AsyncSgd => &AsyncSgdTrainer,
-        MethodId::AsyncMsgd => &AsyncMsgdTrainer,
-        MethodId::HogwildSgd => &HogwildSgdTrainer,
-        MethodId::AsyncEasgd => &AsyncEasgdTrainer,
-        MethodId::AsyncMeasgd => &AsyncMeasgdTrainer,
-        MethodId::HogwildEasgd => &HogwildEasgdTrainer,
-        MethodId::SyncEasgd => &SyncEasgdTrainer,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn registry_ids_match_their_keys() {
-        for m in MethodId::ALL {
-            assert_eq!(trainer(m).id(), m, "registry mismatch for {m:?}");
-        }
-    }
-}

@@ -20,6 +20,8 @@
 use crate::config::TrainConfig;
 use crate::engine::local::LocalStep;
 use crate::engine::shard::WorkerShard;
+use crate::engine::trace::RunAssembler;
+use crate::metrics::RunResult;
 use easgd_data::Dataset;
 use easgd_nn::Network;
 use std::time::Instant;
@@ -32,6 +34,36 @@ pub struct WallRun {
     pub worker_losses: Vec<f32>,
     /// Worker 0's per-step loss trace (the canonical worker).
     pub loss_trace: Vec<f32>,
+}
+
+impl WallRun {
+    /// From each worker's `(last loss, loss trace)` in worker order.
+    pub(crate) fn from_workers(wall_seconds: f64, outs: Vec<(f32, Vec<f32>)>) -> Self {
+        let (worker_losses, traces): (Vec<f32>, Vec<Vec<f32>>) = outs.into_iter().unzip();
+        Self {
+            wall_seconds,
+            worker_losses,
+            loss_trace: traces.into_iter().next().unwrap_or_default(),
+        }
+    }
+
+    /// Assembles the run's [`RunResult`] under the name `method`:
+    /// evaluates and fingerprints `center`, final loss = mean of the
+    /// workers' last losses.
+    pub fn finish(
+        self,
+        method: &str,
+        proto: &Network,
+        test: &Dataset,
+        iterations: usize,
+        center: &[f32],
+    ) -> RunResult {
+        RunAssembler::new(method, proto, test, iterations)
+            .wall(self.wall_seconds)
+            .worker_losses(self.worker_losses)
+            .loss_trace(self.loss_trace)
+            .finish(center)
+    }
 }
 
 /// Runs `body` once per worker on its own thread, with a private
@@ -75,20 +107,7 @@ where
             })
             .collect()
     });
-    let wall_seconds = start.elapsed().as_secs_f64();
-    let mut worker_losses = Vec::with_capacity(outs.len());
-    let mut loss_trace = Vec::new();
-    for (w, (last_loss, trace)) in outs.into_iter().enumerate() {
-        worker_losses.push(last_loss);
-        if w == 0 {
-            loss_trace = trace;
-        }
-    }
-    WallRun {
-        wall_seconds,
-        worker_losses,
-        loss_trace,
-    }
+    WallRun::from_workers(start.elapsed().as_secs_f64(), outs)
 }
 
 /// The canonical per-step loop: for each of `cfg.iterations` steps,

@@ -15,7 +15,7 @@
 //! the lock-free exchange against the [`AtomicBuffer`].
 
 use crate::config::TrainConfig;
-use crate::engine::{run_exchange_loop, run_worker_loop, ElasticRule, RunAssembler, SALT_HOGWILD};
+use crate::engine::{run_exchange_loop, run_worker_loop, ElasticRule, LocalStep, SALT_HOGWILD};
 use crate::metrics::RunResult;
 use easgd_data::Dataset;
 use easgd_nn::Network;
@@ -43,11 +43,7 @@ pub fn hogwild_sgd(
         }
     });
     let final_w = shared.snapshot();
-    RunAssembler::new("Hogwild SGD", proto, test, cfg.iterations)
-        .wall(run.wall_seconds)
-        .worker_losses(run.worker_losses)
-        .loss_trace(run.loss_trace)
-        .finish(&final_w)
+    run.finish("Hogwild SGD", proto, test, cfg.iterations, &final_w)
 }
 
 /// Hogwild EASGD (ours, §5.1): each worker keeps a private local weight
@@ -65,23 +61,32 @@ pub fn hogwild_easgd(
     let rule = ElasticRule::from_config(cfg);
     let shared = AtomicBuffer::from_slice(proto.params().as_slice());
     let run = run_exchange_loop(proto, train, cfg, SALT_HOGWILD, |_, step, local| {
-        // Communication period τ: local SGD steps between lock-free
-        // exchanges.
-        if (step + 1) % cfg.comm_period != 0 {
-            local.sgd_step(cfg.eta);
-            return;
-        }
-        // Lock-free center pull (Eq 2), snapshot, local elastic (Eq 1).
-        shared.elastic_center_update(cfg.eta, cfg.rho, local.params());
-        shared.snapshot_into(local.snapshot_mut());
-        local.elastic_step(&rule);
+        hogwild_easgd_exchange(cfg, &rule, &shared, step, local)
     });
     let final_w = shared.snapshot();
-    RunAssembler::new("Hogwild EASGD", proto, test, cfg.iterations)
-        .wall(run.wall_seconds)
-        .worker_losses(run.worker_losses)
-        .loss_trace(run.loss_trace)
-        .finish(&final_w)
+    run.finish("Hogwild EASGD", proto, test, cfg.iterations, &final_w)
+}
+
+/// What one Hogwild-EASGD worker does with the gradient of `step`: a
+/// local SGD step inside the communication period τ, otherwise the
+/// lock-free center pull (Eq 2), a snapshot, and the local elastic step
+/// (Eq 1) against it. Shared with
+/// [`crate::partitioned_hogwild_easgd`], whose workers are whole chip
+/// partitions.
+pub(crate) fn hogwild_easgd_exchange(
+    cfg: &TrainConfig,
+    rule: &ElasticRule,
+    shared: &AtomicBuffer,
+    step: usize,
+    local: &mut LocalStep,
+) {
+    if !(step + 1).is_multiple_of(cfg.comm_period) {
+        local.sgd_step(cfg.eta);
+        return;
+    }
+    shared.elastic_center_update(cfg.eta, cfg.rho, local.params());
+    shared.snapshot_into(local.snapshot_mut());
+    local.elastic_step(rule);
 }
 
 #[cfg(test)]

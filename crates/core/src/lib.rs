@@ -59,7 +59,7 @@ pub use async_sim::{async_server_sim, AsyncVariant};
 pub use config::TrainConfig;
 pub use convex::QuadraticProblem;
 pub use dispatch::{run_comparison, run_method};
-pub use engine::{trainer, ElasticRule, LocalStep, Trainer, WorkerShard};
+pub use engine::{ElasticRule, LocalStep, WorkerShard};
 pub use hierarchical::{hierarchical_sync_easgd, GpuClusterTopology};
 pub use hogwild::{hogwild_easgd, hogwild_sgd};
 pub use knl_partition::{knl_partition_run, KnlPartitionOutcome};

@@ -8,7 +8,7 @@
 //! splitting a 68-core KNL chip into groups that each hold a data shard
 //! and a weight replica in their own MCDRAM slice. Each group drives a
 //! full local optimizer (its GEMMs and elastic updates fan out over the
-//! group's *own* threads only, via the per-thread pool override in
+//! group's *own* threads only, via the per-thread budget in
 //! `easgd_tensor::par`), and groups meet exactly where the paper's
 //! partitions meet: at the parameter combine.
 //!
@@ -38,8 +38,9 @@
 
 use crate::config::TrainConfig;
 use crate::engine::{
-    additive_rng, ElasticRule, LocalStep, RunAssembler, TraceRecorder, WorkerShard, SALT_HOGWILD,
+    additive_rng, ElasticRule, LocalStep, TraceRecorder, WallRun, WorkerShard, SALT_HOGWILD,
 };
+use crate::hogwild::hogwild_easgd_exchange;
 use crate::metrics::RunResult;
 use easgd_data::{Batch, Dataset};
 use easgd_nn::Network;
@@ -194,13 +195,14 @@ pub fn partitioned_sync_easgd(
             worker_losses.push(out.last_loss);
         }
     }
-    let final_center = lock(&center);
-    RunAssembler::new("Partitioned Sync EASGD", proto, test, cfg.iterations)
-        .wall(wall_start.elapsed().as_secs_f64())
-        .trace(trace)
-        .loss_trace(loss_trace)
-        .worker_losses(worker_losses)
-        .finish(&final_center)
+    let run = WallRun {
+        wall_seconds: wall_start.elapsed().as_secs_f64(),
+        worker_losses,
+        loss_trace,
+    };
+    let method = "Partitioned Sync EASGD";
+    let result = run.finish(method, proto, test, cfg.iterations, &lock(&center));
+    RunResult { trace, ..result }
 }
 
 /// Lock-free EASGD across chip partitions: each group is one
@@ -210,7 +212,7 @@ pub fn partitioned_sync_easgd(
 /// Equation (2) update — no barriers, no combine tree, the §6.2 layout
 /// under the paper's most asynchronous rule.
 ///
-/// The exchange body is exactly [`crate::hogwild_easgd`]'s (same
+/// The exchange is [`crate::hogwild_easgd`]'s own (one function, same
 /// `comm_period` gating, same fused kernels); what changes is the
 /// execution substrate: each worker's compute fans out over its
 /// partition's threads.
@@ -248,33 +250,14 @@ pub fn partitioned_hogwild_easgd(
         for step in 0..cfg.iterations {
             let batch = shard.next_batch(cfg.batch);
             local.forward_backward(&batch);
-            // Communication period τ: local SGD steps between lock-free
-            // exchanges — byte-for-byte the Hogwild-EASGD exchange body.
-            if (step + 1) % cfg.comm_period != 0 {
-                local.sgd_step(cfg.eta);
-                continue;
-            }
-            shared.elastic_center_update(cfg.eta, cfg.rho, local.params());
-            shared.snapshot_into(local.snapshot_mut());
-            local.elastic_step(&rule);
+            hogwild_easgd_exchange(cfg, &rule, &shared, step, &mut local);
         }
         (local.last_loss(), local.take_loss_trace())
     });
 
-    let mut worker_losses = Vec::with_capacity(outs.len());
-    let mut loss_trace = Vec::new();
-    for (me, (last_loss, trace)) in outs.into_iter().enumerate() {
-        worker_losses.push(last_loss);
-        if me == 0 {
-            loss_trace = trace;
-        }
-    }
-    let final_w = shared.snapshot();
-    RunAssembler::new("Partitioned Hogwild EASGD", proto, test, cfg.iterations)
-        .wall(wall_start.elapsed().as_secs_f64())
-        .worker_losses(worker_losses)
-        .loss_trace(loss_trace)
-        .finish(&final_w)
+    let run = WallRun::from_workers(wall_start.elapsed().as_secs_f64(), outs);
+    let method = "Partitioned Hogwild EASGD";
+    run.finish(method, proto, test, cfg.iterations, &shared.snapshot())
 }
 
 #[cfg(test)]

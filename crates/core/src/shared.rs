@@ -18,7 +18,7 @@
 //! discipline — the lock, turn, or barrier protocol around the center.
 
 use crate::config::TrainConfig;
-use crate::engine::{run_exchange_loop, run_worker_loop, ElasticRule, RunAssembler, SALT_PHI};
+use crate::engine::{run_exchange_loop, run_worker_loop, ElasticRule, SALT_PHI};
 use crate::metrics::RunResult;
 use easgd_data::Dataset;
 use easgd_nn::Network;
@@ -45,11 +45,7 @@ pub fn async_sgd(proto: &Network, train: &Dataset, test: &Dataset, cfg: &TrainCo
         local.set_params(&c.w);
     });
     let center_w = center.into_inner().unwrap().w;
-    RunAssembler::new("Async SGD", proto, test, cfg.iterations)
-        .wall(run.wall_seconds)
-        .worker_losses(run.worker_losses)
-        .loss_trace(run.loss_trace)
-        .finish(&center_w)
+    run.finish("Async SGD", proto, test, cfg.iterations, &center_w)
 }
 
 /// Async MSGD: Async SGD with the momentum update of Equations (3)–(4)
@@ -71,11 +67,7 @@ pub fn async_msgd(
         local.set_params(w);
     });
     let center_w = center.into_inner().unwrap().w;
-    RunAssembler::new("Async MSGD", proto, test, cfg.iterations)
-        .wall(run.wall_seconds)
-        .worker_losses(run.worker_losses)
-        .loss_trace(run.loss_trace)
-        .finish(&center_w)
+    run.finish("Async MSGD", proto, test, cfg.iterations, &center_w)
 }
 
 /// Async EASGD (ours, §5.1): FCFS exchange of *weights*. Under the lock
@@ -104,11 +96,7 @@ pub fn async_easgd(
         local.elastic_step(&rule);
     });
     let center_w = center.into_inner().unwrap();
-    RunAssembler::new("Async EASGD", proto, test, cfg.iterations)
-        .wall(run.wall_seconds)
-        .worker_losses(run.worker_losses)
-        .loss_trace(run.loss_trace)
-        .finish(&center_w)
+    run.finish("Async EASGD", proto, test, cfg.iterations, &center_w)
 }
 
 /// Async MEASGD (ours, §5.1): Async EASGD with the worker update replaced
@@ -135,11 +123,7 @@ pub fn async_measgd(
         local.elastic_momentum_step(&rule);
     });
     let center_w = center.into_inner().unwrap();
-    RunAssembler::new("Async MEASGD", proto, test, cfg.iterations)
-        .wall(run.wall_seconds)
-        .worker_losses(run.worker_losses)
-        .loss_trace(run.loss_trace)
-        .finish(&center_w)
+    run.finish("Async MEASGD", proto, test, cfg.iterations, &center_w)
 }
 
 /// Original EASGD (§3.3, Algorithm 1): identical elastic exchange to
@@ -178,11 +162,7 @@ pub fn original_easgd_turns(
         local.elastic_step(&rule);
     });
     let center_w = center.into_inner().unwrap();
-    RunAssembler::new("Original EASGD", proto, test, cfg.iterations)
-        .wall(run.wall_seconds)
-        .worker_losses(run.worker_losses)
-        .loss_trace(run.loss_trace)
-        .finish(&center_w)
+    run.finish("Original EASGD", proto, test, cfg.iterations, &center_w)
 }
 
 /// Sync EASGD (ours, §5.1), shared-memory realization: bulk-synchronous
@@ -235,11 +215,7 @@ pub fn sync_easgd_shared(
         }
     });
     let center_w = center.into_inner().unwrap();
-    RunAssembler::new("Sync EASGD", proto, test, cfg.iterations)
-        .wall(run.wall_seconds)
-        .worker_losses(run.worker_losses)
-        .loss_trace(run.loss_trace)
-        .finish(&center_w)
+    run.finish("Sync EASGD", proto, test, cfg.iterations, &center_w)
 }
 
 #[cfg(test)]

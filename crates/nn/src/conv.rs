@@ -433,7 +433,7 @@ mod tests {
     /// Runs `f` under a budget of `threads` with the flop gate lifted.
     fn ungated<R>(threads: usize, f: impl FnOnce() -> R) -> R {
         UNGATED.with(|u| u.set(true));
-        let out = par::with_pool(&par::WorkerPool::new(threads - 1), f);
+        let out = par::with_budget(threads, f);
         UNGATED.with(|u| u.set(false));
         out
     }
@@ -566,22 +566,19 @@ mod tests {
         };
         let b = 8;
         let mut l = Conv2d::new("c", geom, 64);
-        assert_eq!(
-            par::with_pool(&par::WorkerPool::new(1), || l.batch_threads(b)),
-            2
-        );
+        assert_eq!(par::with_budget(2, || l.batch_threads(b)), 2);
         let (params, mut grads) = build_arenas(&mut l, 3);
         let mut x = Tensor::zeros([b, 8, 32, 32]);
         easgd_tensor::Rng::new(21).fill_normal(x.as_mut_slice(), 0.0, 1.0);
-        for (workers, forks) in [(0usize, 0u64), (1, 3)] {
+        for (threads, forks) in [(1usize, 0u64), (2, 3)] {
             let before = par::threads_spawned();
-            par::with_pool(&par::WorkerPool::new(workers), || {
+            par::with_budget(threads, || {
                 let y = l.forward(&params, &x, true);
                 l.backward(&params, &mut grads, &y);
             });
             // One fork forward, two backward (grad_in, gradW), each
-            // spawning one thread per worker beyond the caller.
-            assert_eq!(par::threads_spawned() - before, forks, "workers={workers}");
+            // spawning one thread per budgeted thread beyond the caller.
+            assert_eq!(par::threads_spawned() - before, forks, "threads={threads}");
         }
     }
 

@@ -173,6 +173,7 @@ pub fn build_arenas(layer: &mut dyn Layer, seed: u64) -> (ParamArena, ParamArena
 mod tests {
     use super::*;
     use crate::dense::Dense;
+    use easgd_tensor::TrainScratch;
 
     #[test]
     fn build_arenas_allocates_declared_segments() {
@@ -199,17 +200,26 @@ mod tests {
             fn out_shape(&self) -> Vec<usize> {
                 vec![4]
             }
-            fn forward(&mut self, _p: &ParamArena, input: &Tensor, _t: bool) -> Tensor {
+            fn forward_into(
+                &mut self,
+                _p: &ParamArena,
+                input: &Tensor,
+                _t: bool,
+                out: &mut Tensor,
+                _s: &mut TrainScratch,
+            ) {
                 let data = input.as_slice().iter().map(|x| x * x).collect();
-                Tensor::from_vec(input.shape().clone(), data)
+                *out = Tensor::from_vec(input.shape().clone(), data);
             }
-            fn backward(
+            fn backward_into(
                 &mut self,
                 _p: &ParamArena,
                 _g: &mut ParamArena,
                 grad_out: &Tensor,
-            ) -> Tensor {
-                grad_out.clone()
+                grad_in: &mut Tensor,
+                _s: &mut TrainScratch,
+            ) {
+                *grad_in = grad_out.clone();
             }
             fn boxed_clone(&self) -> Box<dyn Layer> {
                 Box::new(self.clone())

@@ -66,12 +66,10 @@ pub struct ParamSpec {
 /// * [`backward_into`](Layer::backward_into) consumes `∂L/∂output`,
 ///   **accumulates** `∂L/∂params` into `grads` (callers zero the arena
 ///   per step), and writes `∂L/∂input` into `grad_in`.
-/// * [`forward`](Layer::forward) / [`backward`](Layer::backward) are the
-///   original allocating forms, now provided as shims over the `_into`
-///   kernels (mirroring the PR 4 `_into` collectives). The defaults are
-///   mutually defined — a layer must implement at least one form of each
-///   pair; all in-tree layers implement the `_into` kernels so the
-///   golden digests lock the pooled path.
+/// * [`forward`](Layer::forward) / [`backward`](Layer::backward) are
+///   allocating shims over the `_into` kernels, provided for the
+///   grad-checker and layer unit tests. A layer implements only the
+///   `_into` kernels, so the golden digests lock the pooled path.
 pub trait Layer: Send + Sync {
     /// Display name for diagnostics and segment naming.
     fn name(&self) -> String;
@@ -121,11 +119,6 @@ pub trait Layer: Send + Sync {
 
     /// Forward propagation writing into a caller-owned output tensor,
     /// sizing it and every internal cache through the counted `scratch`.
-    ///
-    /// Default: delegates to the allocating [`forward`](Layer::forward)
-    /// (for layers outside this crate that predate the pooled path) and
-    /// records the detour on the scratch counters so the zero-allocation
-    /// invariant still observes it.
     fn forward_into(
         &mut self,
         params: &ParamArena,
@@ -133,10 +126,7 @@ pub trait Layer: Send + Sync {
         train: bool,
         out: &mut Tensor,
         scratch: &mut TrainScratch,
-    ) {
-        *out = self.forward(params, input, train);
-        scratch.note_external_alloc();
-    }
+    );
 
     /// Backward propagation writing `∂L/∂input` into a caller-owned
     /// tensor; see [`forward_into`](Layer::forward_into).
@@ -147,10 +137,7 @@ pub trait Layer: Send + Sync {
         grad_out: &Tensor,
         grad_in: &mut Tensor,
         scratch: &mut TrainScratch,
-    ) {
-        *grad_in = self.backward(params, grads, grad_out);
-        scratch.note_external_alloc();
-    }
+    );
 
     /// Clones the layer (including its configuration, excluding transient
     /// caches is permitted) into a box. Needed because every worker in a

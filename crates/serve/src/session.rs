@@ -4,7 +4,7 @@
 use crate::batcher::{add_stats, Batch};
 use crate::engine::Backend;
 use easgd_nn::Network;
-use easgd_tensor::par::{with_pool, PartitionedPool};
+use easgd_tensor::par::{with_budget, PartitionedPool};
 use easgd_tensor::{InferScratch, ScratchStats, Tensor};
 
 /// One serving replica: a [`Network`] with its gradient arena stripped
@@ -98,11 +98,11 @@ impl ReplicaSet {
 }
 
 impl Backend for ReplicaSet {
-    /// Runs the batch on `shard`'s replica, inside that shard's pool
-    /// group so concurrent shards keep disjoint worker threads.
+    /// Runs the batch on `shard`'s replica under one group's thread
+    /// budget, so concurrent shards never borrow each other's threads.
     fn run_batch(&mut self, shard: usize, batch: &Batch, pixels: &[f32]) {
         let Self { sessions, part } = self;
-        with_pool(part.group(shard), || {
+        with_budget(part.group_threads(), || {
             let _ = sessions[shard].infer(batch.len(), pixels);
         });
     }
@@ -163,14 +163,13 @@ mod tests {
     fn replica_set_shards_agree_on_equal_seeds() {
         let mut set = ReplicaSet::new(vec![tiny_net(11), tiny_net(11)]);
         let pixels: Vec<f32> = (0..36).map(|i| (i as f32).cos()).collect();
-        let a: Vec<f32> = {
-            let ReplicaSet { sessions, part } = &mut set;
-            with_pool(part.group(0), || sessions[0].infer(1, &pixels).to_vec())
+        let ReplicaSet { sessions, part } = &mut set;
+        let mut serve = |shard: usize| {
+            with_budget(part.group_threads(), || {
+                sessions[shard].infer(1, &pixels).to_vec()
+            })
         };
-        let b: Vec<f32> = {
-            let ReplicaSet { sessions, part } = &mut set;
-            with_pool(part.group(1), || sessions[1].infer(1, &pixels).to_vec())
-        };
+        let (a, b) = (serve(0), serve(1));
         assert_eq!(a, b, "equal-seed replicas must serve identical logits");
     }
 }

@@ -305,13 +305,6 @@ impl TrainScratch {
         }
     }
 
-    /// Records one allocation made *outside* the counted entry points (a
-    /// legacy layer routed through the allocating shim) so the
-    /// zero-allocation regression test still sees it.
-    pub fn note_external_alloc(&mut self) {
-        self.stats.fresh += 1;
-    }
-
     /// Sizes `buf` to exactly `len` elements, counting the request.
     /// Contents are unspecified (kept capacity is dirty); callers fully
     /// overwrite. Zero-length requests never touch the allocator or the

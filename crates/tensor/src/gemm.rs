@@ -1612,7 +1612,7 @@ mod tests {
 
     #[test]
     fn budgeted_dispatch_is_bit_identical_to_serial() {
-        // A partition-group GEMM (dispatch under `par::with_pool`) must
+        // A partition-group GEMM (dispatch under `par::with_budget`) must
         // produce exactly the serial result: with a multi-thread budget
         // via the banded fork-join, and with a single-thread group via
         // serial fall-through, which must not spawn at all — a partition
@@ -1635,11 +1635,10 @@ mod tests {
             0.5,
             &mut reference,
         );
-        for workers in [0usize, 3] {
-            let group = par::WorkerPool::new(workers);
+        for threads in [1usize, 4] {
             let mut c = vec![0.25; m * n];
             let before = par::threads_spawned();
-            par::with_pool(&group, || {
+            par::with_budget(threads, || {
                 gemm(
                     Transpose::No,
                     Transpose::No,
@@ -1653,10 +1652,10 @@ mod tests {
                     &mut c,
                 );
             });
-            assert_eq!(bits(&reference), bits(&c), "workers={workers}");
+            assert_eq!(bits(&reference), bits(&c), "threads={threads}");
             assert_eq!(
                 par::threads_spawned() - before,
-                workers as u64,
+                threads as u64 - 1,
                 "one band per budgeted thread, the caller running the first"
             );
         }

@@ -5,13 +5,14 @@
 //! on raw slices so they can be applied to whole packed parameter arenas
 //! (§5.2) as easily as to individual layer buffers.
 //!
-//! Arena-sized inputs (≥ [`PAR_ELEMS`] elements — VGG-class models, not
-//! LeNet) fan out over scoped threads via the [`crate::par`] band-split
-//! helpers; everything smaller takes the serial fast path, where the
-//! spawn cost would dwarf a single memory pass. The split is by
-//! contiguous element bands, so every element is written by exactly one
-//! thread with the same arithmetic as the serial loop — results are
-//! bit-identical at any thread count.
+//! Every mutating kernel is one unconditional [`par::fan_out`] over its
+//! operands cut into [`par::band_len`]-element chunks. Below
+//! [`par::PAR_ELEMS`] (LeNet-class arenas) or under a one-thread budget
+//! that is a single chunk, run inline on the calling thread; an
+//! arena-sized input (VGG-class models) is one contiguous band per
+//! thread of the budget, the caller working the first. Every element is
+//! written by exactly one thread with the same arithmetic as the serial
+//! loop — results are bit-identical at any thread count.
 //!
 //! The per-band bodies of the elastic updates (Equations 1, 2, 5/6, axpy
 //! and the Σ-form dilution) are the explicit-SIMD kernels of
@@ -20,26 +21,19 @@
 //! definitions — so the golden training digests pinned by the core crate
 //! are tier-independent. Note [`crate::with_scalar_kernels`] is
 //! per-thread: it pins the calling thread's dispatch, which covers every
-//! serial-path call; the parallel band path is separately pinned
-//! bit-identical to the serial loop by the band-split contract above.
+//! inline call and the caller's own band; the other bands are pinned
+//! bit-identical to it by the band-split contract above.
+//!
+//! These kernels are memory-bound, so their element rates follow their
+//! stream counts: [`axpy`] moves three streams per element (reads x and
+//! y, writes y), Equations (5)–(6) move six (read W, V, ΔW, W̄; write W,
+//! V). On the VGG arena the benchmark measures 5 454 Melem/s for `axpy`
+//! and 2 805 for [`elastic_momentum_update`] — 16.4 against 16.8
+//! Gstream-elements/s, the same memory bandwidth, so the 2× ratio is the
+//! kernel's definition and there is nothing left in it to fuse away.
 
 use crate::par;
 use crate::simd;
-
-/// Element count at and above which the mutating BLAS-1 kernels fan out
-/// over scoped threads. 1 Mi floats = 4 MiB per operand: below this a
-/// single core's memory pass (~100 µs) is cheaper than thread spawns;
-/// above it the kernel is DRAM-bound and splits near-linearly. The §5.2
-/// packed arena of a VGG-class model (≈14.7 M params) qualifies; a
-/// LeNet-class arena (≈431 k) stays serial.
-pub const PAR_ELEMS: usize = 1 << 20;
-
-/// True when `n` is large enough to split and more than one thread is
-/// available.
-#[inline]
-fn should_par(n: usize) -> bool {
-    n >= PAR_ELEMS && par::current_threads() > 1
-}
 
 /// With `strict-invariants`, debug-asserts every element of `xs` is
 /// finite — a NaN/Inf escaping an update kernel poisons all further
@@ -62,26 +56,19 @@ pub(crate) fn debug_check_finite(_what: &str, _xs: &[f32]) {}
 /// Panics if the slices have different lengths.
 pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
     assert_eq!(x.len(), y.len(), "axpy length mismatch");
-    if should_par(y.len()) {
-        par::par_zip_mut(y, x, |yc, xc| simd::axpy_band(alpha, yc, xc));
-        return;
-    }
-    simd::axpy_band(alpha, y, x);
+    let c = par::band_len(y.len());
+    par::fan_out(y.chunks_mut(c).zip(x.chunks(c)), |(yc, xc)| {
+        simd::axpy_band(alpha, yc, xc)
+    });
 }
 
 /// `x *= alpha` (BLAS `scal`).
 pub fn scale(alpha: f32, x: &mut [f32]) {
-    if should_par(x.len()) {
-        par::par_chunks_mut(x, |_, chunk| scale_band(alpha, chunk));
-        return;
-    }
-    scale_band(alpha, x);
-}
-
-fn scale_band(alpha: f32, x: &mut [f32]) {
-    for xi in x.iter_mut() {
-        *xi *= alpha;
-    }
+    par::fan_out(x.chunks_mut(par::band_len(x.len())), |xc| {
+        for xi in xc {
+            *xi *= alpha;
+        }
+    });
 }
 
 /// Dot product of two equally long slices.
@@ -118,17 +105,15 @@ pub fn dot(x: &[f32], y: &[f32]) -> f32 {
 pub fn sub(a: &[f32], b: &[f32], out: &mut [f32]) {
     assert_eq!(a.len(), b.len(), "sub length mismatch");
     assert_eq!(a.len(), out.len(), "sub output length mismatch");
-    if should_par(out.len()) {
-        par::par_zip2_mut(out, a, b, sub_band);
-        return;
-    }
-    sub_band(out, a, b);
-}
-
-fn sub_band(out: &mut [f32], a: &[f32], b: &[f32]) {
-    for ((o, ai), bi) in out.iter_mut().zip(a).zip(b) {
-        *o = ai - bi;
-    }
+    let c = par::band_len(out.len());
+    par::fan_out(
+        out.chunks_mut(c).zip(a.chunks(c)).zip(b.chunks(c)),
+        |((oc, ac), bc)| {
+            for ((o, ai), bi) in oc.iter_mut().zip(ac).zip(bc) {
+                *o = ai - bi;
+            }
+        },
+    );
 }
 
 /// Element-wise `a += b`.
@@ -137,16 +122,12 @@ fn sub_band(out: &mut [f32], a: &[f32], b: &[f32]) {
 /// Panics if lengths differ.
 pub fn add_assign(a: &mut [f32], b: &[f32]) {
     assert_eq!(a.len(), b.len(), "add_assign length mismatch");
-    let band = |ac: &mut [f32], bc: &[f32]| {
-        for (ai, bi) in ac.iter_mut().zip(bc.iter()) {
+    let c = par::band_len(a.len());
+    par::fan_out(a.chunks_mut(c).zip(b.chunks(c)), |(ac, bc)| {
+        for (ai, bi) in ac.iter_mut().zip(bc) {
             *ai += bi;
         }
-    };
-    if should_par(a.len()) {
-        par::par_zip_mut(a, b, band);
-    } else {
-        band(a, b);
-    }
+    });
 }
 
 /// Copies `src` into `dst`.
@@ -193,12 +174,14 @@ pub fn argmax(x: &[f32]) -> Option<usize> {
 pub fn elastic_worker_update(eta: f32, rho: f32, local: &mut [f32], grad: &[f32], center: &[f32]) {
     assert_eq!(local.len(), grad.len(), "elastic update length mismatch");
     assert_eq!(local.len(), center.len(), "elastic update length mismatch");
-    let band = |lc: &mut [f32], gc: &[f32], cc: &[f32]| simd::eq1_band(eta, rho, lc, gc, cc);
-    if should_par(local.len()) {
-        par::par_zip2_mut(local, grad, center, band);
-    } else {
-        band(local, grad, center);
-    }
+    let c = par::band_len(local.len());
+    par::fan_out(
+        local
+            .chunks_mut(c)
+            .zip(grad.chunks(c))
+            .zip(center.chunks(c)),
+        |((lc, gc), cc)| simd::eq1_band(eta, rho, lc, gc, cc),
+    );
     debug_check_finite("elastic_worker_update", local);
 }
 
@@ -211,13 +194,11 @@ pub fn elastic_worker_update(eta: f32, rho: f32, local: &mut [f32], grad: &[f32]
 /// Panics if lengths differ.
 pub fn elastic_center_update(eta: f32, rho: f32, center: &mut [f32], local: &[f32]) {
     assert_eq!(center.len(), local.len(), "center update length mismatch");
-    let c = eta * rho;
-    let band = |cc: &mut [f32], lc: &[f32]| simd::eq2_band(c, cc, lc);
-    if should_par(center.len()) {
-        par::par_zip_mut(center, local, band);
-    } else {
-        band(center, local);
-    }
+    let er = eta * rho;
+    let c = par::band_len(center.len());
+    par::fan_out(center.chunks_mut(c).zip(local.chunks(c)), |(cc, lc)| {
+        simd::eq2_band(er, cc, lc)
+    });
     debug_check_finite("elastic_center_update", center);
 }
 
@@ -233,17 +214,19 @@ pub fn momentum_update(eta: f32, mu: f32, weight: &mut [f32], velocity: &mut [f3
         velocity.len(),
         "momentum update length mismatch"
     );
-    let band = |wc: &mut [f32], vc: &mut [f32], gc: &[f32]| {
-        for ((wi, vi), gi) in wc.iter_mut().zip(vc.iter_mut()).zip(gc) {
-            *vi = mu * *vi - eta * gi;
-            *wi += *vi;
-        }
-    };
-    if should_par(weight.len()) {
-        par::par_zip21_mut(weight, velocity, grad, band);
-    } else {
-        band(weight, velocity, grad);
-    }
+    let c = par::band_len(weight.len());
+    par::fan_out(
+        weight
+            .chunks_mut(c)
+            .zip(velocity.chunks_mut(c))
+            .zip(grad.chunks(c)),
+        |((wc, vc), gc)| {
+            for ((wi, vi), gi) in wc.iter_mut().zip(vc).zip(gc) {
+                *vi = mu * *vi - eta * gi;
+                *wi += *vi;
+            }
+        },
+    );
     debug_check_finite("momentum_update", weight);
 }
 
@@ -267,14 +250,15 @@ pub fn elastic_momentum_update(
     // `η·ρ` premultiplied: `eta * rho * x` associates as `(eta·rho)·x`,
     // so hoisting the product is bit-invisible.
     let er = eta * rho;
-    let band = |lc: &mut [f32], vc: &mut [f32], gc: &[f32], cc: &[f32]| {
-        simd::eq56_band(eta, mu, er, lc, vc, gc, cc)
-    };
-    if should_par(local.len()) {
-        par::par_zip22_mut(local, velocity, grad, center, band);
-    } else {
-        band(local, velocity, grad, center);
-    }
+    let c = par::band_len(local.len());
+    par::fan_out(
+        local
+            .chunks_mut(c)
+            .zip(velocity.chunks_mut(c))
+            .zip(grad.chunks(c))
+            .zip(center.chunks(c)),
+        |(((lc, vc), gc), cc)| simd::eq56_band(eta, mu, er, lc, vc, gc, cc),
+    );
     debug_check_finite("elastic_momentum_update", local);
 }
 
@@ -316,28 +300,31 @@ pub fn elastic_exchange(
         center.len(),
         "elastic exchange length mismatch"
     );
-    let band = |lc: &mut [f32], oc: &mut [f32], gc: &[f32], cc: &[f32]| {
-        // Capture-then-update per block: each element's captured value and
-        // update read the identical pre-update weight, so the blocking is
-        // invisible to the FP result. The update is exactly Equation (1),
-        // so it shares the Eq. 1 SIMD band kernel.
-        for start in (0..lc.len()).step_by(EXCHANGE_BLOCK) {
-            let end = (start + EXCHANGE_BLOCK).min(lc.len());
-            oc[start..end].copy_from_slice(&lc[start..end]);
-            simd::eq1_band(
-                eta,
-                rho,
-                &mut lc[start..end],
-                &gc[start..end],
-                &cc[start..end],
-            );
-        }
-    };
-    if should_par(local.len()) {
-        par::par_zip22_mut(local, contribution, grad, center, band);
-    } else {
-        band(local, contribution, grad, center);
-    }
+    let c = par::band_len(local.len());
+    par::fan_out(
+        local
+            .chunks_mut(c)
+            .zip(contribution.chunks_mut(c))
+            .zip(grad.chunks(c))
+            .zip(center.chunks(c)),
+        |(((lc, oc), gc), cc)| {
+            // Capture-then-update per block: each element's captured value
+            // and update read the identical pre-update weight, so the
+            // blocking is invisible to the FP result. The update is exactly
+            // Equation (1), so it shares the Eq. 1 SIMD band kernel.
+            for start in (0..lc.len()).step_by(EXCHANGE_BLOCK) {
+                let end = (start + EXCHANGE_BLOCK).min(lc.len());
+                oc[start..end].copy_from_slice(&lc[start..end]);
+                simd::eq1_band(
+                    eta,
+                    rho,
+                    &mut lc[start..end],
+                    &gc[start..end],
+                    &cc[start..end],
+                );
+            }
+        },
+    );
     debug_check_finite("elastic_exchange", local);
 }
 
@@ -357,12 +344,11 @@ pub fn center_dilution(eta: f32, rho: f32, center: &mut [f32], weight_sum: &[f32
     assert_eq!(center.len(), weight_sum.len(), "dilution length mismatch");
     let scale = eta * rho;
     let p = workers as f32;
-    let band = |cc: &mut [f32], sc: &[f32]| simd::dilution_band(scale, p, cc, sc);
-    if should_par(center.len()) {
-        par::par_zip_mut(center, weight_sum, band);
-    } else {
-        band(center, weight_sum);
-    }
+    let c = par::band_len(center.len());
+    par::fan_out(
+        center.chunks_mut(c).zip(weight_sum.chunks(c)),
+        |(cc, sc)| simd::dilution_band(scale, p, cc, sc),
+    );
     debug_check_finite("center_dilution", center);
 }
 
@@ -386,13 +372,14 @@ pub fn center_dilution_from(
     assert_eq!(center_t.len(), center_out.len(), "dilution length mismatch");
     let scale = eta * rho;
     let p = workers as f32;
-    let band =
-        |oc: &mut [f32], tc: &[f32], sc: &[f32]| simd::dilution_from_band(scale, p, oc, tc, sc);
-    if should_par(center_out.len()) {
-        par::par_zip2_mut(center_out, center_t, weight_sum, band);
-    } else {
-        band(center_out, center_t, weight_sum);
-    }
+    let c = par::band_len(center_out.len());
+    par::fan_out(
+        center_out
+            .chunks_mut(c)
+            .zip(center_t.chunks(c))
+            .zip(weight_sum.chunks(c)),
+        |((oc, tc), sc)| simd::dilution_from_band(scale, p, oc, tc, sc),
+    );
     debug_check_finite("center_dilution_from", center_out);
 }
 
@@ -539,6 +526,47 @@ mod tests {
         }
     }
 
+    /// One op applied to (primary, secondary, grad, center) operands.
+    type Apply = fn(&mut [f32], &mut [f32], &[f32], &[f32]);
+
+    /// Every mutating kernel of this module ([`sgd_update`] is `axpy`).
+    const OPS: [(&str, Apply); 11] = [
+        ("axpy", |l, _, g, _| axpy(0.37, g, l)),
+        ("scale", |l, _, _, _| scale(0.37, l)),
+        ("sub", |l, _, g, c| sub(g, c, l)),
+        ("add_assign", |l, _, g, _| add_assign(l, g)),
+        ("eq1", |l, _, g, c| {
+            elastic_worker_update(0.05, 0.3, l, g, c)
+        }),
+        ("eq2", |l, _, _, c| elastic_center_update(0.05, 0.3, l, c)),
+        ("eq3_4", |l, v, g, _| momentum_update(0.05, 0.9, l, v, g)),
+        ("eq5_6", |l, v, g, c| {
+            elastic_momentum_update(0.05, 0.9, 0.3, l, v, g, c)
+        }),
+        ("exchange", |l, v, g, c| {
+            elastic_exchange(0.05, 0.3, l, v, g, c)
+        }),
+        ("dilution", |l, _, g, _| center_dilution(0.05, 0.3, l, g, 4)),
+        ("dilution_from", |l, v, g, _| {
+            center_dilution_from(0.05, 0.3, g, l, 4, v)
+        }),
+    ];
+
+    /// `(start, grad, center)` operands of `n` elements.
+    fn operands(n: usize) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
+        (
+            (0..n).map(|i| 0.5 - (i % 17) as f32 * 0.03).collect(),
+            (0..n).map(|i| (i as f32 * 0.37).sin()).collect(),
+            (0..n).map(|i| (i as f32 * 0.11).cos()).collect(),
+        )
+    }
+
+    fn assert_same_bits(what: &str, got: &[f32], want: &[f32]) {
+        assert_eq!(got.len(), want.len(), "{what}");
+        let diff = (0..got.len()).find(|&i| got[i].to_bits() != want[i].to_bits());
+        assert_eq!(diff, None, "{what}: first differing element");
+    }
+
     #[test]
     fn elastic_updates_are_simd_tier_invariant() {
         // Every elastic kernel must produce the same bits whether the
@@ -547,46 +575,55 @@ mod tests {
         // across build targets. Length chosen to exercise the 16-lane
         // vector body plus a ragged tail.
         let n = 1003;
-        let grad: Vec<f32> = (0..n).map(|i| (i as f32 * 0.37).sin()).collect();
-        let center: Vec<f32> = (0..n).map(|i| (i as f32 * 0.11).cos()).collect();
-        let start: Vec<f32> = (0..n).map(|i| 0.5 - (i % 17) as f32 * 0.03).collect();
-
-        type Apply = fn(&mut [f32], &mut [f32], &[f32], &[f32]);
-        let cases: &[(&str, Apply)] = &[
-            ("axpy", |l, _, g, _| axpy(0.37, g, l)),
-            ("eq1", |l, _, g, c| {
-                elastic_worker_update(0.05, 0.3, l, g, c)
-            }),
-            ("eq2", |l, _, _, c| elastic_center_update(0.05, 0.3, l, c)),
-            ("eq5_6", |l, v, g, c| {
-                elastic_momentum_update(0.05, 0.9, 0.3, l, v, g, c)
-            }),
-            ("exchange", |l, v, g, c| {
-                elastic_exchange(0.05, 0.3, l, v, g, c)
-            }),
-            ("dilution", |l, _, g, _| center_dilution(0.05, 0.3, l, g, 4)),
-            ("dilution_from", |l, v, g, _| {
-                center_dilution_from(0.05, 0.3, g, l, 4, v)
-            }),
-        ];
-        for (name, apply) in cases {
+        let (start, grad, center) = operands(n);
+        for (name, apply) in OPS {
             let mut l_fast = start.clone();
             let mut v_fast = vec![0.25f32; n];
             apply(&mut l_fast, &mut v_fast, &grad, &center);
             let mut l_ref = start.clone();
             let mut v_ref = vec![0.25f32; n];
             crate::simd::with_scalar_kernels(|| apply(&mut l_ref, &mut v_ref, &grad, &center));
-            for i in 0..n {
-                assert_eq!(
-                    l_fast[i].to_bits(),
-                    l_ref[i].to_bits(),
-                    "{name} primary[{i}]"
-                );
-                assert_eq!(
-                    v_fast[i].to_bits(),
-                    v_ref[i].to_bits(),
-                    "{name} secondary[{i}]"
-                );
+            assert_same_bits(&format!("{name} primary"), &l_fast, &l_ref);
+            assert_same_bits(&format!("{name} secondary"), &v_fast, &v_ref);
+        }
+    }
+
+    #[test]
+    fn banded_ops_match_the_inline_path_and_spawn_one_thread_per_extra_band() {
+        // Above the gate with a ragged tail, so the last band is short.
+        let n = par::PAR_ELEMS + 37;
+        let (start, grad, center) = operands(n);
+        // Applies `apply` to fresh `len`-element operands; returns both
+        // outputs and the threads the calling thread spawned doing it.
+        let run = |apply: Apply, len: usize| {
+            let (mut l, mut v) = (start[..len].to_vec(), vec![0.25f32; len]);
+            let before = par::threads_spawned();
+            apply(&mut l, &mut v, &grad[..len], &center[..len]);
+            (l, v, par::threads_spawned() - before)
+        };
+        for (name, apply) in OPS {
+            let (l_one, v_one, spawned) = par::with_budget(1, || run(apply, n));
+            assert_eq!(spawned, 0, "{name}: a one-thread budget forked");
+            for k in [2usize, 3, 5] {
+                let (l, v, spawned) = par::with_budget(k, || run(apply, n));
+                assert_same_bits(&format!("{name} k={k} primary"), &l, &l_one);
+                assert_same_bits(&format!("{name} k={k} secondary"), &v, &v_one);
+                // k bands: the caller works the first.
+                assert_eq!(spawned, k as u64 - 1, "{name} k={k}");
+            }
+            let (_, _, spawned) = par::with_budget(5, || run(apply, par::PAR_ELEMS - 1));
+            assert_eq!(spawned, 0, "{name}: forked below PAR_ELEMS");
+            // Inside a fan_out job the budget is one thread, whatever
+            // the caller's was: the op must stay on the job's thread.
+            // (The slots start as the empty-slice result: zero chunks.)
+            let mut outs = [run(apply, 0), run(apply, 0)];
+            par::with_budget(4, || {
+                par::fan_out(outs.iter_mut(), |out| *out = run(apply, n));
+            });
+            for (l, v, spawned) in &outs {
+                assert_same_bits(&format!("{name} in-job primary"), l, &l_one);
+                assert_same_bits(&format!("{name} in-job secondary"), v, &v_one);
+                assert_eq!(*spawned, 0, "{name}: forked inside a fan_out job");
             }
         }
     }

@@ -10,20 +10,19 @@
 //! copies it needs instead cost more than the fork they avoid at every
 //! shape this repo's workloads issue (DESIGN.md §8 has the table).
 //!
+//! * The budget — [`with_budget`] / [`current_threads`] /
+//!   [`PartitionedPool`]: how many threads the calling thread's regions
+//!   may use. A §6.2 chip partition or a serve shard installs its group's
+//!   share and every kernel below it sizes against it.
+//! * The two gates — [`fork_threads`] / [`FORK_JOIN_FLOPS`] for compute
+//!   regions (how many threads a region of a given flop count should
+//!   fork over) and [`band_len`] / [`PAR_ELEMS`] for the memory-bound
+//!   BLAS-1 updates (how long a band of an `n`-element sweep should be).
 //! * [`fan_out`] — the one fork-join: one scoped thread per job, the
 //!   caller running the first. Every job runs under a one-thread budget,
 //!   so a kernel inside a job never forks again. The batch-parallel
-//!   convolution and the GEMM band split are both built on it.
-//! * [`fork_threads`] / [`FORK_JOIN_FLOPS`] — the one measured gate: how
-//!   many threads a compute region of a given flop count should fork
-//!   over.
-//! * [`WorkerPool`] / [`with_pool`] / [`PartitionedPool`] — the budget:
-//!   how many threads the calling thread's regions may use. A §6.2 chip
-//!   partition or a serve shard installs its group's share and every
-//!   kernel below it sizes against [`current_threads`].
-//! * [`par_chunks_mut`] / [`par_zip_mut`] / [`par_zip2_mut`] — band-split
-//!   helpers for the memory-bound BLAS-1 elastic updates, gated behind a
-//!   large-slice threshold where the spawn cost is noise.
+//!   convolution, the GEMM band split and every banded update in
+//!   [`crate::ops`] are built on it.
 
 use std::cell::Cell;
 use std::num::NonZeroUsize;
@@ -61,9 +60,24 @@ pub fn fork_threads(flops: u64) -> usize {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Per-thread budget: the chip-partitioning seam (§6.2).
-// ---------------------------------------------------------------------------
+/// Element count at and above which the mutating BLAS-1 kernels of
+/// [`crate::ops`] fan out over scoped threads. 1 Mi floats = 4 MiB per
+/// operand: below this a single core's memory pass (~100 µs) is cheaper
+/// than thread spawns; above it the kernel is DRAM-bound and splits
+/// near-linearly. The §5.2 packed arena of a VGG-class model (≈14.7 M
+/// params) qualifies; a LeNet-class arena (≈431 k) stays serial.
+pub const PAR_ELEMS: usize = 1 << 20;
+
+/// Band length for an `n`-element memory-bound sweep: callers cut their
+/// operands with `chunks_mut(band_len(n))` and hand the zipped chunks to
+/// [`fan_out`]. Below [`PAR_ELEMS`] or under a one-thread budget the
+/// band is the whole slice — one chunk, which [`fan_out`] runs inline —
+/// otherwise one band per thread of the budget. Never 0, so an empty
+/// slice is zero chunks rather than a `chunks_mut(0)` panic.
+pub fn band_len(n: usize) -> usize {
+    let threads = if n >= PAR_ELEMS { current_threads() } else { 1 };
+    n.div_ceil(threads).max(1)
+}
 
 thread_local! {
     /// Threads this thread's compute regions may fork over; 0 = no budget
@@ -74,8 +88,18 @@ thread_local! {
 }
 
 /// Runs `f` with the calling thread's budget set to `threads` (restored
-/// on return or unwind).
-fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+/// on return or unwind) — the chip-partitioning seam of §6.2.
+///
+/// While installed, every kernel sizes its parallelism against it
+/// instead of the whole machine: GEMM's band split, the convolution's
+/// batch fan-out and the banded updates all read [`current_threads`].
+/// This is how a KNL-style chip partition ([`PartitionedPool`]) or a
+/// serve shard confines its compute to its own share of the threads.
+///
+/// # Panics
+/// Panics if `threads == 0`.
+pub fn with_budget<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+    assert!(threads > 0, "a budget needs at least one thread");
     struct Restore(usize);
     impl Drop for Restore {
         fn drop(&mut self) {
@@ -86,42 +110,9 @@ fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// A thread budget: how many threads (`workers` + the thread that
-/// installs it) one group's compute regions may fork over. It owns no
-/// threads — regions spawn scoped threads per call ([`fan_out`]).
-#[derive(Debug)]
-pub struct WorkerPool {
-    workers: usize,
-}
-
-impl WorkerPool {
-    /// A budget of `workers` threads beyond the installing one (0 is
-    /// valid: every region then runs on the calling thread).
-    pub fn new(workers: usize) -> Self {
-        Self { workers }
-    }
-
-    /// Threads this budget brings to a parallel region.
-    pub fn threads(&self) -> usize {
-        self.workers + 1
-    }
-}
-
-/// Installs `pool` as the calling thread's budget for the duration of
-/// `f` (restored on return or unwind).
-///
-/// While installed, every kernel sizes its parallelism against it
-/// instead of the whole machine: GEMM's band split, the convolution's
-/// batch fan-out and the band helpers all read [`current_threads`]. This
-/// is how a KNL-style chip partition ([`PartitionedPool`]) confines each
-/// group's compute to the group's own share of the threads.
-pub fn with_pool<R>(pool: &WorkerPool, f: impl FnOnce() -> R) -> R {
-    with_threads(pool.threads(), f)
-}
-
 /// Threads the calling thread's compute region may fan out over: the
-/// installed budget inside [`with_pool`] or a [`fan_out`] job, otherwise
-/// [`max_threads`].
+/// installed budget inside [`with_budget`] or a [`fan_out`] job,
+/// otherwise [`max_threads`].
 pub fn current_threads() -> usize {
     match BUDGET.with(Cell::get) {
         0 => max_threads(),
@@ -142,8 +133,8 @@ pub fn threads_spawned() -> u64 {
 /// `chunks_mut` of their outputs, one job per thread they want.
 ///
 /// With two or more jobs each runs under a one-thread budget, so a GEMM
-/// inside a job stays serial instead of forking again. A single job is
-/// called directly, budget untouched.
+/// or a banded update inside a job stays serial instead of forking
+/// again. A single job is called directly, budget untouched.
 ///
 /// # Panics
 /// Propagates the panic if any job panicked.
@@ -164,10 +155,10 @@ where
             .chain(jobs)
             .map(|job| {
                 SPAWNED.with(|n| n.set(n.get() + 1));
-                s.spawn(move || with_threads(1, || f(job)))
+                s.spawn(move || with_budget(1, || f(job)))
             })
             .collect();
-        with_threads(1, || f(first));
+        with_budget(1, || f(first));
         // Joined one by one, not left to the scope: a join returns only
         // once the thread is gone, thread-locals destroyed — the next
         // fork then finds the buffers this one's threads handed back —
@@ -187,13 +178,14 @@ where
 ///
 /// [`PartitionedPool::run`] drives one closure per group on its own
 /// scoped driver thread with the group's budget installed via
-/// [`with_pool`], so every tensor kernel the closure calls (GEMM, conv,
+/// [`with_budget`], so every tensor kernel the closure calls (GEMM, conv,
 /// the banded elastic updates) parallelizes over that group's share
 /// only. Groups therefore scale like independent small chips: no shared
 /// queue, no cross-group work stealing, communication only through
 /// whatever shared state the caller hands the closures.
 pub struct PartitionedPool {
-    groups: Vec<WorkerPool>,
+    groups: usize,
+    group_threads: usize,
 }
 
 impl PartitionedPool {
@@ -216,33 +208,24 @@ impl PartitionedPool {
         assert!(groups > 0, "need at least one partition group");
         assert!(threads_per_group > 0, "a group needs at least one thread");
         Self {
-            groups: (0..groups)
-                .map(|_| WorkerPool::new(threads_per_group - 1))
-                .collect(),
+            groups,
+            group_threads: threads_per_group,
         }
     }
 
     /// Number of groups in the partition.
     pub fn groups(&self) -> usize {
-        self.groups.len()
+        self.groups
     }
 
-    /// Threads per group (workers + the group's driver thread).
+    /// Threads per group (the group's driver thread included).
     pub fn group_threads(&self) -> usize {
-        self.groups.iter().map(|p| p.threads()).max().unwrap_or(1)
-    }
-
-    /// The budget of group `g`.
-    ///
-    /// # Panics
-    /// Panics if `g` is out of range.
-    pub fn group(&self, g: usize) -> &WorkerPool {
-        &self.groups[g]
+        self.group_threads
     }
 
     /// Runs `f(group_index)` once per group, each on its own driver
-    /// thread with the group's budget installed ([`with_pool`]). Returns
-    /// the results in group order.
+    /// thread with the group's budget installed ([`with_budget`]).
+    /// Returns the results in group order.
     ///
     /// # Panics
     /// Propagates the panic if any group closure panicked.
@@ -251,15 +234,10 @@ impl PartitionedPool {
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
+        let f = &f;
         std::thread::scope(|s| {
-            let handles: Vec<_> = self
-                .groups
-                .iter()
-                .enumerate()
-                .map(|(g, pool)| {
-                    let f = &f;
-                    s.spawn(move || with_pool(pool, || f(g)))
-                })
+            let handles: Vec<_> = (0..self.groups)
+                .map(|g| s.spawn(move || with_budget(self.group_threads, || f(g))))
                 .collect();
             handles
                 .into_iter()
@@ -270,197 +248,6 @@ impl PartitionedPool {
                 .collect()
         })
     }
-}
-
-// ---------------------------------------------------------------------------
-// Scoped helpers for borrowed, memory-bound kernels.
-// ---------------------------------------------------------------------------
-
-/// Splits `x` into one contiguous chunk per thread and applies
-/// `f(offset, chunk)` to each in parallel. Serial when a single chunk
-/// would remain.
-pub fn par_chunks_mut<F>(x: &mut [f32], f: F)
-where
-    F: Fn(usize, &mut [f32]) + Sync,
-{
-    par_chunks_mut_bands(current_threads(), x, f);
-}
-
-/// [`par_chunks_mut`] with an explicit band count instead of
-/// [`current_threads`] — the banded/serial bit-equivalence tests force a
-/// band split even on single-core machines through this entry point.
-pub fn par_chunks_mut_bands<F>(bands: usize, x: &mut [f32], f: F)
-where
-    F: Fn(usize, &mut [f32]) + Sync,
-{
-    let threads = bands.min(x.len());
-    if threads <= 1 {
-        f(0, x);
-        return;
-    }
-    let chunk = x.len().div_ceil(threads);
-    std::thread::scope(|s| {
-        for (i, band) in x.chunks_mut(chunk).enumerate() {
-            let f = &f;
-            s.spawn(move || f(i * chunk, band));
-        }
-    });
-}
-
-/// Parallel zip over one mutable and one shared slice of equal length:
-/// `f(y_chunk, x_chunk)` on corresponding contiguous chunks.
-///
-/// # Panics
-/// Panics if the slices have different lengths.
-pub fn par_zip_mut<F>(y: &mut [f32], x: &[f32], f: F)
-where
-    F: Fn(&mut [f32], &[f32]) + Sync,
-{
-    par_zip_mut_bands(current_threads(), y, x, f);
-}
-
-/// [`par_zip_mut`] with an explicit band count (see
-/// [`par_chunks_mut_bands`]).
-pub fn par_zip_mut_bands<F>(bands: usize, y: &mut [f32], x: &[f32], f: F)
-where
-    F: Fn(&mut [f32], &[f32]) + Sync,
-{
-    assert_eq!(y.len(), x.len(), "par_zip_mut length mismatch");
-    let threads = bands.min(y.len());
-    if threads <= 1 {
-        f(y, x);
-        return;
-    }
-    let chunk = y.len().div_ceil(threads);
-    std::thread::scope(|s| {
-        for (yc, xc) in y.chunks_mut(chunk).zip(x.chunks(chunk)) {
-            let f = &f;
-            s.spawn(move || f(yc, xc));
-        }
-    });
-}
-
-/// Parallel zip over one mutable and two shared slices of equal length.
-///
-/// # Panics
-/// Panics if the slices have different lengths.
-pub fn par_zip2_mut<F>(out: &mut [f32], a: &[f32], b: &[f32], f: F)
-where
-    F: Fn(&mut [f32], &[f32], &[f32]) + Sync,
-{
-    par_zip2_mut_bands(current_threads(), out, a, b, f);
-}
-
-/// [`par_zip2_mut`] with an explicit band count (see
-/// [`par_chunks_mut_bands`]).
-pub fn par_zip2_mut_bands<F>(bands: usize, out: &mut [f32], a: &[f32], b: &[f32], f: F)
-where
-    F: Fn(&mut [f32], &[f32], &[f32]) + Sync,
-{
-    assert_eq!(out.len(), a.len(), "par_zip2_mut length mismatch");
-    assert_eq!(out.len(), b.len(), "par_zip2_mut length mismatch");
-    let threads = bands.min(out.len());
-    if threads <= 1 {
-        f(out, a, b);
-        return;
-    }
-    let chunk = out.len().div_ceil(threads);
-    std::thread::scope(|s| {
-        for ((oc, ac), bc) in out
-            .chunks_mut(chunk)
-            .zip(a.chunks(chunk))
-            .zip(b.chunks(chunk))
-        {
-            let f = &f;
-            s.spawn(move || f(oc, ac, bc));
-        }
-    });
-}
-
-/// Parallel zip over two mutable and one shared slice of equal length
-/// (the Eq. 3–4 momentum shape: weights and velocity updated in place
-/// against the gradient).
-///
-/// # Panics
-/// Panics if the slices have different lengths.
-pub fn par_zip21_mut<F>(y1: &mut [f32], y2: &mut [f32], a: &[f32], f: F)
-where
-    F: Fn(&mut [f32], &mut [f32], &[f32]) + Sync,
-{
-    par_zip21_mut_bands(current_threads(), y1, y2, a, f);
-}
-
-/// [`par_zip21_mut`] with an explicit band count (see
-/// [`par_chunks_mut_bands`]).
-pub fn par_zip21_mut_bands<F>(bands: usize, y1: &mut [f32], y2: &mut [f32], a: &[f32], f: F)
-where
-    F: Fn(&mut [f32], &mut [f32], &[f32]) + Sync,
-{
-    assert_eq!(y1.len(), y2.len(), "par_zip21_mut length mismatch");
-    assert_eq!(y1.len(), a.len(), "par_zip21_mut length mismatch");
-    let threads = bands.min(y1.len());
-    if threads <= 1 {
-        f(y1, y2, a);
-        return;
-    }
-    let chunk = y1.len().div_ceil(threads);
-    std::thread::scope(|s| {
-        for ((y1c, y2c), ac) in y1
-            .chunks_mut(chunk)
-            .zip(y2.chunks_mut(chunk))
-            .zip(a.chunks(chunk))
-        {
-            let f = &f;
-            s.spawn(move || f(y1c, y2c, ac));
-        }
-    });
-}
-
-/// Parallel zip over two mutable and two shared slices of equal length
-/// (the Eq. 5–6 momentum-elastic update shape: weights and velocity
-/// updated in place against gradient and center).
-///
-/// # Panics
-/// Panics if the slices have different lengths.
-pub fn par_zip22_mut<F>(y1: &mut [f32], y2: &mut [f32], a: &[f32], b: &[f32], f: F)
-where
-    F: Fn(&mut [f32], &mut [f32], &[f32], &[f32]) + Sync,
-{
-    par_zip22_mut_bands(current_threads(), y1, y2, a, b, f);
-}
-
-/// [`par_zip22_mut`] with an explicit band count (see
-/// [`par_chunks_mut_bands`]).
-pub fn par_zip22_mut_bands<F>(
-    bands: usize,
-    y1: &mut [f32],
-    y2: &mut [f32],
-    a: &[f32],
-    b: &[f32],
-    f: F,
-) where
-    F: Fn(&mut [f32], &mut [f32], &[f32], &[f32]) + Sync,
-{
-    assert_eq!(y1.len(), y2.len(), "par_zip22_mut length mismatch");
-    assert_eq!(y1.len(), a.len(), "par_zip22_mut length mismatch");
-    assert_eq!(y1.len(), b.len(), "par_zip22_mut length mismatch");
-    let threads = bands.min(y1.len());
-    if threads <= 1 {
-        f(y1, y2, a, b);
-        return;
-    }
-    let chunk = y1.len().div_ceil(threads);
-    std::thread::scope(|s| {
-        for (((y1c, y2c), ac), bc) in y1
-            .chunks_mut(chunk)
-            .zip(y2.chunks_mut(chunk))
-            .zip(a.chunks(chunk))
-            .zip(b.chunks(chunk))
-        {
-            let f = &f;
-            s.spawn(move || f(y1c, y2c, ac, bc));
-        }
-    });
 }
 
 #[cfg(test)]
@@ -484,8 +271,7 @@ mod tests {
 
     #[test]
     fn fan_out_jobs_run_under_a_one_thread_budget() {
-        let outer = WorkerPool::new(3);
-        with_pool(&outer, || {
+        with_budget(4, || {
             let mut seen = [0usize; 3];
             fan_out(seen.iter_mut(), |slot| *slot = current_threads());
             assert_eq!(seen, [1; 3], "a job must not fork again");
@@ -496,10 +282,9 @@ mod tests {
 
     #[test]
     fn fan_out_single_job_runs_inline_with_budget_untouched() {
-        let outer = WorkerPool::new(2);
         let caller = std::thread::current().id();
         let before = threads_spawned();
-        with_pool(&outer, || {
+        with_budget(3, || {
             fan_out([7usize], |v| {
                 assert_eq!(v, 7);
                 assert_eq!(std::thread::current().id(), caller);
@@ -526,122 +311,35 @@ mod tests {
 
     #[test]
     fn fork_threads_gates_on_the_one_constant() {
-        let pool = WorkerPool::new(4);
-        with_pool(&pool, || {
+        with_budget(5, || {
             assert_eq!(fork_threads(FORK_JOIN_FLOPS - 1), 1);
             assert_eq!(fork_threads(FORK_JOIN_FLOPS), 5);
         });
-        with_pool(&WorkerPool::new(0), || {
-            assert_eq!(fork_threads(u64::MAX), 1);
+        with_budget(1, || assert_eq!(fork_threads(u64::MAX), 1));
+    }
+
+    #[test]
+    fn band_len_is_one_chunk_below_the_gate_and_one_band_per_thread_above() {
+        with_budget(3, || {
+            assert_eq!(band_len(0), 1, "chunks_mut(0) would panic");
+            assert_eq!(band_len(PAR_ELEMS - 1), PAR_ELEMS - 1);
+            assert_eq!(band_len(PAR_ELEMS + 37), (PAR_ELEMS + 37).div_ceil(3));
         });
+        with_budget(1, || assert_eq!(band_len(PAR_ELEMS + 37), PAR_ELEMS + 37));
     }
 
     #[test]
-    fn par_zip_mut_covers_all_elements() {
-        let n = 100_003;
-        let x: Vec<f32> = (0..n).map(|i| i as f32).collect();
-        let mut y = vec![1.0f32; n];
-        par_zip_mut(&mut y, &x, |yc, xc| {
-            for (yi, xi) in yc.iter_mut().zip(xc) {
-                *yi += xi;
-            }
-        });
-        for (i, v) in y.iter().enumerate() {
-            assert_eq!(*v, 1.0 + i as f32);
-        }
-    }
-
-    #[test]
-    fn par_chunks_mut_offsets_are_consistent() {
-        let n = 4099;
-        let mut x = vec![0.0f32; n];
-        par_chunks_mut(&mut x, |off, chunk| {
-            for (i, v) in chunk.iter_mut().enumerate() {
-                *v = (off + i) as f32;
-            }
-        });
-        for (i, v) in x.iter().enumerate() {
-            assert_eq!(*v, i as f32);
-        }
-    }
-
-    #[test]
-    fn par_zip21_mut_covers_all_elements() {
-        let n = 10_007;
-        let g: Vec<f32> = (0..n).map(|i| (i % 13) as f32).collect();
-        let mut w = vec![1.0f32; n];
-        let mut v = vec![0.5f32; n];
-        par_zip21_mut(&mut w, &mut v, &g, |wc, vc, gc| {
-            for ((wi, vi), gi) in wc.iter_mut().zip(vc.iter_mut()).zip(gc) {
-                *vi = 0.9 * *vi - 0.1 * gi;
-                *wi += *vi;
-            }
-        });
-        for i in 0..n {
-            let vi = 0.9f32 * 0.5 - 0.1 * g[i];
-            assert_eq!(v[i], vi);
-            assert_eq!(w[i], 1.0 + vi);
-        }
-    }
-
-    #[test]
-    fn forced_band_split_is_bit_identical_to_serial() {
-        // Boundary-heavy length: not a multiple of the band counts below.
-        let n = 4099;
-        let a: Vec<f32> = (0..n).map(|i| (i as f32).sin()).collect();
-        let b: Vec<f32> = (0..n).map(|i| (i as f32).cos()).collect();
-        let mut serial = vec![0.1f32; n];
-        let kernel = |oc: &mut [f32], ac: &[f32], bc: &[f32]| {
-            for ((o, x), y) in oc.iter_mut().zip(ac).zip(bc) {
-                *o += 0.3 * (x - 0.7 * y);
-            }
-        };
-        kernel(&mut serial, &a, &b);
-        for bands in [2usize, 3, 5, 8] {
-            let mut banded = vec![0.1f32; n];
-            par_zip2_mut_bands(bands, &mut banded, &a, &b, kernel);
-            for i in 0..n {
-                assert_eq!(
-                    serial[i].to_bits(),
-                    banded[i].to_bits(),
-                    "bands={bands} i={i}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn par_zip2_mut_matches_serial() {
-        let n = 50_001;
-        let a: Vec<f32> = (0..n).map(|i| i as f32).collect();
-        let b: Vec<f32> = (0..n).map(|i| (i % 7) as f32).collect();
-        let mut out = vec![0.0f32; n];
-        par_zip2_mut(&mut out, &a, &b, |oc, ac, bc| {
-            for ((o, x), y) in oc.iter_mut().zip(ac).zip(bc) {
-                *o = x - y;
-            }
-        });
-        for i in 0..n {
-            assert_eq!(out[i], a[i] - b[i]);
-        }
-    }
-
-    #[test]
-    fn with_pool_overrides_current_threads_and_restores() {
+    fn with_budget_overrides_current_threads_and_restores() {
         assert_eq!(current_threads(), max_threads());
-        let p = WorkerPool::new(3);
-        assert_eq!(with_pool(&p, current_threads), 4);
+        assert_eq!(with_budget(4, current_threads), 4);
         assert_eq!(current_threads(), max_threads());
     }
 
     #[test]
-    fn with_pool_nests_and_restores_outer_override() {
-        let outer = WorkerPool::new(1);
-        let nested = WorkerPool::new(5);
-        with_pool(&outer, || {
+    fn with_budget_nests_and_restores_outer_override() {
+        with_budget(2, || {
             assert_eq!(current_threads(), 2);
-            let seen = with_pool(&nested, current_threads);
-            assert_eq!(seen, 6);
+            assert_eq!(with_budget(6, current_threads), 6);
             // The outer override must come back, not the global default.
             assert_eq!(current_threads(), 2);
         });
@@ -649,11 +347,8 @@ mod tests {
     }
 
     #[test]
-    fn with_pool_restores_on_unwind() {
-        let p = WorkerPool::new(2);
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            with_pool(&p, || panic!("deliberate"));
-        }));
+    fn with_budget_restores_on_unwind() {
+        let caught = std::panic::catch_unwind(|| with_budget(3, || panic!("deliberate")));
         assert!(caught.is_err());
         assert_eq!(
             current_threads(),

@@ -41,6 +41,12 @@ if grep -rnE "gemm_naive_par|par_rows|SeedNet|_vs_seed" crates/ src/ BENCH_*.jso
   exit 1
 fi
 
+echo "==> one fork-join (par::fan_out; the band helpers, their budget wrapper and the ops-side gate were deleted)"
+if grep -rnE "par_zip|par_chunks_mut|WorkerPool|with_pool|should_par" crates/ src/ tests/ examples/; then
+  echo "error: a deleted par helper is back (matches above)" >&2
+  exit 1
+fi
+
 echo "==> kernel tables (smoke: one iteration per row, no JSON; gemm_par_vs_serial on >= 2 threads, skip notice on 1; checked-in BENCH_kernels.json fork-join acceptance)"
 cargo run -q --release -p easgd-bench --bin kernels -- --smoke
 

@@ -435,9 +435,10 @@ proptest! {
     /// The fused exchange-step kernel is bit-identical to the two-pass
     /// composition it replaces (copy the pre-update weights out, then
     /// apply the Equation (1) worker pull), and stays bit-identical when
-    /// forced through the worker-pool banding at lengths that do *not*
-    /// divide evenly into bands (the ragged-tail case single-core CI
-    /// would otherwise never exercise).
+    /// cut into bands the way the ops cut theirs (`fan_out` over zipped
+    /// chunks) at small lengths that do *not* divide evenly — many
+    /// ragged tails, where the arena-sized banding test in `ops.rs` has
+    /// one.
     #[test]
     fn fused_elastic_exchange_matches_two_pass_composition(
         bands in 2usize..8,
@@ -474,13 +475,14 @@ proptest! {
         // move a single bit relative to the serial fused kernel.
         let mut banded = w0.clone();
         let mut banded_contribution = vec![0.0f32; len];
-        par::par_zip22_mut_bands(
-            bands,
-            &mut banded,
-            &mut banded_contribution,
-            &grad,
-            &center,
-            |lc, oc, gc, cc| {
+        let c = len.div_ceil(bands);
+        par::fan_out(
+            banded
+                .chunks_mut(c)
+                .zip(banded_contribution.chunks_mut(c))
+                .zip(grad.chunks(c))
+                .zip(center.chunks(c)),
+            |(((lc, oc), gc), cc)| {
                 for (((li, oi), gi), ci) in lc.iter_mut().zip(oc.iter_mut()).zip(gc).zip(cc) {
                     let w = *li;
                     *oi = w;
@@ -528,11 +530,15 @@ proptest! {
         let scale = eta * rho;
         let p = workers as f32;
         let mut banded = vec![0.0f32; len];
-        par::par_zip2_mut_bands(bands, &mut banded, &center_t, &sum, |oc, tc, sc| {
-            for ((oi, ti), si) in oc.iter_mut().zip(tc).zip(sc) {
-                *oi = ti + scale * (si - p * ti);
-            }
-        });
+        let c = len.div_ceil(bands);
+        par::fan_out(
+            banded.chunks_mut(c).zip(center_t.chunks(c)).zip(sum.chunks(c)),
+            |((oc, tc), sc)| {
+                for ((oi, ti), si) in oc.iter_mut().zip(tc).zip(sc) {
+                    *oi = ti + scale * (si - p * ti);
+                }
+            },
+        );
         for i in 0..len {
             prop_assert_eq!(banded[i].to_bits(), fused[i].to_bits(), "banded out[{}]", i);
         }
