@@ -550,14 +550,14 @@ mod tests {
 
     #[test]
     fn mismatched_collectives_deadlock_naming_ranks_and_tags() {
-        // Rank 2 enters a broadcast while its peers reduce. Each op kind
+        // Rank 2 enters a barrier while its peers reduce. Each op kind
         // has its own tag, so nothing matches: the hub starves on rank
         // 2's contribution and the engine reports who waits for what.
         let cat = TimeCategory::GpuGpuParam;
         let seen = rank_panics(3, |comm| {
             let mut out = Vec::new();
             if comm.rank() == 2 {
-                comm.broadcast_costed_into(0, &[1.0], 0.0, cat, &mut out);
+                comm.barrier();
             } else {
                 comm.reduce_sum_costed_into(&[1.0], 0.0, cat, &mut out);
             }
@@ -566,11 +566,11 @@ mod tests {
             .iter()
             .find(|m| m.contains("event backend deadlock"))
             .unwrap_or_else(|| panic!("no deadlock report among {seen:?}"));
-        let (reduce, bcast) = (crate::tags::hub(2, 0), crate::tags::hub(1, 0));
+        let (reduce, barrier) = (crate::tags::hub(2), crate::tags::hub(0));
         for waiter in [
             format!("rank 0 (tag {reduce:#x} from rank 2)"),
             format!("rank 1 (tag {reduce:#x} from rank 0)"),
-            format!("rank 2 (tag {bcast:#x} from rank 0)"),
+            format!("rank 2 (tag {barrier:#x} from rank 0)"),
         ] {
             assert!(report.contains(&waiter), "{waiter:?} not in {report:?}");
         }
@@ -599,24 +599,21 @@ mod tests {
             let link = cfg.link.clone();
             let outs = VirtualCluster::run(&cfg, |comm| {
                 let me = comm.rank() as f32;
-                let (mut b, mut r, mut g, mut a) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+                let (mut r, mut g, mut a) = (Vec::new(), Vec::new(), Vec::new());
                 comm.barrier();
-                comm.broadcast_costed_into(p - 1, &[me, 2.0], 0.5, cat, &mut b);
                 comm.reduce_sum_costed_into(&[1.0, me], 0.25, cat, &mut r);
                 comm.allgather_into(&[me], cat, &mut g);
                 comm.allreduce_sum_into(&[1.0], cat, &mut a);
-                (b, r, g, a, comm.now())
+                (r, g, a, comm.now())
             });
             let ranks: Vec<f32> = (0..p).map(|r| r as f32).collect();
             let want_time = reduce_tree(&link, p, 0)
-                + 0.5
                 + 0.25
                 + reduce_tree(&link, p, 4)
                 + broadcast_tree(&link, p, 4 * p)
                 + (reduce_tree(&link, p, 4) + broadcast_tree(&link, p, 4));
             assert_eq!(outs.len(), p);
-            for (b, r, g, a, t) in outs {
-                assert_eq!(b, vec![(p - 1) as f32, 2.0]);
+            for (r, g, a, t) in outs {
                 assert_eq!(r, vec![p as f32, ranks.iter().sum::<f32>()]);
                 assert_eq!(g, ranks);
                 assert_eq!(a, vec![p as f32]);

@@ -14,8 +14,8 @@
 //!   flattens in Table 4.
 //! * [`tree_reduce_sum`] / [`tree_broadcast`] / [`tree_allreduce_sum`] —
 //!   binomial trees, `Θ(log P)` full-size messages on the critical path:
-//!   the §6.1 schedule Sync EASGD charges for, now executable so Table
-//!   3's priced timeline and the running code share one implementation.
+//!   the §6.1 schedule Sync EASGD runs — Table 3's timeline is what
+//!   these messages cost.
 //!   The `_among` variants run the same trees over a subgroup of ranks
 //!   (Sync EASGD's GPU set, excluding the data-serving CPU rank).
 //! * [`flat_gather_sum`] — the `Θ(P)` root-serialized baseline the tree

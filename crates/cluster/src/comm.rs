@@ -111,8 +111,8 @@ const HUB: usize = 0;
 enum CollOp {
     /// Synchronize only.
     Barrier,
-    /// Everyone receives `root`'s contribution.
-    Broadcast { root: usize },
+    /// Everyone receives the hub's contribution.
+    Broadcast,
     /// Everyone receives the element-wise sum of all contributions.
     Sum,
     /// Everyone receives all contributions, concatenated in rank order.
@@ -120,14 +120,14 @@ enum CollOp {
 }
 
 impl CollOp {
-    /// One tag per op kind (and broadcast root): ranks that disagree on
-    /// the collective they are in never match each other's messages.
+    /// One tag per op kind: ranks that disagree on the collective they
+    /// are in never match each other's messages.
     fn tag(self) -> u32 {
         match self {
-            CollOp::Barrier => tags::hub(0, 0),
-            CollOp::Broadcast { root } => tags::hub(1, root),
-            CollOp::Sum => tags::hub(2, 0),
-            CollOp::Concat => tags::hub(3, 0),
+            CollOp::Barrier => tags::hub(0),
+            CollOp::Broadcast => tags::hub(1),
+            CollOp::Sum => tags::hub(2),
+            CollOp::Concat => tags::hub(3),
         }
     }
 
@@ -139,7 +139,7 @@ impl CollOp {
             // per-rank message sizes differ along the tree; the dominant
             // term is the root receiving (P−1) contributions.
             CollOp::Barrier | CollOp::Concat => cost::reduce_tree(link, p, bytes),
-            CollOp::Broadcast { .. } => cost::broadcast_tree(link, p, bytes),
+            CollOp::Broadcast => cost::broadcast_tree(link, p, bytes),
             CollOp::Sum => cost::reduce_tree(link, p, bytes) + cost::broadcast_tree(link, p, bytes),
         }
     }
@@ -866,18 +866,14 @@ impl Comm {
         };
         for from in 1..p {
             let msg = self.pull(from, tag);
-            let PayloadBuf::Owned(mut part) = msg.data else {
+            let PayloadBuf::Owned(part) = msg.data else {
                 unreachable!("collective contributions are posted as owned buffers")
             };
             start = start.max(msg.arrival);
             bytes = bytes.max(part.len() * 4);
             match op {
-                CollOp::Barrier => {}
-                CollOp::Broadcast { root } => {
-                    if from == root {
-                        std::mem::swap(&mut result, &mut part);
-                    }
-                }
+                // The hub's own input already is a broadcast's result.
+                CollOp::Barrier | CollOp::Broadcast => {}
                 CollOp::Concat => {
                     if result.capacity() < result.len() + part.len() {
                         self.shared.pool.note_external_alloc();
@@ -925,34 +921,12 @@ impl Comm {
         self.collective_into(&[], CollOp::Barrier, None, TimeCategory::Other, &mut out);
     }
 
-    /// Broadcast `data` from `root` into `out` on every rank, charging
-    /// `seconds`.
-    pub fn broadcast_costed_into(
-        &mut self,
-        root: usize,
-        data: &[f32],
-        seconds: f64,
-        category: TimeCategory,
-        out: &mut Vec<f32>,
-    ) {
-        assert!(root < self.size(), "broadcast root out of range");
-        let input: &[f32] = if self.rank == root { data } else { &[] };
-        self.collective_into(
-            input,
-            CollOp::Broadcast { root },
-            Some(seconds),
-            category,
-            out,
-        );
-    }
-
     /// Element-wise sum of every rank's `data` written into `out` on
     /// every rank — a reduce whose non-roots are free to ignore the
     /// result, or an allreduce — charging `seconds` in place of the
-    /// link-derived price: for Table 3's closed forms and calibrated
-    /// models (e.g. the weak-scaling study's measured MPI allreduce
-    /// seconds), where the data motion is real but the charge comes
-    /// from elsewhere.
+    /// link-derived price: for calibrated models (e.g. the weak-scaling
+    /// study's measured MPI allreduce seconds), where the data motion is
+    /// real but the charge comes from elsewhere.
     pub fn reduce_sum_costed_into(
         &mut self,
         data: &[f32],
@@ -973,7 +947,7 @@ impl Comm {
         // collective charges the broadcast's time.
         let gathered = std::mem::take(out);
         let input: &[f32] = if self.rank == HUB { &gathered } else { &[] };
-        self.collective_into(input, CollOp::Broadcast { root: HUB }, None, category, out);
+        self.collective_into(input, CollOp::Broadcast, None, category, out);
         self.recycle_buffer(gathered);
     }
 

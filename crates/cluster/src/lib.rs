@@ -19,8 +19,8 @@
 //! * [`clock`] — per-rank simulated time plus the Table 3 time-category
 //!   breakdown (`cpu-gpu para comm`, `for/backward`, …).
 //! * [`comm`] — the per-rank communicator: point-to-point send / recv /
-//!   recv-any (FCFS), and synchronizing collectives (barrier, broadcast,
-//!   reduce, allgather, allreduce) that run as message programs over
+//!   recv-any (FCFS), and synchronizing collectives (barrier, reduce,
+//!   allgather, allreduce) that run as message programs over
 //!   those same primitives and charge the binomial-tree Θ(log P) closed
 //!   form or a caller-supplied cost.
 //! * [`cluster`] — [`cluster::VirtualCluster::run`]:

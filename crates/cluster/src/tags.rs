@@ -104,19 +104,16 @@ pub fn seg_tree(segment: usize, phase: u32, mask: usize) -> u32 {
 
 /// Base of the hub-collective range; use [`hub`].
 pub const HUB_BASE: u32 = 0x4500_0000;
-/// Width of the hub range: op kind (4 bits) << 20 | root (20 bits).
+/// Width of the hub range: op kind (4 bits) << 20.
 pub const HUB_SPAN: u32 = 0x0100_0000;
 
 /// Tag of one hub collective (`Comm::barrier`, `allreduce_sum_into`, …),
-/// for contributions and result alike. One per op `kind` — and `root`,
-/// for a broadcast — so ranks that disagree about the collective they
-/// are in never match each other's messages: a deadlock, not an answer.
-pub fn hub(kind: u32, root: usize) -> u32 {
-    debug_assert!(
-        kind < 16 && root < 0x10_0000,
-        "hub tag out of range: kind {kind}, root {root}"
-    );
-    HUB_BASE | (kind << 20) | (root as u32)
+/// for contributions and result alike. One per op `kind`, so ranks that
+/// disagree about the collective they are in never match each other's
+/// messages: a deadlock, not an answer.
+pub fn hub(kind: u32) -> u32 {
+    debug_assert!(kind < 16, "hub tag out of range: kind {kind}");
+    HUB_BASE | (kind << 20)
 }
 
 /// Base of the ring-allreduce range; use [`ring`].
@@ -195,8 +192,8 @@ mod tests {
             owner_of(seg_tree(255, SEG_PHASE_REDUCE, 0x7fff)),
             Some("seg-exchange")
         );
-        assert_eq!(owner_of(hub(0, 0)), Some("hub"));
-        assert_eq!(owner_of(hub(15, 0xf_ffff)), Some("hub"));
+        assert_eq!(owner_of(hub(0)), Some("hub"));
+        assert_eq!(owner_of(hub(15)), Some("hub"));
     }
 
     #[test]

@@ -82,19 +82,6 @@ impl ElasticRule {
     ) {
         ops::elastic_exchange(self.eta, self.rho, local, contribution, grad, center);
     }
-
-    /// [`ElasticRule::center_dilution`] fused with the preceding center
-    /// refresh: `out ← center_t + ηρ(ΣWᵢ − P·center_t)`, bit-identical
-    /// to `copy(center_t, out)` + dilution.
-    pub fn center_dilution_from(
-        &self,
-        center_t: &[f32],
-        weight_sum: &[f32],
-        workers: usize,
-        out: &mut [f32],
-    ) {
-        ops::center_dilution_from(self.eta, self.rho, center_t, weight_sum, workers, out);
-    }
 }
 
 #[cfg(test)]
@@ -186,23 +173,6 @@ mod tests {
             assert_eq!(a.to_bits(), b.to_bits());
         }
         for (a, b) in contribution.iter().zip(&published) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
-    fn fused_dilution_from_is_bit_identical_to_copy_then_dilution() {
-        let r = rule();
-        let center_t = vec![0.5f32, -1.25, 2.0];
-        let sum = vec![3.0f32, 1.0, -0.5];
-
-        let mut out = vec![9.0f32; 3];
-        r.center_dilution_from(&center_t, &sum, 3, &mut out);
-
-        let mut two_pass = center_t.clone();
-        r.center_dilution(&mut two_pass, &sum, 3);
-
-        for (a, b) in out.iter().zip(&two_pass) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
     }

@@ -24,6 +24,7 @@
 use crate::config::TrainConfig;
 use crate::engine::{assemble_sim, worker_rng, ElasticRule, LocalStep, RankOutcome, SALT_PHI};
 use crate::metrics::RunResult;
+use crate::simcost::SimCosts;
 use easgd_cluster::collectives::ring_allreduce_sum;
 use easgd_cluster::{tags, ClusterConfig, Comm, TimeCategory, VirtualCluster};
 use easgd_data::Dataset;
@@ -104,6 +105,9 @@ pub fn hierarchical_sync_easgd(
     let intra_tree = ceil_log2(topo.gpus_per_node) as f64 * topo.intra.time(proto.size_bytes());
     let g = topo.gpus_per_node;
     let rule = ElasticRule::from_config(cfg);
+    // Per-GPU compute is the single-node calibration's: a recalibration
+    // of Table 3 moves the two-level trainer with it.
+    let costs = SimCosts::mnist_lenet_4gpu();
     let wall_start = Instant::now();
 
     let outs = VirtualCluster::run(&cluster, |comm: &mut Comm| {
@@ -124,7 +128,7 @@ pub fn hierarchical_sync_easgd(
         for round in 0..cfg.iterations {
             let batch = shard.sample_batch(&mut rng, cfg.batch);
             local.forward_backward(&batch);
-            comm.charge(TimeCategory::ForwardBackward, 6.0e-3);
+            comm.charge(TimeCategory::ForwardBackward, costs.fwd_bwd);
 
             // ---- level 1: intra-node reduce of local weights to leader.
             let tag = tags::hier_round(round);
@@ -158,7 +162,7 @@ pub fn hierarchical_sync_easgd(
             }
             // ---- Equation (1) locally.
             local.elastic_step_against(&rule, &center);
-            comm.charge(TimeCategory::GpuUpdate, 0.02e-3);
+            comm.charge(TimeCategory::GpuUpdate, costs.gpu_update);
         }
 
         let last_loss = local.last_loss();

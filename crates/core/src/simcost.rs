@@ -19,7 +19,6 @@
 //! rows together; the *ratios* (87 % → 14 % comm, ≈ 5× speedup) emerge
 //! from the schedules.
 
-use easgd_hardware::collective::ceil_log2;
 use easgd_hardware::net::AlphaBeta;
 use easgd_nn::spec::ModelSpec;
 
@@ -114,10 +113,19 @@ impl SimCosts {
         self.cpu_gpu_unpacked.time(self.data_bytes)
     }
 
-    /// A packed tree broadcast/reduce over `participants` devices:
-    /// `⌈log₂ participants⌉` full-size hops on the given link.
-    pub fn tree_collective_time(&self, link: &AlphaBeta, participants: usize) -> f64 {
-        ceil_log2(participants) as f64 * link.time(self.weight_bytes)
+    /// These costs for a run that trains a `proxy_bytes` stand-in for the
+    /// `weight_bytes` model: the two parameter links' β is multiplied by
+    /// `weight_bytes / proxy_bytes`, so every executed message of the
+    /// proxy's arena (or of a segment of it) takes the time the paper's
+    /// model would; α is per message and stays. The identity when the
+    /// trained network already has `weight_bytes`.
+    pub fn for_proxy(&self, proxy_bytes: usize) -> Self {
+        assert!(proxy_bytes > 0, "a proxy network has parameters");
+        let scale = self.weight_bytes as f64 / proxy_bytes as f64;
+        let mut costs = self.clone();
+        costs.cpu_gpu_packed.beta_s_per_byte *= scale;
+        costs.gpu_gpu.beta_s_per_byte *= scale;
+        costs
     }
 }
 
@@ -160,11 +168,24 @@ mod tests {
     }
 
     #[test]
-    fn tree_collective_counts_hops() {
+    fn for_proxy_prices_the_proxy_arena_as_the_paper_model() {
         let c = SimCosts::mnist_lenet_4gpu();
-        let link = c.gpu_gpu.clone();
-        let one_hop = link.time(c.weight_bytes);
-        assert!((c.tree_collective_time(&link, 4) - 2.0 * one_hop).abs() < 1e-12);
-        assert!((c.tree_collective_time(&link, 5) - 3.0 * one_hop).abs() < 1e-12);
+        let proxy_bytes = c.weight_bytes / 37;
+        let p = c.for_proxy(proxy_bytes);
+        for (scaled, link) in [
+            (&p.cpu_gpu_packed, &c.cpu_gpu_packed),
+            (&p.gpu_gpu, &c.gpu_gpu),
+        ] {
+            assert_eq!(scaled.alpha_s, link.alpha_s);
+            let (got, want) = (scaled.time(proxy_bytes), link.time(c.weight_bytes));
+            assert!((got - want).abs() < 1e-9 * want, "{got} vs {want}");
+        }
+        // The unpacked path and the compute costs are not the proxy's.
+        assert_eq!(p.unpacked_weight_time(), c.unpacked_weight_time());
+        assert_eq!(p.fwd_bwd, c.fwd_bwd);
+        // Exactly the identity at paper scale.
+        let same = c.for_proxy(c.weight_bytes);
+        assert_eq!(same.gpu_gpu, c.gpu_gpu);
+        assert_eq!(same.cpu_gpu_packed, c.cpu_gpu_packed);
     }
 }

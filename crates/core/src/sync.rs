@@ -3,17 +3,28 @@
 //! (Algorithms 2–4, §6.1) and Sync SGD (the allreduce baseline used by
 //! Figure 10 and the weak-scaling comparisons).
 //!
-//! The three-step optimization story of §6.1, charged explicitly:
+//! The three-step optimization story of §6.1. Every step runs the same
+//! executable binomial tree ([`easgd_cluster::collectives`]) and its
+//! simulated time is what the executed messages cost on the step's link:
 //!
 //! 1. **Sync EASGD1** — replace the round-robin exchange with a tree
 //!    broadcast + tree reduction rooted at the *CPU*; packed (§5.2)
-//!    pinned transfers. `P(α+|W|β) → log P(α+|W|β)`.
+//!    pinned transfers. `P(α+|W|β) → log P(α+|W|β)`. Time: the serial
+//!    tree's messages over G+1 ranks on `cpu_gpu_packed`.
 //! 2. **Sync EASGD2** — move the center weight to GPU1: parameter
 //!    traffic becomes GPU↔GPU peer transfers; the CPU only ships batch
-//!    data.
-//! 3. **Sync EASGD3** — overlap the broadcast with the data-copy +
-//!    forward/backward critical path (steps 7–10 vs 11–12 of
-//!    Algorithm 3); only the non-hidden residual is charged.
+//!    data. Time: the serial tree's messages over the G GPUs on
+//!    `gpu_gpu`.
+//! 3. **Sync EASGD3** — overlap the exchange with the forward/backward
+//!    critical path (steps 7–10 vs 11–12 of Algorithm 3). Time: the
+//!    same tree cut into `EASGD3_SEGMENTS` segments whose traffic is
+//!    in flight under the sliced compute window
+//!    ([`tree_exchange_pipelined`]); what does not hide is what is left
+//!    on the clock.
+//!
+//! [`sync_easgd_sim`] prices the trained proxy network's arena as the
+//! paper's model ([`SimCosts::for_proxy`]); [`sync_easgd_sim_with`]
+//! prices the bytes it is handed on the links it is handed.
 
 use crate::config::TrainConfig;
 use crate::engine::{
@@ -55,13 +66,10 @@ impl SyncVariant {
 /// How the Sync EASGD exchange step moves data (§6.1).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum SyncExchange {
-    /// Hub collectives charged at the Table 3 closed-form
-    /// prices — the default, pinned by the golden-trace suite.
-    Priced,
     /// Executable binomial-tree broadcast/reduce over the point-to-point
     /// layer ([`easgd_cluster::collectives`]): simulated time emerges
-    /// from per-message α-β accounting instead of a formula, so the
-    /// priced timeline and the running schedule share one tree.
+    /// from per-message α-β accounting, so the timeline and the running
+    /// schedule are one tree.
     ExecutableTree,
     /// [`SyncExchange::ExecutableTree`] cut into `segments` arena
     /// segments and driven through the nonblocking request-handle API
@@ -70,10 +78,19 @@ pub enum SyncExchange {
     /// Numerically bit-identical to the serial executable tree — only
     /// the simulated timeline changes.
     PipelinedTree {
-        /// How many segments the parameter arena is cut into (1..=256).
+        /// How many segments the parameter arena is cut into:
+        /// `1..=min(arena length, 256)` — a segment holds at least one
+        /// element and the segment tags span 256.
         segments: usize,
     },
 }
+
+/// Segment count [`sync_easgd_sim`] pipelines Sync EASGD3 with, read
+/// from a sweep at Table 3's protocol (250 rounds, 4 GPUs, LeNet bytes,
+/// 80 µs / 8 GB/s peer link; a test below reruns it): 1 → 1.73 s,
+/// **2 → 1.65 s**, 3 → 1.66, 4 → 1.67, 8 → 1.75, 16 → 1.90. One segment
+/// hides nothing of the broadcast; each further one pays α per tree edge.
+const EASGD3_SEGMENTS: usize = 2;
 
 /// One executable-tree exchange round — the exact comm structure the
 /// Sync EASGD trainer runs per iteration under
@@ -283,6 +300,10 @@ pub fn tree_exchange_pipelined<C, F>(
 /// each round every GPU computes one batch gradient. When
 /// `trace_every > 0`, test accuracy is recorded on the simulated
 /// timeline every that many rounds (evaluation itself is off-clock).
+///
+/// `proto` stands for the model `costs` was calibrated for: its arena
+/// is priced as `costs.weight_bytes` ([`SimCosts::for_proxy`]). EASGD1/2
+/// run the serial executable tree, EASGD3 the pipelined one.
 pub fn sync_easgd_sim(
     proto: &Network,
     train: &Dataset,
@@ -292,15 +313,21 @@ pub fn sync_easgd_sim(
     variant: SyncVariant,
     trace_every: usize,
 ) -> RunResult {
+    let exchange = match variant {
+        SyncVariant::Easgd3 => SyncExchange::PipelinedTree {
+            segments: EASGD3_SEGMENTS,
+        },
+        _ => SyncExchange::ExecutableTree,
+    };
     sync_easgd_sim_with(
         proto,
         train,
         test,
         cfg,
-        costs,
+        &costs.for_proxy(proto.size_bytes()),
         variant,
         trace_every,
-        SyncExchange::Priced,
+        exchange,
     )
 }
 
@@ -318,26 +345,29 @@ pub fn sync_easgd_sim_with(
 ) -> RunResult {
     cfg.validate();
     let g = cfg.workers;
-    let cluster = match exchange {
-        SyncExchange::Priced => ClusterConfig::new(g + 1),
-        // The executable tree's messages traverse the variant's dominant
-        // link: host↔device packed transfers for EASGD1 (CPU-rooted),
-        // GPU peer links otherwise.
-        SyncExchange::ExecutableTree | SyncExchange::PipelinedTree { .. } => {
-            ClusterConfig::new(g + 1).with_link(match variant {
-                SyncVariant::Easgd1 => costs.cpu_gpu_packed.clone(),
-                _ => costs.gpu_gpu.clone(),
-            })
-        }
-    };
     // Under the pipelined exchange, participants charge their
     // forward/backward window in per-segment slices inside the exchange
     // (the §6.1 overlap); everyone else charges it at the serial
     // program point.
     let pipelined_segments = match exchange {
         SyncExchange::PipelinedTree { segments } => Some(segments),
-        _ => None,
+        SyncExchange::ExecutableTree => None,
     };
+    if let Some(segments) = pipelined_segments {
+        let n = proto.params().len();
+        assert!(
+            (1..=n.min(256)).contains(&segments),
+            "PipelinedTree segments = {segments} outside 1..={} (arena of {n} elements, 256 segment tags)",
+            n.min(256)
+        );
+    }
+    // The tree's messages traverse the variant's dominant link:
+    // host↔device packed transfers for EASGD1 (CPU-rooted), GPU peer
+    // links otherwise.
+    let cluster = ClusterConfig::new(g + 1).with_link(match variant {
+        SyncVariant::Easgd1 => costs.cpu_gpu_packed.clone(),
+        _ => costs.gpu_gpu.clone(),
+    });
     // Collective participants for the executable tree: EASGD1 roots the
     // tree at the CPU (which contributes zeros to the reduce); EASGD2/3
     // keep parameter traffic entirely on the GPU set.
@@ -350,23 +380,10 @@ pub fn sync_easgd_sim_with(
         SyncVariant::Easgd1 => 0,
         _ => 1,
     };
-    // Collective pricing per variant (see module docs).
-    let (coll_cost, coll_cat) = match variant {
-        SyncVariant::Easgd1 => (
-            costs.tree_collective_time(&costs.cpu_gpu_packed, g + 1),
-            TimeCategory::CpuGpuParam,
-        ),
-        _ => (
-            costs.tree_collective_time(&costs.gpu_gpu, g),
-            TimeCategory::GpuGpuParam,
-        ),
+    let coll_cat = match variant {
+        SyncVariant::Easgd1 => TimeCategory::CpuGpuParam,
+        _ => TimeCategory::GpuGpuParam,
     };
-    // EASGD3 hides the broadcast under the data + forward/backward path.
-    let bcast_cost = match variant {
-        SyncVariant::Easgd3 => (coll_cost - costs.fwd_bwd - costs.data_time()).max(0.0),
-        _ => coll_cost,
-    };
-    let reduce_cost = coll_cost;
     let wall_start = Instant::now();
 
     let outs = VirtualCluster::run(&cluster, |comm: &mut Comm| {
@@ -381,7 +398,6 @@ pub fn sync_easgd_sim_with(
         // Per-round scratch, allocated once: the exchange step itself is
         // zero-allocation in steady state.
         let mut center_t = vec![0.0f32; n];
-        let mut contribution = vec![0.0f32; n];
         let mut weight_sum = vec![0.0f32; n];
         let mut payload = Vec::new();
         let mut labels: Vec<usize> = Vec::new();
@@ -427,86 +443,34 @@ pub fn sync_easgd_sim_with(
                     }
                 }
             }
-            match exchange {
-                SyncExchange::Priced => {
-                    // --- step (2): broadcast W̄_t from the center holder.
-                    let cat = if me == 0 && center_rank != 0 {
-                        TimeCategory::Other
-                    } else {
-                        coll_cat
-                    };
-                    comm.broadcast_costed_into(
+            if is_participant {
+                let local = &mut local;
+                match exchange {
+                    // --- steps (2)-(4): executable tree broadcast of
+                    // W̄_t, then the reduce input built in place by the
+                    // contribute closure (the EASGD1 CPU contributes
+                    // zeros) and tree-reduced back to the root.
+                    SyncExchange::ExecutableTree => tree_exchange_round(
+                        comm,
+                        &participants,
                         center_rank,
                         &center,
-                        bcast_cost,
-                        cat,
                         &mut center_t,
-                    );
-                    // --- steps (3)+(4) fused: publish W_i into the reduce
-                    // input and apply Equation (1) against W̄_t in one
-                    // sweep (the CPU's contribution stays all-zero). The
-                    // GpuUpdate charge stays at its original program point
-                    // below, so the timeline is unchanged.
-                    if let Some(local) = local.as_mut() {
-                        local.elastic_exchange_against(&rule, &center_t, &mut contribution);
-                    }
-                    comm.reduce_sum_costed_into(&contribution, reduce_cost, cat, &mut weight_sum);
-                    // --- step (5): center update, Equation (2) with the
-                    // full sum.
-                    if me == center_rank {
-                        rule.center_dilution(&mut center, &weight_sum, g);
-                        comm.charge(update_cat, update_cost);
-                    } else {
-                        // Keep non-center replicas of W̄ in sync for the
-                        // next broadcast (only the center holder's copy is
-                        // ever used, but the state must not diverge).
-                        rule.center_dilution_from(&center_t, &weight_sum, g, &mut center);
-                    }
-                    if local.is_some() {
-                        comm.charge(TimeCategory::GpuUpdate, costs.gpu_update);
-                    }
-                }
-                SyncExchange::ExecutableTree => {
-                    if is_participant {
-                        // --- steps (2)-(4): executable tree broadcast of
-                        // W̄_t, then the reduce input built in place by the
-                        // contribute closure (the EASGD1 CPU contributes
-                        // zeros) and tree-reduced back to the root.
-                        let local = &mut local;
-                        tree_exchange_round(
-                            comm,
-                            &participants,
-                            center_rank,
-                            &center,
-                            &mut center_t,
-                            &mut weight_sum,
-                            coll_cat,
-                            |center_t, weight_sum| match local.as_mut() {
-                                Some(local) => {
-                                    local.elastic_exchange_against(&rule, center_t, weight_sum)
-                                }
-                                None => weight_sum.fill(0.0),
-                            },
-                        );
-                        // --- step (5): only the tree root holds Σ W_i;
-                        // the others receive next round's W̄ by broadcast.
-                        if me == center_rank {
-                            rule.center_dilution(&mut center, &weight_sum, g);
-                            comm.charge(update_cat, update_cost);
-                        }
-                        if local.is_some() {
-                            comm.charge(TimeCategory::GpuUpdate, costs.gpu_update);
-                        }
-                    }
-                }
-                SyncExchange::PipelinedTree { segments } => {
-                    if is_participant {
-                        // The same tree round, segment-pipelined: each
-                        // compute slice hides the in-flight segment
-                        // traffic (the overlap EASGD3 prices, now
-                        // emerging from the executable schedule).
+                        &mut weight_sum,
+                        coll_cat,
+                        |center_t, weight_sum| match local.as_mut() {
+                            Some(local) => {
+                                local.elastic_exchange_against(&rule, center_t, weight_sum)
+                            }
+                            None => weight_sum.fill(0.0),
+                        },
+                    ),
+                    // The same tree round, segment-pipelined: each
+                    // compute slice hides the in-flight segment traffic
+                    // (the §6.1 overlap, emerging from the executable
+                    // schedule).
+                    SyncExchange::PipelinedTree { segments } => {
                         let slice_cost = costs.fwd_bwd / segments as f64;
-                        let local = &mut local;
                         tree_exchange_pipelined(
                             comm,
                             &participants,
@@ -525,14 +489,16 @@ pub fn sync_easgd_sim_with(
                                 None => sum_seg.fill(0.0),
                             },
                         );
-                        if me == center_rank {
-                            rule.center_dilution(&mut center, &weight_sum, g);
-                            comm.charge(update_cat, update_cost);
-                        }
-                        if local.is_some() {
-                            comm.charge(TimeCategory::GpuUpdate, costs.gpu_update);
-                        }
                     }
+                }
+                // --- step (5): only the tree root holds Σ W_i; the
+                // others receive next round's W̄ by broadcast.
+                if me == center_rank {
+                    rule.center_dilution(&mut center, &weight_sum, g);
+                    comm.charge(update_cat, update_cost);
+                }
+                if local.is_some() {
+                    comm.charge(TimeCategory::GpuUpdate, costs.gpu_update);
                 }
             }
             if me == center_rank && recorder.due(round) {
@@ -849,28 +815,80 @@ mod tests {
     }
 
     #[test]
-    fn executable_tree_agrees_with_priced_path_on_learning() {
-        // Same schedule, different reduction order (pairwise tree vs the
-        // hub's rank-ordered fold): accuracies must land close.
+    fn executed_easgd2_exchange_time_matches_the_tree_closed_form() {
+        // The closed form stays as a check beside the execution: at
+        // paper-scale bytes the centre's parameter-traffic seconds are
+        // the binomial-tree formulas that remain in `hardware`. On a
+        // power of two the running schedule is exactly ⌈log₂ g⌉ full
+        // hops each way; on other counts it finishes under that bound.
+        use easgd_hardware::collective::{broadcast_tree, reduce_tree};
         let (proto, train, test) = setup();
         let costs = SimCosts::mnist_lenet_4gpu();
-        let c = cfg(40);
-        let priced = sync_easgd_sim(&proto, &train, &test, &c, &costs, SyncVariant::Easgd2, 0);
-        let exec = sync_easgd_sim_with(
+        let rounds = 6;
+        for g in [2usize, 3, 4, 5, 8] {
+            let c = TrainConfig {
+                workers: g,
+                ..cfg(rounds)
+            };
+            let r = sync_easgd_sim(&proto, &train, &test, &c, &costs, SyncVariant::Easgd2, 0);
+            let got = r.breakdown.unwrap().get(TimeCategory::GpuGpuParam);
+            let want = rounds as f64
+                * (broadcast_tree(&costs.gpu_gpu, g, costs.weight_bytes)
+                    + reduce_tree(&costs.gpu_gpu, g, costs.weight_bytes));
+            println!("g = {g}: executed / closed form = {:.4}", got / want);
+            if g.is_power_of_two() {
+                assert!((got / want - 1.0).abs() < 0.01, "g={g}: {got} vs {want}");
+            } else {
+                assert!(got > 0.0 && got <= want, "g={g}: {got} !<= {want}");
+            }
+        }
+    }
+
+    #[test]
+    fn easgd3_segment_sweep_has_its_minimum_at_the_constant() {
+        // Table 3's protocol (4 GPUs, 250 rounds) at paper-scale bytes:
+        // the simulated seconds depend on the schedule, not on the
+        // trained values, so this is the sweep EXPERIMENTS.md records
+        // (`-- --nocapture` prints it).
+        let (proto, train, test) = setup();
+        let costs = SimCosts::mnist_lenet_4gpu().for_proxy(proto.size_bytes());
+        let c = cfg(250);
+        let seconds = |segments: usize| {
+            sync_easgd_sim_with(
+                &proto,
+                &train,
+                &test,
+                &c,
+                &costs,
+                SyncVariant::Easgd3,
+                0,
+                SyncExchange::PipelinedTree { segments },
+            )
+            .sim_seconds
+            .unwrap()
+        };
+        let sweep = [1usize, 2, 3, 4, 8, 16].map(|segments| (segments, seconds(segments)));
+        for (segments, t) in sweep {
+            println!("segments {segments:>2}: {t:.3} s");
+        }
+        let best = sweep.iter().min_by(|a, b| a.1.total_cmp(&b.1)).unwrap();
+        assert_eq!(best.0, EASGD3_SEGMENTS, "{sweep:?}");
+    }
+
+    #[test]
+    #[should_panic(expected = "PipelinedTree segments = 300 outside 1..=256")]
+    fn bad_segment_count_fails_before_any_rank_starts() {
+        let (proto, train, test) = setup();
+        let costs = SimCosts::mnist_lenet_4gpu();
+        sync_easgd_sim_with(
             &proto,
             &train,
             &test,
-            &c,
+            &cfg(1),
             &costs,
-            SyncVariant::Easgd2,
+            SyncVariant::Easgd3,
             0,
-            SyncExchange::ExecutableTree,
-        );
-        assert!(
-            (priced.accuracy - exec.accuracy).abs() < 0.15,
-            "priced {} vs executable {}",
-            priced.accuracy,
-            exec.accuracy
+            SyncExchange::PipelinedTree { segments: 300 },
         );
     }
 

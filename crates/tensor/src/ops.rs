@@ -352,37 +352,6 @@ pub fn center_dilution(eta: f32, rho: f32, center: &mut [f32], weight_sum: &[f32
     debug_check_finite("center_dilution", center);
 }
 
-/// [`center_dilution`] fused with the preceding center refresh: computes
-/// `center_out ← center_t + ηρ(ΣWᵢ − P·center_t)` without first copying
-/// `center_t` into `center_out`. Bit-identical to
-/// `copy(center_t, center_out)` + [`center_dilution`], because `x += e`
-/// evaluates as `x = x + e` on the copied value.
-///
-/// # Panics
-/// Panics if lengths differ.
-pub fn center_dilution_from(
-    eta: f32,
-    rho: f32,
-    center_t: &[f32],
-    weight_sum: &[f32],
-    workers: usize,
-    center_out: &mut [f32],
-) {
-    assert_eq!(center_t.len(), weight_sum.len(), "dilution length mismatch");
-    assert_eq!(center_t.len(), center_out.len(), "dilution length mismatch");
-    let scale = eta * rho;
-    let p = workers as f32;
-    let c = par::band_len(center_out.len());
-    par::fan_out(
-        center_out
-            .chunks_mut(c)
-            .zip(center_t.chunks(c))
-            .zip(weight_sum.chunks(c)),
-        |((oc, tc), sc)| simd::dilution_from_band(scale, p, oc, tc, sc),
-    );
-    debug_check_finite("center_dilution_from", center_out);
-}
-
 /// Plain SGD step `W ← W − ηΔW`.
 ///
 /// # Panics
@@ -511,26 +480,11 @@ mod tests {
         }
     }
 
-    #[test]
-    fn center_dilution_from_matches_copy_then_dilution() {
-        let n = 101;
-        let center_t: Vec<f32> = (0..n).map(|i| (i as f32 * 0.21).sin()).collect();
-        let weight_sum: Vec<f32> = (0..n).map(|i| 4.0 * (i as f32 * 0.09).cos()).collect();
-        let mut two_pass = vec![0.0f32; n];
-        two_pass.copy_from_slice(&center_t);
-        center_dilution(0.05, 0.3, &mut two_pass, &weight_sum, 4);
-        let mut fused = vec![7.0f32; n];
-        center_dilution_from(0.05, 0.3, &center_t, &weight_sum, 4, &mut fused);
-        for i in 0..n {
-            assert_eq!(fused[i].to_bits(), two_pass[i].to_bits(), "center[{i}]");
-        }
-    }
-
     /// One op applied to (primary, secondary, grad, center) operands.
     type Apply = fn(&mut [f32], &mut [f32], &[f32], &[f32]);
 
     /// Every mutating kernel of this module ([`sgd_update`] is `axpy`).
-    const OPS: [(&str, Apply); 11] = [
+    const OPS: [(&str, Apply); 10] = [
         ("axpy", |l, _, g, _| axpy(0.37, g, l)),
         ("scale", |l, _, _, _| scale(0.37, l)),
         ("sub", |l, _, g, c| sub(g, c, l)),
@@ -547,9 +501,6 @@ mod tests {
             elastic_exchange(0.05, 0.3, l, v, g, c)
         }),
         ("dilution", |l, _, g, _| center_dilution(0.05, 0.3, l, g, 4)),
-        ("dilution_from", |l, v, g, _| {
-            center_dilution_from(0.05, 0.3, g, l, 4, v)
-        }),
     ];
 
     /// `(start, grad, center)` operands of `n` elements.

@@ -491,16 +491,6 @@ mod x86 {
             _mm512_storeu_ps(center.as_mut_ptr().add(i), r);
         },
         tail: |j| { center[j] += scale * (weight_sum[j] - p * center[j]); });
-
-    band_kernel!(dilution_from, (scale, p), (out, center_t, weight_sum),
-        vec: |i| {
-            let tv = _mm512_loadu_ps(center_t.as_ptr().add(i));
-            let sv = _mm512_loadu_ps(weight_sum.as_ptr().add(i));
-            let drift = _mm512_sub_ps(sv, _mm512_mul_ps(_mm512_set1_ps(p), tv));
-            let r = _mm512_add_ps(tv, _mm512_mul_ps(_mm512_set1_ps(scale), drift));
-            _mm512_storeu_ps(out.as_mut_ptr().add(i), r);
-        },
-        tail: |j| { out[j] = center_t[j] + scale * (weight_sum[j] - p * center_t[j]); });
 }
 
 // ---------------------------------------------------------------------------
@@ -828,11 +818,6 @@ band_dispatch!(
     dilution_band / dilution, (scale, p), (center, weight_sum),
     |j| { center[j] += scale * (weight_sum[j] - p * center[j]); });
 
-band_dispatch!(
-    /// Out-of-place Σ-form Equation (2): `o ← t + ηρ(Σw − P·t)`.
-    dilution_from_band / dilution_from, (scale, p), (out, center_t, weight_sum),
-    |j| { out[j] = center_t[j] + scale * (weight_sum[j] - p * center_t[j]); });
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -979,11 +964,6 @@ mod tests {
             n,
             |c, _| dilution_band(0.015, 4.0, c, &a),
             |c, _| dilution_band(0.015, 4.0, c, &a),
-        );
-        check_band(
-            n,
-            |o, _| dilution_from_band(0.015, 4.0, o, &a, &b),
-            |o, _| dilution_from_band(0.015, 4.0, o, &a, &b),
         );
     }
 }

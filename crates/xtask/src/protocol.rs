@@ -823,21 +823,6 @@ fn fan_out_batch(comm: &mut Comm, g: usize) {
     }
 }
 
-/// Programs of one `SyncExchange::Priced` round on `g` GPUs plus the
-/// data CPU: after the batch fan-out *every* rank (the CPU contributes
-/// zeros) joins the explicitly priced hub broadcast of the center from
-/// rank 1 and the hub reduce of the contributions.
-pub fn trace_priced_exchange(g: usize) -> Vec<Vec<TraceOp>> {
-    record_traces(g + 1, move |comm| {
-        fan_out_batch(comm, g);
-        let cat = TimeCategory::GpuGpuParam;
-        let (mut center_t, mut weight_sum) = (Vec::new(), Vec::new());
-        comm.broadcast_costed_into(1, &[0.5; 4], 1e-3, cat, &mut center_t);
-        let contribution = [comm.rank().min(1) as f32; 4];
-        comm.reduce_sum_costed_into(&contribution, 1e-3, cat, &mut weight_sum);
-    })
-}
-
 /// Programs of one Sync EASGD2/3 round on `g` GPUs plus the data CPU
 /// (`P = g + 1`): after the batch fan-out the GPU set runs the
 /// production [`tree_exchange_round`](easgd::sync::tree_exchange_round)
@@ -1072,11 +1057,6 @@ pub fn suite(smoke: bool) -> Vec<Scenario> {
         ),
         ("hub_allreduce(P=4)", trace_hub_allreduce(4), true),
         ("hub_barrier(P=4)", trace_hub_barrier(4), true),
-        (
-            "sync_easgd_priced_exchange(G=3)",
-            trace_priced_exchange(3),
-            true,
-        ),
         (
             "negative: cyclic send/recv pair",
             negative_cyclic_pair(),

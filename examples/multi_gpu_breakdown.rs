@@ -1,6 +1,8 @@
 //! The §6.1 optimization story on the simulated 4-GPU node: Original
 //! EASGD → Sync EASGD1 → 2 → 3, with the Table 3 time breakdown at each
-//! step.
+//! step. The Sync rows' seconds are what the executed tree messages cost
+//! (serial tree for EASGD1/2, the pipelined tree for EASGD3), with
+//! `lenet_tiny`'s arena priced as the paper's 1.72 MB LeNet.
 //!
 //! ```sh
 //! cargo run --release --example multi_gpu_breakdown

@@ -47,6 +47,12 @@ if grep -rnE "par_zip|par_chunks_mut|WorkerPool|with_pool|should_par" crates/ sr
   exit 1
 fi
 
+echo "==> one source of Sync EASGD time (the priced hub mode and everything only it kept alive were deleted)"
+if grep -rnE "SyncExchange::Priced|broadcast_costed_into|center_dilution_from|dilution_from_band|tree_collective_time|trace_priced_exchange" crates/ src/ tests/ examples/; then
+  echo "error: a piece of the priced Sync EASGD mode is back (matches above)" >&2
+  exit 1
+fi
+
 echo "==> kernel tables (smoke: one iteration per row, no JSON; gemm_par_vs_serial on >= 2 threads, skip notice on 1; checked-in BENCH_kernels.json fork-join acceptance)"
 cargo run -q --release -p easgd-bench --bin kernels -- --smoke
 

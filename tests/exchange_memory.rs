@@ -1,5 +1,5 @@
-//! Memory of the Sync EASGD exchange is flat in rounds, on the
-//! executable tree and on the priced hub collectives.
+//! Memory of the Sync EASGD exchange on the executable tree is flat in
+//! rounds.
 //!
 //! `sync_easgd_sim_with(Easgd2, …)` does not expose its cluster's pool,
 //! so the rank program is re-hosted here from the public pieces the
@@ -45,35 +45,25 @@ fn cfg(iterations: usize) -> TrainConfig {
     }
 }
 
-/// The Easgd2 rank program on `exchange` (`ExecutableTree` or `Priced`);
-/// returns the run and the cluster-wide pool counters at the end of each
-/// of the centre's rounds.
-fn hosted(
-    backend: ClusterBackend,
-    rounds: usize,
-    exchange: SyncExchange,
-) -> (alg::RunResult, Vec<PoolStats>) {
+/// The Easgd2 rank program on the executable tree; returns the run and
+/// the cluster-wide pool counters at the end of each of the centre's
+/// rounds.
+fn hosted(backend: ClusterBackend, rounds: usize) -> (alg::RunResult, Vec<PoolStats>) {
     let (proto, train, test) = task();
     let (cfg, costs) = (cfg(rounds), SimCosts::mnist_lenet_4gpu());
     let g = cfg.workers;
-    let priced = exchange == SyncExchange::Priced;
-    let cluster = if priced {
-        ClusterConfig::new(g + 1)
-    } else {
-        ClusterConfig::new(g + 1).with_link(costs.gpu_gpu.clone())
-    }
-    .with_backend(backend);
-    let coll_cost = costs.tree_collective_time(&costs.gpu_gpu, g);
+    let cluster = ClusterConfig::new(g + 1)
+        .with_link(costs.gpu_gpu.clone())
+        .with_backend(backend);
     let participants: Vec<usize> = (1..=g).collect();
     let rule = ElasticRule::from_config(&cfg);
     let center_rank = 1;
-    // On the tree the data rank never blocks, so the event backend runs
-    // it to the end before any worker starts: one fresh batch buffer per
-    // worker per round. The workers wait for it on threads too, so both
-    // backends allocate the same batch buffers and differ only in how the
-    // workers interleave. (The priced collectives include the data rank,
-    // which keeps it in step.)
-    let producer_done = AtomicBool::new(priced);
+    // The data rank never blocks, so the event backend runs it to the
+    // end before any worker starts: one fresh batch buffer per worker per
+    // round. The workers wait for it on threads too, so both backends
+    // allocate the same batch buffers and differ only in how the workers
+    // interleave.
+    let producer_done = AtomicBool::new(false);
     let outs = VirtualCluster::run(&cluster, |comm| {
         let me = comm.rank();
         // ordering: SeqCst flag, the only data published through it.
@@ -82,11 +72,9 @@ fn hosted(
         }
         let mut rng = additive_rng(cfg.seed, me as u64);
         let mut center = proto.params().as_slice().to_vec();
-        let n = center.len();
         let mut local = (me != 0).then(|| LocalStep::new(&proto));
         let mut center_t = Vec::new();
-        let mut contribution = vec![0.0f32; n];
-        let mut weight_sum = vec![0.0f32; n];
+        let mut weight_sum = vec![0.0f32; center.len()];
         let mut payload = Vec::new();
         let mut labels: Vec<usize> = Vec::new();
         let mut pool_rounds = Vec::new();
@@ -103,9 +91,7 @@ fn hosted(
                         comm.send_from_costed(j, tags::SYNC_DATA, buf, cost, cat);
                     }
                     comm.charge(TimeCategory::ForwardBackward, costs.fwd_bwd);
-                    if !priced {
-                        continue;
-                    }
+                    continue;
                 }
                 Some(local) => {
                     comm.recv_into(0, tags::SYNC_DATA, TimeCategory::Other, &mut payload);
@@ -115,40 +101,25 @@ fn hosted(
                     comm.charge(TimeCategory::ForwardBackward, costs.fwd_bwd);
                 }
             }
-            if priced {
-                let cat = if me == 0 {
-                    TimeCategory::Other
-                } else {
-                    TimeCategory::GpuGpuParam
-                };
-                comm.broadcast_costed_into(center_rank, &center, coll_cost, cat, &mut center_t);
-                if let Some(local) = local.as_mut() {
-                    local.elastic_exchange_against(&rule, &center_t, &mut contribution);
-                }
-                comm.reduce_sum_costed_into(&contribution, coll_cost, cat, &mut weight_sum);
-            } else {
-                let local = &mut local;
-                tree_exchange_round(
-                    comm,
-                    &participants,
-                    center_rank,
-                    &center,
-                    &mut center_t,
-                    &mut weight_sum,
-                    TimeCategory::GpuGpuParam,
-                    |center_t, weight_sum| match local.as_mut() {
-                        Some(local) => local.elastic_exchange_against(&rule, center_t, weight_sum),
-                        None => unreachable!("every participant computes"),
-                    },
-                );
-            }
+            let local = &mut local;
+            tree_exchange_round(
+                comm,
+                &participants,
+                center_rank,
+                &center,
+                &mut center_t,
+                &mut weight_sum,
+                TimeCategory::GpuGpuParam,
+                |center_t, weight_sum| match local.as_mut() {
+                    Some(local) => local.elastic_exchange_against(&rule, center_t, weight_sum),
+                    None => unreachable!("every participant computes"),
+                },
+            );
             if me == center_rank {
                 rule.center_dilution(&mut center, &weight_sum, g);
                 comm.charge(TimeCategory::GpuUpdate, costs.gpu_update);
             }
-            if me != 0 {
-                comm.charge(TimeCategory::GpuUpdate, costs.gpu_update);
-            }
+            comm.charge(TimeCategory::GpuUpdate, costs.gpu_update);
             if me == center_rank {
                 pool_rounds.push(comm.pool_stats());
             }
@@ -186,7 +157,7 @@ fn hosted(
 fn executable_tree_memory_is_flat_in_rounds() {
     for backend in [ClusterBackend::Threads, ClusterBackend::Events] {
         for rounds in [10usize, 40] {
-            let (result, pool) = hosted(backend, rounds, SyncExchange::ExecutableTree);
+            let (result, pool) = hosted(backend, rounds);
             assert_eq!(pool.len(), rounds);
             let what = format!("{backend:?} R={rounds}");
 
@@ -234,50 +205,5 @@ fn executable_tree_memory_is_flat_in_rounds() {
                 "{what}: {arena_sized} arena-sized pooled buffers for {WORKERS} participants"
             );
         }
-    }
-}
-
-#[test]
-fn priced_exchange_stops_allocating_after_warm_up() {
-    // The priced round is two hub collectives that include the data
-    // rank, so every rank steps in lockstep and batch buffers circulate
-    // too: each worker's private list keeps its first four, the fifth
-    // spills to the shared pool where the data rank finds it.
-    const WARM: usize = 8;
-    for rounds in [12usize, 40] {
-        let mut totals = Vec::new();
-        for backend in [ClusterBackend::Events, ClusterBackend::Threads] {
-            let (result, pool) = hosted(backend, rounds, SyncExchange::Priced);
-            let what = format!("{backend:?} R={rounds}");
-            let (proto, train, test) = task();
-            let costs = SimCosts::mnist_lenet_4gpu();
-            let lib = backend.with_default(|| {
-                sync_easgd_sim(
-                    &proto,
-                    &train,
-                    &test,
-                    &cfg(rounds),
-                    &costs,
-                    SyncVariant::Easgd2,
-                    0,
-                )
-            });
-            assert_eq!(result.center_hash, lib.center_hash, "{what}");
-            assert_eq!(result.sim_seconds, lib.sim_seconds, "{what}");
-            if backend == ClusterBackend::Events {
-                let steady = pool[rounds - 1].since(&pool[WARM - 1]);
-                assert_eq!(steady.allocations(), 0, "{what}: {steady:?}");
-            }
-            totals.push(pool[rounds - 1].allocations());
-        }
-        // Threads reach the same warm pool, give or take the buffer a
-        // rank takes while the one it would have reused is still on its
-        // way back — at any round, but a bounded number of times.
-        assert!(
-            totals[1] <= totals[0] + WORKERS as u64,
-            "R={rounds}: threads allocated {} times, events {}",
-            totals[1],
-            totals[0]
-        );
     }
 }

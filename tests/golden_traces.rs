@@ -318,11 +318,20 @@ fn golden_digests_match() {
     actual.insert("knl_partition_w4".to_string(), (knl_digest(), None));
 
     if std::env::var_os("GOLDEN_RECORD").is_some() {
-        let mut text = String::from(
-            "# Golden fixed-seed digests — regenerate with\n\
-             # GOLDEN_RECORD=1 cargo test --test golden_traces\n\
-             # name base_digest full_digest\n",
-        );
+        // The header survives a re-record: it is where the reason for
+        // each one is written down.
+        let mut text: String = match std::fs::read_to_string(digest_path()) {
+            Ok(old) => old
+                .lines()
+                .take_while(|l| l.starts_with('#'))
+                .flat_map(|l| [l, "\n"])
+                .collect(),
+            Err(_) => String::from(
+                "# Golden fixed-seed digests — regenerate with\n\
+                 # GOLDEN_RECORD=1 cargo test --test golden_traces\n\
+                 # name base_digest full_digest\n",
+            ),
+        };
         for (name, (base, full)) in &actual {
             match full {
                 Some(f) => writeln!(text, "{name} 0x{base:016x} 0x{f:016x}").unwrap(),

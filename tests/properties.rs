@@ -499,50 +499,6 @@ proptest! {
             );
         }
     }
-
-    /// The fused center refresh+dilution (`center_dilution_from`) is
-    /// bit-identical to copy-then-dilute, serial and band-forced alike.
-    #[test]
-    fn fused_center_dilution_from_matches_copy_then_dilution(
-        bands in 2usize..8,
-        quot in 1usize..40,
-        rem in 0usize..8,
-        eta in 0.01f32..0.5,
-        rho in 0.01f32..0.9,
-        workers in 1usize..16,
-        seed in 0u64..1_000,
-    ) {
-        use knl_easgd::tensor::par;
-        let len = bands * quot + (rem % bands);
-        let mut rng = Rng::new(seed);
-        let center_t: Vec<f32> = (0..len).map(|_| rng.uniform_in(-2.0, 2.0)).collect();
-        let sum: Vec<f32> = (0..len).map(|_| rng.uniform_in(-2.0, 2.0)).collect();
-
-        let mut two_pass = center_t.clone();
-        ops::center_dilution(eta, rho, &mut two_pass, &sum, workers);
-
-        let mut fused = vec![0.0f32; len];
-        ops::center_dilution_from(eta, rho, &center_t, &sum, workers, &mut fused);
-        for i in 0..len {
-            prop_assert_eq!(fused[i].to_bits(), two_pass[i].to_bits(), "out[{}]", i);
-        }
-
-        let scale = eta * rho;
-        let p = workers as f32;
-        let mut banded = vec![0.0f32; len];
-        let c = len.div_ceil(bands);
-        par::fan_out(
-            banded.chunks_mut(c).zip(center_t.chunks(c)).zip(sum.chunks(c)),
-            |((oc, tc), sc)| {
-                for ((oi, ti), si) in oc.iter_mut().zip(tc).zip(sc) {
-                    *oi = ti + scale * (si - p * ti);
-                }
-            },
-        );
-        for i in 0..len {
-            prop_assert_eq!(banded[i].to_bits(), fused[i].to_bits(), "banded out[{}]", i);
-        }
-    }
 }
 
 // --- Buffer pool accounting (the zero-allocation exchange substrate) ----
