@@ -16,10 +16,15 @@
 //!   AVX2 intrinsics behind a bit-identical scalar fallback — see
 //!   DESIGN.md §15) does the flops. All four [`Transpose`] combinations
 //!   are normalized away by the packing step, so the microkernel sees
-//!   one layout. Skinny outputs (`m ≤ 64` — the fully-connected layers
-//!   of a small-batch step) switch to a column-major nest that keeps the
-//!   register tiles live across every `KC` block, touching C once
-//!   instead of `k/KC` times (the `vgg_fc6` cliff fix, DESIGN.md §15).
+//!   one layout: an operand whose tile lanes are contiguous in memory is
+//!   copied in vector slivers, and one whose `k` runs are contiguous —
+//!   `B` stored transposed (every `Dense` forward's weights, conv
+//!   `gradW`'s `col`) and `A` as stored — is transposed in 8×8 register
+//!   blocks by `simd::pack_transposed`. Skinny outputs (`m ≤ 64` — the
+//!   fully-connected layers of a small-batch step) switch to a
+//!   column-major nest that keeps the register tiles live across every
+//!   `KC` block, touching C once instead of `k/KC` times (the `vgg_fc6`
+//!   cliff fix, DESIGN.md §15).
 //! * **blocked fork-join** — at or above [`par::FORK_JOIN_FLOPS`], when
 //!   the calling thread's budget allows more than one thread, the output
 //!   is cut into one band per thread along its *larger* dimension and
@@ -361,20 +366,9 @@ fn pack_a(
         let dst = &mut ap[it * kcb * MR..(it + 1) * kcb * MR];
         let rows = MR.min(mcb - it * MR);
         match ta {
+            // op(A)[i][l] = a[i·k + l]: rows are contiguous in `l`.
             Transpose::No => {
-                // op(A)[i][l] = a[i·k + l]: rows are contiguous in `l`.
-                for r in 0..MR {
-                    if r < rows {
-                        let src = &a[(ic + it * MR + r) * k + pc..][..kcb];
-                        for (p, &v) in src.iter().enumerate() {
-                            dst[p * MR + r] = v;
-                        }
-                    } else {
-                        for p in 0..kcb {
-                            dst[p * MR + r] = 0.0;
-                        }
-                    }
-                }
+                simd::pack_transposed::<MR>(a, (ic + it * MR) * k + pc, k, rows, kcb, dst)
             }
             Transpose::Yes => {
                 // op(A)[i][l] = a[l·m + i]: each `p` step is contiguous
@@ -426,20 +420,9 @@ fn pack_b(
                     }
                 }
             }
+            // op(B)[l][j] = b[j·k + l]: columns are contiguous in `l`.
             Transpose::Yes => {
-                // op(B)[l][j] = b[j·k + l]: columns are contiguous in `l`.
-                for j in 0..NR {
-                    if j < cols {
-                        let src = &b[(jc + jt * NR + j) * k + pc..][..kcb];
-                        for (p, &v) in src.iter().enumerate() {
-                            dst[p * NR + j] = v;
-                        }
-                    } else {
-                        for p in 0..kcb {
-                            dst[p * NR + j] = 0.0;
-                        }
-                    }
-                }
+                simd::pack_transposed::<NR>(b, (jc + jt * NR) * k + pc, k, cols, kcb, dst)
             }
         }
     }
@@ -677,7 +660,7 @@ fn blocked_accumulate_with(
 /// by [`stage_b_rows`] *before* any microkernel runs: the stage reads
 /// B's rows in contiguous `SKINNY_NC`-float slivers (DRAM-prefetcher
 /// friendly; B is read from memory exactly once overall) and the
-/// microkernels then consume the ~512 KiB staged panel from L2. A naive
+/// microkernels then consume the ~224 KiB staged panel from L2. A naive
 /// per-tile strip copy instead walks B at an `n`-float row stride —
 /// 16 KiB for the fc layers, which maps every row to the same L1 set and
 /// degenerates to uncovered DRAM latency per 128-byte sliver (measured

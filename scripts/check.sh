@@ -86,20 +86,8 @@ cargo test --workspace -q
 echo "==> cargo test --workspace --features strict-invariants"
 cargo test --workspace -q --features strict-invariants
 
-# The explicit-SIMD GEMM microkernel compiles one of three tiers
-# (avx512f+fma / avx2+fma / scalar) at build time; all three must stay
-# bit-identical to gemm_serial. The native build above exercised the
-# host's best tier — these legs rebuild the tensor crate with the
-# portable fallbacks (separate target dirs so the caches don't thrash)
-# and rerun its bit-identity suite, so the paths CI hardware doesn't
-# default to cannot rot.
-echo "==> SIMD tier bit-identity: scalar fallback (RUSTFLAGS='', no target-cpu=native)"
-RUSTFLAGS="" CARGO_TARGET_DIR=target/scalar cargo test -q -p easgd-tensor
-
-if [[ "$(uname -m)" == "x86_64" ]]; then
-  echo "==> SIMD tier bit-identity: avx2+fma tier"
-  RUSTFLAGS="-C target-feature=+avx2,+fma" CARGO_TARGET_DIR=target/avx2 cargo test -q -p easgd-tensor
-fi
+echo "==> SIMD tier bit-identity: the scalar and avx2+fma builds of easgd-tensor (scripts/simd_tiers.sh)"
+scripts/simd_tiers.sh
 
 echo "==> non-test lines per crate (scripts/loc.sh)"
 scripts/loc.sh

@@ -8,7 +8,10 @@ use knl_easgd::prelude::{
     AlphaBeta, ClusterConfig, ParamArena, SyntheticSpec, TimeCategory, VirtualCluster,
 };
 use knl_easgd::tensor::Rng;
-use knl_easgd::tensor::{gemm, gemm_naive, gemm_serial, ops, Transpose};
+use knl_easgd::tensor::{
+    gemm, gemm_naive, gemm_row_band, gemm_rowstable, gemm_serial, ops, with_scalar_kernels,
+    Transpose,
+};
 use proptest::prelude::*;
 
 fn finite_vec(len: usize) -> impl Strategy<Value = Vec<f32>> {
@@ -32,6 +35,72 @@ fn transpose_of(t: bool) -> Transpose {
         Transpose::Yes
     } else {
         Transpose::No
+    }
+}
+
+/// Packing moves bytes, never arithmetic: on the skinny shapes serving and
+/// the MLP trainers issue — short row tiles (m < 8), a 20-column last
+/// tile (n = 500), `k` blocks that are not whole vectors (27, 244 = 500 −
+/// 256, 257) — every entry point gives the bits of its forced-scalar
+/// run, for all four transpose pairs; and row `r` of an 8-row NT
+/// `gemm_rowstable` is the 1-row product of that row (the serving
+/// contract at the tensor level). The grid is walked whole, which is why
+/// this is not one more draw of the sampled property below.
+#[test]
+fn gemm_entry_points_are_tier_invariant_on_skinny_ragged_shapes() {
+    type Entry = fn(Transpose, Transpose, usize, usize, usize, &[f32], &[f32], &mut [f32]);
+    let entries: [(&str, Entry); 3] = [
+        ("gemm", |ta, tb, m, n, k, a, b, c| {
+            gemm(ta, tb, m, n, k, 0.5, a, b, 1.0, c)
+        }),
+        ("gemm_rowstable", |ta, tb, m, n, k, a, b, c| {
+            gemm_rowstable(ta, tb, m, n, k, 0.5, a, b, 1.0, c)
+        }),
+        ("gemm_row_band", |ta, tb, m, n, k, a, b, c| {
+            let split = (m / 2) * n;
+            let (top, bottom) = c.split_at_mut(split);
+            gemm_row_band(ta, tb, m, n, k, 0, 0.5, a, b, 1.0, top);
+            gemm_row_band(ta, tb, m, n, k, m / 2, 0.5, a, b, 1.0, bottom);
+        }),
+    ];
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+    let mut rng = Rng::new(20);
+    for n in [10usize, 33, 500] {
+        for k in [27usize, 244, 257, 800] {
+            let a: Vec<f32> = (0..9 * k).map(|_| rng.uniform_in(-1.0, 1.0)).collect();
+            let b: Vec<f32> = (0..k * n).map(|_| rng.uniform_in(-1.0, 1.0)).collect();
+            let c0: Vec<f32> = (0..9 * n).map(|_| rng.uniform_in(-1.0, 1.0)).collect();
+            for m in 1..=9usize {
+                for (ta, tb) in [(false, false), (false, true), (true, false), (true, true)] {
+                    let (ta, tb) = (transpose_of(ta), transpose_of(tb));
+                    for (name, entry) in entries {
+                        let mut fast = c0[..m * n].to_vec();
+                        entry(ta, tb, m, n, k, &a[..m * k], &b, &mut fast);
+                        let mut scalar = c0[..m * n].to_vec();
+                        with_scalar_kernels(|| {
+                            entry(ta, tb, m, n, k, &a[..m * k], &b, &mut scalar)
+                        });
+                        assert_eq!(
+                            bits(&fast),
+                            bits(&scalar),
+                            "{name} m={m} n={n} k={k} {ta:?} {tb:?}"
+                        );
+                    }
+                }
+            }
+            let (no, yes) = (Transpose::No, Transpose::Yes);
+            let mut batch = vec![0.0; 8 * n];
+            gemm_rowstable(no, yes, 8, n, k, 1.0, &a[..8 * k], &b, 0.0, &mut batch);
+            for r in 0..8 {
+                let mut alone = vec![0.0; n];
+                gemm_rowstable(no, yes, 1, n, k, 1.0, &a[r * k..][..k], &b, 0.0, &mut alone);
+                assert_eq!(
+                    bits(&alone),
+                    bits(&batch[r * n..][..n]),
+                    "row {r} n={n} k={k}"
+                );
+            }
+        }
     }
 }
 
