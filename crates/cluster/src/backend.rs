@@ -12,9 +12,11 @@
 //! * [`ClusterBackend::Events`] — a single-token discrete-event engine.
 //!   Every rank still runs its real trainer code on its own (small,
 //!   lazily-committed) stack, but exactly **one** rank is runnable at a
-//!   time: a rank that must wait for a message parks its
-//!   fiber and hands the run token to the runnable rank with the
-//!   smallest `(simulated time, rank)` key in the event queue. Thousands
+//!   time: a rank that must wait parks its fiber, names every message
+//!   it cannot proceed without, and hands the run token to the runnable
+//!   rank with the smallest `(simulated time, rank)` key in the event
+//!   queue; the delivery of the last message it named makes it runnable
+//!   again, nothing else does. Thousands
 //!   of ranks (the paper's 4352-core weak-scaling sweeps and beyond)
 //!   share one process with no lock contention and a deterministic
 //!   schedule.
@@ -35,7 +37,7 @@
 
 use crate::channel::Receiver;
 use crate::cluster::Shared;
-use crate::comm::{Awaited, Comm, Message};
+use crate::comm::{Awaited, Comm, Message, WaitSet};
 use std::cell::Cell;
 use std::collections::BinaryHeap;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -98,33 +100,35 @@ pub(crate) enum Executor {
 }
 
 impl Executor {
-    /// Called by `Comm` when no buffered message matches `awaited`:
+    /// Called by `Comm` when something in `waiting` is not buffered yet:
     /// blocks until more traffic *may* be available. Threads: one
     /// blocking channel receive (returns the message). Events: parks
-    /// this rank's fiber until a sender signals it, then returns `None`
-    /// — the caller re-drains its channel and re-scans.
+    /// this rank's fiber until everything `waiting` names has been
+    /// delivered, then returns `None` — the caller re-drains its channel
+    /// and re-scans.
     pub(crate) fn wait_message(
         &self,
         rank: usize,
         rx: &Receiver<Message>,
         now: f64,
-        awaited: Awaited,
+        waiting: &mut WaitSet,
     ) -> Option<Message> {
         match self {
             Executor::Threads => Some(rx.recv().expect("all senders hung up")),
             Executor::Events(sched) => {
-                sched.park(rank, now, awaited);
+                sched.park(rank, now, waiting);
                 None
             }
         }
     }
 
-    /// Called by `Comm` right after handing a message to `to`'s channel.
-    /// A no-op on threads (the channel's own condvar wakes the
-    /// receiver); on events it marks a parked receiver runnable.
-    pub(crate) fn notify_delivery(&self, to: usize) {
+    /// Called by `Comm` right after handing `from`'s `tag` message to
+    /// `to`'s channel. A no-op on threads (the channel's own condvar
+    /// wakes the receiver); on events it checks the message off what a
+    /// parked receiver waits for.
+    pub(crate) fn notify_delivery(&self, to: usize, from: usize, tag: u32) {
         if let Executor::Events(sched) = self {
-            sched.signal(to);
+            sched.signal(to, from, tag);
         }
     }
 }
@@ -164,8 +168,8 @@ enum RankState {
     Ready,
     /// Holds the run token (at most one rank at any time).
     Running,
-    /// Parked: waiting for the message it names.
-    Blocked(Awaited),
+    /// Parked until the last message its `waiting` set names is delivered.
+    Blocked,
     /// Returned from its trainer closure.
     Done,
 }
@@ -175,6 +179,12 @@ struct SchedState {
     /// Simulated time at which each rank last blocked — its resume
     /// priority in the event queue.
     block_time: Vec<f64>,
+    /// What each blocked rank named when it parked, deliveries since
+    /// checked off.
+    waiting: Vec<WaitSet>,
+    /// How often each rank has parked: hand-offs are the engine's unit
+    /// of host cost, and unlike a timing the count repeats exactly.
+    parks: Vec<u64>,
     queue: BinaryHeap<Runnable>,
     done: usize,
     /// A rank panicked or the engine detected deadlock: every parked
@@ -201,6 +211,8 @@ impl EventSched {
             state: Mutex::new(SchedState {
                 status: vec![RankState::Ready; ranks],
                 block_time: vec![0.0; ranks],
+                waiting: (0..ranks).map(|_| WaitSet::default()).collect(),
+                parks: vec![0; ranks],
                 queue,
                 done: 0,
                 aborted: false,
@@ -225,16 +237,15 @@ impl EventSched {
             st.status[next.rank] = RankState::Running;
             self.wake[next.rank].notify_all();
         } else if st.done < st.status.len() && !st.aborted {
-            let blocked: Vec<String> = st
-                .status
-                .iter()
-                .enumerate()
-                .filter_map(|(rank, s)| match s {
-                    RankState::Blocked(Awaited { from, tag }) => Some(match from {
-                        Some(from) => format!("rank {rank} (tag {tag:#x} from rank {from})"),
-                        None => format!("rank {rank} (tag {tag:#x} from any rank)"),
-                    }),
-                    _ => None,
+            let describe = |Awaited { from, tag }| match from {
+                Some(from) => format!("tag {tag:#x} from rank {from}"),
+                None => format!("tag {tag:#x} from any rank"),
+            };
+            let blocked: Vec<String> = (0..st.status.len())
+                .filter(|&rank| st.status[rank] == RankState::Blocked)
+                .map(|rank| {
+                    let missing: Vec<String> = st.waiting[rank].missing().map(describe).collect();
+                    format!("rank {rank} ({})", missing.join("; "))
                 })
                 .collect();
             st.aborted = true;
@@ -261,16 +272,20 @@ impl EventSched {
         }
     }
 
-    /// Parks the calling rank at simulated time `now` waiting for
-    /// `awaited`, dispatches the next runnable rank, and blocks until a
-    /// sender signals this rank and the scheduler hands the token back.
-    pub(crate) fn park(&self, rank: usize, now: f64, awaited: Awaited) {
+    /// Parks the calling rank at simulated time `now` until everything
+    /// `waiting` names has been delivered (the set trades places with
+    /// this rank's slot — whatever comes back is scratch), dispatches the
+    /// next runnable rank, and blocks until the scheduler hands the token
+    /// back.
+    pub(crate) fn park(&self, rank: usize, now: f64, waiting: &mut WaitSet) {
         let mut st = self.lock();
         if st.aborted {
             panic!("event cluster aborted (a sibling rank panicked or deadlocked)");
         }
-        st.status[rank] = RankState::Blocked(awaited);
+        st.status[rank] = RankState::Blocked;
         st.block_time[rank] = now;
+        st.parks[rank] += 1;
+        std::mem::swap(&mut st.waiting[rank], waiting);
         self.dispatch(&mut st);
         while st.status[rank] != RankState::Running {
             if st.aborted {
@@ -280,14 +295,15 @@ impl EventSched {
         }
     }
 
-    /// Marks a parked rank runnable (no-op for ranks that are ready,
-    /// running, or done — a rank never parks on itself, and spurious
-    /// signals are absorbed by the re-check loops at the wait sites).
-    /// The caller keeps the run token; the signaled rank resumes at its
-    /// own recorded block time once dispatched.
-    pub(crate) fn signal(&self, rank: usize) {
+    /// Checks `from`'s `tag` message off what `rank` is parked for and
+    /// makes it runnable if nothing it named is missing any more (a
+    /// no-op for ranks that are ready, running or done, and for traffic a
+    /// parked rank did not name: it drains its channel before it next
+    /// parks, so nothing is lost). The caller keeps the run token; the
+    /// woken rank resumes at its own recorded block time once dispatched.
+    pub(crate) fn signal(&self, rank: usize, from: usize, tag: u32) {
         let mut st = self.lock();
-        if matches!(st.status[rank], RankState::Blocked(_)) {
+        if st.status[rank] == RankState::Blocked && st.waiting[rank].deliver(from, tag) {
             st.status[rank] = RankState::Ready;
             let time = st.block_time[rank];
             st.queue.push(Runnable { time, rank });
@@ -419,6 +435,13 @@ mod tests {
     use super::*;
     use crate::clock::TimeCategory;
     use crate::cluster::{ClusterConfig, VirtualCluster};
+
+    impl EventSched {
+        /// How often `rank` has parked so far.
+        pub(crate) fn parks(&self, rank: usize) -> u64 {
+            self.lock().parks[rank]
+        }
+    }
 
     fn events(p: usize) -> ClusterConfig {
         ClusterConfig::new(p).with_backend(ClusterBackend::Events)
@@ -574,6 +597,102 @@ mod tests {
         ] {
             assert!(report.contains(&waiter), "{waiter:?} not in {report:?}");
         }
+    }
+
+    #[test]
+    fn deadlock_report_names_every_message_a_gather_still_misses() {
+        // Ranks 2 and 3 are in a barrier instead: the hub's one park
+        // misses both contributions.
+        let seen = rank_panics(4, |comm| {
+            if comm.rank() < 2 {
+                comm.allreduce_sum_into(&[1.0], TimeCategory::Other, &mut Vec::new());
+            } else {
+                comm.barrier();
+            }
+        });
+        let sum = crate::tags::hub(2);
+        let want = format!("rank 0 (tag {sum:#x} from rank 2; tag {sum:#x} from rank 3)");
+        assert!(seen.iter().any(|m| m.contains(&want)), "{seen:?}");
+    }
+
+    #[test]
+    fn tree_allreduce_parks_once_per_wait_that_must_block() {
+        // Every non-root waits once for the broadcast and every rank with
+        // a child (the even ones below P-1) once for all its children:
+        // the floor for run-to-block on a binomial tree. A count, so it
+        // holds the hand-off saving on any host.
+        use crate::collectives::tree_allreduce_sum;
+        const ROUNDS: usize = 3;
+        for p in [2usize, 5, 64, 1024] {
+            let parks = VirtualCluster::run(&events(p), |comm| {
+                for round in 0..ROUNDS {
+                    comm.charge(TimeCategory::ForwardBackward, 0.1 + round as f64);
+                    let mut data = vec![comm.rank() as f32; 3];
+                    tree_allreduce_sum(comm, &mut data, TimeCategory::GpuGpuParam);
+                    assert_eq!(data, vec![(p * (p - 1) / 2) as f32; 3]);
+                }
+                comm.parks()
+            });
+            let per_round = (p - 1) + p / 2;
+            assert_eq!(
+                parks.iter().sum::<u64>(),
+                (ROUNDS * per_round) as u64,
+                "p={p}"
+            );
+        }
+    }
+
+    #[test]
+    fn hub_gather_parks_the_hub_once() {
+        let parks = VirtualCluster::run(&events(64), |comm| {
+            let mut sum = Vec::new();
+            comm.allreduce_sum_into(&[1.0], TimeCategory::GpuGpuParam, &mut sum);
+            assert_eq!(sum, vec![64.0]);
+            comm.parks()
+        });
+        assert_eq!(parks, vec![1; 64], "the hub and each contributor park once");
+    }
+
+    #[test]
+    fn only_a_message_the_rank_named_wakes_it() {
+        // Rank 0 waits for rank 2's tag-7 message; rank 1's tag-7 and
+        // rank 2's tag-8 arrive first and must leave it parked.
+        let out = VirtualCluster::run(&events(3), |comm| match comm.rank() {
+            0 => {
+                let named = recv(comm, 2, 7);
+                let parks = comm.parks();
+                (named, recv(comm, 1, 7), recv(comm, 2, 8), parks)
+            }
+            me => {
+                if me == 2 {
+                    comm.send(0, 8, &[8.0], TimeCategory::Other);
+                }
+                comm.send(0, 7, &[me as f32], TimeCategory::Other);
+                (Vec::new(), Vec::new(), Vec::new(), comm.parks())
+            }
+        });
+        assert_eq!(out[0], (vec![2.0], vec![1.0], vec![8.0], 1));
+    }
+
+    #[test]
+    fn a_repeat_from_one_sender_does_not_complete_a_gather() {
+        // Rank 1 sends twice before rank 2 sends at all: the second
+        // message must not stand in for the one still missing.
+        let out = VirtualCluster::run(&events(3), |comm| match comm.rank() {
+            0 => {
+                comm.await_all([(1, 7), (2, 7)]);
+                let parks = comm.parks();
+                let got = [recv(comm, 1, 7), recv(comm, 2, 7), recv(comm, 1, 7)];
+                (got.concat(), parks, comm.parks())
+            }
+            me => {
+                for i in 0..3 - me {
+                    comm.send(0, 7, &[(10 * me + i) as f32], TimeCategory::Other);
+                }
+                (Vec::new(), 0, 0)
+            }
+        });
+        assert_eq!(out[0], (vec![10.0, 20.0, 11.0], 1, 1));
     }
 
     #[test]

@@ -24,7 +24,10 @@
 //! The trees move buffers instead of copying them: a broadcast is one
 //! shared [`Payload`] (the root's single pooled copy, forwarded by
 //! reference), a reduce climbs by handing each rank's own buffer to its
-//! parent. Steady-state collectives allocate nothing.
+//! parent. Steady-state collectives allocate no payload storage; what a
+//! call does allocate is O(log P): an interior rank's [`TreeRole`] child
+//! list and the set of partials it waits for. The all-ranks forms build
+//! no participant list — a rank's tree position is arithmetic on its id.
 
 use crate::clock::TimeCategory;
 use crate::comm::{Comm, Payload};
@@ -122,7 +125,19 @@ impl TreeRole {
         let p = ranks.len();
         let vroot = vrank_of(ranks, root);
         let vr = (vrank_of(ranks, me) + p - vroot) % p;
-        let to_real = |v: usize| ranks[(v + vroot) % p];
+        Self::at(vr, p, |v| ranks[(v + vroot) % p])
+    }
+
+    /// [`compute`](Self::compute) over all `p` ranks of a cluster: a rank
+    /// is its own position, so no list is built and none is searched.
+    fn among_all(p: usize, root: usize, me: usize) -> TreeRole {
+        assert!(root < p && me < p, "rank {root} or {me} outside 0..{p}");
+        Self::at((me + p - root) % p, p, |v| (v + root) % p)
+    }
+
+    /// The role at position `vr` (the root is 0) of a `p`-rank tree whose
+    /// positions `to_real` maps to ranks.
+    fn at(vr: usize, p: usize, to_real: impl Fn(usize) -> usize) -> TreeRole {
         // Climb to the mask at which this rank receives (the root never
         // does).
         let mut parent = None;
@@ -145,6 +160,68 @@ impl TreeRole {
         }
         TreeRole { parent, children }
     }
+
+    /// The reduce half: folds the children's partials, hands the sum up.
+    fn reduce(&self, comm: &mut Comm, data: &mut Vec<f32>, category: TimeCategory) {
+        if !self.children.is_empty() {
+            // Mask-ascending, the fold order. Nothing goes up before the
+            // last partial is in, so all of them are awaited at once.
+            let tagged = |&(child, mask): &(usize, usize)| (child, tags::TREE_REDUCE | mask as u32);
+            let partials = || self.children.iter().rev().map(tagged);
+            comm.await_all(partials());
+            // Where the partials land: each `recv_into` moves the arrived
+            // buffer in and recycles the one before it, so it starts empty.
+            let mut arrived = comm.take_buffer(0);
+            for (child, tag) in partials() {
+                comm.recv_into(child, tag, category, &mut arrived);
+                assert_eq!(arrived.len(), data.len(), "tree reduce length mismatch");
+                for (d, v) in data.iter_mut().zip(&arrived) {
+                    *d += v;
+                }
+            }
+            comm.recycle_buffer(arrived);
+        }
+        if let Some((parent, mask)) = self.parent {
+            // My subtree is folded; hand the buffer itself to the parent.
+            let spare = comm.take_buffer_sized(data.len());
+            let partial = std::mem::replace(data, spare);
+            comm.send_from(parent, tags::TREE_REDUCE | mask as u32, partial, category);
+        }
+    }
+
+    /// The broadcast half, as one shared payload the caller releases.
+    fn broadcast_shared(&self, comm: &mut Comm, data: &[f32], category: TimeCategory) -> Payload {
+        let payload = match self.parent {
+            Some((parent, mask)) => {
+                comm.recv_payload(parent, tags::TREE_BCAST | mask as u32, category)
+            }
+            None => comm.make_payload(data),
+        };
+        let hop = comm.link_time(payload.len() * 4);
+        for &(child, mask) in &self.children {
+            comm.send_payload_costed(
+                child,
+                tags::TREE_BCAST | mask as u32,
+                &payload,
+                hop,
+                category,
+            );
+        }
+        payload
+    }
+
+    /// The broadcast half, into `data`.
+    fn broadcast(&self, comm: &mut Comm, data: &mut Vec<f32>, category: TimeCategory) {
+        if self.parent.is_none() && self.children.is_empty() {
+            return; // a tree of one
+        }
+        let payload = self.broadcast_shared(comm, data, category);
+        if self.parent.is_none() {
+            comm.release_payload(payload);
+        } else {
+            comm.release_payload_into(payload, data);
+        }
+    }
 }
 
 /// Binomial-tree reduce-sum over the subgroup `ranks`, rooted at `root`
@@ -165,37 +242,12 @@ pub fn tree_reduce_sum_among(
     data: &mut Vec<f32>,
     category: TimeCategory,
 ) {
-    let role = TreeRole::compute(ranks, root, comm.rank());
-    if !role.children.is_empty() {
-        // Where the partials land: each `recv_into` moves the arrived
-        // buffer in and recycles the one before it, so it starts empty.
-        let mut arrived = comm.take_buffer(0);
-        for &(child, mask) in role.children.iter().rev() {
-            comm.recv_into(
-                child,
-                tags::TREE_REDUCE | mask as u32,
-                category,
-                &mut arrived,
-            );
-            assert_eq!(arrived.len(), data.len(), "tree reduce length mismatch");
-            for (d, v) in data.iter_mut().zip(&arrived) {
-                *d += v;
-            }
-        }
-        comm.recycle_buffer(arrived);
-    }
-    if let Some((parent, mask)) = role.parent {
-        // My subtree is folded; hand the buffer itself to the parent.
-        let spare = comm.take_buffer_sized(data.len());
-        let partial = std::mem::replace(data, spare);
-        comm.send_from(parent, tags::TREE_REDUCE | mask as u32, partial, category);
-    }
+    TreeRole::compute(ranks, root, comm.rank()).reduce(comm, data, category);
 }
 
 /// [`tree_reduce_sum_among`] over all ranks of the cluster.
 pub fn tree_reduce_sum(comm: &mut Comm, root: usize, data: &mut Vec<f32>, category: TimeCategory) {
-    let ranks: Vec<usize> = (0..comm.size()).collect();
-    tree_reduce_sum_among(comm, &ranks, root, data, category);
+    TreeRole::among_all(comm.size(), root, comm.rank()).reduce(comm, data, category);
 }
 
 /// Binomial-tree broadcast of `root`'s `data` over the subgroup `ranks`
@@ -211,22 +263,7 @@ pub fn tree_broadcast_shared_among(
     data: &[f32],
     category: TimeCategory,
 ) -> Payload {
-    let role = TreeRole::compute(ranks, root, comm.rank());
-    let payload = match role.parent {
-        Some((parent, mask)) => comm.recv_payload(parent, tags::TREE_BCAST | mask as u32, category),
-        None => comm.make_payload(data),
-    };
-    let hop = comm.link_time(payload.len() * 4);
-    for &(child, mask) in &role.children {
-        comm.send_payload_costed(
-            child,
-            tags::TREE_BCAST | mask as u32,
-            &payload,
-            hop,
-            category,
-        );
-    }
-    payload
+    TreeRole::compute(ranks, root, comm.rank()).broadcast_shared(comm, data, category)
 }
 
 /// [`tree_broadcast_shared_among`] into every participant's own `data`
@@ -239,21 +276,12 @@ pub fn tree_broadcast_among(
     data: &mut Vec<f32>,
     category: TimeCategory,
 ) {
-    if ranks.len() <= 1 {
-        return;
-    }
-    let payload = tree_broadcast_shared_among(comm, ranks, root, data, category);
-    if comm.rank() == root {
-        comm.release_payload(payload);
-    } else {
-        comm.release_payload_into(payload, data);
-    }
+    TreeRole::compute(ranks, root, comm.rank()).broadcast(comm, data, category);
 }
 
 /// [`tree_broadcast_among`] over all ranks of the cluster.
 pub fn tree_broadcast(comm: &mut Comm, root: usize, data: &mut Vec<f32>, category: TimeCategory) {
-    let ranks: Vec<usize> = (0..comm.size()).collect();
-    tree_broadcast_among(comm, &ranks, root, data, category);
+    TreeRole::among_all(comm.size(), root, comm.rank()).broadcast(comm, data, category);
 }
 
 /// Executable allreduce: [`tree_reduce_sum_among`] to `root`, then
@@ -265,14 +293,16 @@ pub fn tree_allreduce_sum_among(
     data: &mut Vec<f32>,
     category: TimeCategory,
 ) {
-    tree_reduce_sum_among(comm, ranks, root, data, category);
-    tree_broadcast_among(comm, ranks, root, data, category);
+    let role = TreeRole::compute(ranks, root, comm.rank());
+    role.reduce(comm, data, category);
+    role.broadcast(comm, data, category);
 }
 
 /// [`tree_allreduce_sum_among`] over all ranks of the cluster.
 pub fn tree_allreduce_sum(comm: &mut Comm, data: &mut Vec<f32>, category: TimeCategory) {
-    let ranks: Vec<usize> = (0..comm.size()).collect();
-    tree_allreduce_sum_among(comm, &ranks, 0, data, category);
+    let role = TreeRole::among_all(comm.size(), 0, comm.rank());
+    role.reduce(comm, data, category);
+    role.broadcast(comm, data, category);
 }
 
 /// The `Θ(P)` baseline the tree is measured against: every non-root
@@ -523,6 +553,72 @@ mod tests {
                 );
                 assert_eq!(edges, p - 1, "a spanning tree has p-1 edges");
             }
+        }
+    }
+
+    #[test]
+    fn arithmetic_all_ranks_role_equals_the_listed_one() {
+        for p in 1..=130usize {
+            let identity: Vec<usize> = (0..p).collect();
+            for root in 0..p {
+                for me in 0..p {
+                    let listed = TreeRole::compute(&identity, root, me);
+                    assert_eq!(TreeRole::among_all(p, root, me), listed);
+                }
+            }
+        }
+    }
+
+    /// `1 + seed % p` distinct ranks of a `p`-rank cluster in seeded
+    /// random order, and one of them as root.
+    fn random_subgroup(seed: u64, p: usize) -> (Vec<usize>, usize) {
+        let mut rng = proptest::test_runner::TestRng::from_name(&seed.to_string());
+        let mut ranks: Vec<usize> = (0..p).collect();
+        for i in (1..p).rev() {
+            ranks.swap(i, rng.next_u64() as usize % (i + 1));
+        }
+        ranks.truncate(1 + seed as usize % p);
+        let root = ranks[rng.next_u64() as usize % ranks.len()];
+        (ranks, root)
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn every_subgroup_member_but_the_root_has_one_parent_that_lists_it(
+            seed in 0u64..u64::MAX,
+            p in 1usize..65,
+        ) {
+            let (ranks, root) = random_subgroup(seed, p);
+            let role = |me| TreeRole::compute(&ranks, root, me);
+            assert_eq!(role(root).parent, None);
+            for &me in ranks.iter().filter(|&&me| me != root) {
+                let (parent, mask) = role(me).parent.expect("non-root has a parent");
+                let naming_me = |r: &&usize| role(**r).children.iter().any(|c| c.0 == me);
+                assert_eq!(ranks.iter().filter(naming_me).collect::<Vec<_>>(), [&parent]);
+                assert!(role(parent).children.contains(&(me, mask)));
+            }
+        }
+
+        #[test]
+        fn subgroup_tree_allreduce_is_bit_identical_on_threads_and_events(
+            seed in 0u64..u64::MAX,
+            p in 1usize..65,
+        ) {
+            use crate::backend::ClusterBackend::{Events, Threads};
+            let (ranks, root) = random_subgroup(seed, p);
+            let run = |backend| {
+                VirtualCluster::run(&ClusterConfig::new(p).with_backend(backend), |comm| {
+                    let me = comm.rank();
+                    let mut v: Vec<f32> = (0..5).map(|i| 1.0 / (1 + me * 5 + i) as f32).collect();
+                    if ranks.contains(&me) {
+                        comm.charge(TimeCategory::ForwardBackward, 1e-4 * (me % 7) as f64);
+                        tree_allreduce_sum_among(comm, &ranks, root, &mut v, TimeCategory::Other);
+                    }
+                    let bits: Vec<u32> = v.iter().map(|x| x.to_bits()).collect();
+                    (bits, comm.now().to_bits())
+                })
+            };
+            assert_eq!(run(Threads), run(Events), "ranks {ranks:?} root {root}");
         }
     }
 

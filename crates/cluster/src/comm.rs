@@ -24,7 +24,7 @@ use easgd_hardware::collective as cost;
 use easgd_hardware::net::AlphaBeta;
 #[cfg(feature = "strict-invariants")]
 use std::collections::HashMap;
-use std::collections::VecDeque;
+use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
 
 /// How many recycled buffers a rank keeps privately before spilling to
@@ -88,10 +88,9 @@ pub(crate) struct Message {
     pub(crate) seq: u64,
 }
 
-/// What a blocked receive waits for: the next message with `tag` from
-/// rank `from`, or — `None` — from any rank. Handed to the backend when
-/// the rank blocks, so the event engine's deadlock report can name it.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+/// One kind of message a blocked rank waits for: the next with `tag`
+/// from rank `from`, or — `None` — from any rank.
+#[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) struct Awaited {
     pub(crate) from: Option<usize>,
     pub(crate) tag: u32,
@@ -100,6 +99,36 @@ pub(crate) struct Awaited {
 impl Awaited {
     fn matches(&self, msg: &Message) -> bool {
         msg.tag == self.tag && self.from.is_none_or(|from| msg.from == from)
+    }
+}
+
+/// Everything a rank needs delivered before it can proceed, handed to
+/// the backend when the rank blocks. The event engine checks deliveries
+/// off it, makes the rank runnable on the one that empties it, and names
+/// what is left in its deadlock report.
+#[derive(Debug, Default)]
+pub(crate) struct WaitSet(BTreeSet<Awaited>);
+
+impl WaitSet {
+    fn reset(&mut self, wanted: impl IntoIterator<Item = (Option<usize>, u32)>) {
+        self.0.clear();
+        for (from, tag) in wanted {
+            self.0.insert(Awaited { from, tag });
+        }
+    }
+
+    /// Checks a delivered `(from, tag)` off — O(log P) even for a hub
+    /// missing thousands of senders. True when it was the last one
+    /// missing; a repeat, or traffic the set does not name, changes
+    /// nothing.
+    pub(crate) fn deliver(&mut self, from: usize, tag: u32) -> bool {
+        let named = [Some(from), None].map(|from| Awaited { from, tag });
+        named.iter().any(|a| self.0.remove(a)) && self.0.is_empty()
+    }
+
+    /// What has not been delivered yet, in `(from, tag)` order.
+    pub(crate) fn missing(&self) -> impl Iterator<Item = Awaited> + '_ {
+        self.0.iter().copied()
     }
 }
 
@@ -155,6 +184,9 @@ pub struct Comm {
     rx: crate::channel::Receiver<Message>,
     /// Messages received but not yet matched by a `recv(from, tag)`.
     pending: VecDeque<Message>,
+    /// What this rank last blocked for (scratch: it trades places with
+    /// the event scheduler's slot at every park).
+    waiting: WaitSet,
     clock: SimClock,
     shared: Arc<Shared>,
     /// Private free list in front of the cluster-wide pool: the
@@ -203,6 +235,7 @@ impl Comm {
             rank,
             rx,
             pending: VecDeque::new(),
+            waiting: WaitSet::default(),
             clock: SimClock::new(),
             shared,
             local_free: FreeList::default(),
@@ -416,7 +449,7 @@ impl Comm {
             .expect("receiver hung up");
         // On the event backend the destination may be a parked fiber —
         // the channel alone cannot wake it.
-        self.shared.exec.notify_delivery(to);
+        self.shared.exec.notify_delivery(to, self.rank, tag);
     }
 
     /// Blocks (in simulated time) until the NIC has injected every
@@ -523,6 +556,25 @@ impl Comm {
         self.payload_into(PayloadBuf::Shared(payload.0), out);
     }
 
+    /// Moves everything the channel holds into `pending`.
+    fn drain(&mut self) {
+        while let Ok(msg) = self.rx.try_recv() {
+            self.check_ingest(&msg);
+            self.pending.push_back(msg);
+        }
+    }
+
+    /// Blocks until more traffic may be available, naming `self.waiting`
+    /// to the backend; a message it hands back (threads) is buffered.
+    fn block(&mut self) {
+        let now = self.clock.now();
+        let exec = &self.shared.exec;
+        if let Some(msg) = exec.wait_message(self.rank, &self.rx, now, &mut self.waiting) {
+            self.check_ingest(&msg);
+            self.pending.push_back(msg);
+        }
+    }
+
     /// Pulls the next message `awaited` matches — from `pending` first
     /// (FCFS), then the channel, buffering non-matches.
     ///
@@ -534,24 +586,32 @@ impl Comm {
     /// backend block this rank.
     fn next_matching(&mut self, awaited: Awaited) -> Message {
         loop {
-            while let Ok(msg) = self.rx.try_recv() {
-                self.check_ingest(&msg);
-                self.pending.push_back(msg);
-            }
+            self.drain();
             if let Some(pos) = self.pending.iter().position(|m| awaited.matches(m)) {
                 return self.pending.remove(pos).expect("indexed message present");
             }
-            let waited =
-                self.shared
-                    .exec
-                    .wait_message(self.rank, &self.rx, self.clock.now(), awaited);
-            if let Some(msg) = waited {
-                self.check_ingest(&msg);
-                if awaited.matches(&msg) {
-                    return msg;
-                }
-                self.pending.push_back(msg);
-            }
+            self.waiting.reset([(awaited.from, awaited.tag)]);
+            self.block();
+        }
+    }
+
+    /// Announces a gather: this rank is about to receive a message for
+    /// every `(from, tag)` in `wanted` and can do nothing before the last.
+    /// The event backend parks it **once**, until the delivery that
+    /// completes the set, not once per message; on threads this is one of
+    /// the blocking receives the gather would do anyway. The receives
+    /// that follow still drain, scan and block for themselves, so this
+    /// only ever saves hand-offs: no [`TraceOp`], no clock movement.
+    pub fn await_all(&mut self, wanted: impl IntoIterator<Item = (usize, u32)>) {
+        let wanted = wanted.into_iter().map(|(from, tag)| (Some(from), tag));
+        self.waiting.reset(wanted);
+        self.drain();
+        let mut complete = self.waiting.0.is_empty();
+        for m in &self.pending {
+            complete |= self.waiting.deliver(m.from, m.tag);
+        }
+        if !complete {
+            self.block();
         }
     }
 
@@ -728,6 +788,10 @@ impl Comm {
     /// request if it was a receive, `None` for sends. An empty
     /// collection is a no-op returning an empty vec.
     pub fn wait_all(&mut self, reqs: &mut RequestCollection) -> Vec<Option<Vec<f32>>> {
+        self.await_all(reqs.reqs.iter().filter_map(|r| match r.state {
+            Some(ReqState::Recv { from, tag, .. }) => Some((from, tag)),
+            _ => None,
+        }));
         let mut done = Vec::with_capacity(reqs.reqs.len());
         for mut req in reqs.reqs.drain(..) {
             done.push(self.wait(&mut req));
@@ -747,10 +811,7 @@ impl Comm {
             Some(ReqState::Send { completion }) => *completion <= self.clock.now(),
             Some(ReqState::Recv { from, tag, .. }) => {
                 let (from, tag) = (*from, *tag);
-                while let Ok(msg) = self.rx.try_recv() {
-                    self.check_ingest(&msg);
-                    self.pending.push_back(msg);
-                }
+                self.drain();
                 let now = self.clock.now();
                 self.pending
                     .iter()
@@ -864,6 +925,7 @@ impl Comm {
             }
             _ => self.pooled_copy(input),
         };
+        self.await_all((1..p).map(|from| (from, tag)));
         for from in 1..p {
             let msg = self.pull(from, tag);
             let PayloadBuf::Owned(part) = msg.data else {
@@ -993,6 +1055,16 @@ mod tests {
         let mut out = Vec::new();
         comm.recv_into(from, tag, category, &mut out);
         out
+    }
+
+    impl Comm {
+        /// How often this rank has parked in the event scheduler.
+        pub(crate) fn parks(&self) -> u64 {
+            match &self.shared.exec {
+                crate::backend::Executor::Events(sched) => sched.parks(self.rank),
+                crate::backend::Executor::Threads => 0,
+            }
+        }
     }
 
     fn recv_any(comm: &mut Comm, tag: u32, category: TimeCategory) -> (usize, Vec<f32>) {

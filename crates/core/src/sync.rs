@@ -267,13 +267,13 @@ pub fn tree_exchange_pipelined<C, F>(
     if let Some(buf) = reduce_buf.as_mut() {
         for s in 0..segments {
             let r = seg_bounds(n, segments, s);
-            for &(child, mask) in role.children.iter().rev() {
-                comm.recv_into(
-                    child,
-                    tags::seg_tree(s, tags::SEG_PHASE_REDUCE, mask),
-                    category,
-                    buf,
-                );
+            let tagged = |&(child, mask): &(usize, usize)| {
+                (child, tags::seg_tree(s, tags::SEG_PHASE_REDUCE, mask))
+            };
+            let partials = || role.children.iter().rev().map(tagged);
+            comm.await_all(partials());
+            for (child, tag) in partials() {
+                comm.recv_into(child, tag, category, buf);
                 assert_eq!(buf.len(), r.len(), "reduce segment length mismatch");
                 for (d, v) in weight_sum[r.clone()].iter_mut().zip(buf.iter()) {
                     *d += v;

@@ -53,6 +53,12 @@ if grep -rnE "SyncExchange::Priced|broadcast_costed_into|center_dilution_from|di
   exit 1
 fi
 
+echo "==> list-free tree roles (an all-ranks tree collective builds no per-call participant list; a rank's position is arithmetic)"
+if grep -rnF "(0..comm.size()).collect" crates/cluster/src/; then
+  echo "error: a per-call participant list is back (matches above)" >&2
+  exit 1
+fi
+
 echo "==> kernel tables (smoke: one iteration per row, no JSON; gemm_par_vs_serial on >= 2 threads, skip notice on 1; checked-in BENCH_kernels.json fork-join acceptance)"
 cargo run -q --release -p easgd-bench --bin kernels -- --smoke
 
