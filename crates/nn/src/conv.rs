@@ -1,51 +1,62 @@
-//! 2-D convolution via im2col + GEMM, thread-parallel over the batch.
+//! 2-D convolution as a GEMM over the lowered input, thread-parallel
+//! over the batch.
 //!
-//! One sample's im2col GEMM is too small to feed every thread (the
-//! paper's §6.2 argument for giving each chip group its *own* samples),
-//! so the threads go where the work is: forward and backward hand each
-//! thread a contiguous run of the batch's samples through
-//! [`par::fan_out`], which lends it the layer's weights, the input and
-//! its own `&mut` pieces of the output and the column cache — nothing is
-//! copied, and the GEMMs inside a job stay serial. The weight gradient
-//! sums over samples, so it is split the other way — by output band, see
+//! The im2col matrix is never written anywhere: the layer keeps the
+//! batch's zero-padded input (`1.13×` the input at 3×3/pad 1, where the
+//! matrix would be `9×`) and both GEMMs that need the lowering — the
+//! forward `W·col` and the weight gradient `col·gyᵀ` — gather their
+//! tiles from it inside their packs ([`Lowered`]).
+//!
+//! One sample's GEMM is too small to feed every thread (the paper's
+//! §6.2 argument for giving each chip group its *own* samples), so the
+//! threads go where the work is: forward and backward are one
+//! [`par::fan_out`] each, which lends a job the layer's weights, the
+//! input and its own `&mut` pieces of the outputs — nothing is copied,
+//! and the GEMMs inside a job stay serial. `grad_in` splits by sample
+//! like the forward pass; the weight and bias gradients sum over samples,
+//! so they are split the other way — by output band, see
 //! [`Layer::backward_into`] — and every element keeps the float
 //! operation chain of the serial per-sample loop: results are
 //! bit-identical at any thread count (DESIGN.md §8).
 
 use crate::layer::{batch_of, Init, Layer, ParamSpec};
 use easgd_tensor::par;
-use easgd_tensor::{col2im, im2col, Conv2dGeometry};
-use easgd_tensor::{gemm, gemm_row_band, ParamArena, Tensor, TrainScratch, Transpose};
+use easgd_tensor::{col2im, pad_image, Conv2dGeometry, Lowered, Operand};
+use easgd_tensor::{gemm, gemm_row_band, gemm_view, ParamArena, Tensor, TrainScratch, Transpose};
 
-/// One sample's forward work: lower `image` into `col` and compute
-/// `y = W·col + bias` (`y` laid out `[out_channels, out_h·out_w]`).
-fn sample_forward(
-    geom: &Conv2dGeometry,
-    out_channels: usize,
-    w: &[f32],
-    bias: &[f32],
-    image: &[f32],
-    col: &mut [f32],
-    y: &mut [f32],
-) {
-    let (rows, cols) = (geom.col_rows(), geom.col_cols());
-    im2col(geom, image, col);
-    gemm(
-        Transpose::No,
-        Transpose::No,
-        out_channels,
-        cols,
-        rows,
-        1.0,
-        w,
-        col,
-        0.0,
-        y,
-    );
-    for (oc, plane) in y.chunks_mut(cols).enumerate() {
-        let bc = bias[oc];
-        plane.iter_mut().for_each(|v| *v += bc);
+/// `gb[o] += Σ planes[o]` for `gb.len()` planes of `cols` floats, eight
+/// planes at a time: each sum is still the strictly sequential chain of
+/// [`easgd_tensor::ops::sum`], from the same neutral element, but eight
+/// independent chains keep the adder busy where one waits out its
+/// latency on every element.
+fn add_plane_sums(planes: &[f32], cols: usize, gb: &mut [f32]) {
+    let neutral = easgd_tensor::ops::sum(&[]);
+    for (group, gb) in planes.chunks(8 * cols).zip(gb.chunks_mut(8)) {
+        let mut acc = [neutral; 8];
+        let mut planes = group.chunks_exact(cols);
+        if gb.len() == 8 {
+            let p: [&[f32]; 8] = std::array::from_fn(|_| planes.next().unwrap_or_default());
+            let p = p.map(|plane| &plane[..cols]);
+            for j in 0..cols {
+                for (a, plane) in acc.iter_mut().zip(&p) {
+                    *a += plane[j];
+                }
+            }
+        } else {
+            for (a, plane) in acc.iter_mut().zip(planes) {
+                *a = easgd_tensor::ops::sum(plane);
+            }
+        }
+        for (g, a) in gb.iter_mut().zip(acc) {
+            *g += a;
+        }
     }
+}
+
+/// `it`'s items, then `None` forever: lets job lists of unequal length
+/// zip into one fork.
+fn or_none<I: Iterator>(it: I) -> impl Iterator<Item = Option<I::Item>> {
+    it.map(Some).chain(std::iter::repeat_with(|| None))
 }
 
 /// Convolutional layer.
@@ -63,8 +74,9 @@ pub struct Conv2d {
     pub out_channels: usize,
     w_seg: usize,
     b_seg: usize,
-    /// Cached im2col matrices, one per sample of the last forward batch.
-    col_cache: Vec<Vec<f32>>,
+    /// The last forward batch's zero-padded input, `geom.padded_len()`
+    /// floats a sample: everything backward needs of the forward pass.
+    padded: Vec<f32>,
     /// Backward's `Wᵀ·gy` panels, one per fan-out thread, reused across
     /// samples and steps.
     grad_col: Vec<f32>,
@@ -84,7 +96,7 @@ impl Conv2d {
             out_channels,
             w_seg: usize::MAX,
             b_seg: usize::MAX,
-            col_cache: Vec::new(),
+            padded: Vec::new(),
             grad_col: Vec::new(),
             grad_w_t: Vec::new(),
         }
@@ -170,59 +182,63 @@ impl Layer for Conv2d {
         );
         let w = params.segment(self.w_seg);
         let bias = params.segment(self.b_seg);
-        let (geom, out_channels) = (self.geom, self.out_channels);
-        let col_len = geom.col_rows() * geom.col_cols();
+        let (geom, out_channels, no) = (self.geom, self.out_channels, Transpose::No);
+        let padded_len = geom.padded_len();
         let out_len = self.output_len();
-        // Every output element is stored by the β = 0 GEMM, so the reused
-        // buffer needs no zeroing.
+        // Every output element is stored by the β = 0 GEMM and every
+        // padded one by `pad_image`, so the reused buffers need no
+        // zeroing. `padded` is sized to this batch exactly: its length is
+        // the record of how many samples backward may ask for.
         scratch.shape_tensor(out, &[b, out_channels, geom.out_h(), geom.out_w()]);
+        scratch.ensure_f32(&mut self.padded, b * padded_len);
 
-        // The slot list is grow-only: shrinking batches (ragged serving
-        // dispatches alternate sizes) keep the extra slots and their
-        // capacity, so a later return to the larger batch reuses them.
-        if self.col_cache.len() < b {
-            self.col_cache.resize_with(b, Vec::new);
-        }
-        for col in self.col_cache.iter_mut().take(b) {
-            scratch.ensure_f32(col, col_len);
-        }
-
-        // One job per thread, each a contiguous run of samples.
+        // One job per thread, each a contiguous run of samples: pad the
+        // image, then `y = W·col + bias` with `col` the lowering of the
+        // padded image, which the GEMM reads through its B-pack.
+        let (rows, cols) = (geom.col_rows(), geom.col_cols());
         let per = b.div_ceil(self.batch_threads(b));
         par::fan_out(
-            self.col_cache[..b]
-                .chunks_mut(per)
+            self.padded
+                .chunks_mut(per * padded_len)
                 .zip(out.as_mut_slice().chunks_mut(per * out_len))
                 .zip(input.as_slice().chunks(per * in_len)),
-            |((cols, ys), images)| {
-                for ((col, y), image) in cols
-                    .iter_mut()
+            |((pads, ys), images)| {
+                for ((padded, y), image) in pads
+                    .chunks_mut(padded_len)
                     .zip(ys.chunks_mut(out_len))
                     .zip(images.chunks(in_len))
                 {
-                    sample_forward(&geom, out_channels, w, bias, image, col, y);
+                    pad_image(&geom, image, padded);
+                    let col = Operand::Lowered(Lowered::new(&geom, padded));
+                    let w = Operand::Stored(w);
+                    gemm_view(no, no, out_channels, cols, rows, 1.0, w, col, 0.0, y);
+                    for (plane, bc) in y.chunks_mut(cols).zip(bias) {
+                        plane.iter_mut().for_each(|v| *v += bc);
+                    }
                 }
             },
         );
     }
 
-    /// Three passes, each bit-identical to the serial per-sample loop
+    /// One fork; job `i` owns three pieces, each bit-identical to the
+    /// serial per-sample loop
     /// `gradW += gy_s·col_sᵀ; gradB += Σ gy_s; gx_s = col2im(Wᵀ·gy_s)`:
     ///
-    /// * `grad_in` is per-sample, so it fans out over samples like the
-    ///   forward pass, each thread with a `Wᵀ·gy` panel of its own.
+    /// * `grad_in` is per-sample, so the job takes a run of samples like
+    ///   the forward pass, with a `Wᵀ·gy` panel of its own.
     /// * `gradW` sums over samples, and float addition does not
-    ///   reassociate — so it is banded by **output**, not by sample: each
-    ///   thread owns a band of `col` rows and walks samples `0..b` in
-    ///   order through the transposed product
+    ///   reassociate — so it is banded by **output**, not by sample: the
+    ///   job owns a band of `col` rows and walks samples `0..b` in order
+    ///   through the transposed product
     ///   `gradWᵀ[band, oc] += col_s[band, :] · gy_sᵀ`, whose band is a
-    ///   contiguous run of both `col_s` and the layer's `gradWᵀ` panel.
-    ///   `a·b` commutes inside every FMA, so element `(oc, r)` sees the
-    ///   very chain the untransposed per-sample GEMMs gave it
-    ///   ([`gemm_row_band`] keeps the unsplit product's kernel tier). The
-    ///   panel starts as the incoming gradient and is stored back after
-    ///   the join.
-    /// * `gradB` is `b·oc` short sums; it stays on the calling thread.
+    ///   contiguous run of the layer's `gradWᵀ` panel and a run of rows
+    ///   of the lowered input the GEMM's A-pack gathers. `a·b` commutes
+    ///   inside every FMA, so element `(oc, r)` sees the very chain the
+    ///   untransposed per-sample GEMMs gave it ([`gemm_row_band`] keeps
+    ///   the unsplit product's kernel tier). The panel starts as the
+    ///   incoming gradient and is stored back after the join.
+    /// * `gradB` likewise: the job owns a band of output channels and
+    ///   adds their plane sums sample by sample (`add_plane_sums`).
     fn backward_into(
         &mut self,
         params: &ParamArena,
@@ -233,22 +249,25 @@ impl Layer for Conv2d {
     ) {
         let (geom, oc) = (self.geom, self.out_channels);
         let (rows, cols) = (geom.col_rows(), geom.col_cols());
-        let out_len = self.output_len();
-        // The slot list is grow-only, so its length is the *largest*
-        // batch seen, not necessarily the last one — take the batch from
-        // the gradient itself.
-        let b = grad_out.len() / out_len;
+        let (in_len, padded_len, out_len) =
+            (geom.input_len(), geom.padded_len(), self.output_len());
+        let b = self.padded.len() / padded_len;
         assert!(b > 0, "backward called before forward");
-        assert_eq!(grad_out.len(), b * out_len, "grad_out shape mismatch");
-        assert!(
-            self.col_cache.len() >= b,
-            "backward batch exceeds cached forward panels"
+        assert_eq!(
+            grad_out.len(),
+            b * out_len,
+            "conv '{}' backward: the gradient holds {} samples, the last forward ran {b}",
+            self.name,
+            grad_out.len() / out_len
         );
-        let in_len = geom.input_len();
         let w = params.segment(self.w_seg);
         let gys = grad_out.as_slice();
         let threads = self.batch_threads(b);
-        let per = b.div_ceil(threads);
+        let (per, band, oc_band) = (
+            b.div_ceil(threads),
+            rows.div_ceil(threads),
+            oc.div_ceil(threads),
+        );
 
         // col2im zeroes each per-sample image slice itself before its
         // `+=` accumulation, and the slices tile grad_in exactly, so the
@@ -256,67 +275,67 @@ impl Layer for Conv2d {
         // stores every element of a grad_col panel.
         scratch.shape_tensor(grad_in, &[b, geom.in_channels, geom.in_h, geom.in_w]);
         scratch.ensure_f32(&mut self.grad_col, threads * rows * cols);
-        par::fan_out(
-            grad_in
-                .as_mut_slice()
-                .chunks_mut(per * in_len)
-                .zip(self.grad_col.chunks_mut(rows * cols))
-                .zip(gys.chunks(per * out_len)),
-            |((gxs, grad_col), gys)| {
-                for (gx, gy) in gxs.chunks_mut(in_len).zip(gys.chunks(out_len)) {
-                    // gradCol[rows, cols] = Wᵀ[rows, oc] · gy[oc, cols]
-                    gemm(
-                        Transpose::Yes,
-                        Transpose::No,
-                        rows,
-                        cols,
-                        oc,
-                        1.0,
-                        w,
-                        gy,
-                        0.0,
-                        grad_col,
-                    );
-                    col2im(&geom, grad_col, gx);
-                }
-            },
-        );
-
-        // gradB[oc] += Σ gy[oc,:]
-        let gb = grads.segment_mut(self.b_seg);
-        for gy in gys.chunks(out_len) {
-            for (oc, plane) in gy.chunks(cols).enumerate() {
-                gb[oc] += easgd_tensor::ops::sum(plane);
-            }
-        }
-
-        // gradWᵀ[rows, oc] += col_s[rows, cols] · gy_sᵀ[cols, oc], s in order.
-        let gw = grads.segment_mut(self.w_seg);
         scratch.ensure_f32(&mut self.grad_w_t, rows * oc);
-        let band = rows.div_ceil(threads);
-        let (col_cache, seed) = (&self.col_cache, &*gw);
+        let (gw, gb) = grads.segment_pair_mut(self.w_seg, self.b_seg);
+        let (seed, padded) = (&*gw, &self.padded);
+        let sample_runs = grad_in
+            .as_mut_slice()
+            .chunks_mut(per * in_len)
+            .zip(self.grad_col.chunks_mut(rows * cols))
+            .zip(gys.chunks(per * out_len));
         par::fan_out(
-            self.grad_w_t.chunks_mut(band * oc).enumerate(),
-            |(i, panel)| {
-                for (r, row) in panel.chunks_mut(oc).enumerate() {
-                    for (o, v) in row.iter_mut().enumerate() {
-                        *v = seed[o * rows + i * band + r];
+            or_none(sample_runs)
+                .zip(or_none(gb.chunks_mut(oc_band).enumerate()))
+                .zip(or_none(self.grad_w_t.chunks_mut(band * oc).enumerate()))
+                .take(threads),
+            |((sample_run, gb_band), gw_band)| {
+                if let Some(((gxs, grad_col), run_gys)) = sample_run {
+                    for (gx, gy) in gxs.chunks_mut(in_len).zip(run_gys.chunks(out_len)) {
+                        // gradCol[rows, cols] = Wᵀ[rows, oc] · gy[oc, cols]
+                        gemm(
+                            Transpose::Yes,
+                            Transpose::No,
+                            rows,
+                            cols,
+                            oc,
+                            1.0,
+                            w,
+                            gy,
+                            0.0,
+                            grad_col,
+                        );
+                        col2im(&geom, grad_col, gx);
                     }
                 }
-                for (col, gy) in col_cache.iter().zip(gys.chunks(out_len)) {
-                    gemm_row_band(
-                        Transpose::No,
-                        Transpose::Yes,
-                        rows,
-                        oc,
-                        cols,
-                        i * band,
-                        1.0,
-                        col,
-                        gy,
-                        1.0,
-                        panel,
-                    );
+                // gradB[o] += Σ gy_s[o, :], s in order.
+                if let Some((i, gb)) = gb_band {
+                    for gy in gys.chunks(out_len) {
+                        let planes = &gy[i * oc_band * cols..][..gb.len() * cols];
+                        add_plane_sums(planes, cols, gb);
+                    }
+                }
+                // gradWᵀ[rows, oc] += col_s[rows, cols] · gy_sᵀ[cols, oc], s in order.
+                if let Some((i, panel)) = gw_band {
+                    for (r, row) in panel.chunks_mut(oc).enumerate() {
+                        for (o, v) in row.iter_mut().enumerate() {
+                            *v = seed[o * rows + i * band + r];
+                        }
+                    }
+                    for (padded, gy) in padded.chunks(padded_len).zip(gys.chunks(out_len)) {
+                        gemm_row_band(
+                            Transpose::No,
+                            Transpose::Yes,
+                            rows,
+                            oc,
+                            cols,
+                            i * band,
+                            1.0,
+                            Operand::Lowered(Lowered::new(&geom, padded)),
+                            gy,
+                            1.0,
+                            panel,
+                        );
+                    }
                 }
             },
         );
@@ -330,10 +349,15 @@ impl Layer for Conv2d {
     fn boxed_clone(&self) -> Box<dyn Layer> {
         // Caches are transient; cloning the configuration is enough.
         let mut c = self.clone();
-        c.col_cache = Vec::new();
+        c.padded = Vec::new();
         c.grad_col = Vec::new();
         c.grad_w_t = Vec::new();
         Box::new(c)
+    }
+
+    #[cfg(test)]
+    fn held_floats(&self) -> usize {
+        self.padded.capacity() + self.grad_col.capacity() + self.grad_w_t.capacity()
     }
 }
 
@@ -341,6 +365,7 @@ impl Layer for Conv2d {
 mod tests {
     use super::*;
     use crate::gradcheck::{build_arenas, check_layer};
+    use easgd_tensor::im2col;
 
     fn small_geom() -> Conv2dGeometry {
         Conv2dGeometry {
@@ -442,8 +467,10 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// The serial per-sample loop the batch split must reproduce bit for
-    /// bit: `(y, grad_in)`, with `gradW`/`gradB` accumulated into `grads`.
+    /// The serial per-sample loop the layer must reproduce bit for bit,
+    /// spelled out over a materialised `im2col` matrix so that it shares
+    /// no code with the layer: `(y, grad_in)`, with `gradW`/`gradB`
+    /// accumulated into `grads`.
     fn per_sample_reference(
         l: &Conv2d,
         params: &ParamArena,
@@ -461,8 +488,22 @@ mod tests {
         for s in 0..x.len() / in_len {
             let ys = &mut y[s * out_len..(s + 1) * out_len];
             let image = &x.as_slice()[s * in_len..(s + 1) * in_len];
-            let bias = params.segment(l.b_seg);
-            sample_forward(&l.geom, l.out_channels, w, bias, image, &mut col, ys);
+            im2col(&l.geom, image, &mut col);
+            gemm(
+                Transpose::No,
+                Transpose::No,
+                l.out_channels,
+                cols,
+                rows,
+                1.0,
+                w,
+                &col,
+                0.0,
+                ys,
+            );
+            for (plane, bc) in ys.chunks_mut(cols).zip(params.segment(l.b_seg)) {
+                plane.iter_mut().for_each(|v| *v += bc);
+            }
             let gys = &gy.as_slice()[s * out_len..(s + 1) * out_len];
             gemm(
                 Transpose::No,
@@ -507,6 +548,9 @@ mod tests {
             (2, 9, 8, 3, 2, 2, 1, 4),     // stride 2 with padding
             (1, 6, 6, 3, 3, 1, 0, 4),     // under SMALL_FLOPS: the direct row loop
             (16, 10, 10, 3, 3, 1, 1, 12), // col rows 144: bands of whole and part tiles
+            (32, 6, 6, 3, 3, 1, 1, 8),    // forward in the skinny nest: 8 rows, k = 288
+            (3, 18, 17, 3, 3, 1, 1, 9),   // one-thread gradW in the skinny nest: 27 rows, k = 306
+            (2, 12, 12, 5, 5, 1, 0, 6),   // pad 0, 8-wide output rows
         ];
         for (case, &(c, h, w, k_h, k_w, stride, pad, oc)) in shapes.iter().enumerate() {
             let geom = Conv2dGeometry {
@@ -570,15 +614,142 @@ mod tests {
         let (params, mut grads) = build_arenas(&mut l, 3);
         let mut x = Tensor::zeros([b, 8, 32, 32]);
         easgd_tensor::Rng::new(21).fill_normal(x.as_mut_slice(), 0.0, 1.0);
-        for (threads, forks) in [(1usize, 0u64), (2, 3)] {
+        for (threads, forks) in [(1usize, 0u64), (2, 2)] {
             let before = par::threads_spawned();
             par::with_budget(threads, || {
                 let y = l.forward(&params, &x, true);
                 l.backward(&params, &mut grads, &y);
             });
-            // One fork forward, two backward (grad_in, gradW), each
-            // spawning one thread per budgeted thread beyond the caller.
+            // One fork forward, one backward, each spawning one thread
+            // per budgeted thread beyond the caller.
             assert_eq!(par::threads_spawned() - before, forks, "threads={threads}");
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn any_geometry_batch_and_budget_matches_the_per_sample_loop(
+            dims in (1usize..6, 1usize..6, 1usize..4, 0usize..3),
+            extent in (1usize..6, 0usize..9, 0usize..9),
+            sizes in (1usize..6, 1usize..6, 1usize..4),
+        ) {
+            let (k_h, k_w, stride, pad) = dims;
+            let (in_channels, dh, dw) = extent;
+            let (oc, b, threads) = sizes;
+            let geom = Conv2dGeometry {
+                in_channels,
+                in_h: k_h.saturating_sub(2 * pad).max(1) + dh,
+                in_w: k_w.saturating_sub(2 * pad).max(1) + dw,
+                k_h,
+                k_w,
+                stride,
+                pad,
+            };
+            let mut l = Conv2d::new("c", geom, oc);
+            let (params, mut grads) = build_arenas(&mut l, (k_h * 11 + dh) as u64);
+            let mut rng = easgd_tensor::Rng::new((k_w * 13 + dw) as u64);
+            rng.fill_normal(grads.as_mut_slice(), 0.0, 1.0);
+            let mut x = Tensor::zeros([b, in_channels, geom.in_h, geom.in_w]);
+            rng.fill_normal(x.as_mut_slice(), 0.0, 1.0);
+            let mut gy = Tensor::zeros([b, oc, geom.out_h(), geom.out_w()]);
+            rng.fill_normal(gy.as_mut_slice(), 0.0, 1.0);
+            let mut want_grads = grads.clone();
+            let (want_y, want_gx) = per_sample_reference(&l, &params, &mut want_grads, &x, &gy);
+            let (y, gx) = ungated(threads, || {
+                let y = l.forward(&params, &x, true);
+                (y, l.backward(&params, &mut grads, &gy))
+            });
+            let at = format!("{geom:?} oc={oc} b={b} threads={threads}");
+            proptest::prop_assert_eq!(bits(y.as_slice()), bits(&want_y), "y, {}", at);
+            proptest::prop_assert_eq!(bits(gx.as_slice()), bits(&want_gx), "grad_in, {}", at);
+            proptest::prop_assert_eq!(
+                bits(grads.as_slice()),
+                bits(want_grads.as_slice()),
+                "gradW/gradB, {}", at
+            );
+        }
+    }
+
+    #[test]
+    fn bias_gradient_keeps_the_sequential_sum_on_signed_zeros_and_mixed_signs() {
+        // 19 planes: two groups of eight chains and a three-plane tail.
+        // All-`-0.0` planes tell the chains' start apart (`-0.0 + -0.0`
+        // is `-0.0`, `0.0 + -0.0` is not); the mixed-sign ones cancel
+        // catastrophically, so any reassociation shows in the low bits.
+        let (planes, cols) = (19, 37);
+        let mut rng = easgd_tensor::Rng::new(5);
+        for negative_zeros in [true, false] {
+            let gy: Vec<f32> = (0..planes * cols)
+                .map(|i| match (negative_zeros, i % 3) {
+                    (true, _) => -0.0,
+                    (false, 0) => 1e6 * rng.normal(),
+                    (false, _) => rng.normal(),
+                })
+                .collect();
+            for seed in [-0.0f32, 0.25] {
+                let mut gb = vec![seed; planes];
+                add_plane_sums(&gy, cols, &mut gb);
+                let want: Vec<f32> = gy
+                    .chunks(cols)
+                    .map(|plane| seed + plane.iter().sum::<f32>())
+                    .collect();
+                assert_eq!(bits(&gb), bits(&want), "-0.0 planes: {negative_zeros}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "conv 'c' backward: the gradient holds 8 samples, the last forward ran 2"
+    )]
+    fn backward_refuses_a_gradient_for_an_earlier_larger_batch() {
+        // forward(8), forward(2), backward(grad of 8): the buffers of the
+        // first batch are still allocated, but six of its samples are
+        // stale — folding them into gradW was a silent wrong answer.
+        let mut l = Conv2d::new("c", small_geom(), 2);
+        let (params, mut grads) = build_arenas(&mut l, 1);
+        let y8 = l.forward(&params, &Tensor::zeros([8, 2, 5, 5]), true);
+        l.forward(&params, &Tensor::zeros([2, 2, 5, 5]), true);
+        l.backward(&params, &mut grads, &y8);
+    }
+
+    /// VGG conv2: 32 → 32 channels, 3×3, pad 1, on 32×32 maps.
+    fn conv2_geom() -> Conv2dGeometry {
+        Conv2dGeometry {
+            in_channels: 32,
+            in_h: 32,
+            in_w: 32,
+            k_h: 3,
+            k_w: 3,
+            stride: 1,
+            pad: 1,
+        }
+    }
+
+    #[test]
+    fn a_forward_keeps_the_padded_batch_and_nothing_of_the_lowered_matrix() {
+        let geom = conv2_geom();
+        let (b, oc, threads) = (64, 32, 2);
+        let lowered = geom.col_rows() * geom.col_cols();
+        assert!(
+            geom.padded_len() * 7 < lowered,
+            "the matrix is 8x the image"
+        );
+        for train in [true, false] {
+            let mut l = Conv2d::new("c", geom, oc);
+            let (params, mut grads) = build_arenas(&mut l, 2);
+            let x = Tensor::zeros([b, 32, 32, 32]);
+            let (mut y, mut scratch) = (Tensor::default(), TrainScratch::default());
+            par::with_budget(threads, || {
+                l.forward_into(&params, &x, train, &mut y, &mut scratch);
+            });
+            assert_eq!(l.held_floats(), b * geom.padded_len(), "train={train}");
+            // Backward adds its one panel per thread and the gradWᵀ panel.
+            par::with_budget(threads, || l.backward(&params, &mut grads, &y));
+            assert_eq!(
+                l.held_floats(),
+                b * geom.padded_len() + threads * lowered + geom.col_rows() * oc
+            );
         }
     }
 

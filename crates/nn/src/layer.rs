@@ -144,6 +144,13 @@ pub trait Layer: Send + Sync {
     /// distributed run owns its own network replica (data parallelism,
     /// §2.3).
     fn boxed_clone(&self) -> Box<dyn Layer>;
+
+    /// Floats the layer's own forward/backward buffers hold, by capacity
+    /// (0 for layers that do not report it).
+    #[cfg(test)]
+    fn held_floats(&self) -> usize {
+        0
+    }
 }
 
 impl Clone for Box<dyn Layer> {

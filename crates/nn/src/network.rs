@@ -603,6 +603,45 @@ mod tests {
     }
 
     #[test]
+    fn evaluation_leaves_each_conv_its_padded_batch_and_no_lowered_matrix() {
+        // The VGG-shaped CIFAR stack of `train_vgg_p1`. A column cache
+        // held 9·c·h·w floats a sample here — 2.3 MB a sample over the
+        // five convs, for an evaluation nobody runs backward on.
+        let mut net = NetworkBuilder::new([3, 32, 32])
+            .conv2d(32, 3, 1, 1)
+            .relu()
+            .conv2d(32, 3, 1, 1)
+            .relu()
+            .maxpool(2, 2)
+            .conv2d(64, 3, 1, 1)
+            .relu()
+            .conv2d(64, 3, 1, 1)
+            .relu()
+            .maxpool(2, 2)
+            .conv2d(128, 3, 1, 1)
+            .relu()
+            .maxpool(2, 2)
+            .flatten()
+            .dense(256)
+            .relu()
+            .dense(10)
+            .build(3);
+        let n = 20;
+        let images = Tensor::zeros([n, 3, 32, 32]);
+        net.evaluate(&images, &vec![0; n], 256);
+        let held: Vec<usize> = net.layers.iter().map(|l| l.held_floats()).collect();
+        let padded = [
+            3 * 34 * 34,
+            32 * 34 * 34,
+            32 * 18 * 18,
+            64 * 18 * 18,
+            64 * 10 * 10,
+        ];
+        let convs: Vec<usize> = held.iter().copied().filter(|&f| f > 0).collect();
+        assert_eq!(convs, padded.map(|p| n * p));
+    }
+
+    #[test]
     fn forward_shape_is_batch_by_classes() {
         let mut net = tiny_net();
         let x = Tensor::zeros([5, 1, 6, 6]);

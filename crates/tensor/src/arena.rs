@@ -14,7 +14,7 @@
 //!
 //! [`TrainScratch`] extends the same idea from weights to the *transient*
 //! side of a training step: activations, gradients, masks/caches and
-//! im2col panels. Every per-step buffer request on the pooled
+//! padded conv inputs. Every per-step buffer request on the pooled
 //! forward/backward path is routed through its counted `ensure_*` /
 //! `shape_tensor*` entry points, so after a warm-up step the steady state
 //! performs zero heap allocations — and the counters prove it (see
@@ -160,26 +160,17 @@ impl ParamArena {
         self.segments.iter().position(|s| s.name == name)
     }
 
-    /// Splits the arena into disjoint mutable segment views, in registry
-    /// order. This is how a layer gets simultaneous access to its weight
-    /// and bias without aliasing the rest of the model.
-    pub fn split_mut(&mut self) -> Vec<&mut [f32]> {
-        let mut out = Vec::with_capacity(self.segments.len());
-        let mut rest: &mut [f32] = &mut self.data;
-        let mut consumed = 0;
-        for seg in &self.segments {
-            assert!(
-                seg.offset >= consumed,
-                "segments must be non-overlapping and ordered"
-            );
-            let skip = seg.offset - consumed;
-            let (_, tail) = rest.split_at_mut(skip);
-            let (head, tail) = tail.split_at_mut(seg.len);
-            out.push(head);
-            rest = tail;
-            consumed = seg.offset + seg.len;
-        }
-        out
+    /// Segments `first` and `second` at once, both mutable: how a layer
+    /// gets simultaneous access to its weight and bias gradients without
+    /// aliasing the rest of the model.
+    ///
+    /// # Panics
+    /// Panics unless `first` precedes `second` in the arena.
+    pub fn segment_pair_mut(&mut self, first: usize, second: usize) -> (&mut [f32], &mut [f32]) {
+        let (a, b) = (self.segments[first].range(), self.segments[second].range());
+        assert!(a.end <= b.start, "segment {first} must precede {second}");
+        let (head, tail) = self.data.split_at_mut(b.start);
+        (&mut head[a], &mut tail[..b.end - b.start])
     }
 
     /// Overwrites this arena's contents from another of identical length.
@@ -262,9 +253,9 @@ impl ScratchStats {
 }
 
 /// The per-step transient arena: counted, recycled storage for
-/// activations, gradients, layer caches and im2col panels.
+/// activations, gradients, layer caches and padded conv inputs.
 ///
-/// Layers own their cache buffers (masks, saved activations, col panels)
+/// Layers own their cache buffers (masks, saved activations, padded inputs)
 /// but size them *exclusively* through the counted `ensure_*` helpers
 /// here; the ping-pong activation/gradient tensors, the pooled batch
 /// tensor and the softmax probability buffer live inside the scratch and
@@ -487,15 +478,21 @@ mod tests {
     }
 
     #[test]
-    fn split_mut_returns_all_segments() {
+    fn segment_pair_mut_lends_two_disjoint_segments() {
         let mut a = sample();
-        {
-            let mut views = a.split_mut();
-            assert_eq!(views.len(), 3);
-            assert_eq!(views[0].len(), 6);
-            views[2].fill(1.0);
-        }
+        let (first, last) = a.segment_pair_mut(0, 2);
+        assert_eq!((first.len(), last.len()), (6, 4));
+        first.fill(2.0);
+        last.fill(1.0);
+        assert!(a.segment(0).iter().all(|&x| x == 2.0));
+        assert!(a.segment(1).iter().all(|&x| x == 0.0));
         assert!(a.segment(2).iter().all(|&x| x == 1.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "segment 2 must precede 0")]
+    fn segment_pair_mut_rejects_segments_out_of_order() {
+        let _ = sample().segment_pair_mut(2, 0);
     }
 
     #[test]

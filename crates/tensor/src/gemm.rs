@@ -19,8 +19,12 @@
 //!   one layout: an operand whose tile lanes are contiguous in memory is
 //!   copied in vector slivers, and one whose `k` runs are contiguous —
 //!   `B` stored transposed (every `Dense` forward's weights, conv
-//!   `gradW`'s `col`) and `A` as stored — is transposed in 8×8 register
-//!   blocks by `simd::pack_transposed`. Skinny outputs (`m ≤ 64` — the
+//!   `gradW`'s `gy`) and `A` as stored — is transposed in 8×8 register
+//!   blocks by `simd::pack_transposed`. The packs are also the only
+//!   readers of an operand, so it need not be in memory: through
+//!   [`Operand`] they gather a convolution's im2col matrix tile by tile
+//!   from the padded image ([`Lowered`]) and nothing upstream of them
+//!   changes — same blocks, same nests, same float chains. Skinny outputs (`m ≤ 64` — the
 //!   fully-connected layers of a small-batch step) switch to a
 //!   column-major nest that keeps the register tiles live across every
 //!   `KC` block, touching C once instead of `k/KC` times (the `vgg_fc6`
@@ -39,6 +43,7 @@
 //! The seed's naive kernel is retained as [`gemm_naive`], the reference
 //! the tests compare against.
 
+use crate::im2col::Lowered;
 use crate::par;
 use crate::simd::{self, MR, NR};
 
@@ -49,6 +54,57 @@ pub enum Transpose {
     No,
     /// Use the transpose of the stored matrix.
     Yes,
+}
+
+/// A GEMM operand as the packs read it: a matrix in memory, or one that
+/// exists only as the tiles the packs gather from a padded image.
+#[derive(Copy, Clone, Debug)]
+pub enum Operand<'a> {
+    /// A dense row-major matrix.
+    Stored(&'a [f32]),
+    /// The im2col matrix of a padded image ([`Lowered`]); it has no
+    /// stored transpose, so it is only valid under [`Transpose::No`].
+    Lowered(Lowered<'a>),
+}
+
+impl<'a> Operand<'a> {
+    /// Panics unless the operand can serve as a `rows×cols` `op(X)`.
+    fn check(&self, name: &str, t: Transpose, rows: usize, cols: usize) {
+        match self {
+            Self::Stored(x) => assert!(
+                x.len() >= rows * cols,
+                "{name} buffer too small: {} < {}",
+                x.len(),
+                rows * cols
+            ),
+            Self::Lowered(v) => assert!(
+                t == Transpose::No && v.rows() >= rows && v.cols() == cols,
+                "lowered {name} is {}x{} as stored, not a {rows}x{cols} operand under {t:?}",
+                v.rows(),
+                v.cols()
+            ),
+        }
+    }
+
+    /// The operand as a matrix in memory: itself, or its `rows()×cols()`
+    /// lowering written into `scratch` — for the direct row loop, whose
+    /// whole product is smaller than one pack block.
+    fn stored<'s>(self, scratch: &'s mut Vec<f32>) -> &'s [f32]
+    where
+        'a: 's,
+    {
+        match self {
+            Self::Stored(x) => x,
+            Self::Lowered(v) => {
+                let (rows, cols) = (v.rows(), v.cols());
+                if scratch.len() < rows * cols {
+                    scratch.resize(rows * cols, 0.0);
+                }
+                v.gather(0, rows, 0, cols, scratch, cols);
+                &scratch[..rows * cols]
+            }
+        }
+    }
 }
 
 /// Rows of packed A per L2-resident block (multiple of `MR`).
@@ -137,19 +193,18 @@ fn gemm_flops(m: usize, n: usize, k: usize) -> u64 {
 }
 
 #[allow(clippy::too_many_arguments)]
-fn check_dims(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &[f32]) {
-    assert!(
-        a.len() >= m * k,
-        "A buffer too small: {} < {}",
-        a.len(),
-        m * k
-    );
-    assert!(
-        b.len() >= k * n,
-        "B buffer too small: {} < {}",
-        b.len(),
-        k * n
-    );
+fn check_dims(
+    ta: Transpose,
+    tb: Transpose,
+    m: usize,
+    n: usize,
+    k: usize,
+    a: Operand,
+    b: Operand,
+    c: &[f32],
+) {
+    a.check("A", ta, m, k);
+    b.check("B", tb, k, n);
     assert!(
         c.len() >= m * n,
         "C buffer too small: {} < {}",
@@ -189,7 +244,42 @@ pub fn gemm(
     beta: f32,
     c: &mut [f32],
 ) {
-    check_dims(m, n, k, a, b, c);
+    gemm_view(
+        ta,
+        tb,
+        m,
+        n,
+        k,
+        alpha,
+        Operand::Stored(a),
+        Operand::Stored(b),
+        beta,
+        c,
+    );
+}
+
+/// [`gemm`] with either operand read through an [`Operand`] view: the
+/// same tiers, nests and per-element float chains, so a product over a
+/// [`Lowered`] operand holds the bits [`gemm`] gives over the `im2col`
+/// matrix it stands for.
+///
+/// # Panics
+/// Panics if an operand or `c` is smaller than its dimensions imply, or
+/// a lowered operand is asked for transposed.
+#[allow(clippy::too_many_arguments)]
+pub fn gemm_view(
+    ta: Transpose,
+    tb: Transpose,
+    m: usize,
+    n: usize,
+    k: usize,
+    alpha: f32,
+    a: Operand,
+    b: Operand,
+    beta: f32,
+    c: &mut [f32],
+) {
+    check_dims(ta, tb, m, n, k, a, b, c);
     if m == 0 || n == 0 {
         return;
     }
@@ -198,10 +288,9 @@ pub fn gemm(
         apply_beta(c, beta);
         return;
     }
-    let flops = gemm_flops(m, n, k);
-    if flops < SMALL_FLOPS {
+    if gemm_flops(m, n, k) < SMALL_FLOPS {
         apply_beta(c, beta);
-        naive_rows(ta, tb, m, n, k, alpha, a, b, c);
+        naive_rows(ta, tb, m, n, k, alpha, a, b, 0, c);
         return;
     }
     blocked_dispatch(ta, tb, m, n, k, alpha, a, b, beta, c);
@@ -241,7 +330,8 @@ pub fn gemm_rowstable(
     beta: f32,
     c: &mut [f32],
 ) {
-    check_dims(m, n, k, a, b, c);
+    let (a, b) = (Operand::Stored(a), Operand::Stored(b));
+    check_dims(ta, tb, m, n, k, a, b, c);
     if m == 0 || n == 0 {
         return;
     }
@@ -252,7 +342,7 @@ pub fn gemm_rowstable(
     }
     if gemm_flops(1, n, k) < SMALL_FLOPS {
         apply_beta(c, beta);
-        naive_rows(ta, tb, m, n, k, alpha, a, b, c);
+        naive_rows(ta, tb, m, n, k, alpha, a, b, 0, c);
         return;
     }
     // Same fork-join gate as `gemm` (total-flops keyed): the banded
@@ -279,7 +369,8 @@ pub fn gemm_serial(
     beta: f32,
     c: &mut [f32],
 ) {
-    check_dims(m, n, k, a, b, c);
+    let (a, b) = (Operand::Stored(a), Operand::Stored(b));
+    check_dims(ta, tb, m, n, k, a, b, c);
     if m == 0 || n == 0 {
         return;
     }
@@ -297,8 +388,9 @@ pub fn gemm_serial(
 /// `a` and `b` are the operands of the *whole* `m×n×k` product and the
 /// kernel tier is chosen from its flop count, so the band holds exactly
 /// the bits [`gemm`] would put in those rows: a caller that owns a
-/// fork-join of its own (the convolution's weight gradient) can hand
-/// each thread a row band and keep the unsplit product's bits.
+/// fork-join of its own (the convolution's weight gradient, whose `a` is
+/// a [`Lowered`] input) can hand each thread a row band and keep the
+/// unsplit product's bits.
 ///
 /// # Panics
 /// Panics if `a` or `b` is smaller than its dimensions imply, or
@@ -312,7 +404,7 @@ pub fn gemm_row_band(
     k: usize,
     i0: usize,
     alpha: f32,
-    a: &[f32],
+    a: Operand,
     b: &[f32],
     beta: f32,
     c_band: &mut [f32],
@@ -326,17 +418,14 @@ pub fn gemm_row_band(
         "row band {i0}+{}/{n} is not whole rows of a {m}x{n} C",
         c_band.len()
     );
-    assert!(
-        a.len() >= m * k && b.len() >= k * n,
-        "operand buffer too small for {m}x{n}x{k}"
-    );
+    let b = Operand::Stored(b);
+    a.check("A", ta, m, k);
+    b.check("B", tb, k, n);
     if k == 0 || alpha == 0.0 {
         apply_beta(c_band, beta);
     } else if gemm_flops(m, n, k) < SMALL_FLOPS {
         apply_beta(c_band, beta);
-        for (i, c_row) in c_band.chunks_mut(n).enumerate() {
-            naive_row(ta, tb, m, n, k, alpha, a, b, i0 + i, c_row);
-        }
+        naive_rows(ta, tb, m, n, k, alpha, a, b, i0, c_band);
     } else {
         blocked_accumulate(ta, tb, m, n, k, i0, mc0, 0, n, alpha, a, b, beta, c_band, n);
     }
@@ -352,7 +441,7 @@ pub fn gemm_row_band(
 #[allow(clippy::too_many_arguments)]
 fn pack_a(
     ta: Transpose,
-    a: &[f32],
+    a: Operand,
     m: usize,
     k: usize,
     ic: usize,
@@ -361,6 +450,10 @@ fn pack_a(
     kcb: usize,
     ap: &mut [f32],
 ) {
+    let a = match a {
+        Operand::Stored(a) => a,
+        Operand::Lowered(v) => return pack_a_lowered(v, ic, mcb, pc, kcb, ap),
+    };
     let tiles = mcb.div_ceil(MR);
     for it in 0..tiles {
         let dst = &mut ap[it * kcb * MR..(it + 1) * kcb * MR];
@@ -385,12 +478,25 @@ fn pack_a(
     }
 }
 
+/// [`pack_a`] of a lowered operand: a tile's `MR` row segments are
+/// gathered back to back — 8 KiB of stack that stay in L1 between the
+/// gather and the transposing pack a stored `A` goes through.
+fn pack_a_lowered(a: Lowered, ic: usize, mcb: usize, pc: usize, kcb: usize, ap: &mut [f32]) {
+    let mut runs = [0.0f32; MR * KC];
+    for (it, dst) in ap.chunks_mut(kcb * MR).take(mcb.div_ceil(MR)).enumerate() {
+        let rows = MR.min(mcb - it * MR);
+        let runs = &mut runs[..rows * kcb];
+        a.gather(ic + it * MR, rows, pc, kcb, runs, kcb);
+        simd::pack_transposed::<MR>(runs, 0, kcb, rows, kcb, dst);
+    }
+}
+
 /// Packs `op(B)[pc..pc+kcb, jc..jc+ncb]` into `bp` as column-tiles of
 /// `NR`: layout `[tile][p][j]`, zero-padded like [`pack_a`].
 #[allow(clippy::too_many_arguments)]
 fn pack_b(
     tb: Transpose,
-    b: &[f32],
+    b: Operand,
     k: usize,
     n: usize,
     pc: usize,
@@ -403,6 +509,16 @@ fn pack_b(
     for jt in 0..tiles {
         let dst = &mut bp[jt * kcb * NR..(jt + 1) * kcb * NR];
         let cols = NR.min(ncb - jt * NR);
+        let b = match b {
+            Operand::Stored(b) => b,
+            Operand::Lowered(v) => {
+                if cols < NR {
+                    dst.fill(0.0);
+                }
+                v.gather(pc, kcb, jc + jt * NR, cols, dst, NR);
+                continue;
+            }
+        };
         match tb {
             Transpose::No => {
                 // op(B)[l][j] = b[l·n + j]: each `p` step is contiguous in `j`.
@@ -504,8 +620,8 @@ fn blocked_accumulate(
     j0: usize,
     nc0: usize,
     alpha: f32,
-    a: &[f32],
-    b: &[f32],
+    a: Operand,
+    b: Operand,
     beta: f32,
     c: &mut [f32],
     ldc: usize,
@@ -589,8 +705,8 @@ fn blocked_accumulate_with(
     j0: usize,
     nc0: usize,
     alpha: f32,
-    a: &[f32],
-    b: &[f32],
+    a: Operand,
+    b: Operand,
     beta: f32,
     c: &mut [f32],
     ldc: usize,
@@ -687,8 +803,8 @@ fn skinny_accumulate(
     j0: usize,
     nc0: usize,
     alpha: f32,
-    a: &[f32],
-    b: &[f32],
+    a: Operand,
+    b: Operand,
     beta: f32,
     c: &mut [f32],
     ldc: usize,
@@ -732,8 +848,10 @@ fn skinny_accumulate(
             let kcb = KC.min(k - pc);
             let stride = kcb * NR + STRIP_SKEW;
             // Stage this KC block's panel of B into skewed strips first
-            // (row-major streaming reads; see the doc comment above).
-            if tb == Transpose::No {
+            // (row-major streaming reads; see the doc comment above). A
+            // transposed or lowered B has no rows in memory to stream and
+            // is packed strip by strip.
+            if let (Transpose::No, Operand::Stored(b)) = (tb, b) {
                 stage_b_rows(b, n, pc, kcb, j0 + jp, pw, stride, bp);
             } else {
                 for t in 0..tiles {
@@ -850,14 +968,14 @@ fn blocked_dispatch(
     n: usize,
     k: usize,
     alpha: f32,
-    a: &[f32],
-    b: &[f32],
+    a: Operand,
+    b: Operand,
     beta: f32,
     c: &mut [f32],
 ) {
     let threads = par::fork_threads(gemm_flops(m, n, k));
     if threads > 1 {
-        gemm_fork_join(threads, ta, tb, m, n, k, alpha, a, b, beta, c);
+        fork_join_bands(threads, ta, tb, m, n, k, alpha, a, b, beta, c);
     } else {
         blocked_accumulate(ta, tb, m, n, k, 0, m, 0, n, alpha, a, b, beta, c, n);
     }
@@ -910,7 +1028,8 @@ pub fn gemm_fork_join(
     c: &mut [f32],
 ) {
     assert!(threads > 0, "a fork-join needs at least one thread");
-    check_dims(m, n, k, a, b, c);
+    let (a, b) = (Operand::Stored(a), Operand::Stored(b));
+    check_dims(ta, tb, m, n, k, a, b, c);
     if m == 0 || n == 0 {
         return;
     }
@@ -919,6 +1038,25 @@ pub fn gemm_fork_join(
         apply_beta(c, beta);
         return;
     }
+    fork_join_bands(threads, ta, tb, m, n, k, alpha, a, b, beta, c);
+}
+
+/// [`gemm_fork_join`]'s band split over checked operands: `c` is exactly
+/// `m·n` floats, `k ≥ 1`, `α ≠ 0`.
+#[allow(clippy::too_many_arguments)]
+fn fork_join_bands(
+    threads: usize,
+    ta: Transpose,
+    tb: Transpose,
+    m: usize,
+    n: usize,
+    k: usize,
+    alpha: f32,
+    a: Operand,
+    b: Operand,
+    beta: f32,
+    c: &mut [f32],
+) {
     if m >= n {
         let band = m.div_ceil(threads).next_multiple_of(MR);
         par::fan_out(c.chunks_mut(band * n).enumerate(), |(i, rows)| {
@@ -979,8 +1117,11 @@ pub fn gemm_fork_join(
 // Retained naive baseline (the seed kernel) for in-repo A/B measurement.
 // ---------------------------------------------------------------------------
 
-/// The seed's row kernel: axpy/dot loops streaming strided operands
-/// straight from memory.
+/// The seed's row kernel — axpy/dot loops streaming strided operands
+/// straight from memory — over rows `i0..` of the product, as many as
+/// `c` holds. A lowered operand is written out into this thread's pack
+/// buffer first: the direct loop only runs products smaller than the
+/// buffer.
 #[allow(clippy::too_many_arguments)]
 fn naive_rows(
     ta: Transpose,
@@ -989,12 +1130,22 @@ fn naive_rows(
     n: usize,
     k: usize,
     alpha: f32,
-    a: &[f32],
-    b: &[f32],
+    a: Operand,
+    b: Operand,
+    i0: usize,
     c: &mut [f32],
 ) {
-    for (i, c_row) in c[..m * n].chunks_mut(n).enumerate() {
-        naive_row(ta, tb, m, n, k, alpha, a, b, i, c_row);
+    let mut rows = |a: &[f32], b: &[f32]| {
+        for (i, c_row) in c.chunks_mut(n).enumerate() {
+            naive_row(ta, tb, m, n, k, alpha, a, b, i0 + i, c_row);
+        }
+    };
+    match (a, b) {
+        (Operand::Stored(a), Operand::Stored(b)) => rows(a, b),
+        _ => PACK_SCRATCH.with(|cell| {
+            let (ap, bp) = &mut cell.borrow_mut().0;
+            rows(a.stored(ap), b.stored(bp));
+        }),
     }
 }
 
@@ -1075,7 +1226,8 @@ pub fn gemm_naive(
     beta: f32,
     c: &mut [f32],
 ) {
-    check_dims(m, n, k, a, b, c);
+    let (a, b) = (Operand::Stored(a), Operand::Stored(b));
+    check_dims(ta, tb, m, n, k, a, b, c);
     if m == 0 || n == 0 {
         return;
     }
@@ -1084,7 +1236,7 @@ pub fn gemm_naive(
     if k == 0 || alpha == 0.0 {
         return;
     }
-    naive_rows(ta, tb, m, n, k, alpha, a, b, c);
+    naive_rows(ta, tb, m, n, k, alpha, a, b, 0, c);
 }
 
 /// Convenience: `C = A·B` with fresh output.
@@ -1454,7 +1606,7 @@ mod tests {
                     k,
                     i * 10,
                     1.0,
-                    &a,
+                    Operand::Stored(&a),
                     &b,
                     1.0,
                     band,
@@ -1462,6 +1614,150 @@ mod tests {
             }
             assert_eq!(bits(&banded), bits(&whole), "m={m} n={n} k={k}");
         }
+    }
+
+    /// `(forward, gradW)` of one conv sample computed the stored way —
+    /// `im2col`, then [`gemm`] on the matrix — and through [`Lowered`]
+    /// operands, the weight gradient in two row bands: the view changes
+    /// where a pack reads, never a float chain.
+    fn conv_products(g: &crate::Conv2dGeometry, oc: usize, forced_threads: usize) {
+        use crate::im2col::{im2col, pad_image};
+        let (rows, cols) = (g.col_rows(), g.col_cols());
+        let image = rand_vec(g.input_len(), (rows * cols) as u64);
+        let w = rand_vec(oc * rows, rows as u64);
+        let gy = rand_vec(oc * cols, cols as u64);
+        let gw0 = rand_vec(rows * oc, oc as u64);
+        let mut col = vec![0.0; rows * cols];
+        im2col(g, &image, &mut col);
+        let mut padded = vec![0.0; g.padded_len()];
+        pad_image(g, &image, &mut padded);
+        let lowered = Operand::Lowered(Lowered::new(g, &padded));
+        let (no, yes) = (Transpose::No, Transpose::Yes);
+        let at = format!("{g:?} oc={oc}");
+
+        let mut want_y = vec![f32::NAN; oc * cols];
+        gemm(no, no, oc, cols, rows, 1.0, &w, &col, 0.0, &mut want_y);
+        let mut y = vec![f32::NAN; oc * cols];
+        gemm_view(
+            no,
+            no,
+            oc,
+            cols,
+            rows,
+            1.0,
+            Operand::Stored(&w),
+            lowered,
+            0.0,
+            &mut y,
+        );
+        assert_eq!(bits(&y), bits(&want_y), "forward, {at}");
+        if gemm_flops(oc, cols, rows) >= SMALL_FLOPS {
+            // What `gemm_view` forks into above the gate: column bands
+            // when `oc < cols`, row bands otherwise.
+            y.fill(f32::NAN);
+            fork_join_bands(
+                forced_threads,
+                no,
+                no,
+                oc,
+                cols,
+                rows,
+                1.0,
+                Operand::Stored(&w),
+                lowered,
+                0.0,
+                &mut y,
+            );
+            assert_eq!(bits(&y), bits(&want_y), "forked forward, {at}");
+        }
+
+        let mut want_gw = gw0.clone();
+        gemm(no, yes, rows, oc, cols, 1.0, &col, &gy, 1.0, &mut want_gw);
+        let mut gw = gw0.clone();
+        let split = rows.div_ceil(forced_threads);
+        for (i, band) in gw.chunks_mut(split * oc).enumerate() {
+            gemm_row_band(
+                no,
+                yes,
+                rows,
+                oc,
+                cols,
+                i * split,
+                1.0,
+                lowered,
+                &gy,
+                1.0,
+                band,
+            );
+        }
+        assert_eq!(bits(&gw), bits(&want_gw), "gradW, {at}");
+    }
+
+    #[test]
+    fn lowered_operands_hold_the_bits_of_the_im2col_matrix_in_every_tier() {
+        // (in_channels, h, w, k_h, k_w, stride, pad, oc)
+        for &(c, h, w, k_h, k_w, stride, pad, oc) in &[
+            (3, 32, 32, 3, 3, 1, 1, 32), // VGG conv1: k = 27, gradW skinny (27 rows, k = 1024)
+            (32, 16, 16, 3, 3, 1, 1, 64), // VGG conv3: forward skinny (64 rows, k = 288)
+            (64, 8, 8, 3, 3, 1, 1, 72),  // standard nest both ways, k = 576 in three blocks
+            (1, 28, 28, 5, 5, 1, 0, 20), // LeNet conv1: 24-wide output rows, pad 0
+            (20, 12, 12, 5, 5, 1, 0, 50), // LeNet conv2: k = 500, 8-wide rows, 64-column last tile
+            (2, 9, 8, 3, 2, 2, 1, 40),   // stride 2: the strided gather
+            (1, 6, 6, 3, 3, 1, 0, 4),    // under SMALL_FLOPS: the direct row loop
+        ] {
+            let g = crate::Conv2dGeometry {
+                in_channels: c,
+                in_h: h,
+                in_w: w,
+                k_h,
+                k_w,
+                stride,
+                pad,
+            };
+            conv_products(&g, oc, 2);
+            crate::simd::with_scalar_kernels(|| conv_products(&g, oc, 3));
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn lowered_operands_hold_the_bits_of_the_im2col_matrix(
+            dims in (1usize..6, 1usize..6, 1usize..4, 0usize..3),
+            extent in (1usize..9, 0usize..20, 0usize..20),
+            oc in 1usize..40,
+            threads in 1usize..4,
+        ) {
+            conv_products(&crate::Conv2dGeometry::sampled(dims, extent), oc, threads);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "lowered A is 9x4 as stored")]
+    fn a_lowered_operand_cannot_be_transposed() {
+        let g = crate::Conv2dGeometry {
+            in_channels: 1,
+            in_h: 4,
+            in_w: 4,
+            k_h: 3,
+            k_w: 3,
+            stride: 1,
+            pad: 0,
+        };
+        let padded = vec![0.0; g.padded_len()];
+        let a = Operand::Lowered(Lowered::new(&g, &padded));
+        let mut c = vec![0.0; 4 * 2];
+        gemm_view(
+            Transpose::Yes,
+            Transpose::No,
+            4,
+            2,
+            9,
+            1.0,
+            a,
+            Operand::Stored(&[0.0; 18]),
+            0.0,
+            &mut c,
+        );
     }
 
     #[test]

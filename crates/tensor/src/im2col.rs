@@ -3,7 +3,8 @@
 //! Convolutional layers in the paper's era of frameworks (Caffe, cuDNN)
 //! were implemented by unrolling input patches into a matrix and calling
 //! GEMM; we do the same so the per-worker compute path matches what the
-//! paper benchmarked.
+//! paper benchmarked — except that the conv layer never writes the
+//! matrix: the GEMM packs read it in place through [`Lowered`].
 
 /// Geometry of a 2-D convolution (single spatial configuration shared by
 /// im2col, col2im and the conv layer).
@@ -71,6 +72,12 @@ impl Conv2dGeometry {
     /// Number of elements in one input image (C·H·W).
     pub fn input_len(&self) -> usize {
         self.in_channels * self.in_h * self.in_w
+    }
+
+    /// Number of elements in one zero-padded image, C·(H+2p)·(W+2p) —
+    /// what [`pad_image`] writes and a [`Lowered`] view reads.
+    pub fn padded_len(&self) -> usize {
+        self.in_channels * (self.in_h + 2 * self.pad) * (self.in_w + 2 * self.pad)
     }
 
     /// Validates that the geometry produces at least one output pixel.
@@ -209,9 +216,172 @@ pub fn col2im(geom: &Conv2dGeometry, col: &[f32], image: &mut [f32]) {
     }
 }
 
+/// Writes the zero-padded copy of one CHW image: every element of
+/// `padded` is stored, so a dirty reused buffer is fine.
+///
+/// # Panics
+/// Panics if buffer sizes don't match the geometry.
+pub fn pad_image(geom: &Conv2dGeometry, image: &[f32], padded: &mut [f32]) {
+    assert_eq!(image.len(), geom.input_len(), "image buffer size mismatch");
+    assert_eq!(
+        padded.len(),
+        geom.padded_len(),
+        "padded buffer size mismatch"
+    );
+    let (w, pad) = (geom.in_w, geom.pad);
+    let (ph, pw) = (geom.in_h + 2 * pad, w + 2 * pad);
+    let planes = image.chunks(geom.in_h * w).zip(padded.chunks_mut(ph * pw));
+    for (plane, out) in planes {
+        let (top, rest) = out.split_at_mut(pad * pw);
+        let (body, bottom) = rest.split_at_mut(geom.in_h * pw);
+        top.fill(0.0);
+        bottom.fill(0.0);
+        for (src, dst) in plane.chunks(w).zip(body.chunks_mut(pw)) {
+            dst[..pad].fill(0.0);
+            dst[pad..pad + w].copy_from_slice(src);
+            dst[pad + w..].fill(0.0);
+        }
+    }
+}
+
+/// The `col_rows() × col_cols()` matrix [`im2col`] would write, read in
+/// place from one sample's zero-padded image ([`pad_image`]): row
+/// `(c, ky, kx)` × output row `oy` is the `out_w()` floats at stride
+/// `stride` from `padded[c][oy·stride + ky][kx]` — no clipping and no
+/// zero fill, the border is in the image. The GEMM packs gather their
+/// tiles through it ([`crate::Operand::Lowered`]), so a convolution never
+/// materialises the matrix.
+#[derive(Copy, Clone, Debug)]
+pub struct Lowered<'a> {
+    geom: &'a Conv2dGeometry,
+    padded: &'a [f32],
+    out_w: usize,
+    cols: usize,
+}
+
+impl<'a> Lowered<'a> {
+    /// The lowering of `padded` under `geom`.
+    ///
+    /// # Panics
+    /// Panics if the geometry is invalid or `padded` is not
+    /// [`padded_len`](Conv2dGeometry::padded_len) long.
+    pub fn new(geom: &'a Conv2dGeometry, padded: &'a [f32]) -> Self {
+        assert_eq!(
+            padded.len(),
+            geom.padded_len(),
+            "padded buffer size mismatch"
+        );
+        Self {
+            geom,
+            padded,
+            out_w: geom.out_w(),
+            cols: geom.col_cols(),
+        }
+    }
+
+    /// Rows of the lowered matrix.
+    pub fn rows(&self) -> usize {
+        self.geom.col_rows()
+    }
+
+    /// Columns of the lowered matrix (its row stride as a GEMM operand).
+    pub fn cols(&self) -> usize {
+        self.cols
+    }
+
+    /// `dst[p·ld + j] = lowered[row0 + p][col0 + j]` for `p < nrows`,
+    /// `j < ncols`; the other floats of `dst` are left alone.
+    pub(crate) fn gather(
+        &self,
+        row0: usize,
+        nrows: usize,
+        col0: usize,
+        ncols: usize,
+        dst: &mut [f32],
+        ld: usize,
+    ) {
+        let g = self.geom;
+        assert!(
+            row0 + nrows <= self.rows() && col0 + ncols <= self.cols,
+            "gather {row0}+{nrows} x {col0}+{ncols} outside the lowered matrix"
+        );
+        assert!(
+            ncols <= ld && (nrows == 0 || (nrows - 1) * ld + ncols <= dst.len()),
+            "gather of {nrows} x {ncols} at stride {ld} overruns its destination"
+        );
+        let pw = g.in_w + 2 * g.pad;
+        let plane = (g.in_h + 2 * g.pad) * pw;
+        let (oy0, ox0) = (col0 / self.out_w, col0 % self.out_w);
+        let first = (oy0 * pw + ox0) * g.stride;
+        let (mut c, mut ky, mut kx) = (row0 / (g.k_h * g.k_w), row0 / g.k_w % g.k_h, row0 % g.k_w);
+        for out in dst.chunks_mut(ld).take(nrows) {
+            // Output row by output row: the first run starts at `ox0`,
+            // every later one at the row's left edge.
+            let mut src = c * plane + ky * pw + kx + first;
+            let mut ox = ox0;
+            let mut rest = &mut out[..ncols];
+            while !rest.is_empty() {
+                let (run, tail) = rest.split_at_mut((self.out_w - ox).min(rest.len()));
+                copy_run(&self.padded[src..], g.stride, run);
+                src += (pw - ox) * g.stride;
+                ox = 0;
+                rest = tail;
+            }
+            kx += 1;
+            if kx == g.k_w {
+                (kx, ky) = (0, ky + 1);
+                if ky == g.k_h {
+                    (ky, c) = (0, c + 1);
+                }
+            }
+        }
+    }
+}
+
+/// `dst[i] = src[i·stride]`. The unit-stride run — every conv in the
+/// repo's models — moves as fixed eight-float blocks, which compile to
+/// one vector load/store each; at the 8–32-float runs of a 3×3 or 5×5
+/// layer a `memcpy` call per run costs more than the bytes it moves.
+fn copy_run(src: &[f32], stride: usize, dst: &mut [f32]) {
+    if stride == 1 {
+        let (src8, src_rest) = src[..dst.len()].as_chunks::<8>();
+        let (dst8, dst_rest) = dst.as_chunks_mut::<8>();
+        for (d, s) in dst8.iter_mut().zip(src8) {
+            *d = *s;
+        }
+        for (d, s) in dst_rest.iter_mut().zip(src_rest) {
+            *d = *s;
+        }
+    } else {
+        for (d, s) in dst.iter_mut().zip(src.iter().step_by(stride)) {
+            *d = *s;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Conv2dGeometry {
+        /// A valid geometry from property-test draws: `(k_h, k_w, stride,
+        /// pad)` and `(in_channels, dh, dw)`, the input `dh × dw` larger than
+        /// the smallest one the kernel fits.
+        pub(crate) fn sampled(
+            (k_h, k_w, stride, pad): (usize, usize, usize, usize),
+            (in_channels, dh, dw): (usize, usize, usize),
+        ) -> Self {
+            Self {
+                in_channels,
+                in_h: k_h.saturating_sub(2 * pad).max(1) + dh,
+                in_w: k_w.saturating_sub(2 * pad).max(1) + dw,
+                k_h,
+                k_w,
+                stride,
+                pad,
+            }
+        }
+    }
 
     fn geom_3x3_input_2x2_kernel() -> Conv2dGeometry {
         Conv2dGeometry {
@@ -481,6 +651,70 @@ mod tests {
             col2im_ref(&g, &grad, &mut gx_want);
             for (i, (a, b)) in gx_fast.iter().zip(&gx_want).enumerate() {
                 assert_eq!(a.to_bits(), b.to_bits(), "col2im geom {idx} elem {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn pad_image_stores_every_element_of_a_dirty_buffer() {
+        let g = Conv2dGeometry {
+            in_channels: 2,
+            in_h: 3,
+            in_w: 2,
+            k_h: 3,
+            k_w: 3,
+            stride: 1,
+            pad: 2,
+        };
+        let image: Vec<f32> = (1..=12).map(|i| i as f32).collect();
+        let mut padded = vec![f32::NAN; g.padded_len()];
+        pad_image(&g, &image, &mut padded);
+        let (ph, pw) = (7, 6);
+        for (i, v) in padded.iter().enumerate() {
+            let (c, y, x) = (i / (ph * pw), i / pw % ph, i % pw);
+            let inside = (2..5).contains(&y) && (2..4).contains(&x);
+            let want = if inside {
+                image[c * 6 + (y - 2) * 2 + (x - 2)]
+            } else {
+                0.0
+            };
+            assert_eq!(v.to_bits(), want.to_bits(), "padded[{c}][{y}][{x}]");
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn lowered_windows_hold_the_bits_of_im2col(
+            dims in (1usize..6, 1usize..6, 1usize..4, 0usize..3),
+            extent in (1usize..6, 0usize..12, 0usize..12),
+            window in (0usize..1000, 0usize..1000, 0usize..1000, 0usize..1000),
+            slack in 0usize..3,
+        ) {
+            let g = Conv2dGeometry::sampled(dims, extent);
+            let mut rng = crate::rng::Rng::new((g.col_rows() * 7 + g.in_h * 3 + g.in_w) as u64);
+            let image: Vec<f32> = (0..g.input_len()).map(|_| rng.normal()).collect();
+            let (rows, cols) = (g.col_rows(), g.col_cols());
+            let mut col = vec![0.0; rows * cols];
+            im2col(&g, &image, &mut col);
+            let mut padded = vec![f32::NAN; g.padded_len()];
+            pad_image(&g, &image, &mut padded);
+            let lowered = Lowered::new(&g, &padded);
+            proptest::prop_assert_eq!((lowered.rows(), lowered.cols()), (rows, cols));
+
+            let (row0, col0) = (window.0 % rows, window.1 % cols);
+            let (nrows, ncols) = (1 + window.2 % (rows - row0), 1 + window.3 % (cols - col0));
+            let ld = ncols + slack;
+            let mut got = vec![f32::NAN; nrows * ld];
+            lowered.gather(row0, nrows, col0, ncols, &mut got, ld);
+            for (p, out) in got.chunks(ld).enumerate() {
+                let want = &col[(row0 + p) * cols + col0..][..ncols];
+                proptest::prop_assert_eq!(
+                    out[..ncols].iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    "{:?} row {} cols {}+{}", g, row0 + p, col0, ncols
+                );
+                // Floats between rows are not the gather's to write.
+                proptest::prop_assert!(out[ncols..].iter().all(|v| v.is_nan()));
             }
         }
     }

@@ -37,16 +37,20 @@ pub fn max_threads() -> usize {
 
 /// A compute region forks only at or above this many flops.
 ///
-/// One scoped fork-join costs a thread spawn and a join per extra thread
-/// (~45 µs on the recording host), and each band re-packs the operand it
-/// shares with its siblings. Read from `--bin kernels`'
-/// `gemm_par_vs_serial` table (`BENCH_kernels.json`, 2 threads): the
-/// forced fork loses at every 9–19 MFLOP conv shape (0.4–0.9× the speed
-/// of `gemm_serial`), straddles break-even at 256³ = 33.6 MFLOP
-/// (0.85–1.4× across recordings) and wins at every shape from
-/// 67.1 MFLOP up (1.1–1.9×) — so the gate sits at the first power of two
-/// where nothing in the table loses. [`gemm`](crate::gemm()) and the
-/// convolution's batch fan-out both read this constant.
+/// One scoped fork-join costs a thread spawn and a join per extra
+/// thread, and each band re-packs the operand it shares with its
+/// siblings. Timed in place inside a conv layer of `train_vgg_p1` on the
+/// recording host, a two-thread fork spends ~45 µs in `spawn` on the
+/// parent, the child runs its first instruction ~100 µs after the fork
+/// began, and the fork's wall time exceeds its longer job by 160–240 µs.
+/// The gate was not derived from those numbers but read from a table,
+/// `--bin kernels`' `gemm_par_vs_serial` (`BENCH_kernels.json`, 2
+/// threads): the forced fork loses at every 9–19 MFLOP conv shape
+/// (0.4–0.9× the speed of `gemm_serial`), straddles break-even at
+/// 256³ = 33.6 MFLOP (0.85–1.4× across recordings) and wins at every
+/// shape from 67.1 MFLOP up (1.1–1.9×) — so the gate sits at the first
+/// power of two where nothing in the table loses. [`gemm`](crate::gemm())
+/// and the convolution's batch fan-out both read this constant.
 pub const FORK_JOIN_FLOPS: u64 = 64 << 20;
 
 /// Threads a compute region of `flops` should fork over: the calling

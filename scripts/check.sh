@@ -59,6 +59,12 @@ if grep -rnF "(0..comm.size()).collect" crates/cluster/src/; then
   exit 1
 fi
 
+echo "==> no column cache (Conv2d keeps the padded batch; the GEMM packs lower from it)"
+if grep -rn "col_cache" crates/nn/src/; then
+  echo "error: a column cache is back in the conv layer (matches above)" >&2
+  exit 1
+fi
+
 echo "==> kernel tables (smoke: one iteration per row, no JSON; gemm_par_vs_serial on >= 2 threads, skip notice on 1; checked-in BENCH_kernels.json fork-join acceptance)"
 cargo run -q --release -p easgd-bench --bin kernels -- --smoke
 

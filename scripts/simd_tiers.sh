@@ -6,14 +6,17 @@
 # the caches don't thrash) and reruns its suite, so the paths CI hardware
 # doesn't default to cannot rot. Each leg also greps the tier its build
 # reports (one test prints it): a cfg slip would otherwise run the native
-# tier three times and pass. scripts/check.sh and CI's simd-tiers job
-# both run exactly this.
+# tier three times and pass. The convolution's tests ride along: its
+# bits-equal-the-per-sample-loop properties are properties of the packs
+# underneath. scripts/check.sh and CI's simd-tiers job both run exactly
+# this.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 leg() { # <rustflags> <target dir> <tier>
   echo "--> $3 (RUSTFLAGS='$1')"
   RUSTFLAGS="$1" CARGO_TARGET_DIR="$2" cargo test -q -p easgd-tensor
+  RUSTFLAGS="$1" CARGO_TARGET_DIR="$2" cargo test -q -p easgd-nn --lib conv::
   RUSTFLAGS="$1" CARGO_TARGET_DIR="$2" cargo test -q -p easgd-tensor --lib \
     build_reports_its_simd_tier -- --nocapture | grep -x "simd tier under test: $3"
 }

@@ -10,7 +10,7 @@ use knl_easgd::prelude::{
 use knl_easgd::tensor::Rng;
 use knl_easgd::tensor::{
     gemm, gemm_naive, gemm_row_band, gemm_rowstable, gemm_serial, ops, with_scalar_kernels,
-    Transpose,
+    Operand, Transpose,
 };
 use proptest::prelude::*;
 
@@ -59,8 +59,20 @@ fn gemm_entry_points_are_tier_invariant_on_skinny_ragged_shapes() {
         ("gemm_row_band", |ta, tb, m, n, k, a, b, c| {
             let split = (m / 2) * n;
             let (top, bottom) = c.split_at_mut(split);
-            gemm_row_band(ta, tb, m, n, k, 0, 0.5, a, b, 1.0, top);
-            gemm_row_band(ta, tb, m, n, k, m / 2, 0.5, a, b, 1.0, bottom);
+            gemm_row_band(ta, tb, m, n, k, 0, 0.5, Operand::Stored(a), b, 1.0, top);
+            gemm_row_band(
+                ta,
+                tb,
+                m,
+                n,
+                k,
+                m / 2,
+                0.5,
+                Operand::Stored(a),
+                b,
+                1.0,
+                bottom,
+            );
         }),
     ];
     let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
