@@ -1,11 +1,17 @@
-//! One worker's local optimization state: network replica, gradient and
-//! velocity buffers, center snapshot, and per-step loss trace.
+//! One worker's local optimization state: network replica, the optimiser
+//! state its method uses, and per-step loss trace.
 //!
 //! [`LocalStep`] is the compute half of every trainer — wall-clock and
 //! simulated alike. It owns the forward/backward call and the local
 //! update rules (SGD, momentum, and the elastic forms via
 //! [`ElasticRule`]), so the exact FP evaluation order of a training step
 //! lives in exactly one place.
+//!
+//! A step sweeps a parameter-sized array only for a reader: the gradient
+//! is read where backward wrote it, in the network's own arena, and the
+//! velocity and the centre snapshot exist from the first call that uses
+//! them. A Sync EASGD or plain SGD worker holds two arenas (parameters,
+//! gradients), Async EASGD three (+ snapshot), MEASGD four (+ velocity).
 
 use crate::engine::elastic::ElasticRule;
 use crate::schedule::apply_weight_decay;
@@ -16,35 +22,41 @@ use easgd_tensor::ops;
 /// Per-worker training state plus the step kernels that mutate it.
 pub struct LocalStep {
     net: Network,
-    grad: Vec<f32>,
+    /// Momentum state: empty until the first momentum step sizes it.
     velocity: Vec<f32>,
+    /// Centre snapshot: empty until the first one is taken.
     snapshot: Vec<f32>,
     loss_trace: Vec<f32>,
     last_loss: f32,
 }
 
+/// `snapshot`, once one was taken. It is born empty, so an elastic step
+/// before any snapshot stops here rather than pull toward zeros.
+fn taken<'a>(snapshot: &'a [f32], method: &str) -> &'a [f32] {
+    assert!(
+        !snapshot.is_empty(),
+        "LocalStep::{method}: no centre snapshot taken"
+    );
+    snapshot
+}
+
 impl LocalStep {
-    /// A fresh replica of `proto` with zeroed buffers.
+    /// A fresh replica of `proto`.
     pub fn new(proto: &Network) -> Self {
-        let net = proto.clone();
-        let n = net.num_params();
         Self {
-            net,
-            grad: vec![0.0f32; n],
-            velocity: vec![0.0f32; n],
-            snapshot: vec![0.0f32; n],
+            net: proto.clone(),
+            velocity: Vec::new(),
+            snapshot: Vec::new(),
             loss_trace: Vec::new(),
             last_loss: f32::NAN,
         }
     }
 
-    /// One forward/backward pass: records the loss and captures the
-    /// gradient into the local buffer. Returns the step loss.
+    /// One forward/backward pass: records the loss and leaves the
+    /// gradient in the network's arena. Returns the step loss.
     pub fn forward_backward(&mut self, batch: &Batch) -> f32 {
         let stats = self.net.forward_backward(&batch.images, &batch.labels);
-        self.record_loss(stats.loss);
-        self.grad.copy_from_slice(self.net.grads().as_slice());
-        stats.loss
+        self.record_loss(stats.loss)
     }
 
     /// [`LocalStep::forward_backward`] over a flat pixel buffer (the
@@ -53,50 +65,47 @@ impl LocalStep {
     /// per-round tensor allocation once warm.
     pub fn forward_backward_flat(&mut self, batch: usize, pixels: &[f32], labels: &[usize]) -> f32 {
         let stats = self.net.forward_backward_from_slice(batch, pixels, labels);
-        self.record_loss(stats.loss);
-        self.grad.copy_from_slice(self.net.grads().as_slice());
-        stats.loss
+        self.record_loss(stats.loss)
     }
 
-    fn record_loss(&mut self, loss: f32) {
+    fn record_loss(&mut self, loss: f32) -> f32 {
         self.last_loss = loss;
         self.loss_trace.push(loss);
+        loss
     }
 
-    /// Plain SGD step `W ← W − ηΔW` on the captured gradient.
+    /// Plain SGD step `W ← W − ηΔW` on the last gradient.
     pub fn sgd_step(&mut self, eta: f32) {
-        ops::sgd_update(eta, self.net.params_mut().as_mut_slice(), &self.grad);
+        let (w, g) = self.net.params_and_grads_mut();
+        ops::sgd_update(eta, w, g);
     }
 
-    /// Momentum step, Equations (3)–(4), on the captured gradient.
+    /// Momentum step, Equations (3)–(4), on the last gradient.
     pub fn momentum_step(&mut self, eta: f32, mu: f32) {
-        ops::momentum_update(
-            eta,
-            mu,
-            self.net.params_mut().as_mut_slice(),
-            &mut self.velocity,
-            &self.grad,
-        );
+        self.velocity.resize(self.net.num_params(), 0.0);
+        let (w, g) = self.net.params_and_grads_mut();
+        ops::momentum_update(eta, mu, w, &mut self.velocity, g);
     }
 
-    /// Adds `λ·W` to the captured gradient (L2 weight decay).
+    /// Adds `λ·W` to the last gradient, in place (L2 weight decay).
     pub fn decay_grad(&mut self, lambda: f32) {
-        apply_weight_decay(lambda, self.net.params().as_slice(), &mut self.grad);
+        let (w, g) = self.net.params_and_grads_mut();
+        apply_weight_decay(lambda, w, g);
     }
 
-    /// Equation (1) against the stored center snapshot.
+    /// Equation (1) against the stored center snapshot. Like every
+    /// method that reads the snapshot, panics if none was taken.
     pub fn elastic_step(&mut self, rule: &ElasticRule) {
-        rule.worker_pull(
-            self.net.params_mut().as_mut_slice(),
-            &self.grad,
-            &self.snapshot,
-        );
+        let center = taken(&self.snapshot, "elastic_step");
+        let (w, g) = self.net.params_and_grads_mut();
+        rule.worker_pull(w, g, center);
     }
 
     /// Equation (1) against an explicit center (simulated trainers that
     /// receive the center over the wire).
     pub fn elastic_step_against(&mut self, rule: &ElasticRule, center: &[f32]) {
-        rule.worker_pull(self.net.params_mut().as_mut_slice(), &self.grad, center);
+        let (w, g) = self.net.params_and_grads_mut();
+        rule.worker_pull(w, g, center);
     }
 
     /// The fused exchange step against an explicit center: publishes the
@@ -110,12 +119,8 @@ impl LocalStep {
         center: &[f32],
         contribution: &mut [f32],
     ) {
-        rule.exchange(
-            self.net.params_mut().as_mut_slice(),
-            contribution,
-            &self.grad,
-            center,
-        );
+        let (w, g) = self.net.params_and_grads_mut();
+        rule.exchange(w, contribution, g, center);
     }
 
     /// One segment of [`LocalStep::elastic_exchange_against`]: the fused
@@ -130,10 +135,11 @@ impl LocalStep {
         center_seg: &[f32],
         contribution_seg: &mut [f32],
     ) {
+        let (w, g) = self.net.params_and_grads_mut();
         rule.exchange(
-            &mut self.net.params_mut().as_mut_slice()[range.clone()],
+            &mut w[range.clone()],
             contribution_seg,
-            &self.grad[range],
+            &g[range],
             center_seg,
         );
     }
@@ -141,44 +147,37 @@ impl LocalStep {
     /// [`LocalStep::elastic_exchange_against`] using the stored center
     /// snapshot (the shared-memory Sync EASGD path).
     pub fn elastic_exchange_step(&mut self, rule: &ElasticRule, contribution: &mut [f32]) {
-        rule.exchange(
-            self.net.params_mut().as_mut_slice(),
-            contribution,
-            &self.grad,
-            &self.snapshot,
-        );
+        let center = taken(&self.snapshot, "elastic_exchange_step");
+        let (w, g) = self.net.params_and_grads_mut();
+        rule.exchange(w, contribution, g, center);
     }
 
     /// Equations (5)–(6) against the stored center snapshot.
     pub fn elastic_momentum_step(&mut self, rule: &ElasticRule) {
-        rule.momentum_pull(
-            self.net.params_mut().as_mut_slice(),
-            &mut self.velocity,
-            &self.grad,
-            &self.snapshot,
-        );
+        self.velocity.resize(self.net.num_params(), 0.0);
+        let center = taken(&self.snapshot, "elastic_momentum_step");
+        let (w, g) = self.net.params_and_grads_mut();
+        rule.momentum_pull(w, &mut self.velocity, g, center);
     }
 
     /// Copies `center` into the snapshot buffer.
     pub fn snapshot_center(&mut self, center: &[f32]) {
-        self.snapshot.copy_from_slice(center);
-    }
-
-    /// The stored center snapshot.
-    pub fn snapshot(&self) -> &[f32] {
-        &self.snapshot
+        self.snapshot_mut().copy_from_slice(center);
     }
 
     /// Mutable snapshot buffer, for fillers like
-    /// `AtomicBuffer::snapshot_into`.
+    /// `AtomicBuffer::snapshot_into`; sized by the first call. Handing it
+    /// out counts as taking a snapshot.
     pub fn snapshot_mut(&mut self) -> &mut [f32] {
+        self.snapshot.resize(self.net.num_params(), 0.0);
         &mut self.snapshot
     }
 
     /// Loads the stored snapshot into the network parameters (the
     /// Hogwild SGD read phase).
     pub fn load_snapshot_params(&mut self) {
-        self.net.set_params(&self.snapshot);
+        self.net
+            .set_params(taken(&self.snapshot, "load_snapshot_params"));
     }
 
     /// Current local parameters.
@@ -197,14 +196,22 @@ impl LocalStep {
         self.net.set_params(src);
     }
 
-    /// The captured gradient of the last forward/backward.
+    /// The gradient of the last forward/backward, read in place from the
+    /// network's gradient arena: valid until the next `forward_backward`.
     pub fn grad(&self) -> &[f32] {
-        &self.grad
+        self.net.grads().as_slice()
     }
 
     /// Parameter count.
     pub fn num_params(&self) -> usize {
         self.net.num_params()
+    }
+
+    /// Parameter-sized floats this worker holds: the two network arenas
+    /// plus whatever optimiser state its method has sized so far.
+    #[doc(hidden)]
+    pub fn held_floats(&self) -> usize {
+        self.net.num_params() + self.grad().len() + self.velocity.len() + self.snapshot.len()
     }
 
     /// Loss of the most recent step (NaN before the first).
@@ -228,6 +235,14 @@ mod tests {
         let task = SyntheticSpec::mnist_small().task(3);
         let (train, _) = task.train_test(64, 16, 4);
         (lenet_tiny(5), train)
+    }
+
+    fn rule() -> ElasticRule {
+        ElasticRule {
+            eta: 0.05,
+            rho: 0.3,
+            mu: 0.9,
+        }
     }
 
     #[test]
@@ -293,11 +308,7 @@ mod tests {
         let (proto, train) = setup();
         let mut rng = easgd_tensor::Rng::new(21);
         let batch = train.sample_batch(&mut rng, 8);
-        let rule = ElasticRule {
-            eta: 0.05,
-            rho: 0.3,
-            mu: 0.9,
-        };
+        let rule = rule();
 
         let mut whole = LocalStep::new(&proto);
         whole.forward_backward(&batch);
@@ -331,12 +342,78 @@ mod tests {
     }
 
     #[test]
+    fn the_gradient_is_read_where_backward_wrote_it() {
+        let (proto, train) = setup();
+        let mut rng = easgd_tensor::Rng::new(22);
+        let mut local = LocalStep::new(&proto);
+        local.forward_backward(&train.sample_batch(&mut rng, 8));
+        assert_eq!(local.grad().as_ptr(), local.net.grads().as_slice().as_ptr());
+    }
+
+    #[test]
+    fn optimiser_state_is_sized_by_the_first_method_that_uses_it() {
+        let (proto, train) = setup();
+        let mut rng = easgd_tensor::Rng::new(23);
+        let rule = rule();
+        let mut local = LocalStep::new(&proto);
+        let n = local.num_params();
+        local.forward_backward(&train.sample_batch(&mut rng, 8));
+        local.decay_grad(1e-3);
+        local.sgd_step(0.1);
+        let center = local.params().to_vec();
+        local.elastic_exchange_against(&rule, &center, &mut vec![0.0; n]);
+        assert_eq!(local.held_floats(), 2 * n, "SGD and Sync EASGD");
+        local.momentum_step(0.1, 0.9);
+        assert_eq!(local.held_floats(), 3 * n, "momentum SGD");
+        local.snapshot_center(&center);
+        local.elastic_momentum_step(&rule);
+        assert_eq!(local.held_floats(), 4 * n, "MEASGD");
+    }
+
+    /// A replica with a gradient and no centre snapshot.
+    fn stepped_without_snapshot() -> (LocalStep, ElasticRule) {
+        let (proto, train) = setup();
+        let mut rng = easgd_tensor::Rng::new(24);
+        let mut local = LocalStep::new(&proto);
+        local.forward_backward(&train.sample_batch(&mut rng, 8));
+        (local, rule())
+    }
+
+    #[test]
+    #[should_panic(expected = "LocalStep::elastic_step: no centre snapshot taken")]
+    fn elastic_step_refuses_the_unborn_centre() {
+        let (mut local, rule) = stepped_without_snapshot();
+        local.elastic_step(&rule);
+    }
+
+    #[test]
+    #[should_panic(expected = "LocalStep::elastic_exchange_step: no centre snapshot taken")]
+    fn elastic_exchange_step_refuses_the_unborn_centre() {
+        let (mut local, rule) = stepped_without_snapshot();
+        let mut contribution = vec![0.0; local.num_params()];
+        local.elastic_exchange_step(&rule, &mut contribution);
+    }
+
+    #[test]
+    #[should_panic(expected = "LocalStep::elastic_momentum_step: no centre snapshot taken")]
+    fn elastic_momentum_step_refuses_the_unborn_centre() {
+        let (mut local, rule) = stepped_without_snapshot();
+        local.elastic_momentum_step(&rule);
+    }
+
+    #[test]
+    #[should_panic(expected = "LocalStep::load_snapshot_params: no centre snapshot taken")]
+    fn load_snapshot_params_refuses_the_unborn_centre() {
+        let (mut local, _) = stepped_without_snapshot();
+        local.load_snapshot_params();
+    }
+
+    #[test]
     fn snapshot_roundtrip() {
         let (proto, _) = setup();
         let mut local = LocalStep::new(&proto);
         let center = vec![0.5f32; local.num_params()];
         local.snapshot_center(&center);
-        assert_eq!(local.snapshot(), &center[..]);
         local.load_snapshot_params();
         assert_eq!(local.params(), &center[..]);
     }

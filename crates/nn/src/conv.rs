@@ -220,6 +220,44 @@ impl Layer for Conv2d {
         );
     }
 
+    fn backward_into(
+        &mut self,
+        params: &ParamArena,
+        grads: &mut ParamArena,
+        grad_out: &Tensor,
+        grad_in: &mut Tensor,
+        scratch: &mut TrainScratch,
+    ) {
+        self.backward_fork(params, grads, grad_out, Some(grad_in), scratch);
+    }
+
+    fn backward_params_into(
+        &mut self,
+        params: &ParamArena,
+        grads: &mut ParamArena,
+        grad_out: &Tensor,
+        _grad_in: &mut Tensor,
+        scratch: &mut TrainScratch,
+    ) {
+        self.backward_fork(params, grads, grad_out, None, scratch);
+    }
+
+    fn boxed_clone(&self) -> Box<dyn Layer> {
+        // Caches are transient; cloning the configuration is enough.
+        let mut c = self.clone();
+        c.padded = Vec::new();
+        c.grad_col = Vec::new();
+        c.grad_w_t = Vec::new();
+        Box::new(c)
+    }
+
+    #[cfg(test)]
+    fn held_floats(&self) -> usize {
+        self.padded.capacity() + self.grad_col.capacity() + self.grad_w_t.capacity()
+    }
+}
+
+impl Conv2d {
     /// One fork; job `i` owns three pieces, each bit-identical to the
     /// serial per-sample loop
     /// `gradW += gy_s·col_sᵀ; gradB += Σ gy_s; gx_s = col2im(Wᵀ·gy_s)`:
@@ -239,12 +277,16 @@ impl Layer for Conv2d {
     ///   incoming gradient and is stored back after the join.
     /// * `gradB` likewise: the job owns a band of output channels and
     ///   adds their plane sums sample by sample (`add_plane_sums`).
-    fn backward_into(
+    ///
+    /// Without a `grad_in` (the params-only backward of a network's first
+    /// parametrised layer) no job has a sample run, and the `Wᵀ·gy`
+    /// panels are not grown.
+    fn backward_fork(
         &mut self,
         params: &ParamArena,
         grads: &mut ParamArena,
         grad_out: &Tensor,
-        grad_in: &mut Tensor,
+        grad_in: Option<&mut Tensor>,
         scratch: &mut TrainScratch,
     ) {
         let (geom, oc) = (self.geom, self.out_channels);
@@ -273,13 +315,18 @@ impl Layer for Conv2d {
         // `+=` accumulation, and the slices tile grad_in exactly, so the
         // reused buffer needs no zeroing here. The β = 0 GEMM likewise
         // stores every element of a grad_col panel.
-        scratch.shape_tensor(grad_in, &[b, geom.in_channels, geom.in_h, geom.in_w]);
-        scratch.ensure_f32(&mut self.grad_col, threads * rows * cols);
+        let gxs = match grad_in {
+            Some(grad_in) => {
+                scratch.shape_tensor(grad_in, &[b, geom.in_channels, geom.in_h, geom.in_w]);
+                scratch.ensure_f32(&mut self.grad_col, threads * rows * cols);
+                grad_in.as_mut_slice()
+            }
+            None => &mut [],
+        };
         scratch.ensure_f32(&mut self.grad_w_t, rows * oc);
         let (gw, gb) = grads.segment_pair_mut(self.w_seg, self.b_seg);
         let (seed, padded) = (&*gw, &self.padded);
-        let sample_runs = grad_in
-            .as_mut_slice()
+        let sample_runs = gxs
             .chunks_mut(per * in_len)
             .zip(self.grad_col.chunks_mut(rows * cols))
             .zip(gys.chunks(per * out_len));
@@ -344,20 +391,6 @@ impl Layer for Conv2d {
                 *v = self.grad_w_t[r * oc + o];
             }
         }
-    }
-
-    fn boxed_clone(&self) -> Box<dyn Layer> {
-        // Caches are transient; cloning the configuration is enough.
-        let mut c = self.clone();
-        c.padded = Vec::new();
-        c.grad_col = Vec::new();
-        c.grad_w_t = Vec::new();
-        Box::new(c)
-    }
-
-    #[cfg(test)]
-    fn held_floats(&self) -> usize {
-        self.padded.capacity() + self.grad_col.capacity() + self.grad_w_t.capacity()
     }
 }
 
@@ -589,6 +622,17 @@ mod tests {
                         bits(want_grads.as_slice()),
                         "gradW/gradB, {at}"
                     );
+                    // The params-only entry: the same bands, no sample runs.
+                    let mut grads = grads0.clone();
+                    let (mut gx, mut scratch) = (Tensor::default(), TrainScratch::default());
+                    ungated(threads, || {
+                        l.backward_params_into(&params, &mut grads, &gy, &mut gx, &mut scratch)
+                    });
+                    assert_eq!(
+                        bits(grads.as_slice()),
+                        bits(want_grads.as_slice()),
+                        "params-only gradW/gradB, {at}"
+                    );
                 }
             }
         }
@@ -744,7 +788,16 @@ mod tests {
                 l.forward_into(&params, &x, train, &mut y, &mut scratch);
             });
             assert_eq!(l.held_floats(), b * geom.padded_len(), "train={train}");
-            // Backward adds its one panel per thread and the gradWᵀ panel.
+            // A params-only backward adds the gradWᵀ panel alone.
+            let mut gx = Tensor::default();
+            par::with_budget(threads, || {
+                l.backward_params_into(&params, &mut grads, &y, &mut gx, &mut scratch)
+            });
+            assert_eq!(
+                l.held_floats(),
+                b * geom.padded_len() + geom.col_rows() * oc
+            );
+            // The full one its `Wᵀ·gy` panel per thread as well.
             par::with_budget(threads, || l.backward(&params, &mut grads, &y));
             assert_eq!(
                 l.held_floats(),

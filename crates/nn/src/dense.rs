@@ -130,6 +130,36 @@ impl Layer for Dense {
         grad_in: &mut Tensor,
         scratch: &mut TrainScratch,
     ) {
+        self.backward_params_into(params, grads, grad_out, grad_in, scratch);
+        let input = self.input_cache.as_ref().expect("checked above");
+        // gradX[B,in] = gradY[B,out] · W[out,in]
+        let w = params.segment(self.w_seg);
+        scratch.shape_tensor(grad_in, input.shape().dims());
+        gemm(
+            Transpose::No,
+            Transpose::No,
+            batch_of(input),
+            self.in_features,
+            self.out_features,
+            1.0,
+            grad_out.as_slice(),
+            w,
+            0.0,
+            grad_in.as_mut_slice(),
+        );
+    }
+
+    /// `gradW` and `gradB` only: as a network's first parametrised layer
+    /// the `gy·W` product — a second pass over the whole weight matrix —
+    /// would feed nothing.
+    fn backward_params_into(
+        &mut self,
+        _params: &ParamArena,
+        grads: &mut ParamArena,
+        grad_out: &Tensor,
+        _grad_in: &mut Tensor,
+        _scratch: &mut TrainScratch,
+    ) {
         let input = self
             .input_cache
             .as_ref()
@@ -155,31 +185,19 @@ impl Layer for Dense {
             grads.segment_mut(self.w_seg),
         );
         // gradB[j] += Σ_b gradY[b,j]
-        {
-            let gb = grads.segment_mut(self.b_seg);
-            for row in grad_out.as_slice().chunks(self.out_features) {
-                easgd_tensor::ops::add_assign(gb, row);
-            }
+        let gb = grads.segment_mut(self.b_seg);
+        for row in grad_out.as_slice().chunks(self.out_features) {
+            easgd_tensor::ops::add_assign(gb, row);
         }
-        // gradX[B,in] = gradY[B,out] · W[out,in]
-        let w = params.segment(self.w_seg);
-        scratch.shape_tensor(grad_in, input.shape().dims());
-        gemm(
-            Transpose::No,
-            Transpose::No,
-            b,
-            self.in_features,
-            self.out_features,
-            1.0,
-            grad_out.as_slice(),
-            w,
-            0.0,
-            grad_in.as_mut_slice(),
-        );
     }
 
     fn boxed_clone(&self) -> Box<dyn Layer> {
-        Box::new(self.clone())
+        // The cached input is transient; a replica warms its own.
+        Box::new(Self {
+            name: self.name.clone(),
+            input_cache: None,
+            ..*self
+        })
     }
 }
 

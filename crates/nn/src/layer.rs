@@ -139,6 +139,21 @@ pub trait Layer: Send + Sync {
         scratch: &mut TrainScratch,
     );
 
+    /// [`backward_into`](Layer::backward_into) for a caller that reads
+    /// only `grads` (the network, on its first parametrised layer): the
+    /// same parameter gradients bit for bit, `grad_in` left unspecified.
+    /// A layer whose input gradient is a product of its own skips it.
+    fn backward_params_into(
+        &mut self,
+        params: &ParamArena,
+        grads: &mut ParamArena,
+        grad_out: &Tensor,
+        grad_in: &mut Tensor,
+        scratch: &mut TrainScratch,
+    ) {
+        self.backward_into(params, grads, grad_out, grad_in, scratch);
+    }
+
     /// Clones the layer (including its configuration, excluding transient
     /// caches is permitted) into a box. Needed because every worker in a
     /// distributed run owns its own network replica (data parallelism,

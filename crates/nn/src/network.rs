@@ -244,8 +244,13 @@ impl NetworkBuilder {
         let batch_dims = std::iter::once(0)
             .chain(self.input_shape.iter().copied())
             .collect();
+        let first_param = bindings
+            .iter()
+            .position(|segs| !segs.is_empty())
+            .unwrap_or(layers.len());
         Network {
             layers,
+            first_param,
             params,
             grads,
             loss: SoftmaxCrossEntropy,
@@ -265,6 +270,9 @@ impl NetworkBuilder {
 /// model, §2.3) — clones share nothing.
 pub struct Network {
     layers: Vec<Box<dyn Layer>>,
+    /// Index of the first layer with parameters (`layers.len()` if none):
+    /// nobody reads a gradient below it, so backward ends there.
+    first_param: usize,
     params: ParamArena,
     grads: ParamArena,
     loss: SoftmaxCrossEntropy,
@@ -283,8 +291,11 @@ impl Clone for Network {
     fn clone(&self) -> Self {
         Self {
             layers: self.layers.clone(),
+            first_param: self.first_param,
             params: self.params.clone(),
-            grads: self.grads.clone(),
+            // A replica's first step zeroes and refills its gradients:
+            // the layout (empty on a stripped replica) is all it needs.
+            grads: ParamArena::like(&self.grads),
             loss: SoftmaxCrossEntropy,
             input_shape: self.input_shape.clone(),
             num_classes: self.num_classes,
@@ -331,9 +342,11 @@ impl Network {
         &self.grads
     }
 
-    /// Mutable gradient arena.
-    pub fn grads_mut(&mut self) -> &mut ParamArena {
-        &mut self.grads
+    /// Both arenas as flat slices, mutable: they are disjoint, so an
+    /// update kernel reads the gradient where backward wrote it (and L2
+    /// decay folds the weights into it) without a copy of either.
+    pub fn params_and_grads_mut(&mut self) -> (&mut [f32], &mut [f32]) {
+        (self.params.as_mut_slice(), self.grads.as_mut_slice())
     }
 
     /// Per-parameter-segment `(name, len)` pairs, in arena order — the
@@ -360,6 +373,9 @@ impl Network {
 
     /// One full training evaluation: forward, loss, backward. Gradients
     /// are zeroed first, then accumulated into [`grads`](Self::grads).
+    /// Backward ends at the first layer that has parameters, which runs
+    /// its [`Layer::backward_params_into`]: no `∂L/∂input` is computed
+    /// that no parameter gradient depends on.
     ///
     /// This is the pooled path: activations and gradients ping-pong
     /// between two slot tensors checked out of the step scratch, every
@@ -400,15 +416,15 @@ impl Network {
             .backward_into(&probs, labels, &mut ping, &mut self.scratch);
 
         self.grads.zero();
-        for layer in self.layers.iter_mut().rev() {
-            layer.backward_into(
-                &self.params,
-                &mut self.grads,
-                &ping,
-                &mut pong,
-                &mut self.scratch,
-            );
-            std::mem::swap(&mut ping, &mut pong);
+        // The first parametrised layer's input gradient, and everything
+        // below it, would feed nothing.
+        if let Some((first, later)) = self.layers[self.first_param..].split_first_mut() {
+            let (params, grads, scratch) = (&self.params, &mut self.grads, &mut self.scratch);
+            for layer in later.iter_mut().rev() {
+                layer.backward_into(params, grads, &ping, &mut pong, scratch);
+                std::mem::swap(&mut ping, &mut pong);
+            }
+            first.backward_params_into(params, grads, &ping, &mut pong, scratch);
         }
 
         self.scratch.put_ping(ping);
@@ -593,21 +609,9 @@ mod tests {
             .build(7)
     }
 
-    #[test]
-    fn builder_tracks_shapes() {
-        let net = tiny_net();
-        assert_eq!(net.num_classes(), 10);
-        assert_eq!(net.input_shape(), &[1, 6, 6]);
-        // conv(1→2, 3x3 pad 1): 2*9+2 = 20; fc(2*3*3=18→10): 190. Total 210.
-        assert_eq!(net.num_params(), 20 + 190);
-    }
-
-    #[test]
-    fn evaluation_leaves_each_conv_its_padded_batch_and_no_lowered_matrix() {
-        // The VGG-shaped CIFAR stack of `train_vgg_p1`. A column cache
-        // held 9·c·h·w floats a sample here — 2.3 MB a sample over the
-        // five convs, for an evaluation nobody runs backward on.
-        let mut net = NetworkBuilder::new([3, 32, 32])
+    /// The VGG-shaped CIFAR stack of `train_vgg_p1`.
+    fn vgg_shaped() -> Network {
+        NetworkBuilder::new([3, 32, 32])
             .conv2d(32, 3, 1, 1)
             .relu()
             .conv2d(32, 3, 1, 1)
@@ -625,7 +629,24 @@ mod tests {
             .dense(256)
             .relu()
             .dense(10)
-            .build(3);
+            .build(3)
+    }
+
+    #[test]
+    fn builder_tracks_shapes() {
+        let net = tiny_net();
+        assert_eq!(net.num_classes(), 10);
+        assert_eq!(net.input_shape(), &[1, 6, 6]);
+        // conv(1→2, 3x3 pad 1): 2*9+2 = 20; fc(2*3*3=18→10): 190. Total 210.
+        assert_eq!(net.num_params(), 20 + 190);
+    }
+
+    #[test]
+    fn evaluation_leaves_each_conv_its_padded_batch_and_no_lowered_matrix() {
+        // A column cache held 9·c·h·w floats a sample here — 2.3 MB a
+        // sample over the five convs, for an evaluation nobody runs
+        // backward on.
+        let mut net = vgg_shaped();
         let n = 20;
         let images = Tensor::zeros([n, 3, 32, 32]);
         net.evaluate(&images, &vec![0; n], 256);
@@ -716,6 +737,214 @@ mod tests {
         let x = Tensor::zeros([1, 1, 6, 6]);
         let _ = a.forward(&x, false);
         let _ = b.forward(&x, false);
+    }
+
+    #[test]
+    fn a_clone_copies_the_parameters_and_starts_with_zero_gradients() {
+        let mut a = tiny_net();
+        let mut x = Tensor::zeros([4, 1, 6, 6]);
+        Rng::new(5).fill_normal(x.as_mut_slice(), 0.0, 1.0);
+        a.forward_backward(&x, &[0, 1, 2, 3]);
+        assert!(a.grads().as_slice().iter().any(|&g| g != 0.0));
+        let mut b = a.clone();
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(b.params().as_slice()), bits(a.params().as_slice()));
+        assert_eq!(b.grads().segments(), a.grads().segments());
+        assert!(b.grads().as_slice().iter().all(|&g| g.to_bits() == 0));
+        // The replica warms its own caches and then agrees with the original.
+        let (sa, sb) = (
+            a.forward_backward(&x, &[0, 1, 2, 3]),
+            b.forward_backward(&x, &[0, 1, 2, 3]),
+        );
+        assert_eq!(sa.loss.to_bits(), sb.loss.to_bits());
+        assert_eq!(bits(b.grads().as_slice()), bits(a.grads().as_slice()));
+        // A stripped replica's clone stays stripped.
+        a.strip_gradients();
+        assert!(a.clone().grads().is_empty());
+    }
+
+    /// An identity stage on `[4]` that records which backward entry point
+    /// the network called on it.
+    #[derive(Clone)]
+    struct Probe {
+        id: usize,
+        parametrised: bool,
+        calls: std::sync::Arc<std::sync::Mutex<Vec<(usize, &'static str)>>>,
+    }
+
+    impl Probe {
+        fn record(&self, entry: &'static str, from: &Tensor, to: &mut Tensor) {
+            self.calls.lock().unwrap().push((self.id, entry));
+            *to = from.clone();
+        }
+    }
+
+    impl Layer for Probe {
+        fn name(&self) -> String {
+            format!("probe{}", self.id)
+        }
+        fn param_specs(&self) -> Vec<crate::layer::ParamSpec> {
+            let spec = crate::layer::ParamSpec {
+                name: format!("probe{}.w", self.id),
+                len: 1,
+                init: crate::layer::Init::Constant(0.0),
+            };
+            if self.parametrised {
+                vec![spec]
+            } else {
+                Vec::new()
+            }
+        }
+        fn out_shape(&self) -> Vec<usize> {
+            vec![4]
+        }
+        fn forward_into(
+            &mut self,
+            _: &ParamArena,
+            input: &Tensor,
+            _: bool,
+            out: &mut Tensor,
+            _: &mut TrainScratch,
+        ) {
+            *out = input.clone();
+        }
+        fn backward_into(
+            &mut self,
+            _: &ParamArena,
+            _: &mut ParamArena,
+            grad_out: &Tensor,
+            grad_in: &mut Tensor,
+            _: &mut TrainScratch,
+        ) {
+            self.record("full", grad_out, grad_in);
+        }
+        fn backward_params_into(
+            &mut self,
+            _: &ParamArena,
+            _: &mut ParamArena,
+            grad_out: &Tensor,
+            grad_in: &mut Tensor,
+            _: &mut TrainScratch,
+        ) {
+            self.record("params-only", grad_out, grad_in);
+        }
+        fn boxed_clone(&self) -> Box<dyn Layer> {
+            Box::new(self.clone())
+        }
+    }
+
+    #[test]
+    fn backward_ends_with_the_params_only_entry_of_the_first_parametrised_layer() {
+        let calls = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+        // Stateless (where a leading Flatten sits), parametrised,
+        // stateless, parametrised.
+        let stack = |kinds: &[bool]| {
+            let layers = kinds.iter().enumerate().map(|(id, &parametrised)| {
+                Box::new(Probe {
+                    id,
+                    parametrised,
+                    calls: calls.clone(),
+                }) as Box<dyn Layer>
+            });
+            NetworkBuilder {
+                input_shape: vec![4],
+                cur: vec![4],
+                layers: layers.collect(),
+                n: 0,
+            }
+            .build(1)
+        };
+        let x = Tensor::zeros([2, 4]);
+        for (kinds, want) in [
+            (
+                &[false, true, false, true][..],
+                vec![(3, "full"), (2, "full"), (1, "params-only")],
+            ),
+            (&[true, false], vec![(1, "full"), (0, "params-only")]),
+            (&[false, false], vec![]),
+        ] {
+            // A clone carries the stopping point with it.
+            stack(kinds).clone().forward_backward(&x, &[0, 1]);
+            assert_eq!(std::mem::take(&mut *calls.lock().unwrap()), want);
+        }
+    }
+
+    /// `Network::forward_backward` as `benchmark/`'s `Chain` spells it:
+    /// the full `backward_into` on every layer, down to the input.
+    fn full_backward_reference(net: &mut Network, x: &Tensor, labels: &[usize]) -> f32 {
+        let mut cur = x.clone();
+        for layer in &mut net.layers {
+            cur = layer.forward(&net.params, &cur, true);
+        }
+        let (mut probs, mut g) = (Tensor::default(), Tensor::default());
+        let mut scratch = TrainScratch::default();
+        let (loss, _) = net
+            .loss
+            .forward_into(&cur, labels, &mut probs, &mut scratch);
+        net.loss.backward_into(&probs, labels, &mut g, &mut scratch);
+        net.grads.zero();
+        for layer in net.layers.iter_mut().rev() {
+            g = layer.backward(&net.params, &mut net.grads, &g);
+        }
+        loss
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn stopping_backward_early_changes_no_bit_of_loss_or_gradient(
+            model in 0usize..5,
+            batch in 1usize..6,
+            threads in 1usize..4,
+            dirty in proptest::prop::bool::ANY,
+        ) {
+            use crate::models::{googlenet_tiny, lenet_tiny, mlp};
+            let mut net = match model {
+                0 => mlp(48, &[40, 24], 10, 5),
+                1 => NetworkBuilder::new([3, 4, 4])
+                    .flatten()
+                    .dense(24)
+                    .relu()
+                    .dense(10)
+                    .build(6),
+                2 => lenet_tiny(7),
+                3 => vgg_shaped(),
+                _ => googlenet_tiny(8),
+            };
+            let mut rng = Rng::new((model * 31 + batch * 7 + threads) as u64);
+            let mut dims = vec![batch];
+            dims.extend_from_slice(net.input_shape());
+            let mut x = Tensor::zeros(dims);
+            let labels: Vec<usize> = (0..batch).map(|s| (s * 3 + model) % 10).collect();
+            let mut reference = net.clone();
+            if dirty {
+                // Both spellings zero the arena before they accumulate.
+                rng.fill_normal(net.grads.as_mut_slice(), 0.0, 1.0);
+                reference.grads.copy_from(&net.grads);
+            }
+            let bits = |a: &ParamArena| -> Vec<u32> {
+                a.as_slice().iter().map(|g| g.to_bits()).collect()
+            };
+            // The second step runs on warm caches and the first's gradients.
+            for step in 0..2 {
+                rng.fill_normal(x.as_mut_slice(), 0.0, 1.0);
+                let (got, want) = easgd_tensor::par::with_budget(threads, || {
+                    (
+                        net.forward_backward(&x, &labels).loss,
+                        full_backward_reference(&mut reference, &x, &labels),
+                    )
+                });
+                let at = format!(
+                    "model {model} batch {batch} threads {threads} dirty {dirty} step {step}"
+                );
+                proptest::prop_assert_eq!(got.to_bits(), want.to_bits(), "loss, {}", at);
+                proptest::prop_assert_eq!(
+                    bits(net.grads()),
+                    bits(reference.grads()),
+                    "gradients, {}",
+                    at
+                );
+            }
+        }
     }
 
     #[test]

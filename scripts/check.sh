@@ -65,6 +65,12 @@ if grep -rn "col_cache" crates/nn/src/; then
   exit 1
 fi
 
+echo "==> gradient read in place (LocalStep keeps no copy of the network's gradient arena)"
+if grep -nE "grad\.copy_from_slice\(self\.net\.grads\(\)|grad: Vec<f32>" crates/core/src/engine/local.rs; then
+  echo "error: LocalStep's gradient copy is back (matches above)" >&2
+  exit 1
+fi
+
 echo "==> kernel tables (smoke: one iteration per row, no JSON; gemm_par_vs_serial on >= 2 threads, skip notice on 1; checked-in BENCH_kernels.json fork-join acceptance)"
 cargo run -q --release -p easgd-bench --bin kernels -- --smoke
 

@@ -14,6 +14,10 @@
 //! the pool grows to what the *worst* interleaving of takes and recycles
 //! needs, whenever that interleaving first happens — the claim there is
 //! the bound on the total, the same for 10 rounds and for 40.
+//!
+//! A worker's own parameter-sized arrays are counted beside it
+//! (`LocalStep::held_floats`): two arenas under Sync EASGD, three after
+//! an Async EASGD exchange, four after a MEASGD one.
 
 use knl_easgd::algorithms as alg;
 use knl_easgd::cluster::{tags, BatchMsg, PoolStats};
@@ -129,7 +133,11 @@ fn hosted(backend: ClusterBackend, rounds: usize) -> (alg::RunResult, Vec<PoolSt
             producer_done.store(true, Ordering::SeqCst);
         }
         let (last_loss, loss_trace) = match local {
-            Some(mut l) => (l.last_loss(), l.take_loss_trace()),
+            Some(mut l) => {
+                // A Sync EASGD worker never sized a velocity or a snapshot.
+                assert_eq!(l.held_floats(), 2 * l.num_params(), "rank {me}");
+                (l.last_loss(), l.take_loss_trace())
+            }
             None => (f32::NAN, Vec::new()),
         };
         let outcome = if me == center_rank {
@@ -205,5 +213,28 @@ fn executable_tree_memory_is_flat_in_rounds() {
                 "{what}: {arena_sized} arena-sized pooled buffers for {WORKERS} participants"
             );
         }
+    }
+}
+
+#[test]
+fn a_worker_holds_the_arenas_its_method_reads() {
+    let (proto, train, _) = task();
+    let (n, cfg) = (proto.num_params(), cfg(1));
+    let rule = ElasticRule::from_config(&cfg);
+    let mut center = proto.params().as_slice().to_vec();
+    let mut rng = additive_rng(cfg.seed, 1);
+    // `async_easgd`'s and `async_measgd`'s exchange, from their public pieces.
+    for (momentum, arenas) in [(false, 3), (true, 4)] {
+        let mut local = LocalStep::new(&proto);
+        local.forward_backward(&train.sample_batch(&mut rng, cfg.batch));
+        assert_eq!(local.held_floats(), 2 * n);
+        rule.center_pull(&mut center, local.params());
+        local.snapshot_center(&center);
+        if momentum {
+            local.elastic_momentum_step(&rule);
+        } else {
+            local.elastic_step(&rule);
+        }
+        assert_eq!(local.held_floats(), arenas * n, "momentum={momentum}");
     }
 }
