@@ -66,10 +66,9 @@ fn main() {
     let weights = 249_000_000usize;
     let data = 687_000_000usize;
     for p in [1usize, 4, 8, 16, 32] {
-        let fits = chip.max_partitions(weights, data, &[p]) == p;
         println!(
             "  {p:>2} copies of (249 MB weights + 687 MB data): {}",
-            if fits {
+            if chip.fits_copies(p, weights, data) {
                 "fits in 16 GB MCDRAM"
             } else {
                 "SPILLS to DDR4"

@@ -1,16 +1,13 @@
 // xtask: allow(wall-clock) — a benchmark harness measures real time by
 // definition; the pragma is confined to this bench timer binary.
-//! Kernel tables that only this crate can produce.
+//! The kernel table that only this crate can produce.
 //!
-//! Two tables survive `easgd_bench::report`'s keep-rule and are written
-//! to `BENCH_kernels.json` at the repo root:
-//!
-//! * `gemm_par_vs_serial` — the source of `par::FORK_JOIN_FLOPS`: at two
-//!   threads, `gemm` must never be slower than `gemm_serial` at any shape
-//!   the workloads issue (`gemm_min_par_over_serial`), and the forced
-//!   fork beside it shows the crossover the constant was read from.
-//! * `partitioned_easgd` — Figure 12 on real threads: the §6.2 chip
-//!   partition at every group count this host has the threads for.
+//! One table survives `easgd_bench::report`'s keep-rule and is written
+//! to `BENCH_kernels.json` at the repo root: `gemm_par_vs_serial`, the
+//! source of `par::FORK_JOIN_FLOPS`. At two threads, `gemm` must never be
+//! slower than `gemm_serial` at any shape the workloads issue
+//! (`gemm_min_par_over_serial`), and the forced fork beside it shows the
+//! crossover the constant was read from.
 //!
 //! Peak GFLOP/s, im2col and the elastic kernels are `benchmark/`'s
 //! `tensor.*` probes, measured at the workloads' own shapes.
@@ -24,12 +21,8 @@
 //! Record under `benchmark/run.sh`'s four `MALLOC_*` settings (the bin
 //! warns when they are missing) and on ≥ 2 threads.
 
-use easgd::{partitioned_hogwild_easgd, partitioned_sync_easgd, TrainConfig};
 use easgd_bench::report::{self, bench_row, Report};
-use easgd_data::SyntheticSpec;
-use easgd_nn::models::lenet_tiny;
-use easgd_tensor::par::{self, PartitionedPool};
-use easgd_tensor::{active_tier, gemm, gemm_fork_join, gemm_serial, Rng, Transpose};
+use easgd_tensor::{active_tier, gemm, gemm_fork_join, gemm_serial, par, Rng, Transpose};
 use std::time::Instant;
 
 fn rand_vec(n: usize, seed: u64) -> Vec<f32> {
@@ -77,23 +70,15 @@ struct Entry {
     shape: String,
     implementation: &'static str,
     /// Threads the measured implementation actually used — per entry,
-    /// because one file mixes serial kernels, forked kernels and
-    /// partitioned trainers at P·T threads.
+    /// because the table mixes serial and forked kernels.
     threads: usize,
     ms: f64,
-    /// Work per iteration: flops for GEMM, rounds for the trainers.
-    work: u64,
-    /// `"gflops"` or `"rounds_per_s"`.
-    rate_unit: &'static str,
+    flops: u64,
 }
 
 impl Entry {
-    fn rate(&self) -> f64 {
-        let per_sec = self.work as f64 / (self.ms / 1e3).max(1e-12);
-        match self.rate_unit {
-            "gflops" => per_sec / 1e9,
-            _ => per_sec,
-        }
+    fn gflops(&self) -> f64 {
+        self.flops as f64 / (self.ms / 1e3).max(1e-12) / 1e9
     }
 }
 
@@ -211,8 +196,7 @@ fn bench_gemm_par_vs_serial(entries: &mut Vec<Entry>, smoke: bool) -> Option<Par
                 implementation,
                 threads,
                 ms,
-                work: flops,
-                rate_unit: "gflops",
+                flops,
             });
         }
     }
@@ -235,99 +219,36 @@ fn bench_gemm_par_vs_serial(entries: &mut Vec<Entry>, smoke: bool) -> Option<Par
     })
 }
 
-/// The Figure 12-style table on real threads: the §6.2 chip partition
-/// swept over `P ∈ {1, 2, 4, 8}` groups — those the host has a thread
-/// for; more groups than threads would measure oversubscription, not
-/// Figure 12 — each running the full local optimizer on its share of the
-/// cores, under both combine rules (bulk-synchronous tree and lock-free
-/// Hogwild). Reported per round — the partitioned trainers are
-/// bit-identical to the cluster schedule at every width, so this row
-/// measures hardware scaling, not algorithm drift.
-fn bench_partitioned(entries: &mut Vec<Entry>, smoke: bool) {
-    let spec = SyntheticSpec::mnist_small();
-    let task = spec.task(0x62);
-    let (train, test) = task.train_test(if smoke { 128 } else { 512 }, 64, 0x63);
-    let proto = lenet_tiny(0x64);
-    let rounds = if smoke { 2 } else { 8 };
-    let widest = par::max_threads().min(if smoke { 2 } else { 8 });
-    for p in [1, 2, 4, 8].into_iter().filter(|&p| p <= widest) {
-        let group_threads = par::max_threads() / p;
-        let pool = PartitionedPool::with_group_threads(p, group_threads);
-        let cfg = TrainConfig {
-            workers: p,
-            batch: 16,
-            eta: 0.05,
-            rho: 0.3,
-            mu: 0.9,
-            iterations: rounds,
-            seed: 0x65,
-            comm_period: 1,
-        };
-        for (implementation, run_fn) in [
-            (
-                "sync_tree",
-                &(|| partitioned_sync_easgd(&proto, &train, &test, &cfg, &pool, 0))
-                    as &dyn Fn() -> easgd::RunResult,
-            ),
-            (
-                "hogwild",
-                &(|| partitioned_hogwild_easgd(&proto, &train, &test, &cfg, &pool)),
-            ),
-        ] {
-            // One warm-up run (thread spawn, allocator), then the timed
-            // runs; per-round cost is the best run divided by rounds.
-            run_fn();
-            let reps = if smoke { 1 } else { 3 };
-            let mut best = f64::INFINITY;
-            for _ in 0..reps {
-                best = best.min(run_fn().wall_seconds);
-            }
-            entries.push(Entry {
-                bench: "partitioned_easgd",
-                shape: format!("lenet_tiny/P{p}"),
-                implementation,
-                threads: p * group_threads,
-                ms: best * 1e3 / rounds as f64,
-                work: 1,
-                rate_unit: "rounds_per_s",
-            });
-        }
-    }
-}
-
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let mut report = Report::new(&report::KERNELS);
     let mut entries = Vec::new();
 
     let par_table = bench_gemm_par_vs_serial(&mut entries, smoke);
-    bench_partitioned(&mut entries, smoke);
 
     println!(
         "{:<18} {:<36} {:<16} {:>7} {:>10} {:>12}",
-        "bench", "shape", "impl", "threads", "ms", "rate"
+        "bench", "shape", "impl", "threads", "ms", "GFLOP/s"
     );
     for e in &entries {
         println!(
-            "{:<18} {:<36} {:<16} {:>7} {:>10.4} {:>9.2} {}",
+            "{:<18} {:<36} {:<16} {:>7} {:>10.4} {:>12.2}",
             e.bench,
             e.shape,
             e.implementation,
             e.threads,
             e.ms,
-            e.rate(),
-            e.rate_unit,
+            e.gflops(),
         );
         report.entry(bench_row(
             e.bench,
             &e.shape,
             e.implementation,
             &format!(
-                "\"threads\": {}, \"ms\": {:.4}, \"{}\": {:.3}",
+                "\"threads\": {}, \"ms\": {:.4}, \"gflops\": {:.3}",
                 e.threads,
                 e.ms,
-                e.rate_unit,
-                e.rate()
+                e.gflops()
             ),
         ));
     }

@@ -69,7 +69,8 @@ pub struct Artifact {
 
 use Bound::{AtLeast, AtMost, Equals, True};
 
-/// The fork-join gate's ledger and the Figure 12-style partition table.
+/// The fork-join gate's ledger: `gemm` against `gemm_serial` at two
+/// threads.
 pub const KERNELS: Artifact = Artifact {
     bin: "kernels",
     wall_clock: true,

@@ -15,7 +15,7 @@
 //! the lock-free exchange against the [`AtomicBuffer`].
 
 use crate::config::TrainConfig;
-use crate::engine::{run_exchange_loop, run_worker_loop, ElasticRule, LocalStep, SALT_HOGWILD};
+use crate::engine::{run_exchange_loop, run_worker_loop, ElasticRule, SALT_HOGWILD};
 use crate::metrics::RunResult;
 use easgd_data::Dataset;
 use easgd_nn::Network;
@@ -61,32 +61,19 @@ pub fn hogwild_easgd(
     let rule = ElasticRule::from_config(cfg);
     let shared = AtomicBuffer::from_slice(proto.params().as_slice());
     let run = run_exchange_loop(proto, train, cfg, SALT_HOGWILD, |_, step, local| {
-        hogwild_easgd_exchange(cfg, &rule, &shared, step, local)
+        // Inside the communication period τ: a plain local SGD step.
+        if !(step + 1).is_multiple_of(cfg.comm_period) {
+            local.sgd_step(cfg.eta);
+            return;
+        }
+        // The lock-free center pull (Eq 2), a snapshot, and the local
+        // elastic step (Eq 1) against it.
+        shared.elastic_center_update(cfg.eta, cfg.rho, local.params());
+        shared.snapshot_into(local.snapshot_mut());
+        local.elastic_step(&rule);
     });
     let final_w = shared.snapshot();
     run.finish("Hogwild EASGD", proto, test, cfg.iterations, &final_w)
-}
-
-/// What one Hogwild-EASGD worker does with the gradient of `step`: a
-/// local SGD step inside the communication period τ, otherwise the
-/// lock-free center pull (Eq 2), a snapshot, and the local elastic step
-/// (Eq 1) against it. Shared with
-/// [`crate::partitioned_hogwild_easgd`], whose workers are whole chip
-/// partitions.
-pub(crate) fn hogwild_easgd_exchange(
-    cfg: &TrainConfig,
-    rule: &ElasticRule,
-    shared: &AtomicBuffer,
-    step: usize,
-    local: &mut LocalStep,
-) {
-    if !(step + 1).is_multiple_of(cfg.comm_period) {
-        local.sgd_step(cfg.eta);
-        return;
-    }
-    shared.elastic_center_update(cfg.eta, cfg.rho, local.params());
-    shared.snapshot_into(local.snapshot_mut());
-    local.elastic_step(rule);
 }
 
 #[cfg(test)]

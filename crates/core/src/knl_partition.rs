@@ -98,7 +98,7 @@ pub fn knl_partition_run(
     let g = cfg.workers;
     let weight_bytes = proto.size_bytes();
     let data_bytes = train.size_bytes();
-    let fits = chip.max_partitions(weight_bytes, data_bytes, &[g]) == g;
+    let fits = chip.fits_copies(g, weight_bytes, data_bytes);
     let memory_penalty = if fits {
         1.0
     } else {
@@ -243,12 +243,16 @@ mod tests {
 
     #[test]
     fn oversized_working_set_pays_ddr_penalty() {
+        // G = 1 is gated like every other G: one copy that exceeds
+        // MCDRAM spills too.
         let (proto, train, test) = setup();
         let mut chip = KnlChip::cori_node();
         chip.mcdram_bytes = 1024;
-        let out = knl_partition_run(&proto, &train, &test, &cfg(2, 4), &chip, 1.0, 0.99, 2);
-        assert!(!out.fits_fast_memory);
-        assert!(out.memory_penalty > 1.0);
+        for g in [1, 2] {
+            let out = knl_partition_run(&proto, &train, &test, &cfg(g, 4), &chip, 1.0, 0.99, 2);
+            assert!(!out.fits_fast_memory, "G={g}");
+            assert_eq!(out.memory_penalty, chip.mcdram_bw / chip.ddr_bw, "G={g}");
+        }
     }
 
     #[test]

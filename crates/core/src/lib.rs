@@ -46,7 +46,6 @@ pub mod lineage;
 pub mod metrics;
 pub mod model_parallel;
 pub mod original;
-pub mod partitioned;
 pub mod schedule;
 pub mod serial;
 pub mod shared;
@@ -67,7 +66,6 @@ pub use lineage::{lineage, LineageEdge, MethodId};
 pub use metrics::{RunResult, TracePoint};
 pub use model_parallel::model_parallel_speedup;
 pub use original::{original_easgd_sim, OriginalMode};
-pub use partitioned::{partitioned_hogwild_easgd, partitioned_sync_easgd};
 pub use schedule::LrSchedule;
 pub use serial::{serial_sgd, SerialConfig};
 pub use shared::{

@@ -1,66 +1,24 @@
 //! The Intel Knights Landing chip model (§2.1, §6.2).
 //!
-//! What the Figure 12 experiment needs from the hardware: the MCDRAM
-//! capacity rule (“the fast memory should be able to handle P copies of
-//! weight and P copies of data”, §6.2) and the bandwidth cliff between
-//! MCDRAM (475 GB/s measured) and DDR4 (90 GB/s).
-
-/// MCDRAM operating modes (§2.1 item 2, Figure 2).
-#[derive(Copy, Clone, Debug, PartialEq)]
-pub enum McdramMode {
-    /// MCDRAM is the last-level cache.
-    Cache,
-    /// MCDRAM is addressable memory alongside DDR4.
-    Flat,
-    /// A fraction in `[0,1]` of MCDRAM acts as cache, the rest as RAM.
-    Hybrid(f64),
-}
-
-/// On-chip clustering modes (§2.1 item 3).
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum ClusterMode {
-    /// Addresses uniformly distributed over all tag directories.
-    AllToAll,
-    /// Four spatially-local quadrants.
-    Quadrant,
-    /// Two hemispheres.
-    Hemisphere,
-    /// Quadrants exposed as 4 NUMA nodes.
-    Snc4,
-    /// Hemispheres exposed as 2 NUMA nodes.
-    Snc2,
-}
-
-impl ClusterMode {
-    /// How many NUMA-like groups software sees.
-    pub fn numa_groups(&self) -> usize {
-        match self {
-            ClusterMode::AllToAll | ClusterMode::Quadrant | ClusterMode::Hemisphere => 1,
-            ClusterMode::Snc4 => 4,
-            ClusterMode::Snc2 => 2,
-        }
-    }
-}
+//! What the Figure 12 experiment reads from the hardware, and nothing
+//! else: the core count a partition divides, the MCDRAM capacity rule
+//! (“the fast memory should be able to handle P copies of weight and P
+//! copies of data”, §6.2) with MCDRAM addressable in flat mode, and the
+//! bandwidth cliff between MCDRAM (475 GB/s measured) and DDR4 (90 GB/s)
+//! that a spilled working set pays.
 
 /// A Knights Landing chip.
 #[derive(Clone, Debug)]
 pub struct KnlChip {
     /// Core count (68 on the paper's Cori nodes; 72 exists).
     pub cores: usize,
-    /// Hardware threads per core (4).
-    pub threads_per_core: usize,
-    /// MCDRAM capacity in bytes (16 GB).
+    /// MCDRAM capacity in bytes (16 GB), all of it addressable (flat
+    /// mode).
     pub mcdram_bytes: usize,
-    /// DDR4 capacity in bytes (384 GB per §2.1).
-    pub ddr_bytes: usize,
     /// Measured MCDRAM STREAM bandwidth, bytes/s (475 GB/s, §2.1).
     pub mcdram_bw: f64,
     /// Measured DDR4 bandwidth, bytes/s (90 GB/s, §2.1).
     pub ddr_bw: f64,
-    /// MCDRAM mode.
-    pub mcdram_mode: McdramMode,
-    /// Clustering mode.
-    pub cluster_mode: ClusterMode,
 }
 
 impl Default for KnlChip {
@@ -74,75 +32,19 @@ impl KnlChip {
     pub fn cori_node() -> Self {
         Self {
             cores: 68,
-            threads_per_core: 4,
             mcdram_bytes: 16 * (1 << 30),
-            ddr_bytes: 384 * (1usize << 30),
             mcdram_bw: 475.0e9,
             ddr_bw: 90.0e9,
-            mcdram_mode: McdramMode::Flat,
-            cluster_mode: ClusterMode::Quadrant,
         }
     }
 
-    /// Total hardware threads.
-    pub fn hardware_threads(&self) -> usize {
-        self.cores * self.threads_per_core
-    }
-
-    /// Bytes of MCDRAM usable as addressable fast RAM under the current
-    /// mode (cache-mode MCDRAM is not directly allocatable).
-    pub fn fast_memory_bytes(&self) -> usize {
-        match self.mcdram_mode {
-            McdramMode::Cache => 0,
-            McdramMode::Flat => self.mcdram_bytes,
-            McdramMode::Hybrid(cache_frac) => {
-                let f = cache_frac.clamp(0.0, 1.0);
-                (self.mcdram_bytes as f64 * (1.0 - f)) as usize
-            }
-        }
-    }
-
-    /// Effective bandwidth for a working set of `bytes`: MCDRAM speed
-    /// while it fits in fast memory, DDR speed once it spills.
-    pub fn effective_bandwidth(&self, working_set: usize) -> f64 {
-        if working_set
-            <= self.fast_memory_bytes().max(match self.mcdram_mode {
-                // In cache mode a working set within MCDRAM capacity still
-                // enjoys MCDRAM bandwidth through the cache.
-                McdramMode::Cache => self.mcdram_bytes,
-                _ => 0,
-            })
-        {
-            self.mcdram_bw
-        } else {
-            self.ddr_bw
-        }
-    }
-
-    /// The §6.2 capacity rule: the largest partition count `P` (from the
-    /// candidate list) such that `P` copies of (weights + data shard)
-    /// fit in fast memory. Returns 1 if even one copy spills to DDR.
+    /// The §6.2 capacity rule: whether `p` copies of (weights + data
+    /// shard) fit in MCDRAM.
     ///
     /// “The limitation of this method is that the fast memory … should be
     /// able to handle P copies of weight and P copies of data.”
-    pub fn max_partitions(
-        &self,
-        weight_bytes: usize,
-        data_copy_bytes: usize,
-        candidates: &[usize],
-    ) -> usize {
-        let budget = match self.mcdram_mode {
-            McdramMode::Cache => self.mcdram_bytes,
-            _ => self.fast_memory_bytes(),
-        };
-        let per_copy = weight_bytes + data_copy_bytes;
-        let mut best = 1;
-        for &p in candidates {
-            if p >= 1 && p.saturating_mul(per_copy) <= budget && p > best {
-                best = p;
-            }
-        }
-        best
+    pub fn fits_copies(&self, p: usize, weight_bytes: usize, data_bytes: usize) -> bool {
+        p.saturating_mul(weight_bytes.saturating_add(data_bytes)) <= self.mcdram_bytes
     }
 
     /// Cores available to each of `p` partitions (§6.2 divides the chip
@@ -161,53 +63,28 @@ mod tests {
     fn cori_node_matches_section_2_1() {
         let k = KnlChip::cori_node();
         assert_eq!(k.cores, 68);
-        assert_eq!(k.hardware_threads(), 272);
         assert_eq!(k.mcdram_bytes, 16 * (1 << 30));
         assert!((k.mcdram_bw - 475.0e9).abs() < 1.0);
         assert!((k.ddr_bw - 90.0e9).abs() < 1.0);
     }
 
     #[test]
-    fn bandwidth_cliff_at_fast_memory_boundary() {
-        let k = KnlChip::cori_node();
-        assert!((k.effective_bandwidth(1 << 30) - 475.0e9).abs() < 1.0);
-        assert!((k.effective_bandwidth(32 * (1 << 30)) - 90.0e9).abs() < 1.0);
-    }
-
-    #[test]
-    fn hybrid_mode_splits_capacity() {
-        let mut k = KnlChip::cori_node();
-        k.mcdram_mode = McdramMode::Hybrid(0.25);
-        assert_eq!(k.fast_memory_bytes(), 12 * (1 << 30));
-        k.mcdram_mode = McdramMode::Cache;
-        assert_eq!(k.fast_memory_bytes(), 0);
-    }
-
-    #[test]
     fn figure_12_capacity_rule() {
         // §6.2: AlexNet = 249 MB weights, one CIFAR copy = 687 MB →
-        // MCDRAM (16 GB) holds at most 16 copies (16·936 MB ≈ 14.6 GB) but
-        // not 32 (29.9 GB).
+        // MCDRAM (16 GB) holds 16 copies (16·936 MB ≈ 14.6 GB) but not 32
+        // (29.9 GB).
         let k = KnlChip::cori_node();
         let weights = 249 * 1_000_000;
         let data = 687 * 1_000_000;
-        let p = k.max_partitions(weights, data, &[1, 4, 8, 16, 32]);
-        assert_eq!(p, 16);
+        assert!(k.fits_copies(16, weights, data));
+        assert!(!k.fits_copies(32, weights, data));
     }
 
     #[test]
-    fn capacity_rule_degrades_to_one() {
-        let k = KnlChip::cori_node();
+    fn one_oversized_copy_does_not_fit() {
         // A 20 GB working set can't even hold one copy in MCDRAM.
-        let p = k.max_partitions(20 * (1 << 30), 0, &[1, 4, 8, 16]);
-        assert_eq!(p, 1);
-    }
-
-    #[test]
-    fn snc4_exposes_four_numa_groups() {
-        assert_eq!(ClusterMode::Snc4.numa_groups(), 4);
-        assert_eq!(ClusterMode::Snc2.numa_groups(), 2);
-        assert_eq!(ClusterMode::Quadrant.numa_groups(), 1);
+        let k = KnlChip::cori_node();
+        assert!(!k.fits_copies(1, 20 * (1 << 30), 0));
     }
 
     #[test]

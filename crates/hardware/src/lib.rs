@@ -19,7 +19,7 @@
 //! * [`gpu`] — GPU device descriptors (memory capacity gates what can be
 //!   resident, §6.1.2).
 //! * [`knl`] — the KNL chip: 68 cores, 16 GB MCDRAM at 475 GB/s vs DDR4
-//!   at 90 GB/s, cluster modes, and the §6.2 partition-capacity rule.
+//!   at 90 GB/s, and the §6.2 partition-capacity rule.
 
 pub mod collective;
 pub mod compute;
@@ -32,5 +32,5 @@ pub use collective::{
 };
 pub use compute::ComputeModel;
 pub use gpu::GpuDevice;
-pub use knl::{ClusterMode, KnlChip, McdramMode};
+pub use knl::KnlChip;
 pub use net::AlphaBeta;

@@ -16,7 +16,8 @@
 //! * [`session`] — [`InferSession`]: a gradient-stripped [`Network`]
 //!   replica plus a forward-only [`InferScratch`], reaching the same
 //!   zero-allocations-per-request steady state as the training step;
-//!   [`ReplicaSet`] shards replicas over a `par::PartitionedPool`.
+//!   [`ReplicaSet`] holds one replica per shard and runs them one after
+//!   another, each under a `max(1, ncores / shards)` thread budget.
 //! * [`batcher`] — the dynamic micro-batcher: per-shard FIFO queues with
 //!   the coalescing rule “close the batch at B requests or T µs,
 //!   whichever first”, and pooled (counted) request/pixel storage.

@@ -1,10 +1,11 @@
 //! Inference sessions: gradient-stripped network replicas with
-//! forward-only pooled scratch, sharded over a `PartitionedPool`.
+//! forward-only pooled scratch, and the replica set the engine
+//! dispatches batches to.
 
 use crate::batcher::{add_stats, Batch};
 use crate::engine::Backend;
 use easgd_nn::Network;
-use easgd_tensor::par::{with_budget, PartitionedPool};
+use easgd_tensor::par::{max_threads, with_budget};
 use easgd_tensor::{InferScratch, ScratchStats, Tensor};
 
 /// One serving replica: a [`Network`] with its gradient arena stripped
@@ -62,27 +63,28 @@ impl InferSession {
     }
 }
 
-/// `shards` independent replicas, one per [`PartitionedPool`] group:
-/// the in-process analogue of the paper's one-worker-per-device layout,
-/// reused here so batch dispatches on different shards never contend
-/// for a worker thread.
+/// `shards` independent replicas, each with an equal share of the
+/// machine's threads. Dispatch is sequential: the engine thread runs one
+/// shard's batch at a time, under that shard's share as its budget.
 pub struct ReplicaSet {
     sessions: Vec<InferSession>,
-    part: PartitionedPool,
+    /// Each shard's thread budget: `max(1, max_threads() / shards)`.
+    threads: usize,
 }
 
 impl ReplicaSet {
-    /// One replica per entry of `replicas`, sharded over a fresh
-    /// partitioned pool with `replicas.len()` groups.
+    /// One replica per entry of `replicas`, each given
+    /// `max(1, max_threads() / replicas.len())` threads — on a small
+    /// machine shards share a thread rather than get none.
     ///
     /// # Panics
     /// Panics if `replicas` is empty.
     pub fn new(replicas: Vec<Network>) -> Self {
         assert!(!replicas.is_empty(), "need at least one replica");
-        let part = PartitionedPool::new(replicas.len());
+        let threads = (max_threads() / replicas.len()).max(1);
         Self {
             sessions: replicas.into_iter().map(InferSession::new).collect(),
-            part,
+            threads,
         }
     }
 
@@ -98,11 +100,12 @@ impl ReplicaSet {
 }
 
 impl Backend for ReplicaSet {
-    /// Runs the batch on `shard`'s replica under one group's thread
-    /// budget, so concurrent shards never borrow each other's threads.
+    /// Runs the batch on `shard`'s replica, on the calling (engine)
+    /// thread, with the shard's share installed as the budget its
+    /// kernels size against.
     fn run_batch(&mut self, shard: usize, batch: &Batch, pixels: &[f32]) {
-        let Self { sessions, part } = self;
-        with_budget(part.group_threads(), || {
+        let Self { sessions, threads } = self;
+        with_budget(*threads, || {
             let _ = sessions[shard].infer(batch.len(), pixels);
         });
     }
@@ -163,13 +166,20 @@ mod tests {
     fn replica_set_shards_agree_on_equal_seeds() {
         let mut set = ReplicaSet::new(vec![tiny_net(11), tiny_net(11)]);
         let pixels: Vec<f32> = (0..36).map(|i| (i as f32).cos()).collect();
-        let ReplicaSet { sessions, part } = &mut set;
-        let mut serve = |shard: usize| {
-            with_budget(part.group_threads(), || {
-                sessions[shard].infer(1, &pixels).to_vec()
-            })
-        };
+        let ReplicaSet { sessions, threads } = &mut set;
+        let mut serve =
+            |shard: usize| with_budget(*threads, || sessions[shard].infer(1, &pixels).to_vec());
         let (a, b) = (serve(0), serve(1));
         assert_eq!(a, b, "equal-seed replicas must serve identical logits");
+    }
+
+    #[test]
+    fn each_shard_gets_an_equal_share_and_never_zero() {
+        // More shards than cores: every shard still gets one thread.
+        for k in [1, 2, 2 * max_threads()] {
+            let set = ReplicaSet::new((0..k).map(|_| tiny_net(5)).collect());
+            assert_eq!(set.shards(), k);
+            assert_eq!(set.threads, (max_threads() / k).max(1), "{k} shards");
+        }
     }
 }

@@ -10,10 +10,10 @@
 //! copies it needs instead cost more than the fork they avoid at every
 //! shape this repo's workloads issue (DESIGN.md §8 has the table).
 //!
-//! * The budget — [`with_budget`] / [`current_threads`] /
-//!   [`PartitionedPool`]: how many threads the calling thread's regions
-//!   may use. A §6.2 chip partition or a serve shard installs its group's
-//!   share and every kernel below it sizes against it.
+//! * The budget — [`with_budget`] / [`current_threads`]: how many
+//!   threads the calling thread's regions may use, one integer. A serve
+//!   replica installs its share and every kernel below it sizes against
+//!   it; a [`fan_out`] job runs under one.
 //! * The two gates — [`fork_threads`] / [`FORK_JOIN_FLOPS`] for compute
 //!   regions (how many threads a region of a given flop count should
 //!   fork over) and [`band_len`] / [`PAR_ELEMS`] for the memory-bound
@@ -92,13 +92,13 @@ thread_local! {
 }
 
 /// Runs `f` with the calling thread's budget set to `threads` (restored
-/// on return or unwind) — the chip-partitioning seam of §6.2.
+/// on return or unwind).
 ///
 /// While installed, every kernel sizes its parallelism against it
 /// instead of the whole machine: GEMM's band split, the convolution's
 /// batch fan-out and the banded updates all read [`current_threads`].
-/// This is how a KNL-style chip partition ([`PartitionedPool`]) or a
-/// serve shard confines its compute to its own share of the threads.
+/// This is how a serve replica confines its compute to its share of the
+/// threads, and how a [`fan_out`] job is kept from forking again.
 ///
 /// # Panics
 /// Panics if `threads == 0`.
@@ -173,85 +173,6 @@ where
             }
         }
     });
-}
-
-/// A KNL-style chip partition (§6.2): `G` NUMA-like groups, each with a
-/// budget of its own — the thread-level analogue of splitting a 68-core
-/// chip into groups that each hold a replica of the data and weights in
-/// their own MCDRAM slice and only meet at a gradient reduction.
-///
-/// [`PartitionedPool::run`] drives one closure per group on its own
-/// scoped driver thread with the group's budget installed via
-/// [`with_budget`], so every tensor kernel the closure calls (GEMM, conv,
-/// the banded elastic updates) parallelizes over that group's share
-/// only. Groups therefore scale like independent small chips: no shared
-/// queue, no cross-group work stealing, communication only through
-/// whatever shared state the caller hands the closures.
-pub struct PartitionedPool {
-    groups: usize,
-    group_threads: usize,
-}
-
-impl PartitionedPool {
-    /// A partition of the whole chip into `groups` groups, each with an
-    /// equal share of [`max_threads`] (at least one thread per group —
-    /// on small machines groups oversubscribe rather than disappear).
-    ///
-    /// # Panics
-    /// Panics if `groups == 0`.
-    pub fn new(groups: usize) -> Self {
-        assert!(groups > 0, "need at least one partition group");
-        Self::with_group_threads(groups, (max_threads() / groups).max(1))
-    }
-
-    /// A partition with an explicit per-group thread count.
-    ///
-    /// # Panics
-    /// Panics if `groups == 0` or `threads_per_group == 0`.
-    pub fn with_group_threads(groups: usize, threads_per_group: usize) -> Self {
-        assert!(groups > 0, "need at least one partition group");
-        assert!(threads_per_group > 0, "a group needs at least one thread");
-        Self {
-            groups,
-            group_threads: threads_per_group,
-        }
-    }
-
-    /// Number of groups in the partition.
-    pub fn groups(&self) -> usize {
-        self.groups
-    }
-
-    /// Threads per group (the group's driver thread included).
-    pub fn group_threads(&self) -> usize {
-        self.group_threads
-    }
-
-    /// Runs `f(group_index)` once per group, each on its own driver
-    /// thread with the group's budget installed ([`with_budget`]).
-    /// Returns the results in group order.
-    ///
-    /// # Panics
-    /// Propagates the panic if any group closure panicked.
-    pub fn run<T, F>(&self, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        let f = &f;
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..self.groups)
-                .map(|g| s.spawn(move || with_budget(self.group_threads, || f(g))))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(v) => v,
-                    Err(payload) => std::panic::resume_unwind(payload),
-                })
-                .collect()
-        })
-    }
 }
 
 #[cfg(test)]
@@ -359,49 +280,5 @@ mod tests {
             max_threads(),
             "override leaked past a panic"
         );
-    }
-
-    #[test]
-    fn partitioned_pool_runs_groups_in_order_with_own_budgets() {
-        let part = PartitionedPool::with_group_threads(4, 2);
-        assert_eq!(part.groups(), 4);
-        assert_eq!(part.group_threads(), 2);
-        let out = part.run(|g| (g, current_threads()));
-        for (g, row) in out.iter().enumerate() {
-            assert_eq!(row.0, g, "results must come back in group order");
-            assert_eq!(row.1, 2, "group {g} must see its own budget installed");
-        }
-    }
-
-    #[test]
-    fn single_thread_groups_never_fork() {
-        let part = PartitionedPool::with_group_threads(3, 1);
-        let out = part.run(|_| {
-            assert_eq!(current_threads(), 1);
-            (fork_threads(u64::MAX), threads_spawned())
-        });
-        assert_eq!(out, vec![(1, 0); 3]);
-    }
-
-    #[test]
-    fn partitioned_pool_propagates_group_panic() {
-        let part = PartitionedPool::with_group_threads(2, 1);
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            part.run(|g| {
-                if g == 1 {
-                    panic!("group failure");
-                }
-                g
-            })
-        }));
-        assert!(caught.is_err());
-    }
-
-    #[test]
-    fn equal_share_partition_never_drops_a_group() {
-        // More groups than cores: every group still gets one thread.
-        let part = PartitionedPool::new(max_threads() * 2);
-        assert_eq!(part.groups(), max_threads() * 2);
-        assert!(part.group_threads() >= 1);
     }
 }

@@ -71,7 +71,13 @@ if grep -nE "grad\.copy_from_slice\(self\.net\.grads\(\)|grad: Vec<f32>" crates/
   exit 1
 fi
 
-echo "==> kernel tables (smoke: one iteration per row, no JSON; gemm_par_vs_serial on >= 2 threads, skip notice on 1; checked-in BENCH_kernels.json fork-join acceptance)"
+echo "==> one §6.2 path (knl_partition_run; the executed chip partitioner, its pool type and KnlChip's unread modes were deleted)"
+if grep -rnE "PartitionedPool|partitioned_sync_easgd|partitioned_hogwild_easgd|with_group_threads|hogwild_easgd_exchange|McdramMode|ClusterMode|max_partitions" crates/ src/ tests/ examples/; then
+  echo "error: a piece of the executed chip partitioner is back (matches above)" >&2
+  exit 1
+fi
+
+echo "==> kernel table (smoke: one iteration per row, no JSON; gemm_par_vs_serial on >= 2 threads, skip notice on 1; checked-in BENCH_kernels.json fork-join acceptance)"
 cargo run -q --release -p easgd-bench --bin kernels -- --smoke
 
 echo "==> simulated exchange tables (smoke + checked-in BENCH_comm.json acceptance)"

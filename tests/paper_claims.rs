@@ -64,17 +64,15 @@ fn table3_shape_comm_ratio_collapses() {
     );
 }
 
-/// §6.2 / Figure 12: the MCDRAM capacity rule allows exactly 16
-/// partitions for AlexNet + one CIFAR copy.
+/// §6.2 / Figure 12: the MCDRAM capacity rule allows 16 partitions for
+/// AlexNet + one CIFAR copy, but not 32.
 #[test]
 fn figure12_capacity_gate() {
     let chip = KnlChip::cori_node();
     let alexnet = 249_000_000; // §6.2's numbers
     let cifar_copy = 687_000_000;
-    assert_eq!(
-        chip.max_partitions(alexnet, cifar_copy, &[1, 4, 8, 16, 32]),
-        16
-    );
+    assert!(chip.fits_copies(16, alexnet, cifar_copy));
+    assert!(!chip.fits_copies(32, alexnet, cifar_copy));
 }
 
 /// §7.1 / Table 4: weak-scaling efficiencies land in the paper's bands
