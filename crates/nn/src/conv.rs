@@ -22,7 +22,8 @@
 use crate::layer::{batch_of, Init, Layer, ParamSpec};
 use easgd_tensor::par;
 use easgd_tensor::{col2im, pad_image, Conv2dGeometry, Lowered, Operand};
-use easgd_tensor::{gemm, gemm_row_band, gemm_view, ParamArena, Tensor, TrainScratch, Transpose};
+use easgd_tensor::{gemm, gemm_packs, gemm_row_band, gemm_view, Panels};
+use easgd_tensor::{ParamArena, Tensor, TrainScratch, Transpose};
 
 /// `gb[o] += Σ planes[o]` for `gb.len()` planes of `cols` floats, eight
 /// planes at a time: each sum is still the strictly sequential chain of
@@ -83,6 +84,9 @@ pub struct Conv2d {
     /// Backward's weight gradient, transposed (`[col_rows, out_channels]`)
     /// so that a band of it is contiguous.
     grad_w_t: Vec<f32>,
+    /// Once frozen with a forward GEMM that packs: the filter bank's
+    /// layout in the arena, its A panels.
+    w_panels: Option<Panels>,
 }
 
 impl Conv2d {
@@ -99,6 +103,7 @@ impl Conv2d {
             padded: Vec::new(),
             grad_col: Vec::new(),
             grad_w_t: Vec::new(),
+            w_panels: None,
         }
     }
 
@@ -195,7 +200,8 @@ impl Layer for Conv2d {
         // One job per thread, each a contiguous run of samples: pad the
         // image, then `y = W·col + bias` with `col` the lowering of the
         // padded image, which the GEMM reads through its B-pack.
-        let (rows, cols) = (geom.col_rows(), geom.col_cols());
+        let (rows, cols, panels) = (geom.col_rows(), geom.col_cols(), self.w_panels);
+        let w = panels.map_or(Operand::Stored(w), |p| Operand::Packed(p, w));
         let per = b.div_ceil(self.batch_threads(b));
         par::fan_out(
             self.padded
@@ -210,7 +216,6 @@ impl Layer for Conv2d {
                 {
                     pad_image(&geom, image, padded);
                     let col = Operand::Lowered(Lowered::new(&geom, padded));
-                    let w = Operand::Stored(w);
                     gemm_view(no, no, out_channels, cols, rows, 1.0, w, col, 0.0, y);
                     for (plane, bc) in y.chunks_mut(cols).zip(bias) {
                         plane.iter_mut().for_each(|v| *v += bc);
@@ -240,6 +245,16 @@ impl Layer for Conv2d {
         scratch: &mut TrainScratch,
     ) {
         self.backward_fork(params, grads, grad_out, None, scratch);
+    }
+
+    /// The filter bank is the forward GEMM's A: packed once when that
+    /// product takes the packs, so no forward packs it again.
+    fn freeze(&mut self) -> Vec<Option<Panels>> {
+        let (oc, rows) = (self.out_channels, self.geom.col_rows());
+        let packs = gemm_packs(oc, self.geom.col_cols(), rows);
+        self.w_panels = packs.then(|| Panels::a(Transpose::No, oc, rows));
+        (self.grad_col, self.grad_w_t) = (Vec::new(), Vec::new());
+        vec![self.w_panels, None]
     }
 
     fn boxed_clone(&self) -> Box<dyn Layer> {
@@ -295,6 +310,7 @@ impl Conv2d {
             (geom.input_len(), geom.padded_len(), self.output_len());
         let b = self.padded.len() / padded_len;
         assert!(b > 0, "backward called before forward");
+        assert!(self.w_panels.is_none(), "conv '{}' is frozen", self.name);
         assert_eq!(
             grad_out.len(),
             b * out_len,

@@ -1,7 +1,8 @@
 //! Fully-connected layer.
 
 use crate::layer::{batch_of, Init, Layer, ParamSpec};
-use easgd_tensor::{gemm, gemm_rowstable, ParamArena, Tensor, TrainScratch, Transpose};
+use easgd_tensor::{gemm, gemm_packs, gemm_rowstable, gemm_view, Operand, Panels};
+use easgd_tensor::{ParamArena, Tensor, TrainScratch, Transpose};
 
 /// Fully-connected (inner-product) layer: `Y = X·Wᵀ + b`.
 ///
@@ -18,6 +19,11 @@ pub struct Dense {
     w_seg: usize,
     b_seg: usize,
     input_cache: Option<Tensor>,
+    /// Set by [`Layer::freeze`]: forward only, nothing cached.
+    frozen: bool,
+    /// Once frozen with a row product that packs: the weight's layout in
+    /// the arena, the B panels of `Wᵀ`.
+    w_panels: Option<Panels>,
 }
 
 impl Dense {
@@ -34,6 +40,8 @@ impl Dense {
             w_seg: usize::MAX,
             b_seg: usize::MAX,
             input_cache: None,
+            frozen: false,
+            w_panels: None,
         }
     }
 
@@ -100,26 +108,25 @@ impl Layer for Dense {
         // the reused buffer, so no zeroing is needed). Eval mode picks
         // the kernel per row (`gemm_rowstable`) so a sample's logits are
         // bit-identical at any serving batch size; training keeps the
-        // total-flops dispatch that the golden traces pin.
-        let mm = if train { gemm } else { gemm_rowstable };
-        mm(
-            Transpose::No,
-            Transpose::Yes,
-            b,
-            self.out_features,
-            self.in_features,
-            1.0,
-            input.as_slice(),
-            w,
-            0.0,
-            out.as_mut_slice(),
-        );
-        for row in out.as_mut_slice().chunks_mut(self.out_features) {
+        // total-flops dispatch that the golden traces pin. Packed weights
+        // exist only where a row takes the packs, so there every
+        // dispatch is the same one.
+        let (no, yes, panels) = (Transpose::No, Transpose::Yes, self.w_panels);
+        let (n, k) = (self.out_features, self.in_features);
+        let (x, y) = (input.as_slice(), out.as_mut_slice());
+        let w = panels.map_or(Operand::Stored(w), |p| Operand::Packed(p, w));
+        match (train, w) {
+            (false, Operand::Stored(w)) => gemm_rowstable(no, yes, b, n, k, 1.0, x, w, 0.0, y),
+            (_, w) => gemm_view(no, yes, b, n, k, 1.0, Operand::Stored(x), w, 0.0, y),
+        }
+        for row in y.chunks_mut(n) {
             easgd_tensor::ops::add_assign(row, bias);
         }
-        let cache = self.input_cache.get_or_insert_with(Tensor::default);
-        scratch.shape_tensor(cache, input.shape().dims());
-        cache.as_mut_slice().copy_from_slice(input.as_slice());
+        if !self.frozen {
+            let cache = self.input_cache.get_or_insert_with(Tensor::default);
+            scratch.shape_tensor(cache, input.shape().dims());
+            cache.as_mut_slice().copy_from_slice(x);
+        }
     }
 
     fn backward_into(
@@ -189,6 +196,15 @@ impl Layer for Dense {
         for row in grad_out.as_slice().chunks(self.out_features) {
             easgd_tensor::ops::add_assign(gb, row);
         }
+    }
+
+    /// The weight is the forward GEMM's B, transposed: packed once when
+    /// one row's product takes the packs (`gemm_rowstable`'s rule).
+    fn freeze(&mut self) -> Vec<Option<Panels>> {
+        let (n, k) = (self.out_features, self.in_features);
+        self.w_panels = gemm_packs(1, n, k).then(|| Panels::b(Transpose::Yes, k, n));
+        (self.frozen, self.input_cache) = (true, None);
+        vec![self.w_panels, None]
     }
 
     fn boxed_clone(&self) -> Box<dyn Layer> {

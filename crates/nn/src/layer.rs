@@ -7,7 +7,7 @@
 //! layout. This makes “send the whole model” a single contiguous message
 //! and lets optimizer updates run as flat-slice kernels.
 
-use easgd_tensor::{ParamArena, Rng, Tensor, TrainScratch};
+use easgd_tensor::{Panels, ParamArena, Rng, Tensor, TrainScratch};
 
 /// How a parameter segment is initialized.
 #[derive(Copy, Clone, Debug, PartialEq)]
@@ -152,6 +152,15 @@ pub trait Layer: Send + Sync {
         scratch: &mut TrainScratch,
     ) {
         self.backward_into(params, grads, grad_out, grad_in, scratch);
+    }
+
+    /// Makes the layer a serving replica's (`Network::freeze`): from here
+    /// on only forward runs, and the layer keeps nothing for a backward.
+    /// Returns, per [`param_specs`](Layer::param_specs) segment, the
+    /// panels the frozen layer reads that segment as from now on (`None`:
+    /// row-major, as trained).
+    fn freeze(&mut self) -> Vec<Option<Panels>> {
+        vec![None; self.param_specs().len()]
     }
 
     /// Clones the layer (including its configuration, excluding transient

@@ -216,7 +216,7 @@ impl NetworkBuilder {
         self
     }
 
-    /// Freezes the stack: allocates the packed arena, initializes weights
+    /// Finishes the stack: allocates the packed arena, initializes weights
     /// from `seed`, binds layers, and returns the runnable network.
     pub fn build(self, seed: u64) -> Network {
         let mut rng = Rng::new(seed);
@@ -258,6 +258,7 @@ impl NetworkBuilder {
             num_classes: self.cur.iter().product(),
             scratch: TrainScratch::default(),
             batch_dims,
+            frozen: false,
         }
     }
 }
@@ -285,6 +286,8 @@ pub struct Network {
     /// `[batch, …input_shape]` dims with the batch slot patched per step —
     /// persistent so the hot path never rebuilds the list.
     batch_dims: Vec<usize>,
+    /// Set by [`freeze`](Self::freeze): `params` holds packed panels.
+    frozen: bool,
 }
 
 impl Clone for Network {
@@ -302,6 +305,7 @@ impl Clone for Network {
             // Replicas warm their own buffers.
             scratch: TrainScratch::default(),
             batch_dims: self.batch_dims.clone(),
+            frozen: self.frozen,
         }
     }
 }
@@ -333,7 +337,11 @@ impl Network {
     }
 
     /// Mutable packed parameter arena (optimizers write here).
+    ///
+    /// # Panics
+    /// Panics on a frozen network (see [`freeze`](Self::freeze)).
     pub fn params_mut(&mut self) -> &mut ParamArena {
+        self.assert_not_frozen("params_mut");
         &mut self.params
     }
 
@@ -345,7 +353,11 @@ impl Network {
     /// Both arenas as flat slices, mutable: they are disjoint, so an
     /// update kernel reads the gradient where backward wrote it (and L2
     /// decay folds the weights into it) without a copy of either.
+    ///
+    /// # Panics
+    /// Panics on a frozen network (see [`freeze`](Self::freeze)).
     pub fn params_and_grads_mut(&mut self) -> (&mut [f32], &mut [f32]) {
+        self.assert_not_frozen("params_and_grads_mut");
         (self.params.as_mut_slice(), self.grads.as_mut_slice())
     }
 
@@ -388,7 +400,7 @@ impl Network {
             self.grads.len(),
             self.params.len(),
             "forward_backward on a gradient-stripped inference replica \
-             (see strip_gradients)"
+             (see freeze)"
         );
         let mut ping = self.scratch.take_ping();
         let mut pong = self.scratch.take_pong();
@@ -535,12 +547,26 @@ impl Network {
         scratch.train_scratch().put_batch(x);
     }
 
-    /// Drops the gradient arena (replacing it with an empty one) so a
-    /// dedicated inference replica carries zero backward/gradient
-    /// storage — halving replica memory next to the packed parameters.
-    /// A stripped replica must not train: `forward_backward` panics.
-    pub fn strip_gradients(&mut self) {
+    /// Makes the network a serving replica. It drops the gradient arena
+    /// (half a training replica's memory; `forward_backward` panics from
+    /// here on), then lays every weight that a packing GEMM reads out as
+    /// its microkernel panels ([`Layer::freeze`]) *instead of* row-major —
+    /// in the parameter arena's own storage, so there is one copy of each.
+    /// Forward results keep every bit; the layers keep nothing for a
+    /// backward, and since a write to the parameters would miss the
+    /// panels, every entry point that writes them panics.
+    pub fn freeze(&mut self) {
         self.grads = ParamArena::flat(0);
+        let panels: Vec<_> = self.layers.iter_mut().flat_map(|l| l.freeze()).collect();
+        self.params.pack_segments(&panels);
+        self.frozen = true;
+    }
+
+    fn assert_not_frozen(&self, entry: &str) {
+        assert!(
+            !self.frozen,
+            "{entry} on a frozen network: its weights are packed for serving, a write would not reach them"
+        );
     }
 
     /// Allocation counters of the pooled step scratch. A warmed-up
@@ -583,8 +609,9 @@ impl Network {
     /// Overwrites all parameters from a flat slice.
     ///
     /// # Panics
-    /// Panics if `src.len() != num_params()`.
+    /// Panics if `src.len() != num_params()`, or on a frozen network.
     pub fn set_params(&mut self, src: &[f32]) {
+        self.assert_not_frozen("set_params");
         assert_eq!(src.len(), self.params.len(), "parameter length mismatch");
         self.params.as_mut_slice().copy_from_slice(src);
     }
@@ -758,8 +785,8 @@ mod tests {
         );
         assert_eq!(sa.loss.to_bits(), sb.loss.to_bits());
         assert_eq!(bits(b.grads().as_slice()), bits(a.grads().as_slice()));
-        // A stripped replica's clone stays stripped.
-        a.strip_gradients();
+        // A frozen replica's clone stays frozen.
+        a.freeze();
         assert!(a.clone().grads().is_empty());
     }
 
@@ -1013,11 +1040,11 @@ mod tests {
     }
 
     #[test]
-    fn stripped_replica_still_infers() {
+    fn frozen_replica_still_infers() {
         let mut net = tiny_net();
         let x = Tensor::full([2, 1, 6, 6], 0.25);
         let reference = net.forward(&x, false);
-        net.strip_gradients();
+        net.freeze();
         let mut scratch = InferScratch::new();
         let mut logits = Tensor::default();
         net.infer_into(&x, &mut logits, &mut scratch);
@@ -1025,10 +1052,54 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "gradient-stripped")]
-    fn stripped_replica_cannot_train() {
+    fn a_frozen_lenet_holds_one_copy_of_its_weights_and_forwards_the_same_bits() {
+        let mut net = crate::models::lenet(1);
+        let mut x = Tensor::zeros([3, 1, 28, 28]);
+        Rng::new(13).fill_normal(x.as_mut_slice(), 0.0, 1.0);
+        let (row_major, want) = (net.size_bytes(), net.forward(&x, false));
+        net.freeze();
+        // The panels replace the row-major weights: only the padding of
+        // each packed matrix to whole tiles is added.
+        let frozen = net.size_bytes();
+        assert!(
+            frozen > row_major && frozen as f64 <= 1.03 * row_major as f64,
+            "{frozen} bytes frozen, {row_major} row-major"
+        );
+        assert!(net.grads().is_empty());
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&net.clone().forward(&x, false)), bits(&want));
+    }
+
+    fn frozen_tiny_net() -> Network {
         let mut net = tiny_net();
-        net.strip_gradients();
+        net.freeze();
+        net
+    }
+
+    #[test]
+    #[should_panic(expected = "params_mut on a frozen network")]
+    fn a_frozen_network_refuses_params_mut() {
+        let _ = frozen_tiny_net().params_mut();
+    }
+
+    #[test]
+    #[should_panic(expected = "set_params on a frozen network")]
+    fn a_frozen_network_refuses_set_params() {
+        let mut net = frozen_tiny_net();
+        let weights = vec![0.0; net.num_params()];
+        net.set_params(&weights);
+    }
+
+    #[test]
+    #[should_panic(expected = "params_and_grads_mut on a frozen network")]
+    fn a_frozen_network_refuses_params_and_grads_mut() {
+        let _ = frozen_tiny_net().params_and_grads_mut();
+    }
+
+    #[test]
+    #[should_panic(expected = "gradient-stripped")]
+    fn frozen_replica_cannot_train() {
+        let mut net = frozen_tiny_net();
         let x = Tensor::zeros([1, 1, 6, 6]);
         let _ = net.forward_backward(&x, &[0]);
     }

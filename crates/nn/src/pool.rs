@@ -1,7 +1,7 @@
 //! Spatial pooling layers.
 
 use crate::layer::{batch_of, Layer};
-use easgd_tensor::{ParamArena, Tensor, TrainScratch};
+use easgd_tensor::{Panels, ParamArena, Tensor, TrainScratch};
 
 /// Shared spatial bookkeeping for pooling windows.
 #[derive(Clone, Copy, Debug)]
@@ -36,6 +36,8 @@ pub struct MaxPool2d {
     /// For each output element of the last batch: the flat input index of
     /// its maximum (the routing for backward).
     argmax: Vec<usize>,
+    /// Set by [`Layer::freeze`]: forward only, no argmax kept.
+    frozen: bool,
 }
 
 impl MaxPool2d {
@@ -64,6 +66,66 @@ impl MaxPool2d {
                 stride,
             },
             argmax: Vec::new(),
+            frozen: false,
+        }
+    }
+}
+
+/// The maximum of every window of `g` over the planes of `x`, into `y`,
+/// and — given a sink — its flat index in `x`. Candidates come in
+/// row-major window order and a later one wins only when strictly
+/// greater: the first maximum, and a NaN neither displaces a number nor
+/// is displaced when it came first.
+fn max_windows(g: &PoolGeom, x: &[f32], y: &mut [f32], mut argmax: Option<&mut [usize]>) {
+    let (oh, ow, k, s) = (g.out_h(), g.out_w(), g.size, g.stride);
+    for (row, yrow) in y.chunks_exact_mut(ow).enumerate() {
+        let x0 = row / oh * g.in_plane() + row % oh * s * g.in_w;
+        let mut arow = argmax.as_deref_mut().map(|a| &mut a[row * ow..][..ow]);
+        // The 2×2/2 windows of every model but AlexNet's tile a row in
+        // exact pairs: a window row at a time, the outputs in vector
+        // lanes, one select per candidate and no branch.
+        if (k, s) == (2, 2) {
+            for ky in 0..2 {
+                let at = x0 + ky * g.in_w;
+                let pairs = x[at..][..2 * ow].chunks_exact(2).enumerate();
+                let Some(arow) = arow.as_deref_mut() else {
+                    for (best, (_, pair)) in yrow.iter_mut().zip(pairs) {
+                        let mut b = *best;
+                        for (kx, &v) in pair.iter().enumerate() {
+                            b = if (ky == 0 && kx == 0) || v > b { v } else { b };
+                        }
+                        *best = b;
+                    }
+                    continue;
+                };
+                for ((best, arg), (ox, pair)) in yrow.iter_mut().zip(arow).zip(pairs) {
+                    let (mut b, mut a) = (*best, *arg);
+                    for (kx, &v) in pair.iter().enumerate() {
+                        let wins = (ky == 0 && kx == 0) || v > b;
+                        b = if wins { v } else { b };
+                        a = if wins { at + 2 * ox + kx } else { a };
+                    }
+                    (*best, *arg) = (b, a);
+                }
+            }
+            continue;
+        }
+        // Any other window, one output at a time: there a select chain is
+        // latency-bound, and a predicted branch is not.
+        for (ox, best) in yrow.iter_mut().enumerate() {
+            let (mut b, mut a) = (x[x0 + ox * s], x0 + ox * s);
+            for ky in 0..k {
+                for kx in 0..k {
+                    let i = x0 + ky * g.in_w + ox * s + kx;
+                    if x[i] > b {
+                        (b, a) = (x[i], i);
+                    }
+                }
+            }
+            *best = b;
+            if let Some(arow) = arow.as_deref_mut() {
+                arow[ox] = a;
+            }
         }
     }
 }
@@ -92,35 +154,11 @@ impl Layer for MaxPool2d {
         let (oh, ow) = (g.out_h(), g.out_w());
         let out_len = g.channels * g.out_plane();
         scratch.shape_tensor(out, &[b, g.channels, oh, ow]);
-        scratch.ensure_usize(&mut self.argmax, b * out_len);
-        let x = input.as_slice();
-        let y = out.as_mut_slice();
-        for s in 0..b {
-            for c in 0..g.channels {
-                let plane_off = s * in_len + c * g.in_plane();
-                let out_off = s * out_len + c * g.out_plane();
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let mut best_idx = plane_off + (oy * g.stride) * g.in_w + ox * g.stride;
-                        let mut best = x[best_idx];
-                        for ky in 0..g.size {
-                            for kx in 0..g.size {
-                                let idx = plane_off
-                                    + (oy * g.stride + ky) * g.in_w
-                                    + (ox * g.stride + kx);
-                                if x[idx] > best {
-                                    best = x[idx];
-                                    best_idx = idx;
-                                }
-                            }
-                        }
-                        let o = out_off + oy * ow + ox;
-                        y[o] = best;
-                        self.argmax[o] = best_idx;
-                    }
-                }
-            }
-        }
+        let argmax = (!self.frozen).then(|| {
+            scratch.ensure_usize(&mut self.argmax, b * out_len);
+            &mut self.argmax[..]
+        });
+        max_windows(&g, input.as_slice(), out.as_mut_slice(), argmax);
     }
 
     fn backward_into(
@@ -144,6 +182,11 @@ impl Layer for MaxPool2d {
         for (o, &src) in self.argmax.iter().enumerate() {
             gx[src] += grad_out.as_slice()[o];
         }
+    }
+
+    fn freeze(&mut self) -> Vec<Option<Panels>> {
+        (self.frozen, self.argmax) = (true, Vec::new());
+        Vec::new()
     }
 
     fn boxed_clone(&self) -> Box<dyn Layer> {
@@ -298,6 +341,50 @@ mod tests {
         let x = Tensor::from_vec([1, 1, 4, 4], (0..16).map(|i| i as f32).collect());
         let y = l.forward(&ParamArena::flat(0), &x, true);
         assert_eq!(y.as_slice(), &[5., 7., 13., 15.]);
+    }
+
+    #[test]
+    fn maxpool_keeps_the_first_maximum_and_its_nan_rule_frozen_or_not() {
+        // Inputs drawn from five values, so windows hold ties, signed
+        // zeros and NaNs both first and later; the branchy scan the
+        // layer used to run is the reference.
+        let pick = [f32::NAN, -0.0, 0.0, 1.0, 1.0];
+        for (size, stride) in [(2, 2), (3, 2), (2, 1), (1, 3)] {
+            let (b, c, h, w) = (2, 3, 7, 8);
+            let mut rng = easgd_tensor::Rng::new((size * 10 + stride) as u64);
+            let xs: Vec<f32> = (0..b * c * h * w).map(|_| pick[rng.below(5)]).collect();
+            let x = Tensor::from_vec([b, c, h, w], xs.clone());
+            let mut l = MaxPool2d::new("p", c, h, w, size, stride);
+            let y = l.forward(&ParamArena::flat(0), &x, true);
+            let (oh, ow) = (l.geom.out_h(), l.geom.out_w());
+            let (mut want_y, mut want_arg) = (Vec::new(), Vec::new());
+            for (plane, oy, ox) in (0..b * c)
+                .flat_map(|p| (0..oh).flat_map(move |oy| (0..ow).map(move |ox| (p, oy, ox))))
+            {
+                let mut at = plane * h * w + oy * stride * w + ox * stride;
+                for ky in 0..size {
+                    for kx in 0..size {
+                        let i = plane * h * w + (oy * stride + ky) * w + ox * stride + kx;
+                        if xs[i] > xs[at] {
+                            at = i;
+                        }
+                    }
+                }
+                want_y.push(xs[at].to_bits());
+                want_arg.push(at);
+            }
+            let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            let at = format!("{size}x{size}/{stride}");
+            assert_eq!(bits(&y), want_y, "{at}");
+            assert_eq!(l.argmax, want_arg, "{at}");
+            let _ = l.freeze();
+            assert_eq!(
+                bits(&l.forward(&ParamArena::flat(0), &x, false)),
+                want_y,
+                "frozen {at}"
+            );
+            assert!(l.argmax.is_empty(), "a frozen pool keeps no argmax");
+        }
     }
 
     #[test]

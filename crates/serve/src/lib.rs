@@ -13,8 +13,9 @@
 //! price of queueing delay bounded by a deadline. This crate measures
 //! that trade deterministically:
 //!
-//! * [`session`] — [`InferSession`]: a gradient-stripped [`Network`]
-//!   replica plus a forward-only [`InferScratch`], reaching the same
+//! * [`session`] — [`InferSession`]: a frozen [`Network`] replica (no
+//!   gradients, weights packed once into GEMM panels) plus a
+//!   forward-only [`InferScratch`], reaching the same
 //!   zero-allocations-per-request steady state as the training step;
 //!   [`ReplicaSet`] holds one replica per shard and runs them one after
 //!   another, each under a `max(1, ncores / shards)` thread budget.

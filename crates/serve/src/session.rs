@@ -1,4 +1,4 @@
-//! Inference sessions: gradient-stripped network replicas with
+//! Inference sessions: frozen network replicas with
 //! forward-only pooled scratch, and the replica set the engine
 //! dispatches batches to.
 
@@ -8,12 +8,13 @@ use easgd_nn::Network;
 use easgd_tensor::par::{max_threads, with_budget};
 use easgd_tensor::{InferScratch, ScratchStats, Tensor};
 
-/// One serving replica: a [`Network`] with its gradient arena stripped
-/// (half the training replica's memory; calling `forward_backward`
-/// panics), a forward-only [`InferScratch`], and an owned logits
-/// tensor. After one warm-up dispatch per batch size, `infer` performs
-/// zero pooled allocations — the serving analogue of the training
-/// step's steady state (DESIGN.md §11).
+/// One serving replica: a frozen [`Network`] ([`Network::freeze`]) —
+/// no gradient arena, half the training replica's memory, and every
+/// weight a packing GEMM reads already in microkernel panels, so no
+/// batch packs one again — a forward-only [`InferScratch`], and an owned
+/// logits tensor. After one warm-up dispatch per batch size, `infer`
+/// performs zero pooled allocations — the serving analogue of the
+/// training step's steady state (DESIGN.md §11).
 pub struct InferSession {
     net: Network,
     scratch: InferScratch,
@@ -22,10 +23,10 @@ pub struct InferSession {
 }
 
 impl InferSession {
-    /// Wraps a built network as a serving replica, dropping its
-    /// gradient arena.
+    /// Wraps a built network as a serving replica, freezing it: its
+    /// logits keep every bit of `Network::forward` in eval mode.
     pub fn new(mut net: Network) -> Self {
-        net.strip_gradients();
+        net.freeze();
         let sample_len = net.input_shape().iter().product();
         let classes = net.num_classes();
         Self {

@@ -9,11 +9,12 @@
 //! identity), and the GEMM kernels reduce each output row in a fixed
 //! k-order independent of the row count — so equality must be exact,
 //! not approximate. These tests pin that contract for the layer zoo and
-//! for LeNet through the real serving session.
+//! for LeNet through the real serving session — a frozen replica, whose
+//! weights are packed panels, against the unfrozen network.
 
 use easgd_nn::{models, Network, NetworkBuilder};
 use easgd_serve::InferSession;
-use easgd_tensor::Tensor;
+use easgd_tensor::{with_scalar_kernels, Tensor};
 
 /// A network exercising every eval-mode-sensitive layer in the zoo:
 /// batchnorm (conv and dense placements), LRN, dropout, both pools,
@@ -88,7 +89,7 @@ fn zoo_session_matches_full_batch_rows_bitwise() {
     let y_full = net.forward(&Tensor::from_vec([full, 2, 8, 8], px.clone()), false);
     let classes = net.num_classes();
 
-    // The pooled serving path (gradient-stripped replica, InferScratch,
+    // The pooled serving path (frozen replica, InferScratch,
     // infer_from_slice) must agree with the allocating reference.
     let mut session = InferSession::new(net.clone());
     for (start, k) in [(0usize, 2usize), (2, 3), (5, 1), (0, 6)] {
@@ -145,5 +146,36 @@ fn lenet_session_serves_full_batch_rows_bitwise() {
             &y_full.as_slice()[start * classes..(start + k) * classes],
             "LeNet batch of {k} at row {start} diverged"
         );
+    }
+}
+
+#[test]
+fn frozen_lenet_session_keeps_the_bits_of_the_unfrozen_forward() {
+    // Every batch a cap of 8 serves (fc1 and conv2 in the skinny nest),
+    // and 65 — fc1 in the standard nest — in the build's tier and the
+    // scalar one.
+    let mut net = models::lenet(0x5EED);
+    let sample_len: usize = net.input_shape().iter().product();
+    let px = pixels(65 * sample_len, 0.75);
+    let mut session = InferSession::new(net.clone());
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for scalar in [false, true] {
+        for b in (1..=8).chain([65]) {
+            let sub = &px[..b * sample_len];
+            let mut run = || {
+                let x = Tensor::from_vec([b, 1, 28, 28], sub.to_vec());
+                (net.forward(&x, false), bits(session.infer(b, sub)))
+            };
+            let (want, got) = if scalar {
+                with_scalar_kernels(run)
+            } else {
+                run()
+            };
+            assert_eq!(
+                got,
+                bits(want.as_slice()),
+                "batch {b}, scalar tier {scalar}"
+            );
+        }
     }
 }

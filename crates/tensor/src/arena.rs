@@ -20,6 +20,7 @@
 //! performs zero heap allocations — and the counters prove it (see
 //! DESIGN.md §11 and `tests/step_alloc.rs`).
 
+use crate::gemm::Panels;
 use crate::tensor::Tensor;
 use std::fmt;
 
@@ -185,6 +186,38 @@ impl ParamArena {
     /// Zeroes all elements.
     pub fn zero(&mut self) {
         self.data.iter_mut().for_each(|x| *x = 0.0);
+    }
+
+    /// Lays out every segment given panels as them ([`Panels::pack`])
+    /// instead of row-major. It happens in the arena's own storage, grown
+    /// at its end, from the last segment back — each lands at or after
+    /// where it was — so the only other memory touched is one segment's
+    /// row-major copy.
+    ///
+    /// # Panics
+    /// Panics unless `panels` has one entry per segment, each the layout
+    /// of a matrix the segment's size.
+    pub fn pack_segments(&mut self, panels: &[Option<Panels>]) {
+        assert_eq!(panels.len(), self.segments.len(), "one layout per segment");
+        let len = |s: &Segment, p: &Option<Panels>| p.map_or(s.len, |p| p.floats());
+        let total = (self.segments.iter().zip(panels))
+            .map(|(s, p)| len(s, p))
+            .sum();
+        // Exact: an amortised doubling would reserve a second arena.
+        self.data.reserve_exact(total - self.data.len());
+        self.data.resize(total, 0.0);
+        let (mut end, mut old) = (total, Vec::new());
+        for (segment, p) in self.segments.iter_mut().zip(panels).rev() {
+            old.clear();
+            old.extend_from_slice(&self.data[segment.range()]);
+            end -= len(segment, p);
+            (segment.offset, segment.len) = (end, len(segment, p));
+            let dst = &mut self.data[segment.range()];
+            match p {
+                Some(p) => p.pack(&old, dst),
+                None => dst.copy_from_slice(&old),
+            }
+        }
     }
 }
 
@@ -410,8 +443,8 @@ impl TrainScratch {
 /// per step — proved by the same counters ([`stats`](Self::stats)).
 ///
 /// The serving engine (`crates/serve`) holds one `InferScratch` per
-/// model replica; together with `Network::strip_gradients` this makes a
-/// serving replica allocate zero backward/gradient storage.
+/// model replica; together with `Network::freeze` this makes a serving
+/// replica allocate zero backward/gradient storage.
 #[derive(Debug, Default)]
 pub struct InferScratch {
     inner: TrainScratch,
@@ -512,6 +545,34 @@ mod tests {
         let mut b = ParamArena::like(&a);
         b.copy_from(&a);
         assert_eq!(b.as_slice(), a.as_slice());
+    }
+
+    #[test]
+    fn pack_segments_lays_each_segment_out_as_its_panels_in_place() {
+        use crate::gemm::Transpose;
+        let mut a = sample();
+        for (i, v) in a.as_mut_slice().iter_mut().enumerate() {
+            *v = i as f32;
+        }
+        let row_major = a.clone();
+        // The first and last segments packed, the bias left row-major.
+        let panels = [
+            Some(Panels::a(Transpose::No, 2, 3)),
+            None,
+            Some(Panels::b(Transpose::Yes, 2, 2)),
+        ];
+        a.pack_segments(&panels);
+        let layout: Vec<_> = a.segments().iter().map(|s| (s.offset, s.len)).collect();
+        let (first, last) = (panels[0].unwrap().floats(), panels[2].unwrap().floats());
+        assert_eq!(layout, [(0, first), (first, 2), (first + 2, last)]);
+        assert_eq!(a.segments()[2].name, "fc.weight");
+        assert_eq!(a.segment(1), row_major.segment(1));
+        for i in [0, 2] {
+            let p = panels[i].unwrap();
+            let mut want = vec![f32::NAN; p.floats()];
+            p.pack(row_major.segment(i), &mut want);
+            assert_eq!(a.segment(i), want, "segment {i}");
+        }
     }
 
     #[test]

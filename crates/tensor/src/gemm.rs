@@ -23,8 +23,9 @@
 //!   blocks by `simd::pack_transposed`. The packs are also the only
 //!   readers of an operand, so it need not be in memory: through
 //!   [`Operand`] they gather a convolution's im2col matrix tile by tile
-//!   from the padded image ([`Lowered`]) and nothing upstream of them
-//!   changes — same blocks, same nests, same float chains. Skinny outputs (`m ≤ 64` — the
+//!   from the padded image ([`Lowered`]), or borrow the tiles of a weight
+//!   packed once ([`Panels`]), and nothing upstream of them changes —
+//!   same blocks, same nests, same float chains. Skinny outputs (`m ≤ 64` — the
 //!   fully-connected layers of a small-batch step) switch to a
 //!   column-major nest that keeps the register tiles live across every
 //!   `KC` block, touching C once instead of `k/KC` times (the `vgg_fc6`
@@ -56,8 +57,9 @@ pub enum Transpose {
     Yes,
 }
 
-/// A GEMM operand as the packs read it: a matrix in memory, or one that
-/// exists only as the tiles the packs gather from a padded image.
+/// A GEMM operand as the packs read it: a matrix in memory, one that
+/// exists only as the tiles the packs gather from a padded image, or one
+/// packed once into the panels the packs would cut from it.
 #[derive(Copy, Clone, Debug)]
 pub enum Operand<'a> {
     /// A dense row-major matrix.
@@ -65,43 +67,161 @@ pub enum Operand<'a> {
     /// The im2col matrix of a padded image ([`Lowered`]); it has no
     /// stored transpose, so it is only valid under [`Transpose::No`].
     Lowered(Lowered<'a>),
+    /// A matrix already in microkernel panels ([`Panels::pack`]): its
+    /// packs are borrows. Valid only as the side and under the
+    /// transpose it was packed for.
+    Packed(Panels, &'a [f32]),
+}
+
+/// Which operand of `C = op(A)·op(B)` a matrix is.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+enum Side {
+    A,
+    B,
 }
 
 impl<'a> Operand<'a> {
     /// Panics unless the operand can serve as a `rows×cols` `op(X)`.
-    fn check(&self, name: &str, t: Transpose, rows: usize, cols: usize) {
+    fn check(&self, side: Side, t: Transpose, rows: usize, cols: usize) {
         match self {
             Self::Stored(x) => assert!(
                 x.len() >= rows * cols,
-                "{name} buffer too small: {} < {}",
+                "{side:?} buffer too small: {} < {}",
                 x.len(),
                 rows * cols
             ),
             Self::Lowered(v) => assert!(
                 t == Transpose::No && v.rows() >= rows && v.cols() == cols,
-                "lowered {name} is {}x{} as stored, not a {rows}x{cols} operand under {t:?}",
+                "lowered {side:?} is {}x{} as stored, not a {rows}x{cols} operand under {t:?}",
                 v.rows(),
                 v.cols()
+            ),
+            Self::Packed(p, x) => assert!(
+                p.side == side && p.t == t && p.dims() == (rows, cols) && x.len() == p.floats(),
+                "{p:?} in {} floats is not a {rows}x{cols} {side:?} under {t:?}",
+                x.len()
             ),
         }
     }
 
-    /// The operand as a matrix in memory: itself, or its `rows()×cols()`
-    /// lowering written into `scratch` — for the direct row loop, whose
-    /// whole product is smaller than one pack block.
+    /// The operand as a matrix in memory: itself, or its lowering or
+    /// unpacked stored form written into `scratch` — for the direct row
+    /// loop, whose whole product is smaller than one pack block.
     fn stored<'s>(self, scratch: &'s mut Vec<f32>) -> &'s [f32]
     where
         'a: 's,
     {
+        let len = match self {
+            Self::Stored(x) => return x,
+            Self::Lowered(v) => v.rows() * v.cols(),
+            Self::Packed(p, _) => p.lanes * p.k,
+        };
+        scratch.resize(scratch.len().max(len), 0.0);
         match self {
-            Self::Stored(x) => x,
-            Self::Lowered(v) => {
-                let (rows, cols) = (v.rows(), v.cols());
-                if scratch.len() < rows * cols {
-                    scratch.resize(rows * cols, 0.0);
-                }
-                v.gather(0, rows, 0, cols, scratch, cols);
-                &scratch[..rows * cols]
+            Self::Lowered(v) => v.gather(0, v.rows(), 0, v.cols(), scratch, v.cols()),
+            Self::Packed(p, x) => p.unpack(x, &mut scratch[..len]),
+            Self::Stored(_) => {}
+        }
+        &scratch[..len]
+    }
+}
+
+/// The microkernel-panel layout of a matrix packed once, for a weight
+/// that many products read unchanged (a serving replica's): `KC` blocks
+/// back to back, and in block `pc` every `MR`-row tile of `op(A)` — or
+/// `NR`-column tile of `op(B)` — exactly as `pack_a` (`pack_b`)
+/// writes it. A pack of any window that starts on a tile is then a
+/// borrow, and the microkernel reads the floats a call would have packed.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct Panels {
+    side: Side,
+    /// The transpose the stored matrix is read under.
+    t: Transpose,
+    /// `op(X)`'s extent along the tiles: `m` for A, `n` for B.
+    lanes: usize,
+    k: usize,
+}
+
+impl Panels {
+    /// The panels of `A` where `op(A)` is `m×k` under `t`.
+    pub fn a(t: Transpose, m: usize, k: usize) -> Self {
+        let (side, lanes) = (Side::A, m);
+        Self { side, t, lanes, k }
+    }
+
+    /// The panels of `B` where `op(B)` is `k×n` under `t`.
+    pub fn b(t: Transpose, k: usize, n: usize) -> Self {
+        let (side, lanes) = (Side::B, n);
+        Self { side, t, lanes, k }
+    }
+
+    fn width(&self) -> usize {
+        match self.side {
+            Side::A => MR,
+            Side::B => NR,
+        }
+    }
+
+    /// `op(X)`'s `(rows, cols)`.
+    fn dims(&self) -> (usize, usize) {
+        match self.side {
+            Side::A => (self.lanes, self.k),
+            Side::B => (self.k, self.lanes),
+        }
+    }
+
+    /// Floats the panels take: `op(X)` with its tiles padded to full width.
+    pub fn floats(&self) -> usize {
+        self.lanes.next_multiple_of(self.width()) * self.k
+    }
+
+    /// Packs the stored matrix `x` into `dst`, [`floats`](Self::floats)
+    /// long, through the packs a call runs on it.
+    ///
+    /// # Panics
+    /// Panics unless `x` is exactly the matrix and `dst` that long.
+    pub fn pack(&self, x: &[f32], dst: &mut [f32]) {
+        let sizes = (x.len(), dst.len());
+        assert_eq!(sizes, (self.lanes * self.k, self.floats()), "{self:?}");
+        let x = Operand::Stored(x);
+        let stripe = self.lanes.next_multiple_of(self.width());
+        let (t, lanes, k) = (self.t, self.lanes, self.k);
+        for pc in (0..k).step_by(KC) {
+            let kcb = KC.min(k - pc);
+            let block = &mut dst[stripe * pc..][..stripe * kcb];
+            match self.side {
+                Side::A => pack_a(t, x, lanes, k, 0, lanes, pc, kcb, block),
+                Side::B => pack_b(t, x, k, lanes, pc, kcb, 0, lanes, block),
+            };
+        }
+    }
+
+    /// The tiles of `KC` block `pc` covering `first..first + extent` along
+    /// the tile axis.
+    fn block<'a>(&self, x: &'a [f32], pc: usize, first: usize, extent: usize) -> &'a [f32] {
+        let (w, kcb) = (self.width(), KC.min(self.k - pc));
+        assert!(
+            first.is_multiple_of(w),
+            "{self:?} cut at {first}, inside a {w}-wide tile"
+        );
+        let stripe = self.lanes.next_multiple_of(w);
+        &x[stripe * pc + first * kcb..][..extent.next_multiple_of(w) * kcb]
+    }
+
+    /// Writes the stored matrix back from its panels `x` into `dst`.
+    fn unpack(&self, x: &[f32], dst: &mut [f32]) {
+        let (w, stripe) = (self.width(), self.lanes.next_multiple_of(self.width()));
+        // `A` as stored and `B` transposed keep a tile lane's `k` run
+        // contiguous; the other two keep a `k` step's lanes contiguous.
+        let (lane, step) = match (self.side == Side::A) == (self.t == Transpose::No) {
+            true => (self.k, 1),
+            false => (1, self.lanes),
+        };
+        for l in 0..self.k {
+            let (pc, p) = (l / KC * KC, l % KC);
+            let kcb = KC.min(self.k - pc);
+            for i in 0..self.lanes {
+                dst[i * lane + l * step] = x[stripe * pc + i / w * kcb * w + p * w + i % w];
             }
         }
     }
@@ -119,6 +239,13 @@ const NC: usize = 2048;
 /// Below this many flops (`2·m·n·k`) the direct row loop wins: packing
 /// would touch more memory than the multiply itself.
 const SMALL_FLOPS: u64 = 1 << 17;
+
+/// Whether [`gemm_view`] runs an `m×n×k` product through its packs
+/// rather than the direct row loop — the products a [`Panels`] operand
+/// saves a pack in.
+pub fn gemm_packs(m: usize, n: usize, k: usize) -> bool {
+    gemm_flops(m, n, k) >= SMALL_FLOPS
+}
 
 // The microkernel spells out its MR row accumulators as straight-line
 // locals, so the row count is pinned at compile time.
@@ -203,8 +330,8 @@ fn check_dims(
     b: Operand,
     c: &[f32],
 ) {
-    a.check("A", ta, m, k);
-    b.check("B", tb, k, n);
+    a.check(Side::A, ta, m, k);
+    b.check(Side::B, tb, k, n);
     assert!(
         c.len() >= m * n,
         "C buffer too small: {} < {}",
@@ -260,12 +387,13 @@ pub fn gemm(
 
 /// [`gemm`] with either operand read through an [`Operand`] view: the
 /// same tiers, nests and per-element float chains, so a product over a
-/// [`Lowered`] operand holds the bits [`gemm`] gives over the `im2col`
-/// matrix it stands for.
+/// [`Lowered`] or packed operand holds the bits [`gemm`] gives over the
+/// stored matrix it stands for.
 ///
 /// # Panics
-/// Panics if an operand or `c` is smaller than its dimensions imply, or
-/// a lowered operand is asked for transposed.
+/// Panics if an operand or `c` is smaller than its dimensions imply, a
+/// lowered operand is asked for transposed, or a packed one other than
+/// as packed.
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_view(
     ta: Transpose,
@@ -288,7 +416,7 @@ pub fn gemm_view(
         apply_beta(c, beta);
         return;
     }
-    if gemm_flops(m, n, k) < SMALL_FLOPS {
+    if !gemm_packs(m, n, k) {
         apply_beta(c, beta);
         naive_rows(ta, tb, m, n, k, alpha, a, b, 0, c);
         return;
@@ -340,7 +468,7 @@ pub fn gemm_rowstable(
         apply_beta(c, beta);
         return;
     }
-    if gemm_flops(1, n, k) < SMALL_FLOPS {
+    if !gemm_packs(1, n, k) {
         apply_beta(c, beta);
         naive_rows(ta, tb, m, n, k, alpha, a, b, 0, c);
         return;
@@ -419,11 +547,11 @@ pub fn gemm_row_band(
         c_band.len()
     );
     let b = Operand::Stored(b);
-    a.check("A", ta, m, k);
-    b.check("B", tb, k, n);
+    a.check(Side::A, ta, m, k);
+    b.check(Side::B, tb, k, n);
     if k == 0 || alpha == 0.0 {
         apply_beta(c_band, beta);
-    } else if gemm_flops(m, n, k) < SMALL_FLOPS {
+    } else if !gemm_packs(m, n, k) {
         apply_beta(c_band, beta);
         naive_rows(ta, tb, m, n, k, alpha, a, b, i0, c_band);
     } else {
@@ -437,22 +565,27 @@ pub fn gemm_row_band(
 
 /// Packs `op(A)[ic..ic+mcb, pc..pc+kcb]` into `ap` as row-tiles of `MR`:
 /// layout `[tile][p][r]`, short tiles zero-padded so the microkernel
-/// always runs full-width.
+/// always runs full-width. Returns the packed tiles: their place in `ap`,
+/// or in a packed operand's own panels.
 #[allow(clippy::too_many_arguments)]
-fn pack_a(
+fn pack_a<'p>(
     ta: Transpose,
-    a: Operand,
+    a: Operand<'p>,
     m: usize,
     k: usize,
     ic: usize,
     mcb: usize,
     pc: usize,
     kcb: usize,
-    ap: &mut [f32],
-) {
+    ap: &'p mut [f32],
+) -> &'p [f32] {
     let a = match a {
         Operand::Stored(a) => a,
-        Operand::Lowered(v) => return pack_a_lowered(v, ic, mcb, pc, kcb, ap),
+        Operand::Lowered(v) => {
+            pack_a_lowered(v, ic, mcb, pc, kcb, ap);
+            return &ap[..mcb.next_multiple_of(MR) * kcb];
+        }
+        Operand::Packed(p, x) => return p.block(x, pc, ic, mcb),
     };
     let tiles = mcb.div_ceil(MR);
     for it in 0..tiles {
@@ -476,6 +609,7 @@ fn pack_a(
             }
         }
     }
+    &ap[..mcb.next_multiple_of(MR) * kcb]
 }
 
 /// [`pack_a`] of a lowered operand: a tile's `MR` row segments are
@@ -492,19 +626,20 @@ fn pack_a_lowered(a: Lowered, ic: usize, mcb: usize, pc: usize, kcb: usize, ap: 
 }
 
 /// Packs `op(B)[pc..pc+kcb, jc..jc+ncb]` into `bp` as column-tiles of
-/// `NR`: layout `[tile][p][j]`, zero-padded like [`pack_a`].
+/// `NR`: layout `[tile][p][j]`, zero-padded like [`pack_a`], and returns
+/// the tiles like it.
 #[allow(clippy::too_many_arguments)]
-fn pack_b(
+fn pack_b<'p>(
     tb: Transpose,
-    b: Operand,
+    b: Operand<'p>,
     k: usize,
     n: usize,
     pc: usize,
     kcb: usize,
     jc: usize,
     ncb: usize,
-    bp: &mut [f32],
-) {
+    bp: &'p mut [f32],
+) -> &'p [f32] {
     let tiles = ncb.div_ceil(NR);
     for jt in 0..tiles {
         let dst = &mut bp[jt * kcb * NR..(jt + 1) * kcb * NR];
@@ -518,6 +653,7 @@ fn pack_b(
                 v.gather(pc, kcb, jc + jt * NR, cols, dst, NR);
                 continue;
             }
+            Operand::Packed(p, x) => return p.block(x, pc, jc, ncb),
         };
         match tb {
             Transpose::No => {
@@ -542,6 +678,7 @@ fn pack_b(
             }
         }
     }
+    &bp[..tiles * kcb * NR]
 }
 
 // ---------------------------------------------------------------------------
@@ -635,11 +772,11 @@ fn blocked_accumulate(
         // The skinny nest packs *all* of op(A)'s K extent up front (the
         // whole row block is at most SKINNY_M·k floats — e.g. 512 KiB for
         // the 32×4096×4096 fc layer); the standard nest packs one MC×KC
-        // block at a time.
-        let ap_len = if use_skinny_nest(mc0, k) {
-            mc0.div_ceil(MR) * MR * k
-        } else {
-            MC * KC
+        // block at a time. A packed operand packs nothing.
+        let ap_len = match a {
+            Operand::Packed(..) => 0,
+            _ if use_skinny_nest(mc0, k) => mc0.div_ceil(MR) * MR * k,
+            _ => MC * KC,
         };
         if ap.len() < ap_len {
             ap.resize(ap_len, 0.0);
@@ -648,7 +785,10 @@ fn blocked_accumulate(
         // The skinny nest's staged strips carry a `STRIP_SKEW` pad each,
         // so its panel needs slightly more than `KC·panel_cols` floats.
         let skinny_tiles = nc0.div_ceil(NR).min(SKINNY_NC / NR);
-        let bp_len = (KC * bp_cols).max(skinny_tiles * (KC * NR + STRIP_SKEW));
+        let bp_len = match b {
+            Operand::Packed(..) => 0,
+            _ => (KC * bp_cols).max(skinny_tiles * (KC * NR + STRIP_SKEW)),
+        };
         if bp.len() < bp_len {
             bp.resize(bp_len, 0.0);
         }
@@ -713,10 +853,8 @@ fn blocked_accumulate_with(
     ap: &mut [f32],
     bp: &mut [f32],
 ) {
-    // Skinny outputs take the column-major nest when the caller sized
-    // `ap` for it (always true via `blocked_accumulate`; band jobs and
-    // tests reach here the same way).
-    if use_skinny_nest(mc0, k) && ap.len() >= mc0.div_ceil(MR) * MR * k {
+    // `blocked_accumulate` sized `ap` for the nest `use_skinny_nest` picks.
+    if use_skinny_nest(mc0, k) {
         skinny_accumulate(
             ta, tb, m, n, k, i0, mc0, j0, nc0, alpha, a, b, beta, c, ldc, ap, bp,
         );
@@ -728,17 +866,17 @@ fn blocked_accumulate_with(
         let mut pc = 0;
         while pc < k {
             let kcb = KC.min(k - pc);
-            pack_b(tb, b, k, n, pc, kcb, jc, ncb, bp);
+            let bpanels = pack_b(tb, b, k, n, pc, kcb, jc, ncb, bp);
             let mut ic = i0;
             while ic < i0 + mc0 {
                 let mcb = MC.min(i0 + mc0 - ic);
-                pack_a(ta, a, m, k, ic, mcb, pc, kcb, ap);
+                let apanels = pack_a(ta, a, m, k, ic, mcb, pc, kcb, ap);
                 let row_tiles = mcb.div_ceil(MR);
                 let col_tiles = ncb.div_ceil(NR);
                 for jt in 0..col_tiles {
-                    let bpanel = &bp[jt * kcb * NR..(jt + 1) * kcb * NR];
+                    let bpanel = &bpanels[jt * kcb * NR..(jt + 1) * kcb * NR];
                     for it in 0..row_tiles {
-                        let apanel = &ap[it * kcb * MR..(it + 1) * kcb * MR];
+                        let apanel = &apanels[it * kcb * MR..(it + 1) * kcb * MR];
                         let acc = simd::microkernel(apanel, bpanel);
                         let row0 = ic - i0 + it * MR;
                         let col0 = jc - j0 + jt * NR;
@@ -814,25 +952,17 @@ fn skinny_accumulate(
     debug_assert!(mc0 <= SKINNY_M && mc0 > 0);
     let row_tiles = mc0.div_ceil(MR);
 
-    // Pack every KC block of op(A)'s row stripe once. Block `pc` lands at
-    // offset `row_tiles·MR·pc` — the sum of all earlier blocks' `kcb`
-    // extents is exactly `pc`.
-    let mut pc = 0;
-    while pc < k {
-        let kcb = KC.min(k - pc);
-        pack_a(
-            ta,
-            a,
-            m,
-            k,
-            i0,
-            mc0,
-            pc,
-            kcb,
-            &mut ap[row_tiles * MR * pc..][..row_tiles * MR * kcb],
-        );
-        pc += kcb;
+    // Pack every KC block of op(A)'s row stripe once (a packed A already
+    // is). Block `pc` lands at offset `row_tiles·MR·pc` — the sum of all
+    // earlier blocks' `kcb` extents is exactly `pc`.
+    if !matches!(a, Operand::Packed(..)) {
+        for pc in (0..k).step_by(KC) {
+            let kcb = KC.min(k - pc);
+            let block = &mut ap[row_tiles * MR * pc..][..row_tiles * MR * kcb];
+            pack_a(ta, a, m, k, i0, mc0, pc, kcb, block);
+        }
     }
+    let ap = &*ap;
 
     // One panel's worth of persistent accumulator tiles, indexed
     // `[t·row_tiles + it]`; `pc == 0` seeds every entry, so dirty reuse
@@ -846,37 +976,38 @@ fn skinny_accumulate(
         let mut pc = 0;
         while pc < k {
             let kcb = KC.min(k - pc);
-            let stride = kcb * NR + STRIP_SKEW;
+            let skewed = kcb * NR + STRIP_SKEW;
             // Stage this KC block's panel of B into skewed strips first
             // (row-major streaming reads; see the doc comment above). A
             // transposed or lowered B has no rows in memory to stream and
-            // is packed strip by strip.
-            if let (Transpose::No, Operand::Stored(b)) = (tb, b) {
-                stage_b_rows(b, n, pc, kcb, j0 + jp, pw, stride, bp);
-            } else {
-                for t in 0..tiles {
-                    let jc = j0 + jp + t * NR;
-                    let jn = NR.min(j0 + nc0 - jc);
-                    pack_b(
-                        tb,
-                        b,
-                        k,
-                        n,
-                        pc,
-                        kcb,
-                        jc,
-                        jn,
-                        &mut bp[t * stride..][..kcb * NR],
-                    );
+            // is packed strip by strip; a packed B's strips are in place.
+            let (strips, stride) = match (tb, b) {
+                (_, Operand::Packed(p, x)) => (p.block(x, pc, j0 + jp, pw), kcb * NR),
+                (Transpose::No, Operand::Stored(b)) => {
+                    stage_b_rows(b, n, pc, kcb, j0 + jp, pw, skewed, bp);
+                    (&*bp, skewed)
                 }
-            }
+                _ => {
+                    for t in 0..tiles {
+                        let jc = j0 + jp + t * NR;
+                        let jn = NR.min(j0 + nc0 - jc);
+                        let strip = &mut bp[t * skewed..][..kcb * NR];
+                        pack_b(tb, b, k, n, pc, kcb, jc, jn, strip);
+                    }
+                    (&*bp, skewed)
+                }
+            };
+            let apanels = match a {
+                Operand::Packed(p, x) => p.block(x, pc, i0, mc0),
+                _ => &ap[row_tiles * MR * pc..][..row_tiles * MR * kcb],
+            };
             for t in 0..tiles {
-                let strip = &bp[t * stride..][..kcb * NR];
+                let strip = &strips[t * stride..][..kcb * NR];
                 let jc = j0 + jp + t * NR;
                 let jn = NR.min(j0 + nc0 - jc);
                 for it in 0..row_tiles {
                     let at = &mut acc[t * row_tiles + it];
-                    let apanel = &ap[row_tiles * MR * pc + it * kcb * MR..][..kcb * MR];
+                    let apanel = &apanels[it * kcb * MR..][..kcb * MR];
                     // Fused kernel: seeds α·t₀ everywhere at pc == 0
                     // (padding rows/cols included — they are never
                     // written back), adds α·t_p after.
@@ -1119,9 +1250,9 @@ fn fork_join_bands(
 
 /// The seed's row kernel — axpy/dot loops streaming strided operands
 /// straight from memory — over rows `i0..` of the product, as many as
-/// `c` holds. A lowered operand is written out into this thread's pack
-/// buffer first: the direct loop only runs products smaller than the
-/// buffer.
+/// `c` holds. A lowered or packed operand is written out into this
+/// thread's pack buffer first: the direct loop only runs products smaller
+/// than the buffer.
 #[allow(clippy::too_many_arguments)]
 fn naive_rows(
     ta: Transpose,
@@ -1575,6 +1706,63 @@ mod tests {
     }
 
     #[test]
+    fn forked_bands_borrow_packed_panels_and_keep_the_bits() {
+        // Row bands (m ≥ n) start on A's tiles, column bands (m < n) on
+        // B's; either way each band borrows its part of a packed operand.
+        // The last shape is a served fc1 at a batch of 8.
+        let (no, yes) = (Transpose::No, Transpose::Yes);
+        for &(m, n, k) in &[(257, 40, 300), (19, 257, 130), (8, 500, 800)] {
+            let (a, b) = (rand_vec(m * k, 1), rand_vec(n * k, 2));
+            let (pa, pb) = (Panels::a(no, m, k), Panels::b(yes, k, n));
+            let (mut a_panels, mut b_panels) = (vec![0.0; pa.floats()], vec![0.0; pb.floats()]);
+            pa.pack(&a, &mut a_panels);
+            pb.pack(&b, &mut b_panels);
+            let mut want = vec![f32::NAN; m * n];
+            gemm_serial(no, yes, m, n, k, 1.0, &a, &b, 0.0, &mut want);
+            let (a_stored, b_stored) = (Operand::Stored(&a), Operand::Stored(&b));
+            let (a_packed, b_packed) = (
+                Operand::Packed(pa, &a_panels),
+                Operand::Packed(pb, &b_panels),
+            );
+            for threads in [2, 3] {
+                for (a, b) in [
+                    (a_packed, b_stored),
+                    (a_stored, b_packed),
+                    (a_packed, b_packed),
+                ] {
+                    let mut c = vec![f32::NAN; m * n];
+                    fork_join_bands(threads, no, yes, m, n, k, 1.0, a, b, 0.0, &mut c);
+                    assert_eq!(bits(&c), bits(&want), "m={m} n={n} k={k} threads={threads}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "inside a 8-wide tile")]
+    fn a_packed_operand_cannot_be_cut_inside_a_tile() {
+        let (m, n, k) = (16, 40, 300);
+        let p = Panels::a(Transpose::No, m, k);
+        let mut panels = vec![0.0; p.floats()];
+        p.pack(&rand_vec(m * k, 3), &mut panels);
+        let mut band = vec![0.0; 5 * n];
+        let b = rand_vec(n * k, 4);
+        gemm_row_band(
+            Transpose::No,
+            Transpose::Yes,
+            m,
+            n,
+            k,
+            3,
+            1.0,
+            Operand::Packed(p, &panels),
+            &b,
+            0.0,
+            &mut band,
+        );
+    }
+
+    #[test]
     fn row_band_holds_the_bits_of_the_unsplit_product() {
         // One shape per tier: under SMALL_FLOPS (direct row loop — a band
         // keyed on its own flops would pick it for the second shape too)
@@ -1651,7 +1839,7 @@ mod tests {
             &mut y,
         );
         assert_eq!(bits(&y), bits(&want_y), "forward, {at}");
-        if gemm_flops(oc, cols, rows) >= SMALL_FLOPS {
+        if gemm_packs(oc, cols, rows) {
             // What `gemm_view` forks into above the gate: column bands
             // when `oc < cols`, row bands otherwise.
             y.fill(f32::NAN);

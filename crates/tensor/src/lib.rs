@@ -45,8 +45,8 @@ pub mod tensor;
 pub use arena::{BufGrowth, InferScratch, ParamArena, ScratchStats, Segment, TrainScratch};
 pub use atomic::{AtomicBuffer, AtomicF32};
 pub use gemm::{
-    gemm, gemm_fork_join, gemm_naive, gemm_row_band, gemm_rowstable, gemm_serial, gemm_view,
-    matmul, Operand, Transpose,
+    gemm, gemm_fork_join, gemm_naive, gemm_packs, gemm_row_band, gemm_rowstable, gemm_serial,
+    gemm_view, matmul, Operand, Panels, Transpose,
 };
 pub use im2col::{col2im, im2col, pad_image, Conv2dGeometry, Lowered};
 pub use ops::*;

@@ -9,7 +9,9 @@
 # tier three times and pass. The convolution's tests ride along: its
 # bits-equal-the-per-sample-loop properties are properties of the packs
 # underneath. So do the network's: that backward may stop at the first
-# parametrised layer without moving a bit holds per tier.
+# parametrised layer without moving a bit holds per tier. So does the
+# property that a packed operand (a frozen serving replica's weights)
+# holds the bits of the stored one.
 # scripts/check.sh and CI's simd-tiers job both run exactly this.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -18,6 +20,7 @@ leg() { # <rustflags> <target dir> <tier>
   echo "--> $3 (RUSTFLAGS='$1')"
   RUSTFLAGS="$1" CARGO_TARGET_DIR="$2" cargo test -q -p easgd-tensor
   RUSTFLAGS="$1" CARGO_TARGET_DIR="$2" cargo test -q -p easgd-nn --lib -- conv:: network::
+  RUSTFLAGS="$1" CARGO_TARGET_DIR="$2" cargo test -q --test properties packed_operands
   RUSTFLAGS="$1" CARGO_TARGET_DIR="$2" cargo test -q -p easgd-tensor --lib \
     build_reports_its_simd_tier -- --nocapture | grep -x "simd tier under test: $3"
 }
