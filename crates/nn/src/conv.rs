@@ -84,6 +84,8 @@ pub struct Conv2d {
     /// Backward's weight gradient, transposed (`[col_rows, out_channels]`)
     /// so that a band of it is contiguous.
     grad_w_t: Vec<f32>,
+    /// Set by [`Layer::freeze`]: forward only.
+    frozen: bool,
     /// Once frozen with a forward GEMM that packs: the filter bank's
     /// layout in the arena, its A panels.
     w_panels: Option<Panels>,
@@ -103,6 +105,7 @@ impl Conv2d {
             padded: Vec::new(),
             grad_col: Vec::new(),
             grad_w_t: Vec::new(),
+            frozen: false,
             w_panels: None,
         }
     }
@@ -253,7 +256,7 @@ impl Layer for Conv2d {
         let (oc, rows) = (self.out_channels, self.geom.col_rows());
         let packs = gemm_packs(oc, self.geom.col_cols(), rows);
         self.w_panels = packs.then(|| Panels::a(Transpose::No, oc, rows));
-        (self.grad_col, self.grad_w_t) = (Vec::new(), Vec::new());
+        (self.frozen, self.grad_col, self.grad_w_t) = (true, Vec::new(), Vec::new());
         vec![self.w_panels, None]
     }
 
@@ -310,7 +313,7 @@ impl Conv2d {
             (geom.input_len(), geom.padded_len(), self.output_len());
         let b = self.padded.len() / padded_len;
         assert!(b > 0, "backward called before forward");
-        assert!(self.w_panels.is_none(), "conv '{}' is frozen", self.name);
+        assert!(!self.frozen, "conv '{}' is frozen", self.name);
         assert_eq!(
             grad_out.len(),
             b * out_len,
@@ -771,6 +774,17 @@ mod tests {
         let y8 = l.forward(&params, &Tensor::zeros([8, 2, 5, 5]), true);
         l.forward(&params, &Tensor::zeros([2, 2, 5, 5]), true);
         l.backward(&params, &mut grads, &y8);
+    }
+
+    #[test]
+    #[should_panic(expected = "conv 'c' is frozen")]
+    fn a_frozen_conv_refuses_backward_even_with_its_weights_row_major() {
+        // Too small a product to pack its filter bank: frozen all the same.
+        let mut l = Conv2d::new("c", small_geom(), 2);
+        let (params, mut grads) = build_arenas(&mut l, 1);
+        assert_eq!(l.freeze(), [None, None]);
+        let y = l.forward(&params, &Tensor::zeros([2, 2, 5, 5]), false);
+        l.backward(&params, &mut grads, &y);
     }
 
     /// VGG conv2: 32 → 32 channels, 3×3, pad 1, on 32×32 maps.

@@ -104,24 +104,25 @@ impl<'a> Operand<'a> {
         }
     }
 
-    /// The operand as a matrix in memory: itself, or its lowering or
-    /// unpacked stored form written into `scratch` — for the direct row
-    /// loop, whose whole product is smaller than one pack block.
+    /// The operand as a matrix in memory: itself, or its lowering written
+    /// into `scratch` — for the direct row loop, whose whole product is
+    /// smaller than one pack block.
+    ///
+    /// # Panics
+    /// Panics on a packed operand: panels exist only for products that
+    /// take the packs ([`gemm_packs`]).
     fn stored<'s>(self, scratch: &'s mut Vec<f32>) -> &'s [f32]
     where
         'a: 's,
     {
-        let len = match self {
+        let v = match self {
             Self::Stored(x) => return x,
-            Self::Lowered(v) => v.rows() * v.cols(),
-            Self::Packed(p, _) => p.lanes * p.k,
+            Self::Lowered(v) => v,
+            Self::Packed(..) => panic!("packed operands are only valid where gemm_packs holds"),
         };
+        let len = v.rows() * v.cols();
         scratch.resize(scratch.len().max(len), 0.0);
-        match self {
-            Self::Lowered(v) => v.gather(0, v.rows(), 0, v.cols(), scratch, v.cols()),
-            Self::Packed(p, x) => p.unpack(x, &mut scratch[..len]),
-            Self::Stored(_) => {}
-        }
+        v.gather(0, v.rows(), 0, v.cols(), scratch, v.cols());
         &scratch[..len]
     }
 }
@@ -206,24 +207,6 @@ impl Panels {
         );
         let stripe = self.lanes.next_multiple_of(w);
         &x[stripe * pc + first * kcb..][..extent.next_multiple_of(w) * kcb]
-    }
-
-    /// Writes the stored matrix back from its panels `x` into `dst`.
-    fn unpack(&self, x: &[f32], dst: &mut [f32]) {
-        let (w, stripe) = (self.width(), self.lanes.next_multiple_of(self.width()));
-        // `A` as stored and `B` transposed keep a tile lane's `k` run
-        // contiguous; the other two keep a `k` step's lanes contiguous.
-        let (lane, step) = match (self.side == Side::A) == (self.t == Transpose::No) {
-            true => (self.k, 1),
-            false => (1, self.lanes),
-        };
-        for l in 0..self.k {
-            let (pc, p) = (l / KC * KC, l % KC);
-            let kcb = KC.min(self.k - pc);
-            for i in 0..self.lanes {
-                dst[i * lane + l * step] = x[stripe * pc + i / w * kcb * w + p * w + i % w];
-            }
-        }
     }
 }
 
@@ -393,7 +376,8 @@ pub fn gemm(
 /// # Panics
 /// Panics if an operand or `c` is smaller than its dimensions imply, a
 /// lowered operand is asked for transposed, or a packed one other than
-/// as packed.
+/// as packed or in a product that does not take the packs
+/// ([`gemm_packs`]).
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_view(
     ta: Transpose,
@@ -641,20 +625,23 @@ fn pack_b<'p>(
     bp: &'p mut [f32],
 ) -> &'p [f32] {
     let tiles = ncb.div_ceil(NR);
-    for jt in 0..tiles {
-        let dst = &mut bp[jt * kcb * NR..(jt + 1) * kcb * NR];
-        let cols = NR.min(ncb - jt * NR);
-        let b = match b {
-            Operand::Stored(b) => b,
-            Operand::Lowered(v) => {
+    let b = match b {
+        Operand::Stored(b) => b,
+        Operand::Lowered(v) => {
+            for (jt, dst) in bp.chunks_mut(kcb * NR).take(tiles).enumerate() {
+                let cols = NR.min(ncb - jt * NR);
                 if cols < NR {
                     dst.fill(0.0);
                 }
                 v.gather(pc, kcb, jc + jt * NR, cols, dst, NR);
-                continue;
             }
-            Operand::Packed(p, x) => return p.block(x, pc, jc, ncb),
-        };
+            return &bp[..tiles * kcb * NR];
+        }
+        Operand::Packed(p, x) => return p.block(x, pc, jc, ncb),
+    };
+    for jt in 0..tiles {
+        let dst = &mut bp[jt * kcb * NR..(jt + 1) * kcb * NR];
+        let cols = NR.min(ncb - jt * NR);
         match tb {
             Transpose::No => {
                 // op(B)[l][j] = b[l·n + j]: each `p` step is contiguous in `j`.
@@ -1250,9 +1237,9 @@ fn fork_join_bands(
 
 /// The seed's row kernel — axpy/dot loops streaming strided operands
 /// straight from memory — over rows `i0..` of the product, as many as
-/// `c` holds. A lowered or packed operand is written out into this
-/// thread's pack buffer first: the direct loop only runs products smaller
-/// than the buffer.
+/// `c` holds. A lowered operand is written out into this thread's pack
+/// buffer first: the direct loop only runs products smaller than the
+/// buffer. A packed one panics ([`Operand::stored`]).
 #[allow(clippy::too_many_arguments)]
 fn naive_rows(
     ta: Transpose,
@@ -1760,6 +1747,44 @@ mod tests {
             0.0,
             &mut band,
         );
+    }
+
+    #[test]
+    fn a_packed_b_is_read_without_a_pack_buffer() {
+        // A served fc1 at a batch of 65 (the standard nest) as the first
+        // GEMM of a new thread whose pack buffers are empty, as a thread
+        // that finds no spare starts: a packed B is borrowed, never
+        // written into them, so nothing sizes them for it.
+        let (no, yes, (m, n, k)) = (Transpose::No, Transpose::Yes, (65, 500, 800));
+        let (a, b) = (rand_vec(m * k, 5), rand_vec(n * k, 6));
+        let p = Panels::b(yes, k, n);
+        let mut panels = vec![0.0; p.floats()];
+        p.pack(&b, &mut panels);
+        let mut want = vec![0.0; m * n];
+        gemm(no, yes, m, n, k, 1.0, &a, &b, 0.0, &mut want);
+        let got = std::thread::spawn(move || {
+            PACK_SCRATCH.with(|cell| cell.borrow_mut().0 = PackBuffers::default());
+            let mut c = vec![f32::NAN; m * n];
+            let (a, b) = (Operand::Stored(&a), Operand::Packed(p, &panels));
+            par::with_budget(1, || gemm_view(no, yes, m, n, k, 1.0, a, b, 0.0, &mut c));
+            c
+        })
+        .join()
+        .unwrap();
+        assert_eq!(bits(&got), bits(&want));
+    }
+
+    #[test]
+    #[should_panic(expected = "packed operands are only valid where gemm_packs holds")]
+    fn a_packed_operand_refuses_the_direct_row_loop() {
+        let (no, (m, n, k)) = (Transpose::No, (2, 8, 16));
+        assert!(!gemm_packs(m, n, k));
+        let p = Panels::a(no, m, k);
+        let mut panels = vec![0.0; p.floats()];
+        p.pack(&rand_vec(m * k, 7), &mut panels);
+        let (a, b) = (Operand::Packed(p, &panels), rand_vec(k * n, 8));
+        let mut c = vec![0.0; m * n];
+        gemm_view(no, no, m, n, k, 1.0, a, Operand::Stored(&b), 0.0, &mut c);
     }
 
     #[test]
