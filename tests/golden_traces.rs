@@ -222,11 +222,17 @@ fn run_all() -> BTreeMap<String, RunResult> {
             put(&format!("sim_sync_sgd_{suffix}_w2"), r);
         }
     }
-    // FCFS server: arrival order is real-time for >1 worker, so golden
-    // at one worker only.
+    // FCFS server. On the event backend the order in which requests
+    // reach the master is a pure function of the seed, so every P > 1 is
+    // pinned there; w1 has one order on either backend.
     for (suffix, v) in [("sgd", AsyncVariant::Sgd), ("easgd", AsyncVariant::Easgd)] {
         let r = async_server_sim(&net, &train, &test, &cfg(1, 30), &costs, v);
         put(&format!("sim_async_{suffix}_w1"), r);
+        for p in [2usize, 4, 8] {
+            let r = ClusterBackend::Events
+                .with_default(|| async_server_sim(&net, &train, &test, &cfg(p, 12), &costs, v));
+            put(&format!("sim_async_{suffix}_w{p}"), r);
+        }
     }
     {
         let topo = GpuClusterTopology {
