@@ -11,25 +11,24 @@
 //! (Sync EASGD vs Original EASGD) runs on the simulated 4-GPU node where
 //! the round-robin vs tree-reduction cost difference lives.
 
-use easgd::metrics::RunResult;
 use easgd::{
-    async_easgd, async_measgd, async_msgd, async_sgd, hogwild_easgd, hogwild_sgd,
-    original_easgd_sim, sync_easgd_sim, OriginalMode, SimCosts, SyncVariant, TrainConfig,
+    original_easgd_sim, run_comparison, sync_easgd_sim, MethodId, OriginalMode, SimCosts,
+    SyncVariant, TrainConfig,
 };
 use easgd_bench::{arg_value, figure_budgets, figure_task, print_run, print_run_header};
-use easgd_data::Dataset;
-use easgd_nn::Network;
 
-type WallRunner = fn(&Network, &Dataset, &Dataset, &TrainConfig) -> RunResult;
-
-fn wall_panel(title: &str, ours: WallRunner, theirs: WallRunner, eta: f32) {
+/// One wall-clock panel: one of the paper's methods against its
+/// Figure 6 counterpart.
+fn wall_panel(title: &str, method: MethodId, eta: f32) {
     println!("\n=== {title} ===");
     let (net, train, test) = figure_task();
     print_run_header();
     for &iters in &figure_budgets() {
         let cfg = TrainConfig::figure6(iters).with_eta(eta);
-        print_run(&theirs(&net, &train, &test, &cfg));
-        print_run(&ours(&net, &train, &test, &cfg));
+        let (ours, theirs) = run_comparison(method, &net, &train, &test, &cfg)
+            .expect("each of the paper's methods has a counterpart");
+        print_run(&theirs);
+        print_run(&ours);
     }
 }
 
@@ -66,24 +65,21 @@ fn main() {
     if want("1") {
         wall_panel(
             "Figure 6.1: Async EASGD vs Async SGD",
-            async_easgd,
-            async_sgd,
+            MethodId::AsyncEasgd,
             0.2,
         );
     }
     if want("2") {
         wall_panel(
             "Figure 6.2: Async MEASGD vs Async MSGD",
-            async_measgd,
-            async_msgd,
+            MethodId::AsyncMeasgd,
             0.02,
         );
     }
     if want("3") {
         wall_panel(
             "Figure 6.3: Hogwild EASGD vs Hogwild SGD",
-            hogwild_easgd,
-            hogwild_sgd,
+            MethodId::HogwildEasgd,
             0.2,
         );
     }

@@ -9,37 +9,26 @@
 //! Sync EASGD additionally run on the simulated 4-GPU node (marked
 //! `[sim]`), where the paper's communication-cost separation lives.
 
-use easgd::metrics::RunResult;
 use easgd::{
-    async_easgd, async_measgd, async_msgd, async_sgd, hogwild_easgd, hogwild_sgd,
-    original_easgd_sim, original_easgd_turns, sync_easgd_shared, sync_easgd_sim, OriginalMode,
-    SimCosts, SyncVariant, TrainConfig,
+    original_easgd_sim, run_method, sync_easgd_sim, MethodId, OriginalMode, SimCosts, SyncVariant,
+    TrainConfig,
 };
 use easgd_bench::{figure_budgets, figure_task, print_run, print_run_header};
-use easgd_data::Dataset;
-use easgd_nn::Network;
-
-type WallRunner = fn(&Network, &Dataset, &Dataset, &TrainConfig) -> RunResult;
 
 fn main() {
     let (net, train, test) = figure_task();
-    let methods: Vec<(WallRunner, f32)> = vec![
-        (original_easgd_turns as WallRunner, 0.2),
-        (async_sgd as WallRunner, 0.2),
-        (async_msgd as WallRunner, 0.02),
-        (hogwild_sgd as WallRunner, 0.2),
-        (async_easgd as WallRunner, 0.2),
-        (async_measgd as WallRunner, 0.02),
-        (hogwild_easgd as WallRunner, 0.2),
-        (sync_easgd_shared as WallRunner, 0.2),
-    ];
-
     println!("=== Figure 8: all methods, wall-clock (shared-memory node) ===");
     print_run_header();
-    for (run, eta) in &methods {
+    for m in MethodId::ALL {
+        // The momentum methods train at the smaller rate (η/(1−µ) is
+        // their effective one).
+        let eta = match m {
+            MethodId::AsyncMsgd | MethodId::AsyncMeasgd => 0.02,
+            _ => 0.2,
+        };
         for &iters in &figure_budgets() {
-            let cfg = TrainConfig::figure6(iters).with_eta(*eta);
-            print_run(&run(&net, &train, &test, &cfg));
+            let cfg = TrainConfig::figure6(iters).with_eta(eta);
+            print_run(&run_method(m, &net, &train, &test, &cfg));
         }
     }
 

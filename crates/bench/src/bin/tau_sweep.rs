@@ -7,7 +7,7 @@
 //! cargo run --release -p easgd-bench --bin tau_sweep
 //! ```
 
-use easgd::{async_easgd, hogwild_easgd, TrainConfig};
+use easgd::{run_method, MethodId, TrainConfig};
 use easgd_bench::figure_task;
 
 fn main() {
@@ -19,8 +19,8 @@ fn main() {
     );
     for &tau in &[1usize, 2, 4, 8, 16] {
         let cfg = TrainConfig::figure6(200).with_comm_period(tau);
-        let a = async_easgd(&net, &train, &test, &cfg);
-        let h = hogwild_easgd(&net, &train, &test, &cfg);
+        let a = run_method(MethodId::AsyncEasgd, &net, &train, &test, &cfg);
+        let h = run_method(MethodId::HogwildEasgd, &net, &train, &test, &cfg);
         println!(
             "{:>5} {:>22} {:>10.2} {:>8.1} | {:>22} {:>10.2} {:>8.1}",
             tau,

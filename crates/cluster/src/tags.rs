@@ -37,7 +37,7 @@ pub const ORIG_CENTER: u32 = 0x0200_0001;
 pub const ORIG_WEIGHT: u32 = 0x0200_0002;
 
 /// Async parameter server: worker→master requests (gradients or
-/// weights, per [`AsyncVariant`](../easgd/enum.AsyncVariant.html)).
+/// weights, per `easgd::AsyncVariant`).
 pub const ASYNC_REQ: u32 = 0x0300_0000;
 /// Base of the async master→worker reply range; use [`async_reply`].
 pub const ASYNC_REPLY_BASE: u32 = 0x0310_0000;

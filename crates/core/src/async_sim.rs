@@ -15,38 +15,30 @@
 //! doesn't — the mechanism this module makes measurable.
 
 use crate::config::TrainConfig;
-use crate::engine::{assemble_sim, rank_rng, ElasticRule, LocalStep, RankOutcome, SALT_PHI};
+use crate::engine::{
+    assemble_sim, rank_rng, AsyncVariant, ElasticRule, LocalStep, RankOutcome, SALT_PHI,
+};
 use crate::metrics::RunResult;
 use crate::simcost::SimCosts;
 use easgd_cluster::{tags, ClusterConfig, Comm, TimeCategory, VirtualCluster};
 use easgd_data::Dataset;
 use easgd_nn::Network;
-use easgd_tensor::ops::sgd_update;
 use std::time::Instant;
 
-/// Which exchange rule the simulated server applies.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum AsyncVariant {
-    /// Workers push sub-gradients; master applies `W ← W − η·ΔWᵢ`
-    /// (Async SGD, §3.1).
-    Sgd,
-    /// Workers push weights; master applies the Equation (2) pull and the
-    /// worker applies Equation (1) (Async EASGD, §5.1).
-    Easgd,
-}
-
-impl AsyncVariant {
-    fn label(&self) -> &'static str {
-        match self {
-            AsyncVariant::Sgd => "Async SGD [sim]",
-            AsyncVariant::Easgd => "Async EASGD [sim]",
-        }
+/// The result name of `variant` on the simulated server.
+fn label(variant: AsyncVariant) -> &'static str {
+    match variant {
+        AsyncVariant::Sgd => "Async SGD [sim]",
+        AsyncVariant::Msgd => "Async MSGD [sim]",
+        AsyncVariant::Easgd => "Async EASGD [sim]",
+        AsyncVariant::Measgd => "Async MEASGD [sim]",
     }
 }
 
-/// Runs the FCFS parameter server on a simulated `cfg.workers`-GPU node.
-/// `cfg.iterations` steps per worker. Worker compute is jittered per
-/// `costs.compute_jitter`.
+/// Runs the FCFS parameter server on a simulated `cfg.workers`-GPU node,
+/// exchanging by `variant`'s rule. `cfg.iterations` steps per worker,
+/// each ending in an exchange, so `τ` must be 1. Worker compute is
+/// jittered per `costs.compute_jitter`.
 pub fn async_server_sim(
     proto: &Network,
     train: &Dataset,
@@ -56,6 +48,7 @@ pub fn async_server_sim(
     variant: AsyncVariant,
 ) -> RunResult {
     cfg.validate();
+    cfg.refuse_comm_period("async_server_sim");
     let g = cfg.workers;
     let cluster = ClusterConfig::new(g + 1);
     let total = cfg.iterations * g;
@@ -68,6 +61,7 @@ pub fn async_server_sim(
         if comm.rank() == 0 {
             // ---- master: serve whoever arrives next, total times.
             let mut center = proto.params().as_slice().to_vec();
+            let mut velocity = Vec::new();
             // Receive scratch, reused across requests.
             let mut payload = Vec::new();
             for _ in 0..total {
@@ -78,10 +72,7 @@ pub fn async_server_sim(
                 );
                 // The inbound transfer crosses the host link.
                 comm.charge(TimeCategory::CpuGpuParam, xfer);
-                match variant {
-                    AsyncVariant::Sgd => sgd_update(cfg.eta, &mut center, &payload),
-                    AsyncVariant::Easgd => rule.center_pull(&mut center, &payload),
-                }
+                variant.apply(&rule, &mut center, &mut velocity, &payload);
                 comm.charge(TimeCategory::CpuUpdate, costs.cpu_update);
                 comm.send_costed(
                     from,
@@ -111,30 +102,19 @@ pub fn async_server_sim(
                 // Jittered compute: heterogeneity knob of the study.
                 let jit = 1.0 + costs.compute_jitter * rng.uniform() as f64;
                 comm.charge(TimeCategory::ForwardBackward, costs.fwd_bwd * jit);
-                match variant {
-                    AsyncVariant::Sgd => {
-                        comm.send_costed(
-                            0,
-                            tags::ASYNC_REQ,
-                            local.grad(),
-                            0.0,
-                            TimeCategory::Other,
-                        );
-                        comm.recv_into(0, tags::async_reply(me), TimeCategory::Other, &mut reply);
-                        local.set_params(&reply);
-                    }
-                    AsyncVariant::Easgd => {
-                        comm.send_costed(
-                            0,
-                            tags::ASYNC_REQ,
-                            local.params(),
-                            0.0,
-                            TimeCategory::Other,
-                        );
-                        comm.recv_into(0, tags::async_reply(me), TimeCategory::Other, &mut reply);
-                        local.elastic_step_against(&rule, &reply);
-                        comm.charge(TimeCategory::GpuUpdate, costs.gpu_update);
-                    }
+                comm.send_costed(
+                    0,
+                    tags::ASYNC_REQ,
+                    variant.push(&local),
+                    0.0,
+                    TimeCategory::Other,
+                );
+                comm.recv_into(0, tags::async_reply(me), TimeCategory::Other, &mut reply);
+                variant.receive(&mut local, &reply);
+                variant.worker_update(&rule, &mut local);
+                if variant.is_elastic() {
+                    // The elastic worker updates on its GPU.
+                    comm.charge(TimeCategory::GpuUpdate, costs.gpu_update);
                 }
             }
             RankOutcome::Worker {
@@ -146,7 +126,7 @@ pub fn async_server_sim(
     });
 
     let wall = wall_start.elapsed().as_secs_f64();
-    assemble_sim(variant.label(), proto, test, cfg.iterations, wall, outs)
+    assemble_sim(label(variant), proto, test, cfg.iterations, wall, outs)
 }
 
 #[cfg(test)]
@@ -183,6 +163,35 @@ mod tests {
         c.eta = 0.05; // FCFS gradient pushes at η=0.2 are unstable
         let r = async_server_sim(&net, &train, &test, &c, &costs, AsyncVariant::Sgd);
         assert!(r.accuracy > 0.3, "acc = {}", r.accuracy);
+    }
+
+    /// Momentum amplifies the effective rate by ~1/(1−µ), so the momentum
+    /// pair train at the smaller η of the wall-clock momentum methods.
+    fn momentum_sim_learns(variant: AsyncVariant) {
+        let (net, train, test) = setup();
+        let costs = SimCosts::mnist_lenet_4gpu();
+        let c = cfg(60).with_eta(0.02);
+        let r = async_server_sim(&net, &train, &test, &c, &costs, variant);
+        assert!(r.accuracy > 0.3, "{} acc = {}", r.method, r.accuracy);
+    }
+
+    #[test]
+    fn async_msgd_sim_learns() {
+        momentum_sim_learns(AsyncVariant::Msgd);
+    }
+
+    #[test]
+    fn async_measgd_sim_learns() {
+        momentum_sim_learns(AsyncVariant::Measgd);
+    }
+
+    #[test]
+    #[should_panic(expected = "async_server_sim does not honour comm_period: τ = 4")]
+    fn a_comm_period_is_refused_not_ignored() {
+        let (net, train, test) = setup();
+        let c = cfg(5).with_comm_period(4);
+        let costs = SimCosts::mnist_lenet_4gpu();
+        async_server_sim(&net, &train, &test, &c, &costs, AsyncVariant::Easgd);
     }
 
     #[test]

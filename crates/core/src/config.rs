@@ -26,10 +26,13 @@ pub struct TrainConfig {
     pub iterations: usize,
     /// RNG seed; every run is a pure function of this.
     pub seed: u64,
-    /// Communication period `τ` for the elastic methods: workers take
-    /// `τ` local SGD steps between elastic exchanges (the EASGD paper's
-    /// knob; `τ = 1` reproduces the SC '17 algorithms exactly). Ignored
-    /// by the non-elastic baselines.
+    /// Communication period `τ`: an elastic worker exchanges every `τ`-th
+    /// step and takes local steps in between (the EASGD paper's knob;
+    /// `τ = 1` is the SC '17 setting). Honoured by the wall-clock Async
+    /// EASGD/MEASGD, Original EASGD and Hogwild EASGD; ignored by the
+    /// non-elastic baselines. Shared-memory Sync EASGD and the simulated
+    /// trainers (`async_server_sim`, `original_easgd_sim`,
+    /// `sync_easgd_sim[_with]`, `hierarchical_sync_easgd`) panic on `τ ≠ 1`.
     pub comm_period: usize,
 }
 
@@ -108,10 +111,14 @@ impl TrainConfig {
         self
     }
 
-    /// The `(η, ρ, µ)` elastic triple of this configuration, as an
-    /// [`crate::engine::ElasticRule`].
-    pub fn elastic(&self) -> crate::engine::ElasticRule {
-        crate::engine::ElasticRule::from_config(self)
+    /// Panics naming `trainer`, which exchanges every step, unless `τ = 1`:
+    /// a `τ ≠ 1` run would otherwise be a `τ = 1` run reported as `τ`.
+    pub(crate) fn refuse_comm_period(&self, trainer: &str) {
+        assert!(
+            self.comm_period == 1,
+            "{trainer} does not honour comm_period: τ = {} (it exchanges every step; use τ = 1)",
+            self.comm_period
+        );
     }
 }
 

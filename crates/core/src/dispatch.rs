@@ -7,12 +7,15 @@
 //! error, not a runtime surprise.
 
 use crate::config::TrainConfig;
+use crate::engine::AsyncVariant;
 use crate::lineage::MethodId;
 use crate::metrics::RunResult;
+use crate::shared::{locked_server, LockOrder};
 use easgd_data::Dataset;
 use easgd_nn::Network;
 
-/// Runs the shared-memory (wall-clock) implementation of `method`.
+/// Runs the shared-memory (wall-clock) implementation of `method`; the
+/// five locked ones are one server, given a variant and a lock order.
 ///
 /// Momentum methods are sensitive to the raw learning rate (the
 /// effective rate is `η/(1−µ)`); callers comparing across methods
@@ -25,17 +28,17 @@ pub fn run_method(
     test: &Dataset,
     cfg: &TrainConfig,
 ) -> RunResult {
-    let run = match method {
-        MethodId::OriginalEasgd => crate::shared::original_easgd_turns,
-        MethodId::AsyncSgd => crate::shared::async_sgd,
-        MethodId::AsyncMsgd => crate::shared::async_msgd,
-        MethodId::HogwildSgd => crate::hogwild::hogwild_sgd,
-        MethodId::AsyncEasgd => crate::shared::async_easgd,
-        MethodId::AsyncMeasgd => crate::shared::async_measgd,
-        MethodId::HogwildEasgd => crate::hogwild::hogwild_easgd,
-        MethodId::SyncEasgd => crate::shared::sync_easgd_shared,
-    };
-    run(proto, train, test, cfg)
+    let locked = |variant, order| locked_server(method, variant, order, proto, train, test, cfg);
+    match method {
+        MethodId::OriginalEasgd => locked(AsyncVariant::Easgd, LockOrder::RoundRobin),
+        MethodId::AsyncSgd => locked(AsyncVariant::Sgd, LockOrder::Fcfs),
+        MethodId::AsyncMsgd => locked(AsyncVariant::Msgd, LockOrder::Fcfs),
+        MethodId::AsyncEasgd => locked(AsyncVariant::Easgd, LockOrder::Fcfs),
+        MethodId::AsyncMeasgd => locked(AsyncVariant::Measgd, LockOrder::Fcfs),
+        MethodId::HogwildSgd => crate::hogwild::hogwild_sgd(proto, train, test, cfg),
+        MethodId::HogwildEasgd => crate::hogwild::hogwild_easgd(proto, train, test, cfg),
+        MethodId::SyncEasgd => crate::shared::sync_easgd_shared(proto, train, test, cfg),
+    }
 }
 
 /// Runs a method and its Figure 6 counterpart under identical settings;

@@ -8,8 +8,9 @@
 //!   which RNG stream each worker/rank draws its batches from.
 //! * [`local`] — [`LocalStep`]: the per-worker network replica and its
 //!   step kernels (forward/backward, SGD, momentum, elastic forms).
-//! * [`elastic`] — [`ElasticRule`]: Equations (1), (2), (5)–(6) and the
-//!   bulk-synchronous Σ-form, keyed by the `(η, ρ, µ)` triple.
+//! * [`elastic`] / [`server`] — [`ElasticRule`]: Equations (1), (2),
+//!   (5)–(6) and the Σ-form, keyed by `(η, ρ, µ)`; [`AsyncVariant`]: the
+//!   asynchronous family's exchange, for both of its servers.
 //! * [`trace`] / [`sim`] / [`wall`] — the measurement layer: off-clock
 //!   evaluation, accuracy traces, loss traces, center fingerprints, and
 //!   [`crate::metrics::RunResult`] assembly for the thread-pool and
@@ -17,10 +18,11 @@
 //!
 //! What remains in each trainer module is only the method itself: the
 //! synchronization discipline (lock, turn, barrier, FCFS server, tree
-//! reduce) and the schedule of communication charges. Adding a new
-//! algorithm is typically ~50 lines: pick a runtime
-//! ([`wall::run_exchange_loop`] or a `VirtualCluster` closure returning
-//! [`sim::RankOutcome`]s), write the exchange, and register it.
+//! reduce) and the schedule of communication charges. A new async
+//! method is one [`AsyncVariant`] arm and one [`crate::MethodId`] arm;
+//! any other picks a runtime ([`wall::run_exchange_loop`] or a
+//! `VirtualCluster` closure returning [`sim::RankOutcome`]s), writes the
+//! exchange, and registers it.
 //!
 //! [`crate::run_method`] maps every [`crate::MethodId`] of the Figure 9
 //! lineage to its wall-clock implementation, exhaustively — there is no
@@ -29,6 +31,7 @@
 
 pub mod elastic;
 pub mod local;
+pub mod server;
 pub mod shard;
 pub mod sim;
 pub mod trace;
@@ -36,6 +39,7 @@ pub mod wall;
 
 pub use elastic::ElasticRule;
 pub use local::LocalStep;
+pub use server::AsyncVariant;
 pub use shard::{
     additive_rng, derive_seed, rank_rng, worker_rng, WorkerShard, SALT_HOGWILD, SALT_PHI,
 };

@@ -89,12 +89,6 @@ impl WorkerShard {
     pub fn data(&self) -> &Dataset {
         &self.data
     }
-
-    /// Direct access to the worker's RNG (for trainers that draw more
-    /// than batch indices from the worker stream).
-    pub fn rng_mut(&mut self) -> &mut Rng {
-        &mut self.rng
-    }
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@
 //! per worker, time the run, join in rank order — and hands each worker
 //! its [`WorkerShard`] and [`LocalStep`]. [`run_exchange_loop`] adds the
 //! canonical per-step skeleton (sample → forward/backward → exchange)
-//! shared by the locked asynchronous family; trainers with a different
+//! under the locked server and Hogwild EASGD; trainers with a different
 //! round structure (Hogwild SGD's snapshot-first read, Sync EASGD's
 //! barriers) drive the loop themselves via [`run_worker_loop`].
 //!
@@ -113,10 +113,9 @@ where
 /// The canonical per-step loop: for each of `cfg.iterations` steps,
 /// sample a batch, run forward/backward, then call
 /// `exchange(worker, step, local)` to perform the method's
-/// synchronization. This is the skeleton of the whole locked
-/// asynchronous family — the exchange closure is the *only* thing that
-/// differs between Async SGD/MSGD/EASGD/MEASGD and round-robin
-/// Original EASGD.
+/// synchronization. This is the skeleton of the locked server (Async
+/// SGD/MSGD/EASGD/MEASGD and round-robin Original EASGD, one closure)
+/// and of Hogwild EASGD.
 pub fn run_exchange_loop<F>(
     proto: &Network,
     train: &Dataset,

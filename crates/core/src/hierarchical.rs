@@ -98,6 +98,7 @@ pub fn hierarchical_sync_easgd(
     topo: &GpuClusterTopology,
 ) -> RunResult {
     cfg.validate();
+    cfg.refuse_comm_period("hierarchical_sync_easgd");
     let total = topo.total_gpus();
     assert!(total > 0, "empty topology");
     let shards = train.partition(total);

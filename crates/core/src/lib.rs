@@ -21,9 +21,10 @@
 //!   SGD/EASGD, turn-based Original EASGD, barrier-based Sync EASGD) run
 //!   on real threads against a real clock, because lock-freedom and FCFS
 //!   vs round-robin ordering are *concurrency* phenomena (Figures 6, 8).
-//! * **Simulated cluster** ([`sync`], [`original`]) — the deterministic
-//!   multi-GPU schedules (Original EASGD*/pipelined, Sync EASGD1/2/3)
-//!   run on `easgd-cluster`'s virtual ranks with α-β-priced
+//! * **Simulated cluster** ([`sync`], [`original`], [`async_sim`]) — the
+//!   deterministic multi-GPU schedules (Original EASGD*/pipelined, Sync
+//!   EASGD1/2/3, the FCFS server under every [`AsyncVariant`]) run on
+//!   `easgd-cluster`'s virtual ranks with α-β-priced
 //!   communication, reproducing the Table 3 / Figure 11 time breakdowns
 //!   and the Figure 13 scaling curves.
 //!
@@ -54,11 +55,11 @@ pub mod straggler;
 pub mod sync;
 pub mod weak_scaling;
 
-pub use async_sim::{async_server_sim, AsyncVariant};
+pub use async_sim::async_server_sim;
 pub use config::TrainConfig;
 pub use convex::QuadraticProblem;
 pub use dispatch::{run_comparison, run_method};
-pub use engine::{ElasticRule, LocalStep, WorkerShard};
+pub use engine::{AsyncVariant, ElasticRule, LocalStep, WorkerShard};
 pub use hierarchical::{hierarchical_sync_easgd, GpuClusterTopology};
 pub use hogwild::{hogwild_easgd, hogwild_sgd};
 pub use knl_partition::{knl_partition_run, KnlPartitionOutcome};
@@ -68,9 +69,7 @@ pub use model_parallel::model_parallel_speedup;
 pub use original::{original_easgd_sim, OriginalMode};
 pub use schedule::LrSchedule;
 pub use serial::{serial_sgd, SerialConfig};
-pub use shared::{
-    async_easgd, async_measgd, async_msgd, async_sgd, original_easgd_turns, sync_easgd_shared,
-};
+pub use shared::{async_measgd, sync_easgd_shared};
 pub use simcost::SimCosts;
 pub use straggler::{straggler_study, StragglerConfig, StragglerOutcome};
 pub use sync::{sync_easgd_sim, sync_easgd_sim_with, sync_sgd_sim, SyncExchange, SyncVariant};

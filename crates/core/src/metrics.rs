@@ -59,15 +59,6 @@ impl RunResult {
     }
 }
 
-/// First time at which a sequence of runs (one method at increasing
-/// iteration budgets) reaches `target` accuracy; `None` if never.
-pub fn time_to_accuracy(runs: &[RunResult], target: f32) -> Option<f64> {
-    runs.iter()
-        .filter(|r| r.accuracy >= target)
-        .map(RunResult::seconds)
-        .min_by(f64::total_cmp)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -102,12 +93,5 @@ mod tests {
         assert!((r.log10_error() - (-2.0)).abs() < 1e-3);
         // Perfect accuracy clamps instead of -inf.
         assert!(run(1.0, 1.0).log10_error().is_finite());
-    }
-
-    #[test]
-    fn time_to_accuracy_picks_earliest_hit() {
-        let runs = vec![run(10.0, 0.95), run(4.0, 0.96), run(2.0, 0.80)];
-        assert_eq!(time_to_accuracy(&runs, 0.95), Some(4.0));
-        assert_eq!(time_to_accuracy(&runs, 0.99), None);
     }
 }

@@ -61,6 +61,7 @@ pub fn original_easgd_sim(
     mode: OriginalMode,
 ) -> RunResult {
     cfg.validate();
+    cfg.refuse_comm_period("original_easgd_sim");
     let g = cfg.workers;
     let total = cfg.iterations * g;
     let cluster = ClusterConfig::new(g + 1);

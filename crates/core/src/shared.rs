@@ -5,164 +5,94 @@
 //!
 //! | method            | ordering        | exchange                      |
 //! |-------------------|-----------------|-------------------------------|
-//! | Original EASGD    | round-robin     | elastic (Eq 1 + 2)            |
-//! | Async SGD         | FCFS (lock)     | gradient push, weight pull    |
-//! | Async MSGD        | FCFS (lock)     | + momentum (Eq 3–4)           |
-//! | Async EASGD       | FCFS (lock)     | elastic (Eq 1 + 2)            |
-//! | Async MEASGD      | FCFS (lock)     | elastic + momentum (Eq 5–6)   |
+//! | Original EASGD    | round-robin     | `AsyncVariant::Easgd`         |
+//! | Async SGD         | FCFS (lock)     | `AsyncVariant::Sgd`           |
+//! | Async MSGD        | FCFS (lock)     | `AsyncVariant::Msgd`          |
+//! | Async EASGD       | FCFS (lock)     | `AsyncVariant::Easgd`         |
+//! | Async MEASGD      | FCFS (lock)     | `AsyncVariant::Measgd`        |
 //! | Sync EASGD        | barrier (BSP)   | elastic, tree-reduced         |
 //!
-//! (The lock-free Hogwild variants live in [`crate::hogwild`].) The
-//! compute loop, sharding, seeding, and result assembly all come from
-//! [`crate::engine`]; each function below is exactly its exchange
-//! discipline — the lock, turn, or barrier protocol around the center.
+//! The first five are one locked server; [`crate::run_method`] names
+//! each by its [`AsyncVariant`] and lock order. (The lock-free Hogwild
+//! variants live in [`crate::hogwild`].) Everything but the lock, the
+//! turn and the barrier comes from [`crate::engine`].
 
 use crate::config::TrainConfig;
-use crate::engine::{run_exchange_loop, run_worker_loop, ElasticRule, SALT_PHI};
+use crate::engine::{run_exchange_loop, run_worker_loop, AsyncVariant, ElasticRule, SALT_PHI};
+use crate::lineage::MethodId;
 use crate::metrics::RunResult;
 use easgd_data::Dataset;
 use easgd_nn::Network;
-use easgd_tensor::ops::{momentum_update, sgd_update};
 use std::sync::{Barrier, Condvar, Mutex, RwLock};
 
-/// Master state for the gradient-push methods (Async SGD / MSGD).
-struct GradCenter {
-    w: Vec<f32>,
-    v: Vec<f32>,
+/// Why a lock of the locked server can be poisoned.
+const POISONED: &str = "a worker panicked inside the exchange";
+
+/// The order in which workers reach the centre's lock.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub(crate) enum LockOrder {
+    /// First come, first served: the Async family (§3.1, §5.1).
+    Fcfs,
+    /// Original EASGD's rank order (§3.3, Algorithm 1): worker `i+1`'s
+    /// exchange waits for worker `i`'s. Gradients and the worker's own
+    /// update overlap (Table 3's overlapped row).
+    RoundRobin,
 }
 
-/// Async SGD (§3.1): FCFS parameter server. The worker pushes its
-/// sub-gradient; the master applies `W ← W − η·ΔWᵢ` under the lock and
-/// returns the fresh weights.
-pub fn async_sgd(proto: &Network, train: &Dataset, test: &Dataset, cfg: &TrainConfig) -> RunResult {
-    let center = Mutex::new(GradCenter {
-        w: proto.params().as_slice().to_vec(),
-        v: vec![0.0; proto.num_params()],
-    });
-    let run = run_exchange_loop(proto, train, cfg, SALT_PHI, |_, _, local| {
-        let mut c = center.lock().unwrap();
-        sgd_update(cfg.eta, &mut c.w, local.grad());
-        local.set_params(&c.w);
-    });
-    let center_w = center.into_inner().unwrap().w;
-    run.finish("Async SGD", proto, test, cfg.iterations, &center_w)
-}
-
-/// Async MSGD: Async SGD with the momentum update of Equations (3)–(4)
-/// applied at the master.
-pub fn async_msgd(
-    proto: &Network,
-    train: &Dataset,
-    test: &Dataset,
-    cfg: &TrainConfig,
-) -> RunResult {
-    let center = Mutex::new(GradCenter {
-        w: proto.params().as_slice().to_vec(),
-        v: vec![0.0; proto.num_params()],
-    });
-    let run = run_exchange_loop(proto, train, cfg, SALT_PHI, |_, _, local| {
-        let mut c = center.lock().unwrap();
-        let GradCenter { w, v } = &mut *c;
-        momentum_update(cfg.eta, cfg.mu, w, v, local.grad());
-        local.set_params(w);
-    });
-    let center_w = center.into_inner().unwrap().w;
-    run.finish("Async MSGD", proto, test, cfg.iterations, &center_w)
-}
-
-/// Async EASGD (ours, §5.1): FCFS exchange of *weights*. Under the lock
-/// the master performs the Equation (2) pull toward the worker; the
-/// worker then applies Equation (1) locally against the snapshot it took.
-pub fn async_easgd(
+/// The locked parameter server: `variant`'s exchange under one mutex
+/// around the centre (and MSGD's master velocity), reached in `order`,
+/// with the result named after `method`.
+pub(crate) fn locked_server(
+    method: MethodId,
+    variant: AsyncVariant,
+    order: LockOrder,
     proto: &Network,
     train: &Dataset,
     test: &Dataset,
     cfg: &TrainConfig,
 ) -> RunResult {
     let rule = ElasticRule::from_config(cfg);
-    let center = Mutex::new(proto.params().as_slice().to_vec());
-    let run = run_exchange_loop(proto, train, cfg, SALT_PHI, |_, step, local| {
-        // Communication period τ: τ−1 local SGD steps between elastic
-        // exchanges (τ = 1 ⇒ exchange every step, the paper's setting).
-        if (step + 1) % cfg.comm_period != 0 {
-            local.sgd_step(cfg.eta);
+    let master = Mutex::new((proto.params().as_slice().to_vec(), Vec::new()));
+    let (turn, turn_cv) = (Mutex::new(0usize), Condvar::new());
+    let run = run_exchange_loop(proto, train, cfg, SALT_PHI, |w, step, local| {
+        if !variant.exchanges_at(step, cfg.comm_period) {
+            variant.local_step(&rule, local);
             return;
         }
+        // A round-robin worker holds its turn for the whole exchange.
+        let held = (order == LockOrder::RoundRobin).then(|| {
+            let t = turn.lock().expect(POISONED);
+            turn_cv
+                .wait_while(t, |t| *t % cfg.workers != w)
+                .expect(POISONED)
+        });
         {
-            let mut c = center.lock().unwrap();
-            rule.center_pull(&mut c, local.params());
-            local.snapshot_center(&c);
+            let mut m = master.lock().expect(POISONED);
+            let (center, velocity) = &mut *m;
+            variant.apply(&rule, center, velocity, variant.push(local));
+            variant.receive(local, center);
         }
-        local.elastic_step(&rule);
+        if let Some(mut t) = held {
+            *t += 1;
+            turn_cv.notify_all();
+        }
+        variant.worker_update(&rule, local);
     });
-    let center_w = center.into_inner().unwrap();
-    run.finish("Async EASGD", proto, test, cfg.iterations, &center_w)
+    let (center, _) = master.into_inner().expect(POISONED);
+    run.finish(method.name(), proto, test, cfg.iterations, &center)
 }
 
-/// Async MEASGD (ours, §5.1): Async EASGD with the worker update replaced
-/// by the momentum-elastic Equations (5)–(6).
+/// Async MEASGD (ours, §5.1) on the locked server, i.e.
+/// `run_method(MethodId::AsyncMeasgd, ..)`. The hosted benchmark
+/// workloads (`benchmark/`) call it by this name and signature, so it
+/// stays.
 pub fn async_measgd(
     proto: &Network,
     train: &Dataset,
     test: &Dataset,
     cfg: &TrainConfig,
 ) -> RunResult {
-    let rule = ElasticRule::from_config(cfg);
-    let center = Mutex::new(proto.params().as_slice().to_vec());
-    let run = run_exchange_loop(proto, train, cfg, SALT_PHI, |_, step, local| {
-        if (step + 1) % cfg.comm_period != 0 {
-            // Local momentum step between exchanges.
-            local.momentum_step(cfg.eta, cfg.mu);
-            return;
-        }
-        {
-            let mut c = center.lock().unwrap();
-            rule.center_pull(&mut c, local.params());
-            local.snapshot_center(&c);
-        }
-        local.elastic_momentum_step(&rule);
-    });
-    let center_w = center.into_inner().unwrap();
-    run.finish("Async MEASGD", proto, test, cfg.iterations, &center_w)
-}
-
-/// Original EASGD (§3.3, Algorithm 1): identical elastic exchange to
-/// [`async_easgd`], but the master serves workers in strict *round-robin
-/// rank order* — worker `i+1`'s exchange cannot begin before worker `i`'s
-/// has finished. Gradient computation is pipelined outside the turn
-/// (matching the overlapped Original EASGD row of Table 3); the ordering
-/// constraint is what costs performance.
-pub fn original_easgd_turns(
-    proto: &Network,
-    train: &Dataset,
-    test: &Dataset,
-    cfg: &TrainConfig,
-) -> RunResult {
-    let rule = ElasticRule::from_config(cfg);
-    let center = Mutex::new(proto.params().as_slice().to_vec());
-    let turn = Mutex::new(0usize);
-    let turn_cv = Condvar::new();
-    let run = run_exchange_loop(proto, train, cfg, SALT_PHI, |w, _, local| {
-        // Wait for this worker's slot in the global order.
-        {
-            let mut t = turn.lock().unwrap();
-            while *t % cfg.workers != w {
-                t = turn_cv.wait(t).unwrap();
-            }
-            {
-                let mut c = center.lock().unwrap();
-                rule.center_pull(&mut c, local.params());
-                local.snapshot_center(&c);
-            }
-            *t += 1;
-            turn_cv.notify_all();
-        }
-        // Equation (1) happens outside the turn: only the *exchange* is
-        // round-robin ordered, the local update overlaps freely.
-        local.elastic_step(&rule);
-    });
-    let center_w = center.into_inner().unwrap();
-    run.finish("Original EASGD", proto, test, cfg.iterations, &center_w)
+    crate::run_method(MethodId::AsyncMeasgd, proto, train, test, cfg)
 }
 
 /// Sync EASGD (ours, §5.1), shared-memory realization: bulk-synchronous
@@ -176,6 +106,7 @@ pub fn sync_easgd_shared(
     test: &Dataset,
     cfg: &TrainConfig,
 ) -> RunResult {
+    cfg.refuse_comm_period("Sync EASGD (shared memory)");
     let rule = ElasticRule::from_config(cfg);
     let n = proto.num_params();
     let center = RwLock::new(proto.params().as_slice().to_vec());
@@ -221,6 +152,7 @@ pub fn sync_easgd_shared(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run_method;
     use easgd_data::SyntheticSpec;
     use easgd_nn::models::lenet_tiny;
 
@@ -243,30 +175,32 @@ mod tests {
         }
     }
 
+    fn learns(method: MethodId, cfg: &TrainConfig) -> RunResult {
+        let (proto, train, test) = setup();
+        let r = run_method(method, &proto, &train, &test, cfg);
+        assert!(r.accuracy > 0.4, "{method} acc = {}", r.accuracy);
+        assert_eq!(r.method, method.name());
+        r
+    }
+
     #[test]
     fn async_sgd_learns_above_chance() {
-        let (proto, train, test) = setup();
-        let r = async_sgd(&proto, &train, &test, &quick_cfg(150));
-        assert!(r.accuracy > 0.4, "acc = {}", r.accuracy);
+        let r = learns(MethodId::AsyncSgd, &quick_cfg(150));
         assert!(r.wall_seconds > 0.0);
     }
 
     #[test]
     fn async_msgd_learns_above_chance() {
-        let (proto, train, test) = setup();
         // Momentum amplifies the effective rate by ~1/(1−µ); use the
         // correspondingly smaller η (standard MSGD practice).
         let mut cfg = quick_cfg(150);
         cfg.eta = 0.01;
-        let r = async_msgd(&proto, &train, &test, &cfg);
-        assert!(r.accuracy > 0.4, "acc = {}", r.accuracy);
+        learns(MethodId::AsyncMsgd, &cfg);
     }
 
     #[test]
     fn async_easgd_learns_above_chance() {
-        let (proto, train, test) = setup();
-        let r = async_easgd(&proto, &train, &test, &quick_cfg(200));
-        assert!(r.accuracy > 0.4, "acc = {}", r.accuracy);
+        learns(MethodId::AsyncEasgd, &quick_cfg(200));
     }
 
     #[test]
@@ -274,20 +208,17 @@ mod tests {
         let (proto, train, test) = setup();
         let r = async_measgd(&proto, &train, &test, &quick_cfg(150));
         assert!(r.accuracy > 0.4, "acc = {}", r.accuracy);
+        assert_eq!(r.method, "Async MEASGD");
     }
 
     #[test]
     fn original_easgd_learns_above_chance() {
-        let (proto, train, test) = setup();
-        let r = original_easgd_turns(&proto, &train, &test, &quick_cfg(200));
-        assert!(r.accuracy > 0.4, "acc = {}", r.accuracy);
+        learns(MethodId::OriginalEasgd, &quick_cfg(200));
     }
 
     #[test]
     fn sync_easgd_learns_above_chance() {
-        let (proto, train, test) = setup();
-        let r = sync_easgd_shared(&proto, &train, &test, &quick_cfg(200));
-        assert!(r.accuracy > 0.4, "acc = {}", r.accuracy);
+        learns(MethodId::SyncEasgd, &quick_cfg(200));
     }
 
     #[test]
@@ -303,46 +234,37 @@ mod tests {
     }
 
     #[test]
-    fn methods_report_their_names() {
-        let (proto, train, test) = setup();
-        let cfg = quick_cfg(5);
-        assert_eq!(async_sgd(&proto, &train, &test, &cfg).method, "Async SGD");
-        assert_eq!(
-            original_easgd_turns(&proto, &train, &test, &cfg).method,
-            "Original EASGD"
-        );
-        assert_eq!(
-            sync_easgd_shared(&proto, &train, &test, &cfg).method,
-            "Sync EASGD"
-        );
-    }
-
-    #[test]
     fn comm_period_trades_exchanges_for_local_steps() {
         // τ = 4: the elastic methods still learn (local SGD between
         // exchanges is a valid EASGD configuration), and the center is
-        // still pulled toward the workers.
-        let (proto, train, test) = setup();
+        // still pulled toward the workers — round-robin turns included.
         let cfg = quick_cfg(200).with_comm_period(4);
-        let r = async_easgd(&proto, &train, &test, &cfg);
-        assert!(r.accuracy > 0.4, "tau=4 async easgd acc = {}", r.accuracy);
-        let h = crate::hogwild::hogwild_easgd(&proto, &train, &test, &cfg);
-        assert!(h.accuracy > 0.4, "tau=4 hogwild easgd acc = {}", h.accuracy);
+        for m in [
+            MethodId::AsyncEasgd,
+            MethodId::OriginalEasgd,
+            MethodId::HogwildEasgd,
+        ] {
+            learns(m, &cfg);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "Sync EASGD (shared memory) does not honour comm_period: τ = 4")]
+    fn sync_easgd_refuses_a_comm_period() {
+        let (proto, train, test) = setup();
+        sync_easgd_shared(&proto, &train, &test, &quick_cfg(5).with_comm_period(4));
     }
 
     #[test]
     fn single_worker_degenerates_to_serial_sgd() {
-        let (proto, train, test) = setup();
-        let cfg = quick_cfg(100).with_workers(1);
-        let r = async_sgd(&proto, &train, &test, &cfg);
-        assert!(r.accuracy > 0.4, "acc = {}", r.accuracy);
+        learns(MethodId::AsyncSgd, &quick_cfg(100).with_workers(1));
     }
 
     #[test]
     fn runs_populate_loss_trace_and_center_hash() {
         let (proto, train, test) = setup();
         let cfg = quick_cfg(10).with_workers(1);
-        let r = async_easgd(&proto, &train, &test, &cfg);
+        let r = run_method(MethodId::AsyncEasgd, &proto, &train, &test, &cfg);
         assert_eq!(r.loss_trace.len(), 10);
         assert_ne!(r.center_hash, 0);
     }

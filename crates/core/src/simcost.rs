@@ -103,11 +103,6 @@ impl SimCosts {
             + self.weight_bytes as f64 * self.cpu_gpu_unpacked.beta_s_per_byte
     }
 
-    /// One packed weight transfer in one direction.
-    pub fn packed_weight_time(&self) -> f64 {
-        self.cpu_gpu_packed.time(self.weight_bytes)
-    }
-
     /// One batch copy CPU → GPU.
     pub fn data_time(&self) -> f64 {
         self.cpu_gpu_unpacked.time(self.data_bytes)
@@ -143,7 +138,7 @@ mod tests {
         let t = c.unpacked_weight_time();
         assert!((2.0e-3..3.5e-3).contains(&t), "unpacked = {t}");
         // Packed pinned path is several times faster.
-        assert!(c.packed_weight_time() < t / 5.0);
+        assert!(c.cpu_gpu_packed.time(c.weight_bytes) < t / 5.0);
     }
 
     #[test]

@@ -344,6 +344,7 @@ pub fn sync_easgd_sim_with(
     exchange: SyncExchange,
 ) -> RunResult {
     cfg.validate();
+    cfg.refuse_comm_period("sync_easgd_sim_with");
     let g = cfg.workers;
     // Under the pipelined exchange, participants charge their
     // forward/backward window in per-segment slices inside the exchange

@@ -17,25 +17,18 @@ fn main() {
     let mut msgd_cfg = cfg.clone();
     msgd_cfg.eta = 0.01; // momentum methods need the smaller rate
 
-    type Runner = fn(&Network, &Dataset, &Dataset, &TrainConfig) -> RunResult;
-    let methods: Vec<(Runner, &TrainConfig, &str)> = vec![
-        (original_easgd_turns as Runner, &cfg, "existing"),
-        (async_sgd as Runner, &cfg, "existing"),
-        (async_msgd as Runner, &msgd_cfg, "existing"),
-        (hogwild_sgd as Runner, &cfg, "existing"),
-        (async_easgd as Runner, &cfg, "ours"),
-        (async_measgd as Runner, &msgd_cfg, "ours"),
-        (hogwild_easgd as Runner, &cfg, "ours"),
-        (sync_easgd_shared as Runner, &cfg, "ours"),
-    ];
-
     println!(
         "{:<16} {:>10} {:>10} {:>12}  origin",
         "method", "acc %", "err log10", "wall s"
     );
-    let mut results: Vec<(RunResult, &str)> = methods
+    let mut results: Vec<(RunResult, &str)> = MethodId::ALL
         .into_iter()
-        .map(|(run, c, origin)| (run(&net, &train, &test, c), origin))
+        .map(|m| {
+            let momentum = matches!(m, MethodId::AsyncMsgd | MethodId::AsyncMeasgd);
+            let c = if momentum { &msgd_cfg } else { &cfg };
+            let origin = if m.is_existing() { "existing" } else { "ours" };
+            (run_method(m, &net, &train, &test, c), origin)
+        })
         .collect();
     results.sort_by(|a, b| b.0.accuracy.partial_cmp(&a.0.accuracy).unwrap());
     for (r, origin) in &results {

@@ -46,7 +46,7 @@ fn main() {
     );
 
     // 4. Same budget with the round-robin baseline the paper improves on.
-    let baseline = original_easgd_turns(&net, &train, &test, &cfg);
+    let baseline = run_method(MethodId::OriginalEasgd, &net, &train, &test, &cfg);
     println!(
         "{}: test accuracy {:.1}% in {:.2}s wall",
         baseline.method,

@@ -77,6 +77,12 @@ if grep -rnE "PartitionedPool|partitioned_sync_easgd|partitioned_hogwild_easgd|w
   exit 1
 fi
 
+echo "==> one async exchange rule (AsyncVariant; the per-method locked trainers and their gradient-push master were deleted)"
+if grep -rnE "GradCenter|original_easgd_turns|fn async_(sgd|msgd|easgd)\b" crates/ src/ tests/ examples/; then
+  echo "error: a per-method copy of the async exchange is back (matches above)" >&2
+  exit 1
+fi
+
 echo "==> kernel table (smoke: one iteration per row, no JSON; gemm_par_vs_serial on >= 2 threads, skip notice on 1; checked-in BENCH_kernels.json fork-join acceptance)"
 cargo run -q --release -p easgd-bench --bin kernels -- --smoke
 

@@ -49,10 +49,9 @@ pub use easgd_tensor as tensor;
 /// The most common imports in one place.
 pub mod prelude {
     pub use easgd::{
-        async_easgd, async_measgd, async_msgd, async_sgd, hogwild_easgd, hogwild_sgd,
-        knl_partition_run, original_easgd_sim, original_easgd_turns, run_method, sync_easgd_shared,
-        sync_easgd_sim, sync_sgd_sim, MethodId, OriginalMode, RunResult, SimCosts, SyncVariant,
-        TrainConfig, WeakScalingModel,
+        async_server_sim, hogwild_easgd, hogwild_sgd, knl_partition_run, original_easgd_sim,
+        run_comparison, run_method, sync_easgd_shared, sync_easgd_sim, sync_sgd_sim, AsyncVariant,
+        MethodId, OriginalMode, RunResult, SimCosts, SyncVariant, TrainConfig, WeakScalingModel,
     };
     pub use easgd_cluster::{
         ClusterBackend, ClusterConfig, Comm, SimClock, TimeCategory, VirtualCluster,

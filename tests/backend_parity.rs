@@ -189,16 +189,12 @@ fn sync_sgd_layouts_are_backend_identical_at_w2() {
 #[test]
 fn async_server_is_backend_identical_at_w1() {
     // FCFS arrival order is racy for >1 thread-backed worker, so the
-    // thread-vs-event comparison pins the deterministic w=1 config (as
-    // the golden suite does). Event-side determinism at w=4 is covered
-    // below.
+    // thread-vs-event comparison pins the w=1 config. Event-side
+    // determinism above it is covered below and by the golden rows.
     let (net, train, test) = task();
     let costs = SimCosts::mnist_lenet_4gpu();
-    for (name, v) in [
-        ("async_sgd_w1", AsyncVariant::Sgd),
-        ("async_easgd_w1", AsyncVariant::Easgd),
-    ] {
-        parity(name, || {
+    for v in AsyncVariant::ALL {
+        parity(&format!("async_{v:?}_w1"), || {
             async_server_sim(&net, &train, &test, &cfg(1, 15), &costs, v)
         });
     }
@@ -211,21 +207,15 @@ fn async_server_at_w4_is_deterministic_on_the_event_backend() {
     // agree bit-for-bit.
     let (net, train, test) = task();
     let costs = SimCosts::mnist_lenet_4gpu();
-    let run = || {
-        ClusterBackend::Events.with_default(|| {
-            async_server_sim(
-                &net,
-                &train,
-                &test,
-                &cfg(4, 12),
-                &costs,
-                AsyncVariant::Easgd,
-            )
-        })
-    };
-    let a = run();
-    let b = run();
-    assert_bit_identical("async_easgd_w4_events_rerun", &a, &b);
+    for v in [AsyncVariant::Easgd, AsyncVariant::Measgd] {
+        let run = || {
+            ClusterBackend::Events
+                .with_default(|| async_server_sim(&net, &train, &test, &cfg(4, 12), &costs, v))
+        };
+        let a = run();
+        let b = run();
+        assert_bit_identical(&format!("async_{v:?}_w4_events_rerun"), &a, &b);
+    }
 }
 
 #[test]

@@ -19,16 +19,13 @@ fn every_wallclock_method_trains_end_to_end() {
     let c = cfg(120);
     let mut msgd = c.clone();
     msgd.eta = 0.01;
-    let results = vec![
-        async_sgd(&net, &train, &test, &c),
-        async_msgd(&net, &train, &test, &msgd),
-        async_easgd(&net, &train, &test, &c),
-        async_measgd(&net, &train, &test, &msgd),
-        hogwild_sgd(&net, &train, &test, &c),
-        hogwild_easgd(&net, &train, &test, &c),
-        original_easgd_turns(&net, &train, &test, &c),
-        sync_easgd_shared(&net, &train, &test, &c),
-    ];
+    let results: Vec<RunResult> = MethodId::ALL
+        .into_iter()
+        .map(|m| {
+            let momentum = matches!(m, MethodId::AsyncMsgd | MethodId::AsyncMeasgd);
+            run_method(m, &net, &train, &test, if momentum { &msgd } else { &c })
+        })
+        .collect();
     for r in &results {
         assert!(
             r.accuracy > 0.3,
@@ -67,17 +64,8 @@ fn elastic_methods_beat_their_counterparts_on_equal_budget() {
     // the asynchronous methods; at minimum it must not lose badly.
     let (net, train, test) = setup();
     let c = cfg(150);
-    let pairs = [
-        (
-            async_easgd(&net, &train, &test, &c),
-            async_sgd(&net, &train, &test, &c),
-        ),
-        (
-            hogwild_easgd(&net, &train, &test, &c),
-            hogwild_sgd(&net, &train, &test, &c),
-        ),
-    ];
-    for (ours, theirs) in &pairs {
+    for m in [MethodId::AsyncEasgd, MethodId::HogwildEasgd] {
+        let (ours, theirs) = run_comparison(m, &net, &train, &test, &c).unwrap();
         assert!(
             ours.accuracy >= theirs.accuracy - 0.08,
             "{} ({}) much worse than {} ({})",

@@ -16,8 +16,9 @@
 //! the bound on the total, the same for 10 rounds and for 40.
 //!
 //! A worker's own parameter-sized arrays are counted beside it
-//! (`LocalStep::held_floats`): two arenas under Sync EASGD, three after
-//! an Async EASGD exchange, four after a MEASGD one.
+//! (`LocalStep::held_floats`): two arenas under Sync EASGD and after an
+//! Async SGD or MSGD exchange, three after an Async EASGD one, four
+//! after a MEASGD one.
 
 use knl_easgd::algorithms as alg;
 use knl_easgd::cluster::{tags, BatchMsg, PoolStats};
@@ -221,20 +222,22 @@ fn a_worker_holds_the_arenas_its_method_reads() {
     let (proto, train, _) = task();
     let (n, cfg) = (proto.num_params(), cfg(1));
     let rule = ElasticRule::from_config(&cfg);
-    let mut center = proto.params().as_slice().to_vec();
+    let (mut center, mut velocity) = (proto.params().as_slice().to_vec(), Vec::new());
     let mut rng = additive_rng(cfg.seed, 1);
-    // `async_easgd`'s and `async_measgd`'s exchange, from their public pieces.
-    for (momentum, arenas) in [(false, 3), (true, 4)] {
+    // One exchange of each asynchronous method; the master's velocity
+    // is the master's, not the worker's.
+    for (variant, arenas) in [
+        (AsyncVariant::Sgd, 2),
+        (AsyncVariant::Msgd, 2),
+        (AsyncVariant::Easgd, 3),
+        (AsyncVariant::Measgd, 4),
+    ] {
         let mut local = LocalStep::new(&proto);
         local.forward_backward(&train.sample_batch(&mut rng, cfg.batch));
         assert_eq!(local.held_floats(), 2 * n);
-        rule.center_pull(&mut center, local.params());
-        local.snapshot_center(&center);
-        if momentum {
-            local.elastic_momentum_step(&rule);
-        } else {
-            local.elastic_step(&rule);
-        }
-        assert_eq!(local.held_floats(), arenas * n, "momentum={momentum}");
+        variant.apply(&rule, &mut center, &mut velocity, variant.push(&local));
+        variant.receive(&mut local, &center);
+        variant.worker_update(&rule, &mut local);
+        assert_eq!(local.held_floats(), arenas * n, "{variant:?}");
     }
 }

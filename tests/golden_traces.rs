@@ -20,8 +20,9 @@
 //! Wall-clock trainers are digested at `workers = 1` (the only
 //! configuration where thread scheduling cannot reorder float ops);
 //! the simulated-clock trainers are deterministic at any rank count and
-//! are digested at multiple workers. Wall-clock *seconds* are never
-//! digested.
+//! are digested at multiple workers — the FCFS server on the event
+//! backend, where the order requests reach the master is a pure
+//! function of the seed. Wall-clock *seconds* are never digested.
 //!
 //! To regenerate after an intentional numerical change:
 //! `GOLDEN_RECORD=1 cargo test --test golden_traces` and commit the
@@ -225,7 +226,12 @@ fn run_all() -> BTreeMap<String, RunResult> {
     // FCFS server. On the event backend the order in which requests
     // reach the master is a pure function of the seed, so every P > 1 is
     // pinned there; w1 has one order on either backend.
-    for (suffix, v) in [("sgd", AsyncVariant::Sgd), ("easgd", AsyncVariant::Easgd)] {
+    for (suffix, v) in [
+        ("sgd", AsyncVariant::Sgd),
+        ("msgd", AsyncVariant::Msgd),
+        ("easgd", AsyncVariant::Easgd),
+        ("measgd", AsyncVariant::Measgd),
+    ] {
         let r = async_server_sim(&net, &train, &test, &cfg(1, 30), &costs, v);
         put(&format!("sim_async_{suffix}_w1"), r);
         for p in [2usize, 4, 8] {
