@@ -23,7 +23,7 @@
 
 use easgd::sync::{tree_exchange_pipelined, tree_exchange_round};
 use easgd_bench::report::{self, bench_row, Report};
-use easgd_cluster::collectives::{flat_gather_sum, tree_reduce_sum};
+use easgd_cluster::collectives::{barrier, flat_gather_sum, tree_reduce_sum};
 use easgd_cluster::{ClusterBackend, ClusterConfig, Comm, TimeCategory, VirtualCluster};
 use easgd_hardware::AlphaBeta;
 use easgd_tensor::Rng;
@@ -191,14 +191,14 @@ fn bench_overlap(entries: &mut Vec<Entry>, smoke: bool) -> OverlapOutcome {
                     comm.recycle_buffer(s);
                 }
             }
-            comm.barrier();
+            barrier(comm);
             let before = comm.pool_stats();
             let t0 = comm.now();
             for _ in 0..rounds {
                 round(comm);
             }
             let per_round_s = (comm.now() - t0) / rounds as f64;
-            comm.barrier();
+            barrier(comm);
             let allocs = comm.pool_stats().since(&before).allocations() as f64 / rounds as f64;
             (per_round_s, allocs)
         });

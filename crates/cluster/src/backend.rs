@@ -435,6 +435,7 @@ mod tests {
     use super::*;
     use crate::clock::TimeCategory;
     use crate::cluster::{ClusterConfig, VirtualCluster};
+    use crate::collectives::{barrier, tree_allreduce_sum, tree_broadcast, tree_reduce_sum};
 
     impl EventSched {
         /// How often `rank` has parked so far.
@@ -474,10 +475,9 @@ mod tests {
     fn event_backend_collectives_match_thread_backend() {
         let body = |comm: &mut Comm| {
             comm.charge(TimeCategory::ForwardBackward, comm.rank() as f64 * 0.5);
-            let x = vec![comm.rank() as f32, 1.0];
-            let mut sum = Vec::new();
-            comm.allreduce_sum_into(&x, TimeCategory::GpuGpuParam, &mut sum);
-            comm.barrier();
+            let mut sum = vec![comm.rank() as f32, 1.0];
+            tree_allreduce_sum(comm, &mut sum, TimeCategory::GpuGpuParam);
+            barrier(comm);
             (sum, comm.now())
         };
         let threads = VirtualCluster::run(&ClusterConfig::new(5), body);
@@ -498,8 +498,8 @@ mod tests {
         // parallelism is routine for the event engine.
         let p = 1024;
         let out = VirtualCluster::run(&events(p), |comm| {
-            let mut sum = Vec::new();
-            comm.allreduce_sum_into(&[1.0f32], TimeCategory::GpuGpuParam, &mut sum);
+            let mut sum = vec![1.0f32];
+            tree_allreduce_sum(comm, &mut sum, TimeCategory::GpuGpuParam);
             sum[0]
         });
         assert_eq!(out.len(), p);
@@ -573,27 +573,28 @@ mod tests {
 
     #[test]
     fn mismatched_collectives_deadlock_naming_ranks_and_tags() {
-        // Rank 2 enters a barrier while its peers reduce. Each op kind
-        // has its own tag, so nothing matches: the hub starves on rank
-        // 2's contribution and the engine reports who waits for what.
+        // Rank 2 waits for a broadcast while its peers allreduce. Reduce
+        // partials and broadcasts ride different tags, so nothing
+        // matches: the root starves on rank 2's partial and the engine
+        // reports who waits for what.
         let cat = TimeCategory::GpuGpuParam;
         let seen = rank_panics(3, |comm| {
-            let mut out = Vec::new();
+            let mut data = vec![1.0];
             if comm.rank() == 2 {
-                comm.barrier();
+                tree_broadcast(comm, 0, &mut data, cat);
             } else {
-                comm.reduce_sum_costed_into(&[1.0], 0.0, cat, &mut out);
+                tree_allreduce_sum(comm, &mut data, cat);
             }
         });
         let report = seen
             .iter()
             .find(|m| m.contains("event backend deadlock"))
             .unwrap_or_else(|| panic!("no deadlock report among {seen:?}"));
-        let (reduce, barrier) = (crate::tags::hub(2), crate::tags::hub(0));
+        let (reduce, bcast) = (crate::tags::TREE_REDUCE, crate::tags::TREE_BCAST);
         for waiter in [
-            format!("rank 0 (tag {reduce:#x} from rank 2)"),
-            format!("rank 1 (tag {reduce:#x} from rank 0)"),
-            format!("rank 2 (tag {barrier:#x} from rank 0)"),
+            format!("rank 0 (tag {:#x} from rank 2)", reduce | 2),
+            format!("rank 1 (tag {:#x} from rank 0)", bcast | 1),
+            format!("rank 2 (tag {:#x} from rank 0)", bcast | 2),
         ] {
             assert!(report.contains(&waiter), "{waiter:?} not in {report:?}");
         }
@@ -601,17 +602,22 @@ mod tests {
 
     #[test]
     fn deadlock_report_names_every_message_a_gather_still_misses() {
-        // Ranks 2 and 3 are in a barrier instead: the hub's one park
-        // misses both contributions.
+        // Ranks 1 and 2 wait for a broadcast instead of contributing:
+        // the root's one park misses both partials.
         let seen = rank_panics(4, |comm| {
-            if comm.rank() < 2 {
-                comm.allreduce_sum_into(&[1.0], TimeCategory::Other, &mut Vec::new());
+            let mut data = vec![1.0];
+            if comm.rank() == 1 || comm.rank() == 2 {
+                tree_broadcast(comm, 0, &mut data, TimeCategory::Other);
             } else {
-                comm.barrier();
+                tree_allreduce_sum(comm, &mut data, TimeCategory::Other);
             }
         });
-        let sum = crate::tags::hub(2);
-        let want = format!("rank 0 (tag {sum:#x} from rank 2; tag {sum:#x} from rank 3)");
+        let reduce = crate::tags::TREE_REDUCE;
+        let want = format!(
+            "rank 0 (tag {:#x} from rank 1; tag {:#x} from rank 2)",
+            reduce | 1,
+            reduce | 2
+        );
         assert!(seen.iter().any(|m| m.contains(&want)), "{seen:?}");
     }
 
@@ -621,7 +627,6 @@ mod tests {
         // a child (the even ones below P-1) once for all its children:
         // the floor for run-to-block on a binomial tree. A count, so it
         // holds the hand-off saving on any host.
-        use crate::collectives::tree_allreduce_sum;
         const ROUNDS: usize = 3;
         for p in [2usize, 5, 64, 1024] {
             let parks = VirtualCluster::run(&events(p), |comm| {
@@ -639,18 +644,15 @@ mod tests {
                 (ROUNDS * per_round) as u64,
                 "p={p}"
             );
+            // Per rank: once for all its children's partials (a gather
+            // parks once, not once per child) and once for the broadcast
+            // unless it is the root.
+            for (rank, &n) in parks.iter().enumerate() {
+                let waits =
+                    usize::from(rank.is_multiple_of(2) && rank + 1 < p) + usize::from(rank != 0);
+                assert_eq!(n, (ROUNDS * waits) as u64, "p={p} rank {rank}");
+            }
         }
-    }
-
-    #[test]
-    fn hub_gather_parks_the_hub_once() {
-        let parks = VirtualCluster::run(&events(64), |comm| {
-            let mut sum = Vec::new();
-            comm.allreduce_sum_into(&[1.0], TimeCategory::GpuGpuParam, &mut sum);
-            assert_eq!(sum, vec![64.0]);
-            comm.parks()
-        });
-        assert_eq!(parks, vec![1; 64], "the hub and each contributor park once");
     }
 
     #[test]
@@ -696,15 +698,14 @@ mod tests {
     }
 
     #[test]
-    fn unequal_reduce_contributions_panic_on_the_hub() {
+    fn unequal_reduce_contributions_panic() {
         let seen = rank_panics(3, |comm| {
-            let mine = vec![1.0f32; 1 + comm.rank() / 2];
-            let mut out = Vec::new();
-            comm.allreduce_sum_into(&mine, TimeCategory::GpuGpuParam, &mut out);
+            let mut mine = vec![1.0f32; 1 + comm.rank() / 2];
+            tree_allreduce_sum(comm, &mut mine, TimeCategory::GpuGpuParam);
         });
         assert!(
             seen.iter()
-                .any(|m| m.contains("collective contributions must have equal length")),
+                .any(|m| m.contains("tree reduce length mismatch")),
             "{seen:?}"
         );
     }
@@ -718,23 +719,27 @@ mod tests {
             let link = cfg.link.clone();
             let outs = VirtualCluster::run(&cfg, |comm| {
                 let me = comm.rank() as f32;
-                let (mut r, mut g, mut a) = (Vec::new(), Vec::new(), Vec::new());
-                comm.barrier();
-                comm.reduce_sum_costed_into(&[1.0, me], 0.25, cat, &mut r);
-                comm.allgather_into(&[me], cat, &mut g);
-                comm.allreduce_sum_into(&[1.0], cat, &mut a);
-                (r, g, a, comm.now())
+                let (mut r, mut b, mut a) = (vec![1.0, me], vec![7.0 + me], vec![1.0]);
+                barrier(comm);
+                tree_reduce_sum(comm, 0, &mut r, cat);
+                tree_broadcast(comm, 0, &mut b, cat);
+                tree_allreduce_sum(comm, &mut a, cat);
+                (r, b, a, comm.now())
             });
-            let ranks: Vec<f32> = (0..p).map(|r| r as f32).collect();
-            let want_time = reduce_tree(&link, p, 0)
-                + 0.25
-                + reduce_tree(&link, p, 4)
-                + broadcast_tree(&link, p, 4 * p)
-                + (reduce_tree(&link, p, 4) + broadcast_tree(&link, p, 4));
+            let rank_sum: f32 = (0..p).map(|r| r as f32).sum();
+            // At a power of two every tree leaves all ranks together, so
+            // the hops of the four collectives add up.
+            let tree = |bytes| reduce_tree(&link, p, bytes) + broadcast_tree(&link, p, bytes);
+            let want_time =
+                tree(0) + reduce_tree(&link, p, 8) + broadcast_tree(&link, p, 4) + tree(4);
             assert_eq!(outs.len(), p);
-            for (r, g, a, t) in outs {
-                assert_eq!(r, vec![p as f32, ranks.iter().sum::<f32>()]);
-                assert_eq!(g, ranks);
+            assert_eq!(
+                outs[0].0,
+                vec![p as f32, rank_sum],
+                "the root holds the sum"
+            );
+            for (_, b, a, t) in outs {
+                assert_eq!(b, vec![7.0]);
                 assert_eq!(a, vec![p as f32]);
                 assert!((t - want_time).abs() < 1e-12, "p={p}: {t} vs {want_time}");
             }
@@ -745,7 +750,7 @@ mod tests {
     #[should_panic(expected = "rank panicked")]
     fn event_backend_propagates_rank_panics() {
         let _ = VirtualCluster::run(&events(4), |comm| {
-            comm.barrier();
+            barrier(comm);
             if comm.rank() == 2 {
                 panic!("boom");
             }

@@ -123,10 +123,11 @@ impl VirtualCluster {
 mod tests {
     use super::*;
     use crate::clock::TimeCategory;
+    use crate::collectives::{barrier, tree_allreduce_sum, tree_reduce_sum};
 
     fn allreduce(comm: &mut Comm, x: &[f32], category: TimeCategory) -> Vec<f32> {
-        let mut out = Vec::new();
-        comm.allreduce_sum_into(x, category, &mut out);
+        let mut out = x.to_vec();
+        tree_allreduce_sum(comm, &mut out, category);
         out
     }
 
@@ -150,16 +151,14 @@ mod tests {
     }
 
     #[test]
-    fn reduce_delivers_sum() {
+    fn reduce_delivers_sum_to_the_root() {
         let cfg = ClusterConfig::new(3);
         let out = VirtualCluster::run(&cfg, |comm| {
-            let mut sum = Vec::new();
-            comm.reduce_sum_costed_into(&[1.0f32], 0.0, TimeCategory::GpuGpuParam, &mut sum);
+            let mut sum = vec![1.0f32];
+            tree_reduce_sum(comm, 0, &mut sum, TimeCategory::GpuGpuParam);
             sum
         });
-        for v in out {
-            assert_eq!(v, vec![3.0]);
-        }
+        assert_eq!(out[0], vec![3.0]);
     }
 
     #[test]
@@ -168,7 +167,7 @@ mod tests {
         let times = VirtualCluster::run(&cfg, |comm| {
             // Rank r does r seconds of compute, then a barrier.
             comm.charge(TimeCategory::ForwardBackward, comm.rank() as f64);
-            comm.barrier();
+            barrier(comm);
             comm.now()
         });
         // Everyone ends at the slowest rank's time + barrier cost.
@@ -180,7 +179,7 @@ mod tests {
     }
 
     #[test]
-    fn consecutive_collectives_reuse_the_hub() {
+    fn consecutive_collectives_do_not_cross_match() {
         let cfg = ClusterConfig::new(3);
         let out = VirtualCluster::run(&cfg, |comm| {
             let mut acc = 0.0;
@@ -201,7 +200,7 @@ mod tests {
         let cfg = ClusterConfig::new(1);
         let out = VirtualCluster::run(&cfg, |comm| {
             let s = allreduce(comm, &[7.0], TimeCategory::Other);
-            comm.barrier();
+            barrier(comm);
             s[0]
         });
         assert_eq!(out, vec![7.0]);

@@ -4,24 +4,20 @@
 //! point-to-point payloads ride in pool-recycled buffers that migrate
 //! with the message and are *moved* into the receiver's output (whose
 //! previous storage is recycled), fan-out rides one reference-counted
-//! [`Payload`], and collectives write into caller-provided outputs
+//! [`Payload`], and collectives write into caller-provided buffers
 //! (DESIGN.md §10).
 //!
-//! There is one transport: the synchronizing collectives are message
-//! programs over the same point-to-point primitives (every rank sends
-//! its contribution to the hub rank, which folds, prices and returns one
-//! shared payload), so the pool, the trace recorder, the FIFO checks,
-//! the protocol model checker and the event scheduler see every
-//! inter-rank byte.
+//! There is one transport and no collective here: the collectives in
+//! [`crate::collectives`] are message programs over these point-to-point
+//! primitives, so the pool, the trace recorder, the FIFO checks, the
+//! protocol model checker and the event scheduler see every inter-rank
+//! byte, and every simulated second is what those messages cost.
 
 use crate::clock::{RankReport, SimClock, TimeCategory};
 use crate::cluster::Shared;
 use crate::pool::{FreeList, PoolStats};
 use crate::request::{ReqState, Request, RequestCollection};
-use crate::tags;
 use crate::trace::TraceOp;
-use easgd_hardware::collective as cost;
-use easgd_hardware::net::AlphaBeta;
 #[cfg(feature = "strict-invariants")]
 use std::collections::HashMap;
 use std::collections::{BTreeSet, VecDeque};
@@ -117,7 +113,7 @@ impl WaitSet {
         }
     }
 
-    /// Checks a delivered `(from, tag)` off — O(log P) even for a hub
+    /// Checks a delivered `(from, tag)` off — O(log P) even for a gather
     /// missing thousands of senders. True when it was the last one
     /// missing; a repeat, or traffic the set does not name, changes
     /// nothing.
@@ -132,50 +128,8 @@ impl WaitSet {
     }
 }
 
-/// The rank every collective gathers at and fans out from.
-const HUB: usize = 0;
-
-/// A synchronizing collective, as [`Comm::collective_into`] runs it.
-#[derive(Copy, Clone, Debug)]
-enum CollOp {
-    /// Synchronize only.
-    Barrier,
-    /// Everyone receives the hub's contribution.
-    Broadcast,
-    /// Everyone receives the element-wise sum of all contributions.
-    Sum,
-    /// Everyone receives all contributions, concatenated in rank order.
-    Concat,
-}
-
-impl CollOp {
-    /// One tag per op kind: ranks that disagree on the collective they
-    /// are in never match each other's messages.
-    fn tag(self) -> u32 {
-        match self {
-            CollOp::Barrier => tags::hub(0),
-            CollOp::Broadcast => tags::hub(1),
-            CollOp::Sum => tags::hub(2),
-            CollOp::Concat => tags::hub(3),
-        }
-    }
-
-    /// The binomial-tree closed form (§6.1.1's Θ(log P) schedule) for
-    /// `p` ranks whose largest contribution is `bytes`.
-    fn tree_cost(self, link: &AlphaBeta, p: usize, bytes: usize) -> f64 {
-        match self {
-            // A barrier is a reduce of nothing (`bytes` is 0). Gather:
-            // per-rank message sizes differ along the tree; the dominant
-            // term is the root receiving (P−1) contributions.
-            CollOp::Barrier | CollOp::Concat => cost::reduce_tree(link, p, bytes),
-            CollOp::Broadcast => cost::broadcast_tree(link, p, bytes),
-            CollOp::Sum => cost::reduce_tree(link, p, bytes) + cost::broadcast_tree(link, p, bytes),
-        }
-    }
-}
-
-/// A rank's handle to the cluster: identity, simulated clock,
-/// point-to-point messaging and collectives.
+/// A rank's handle to the cluster: identity, simulated clock and
+/// point-to-point messaging.
 ///
 /// Not `Clone` — each rank owns exactly one, mirroring an MPI
 /// communicator.
@@ -799,33 +753,11 @@ impl Comm {
         done
     }
 
-    /// Whether [`wait`](Self::wait) on `req` would complete without
-    /// advancing simulated time: a send whose NIC injection has
-    /// finished, or a receive whose matching message has already arrived
-    /// (the channel is drained nonblockingly into the pending queue so
-    /// the check sees everything physically delivered). A completed
-    /// request tests true. Does not complete the request.
-    pub fn test(&mut self, req: &Request) -> bool {
-        match req.state.as_ref() {
-            None => true,
-            Some(ReqState::Send { completion }) => *completion <= self.clock.now(),
-            Some(ReqState::Recv { from, tag, .. }) => {
-                let (from, tag) = (*from, *tag);
-                self.drain();
-                let now = self.clock.now();
-                self.pending
-                    .iter()
-                    .any(|m| m.from == from && m.tag == tag && m.arrival <= now)
-            }
-        }
-    }
-
     // ------------------------------------------------------------------
     // Cost-override variants
     //
-    // Device-level schedules (PCIe unpinned vs pinned paths, per-layer vs
-    // packed layouts, §5.2/§6.1) need finer pricing than one cluster-wide
-    // link. These variants move the same data but charge an explicit
+    // Device-level schedules (PCIe unpinned vs pinned paths, §6.1) need
+    // finer pricing than one cluster-wide link. These variants move the same data but charge an explicit
     // caller-computed cost.
     // ------------------------------------------------------------------
 
@@ -879,145 +811,6 @@ impl Comm {
         self.recv_into(from, tag, wait_category, out);
         self.clock.charge(transfer_category, seconds);
     }
-
-    // ------------------------------------------------------------------
-    // Collectives (synchronizing; all ranks must call with matching op)
-    // ------------------------------------------------------------------
-
-    /// Runs one collective as a message program and advances this rank's
-    /// clock to the collective's completion.
-    ///
-    /// Every rank but the hub sends `input` to the hub at no charge —
-    /// the whole operation is priced once, below — and receives the
-    /// result. The hub pulls the contributions in rank order without
-    /// moving its clock, folds them, advances to
-    /// `max(entry clocks) + cost`, where cost is `cost_override` or the
-    /// binomial-tree closed form for the largest contribution, and sends
-    /// the others the result as one shared payload, again at no charge.
-    ///
-    /// The fold's FP order — accumulator seeded from rank 0's input,
-    /// then `+=` in rank order — is pinned by the golden-trace tests.
-    fn collective_into(
-        &mut self,
-        input: &[f32],
-        op: CollOp,
-        cost_override: Option<f64>,
-        category: TimeCategory,
-        out: &mut Vec<f32>,
-    ) {
-        let tag = op.tag();
-        if self.rank != HUB {
-            self.send_costed(HUB, tag, input, 0.0, category);
-            self.recv_into(HUB, tag, category, out);
-            return;
-        }
-        let p = self.size();
-        let mut start = self.clock.now();
-        let mut bytes = input.len() * 4;
-        let mut result = match op {
-            // Equal contributions are the common case; a ragged gather
-            // grows the buffer and is counted below.
-            CollOp::Concat => {
-                let mut all = self.take_buffer(input.len() * p);
-                all.extend_from_slice(input);
-                self.shared.pool.note_copy(input.len() * 4);
-                all
-            }
-            _ => self.pooled_copy(input),
-        };
-        self.await_all((1..p).map(|from| (from, tag)));
-        for from in 1..p {
-            let msg = self.pull(from, tag);
-            let PayloadBuf::Owned(part) = msg.data else {
-                unreachable!("collective contributions are posted as owned buffers")
-            };
-            start = start.max(msg.arrival);
-            bytes = bytes.max(part.len() * 4);
-            match op {
-                // The hub's own input already is a broadcast's result.
-                CollOp::Barrier | CollOp::Broadcast => {}
-                CollOp::Concat => {
-                    if result.capacity() < result.len() + part.len() {
-                        self.shared.pool.note_external_alloc();
-                    }
-                    result.extend_from_slice(&part);
-                    self.shared.pool.note_copy(part.len() * 4);
-                }
-                CollOp::Sum => {
-                    assert_eq!(
-                        part.len(),
-                        result.len(),
-                        "collective contributions must have equal length"
-                    );
-                    for (acc, x) in result.iter_mut().zip(&part) {
-                        *acc += x;
-                    }
-                }
-            }
-            self.recycle_buffer(part);
-        }
-        let cost =
-            cost_override.unwrap_or_else(|| op.tree_cost(&self.shared.config.link, p, bytes));
-        self.clock.advance_to(start + cost, category);
-        // The hub reads the result out first and hands its own reference
-        // to the last receiver: no receiver can find the hub still
-        // copying, so who ends up with the buffer is not a thread race.
-        self.copy_out(&result, out);
-        let result = self.share(result);
-        for to in 1..p - 1 {
-            self.send_payload_costed(to, tag, &result, 0.0, category);
-        }
-        if p > 1 {
-            self.drain_nic(category);
-            self.note(TraceOp::Fork);
-            self.post(p - 1, tag, PayloadBuf::Shared(result.0));
-            self.note(TraceOp::Release);
-        } else {
-            self.release_payload(result);
-        }
-    }
-
-    /// Barrier across all ranks (tree-priced).
-    pub fn barrier(&mut self) {
-        let mut out = Vec::new();
-        self.collective_into(&[], CollOp::Barrier, None, TimeCategory::Other, &mut out);
-    }
-
-    /// Element-wise sum of every rank's `data` written into `out` on
-    /// every rank — a reduce whose non-roots are free to ignore the
-    /// result, or an allreduce — charging `seconds` in place of the
-    /// link-derived price: for calibrated models (e.g. the weak-scaling
-    /// study's measured MPI allreduce seconds), where the data motion is
-    /// real but the charge comes from elsewhere.
-    pub fn reduce_sum_costed_into(
-        &mut self,
-        data: &[f32],
-        seconds: f64,
-        category: TimeCategory,
-        out: &mut Vec<f32>,
-    ) {
-        self.collective_into(data, CollOp::Sum, Some(seconds), category, out);
-    }
-
-    /// Allgather written into `out`: every rank receives the rank-ordered
-    /// concatenation of every rank's `data` (contributions may differ in
-    /// length). Priced as a tree gather followed by a tree broadcast of
-    /// the concatenation.
-    pub fn allgather_into(&mut self, data: &[f32], category: TimeCategory, out: &mut Vec<f32>) {
-        self.collective_into(data, CollOp::Concat, None, category, out);
-        // Every rank already holds the concatenation; the second
-        // collective charges the broadcast's time.
-        let gathered = std::mem::take(out);
-        let input: &[f32] = if self.rank == HUB { &gathered } else { &[] };
-        self.collective_into(input, CollOp::Broadcast, None, category, out);
-        self.recycle_buffer(gathered);
-    }
-
-    /// Element-wise allreduce-sum written into `out`, priced as a tree
-    /// reduce plus a tree broadcast.
-    pub fn allreduce_sum_into(&mut self, data: &[f32], category: TimeCategory, out: &mut Vec<f32>) {
-        self.collective_into(data, CollOp::Sum, None, category, out);
-    }
 }
 
 /// No-message-loss check: a message that was pulled off the channel and
@@ -1048,6 +841,7 @@ impl Drop for Comm {
 mod tests {
     use super::*;
     use crate::cluster::{ClusterConfig, VirtualCluster};
+    use crate::collectives::{barrier, tree_allreduce_sum};
 
     const TAG: u32 = 7;
 
@@ -1071,12 +865,6 @@ mod tests {
         let mut out = Vec::new();
         let from = comm.recv_any_into(tag, category, &mut out);
         (from, out)
-    }
-
-    fn allgather(comm: &mut Comm, data: &[f32], category: TimeCategory) -> Vec<f32> {
-        let mut out = Vec::new();
-        comm.allgather_into(data, category, &mut out);
-        out
     }
 
     #[test]
@@ -1293,14 +1081,14 @@ mod tests {
                 buf.resize(1000, 2.5);
                 let sent_at = buf.as_ptr() as usize;
                 comm.send_from(1, TAG, buf, TimeCategory::Other);
-                comm.barrier();
+                barrier(comm);
                 (sent_at, comm.pool_stats().since(&before).bytes_copied)
             } else {
                 let mut dest = vec![9.0f32; 7];
                 comm.recv_into(0, TAG, TimeCategory::Other, &mut dest);
                 assert_eq!(dest, vec![2.5; 1000]);
                 let landed_at = dest.as_ptr() as usize;
-                comm.barrier();
+                barrier(comm);
                 (landed_at, 0)
             }
         });
@@ -1327,15 +1115,15 @@ mod tests {
                     comm.recycle_buffer(b);
                 }
             }
-            comm.barrier();
+            barrier(comm);
             let before = comm.pool_stats();
-            comm.barrier();
+            barrier(comm);
             let taken = if comm.rank() == 0 {
                 comm.take_buffer(16)
             } else {
                 comm.take_buffer(big)
             };
-            comm.barrier();
+            barrier(comm);
             (taken.capacity(), comm.pool_stats().since(&before))
         });
         assert!(out[0].0 >= 16 && out[1].0 >= big);
@@ -1386,9 +1174,9 @@ mod tests {
             assert!(payload.as_slice().iter().all(|&x| x == 1.5));
             let at = payload.as_slice().as_ptr() as usize;
             comm.release_payload(payload);
-            comm.barrier();
+            barrier(comm);
             let again = comm.take_buffer(if me == 0 { n } else { 0 });
-            comm.barrier();
+            barrier(comm);
             let delta = comm.pool_stats().since(&before);
             (at, again.capacity(), delta)
         });
@@ -1422,10 +1210,11 @@ mod tests {
                 } else {
                     comm.recv_into(0, TAG, TimeCategory::Other, scratch);
                 }
-                let (s, out) = (&scratch[..], sum);
-                comm.allreduce_sum_into(s, TimeCategory::Other, out);
+                sum.clear();
+                sum.extend_from_slice(&scratch[..]);
+                tree_allreduce_sum(comm, sum, TimeCategory::Other);
             };
-            // Warm up buffer capacities, then measure. The hub also parks
+            // Warm up buffer capacities, then measure. Rank 0 also parks
             // a few spares: the pool's steady state needs one buffer of
             // slack per pipeline stage (the result payload returns to
             // the pool on its *last* release, which can land after the
@@ -1439,12 +1228,12 @@ mod tests {
                     comm.recycle_buffer(s);
                 }
             }
-            comm.barrier();
+            barrier(comm);
             let before = comm.pool_stats();
             for _ in 0..8 {
                 exchange(comm, &mut scratch, &mut sum);
             }
-            comm.barrier();
+            barrier(comm);
             comm.pool_stats().since(&before)
         });
         assert_eq!(
@@ -1467,45 +1256,6 @@ mod tests {
         assert!((r.time - 3.0).abs() < 1e-12);
         assert!((r.breakdown.get(TimeCategory::ForwardBackward) - 2.0).abs() < 1e-12);
         assert_eq!(r.breakdown.comm_ratio(), 0.0);
-    }
-
-    #[test]
-    fn gather_concatenates_in_rank_order() {
-        let cfg = ClusterConfig::new(3);
-        let out = VirtualCluster::run(&cfg, |comm| {
-            let mine = vec![comm.rank() as f32; 2];
-            allgather(comm, &mine, TimeCategory::Other)
-        });
-        for v in out {
-            assert_eq!(v, vec![0.0, 0.0, 1.0, 1.0, 2.0, 2.0]);
-        }
-    }
-
-    #[test]
-    fn allgather_delivers_everywhere_and_costs_more_than_gather() {
-        let cfg = ClusterConfig::new(4);
-        let out = VirtualCluster::run(&cfg, |comm| {
-            let mine = vec![comm.rank() as f32];
-            let t0 = comm.now();
-            let g = allgather(comm, &mine, TimeCategory::GpuGpuParam);
-            (g, comm.now() - t0)
-        });
-        for (g, dt) in out {
-            assert_eq!(g, vec![0.0, 1.0, 2.0, 3.0]);
-            assert!(dt > 0.0);
-        }
-    }
-
-    #[test]
-    fn gather_supports_unequal_contributions() {
-        let cfg = ClusterConfig::new(3);
-        let out = VirtualCluster::run(&cfg, |comm| {
-            let mine = vec![comm.rank() as f32; comm.rank() + 1];
-            allgather(comm, &mine, TimeCategory::Other)
-        });
-        for v in out {
-            assert_eq!(v, vec![0.0, 1.0, 1.0, 2.0, 2.0, 2.0]);
-        }
     }
 
     #[test]
@@ -1639,7 +1389,6 @@ mod tests {
                 let mut r = comm.isend(1, TAG, &[0.0; 1024], TimeCategory::CpuGpuParam);
                 comm.charge(TimeCategory::ForwardBackward, 1.0);
                 let before = comm.now();
-                assert!(comm.test(&r), "injection finished during compute");
                 comm.wait(&mut r);
                 (before, comm.now())
             } else {
@@ -1708,12 +1457,12 @@ mod tests {
             for _ in 0..4 {
                 exchange(comm, &mut dest);
             }
-            comm.barrier();
+            barrier(comm);
             let before = comm.pool_stats();
             for _ in 0..8 {
                 exchange(comm, &mut dest);
             }
-            comm.barrier();
+            barrier(comm);
             comm.pool_stats().since(&before)
         });
         assert_eq!(
@@ -1721,35 +1470,6 @@ mod tests {
             (0, 0),
             "warm nonblocking exchange must not allocate: {allocs:?}"
         );
-    }
-
-    #[test]
-    fn test_reports_recv_readiness_without_completing() {
-        let cfg = ClusterConfig::new(2);
-        let out = VirtualCluster::run(&cfg, |comm| {
-            if comm.rank() == 0 {
-                // Nothing has been sent to us yet on tag 77.
-                let r = comm.irecv_into(1, 77, TimeCategory::Other, Vec::new());
-                let early = comm.test(&r);
-                // Rendezvous so the peer's message is physically in flight,
-                // then advance our clock past its arrival.
-                let _ = recv(comm, 1, TAG, TimeCategory::Other);
-                comm.charge(TimeCategory::Other, 10.0);
-                let mut r = r;
-                while !comm.test(&r) {
-                    std::thread::yield_now();
-                }
-                let data = comm.wait(&mut r).expect("recv buffer");
-                assert!(comm.test(&r), "completed requests test true");
-                (early, data[0])
-            } else {
-                comm.send(0, TAG, &[0.0], TimeCategory::Other);
-                comm.send(0, 77, &[9.0], TimeCategory::Other);
-                (false, 0.0)
-            }
-        });
-        assert!(!out[0].0, "no message yet: test must be false");
-        assert_eq!(out[0].1, 9.0);
     }
 
     #[test]

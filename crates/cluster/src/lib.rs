@@ -18,16 +18,14 @@
 //!   ([`backend::ClusterBackend`]) and the event scheduler.
 //! * [`clock`] — per-rank simulated time plus the Table 3 time-category
 //!   breakdown (`cpu-gpu para comm`, `for/backward`, …).
-//! * [`comm`] — the per-rank communicator: point-to-point send / recv /
-//!   recv-any (FCFS), and synchronizing collectives (barrier, reduce,
-//!   allgather, allreduce) that run as message programs over
-//!   those same primitives and charge the binomial-tree Θ(log P) closed
-//!   form or a caller-supplied cost.
+//! * [`comm`] — the per-rank communicator: blocking and nonblocking
+//!   point-to-point send / recv / recv-any (FCFS) into caller buffers.
 //! * [`cluster`] — [`cluster::VirtualCluster::run`]:
 //!   spawns the ranks, hands each a [`comm::Comm`], joins results.
-//! * [`collectives`] — *executable* ring / binomial-tree collectives
-//!   whose simulated time emerges from the p2p layer instead of a
-//!   closed form.
+//! * [`collectives`] — every collective: binomial-tree reduce /
+//!   broadcast / allreduce and a barrier, the ring allreduce and the
+//!   flat gather baseline, all message programs over `comm` whose
+//!   simulated time is what their messages cost.
 //! * [`pool`] — the cluster-wide payload buffer pool behind the
 //!   zero-allocation exchange path (DESIGN.md §10).
 //! * [`tags`] — the named tag-range registry every subsystem draws its
@@ -37,13 +35,12 @@
 //!   (DESIGN.md §12).
 //!
 //! ```
-//! use easgd_cluster::{ClusterConfig, VirtualCluster, TimeCategory};
+//! use easgd_cluster::{tree_allreduce_sum, ClusterConfig, TimeCategory, VirtualCluster};
 //!
 //! let config = ClusterConfig::new(4);
 //! let sums = VirtualCluster::run(&config, |comm| {
-//!     let mine = vec![comm.rank() as f32];
-//!     let mut total = Vec::new();
-//!     comm.allreduce_sum_into(&mine, TimeCategory::GpuGpuParam, &mut total);
+//!     let mut total = vec![comm.rank() as f32];
+//!     tree_allreduce_sum(comm, &mut total, TimeCategory::GpuGpuParam);
 //!     total[0]
 //! });
 //! assert_eq!(sums, vec![6.0; 4]);

@@ -22,7 +22,6 @@
 //! | `0x4200_0000 \| mask`       | Binomial-tree broadcast steps            |
 //! | `0x4300_0000`               | Flat gather-sum baseline                 |
 //! | `0x4400_0000 \| …`          | Nonblocking segmented exchange           |
-//! | `0x4500_0000 \| kind, root` | Hub collectives (`Comm::barrier`, …)     |
 //! | `0x8000_0000 \| …`          | Ring allreduce (phase, step)             |
 
 /// Sync EASGD's CPU→GPU batch fan-out ([`BatchMsg`](crate::BatchMsg)
@@ -102,20 +101,6 @@ pub fn seg_tree(segment: usize, phase: u32, mask: usize) -> u32 {
     SEG_EXCHANGE_BASE | ((segment as u32) << 16) | (phase << 15) | (mask as u32)
 }
 
-/// Base of the hub-collective range; use [`hub`].
-pub const HUB_BASE: u32 = 0x4500_0000;
-/// Width of the hub range: op kind (4 bits) << 20.
-pub const HUB_SPAN: u32 = 0x0100_0000;
-
-/// Tag of one hub collective (`Comm::barrier`, `allreduce_sum_into`, …),
-/// for contributions and result alike. One per op `kind`, so ranks that
-/// disagree about the collective they are in never match each other's
-/// messages: a deadlock, not an answer.
-pub fn hub(kind: u32) -> u32 {
-    debug_assert!(kind < 16, "hub tag out of range: kind {kind}");
-    HUB_BASE | (kind << 20)
-}
-
 /// Base of the ring-allreduce range; use [`ring`].
 pub const RING_BASE: u32 = 0x8000_0000;
 /// Width of the ring range: phase (1 bit) << 16 | step (16 bits).
@@ -144,7 +129,6 @@ pub const RANGES: &[(&str, u32, u32)] = &[
     ("tree-bcast", TREE_BCAST, TREE_SPAN),
     ("flat-gather", FLAT_GATHER, 1),
     ("seg-exchange", SEG_EXCHANGE_BASE, SEG_EXCHANGE_SPAN),
-    ("hub", HUB_BASE, HUB_SPAN),
     ("ring", RING_BASE, RING_SPAN),
 ];
 
@@ -192,8 +176,6 @@ mod tests {
             owner_of(seg_tree(255, SEG_PHASE_REDUCE, 0x7fff)),
             Some("seg-exchange")
         );
-        assert_eq!(owner_of(hub(0)), Some("hub"));
-        assert_eq!(owner_of(hub(15)), Some("hub"));
     }
 
     #[test]

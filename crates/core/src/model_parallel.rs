@@ -15,7 +15,7 @@
 //! 2048×1024×1024 matrix multiplication only needs one or two machines.”
 //! [`model_parallel_speedup`] prices exactly that trade.
 
-use easgd_cluster::{Comm, TimeCategory};
+use easgd_cluster::{tree_allreduce_sum, tree_broadcast, Comm, TimeCategory};
 use easgd_hardware::net::AlphaBeta;
 use easgd_tensor::{gemm, Transpose};
 
@@ -67,20 +67,22 @@ pub fn model_parallel_dense_forward(
             *v += b;
         }
     }
-    // Allgather the slices ([batch, rows_r] blocks in rank order), then
-    // interleave into [batch, out].
-    let mut gathered = Vec::new();
-    comm.allgather_into(&part, TimeCategory::GpuGpuParam, &mut gathered);
+    // Allgather: each owner broadcasts its [batch, rows] slice down the
+    // tree, and every rank interleaves it into [batch, out].
     let mut out = vec![0.0f32; batch * out_features];
-    let mut offset = 0;
-    for rank in 0..p {
-        let (s0, s1) = partition_rows(out_features, p, rank);
+    for owner in 0..p {
+        let mut slice = if owner == r {
+            std::mem::take(&mut part)
+        } else {
+            Vec::new()
+        };
+        tree_broadcast(comm, owner, &mut slice, TimeCategory::GpuGpuParam);
+        let (s0, s1) = partition_rows(out_features, p, owner);
         let w = s1 - s0;
         for b in 0..batch {
             out[b * out_features + s0..b * out_features + s1]
-                .copy_from_slice(&gathered[offset + b * w..offset + (b + 1) * w]);
+                .copy_from_slice(&slice[b * w..(b + 1) * w]);
         }
-        offset += batch * w;
     }
     out
 }
@@ -121,9 +123,8 @@ pub fn model_parallel_dense_backward(
         0.0,
         &mut gx,
     );
-    let mut summed = Vec::new();
-    comm.allreduce_sum_into(&gx, TimeCategory::GpuGpuParam, &mut summed);
-    summed
+    tree_allreduce_sum(comm, &mut gx, TimeCategory::GpuGpuParam);
+    gx
 }
 
 /// The §2.3 cost argument, priced: speedup of `p`-way model parallelism

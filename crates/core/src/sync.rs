@@ -32,7 +32,9 @@ use crate::engine::{
 };
 use crate::metrics::RunResult;
 use crate::simcost::SimCosts;
-use easgd_cluster::collectives::{tree_broadcast_shared_among, tree_reduce_sum_among, TreeRole};
+use easgd_cluster::collectives::{
+    tree_allreduce_sum, tree_broadcast_shared_among, tree_reduce_sum_among, TreeRole,
+};
 use easgd_cluster::{
     tags, BatchMsg, ClusterConfig, Comm, Request, RequestCollection, TimeCategory, VirtualCluster,
 };
@@ -539,10 +541,13 @@ pub fn sync_easgd_sim_with(
 
 /// Sync SGD: plain data-parallel SGD with a summed-gradient exchange —
 /// the Figure 10 workhorse and the "well-tuned framework" stand-in for
-/// the Intel Caffe baseline. Runs directly on cluster ranks (each worker
-/// owns a shard), with the gradient allreduce priced as
-/// `2·⌈log₂P⌉` tree hops over the given `link`, under either parameter
-/// layout of §5.2.
+/// the Intel Caffe baseline. Runs directly on cluster ranks over `link`
+/// (each worker owns a shard). Every round allreduces the gradient with
+/// the executable tree ([`tree_allreduce_sum`]) once per message of the
+/// §5.2 layout's [`CommSchedule`]: once over the whole arena when packed,
+/// once per layer when per-layer, so the per-layer latency penalty is
+/// paid by executed messages. Each element is folded in the same tree
+/// order either way, so both layouts apply bit-identical updates.
 ///
 /// `shards.len()` must equal `cfg.workers`. With `trace_every > 0` the
 /// rank-0 worker records test accuracy on the simulated timeline.
@@ -560,11 +565,8 @@ pub fn sync_sgd_sim(
     cfg.validate();
     assert_eq!(shards.len(), cfg.workers, "one shard per worker required");
     let g = cfg.workers;
-    let cluster = ClusterConfig::new(g);
+    let cluster = ClusterConfig::new(g).with_link(link.clone());
     let schedule = CommSchedule::from_network(proto, layout);
-    // Tree reduce + tree broadcast of the whole schedule per round.
-    let hops = 2.0 * easgd_hardware::collective::ceil_log2(g) as f64;
-    let allreduce_cost = hops * schedule.time_alpha_beta(link.alpha_s, link.beta_s_per_byte);
     let update_cost = 3.0 * proto.size_bytes() as f64 / 200.0e9;
     let wall_start = Instant::now();
 
@@ -575,24 +577,29 @@ pub fn sync_sgd_sim(
         let mut local = LocalStep::new(proto);
         let scale = cfg.eta / g as f32;
         let mut recorder = TraceRecorder::new(trace_every);
-        let mut grad_sum = Vec::with_capacity(local.num_params());
+        let mut grad_sum = comm.take_buffer(local.num_params());
         for round in 0..cfg.iterations {
             let batch = shard.sample_batch(&mut rng, cfg.batch);
             local.forward_backward(&batch);
             comm.charge(TimeCategory::ForwardBackward, fwd_bwd_cost);
-            comm.reduce_sum_costed_into(
-                local.grad(),
-                allreduce_cost,
-                TimeCategory::GpuGpuParam,
-                &mut grad_sum,
-            );
-            easgd_tensor::ops::axpy(-scale, &grad_sum, local.params_mut());
+            // The schedule's messages, divided by 4, partition the arena
+            // in order: one tree allreduce per message.
+            let mut start = 0;
+            for &bytes in &schedule.messages {
+                let range = start..start + bytes / 4;
+                start = range.end;
+                grad_sum.clear();
+                grad_sum.extend_from_slice(&local.grad()[range.clone()]);
+                tree_allreduce_sum(comm, &mut grad_sum, TimeCategory::GpuGpuParam);
+                easgd_tensor::ops::axpy(-scale, &grad_sum, &mut local.params_mut()[range]);
+            }
             comm.charge(TimeCategory::GpuUpdate, update_cost);
             if me == 0 && recorder.due(round) {
                 let now = comm.now();
                 recorder.record(round, now, proto, local.params(), test);
             }
         }
+        comm.recycle_buffer(grad_sum);
         let last_loss = local.last_loss();
         let loss_trace = local.take_loss_trace();
         if me == 0 {

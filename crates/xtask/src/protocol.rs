@@ -1,8 +1,7 @@
 //! Protocol model checker for the comm layer (DESIGN.md §12).
 //!
-//! Verifies the tree collectives, the hub collectives behind
-//! `Comm::barrier`/`allreduce_sum_into`/… and the Sync EASGD exchange
-//! against deadlock, message-loss, buffer-pool-leak, and FIFO-delivery
+//! Verifies the tree, flat and ring collectives and the Sync EASGD
+//! exchange against deadlock, message-loss, buffer-pool-leak, and FIFO-delivery
 //! invariants by exhaustively exploring rank interleavings of an
 //! abstract comm model.
 //!
@@ -789,19 +788,6 @@ pub fn trace_ring_allreduce(p: usize) -> Vec<Vec<TraceOp>> {
     })
 }
 
-/// Programs of the hub [`Comm::allreduce_sum_into`] over all `p` ranks.
-pub fn trace_hub_allreduce(p: usize) -> Vec<Vec<TraceOp>> {
-    record_traces(p, |comm| {
-        let mut sum = Vec::new();
-        comm.allreduce_sum_into(&[comm.rank() as f32; 4], TimeCategory::Other, &mut sum);
-    })
-}
-
-/// Programs of [`Comm::barrier`] over all `p` ranks.
-pub fn trace_hub_barrier(p: usize) -> Vec<Vec<TraceOp>> {
-    record_traces(p, Comm::barrier)
-}
-
 /// The Sync EASGD batch fan-out that opens every exchange scenario: rank
 /// 0 (the data CPU) sends a packed [`BatchMsg`] to GPUs `1..=g` through
 /// the pool; each GPU receives and decodes its batch.
@@ -965,12 +951,12 @@ pub fn negative_unreleased_forward() -> Vec<Vec<TraceOp>> {
     programs
 }
 
-/// A hub allreduce that rank 2 never enters: the production trace of
-/// [`trace_hub_allreduce`] with that rank's program emptied. The hub
-/// starves on the missing contribution and every other rank on the
-/// result.
+/// A tree allreduce that rank 2 never enters: the production trace of
+/// [`trace_tree_allreduce`] at P = 4 with that rank's program emptied.
+/// The root starves on rank 2's partial, rank 3's partial is never
+/// received, and ranks 1 and 3 starve on the broadcast.
 pub fn negative_skipped_collective() -> Vec<Vec<TraceOp>> {
-    let mut programs = trace_hub_allreduce(4);
+    let mut programs = trace_tree_allreduce(4);
     assert!(
         !programs[2].is_empty(),
         "fixture drift: rank 2 should take part"
@@ -1055,8 +1041,6 @@ pub fn suite(smoke: bool) -> Vec<Scenario> {
             trace_pipelined_exchange(3, 2),
             true,
         ),
-        ("hub_allreduce(P=4)", trace_hub_allreduce(4), true),
-        ("hub_barrier(P=4)", trace_hub_barrier(4), true),
         (
             "negative: cyclic send/recv pair",
             negative_cyclic_pair(),
@@ -1269,8 +1253,9 @@ mod tests {
     }
 
     #[test]
-    fn skipped_collective_starves_the_hub() {
-        let Outcome::Fail(v, _) = check(&negative_skipped_collective(), true, None) else {
+    fn skipped_collective_starves_the_tree_root() {
+        let programs = negative_skipped_collective();
+        let Outcome::Fail(v, _) = check(&programs, true, None) else {
             panic!("a skipped collective must deadlock");
         };
         assert!(v.message.contains("deadlock"), "{}", v.message);
@@ -1279,6 +1264,7 @@ mod tests {
             "{}",
             v.message
         );
+        assert!(shortest_violation(&programs, 100_000).is_some());
     }
 
     #[test]

@@ -83,6 +83,12 @@ if grep -rnE "GradCenter|original_easgd_turns|fn async_(sgd|msgd|easgd)\b" crate
   exit 1
 fi
 
+echo "==> one collective mechanism (collectives.rs; the hub collectives, their closed-form price and their tag range were deleted)"
+if grep -rnE "collective_into|CollOp|allreduce_sum_into|reduce_sum_costed_into|allgather_into|tags::hub|HUB_BASE|trace_hub_" crates/ src/ tests/ examples/ README.md DESIGN.md; then
+  echo "error: a piece of the hub collectives is back (matches above)" >&2
+  exit 1
+fi
+
 echo "==> kernel table (smoke: one iteration per row, no JSON; gemm_par_vs_serial on >= 2 threads, skip notice on 1; checked-in BENCH_kernels.json fork-join acceptance)"
 cargo run -q --release -p easgd-bench --bin kernels -- --smoke
 

@@ -211,16 +211,18 @@ fn run_all() -> BTreeMap<String, RunResult> {
             }
         }
     }
-    {
-        let c = cfg(2, 20);
-        let shards = train.partition(2);
+    // Sync SGD's tree allreduce: at w2 one fold, at w4 the pairwise
+    // (d0 + d1) + (d2 + d3).
+    for p in [2usize, 4] {
+        let c = cfg(p, 20);
+        let shards = train.partition(p);
         let link = AlphaBeta::pcie_gen3_x16();
         for (suffix, layout) in [
             ("packed", LayoutKind::Packed),
             ("perlayer", LayoutKind::PerLayer),
         ] {
             let r = alg::sync_sgd_sim(&net, &shards, &test, &c, &link, layout, 1.5e-3, 10);
-            put(&format!("sim_sync_sgd_{suffix}_w2"), r);
+            put(&format!("sim_sync_sgd_{suffix}_w{p}"), r);
         }
     }
     // FCFS server. On the event backend the order in which requests
