@@ -46,7 +46,7 @@ fn main() {
         intra: AlphaBeta::pcie_gen3_x16(),
         inter: AlphaBeta::fdr_infiniband(),
     };
-    let cfg = TrainConfig::figure6(100);
+    let cfg = TrainConfig::figure6(100).with_workers(small.total_gpus());
     let r = hierarchical_sync_easgd(&net, &train, &test, &cfg, &small);
     println!(
         "  {}: {:.1}% accuracy, {:.3}s simulated ({} rounds x {} GPUs)",

@@ -4,10 +4,11 @@
 //!
 //! One table survives `easgd_bench::report`'s keep-rule and is written
 //! to `BENCH_kernels.json` at the repo root: `gemm_par_vs_serial`, the
-//! source of `par::FORK_JOIN_FLOPS`. At two threads, `gemm` must never be
-//! slower than `gemm_serial` at any shape the workloads issue
-//! (`gemm_min_par_over_serial`), and the forced fork beside it shows the
-//! crossover the constant was read from.
+//! source of the fork gate (`par::fork_threads`: `par::FORK_JOIN_FLOPS`
+//! flops or `par::PAR_ELEMS` streamed floats). At two threads, `gemm`
+//! must never be slower than `gemm_serial` at any shape the workloads
+//! issue (`gemm_min_par_over_serial`), and the forced fork beside it
+//! shows the crossover the two constants were read from.
 //!
 //! Peak GFLOP/s, im2col and the elastic kernels are `benchmark/`'s
 //! `tensor.*` probes, measured at the workloads' own shapes.
@@ -126,17 +127,46 @@ fn par_vs_serial_shapes() -> Vec<(String, Transpose, Transpose, usize, usize, us
 /// Threads the `gemm_par_vs_serial` table runs at.
 const PAR_TABLE_THREADS: usize = 2;
 
-/// What the `gemm_par_vs_serial` rows say about the fork-join gate.
+/// A shape as the fork gate sees it: its label, flops and the floats it
+/// streams (`max(m·k, k·n, m·n)`).
+#[derive(Clone)]
+struct GateShape {
+    label: String,
+    flops: u64,
+    floats: usize,
+}
+
+impl GateShape {
+    /// How far along the two-sided rule the shape sits: `≥ 1` exactly
+    /// when `par::fork_threads` forks it (flops ≥ `FORK_JOIN_FLOPS` or
+    /// floats ≥ `PAR_ELEMS`).
+    fn load(&self) -> f64 {
+        (self.flops as f64 / par::FORK_JOIN_FLOPS as f64)
+            .max(self.floats as f64 / par::PAR_ELEMS as f64)
+    }
+
+    fn describe(&self) -> String {
+        format!(
+            "{} ({:.1} MFLOP, {:.2} Mi floats)",
+            self.label,
+            self.flops as f64 / 1e6,
+            self.floats as f64 / par::PAR_ELEMS as f64
+        )
+    }
+}
+
+/// What the `gemm_par_vs_serial` rows say about the fork gate.
 struct ParVsSerial {
     /// Minimum over shapes of `gemm` speed / `gemm_serial` speed.
     min_par_over_serial: f64,
-    /// Flops of the largest shape whose forced fork ran below 0.95× the
-    /// serial speed — "lost" beyond the table's own noise, the same 5 %
-    /// the acceptance key allows `gemm`.
-    largest_losing_fork_flops: u64,
-    /// Flops of the smallest shape above that one (the fork won there and
-    /// at everything bigger).
-    smallest_winning_fork_flops: u64,
+    /// The shape furthest along the two-sided rule ([`GateShape::load`])
+    /// whose forced fork ran below 0.95× the serial speed — "lost"
+    /// beyond the table's own noise, the same 5 % the acceptance key
+    /// allows `gemm`.
+    largest_losing: Option<GateShape>,
+    /// The shape nearest above that one along the rule (the fork won
+    /// there and at everything further along).
+    smallest_winning: Option<GateShape>,
 }
 
 /// `gemm` against `gemm_serial` at a two-thread budget, and the fork
@@ -163,6 +193,11 @@ fn bench_gemm_par_vs_serial(entries: &mut Vec<Entry>, smoke: bool) -> Option<Par
         let a = rand_vec(m * k, 0xA + m as u64);
         let b = rand_vec(k * n, 0xB + n as u64);
         let flops = 2 * (m * n * k) as u64;
+        let shape = GateShape {
+            label: label.clone(),
+            flops,
+            floats: (m * k).max(k * n).max(m * n),
+        };
         // Sub-millisecond kernels: batch calls so one sample is ~1 ms.
         let reps = (2_000_000 / flops.max(1)).clamp(1, 64) as usize;
         // One output buffer for every side: where a 4 MiB C lands in
@@ -184,7 +219,7 @@ fn bench_gemm_par_vs_serial(entries: &mut Vec<Entry>, smoke: bool) -> Option<Par
         let (serial_again, forked) =
             pair(&|c| gemm_fork_join(PAR_TABLE_THREADS, ta, tb, m, n, k, 1.0, &a, &b, 0.0, c));
         min_par_over_serial = min_par_over_serial.min(serial / gated);
-        forked_speed.push((flops, serial_again / forked));
+        forked_speed.push((shape, serial_again / forked));
         for (implementation, threads, ms) in [
             ("serial", 1, serial),
             ("gemm", PAR_TABLE_THREADS, gated),
@@ -200,22 +235,23 @@ fn bench_gemm_par_vs_serial(entries: &mut Vec<Entry>, smoke: bool) -> Option<Par
             });
         }
     }
-    let largest_losing_fork_flops = forked_speed
+    let largest_losing = forked_speed
         .iter()
-        .filter(|&&(_, speed)| speed < 0.95)
-        .map(|&(flops, _)| flops)
-        .max()
-        .unwrap_or(0);
-    let smallest_winning_fork_flops = forked_speed
+        .filter(|(_, speed)| *speed < 0.95)
+        .map(|(shape, _)| shape)
+        .max_by(|a, b| a.load().total_cmp(&b.load()))
+        .cloned();
+    let lost_load = largest_losing.as_ref().map_or(0.0, GateShape::load);
+    let smallest_winning = forked_speed
         .iter()
-        .map(|&(flops, _)| flops)
-        .filter(|&flops| flops > largest_losing_fork_flops)
-        .min()
-        .unwrap_or(u64::MAX);
+        .map(|(shape, _)| shape)
+        .filter(|shape| shape.load() > lost_load)
+        .min_by(|a, b| a.load().total_cmp(&b.load()))
+        .cloned();
     Some(ParVsSerial {
         min_par_over_serial,
-        largest_losing_fork_flops,
-        smallest_winning_fork_flops,
+        largest_losing,
+        smallest_winning,
     })
 }
 
@@ -254,26 +290,33 @@ fn main() {
     }
 
     report.header("simd_tier", format!("\"{}\"", active_tier()));
-    // The fork-join gate's ledger: `gemm` must not lose to `gemm_serial`
-    // anywhere, and the constant sits between the largest shape whose
-    // forced fork lost and the smallest above it.
+    // The fork gate's ledger: `gemm` must not lose to `gemm_serial`
+    // anywhere, and both constants sit between the shape furthest along
+    // the two-sided rule whose forced fork lost and the nearest above it.
     if let Some(p) = &par_table {
         report.set(
             "gemm_min_par_over_serial",
             format!("{:.3}", p.min_par_over_serial),
         );
         report.set("fork_join_flops", par::FORK_JOIN_FLOPS);
-        report.set("largest_losing_fork_flops", p.largest_losing_fork_flops);
-        report.set("smallest_winning_fork_flops", p.smallest_winning_fork_flops);
+        report.set("par_elems", par::PAR_ELEMS);
+        let (lost, won) = (p.largest_losing.as_ref(), p.smallest_winning.as_ref());
+        report.set("largest_losing_fork_flops", lost.map_or(0, |s| s.flops));
+        report.set("largest_losing_fork_floats", lost.map_or(0, |s| s.floats));
+        report.set("smallest_winning_fork_flops", won.map_or(0, |s| s.flops));
+        report.set("smallest_winning_fork_floats", won.map_or(0, |s| s.floats));
         // One smoke iteration says nothing about where the fork pays.
         if !smoke {
+            let none = || "none".to_string();
             println!(
-                "\nfork-join gate: FORK_JOIN_FLOPS = {} ({:.1} MFLOP); forced fork last lost to \
-                 serial at {:.1} MFLOP, won from {:.1} MFLOP up; min gemm/serial speed = {:.3}",
+                "\nfork gate: flops >= FORK_JOIN_FLOPS = {} ({:.1} MFLOP) or floats >= PAR_ELEMS = {} \
+                 ({:.1} Mi); forced fork last lost at {}, won from {} up; min gemm/serial speed = {:.3}",
                 par::FORK_JOIN_FLOPS,
                 par::FORK_JOIN_FLOPS as f64 / 1e6,
-                p.largest_losing_fork_flops as f64 / 1e6,
-                p.smallest_winning_fork_flops as f64 / 1e6,
+                par::PAR_ELEMS,
+                par::PAR_ELEMS as f64 / (1 << 20) as f64,
+                lost.map_or_else(none, GateShape::describe),
+                won.map_or_else(none, GateShape::describe),
                 p.min_par_over_serial,
             );
         }

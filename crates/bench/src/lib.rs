@@ -24,7 +24,7 @@
 //! | `--bin hierarchy` | §10.4 testbed: hierarchical vs flat collectives |
 //! | `--bin stragglers` | the introduction's straggler argument |
 //! | `--bin tau_sweep` | communication-period (τ) ablation |
-//! | `--bin kernels`  | `BENCH_kernels.json` (`gemm_par_vs_serial`, the source of `par::FORK_JOIN_FLOPS`) |
+//! | `--bin kernels`  | `BENCH_kernels.json` (`gemm_par_vs_serial`, the source of the fork gate: `par::FORK_JOIN_FLOPS` and `par::PAR_ELEMS`) |
 //! | `--bin comm`     | `BENCH_comm.json` (tree vs flat reduce, §6.1 overlap, simulated) |
 //! | `--bin cluster`  | `BENCH_cluster.json` (Table 4 / Figure 13 live on the event backend) |
 //! | `--bin serve`    | `BENCH_serve.json` (logical-time micro-batching sweep) |

@@ -3,9 +3,9 @@
 //!
 //! **Keep-rule.** A row or key lives in a `BENCH_*.json` only if (i) it
 //! regenerates a table or figure of the paper, (ii) a library constant is
-//! read from it (`gemm_par_vs_serial` → `par::FORK_JOIN_FLOPS`), or
-//! (iii) it is deterministic simulated- or logical-time output that
-//! `benchmark/` does not produce. Wall-clock step, exchange and serving
+//! read from it (`gemm_par_vs_serial` → `par::FORK_JOIN_FLOPS` and
+//! `par::PAR_ELEMS`), or (iii) it is deterministic simulated- or
+//! logical-time output that `benchmark/` does not produce. Wall-clock step, exchange and serving
 //! numbers belong to `benchmark/`; allocation and bit-identity gates
 //! belong to tests.
 //!
@@ -69,16 +69,20 @@ pub struct Artifact {
 
 use Bound::{AtLeast, AtMost, Equals, True};
 
-/// The fork-join gate's ledger: `gemm` against `gemm_serial` at two
-/// threads.
+/// The fork gate's ledger: `gemm` against `gemm_serial` at two
+/// threads, and where along the two-sided rule (flops or streamed
+/// floats) the forced fork starts to pay.
 pub const KERNELS: Artifact = Artifact {
     bin: "kernels",
     wall_clock: true,
     keys: &[
         full_run("gemm_min_par_over_serial", AtLeast(0.95)),
         full_run("fork_join_flops", Equals(par::FORK_JOIN_FLOPS as f64)),
+        full_run("par_elems", Equals(par::PAR_ELEMS as f64)),
         full_run("largest_losing_fork_flops", AtLeast(0.0)),
+        full_run("largest_losing_fork_floats", AtLeast(0.0)),
         full_run("smallest_winning_fork_flops", AtLeast(0.0)),
+        full_run("smallest_winning_fork_floats", AtLeast(0.0)),
     ],
 };
 
@@ -494,10 +498,13 @@ mod tests {
             "{{\n  \"schema\": 3,\n  \"generated_by\": \"x\",\n  \
              \"host\": {{\"cpus\": 2, \"thread_budget\": 2, \"malloc\": {{}}}},\n  \
              \"acceptance\": {{\n    \"gemm_min_par_over_serial\": 0.957,\n    \
-             \"fork_join_flops\": {},\n    \"largest_losing_fork_flops\": 1,\n    \
-             \"smallest_winning_fork_flops\": 2\n  }},\n  \"entries\": [\n    \
+             \"fork_join_flops\": {},\n    \"par_elems\": {},\n    \
+             \"largest_losing_fork_flops\": 1,\n    \"largest_losing_fork_floats\": 1,\n    \
+             \"smallest_winning_fork_flops\": 2,\n    \"smallest_winning_fork_floats\": 2\n  \
+             }},\n  \"entries\": [\n    \
              {{\"bench\": \"partitioned_easgd\", \"shape\": \"lenet_tiny/P2\", \"threads\": 2}},\n    {p8}\n  ]\n}}\n",
-            par::FORK_JOIN_FLOPS
+            par::FORK_JOIN_FLOPS,
+            par::PAR_ELEMS
         );
         let err = validate(&KERNELS, &text, false).unwrap_err();
         assert!(

@@ -38,6 +38,7 @@
 use crate::channel::Receiver;
 use crate::cluster::Shared;
 use crate::comm::{Awaited, Comm, Message, WaitSet};
+use easgd_tensor::par;
 use std::cell::Cell;
 use std::collections::BinaryHeap;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -340,18 +341,32 @@ impl EventSched {
 
 /// Hosts one cluster run on the backend recorded in `shared.exec` and
 /// returns the per-rank results in rank order.
+///
+/// Each rank runs under its share of the caller's thread budget `B`
+/// ([`par::current_threads`]): `max(1, B/P)` on threads, where all `P`
+/// ranks compute at once, and all of `B` on the event backend, where one
+/// rank runs at a time. The kernels inside a rank's step fork within
+/// that share and no further.
 pub(crate) fn host<R, F>(shared: Arc<Shared>, receivers: Vec<Receiver<Message>>, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(&mut Comm) -> R + Send + Sync,
 {
+    let budget = par::current_threads();
     let sched = match &shared.exec {
         Executor::Threads => None,
         Executor::Events(s) => Some(Arc::clone(s)),
     };
     match sched {
-        None => host_threads(shared, receivers, &f),
-        Some(sched) => host_events(sched, shared, receivers, &f),
+        None => {
+            let share = (budget / receivers.len().max(1)).max(1);
+            host_threads(shared, receivers, &|comm: &mut Comm| {
+                par::with_budget(share, || f(comm))
+            })
+        }
+        Some(sched) => host_events(sched, shared, receivers, &|comm: &mut Comm| {
+            par::with_budget(budget, || f(comm))
+        }),
     }
 }
 
@@ -452,6 +467,25 @@ mod tests {
         let mut out = Vec::new();
         comm.recv_into(from, tag, TimeCategory::Other, &mut out);
         out
+    }
+
+    #[test]
+    fn ranks_run_under_their_share_of_the_callers_budget() {
+        // Threads: P ranks compute at once, each gets max(1, B/P).
+        // Events: one rank runs at a time, each gets all of B.
+        for (budget, p, threads_share) in [(8usize, 4usize, 2usize), (5, 2, 2), (2, 4, 1)] {
+            let read = |cfg: &ClusterConfig| {
+                par::with_budget(budget, || {
+                    VirtualCluster::run(cfg, |_| par::current_threads())
+                })
+            };
+            assert_eq!(
+                read(&ClusterConfig::new(p)),
+                vec![threads_share; p],
+                "threads, B={budget}"
+            );
+            assert_eq!(read(&events(p)), vec![budget; p], "events, B={budget}");
+        }
     }
 
     #[test]

@@ -48,7 +48,8 @@ pub enum CodecError {
         /// Label count the receiver expected.
         expected: usize,
     },
-    /// Header field is not a non-negative integer.
+    /// Header field is not a non-negative integer of at most 2²⁴ (the
+    /// largest count [`BatchMsg::encode`] writes).
     BadHeader {
         /// Offending header value.
         value: f32,
@@ -87,7 +88,7 @@ impl fmt::Display for CodecError {
             CodecError::BadHeader { value } => {
                 write!(
                     f,
-                    "batch header field {value} is not a non-negative integer"
+                    "batch header field {value} is not an integer in 0..=2^24"
                 )
             }
             CodecError::LengthMismatch { declared, got } => {
@@ -105,9 +106,11 @@ impl fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-/// Reads a header count field: a finite, non-negative, exact integer.
+/// Reads a header count field: a non-negative exact integer no larger
+/// than any count the encoder writes — so the length the header implies
+/// cannot overflow, however hostile the bytes.
 fn header_count(value: f32) -> Result<usize, CodecError> {
-    let ok = value.is_finite() && value >= 0.0 && value.fract() == 0.0;
+    let ok = (0.0..=MAX_EXACT as f32).contains(&value) && value.fract() == 0.0;
     if !ok {
         return Err(CodecError::BadHeader { value });
     }
@@ -277,6 +280,94 @@ mod tests {
                 expected: 4
             })
         );
+    }
+
+    /// SplitMix64 step: the flip positions of one property case.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Decodes `payload` as a `batch`-label message into a reused label
+    /// buffer and checks what came back: an `Ok` must be consistent with
+    /// the payload (labels read from their slots, pixels the rest);
+    /// anything else must be a typed error. A panic fails the property.
+    fn decode_is_ok_or_typed(payload: &[f32], batch: usize, labels: &mut Vec<usize>) -> bool {
+        labels.push(usize::MAX); // stale contents must not leak through
+        match BatchMsg::decode_into(payload, batch, labels) {
+            Ok(pixels) => {
+                assert_eq!(labels.len(), batch);
+                assert_eq!(3 + labels.len() + pixels.len(), payload.len());
+                for (i, &l) in labels.iter().enumerate() {
+                    assert_eq!(l, payload[3 + i] as usize, "label {i}");
+                }
+                assert!(std::ptr::eq(pixels, &payload[3 + batch..]));
+                true
+            }
+            Err(e) => {
+                assert!(labels.is_empty() || matches!(e, CodecError::BadLabel { .. }));
+                assert!(!e.to_string().is_empty());
+                false
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn hostile_payloads_decode_to_a_batch_or_a_typed_error(
+            batch in 0usize..6,
+            per_sample in 0usize..5,
+            flips in 1usize..5,
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut state = seed;
+            let labels: Vec<usize> = (0..batch).map(|_| (next(&mut state) % 10) as usize).collect();
+            let pixels: Vec<f32> = (0..batch * per_sample)
+                .map(|_| (next(&mut state) % 1000) as f32 / 7.0 - 50.0)
+                .collect();
+            let msg = BatchMsg::encode(&pixels, &labels);
+            let mut out = Vec::new();
+            proptest::prop_assert!(decode_is_ok_or_typed(&msg, batch, &mut out));
+            // Truncated at every length: never a batch.
+            for len in 0..msg.len() {
+                proptest::prop_assert!(!decode_is_ok_or_typed(&msg[..len], batch, &mut out));
+            }
+            // Extended by one to three floats: never a batch.
+            for extra in 1..=3 {
+                let mut long = msg.clone();
+                long.extend(std::iter::repeat_n(BATCH_MAGIC, extra));
+                proptest::prop_assert!(!decode_is_ok_or_typed(&long, batch, &mut out));
+            }
+            // Bit-flipped at random positions, headers included: a batch
+            // consistent with the flipped bytes, or a typed error.
+            let mut hostile = msg.clone();
+            for _ in 0..flips {
+                let bit = (next(&mut state) % (32 * hostile.len() as u64)) as usize;
+                hostile[bit / 32] = f32::from_bits(hostile[bit / 32].to_bits() ^ (1 << (bit % 32)));
+                decode_is_ok_or_typed(&hostile, batch, &mut out);
+            }
+            // And under every expected batch size the flipped bytes
+            // might claim.
+            for expect in 0..8 {
+                decode_is_ok_or_typed(&hostile, expect, &mut out);
+            }
+        }
+    }
+
+    #[test]
+    fn a_header_count_past_the_exact_range_is_a_typed_error() {
+        // A flipped exponent bit turns 784.0 into ~1.4e22, which an
+        // unchecked `as usize` saturates and `3 + labels + pixels` would
+        // overflow.
+        let mut msg = BatchMsg::encode(&[1.0; 4], &[1, 2]);
+        msg[2] = f32::from_bits(msg[2].to_bits() ^ (1 << 29));
+        assert!(matches!(
+            BatchMsg::decode(&msg, 2),
+            Err(CodecError::BadHeader { .. })
+        ));
     }
 
     #[test]

@@ -24,6 +24,7 @@ use crate::engine::trace::RunAssembler;
 use crate::metrics::RunResult;
 use easgd_data::Dataset;
 use easgd_nn::Network;
+use easgd_tensor::par;
 use std::time::Instant;
 
 /// What a wall-clock run produced, before result assembly.
@@ -69,6 +70,11 @@ impl WallRun {
 /// Runs `body` once per worker on its own thread, with a private
 /// [`WorkerShard`] (seeded under `salt`) and [`LocalStep`]. Workers are
 /// joined in rank order; a worker panic is propagated.
+///
+/// The workers run at once, so each gets its share of the caller's
+/// thread budget, `max(1, B / workers)` ([`par::with_budget`]): the
+/// kernels under a worker's step fork only within that share, never
+/// onto a core a sibling worker is using (the paper's §6.2 split).
 pub fn run_worker_loop<F>(
     proto: &Network,
     train: &Dataset,
@@ -81,6 +87,7 @@ where
 {
     cfg.validate();
     let shards = WorkerShard::from_partition(train, cfg.workers, cfg.seed, salt);
+    let share = (par::current_threads() / cfg.workers).max(1);
     let start = Instant::now();
     // xtask: allow(thread-primitive) — the wall-clock engine measures
     // real parallel speedup; its workers are genuine OS threads, not
@@ -91,9 +98,11 @@ where
             .map(|mut shard| {
                 let body = &body;
                 s.spawn(move || {
-                    let mut local = LocalStep::new(proto);
-                    body(&mut shard, &mut local);
-                    (local.last_loss(), local.take_loss_trace())
+                    par::with_budget(share, || {
+                        let mut local = LocalStep::new(proto);
+                        body(&mut shard, &mut local);
+                        (local.last_loss(), local.take_loss_trace())
+                    })
                 })
             })
             .collect();
@@ -176,6 +185,26 @@ mod tests {
         let mut order = seen.into_inner().unwrap();
         order.sort_unstable();
         assert_eq!(order, vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn each_worker_runs_under_its_share_of_the_budget() {
+        let (proto, train) = setup();
+        for (budget, workers, share) in [(4usize, 2usize, 2usize), (5, 2, 2), (2, 3, 1), (1, 2, 1)]
+        {
+            let seen = Mutex::new(Vec::new());
+            par::with_budget(budget, || {
+                run_worker_loop(&proto, &train, &cfg(workers, 1), SALT_PHI, |_, _| {
+                    seen.lock().unwrap().push(par::current_threads());
+                });
+            });
+            let seen = seen.into_inner().unwrap();
+            assert_eq!(
+                seen,
+                vec![share; workers],
+                "budget {budget}, {workers} workers"
+            );
+        }
     }
 
     #[test]

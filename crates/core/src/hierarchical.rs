@@ -88,8 +88,15 @@ impl GpuClusterTopology {
 /// out node-major: rank = node·gpus_per_node + gpu; rank 0 of each node
 /// is the node leader; global rank 0 holds the reported center.
 ///
-/// `cfg.workers` is ignored (the topology defines the worker count);
-/// `cfg.iterations` bulk-synchronous rounds.
+/// The topology defines the worker count, and `cfg.workers` must state
+/// it: ρ is derived from the worker count
+/// ([`TrainConfig::figure6`], [`TrainConfig::with_eta`]), so a config
+/// sized for another count would train under the wrong elastic
+/// strength. `cfg.iterations` bulk-synchronous rounds.
+///
+/// # Panics
+/// Panics, naming both counts, unless
+/// `cfg.workers == topo.total_gpus()`.
 pub fn hierarchical_sync_easgd(
     proto: &Network,
     train: &Dataset,
@@ -101,6 +108,12 @@ pub fn hierarchical_sync_easgd(
     cfg.refuse_comm_period("hierarchical_sync_easgd");
     let total = topo.total_gpus();
     assert!(total > 0, "empty topology");
+    assert_eq!(
+        cfg.workers, total,
+        "hierarchical_sync_easgd: cfg.workers = {} but the topology has {total} GPUs \
+         ({} nodes x {}); size the config with .with_workers({total})",
+        cfg.workers, topo.nodes, topo.gpus_per_node
+    );
     let shards = train.partition(total);
     let cluster = ClusterConfig::new(total).with_link(topo.inter.clone());
     let intra_tree = ceil_log2(topo.gpus_per_node) as f64 * topo.intra.time(proto.size_bytes());
@@ -239,6 +252,14 @@ mod tests {
         assert!(r.sim_seconds.unwrap() > 0.0);
         let b = r.breakdown.unwrap();
         assert!(b.get(TimeCategory::GpuGpuParam) > 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "cfg.workers = 4 but the topology has 6 GPUs")]
+    fn a_worker_count_that_is_not_the_topologys_is_refused() {
+        let (net, train, test) = setup();
+        let cfg = TrainConfig::figure6(1);
+        hierarchical_sync_easgd(&net, &train, &test, &cfg, &small_topo(3, 2));
     }
 
     #[test]

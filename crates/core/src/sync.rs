@@ -784,6 +784,54 @@ mod tests {
     }
 
     #[test]
+    fn executed_sync_sgd_exchange_time_matches_the_closed_form() {
+        // Each round runs one tree allreduce (a reduce then a broadcast,
+        // ⌈log₂P⌉ hops each) per schedule message, so a rank's exchange
+        // time is at most rounds · 2⌈log₂P⌉ · Σ(α + β·bytes), and exactly
+        // that at a power of two, where every hop of the critical path
+        // is a full one. Checked for rank 0 (the reported breakdown) and
+        // for the slowest rank (the simulated time less the compute
+        // every rank charges alike).
+        let (proto, train, test) = setup();
+        let link = AlphaBeta::qdr_infiniband();
+        let rounds = 3;
+        for layout in [LayoutKind::Packed, LayoutKind::PerLayer] {
+            let schedule = CommSchedule::from_network(&proto, layout);
+            let per_tree = schedule.time_alpha_beta(link.alpha_s, link.beta_s_per_byte);
+            for p in [2usize, 3, 4, 8] {
+                let c = TrainConfig {
+                    workers: p,
+                    ..cfg(rounds)
+                };
+                let shards = train.partition(p);
+                let r = sync_sgd_sim(&proto, &shards, &test, &c, &link, layout, 1e-3, 0);
+                let b = r.breakdown.unwrap();
+                let rank0 = b.get(TimeCategory::GpuGpuParam);
+                let slowest = r.sim_seconds.unwrap() - (b.total() - rank0);
+                let bound = rounds as f64 * 2.0 * p.next_power_of_two().ilog2() as f64 * per_tree;
+                println!(
+                    "{layout:?} P={p}: rank 0 {:.4}, slowest {:.4} of the closed form",
+                    rank0 / bound,
+                    slowest / bound
+                );
+                for (who, t) in [("rank 0", rank0), ("slowest rank", slowest)] {
+                    if p.is_power_of_two() {
+                        assert!(
+                            (t / bound - 1.0).abs() < 0.01,
+                            "{layout:?} P={p} {who}: {t} s vs closed form {bound} s"
+                        );
+                    } else {
+                        assert!(
+                            t <= bound * 1.01,
+                            "{layout:?} P={p} {who}: {t} s over closed form {bound} s"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn sync_sgd_learns() {
         let (proto, train, test) = setup();
         let c = cfg(80);

@@ -126,15 +126,20 @@ impl Conv2d {
     }
 
     /// Threads one pass over a `b`-sample batch forks over: the calling
-    /// thread's budget when the batch's forward flops clear the fork-join
-    /// gate ([`par::fork_threads`]), never more than one per sample.
+    /// thread's budget when the batch's forward flops or the floats it
+    /// streams — its largest operand: padded input, output or filter
+    /// bank — clear the fork gate ([`par::fork_threads`]), never more
+    /// than one per sample.
     fn batch_threads(&self, b: usize) -> usize {
         #[cfg(test)]
         if tests::UNGATED.with(std::cell::Cell::get) {
             return par::current_threads().min(b);
         }
         let flops = 2 * (b * self.weight_len() * self.geom.col_cols()) as u64;
-        par::fork_threads(flops).min(b)
+        let floats = (b * self.geom.padded_len())
+            .max(b * self.output_len())
+            .max(self.weight_len());
+        par::fork_threads(flops, floats).min(b)
     }
 }
 

@@ -21,6 +21,7 @@
 //! DESIGN.md §11 and `tests/step_alloc.rs`).
 
 use crate::gemm::Panels;
+use crate::par;
 use crate::tensor::Tensor;
 use std::fmt;
 
@@ -183,9 +184,12 @@ impl ParamArena {
         self.data.copy_from_slice(&other.data);
     }
 
-    /// Zeroes all elements.
+    /// Zeroes all elements, in [`par::band_len`] bands like every other
+    /// memory-bound sweep: a gradient arena of [`par::PAR_ELEMS`] floats
+    /// or more is zeroed by the whole budget.
     pub fn zero(&mut self) {
-        self.data.iter_mut().for_each(|x| *x = 0.0);
+        let band = par::band_len(self.data.len());
+        par::fan_out(self.data.chunks_mut(band), |c| c.fill(0.0));
     }
 
     /// Lays out every segment given panels as them ([`Panels::pack`])
@@ -501,6 +505,27 @@ mod tests {
         assert!(a.segment(1).iter().all(|&x| x == 5.0));
         assert!(a.segment(2).iter().all(|&x| x == 0.0));
         assert_eq!(a.as_slice()[6], 5.0);
+    }
+
+    #[test]
+    fn zero_bands_a_large_arena_over_the_budget() {
+        let mut b = ParamArena::builder();
+        b.push("w", par::PAR_ELEMS + 37);
+        let mut a = b.build();
+        for (threads, forks) in [(1usize, 0u64), (3, 2)] {
+            a.as_mut_slice().fill(1.5);
+            let before = par::threads_spawned();
+            par::with_budget(threads, || a.zero());
+            assert_eq!(par::threads_spawned() - before, forks, "budget {threads}");
+            assert!(a.as_slice().iter().all(|&x| x == 0.0));
+        }
+        // Below the gate the sweep stays on the calling thread.
+        let mut small = sample();
+        small.as_mut_slice().fill(1.5);
+        let before = par::threads_spawned();
+        par::with_budget(3, || small.zero());
+        assert_eq!(par::threads_spawned(), before);
+        assert!(small.as_slice().iter().all(|&x| x == 0.0));
     }
 
     #[test]

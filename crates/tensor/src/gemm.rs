@@ -6,7 +6,9 @@
 //! so its efficiency decides whether the repo's benchmark ratios measure
 //! the paper's *communication* co-design or mere kernel waste.
 //!
-//! Three tiers, picked by a `2·m·n·k` flop count (see DESIGN.md §8):
+//! Three tiers (see DESIGN.md §8): the first two picked by a `2·m·n·k`
+//! flop count, the third by [`par::fork_threads`]' two-sided rule —
+//! flops, or the floats the product streams:
 //!
 //! * **tiny** — a direct row loop; packing overhead would dominate.
 //! * **blocked serial** — the cache-blocked packed kernel: A- and
@@ -29,8 +31,12 @@
 //!   fully-connected layers of a small-batch step) switch to a
 //!   column-major nest that keeps the register tiles live across every
 //!   `KC` block, touching C once instead of `k/KC` times (the `vgg_fc6`
-//!   cliff fix, DESIGN.md §15).
-//! * **blocked fork-join** — at or above [`par::FORK_JOIN_FLOPS`], when
+//!   cliff fix, DESIGN.md §15). A short row block runs the fused
+//!   microkernel at its live rows only (`simd::microkernel_acc`'s
+//!   `R`): the `m = 2` of a small-batch step computes 2 rows, not 8.
+//! * **blocked fork-join** — at or above [`par::FORK_JOIN_FLOPS`] flops
+//!   or [`par::PAR_ELEMS`] streamed floats (`max(m·k, k·n, m·n)`: the
+//!   weight of a small-batch `Dense` layer is one DRAM-bound pass), when
 //!   the calling thread's budget allows more than one thread, the output
 //!   is cut into one band per thread along its *larger* dimension and
 //!   each band runs the serial loop nest on a scoped thread
@@ -300,6 +306,13 @@ fn with_standard_nest<R>(f: impl FnOnce() -> R) -> R {
 /// multiply-adds = `2k` flops).
 fn gemm_flops(m: usize, n: usize, k: usize) -> u64 {
     2 * m as u64 * n as u64 * k as u64
+}
+
+/// Floats one GEMM call streams, as the fork gate counts them: its
+/// largest operand, `max(m·k, k·n, m·n)` — the weight of a small-batch
+/// `Dense` layer, the output of its `gradW`.
+fn gemm_floats(m: usize, n: usize, k: usize) -> usize {
+    (m * k).max(k * n).max(m * n)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -995,15 +1008,15 @@ fn skinny_accumulate(
                 for it in 0..row_tiles {
                     let at = &mut acc[t * row_tiles + it];
                     let apanel = &apanels[it * kcb * MR..][..kcb * MR];
-                    // Fused kernel: seeds α·t₀ everywhere at pc == 0
-                    // (padding rows/cols included — they are never
+                    let mr = MR.min(mc0 - it * MR);
+                    // Fused kernel over the tile's live rows: seeds α·t₀
+                    // at pc == 0 (padding cols included — they are never
                     // written back), adds α·t_p after.
-                    simd::microkernel_acc(apanel, strip, alpha, at, pc == 0);
+                    tile_acc(mr, apanel, strip, alpha, at, pc == 0);
                     if pc == 0 && beta != 0.0 {
                         // Blend β·C into the valid corner with the
                         // `write_tile_blend` expression shape; β = 0
                         // never reads C.
-                        let mr = MR.min(mc0 - it * MR);
                         for (r, atr) in at.iter_mut().enumerate().take(mr) {
                             let crow = &c[(it * MR + r) * ldc + (jc - j0)..][..jn];
                             for (av, cv) in atr.iter_mut().zip(crow.iter()) {
@@ -1029,6 +1042,26 @@ fn skinny_accumulate(
             }
         }
         jp += pw;
+    }
+}
+
+/// [`simd::microkernel_acc`] over the first `mr` rows of a tile, rounded
+/// up to the kernel's row counts: a short row block (`m = 2`, the batch
+/// of a small-batch `Dense` layer) computes 2 rows, not 8. Rows past
+/// `mr` are padding whose accumulators are never written back.
+fn tile_acc(
+    mr: usize,
+    apanel: &[f32],
+    bpanel: &[f32],
+    alpha: f32,
+    acc: &mut [[f32; NR]; MR],
+    seed: bool,
+) {
+    match mr {
+        1 => simd::microkernel_acc::<1>(apanel, bpanel, alpha, acc, seed),
+        2 => simd::microkernel_acc::<2>(apanel, bpanel, alpha, acc, seed),
+        3 | 4 => simd::microkernel_acc::<4>(apanel, bpanel, alpha, acc, seed),
+        _ => simd::microkernel_acc::<MR>(apanel, bpanel, alpha, acc, seed),
     }
 }
 
@@ -1076,8 +1109,9 @@ fn stage_b_rows(
 // ---------------------------------------------------------------------------
 
 /// The blocked kernel over the whole `m×n` output: forked over the
-/// calling thread's budget when [`par::fork_threads`] says the flop count
-/// pays for it, otherwise the serial nest. `k ≥ 1`, `α ≠ 0`.
+/// calling thread's budget when [`par::fork_threads`] says the product's
+/// flops or the floats it streams pay for it, otherwise the serial nest.
+/// `k ≥ 1`, `α ≠ 0`.
 #[allow(clippy::too_many_arguments)]
 fn blocked_dispatch(
     ta: Transpose,
@@ -1091,7 +1125,7 @@ fn blocked_dispatch(
     beta: f32,
     c: &mut [f32],
 ) {
-    let threads = par::fork_threads(gemm_flops(m, n, k));
+    let threads = par::fork_threads(gemm_flops(m, n, k), gemm_floats(m, n, k));
     if threads > 1 {
         fork_join_bands(threads, ta, tb, m, n, k, alpha, a, b, beta, c);
     } else {
@@ -1593,11 +1627,17 @@ mod tests {
         // reordering: same bits as the standard nest (itself pinned to
         // the scalar fallback by the test above), for every transpose
         // combination and β path, including a shape crossing NC.
-        for &(m, n, k) in &[
+        // Every row count of a short block, 1..=MR, runs the fused
+        // kernel at its live rows only.
+        let short = (1..=MR).map(|m| (m, 2 * NR + 5, KC + 3));
+        for (m, n, k) in [
             (32, 300, 2 * KC + 5),
             (SKINNY_M, 97, KC + 1),
             (MR, 2 * NC + 33, KC + 300),
-        ] {
+        ]
+        .into_iter()
+        .chain(short)
+        {
             for (ta, a_len) in [(Transpose::No, m * k), (Transpose::Yes, k * m)] {
                 for (tb, b_len) in [(Transpose::No, k * n), (Transpose::Yes, n * k)] {
                     for beta in [0.0f32, 0.5, 1.0] {
@@ -2151,6 +2191,37 @@ mod tests {
                 "one band per budgeted thread, the caller running the first"
             );
         }
+    }
+
+    #[test]
+    fn a_skinny_gemm_forks_on_the_floats_it_streams() {
+        // 2×1024×1024 — a small-batch `Dense` forward — is 4.2 MFLOP, far
+        // under the flop gate, but streams a 1 Mi-float weight: it forks
+        // once under a two-thread budget (one column band per thread, the
+        // caller running the first), never under one, and keeps the bits
+        // of the serial nest either way.
+        let (m, n, k) = (2, 1024, 1024);
+        assert!(gemm_flops(m, n, k) < par::FORK_JOIN_FLOPS);
+        assert!(gemm_floats(m, n, k) >= par::PAR_ELEMS);
+        let a = rand_vec(m * k, 80);
+        let b = rand_vec(n * k, 81);
+        let (no, yes) = (Transpose::No, Transpose::Yes);
+        let mut reference = vec![0.0; m * n];
+        gemm_serial(no, yes, m, n, k, 1.0, &a, &b, 0.0, &mut reference);
+        for (threads, forks) in [(1usize, 0u64), (2, 1)] {
+            let mut c = vec![0.0; m * n];
+            let before = par::threads_spawned();
+            par::with_budget(threads, || gemm(no, yes, m, n, k, 1.0, &a, &b, 0.0, &mut c));
+            assert_eq!(par::threads_spawned() - before, forks, "budget {threads}");
+            assert_eq!(bits(&reference), bits(&c), "budget {threads}");
+        }
+        // Under both gates: 2×512×512 streams a quarter of PAR_ELEMS.
+        let (n, k) = (512, 512);
+        assert!(gemm_floats(m, n, k) < par::PAR_ELEMS);
+        let mut c = vec![0.0; m * n];
+        let before = par::threads_spawned();
+        par::with_budget(2, || gemm(no, yes, m, n, k, 1.0, &a, &b, 0.0, &mut c));
+        assert_eq!(par::threads_spawned(), before, "forked below both gates");
     }
 
     #[test]

@@ -14,10 +14,16 @@
 //!   threads the calling thread's regions may use, one integer. A serve
 //!   replica installs its share and every kernel below it sizes against
 //!   it; a [`fan_out`] job runs under one.
-//! * The two gates — [`fork_threads`] / [`FORK_JOIN_FLOPS`] for compute
-//!   regions (how many threads a region of a given flop count should
-//!   fork over) and [`band_len`] / [`PAR_ELEMS`] for the memory-bound
-//!   BLAS-1 updates (how long a band of an `n`-element sweep should be).
+//! * The one rule, two constants — a region forks when it does at least
+//!   [`FORK_JOIN_FLOPS`] flops **or** sweeps at least [`PAR_ELEMS`]
+//!   floats. [`fork_threads`] applies both to a compute region (a GEMM,
+//!   a convolution's batch), which is compute-bound when large and
+//!   memory-bound when skinny; [`band_len`] applies the float side to
+//!   the BLAS-1 updates (how long a band of an `n`-element sweep should
+//!   be).
+//! * Whoever hosts concurrent actors divides the budget: a wall-clock
+//!   worker or a thread-hosted cluster rank runs under its share of the
+//!   caller's budget, so the gates above never oversubscribe the host.
 //! * [`fan_out`] — the one fork-join: one scoped thread per job, the
 //!   caller running the first. Every job runs under a one-thread budget,
 //!   so a kernel inside a job never forks again. The batch-parallel
@@ -35,7 +41,8 @@ pub fn max_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// A compute region forks only at or above this many flops.
+/// A compute region forks at or above this many flops (or at
+/// [`PAR_ELEMS`] streamed floats, see [`fork_threads`]).
 ///
 /// One scoped fork-join costs a thread spawn and a join per extra
 /// thread, and each band re-packs the operand it shares with its
@@ -53,19 +60,30 @@ pub fn max_threads() -> usize {
 /// and the convolution's batch fan-out both read this constant.
 pub const FORK_JOIN_FLOPS: u64 = 64 << 20;
 
-/// Threads a compute region of `flops` should fork over: the calling
-/// thread's budget ([`current_threads`]) at or above
-/// [`FORK_JOIN_FLOPS`], otherwise one.
-pub fn fork_threads(flops: u64) -> usize {
-    if flops >= FORK_JOIN_FLOPS {
+/// Threads a compute region of `flops` that streams `floats` should
+/// fork over: the calling thread's budget ([`current_threads`]) when
+/// `flops ≥` [`FORK_JOIN_FLOPS`] **or** `floats ≥` [`PAR_ELEMS`],
+/// otherwise one.
+///
+/// The float side is the memory-bound half of the rule. A skinny GEMM
+/// (a small-batch `Dense` layer: 2×1024×1024 is 4.2 MFLOP) is far under
+/// the flop gate, yet its time is one pass over a 4 MiB weight — the
+/// same DRAM-bound sweep a BLAS-1 update bands at [`PAR_ELEMS`], and
+/// `gemm_par_vs_serial`'s `mlp1024_b2` rows show the forced fork winning
+/// there. For a GEMM `floats` is its largest operand,
+/// `max(m·k, k·n, m·n)`.
+pub fn fork_threads(flops: u64, floats: usize) -> usize {
+    if flops >= FORK_JOIN_FLOPS || floats >= PAR_ELEMS {
         current_threads()
     } else {
         1
     }
 }
 
-/// Element count at and above which the mutating BLAS-1 kernels of
-/// [`crate::ops`] fan out over scoped threads. 1 Mi floats = 4 MiB per
+/// Floats a sweep must stream before it forks: the band gate of the
+/// mutating BLAS-1 kernels of [`crate::ops`] and of
+/// [`ParamArena::zero`](crate::ParamArena::zero), and the float side of
+/// [`fork_threads`]. 1 Mi floats = 4 MiB per
 /// operand: below this a single core's memory pass (~100 µs) is cheaper
 /// than thread spawns; above it the kernel is DRAM-bound and splits
 /// near-linearly. The §5.2 packed arena of a VGG-class model (≈14.7 M
@@ -235,12 +253,13 @@ mod tests {
     }
 
     #[test]
-    fn fork_threads_gates_on_the_one_constant() {
+    fn fork_threads_forks_on_either_gate() {
         with_budget(5, || {
-            assert_eq!(fork_threads(FORK_JOIN_FLOPS - 1), 1);
-            assert_eq!(fork_threads(FORK_JOIN_FLOPS), 5);
+            assert_eq!(fork_threads(FORK_JOIN_FLOPS - 1, PAR_ELEMS - 1), 1);
+            assert_eq!(fork_threads(FORK_JOIN_FLOPS, 0), 5);
+            assert_eq!(fork_threads(0, PAR_ELEMS), 5);
         });
-        with_budget(1, || assert_eq!(fork_threads(u64::MAX), 1));
+        with_budget(1, || assert_eq!(fork_threads(u64::MAX, usize::MAX), 1));
     }
 
     #[test]

@@ -154,11 +154,13 @@ fn fma_row(mut acc: [f32; NR], a: f32, b: &[f32; NR]) -> [f32; NR] {
 
 /// The scalar register-tiled core: returns the `MR×NR` tile
 /// `acc[r][j] = Σ_p ap[p][r] · bp[p][j]` accumulated over one packed
-/// A-panel (`kc×MR`) and B-panel (`kc×NR`).
-fn microkernel_scalar(apanel: &[f32], bpanel: &[f32]) -> [[f32; NR]; MR] {
+/// A-panel (`kc×MR`) and B-panel (`kc×NR`), for rows `r < R`; rows
+/// `R..MR` of the A panel are never read and come back zero.
+fn microkernel_scalar<const R: usize>(apanel: &[f32], bpanel: &[f32]) -> [[f32; NR]; MR] {
     // MR independent row accumulators as straight-line locals: constant
     // trip counts everywhere, so LLVM fully unrolls and SLP-vectorizes
     // each row to vector FMAs with the accumulators register-resident.
+    // `R > r` is a constant, so rows past R compile away.
     let mut c0 = [0.0f32; NR];
     let mut c1 = [0.0f32; NR];
     let mut c2 = [0.0f32; NR];
@@ -173,13 +175,19 @@ fn microkernel_scalar(apanel: &[f32], bpanel: &[f32]) -> [[f32; NR]; MR] {
             continue;
         };
         c0 = fma_row(c0, ak[0], bk);
-        c1 = fma_row(c1, ak[1], bk);
-        c2 = fma_row(c2, ak[2], bk);
-        c3 = fma_row(c3, ak[3], bk);
-        c4 = fma_row(c4, ak[4], bk);
-        c5 = fma_row(c5, ak[5], bk);
-        c6 = fma_row(c6, ak[6], bk);
-        c7 = fma_row(c7, ak[7], bk);
+        if R > 1 {
+            c1 = fma_row(c1, ak[1], bk);
+        }
+        if R > 2 {
+            c2 = fma_row(c2, ak[2], bk);
+            c3 = fma_row(c3, ak[3], bk);
+        }
+        if R > 4 {
+            c4 = fma_row(c4, ak[4], bk);
+            c5 = fma_row(c5, ak[5], bk);
+            c6 = fma_row(c6, ak[6], bk);
+            c7 = fma_row(c7, ak[7], bk);
+        }
     }
     [c0, c1, c2, c3, c4, c5, c6, c7]
 }
@@ -219,20 +227,21 @@ fn pack_transposed_scalar<const W: usize>(
     }
 }
 
-/// Scalar fused accumulate: `acc = α·tile` (seed) or `acc += α·tile`,
-/// where `tile` is the [`microkernel_scalar`] result. The two arms are
+/// Scalar fused accumulate over the first `R` rows: `acc = α·tile`
+/// (seed) or `acc += α·tile`, where `tile` is the [`microkernel_scalar`]
+/// result; rows `R..MR` of `acc` are left as they are. The two arms are
 /// the expression trees of `gemm.rs`'s first-pass seed and later-pass
 /// accumulate, so the fused kernel stays bit-identical to the unfused
 /// tile-then-update sequence.
-fn microkernel_acc_scalar(
+fn microkernel_acc_scalar<const R: usize>(
     apanel: &[f32],
     bpanel: &[f32],
     alpha: f32,
     acc: &mut [[f32; NR]; MR],
     seed: bool,
 ) {
-    let tile = microkernel_scalar(apanel, bpanel);
-    for (accr, tr) in acc.iter_mut().zip(tile.iter()) {
+    let tile = microkernel_scalar::<R>(apanel, bpanel);
+    for (accr, tr) in acc.iter_mut().zip(tile.iter()).take(R) {
         if seed {
             for (av, tv) in accr.iter_mut().zip(tr.iter()) {
                 *av = alpha * tv;
@@ -309,16 +318,17 @@ mod x86 {
         out
     }
 
-    /// [`microkernel`] with the tile update fused in: the finished zmm
-    /// accumulators are scaled by α and written into (`seed`) or added
-    /// onto (`!seed`) the caller's persistent tile without ever leaving
-    /// the register file. The skinny GEMM nest calls this once per
+    /// [`microkernel`] with the tile update fused in, over the first `R`
+    /// rows: the finished zmm accumulators are scaled by α and written
+    /// into (`seed`) or added onto (`!seed`) the caller's persistent tile
+    /// without ever leaving the register file; rows `R..MR` are neither
+    /// computed nor touched. The skinny GEMM nest calls this once per
     /// `(tile, KC block)` — the unfused path's store + reload of a 1 KiB
     /// scratch tile per call is what it saves. α is applied as a separate
     /// multiply (`add(acc, mul(α, t))`), matching the uncontracted scalar
     /// `acc += α·t` bit-for-bit.
     #[target_feature(enable = "avx512f")]
-    pub(super) fn microkernel_acc(
+    pub(super) fn microkernel_acc<const R: usize>(
         apanel: &[f32],
         bpanel: &[f32],
         alpha: f32,
@@ -328,8 +338,9 @@ mod x86 {
         let kc = apanel.len() / MR;
         assert!(apanel.len() == kc * MR && bpanel.len() == kc * NR);
         // SAFETY: identical access pattern to `microkernel` (see its
-        // SAFETY note) — panel reads bounded by the assert, stores (and
-        // the `!seed` loads) cover exactly the MR×NR floats of `out`.
+        // SAFETY note), restricted to rows r < R ≤ MR — panel reads
+        // bounded by the assert, stores (and the `!seed` loads) cover
+        // the first R rows of `out`, NR floats each.
         unsafe {
             let mut acc = [_mm512_setzero_ps(); 16];
             let mut ap = apanel.as_ptr();
@@ -337,11 +348,14 @@ mod x86 {
             for _ in 0..kc {
                 let b0 = _mm512_loadu_ps(bp);
                 let b1 = _mm512_loadu_ps(bp.add(16));
+                // `$r < R` is a constant: rows past R compile away.
                 macro_rules! row {
                     ($r:expr) => {
-                        let a = _mm512_set1_ps(*ap.add($r));
-                        acc[2 * $r] = _mm512_fmadd_ps(a, b0, acc[2 * $r]);
-                        acc[2 * $r + 1] = _mm512_fmadd_ps(a, b1, acc[2 * $r + 1]);
+                        if $r < R {
+                            let a = _mm512_set1_ps(*ap.add($r));
+                            acc[2 * $r] = _mm512_fmadd_ps(a, b0, acc[2 * $r]);
+                            acc[2 * $r + 1] = _mm512_fmadd_ps(a, b1, acc[2 * $r + 1]);
+                        }
                     };
                 }
                 row!(0);
@@ -356,7 +370,7 @@ mod x86 {
                 bp = bp.add(NR);
             }
             let av = _mm512_set1_ps(alpha);
-            for (r, orow) in out.iter_mut().enumerate() {
+            for (r, orow) in out.iter_mut().enumerate().take(R) {
                 let t0 = _mm512_mul_ps(av, acc[2 * r]);
                 let t1 = _mm512_mul_ps(av, acc[2 * r + 1]);
                 if seed {
@@ -589,14 +603,15 @@ mod x86 {
         out
     }
 
-    /// [`microkernel`] with the tile update fused in (see the AVX-512
-    /// tier's `microkernel_acc` for the rationale): per half-pass the
-    /// finished ymm accumulators are scaled by α and written into
-    /// (`seed`) or added onto (`!seed`) the caller's tile. α is a
-    /// separate multiply — no contraction — matching the scalar
-    /// `acc += α·t` bit-for-bit.
+    /// [`microkernel`] with the tile update fused in, over the first `R`
+    /// rows (see the AVX-512 tier's `microkernel_acc` for the rationale):
+    /// per half-pass the finished ymm accumulators are scaled by α and
+    /// written into (`seed`) or added onto (`!seed`) the caller's tile;
+    /// rows `R..MR` are neither computed nor touched. α is a separate
+    /// multiply — no contraction — matching the scalar `acc += α·t`
+    /// bit-for-bit.
     #[target_feature(enable = "avx2,fma")]
-    pub(super) fn microkernel_acc(
+    pub(super) fn microkernel_acc<const R: usize>(
         apanel: &[f32],
         bpanel: &[f32],
         alpha: f32,
@@ -608,8 +623,9 @@ mod x86 {
         for half in 0..2 {
             let col = half * 16;
             // SAFETY: identical access pattern to `microkernel` (see its
-            // SAFETY note) — panel reads bounded by the assert, stores
-            // (and the `!seed` loads) cover out[r][col..col+16].
+            // SAFETY note), restricted to rows r < R ≤ MR — panel reads
+            // bounded by the assert, stores (and the `!seed` loads) cover
+            // out[r][col..col+16] for those rows.
             unsafe {
                 let mut acc = [_mm256_setzero_ps(); 16];
                 let mut ap = apanel.as_ptr();
@@ -617,11 +633,14 @@ mod x86 {
                 for _ in 0..kc {
                     let b0 = _mm256_loadu_ps(bp);
                     let b1 = _mm256_loadu_ps(bp.add(8));
+                    // `$r < R` is a constant: rows past R compile away.
                     macro_rules! row {
                         ($r:expr) => {
-                            let a = _mm256_set1_ps(*ap.add($r));
-                            acc[2 * $r] = _mm256_fmadd_ps(a, b0, acc[2 * $r]);
-                            acc[2 * $r + 1] = _mm256_fmadd_ps(a, b1, acc[2 * $r + 1]);
+                            if $r < R {
+                                let a = _mm256_set1_ps(*ap.add($r));
+                                acc[2 * $r] = _mm256_fmadd_ps(a, b0, acc[2 * $r]);
+                                acc[2 * $r + 1] = _mm256_fmadd_ps(a, b1, acc[2 * $r + 1]);
+                            }
                         };
                     }
                     row!(0);
@@ -636,7 +655,7 @@ mod x86 {
                     bp = bp.add(NR);
                 }
                 let av = _mm256_set1_ps(alpha);
-                for (r, orow) in out.iter_mut().enumerate() {
+                for (r, orow) in out.iter_mut().enumerate().take(R) {
                     let t0 = _mm256_mul_ps(av, acc[2 * r]);
                     let t1 = _mm256_mul_ps(av, acc[2 * r + 1]);
                     let p0 = orow.as_mut_ptr().add(col);
@@ -802,27 +821,33 @@ pub(crate) fn microkernel(apanel: &[f32], bpanel: &[f32]) -> [[f32; NR]; MR] {
         // supports them.
         return unsafe { x86::microkernel(apanel, bpanel) };
     }
-    microkernel_scalar(apanel, bpanel)
+    microkernel_scalar::<MR>(apanel, bpanel)
 }
 
-/// [`microkernel`] with the tile update fused: computes the `MR×NR` tile
-/// over the packed panels, then applies `acc = α·tile` (`seed`) or
-/// `acc += α·tile` (`!seed`) without the tile ever reaching memory on
-/// the SIMD tiers. Exactly the operation sequence of `microkernel`
-/// followed by the corresponding update loop — the skinny GEMM nest's
-/// hot call.
+/// [`microkernel`] with the tile update fused, over the first `R` rows:
+/// computes rows `0..R` of the `MR×NR` tile over the packed panels, then
+/// applies `acc = α·tile` (`seed`) or `acc += α·tile` (`!seed`) to those
+/// rows without the tile ever reaching memory on the SIMD tiers. Rows
+/// `R..MR` of `acc` are neither computed nor touched — a short row block
+/// (the `m = 2` of a small-batch `Dense` layer) pays for its live rows
+/// only. The A panel keeps its `MR` stride whatever `R` is, and each
+/// computed element runs exactly the FMA chain `microkernel` gives it,
+/// followed by the corresponding update — the skinny GEMM nest's hot
+/// call.
 ///
 /// # Panics
 /// Panics if `apanel.len()` is not a multiple of `MR` or the panel
-/// lengths disagree on `kc`.
+/// lengths disagree on `kc`. `R` must be 1, 2, 4 or 8 (a compile error
+/// otherwise).
 #[inline]
-pub(crate) fn microkernel_acc(
+pub(crate) fn microkernel_acc<const R: usize>(
     apanel: &[f32],
     bpanel: &[f32],
     alpha: f32,
     acc: &mut [[f32; NR]; MR],
     seed: bool,
 ) {
+    const { assert!(R.is_power_of_two() && R <= MR, "R must be 1, 2, 4 or 8") };
     assert_eq!(apanel.len() % MR, 0, "A panel not a whole number of steps");
     assert_eq!(
         apanel.len() / MR * NR,
@@ -839,10 +864,10 @@ pub(crate) fn microkernel_acc(
         // when its required target features are statically enabled for
         // the entire binary (`cfg` above), so the CPU executing this code
         // supports them.
-        unsafe { x86::microkernel_acc(apanel, bpanel, alpha, acc, seed) };
+        unsafe { x86::microkernel_acc::<R>(apanel, bpanel, alpha, acc, seed) };
         return;
     }
-    microkernel_acc_scalar(apanel, bpanel, alpha, acc, seed);
+    microkernel_acc_scalar::<R>(apanel, bpanel, alpha, acc, seed);
 }
 
 /// Packs a full-width `rows × NR` strip of a row-major matrix into the
@@ -1007,13 +1032,18 @@ mod tests {
                 assert_bits_eq(&fast[r], &slow[r], "tile row");
             }
         }
+        // The fused kernel at every row count it is built for.
+        check_fused_rows::<1>();
+        check_fused_rows::<2>();
+        check_fused_rows::<4>();
+        check_fused_rows::<MR>();
     }
 
-    #[test]
-    fn fused_microkernel_matches_tile_then_update_bitwise() {
-        // The fused kernel must equal `microkernel` + the seed/accumulate
-        // update loops, on both the SIMD tier and the forced-scalar tier.
-        for kc in [1usize, 17, 256] {
+    /// `microkernel_acc::<R>` against `microkernel` + the seed/accumulate
+    /// update loops, on the SIMD tier and the forced-scalar tier: rows
+    /// `0..R` carry exactly those bits, rows `R..MR` are untouched.
+    fn check_fused_rows<const R: usize>() {
+        for kc in [1usize, 17, 256, 301] {
             let ap = rand_vec(kc * MR, kc as u64 + 31);
             let bp = rand_vec(kc * NR, kc as u64 + 41);
             let alpha = -1.25f32;
@@ -1028,13 +1058,13 @@ mod tests {
                     };
                     let fused = run(&|| {
                         let mut acc = [[0.5f32; NR]; MR];
-                        microkernel_acc(&ap, &bp, alpha, &mut acc, seed);
+                        microkernel_acc::<R>(&ap, &bp, alpha, &mut acc, seed);
                         acc
                     });
                     let unfused = run(&|| {
                         let mut acc = [[0.5f32; NR]; MR];
                         let tile = microkernel(&ap, &bp);
-                        for (accr, tr) in acc.iter_mut().zip(tile.iter()) {
+                        for (accr, tr) in acc.iter_mut().zip(tile.iter()).take(R) {
                             for (av, tv) in accr.iter_mut().zip(tr.iter()) {
                                 if seed {
                                     *av = alpha * tv;
@@ -1046,7 +1076,8 @@ mod tests {
                         acc
                     });
                     for r in 0..MR {
-                        assert_bits_eq(&fused[r], &unfused[r], "fused tile row");
+                        let what = format!("R={R} kc={kc} seed={seed} scalar={force_scalar} row");
+                        assert_bits_eq(&fused[r], &unfused[r], &what);
                     }
                 }
             }
