@@ -83,9 +83,20 @@ impl Entry {
     }
 }
 
+/// Operand/output sets a small-batch row rotates through: the MLP
+/// workload's four replicas each step their own weights and gradients,
+/// so a product there never finds its C (up to 4 MiB) warm from the
+/// call before.
+const REPLICA_SETS: usize = 4;
+
+/// One row of the table: `(label, ta, tb, m, n, k, sets)`, where `sets`
+/// is how many distinct operand/output sets consecutive calls rotate
+/// through.
+type Shape = (String, Transpose, Transpose, usize, usize, usize, usize);
+
 /// Every GEMM shape the benchmark's workloads issue, plus cubes around the
-/// crossover and a VGG fc6-class dense layer: `(label, ta, tb, m, n, k)`.
-fn par_vs_serial_shapes() -> Vec<(String, Transpose, Transpose, usize, usize, usize)> {
+/// crossover and a VGG fc6-class dense layer.
+fn par_vs_serial_shapes() -> Vec<Shape> {
     use Transpose::{No, Yes};
     let mut shapes = Vec::new();
     // The VGG-shaped CIFAR net's five conv layers `(oc, col_rows,
@@ -101,25 +112,37 @@ fn par_vs_serial_shapes() -> Vec<(String, Transpose, Transpose, usize, usize, us
     .enumerate()
     {
         let name = format!("vgg_conv{}", i + 1);
-        shapes.push((format!("{name}_fwd_nn"), No, No, oc, cols, rows));
-        shapes.push((format!("{name}_dw_nt"), No, Yes, oc, rows, cols));
-        shapes.push((format!("{name}_dcol_tn"), Yes, No, rows, cols, oc));
+        shapes.push((format!("{name}_fwd_nn"), No, No, oc, cols, rows, 1));
+        shapes.push((format!("{name}_dw_nt"), No, Yes, oc, rows, cols, 1));
+        shapes.push((format!("{name}_dcol_tn"), Yes, No, rows, cols, oc, 1));
     }
     // Dense layers at batch `b`: forward NT, weight gradient TN, input
-    // gradient NN (the VGG net's 2048→256 head, the MLP's 1024→1024).
+    // gradient NN (the VGG net's 2048→256 head, the MLP's 1024→1024),
+    // each rotating through its replicas' sets.
     for (name, b, out, inp) in [
         ("dense256_b8", 8, 256, 2048),
         ("mlp1024_b2", 2, 1024, 1024),
         ("mlp1024_b8", 8, 1024, 1024),
         ("mlp1024_b32", 32, 1024, 1024),
     ] {
-        shapes.push((format!("{name}_fwd_nt"), No, Yes, b, out, inp));
-        shapes.push((format!("{name}_dw_tn"), Yes, No, out, inp, b));
-        shapes.push((format!("{name}_dx_nn"), No, No, b, inp, out));
+        let sets = REPLICA_SETS;
+        shapes.push((format!("{name}_fwd_nt"), No, Yes, b, out, inp, sets));
+        shapes.push((format!("{name}_dw_tn"), Yes, No, out, inp, b, sets));
+        shapes.push((format!("{name}_dx_nn"), No, No, b, inp, out, sets));
     }
-    shapes.push(("vgg_fc6_b32".to_string(), No, No, 32, 4096, 4096));
+    // The MLP's first layer, 784→1024: only its weight gradient runs.
+    shapes.push((
+        "mlp784_b2_dw_tn".to_string(),
+        Yes,
+        No,
+        1024,
+        784,
+        2,
+        REPLICA_SETS,
+    ));
+    shapes.push(("vgg_fc6_b32".to_string(), No, No, 32, 4096, 4096, 1));
     for s in [256, 384, 512, 768, 1024] {
-        shapes.push((format!("cube{s}"), No, No, s, s, s));
+        shapes.push((format!("cube{s}"), No, No, s, s, s, 1));
     }
     shapes
 }
@@ -184,40 +207,60 @@ fn bench_gemm_par_vs_serial(entries: &mut Vec<Entry>, smoke: bool) -> Option<Par
     }
     let mut min_par_over_serial = f64::INFINITY;
     let mut forked_speed = Vec::new();
-    for (label, ta, tb, m, n, k) in par_vs_serial_shapes() {
+    for (label, ta, tb, m, n, k, sets) in par_vs_serial_shapes() {
         let (m, n, k) = if smoke {
             (m.min(32), n.min(64), k.min(64))
         } else {
             (m, n, k)
         };
-        let a = rand_vec(m * k, 0xA + m as u64);
-        let b = rand_vec(k * n, 0xB + n as u64);
+        let seed = |base: u64, s: usize| base + (s * 0x100) as u64;
+        let a: Vec<_> = (0..sets)
+            .map(|s| rand_vec(m * k, seed(0xA + m as u64, s)))
+            .collect();
+        let b: Vec<_> = (0..sets)
+            .map(|s| rand_vec(k * n, seed(0xB + n as u64, s)))
+            .collect();
         let flops = 2 * (m * n * k) as u64;
         let shape = GateShape {
             label: label.clone(),
             flops,
             floats: (m * k).max(k * n).max(m * n),
         };
-        // Sub-millisecond kernels: batch calls so one sample is ~1 ms.
-        let reps = (2_000_000 / flops.max(1)).clamp(1, 64) as usize;
-        // One output buffer for every side: where a 4 MiB C lands in
-        // physical memory moves a store-bound shape by more than the
-        // 5 % the acceptance allows.
-        let c = std::cell::RefCell::new(vec![0.0f32; m * n]);
-        let pair = |f: &dyn Fn(&mut [f32])| {
-            let run = |f: &dyn Fn(&mut [f32])| {
+        // Sub-millisecond kernels: batch calls so one sample is ~1 ms,
+        // and every sample visits each set once.
+        let reps = ((2_000_000 / flops.max(1)).clamp(1, 64) as usize).next_multiple_of(sets);
+        // One output buffer per set for every side: where a 4 MiB C
+        // lands in physical memory moves a store-bound shape by more than
+        // the 5 % the acceptance allows.
+        let c = std::cell::RefCell::new(vec![vec![0.0f32; m * n]; sets]);
+        let pair = |f: &dyn Fn(usize, &mut [f32])| {
+            let run = |f: &dyn Fn(usize, &mut [f32])| {
                 let mut c = c.borrow_mut();
-                (0..reps).for_each(|_| f(&mut c));
+                (0..reps).for_each(|r| f(r % sets, &mut c[r % sets]));
             };
-            let serial = |c: &mut [f32]| gemm_serial(ta, tb, m, n, k, 1.0, &a, &b, 0.0, c);
+            let serial =
+                |s: usize, c: &mut [f32]| gemm_serial(ta, tb, m, n, k, 1.0, &a[s], &b[s], 0.0, c);
             let (s, o) = par::with_budget(PAR_TABLE_THREADS, || {
                 time_pair_ms(smoke, 1.5, || run(&serial), || run(f))
             });
             (s / reps as f64, o / reps as f64)
         };
-        let (serial, gated) = pair(&|c| gemm(ta, tb, m, n, k, 1.0, &a, &b, 0.0, c));
-        let (serial_again, forked) =
-            pair(&|c| gemm_fork_join(PAR_TABLE_THREADS, ta, tb, m, n, k, 1.0, &a, &b, 0.0, c));
+        let (serial, gated) = pair(&|s, c| gemm(ta, tb, m, n, k, 1.0, &a[s], &b[s], 0.0, c));
+        let (serial_again, forked) = pair(&|s, c| {
+            gemm_fork_join(
+                PAR_TABLE_THREADS,
+                ta,
+                tb,
+                m,
+                n,
+                k,
+                1.0,
+                &a[s],
+                &b[s],
+                0.0,
+                c,
+            )
+        });
         min_par_over_serial = min_par_over_serial.min(serial / gated);
         forked_speed.push((shape, serial_again / forked));
         for (implementation, threads, ms) in [

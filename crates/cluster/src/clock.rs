@@ -122,25 +122,6 @@ impl TimeBreakdown {
             self.communication() / t
         }
     }
-
-    /// Element-wise sum with another breakdown.
-    pub fn merge(&mut self, other: &TimeBreakdown) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-    }
-
-    /// Fraction of the total per category, in [`TimeCategory::ALL`] order.
-    pub fn percentages(&self) -> [f64; 7] {
-        let t = self.total();
-        let mut out = [0.0; 7];
-        if t > 0.0 {
-            for (o, b) in out.iter_mut().zip(&self.buckets) {
-                *o = b / t;
-            }
-        }
-        out
-    }
 }
 
 impl fmt::Display for TimeBreakdown {
@@ -270,27 +251,6 @@ mod tests {
         b.add(TimeCategory::CpuUpdate, 9.0);
         // 87/100 — the Original EASGD row of Table 3.
         assert!((b.comm_ratio() - 0.87).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merge_adds_elementwise() {
-        let mut a = TimeBreakdown::new();
-        a.add(TimeCategory::GpuUpdate, 1.0);
-        let mut b = TimeBreakdown::new();
-        b.add(TimeCategory::GpuUpdate, 2.0);
-        b.add(TimeCategory::Other, 3.0);
-        a.merge(&b);
-        assert_eq!(a.get(TimeCategory::GpuUpdate), 3.0);
-        assert_eq!(a.total(), 6.0);
-    }
-
-    #[test]
-    fn percentages_sum_to_one() {
-        let mut b = TimeBreakdown::new();
-        b.add(TimeCategory::ForwardBackward, 3.0);
-        b.add(TimeCategory::GpuGpuParam, 1.0);
-        let sum: f64 = b.percentages().iter().sum();
-        assert!((sum - 1.0).abs() < 1e-12);
     }
 
     #[test]

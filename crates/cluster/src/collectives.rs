@@ -21,14 +21,19 @@
 //! The trees move buffers instead of copying them: a broadcast is one
 //! shared [`Payload`] (the root's single pooled copy, forwarded by
 //! reference), a reduce climbs by handing each rank's own buffer to its
-//! parent. Steady-state collectives allocate no payload storage; what a
+//! parent. Every fold of arrived partials — a tree rank's children, a
+//! ring step's chunk, the flat root's senders — is one call of
+//! [`fold_sum`], the banded kernel that keeps the serial per-element
+//! order. Steady-state collectives allocate no payload storage; what a
 //! call does allocate is O(log P): an interior rank's [`TreeRole`] child
-//! list and the set of partials it waits for. The all-ranks forms build
+//! list, the set of partials it waits for, and the list of slots they
+//! land in before the fold. The all-ranks forms build
 //! no participant list — a rank's tree position is arithmetic on its id.
 
 use crate::clock::TimeCategory;
 use crate::comm::{Comm, Payload};
 use crate::tags;
+use easgd_tensor::ops::fold_sum;
 
 /// Chunk boundaries: `n` elements into `p` nearly equal chunks.
 fn chunk_bounds(n: usize, p: usize, chunk: usize) -> (usize, usize) {
@@ -68,9 +73,7 @@ pub fn ring_allreduce_sum(comm: &mut Comm, data: &mut [f32], category: TimeCateg
         comm.recv_into(left, tag, category, &mut incoming);
         let (r0, r1) = chunk_bounds(n, p, recv_chunk);
         assert_eq!(incoming.len(), r1 - r0, "ring chunk size mismatch");
-        for (d, v) in data[r0..r1].iter_mut().zip(&incoming) {
-            *d += v;
-        }
+        fold_sum(&mut data[r0..r1], std::slice::from_ref(&incoming));
     }
     // Phase 2 — allgather: circulate the completed chunks.
     for step in 0..p - 1 {
@@ -166,17 +169,20 @@ impl TreeRole {
             let tagged = |&(child, mask): &(usize, usize)| (child, tags::TREE_REDUCE | mask as u32);
             let partials = || self.children.iter().rev().map(tagged);
             comm.await_all(partials());
-            // Where the partials land: each `recv_into` moves the arrived
-            // buffer in and recycles the one before it, so it starts empty.
-            let mut arrived = comm.take_buffer(0);
+            // Each partial lands in a slot of its own (`recv_into` moves
+            // the arrived buffer in and recycles the empty one), so all
+            // of them fold in one banded sweep.
+            let mut arrived = Vec::with_capacity(self.children.len());
             for (child, tag) in partials() {
-                comm.recv_into(child, tag, category, &mut arrived);
-                assert_eq!(arrived.len(), data.len(), "tree reduce length mismatch");
-                for (d, v) in data.iter_mut().zip(&arrived) {
-                    *d += v;
-                }
+                let mut slot = comm.take_buffer(0);
+                comm.recv_into(child, tag, category, &mut slot);
+                assert_eq!(slot.len(), data.len(), "tree reduce length mismatch");
+                arrived.push(slot);
             }
-            comm.recycle_buffer(arrived);
+            fold_sum(data, &arrived);
+            arrived
+                .into_iter()
+                .for_each(|slot| comm.recycle_buffer(slot));
         }
         if let Some((parent, mask)) = self.parent {
             // My subtree is folded; hand the buffer itself to the parent.
@@ -333,9 +339,7 @@ pub fn flat_gather_sum(comm: &mut Comm, root: usize, data: &mut [f32], category:
         let transfer = comm.link_time(bytes);
         comm.recv_costed_into(r, tags::FLAT_GATHER, transfer, category, category, &mut tmp);
         assert_eq!(tmp.len(), data.len(), "flat gather length mismatch");
-        for (d, v) in data.iter_mut().zip(tmp.iter()) {
-            *d += v;
-        }
+        fold_sum(data, std::slice::from_ref(&tmp));
     }
     comm.recycle_buffer(tmp);
 }

@@ -71,11 +71,6 @@ impl Request {
         }
     }
 
-    /// Whether the request has been completed by a `wait`.
-    pub fn is_complete(&self) -> bool {
-        self.state.is_none()
-    }
-
     /// Whether this is a receive request (false: send).
     ///
     /// # Panics

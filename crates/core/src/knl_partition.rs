@@ -131,7 +131,7 @@ pub fn knl_partition_run(
         for rng in rngs.iter_mut() {
             let batch = train.sample_batch(rng, cfg.batch);
             let _ = net.forward_backward(&batch.images, &batch.labels);
-            easgd_tensor::ops::add_assign(&mut grad_sum, net.grads().as_slice());
+            easgd_tensor::ops::fold_sum(&mut grad_sum, &[net.grads().as_slice()]);
         }
         // §6.2: update with the gradient *sum* (linear scaling built in).
         easgd_tensor::ops::axpy(-cfg.eta, &grad_sum, net.params_mut().as_mut_slice());

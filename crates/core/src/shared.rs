@@ -138,7 +138,7 @@ pub fn sync_easgd_shared(
                 let mut sum = sum.lock().unwrap();
                 sum.fill(0.0);
                 for slot in slots.iter() {
-                    easgd_tensor::ops::add_assign(&mut sum, &slot.lock().unwrap());
+                    easgd_tensor::ops::fold_sum(&mut sum, &[slot.lock().unwrap().as_slice()]);
                 }
                 rule.center_dilution(&mut c, &sum, cfg.workers);
             }

@@ -41,6 +41,7 @@ use easgd_cluster::{
 use easgd_data::Dataset;
 use easgd_hardware::net::AlphaBeta;
 use easgd_nn::{CommSchedule, LayoutKind, Network};
+use easgd_tensor::ops::fold_sum;
 use std::time::Instant;
 
 /// Which Sync EASGD implementation stage to run (§6.1).
@@ -150,11 +151,12 @@ fn seg_bounds(n: usize, segments: usize, s: usize) -> std::ops::Range<usize> {
 ///   the local reduce contribution is built by `contribute_segment`;
 ///   leaves stream their partial straight up with an `isend`;
 /// * reduce loop, per segment `s`: interior ranks fold their children's
-///   partials in the serial (mask-ascending) order and push the result
-///   to their parent. Folding *after* the compute loop matters: a
-///   child's partial necessarily trails the pipeline skew, and blocking
-///   on it between compute slices would feed that skew back into the
-///   next broadcast forward, compounding once per segment;
+///   partials in the serial (mask-ascending) order, in one [`fold_sum`]
+///   sweep, and push the result to their parent. Folding *after* the
+///   compute loop matters: a child's partial necessarily trails the
+///   pipeline skew, and blocking on it between compute slices would
+///   feed that skew back into the next broadcast forward, compounding
+///   once per segment;
 /// * the round ends with one `wait_all` over every posted send, which
 ///   settles the residual (non-hidden) NIC time.
 ///
@@ -223,8 +225,12 @@ pub fn tree_exchange_pipelined<C, F>(
         unreachable!("non-root participant has a tree parent");
     }
 
-    let mut reduce_buf =
-        (!role.children.is_empty()).then(|| comm.take_buffer(seg_bounds(n, segments, 0).len()));
+    // One slot per child, so a segment's partials fold in one sweep:
+    // each `recv_into` moves the arrived buffer in and recycles the one
+    // before it, so they start empty.
+    let mut slots: Vec<Vec<f32>> = (role.children.iter())
+        .map(|_| comm.take_buffer(0))
+        .collect();
     for s in 0..segments {
         let r = seg_bounds(n, segments, s);
         // The overlap window: segment s's traffic is in flight while
@@ -266,7 +272,7 @@ pub fn tree_exchange_pipelined<C, F>(
     // Reduce loop (interior ranks): fold children in the serial
     // (mask-ascending) order — the reverse of the broadcast fan-out
     // list — and climb.
-    if let Some(buf) = reduce_buf.as_mut() {
+    if !slots.is_empty() {
         for s in 0..segments {
             let r = seg_bounds(n, segments, s);
             let tagged = |&(child, mask): &(usize, usize)| {
@@ -274,13 +280,11 @@ pub fn tree_exchange_pipelined<C, F>(
             };
             let partials = || role.children.iter().rev().map(tagged);
             comm.await_all(partials());
-            for (child, tag) in partials() {
-                comm.recv_into(child, tag, category, buf);
-                assert_eq!(buf.len(), r.len(), "reduce segment length mismatch");
-                for (d, v) in weight_sum[r.clone()].iter_mut().zip(buf.iter()) {
-                    *d += v;
-                }
+            for ((child, tag), slot) in partials().zip(slots.iter_mut()) {
+                comm.recv_into(child, tag, category, slot);
+                assert_eq!(slot.len(), r.len(), "reduce segment length mismatch");
             }
+            fold_sum(&mut weight_sum[r.clone()], &slots);
             if let Some((parent, mask)) = role.parent {
                 sends.push(comm.isend(
                     parent,
@@ -291,9 +295,7 @@ pub fn tree_exchange_pipelined<C, F>(
             }
         }
     }
-    if let Some(buf) = reduce_buf {
-        comm.recycle_buffer(buf);
-    }
+    slots.into_iter().for_each(|slot| comm.recycle_buffer(slot));
     comm.wait_all(&mut sends);
 }
 

@@ -25,15 +25,6 @@ impl Augment {
         }
     }
 
-    /// Flips only (digits don't survive mirroring, so MNIST pipelines
-    /// usually crop without flipping; this is the generic knob).
-    pub fn flips_only() -> Self {
-        Self {
-            flip_prob: 0.5,
-            crop_pad: 0,
-        }
-    }
-
     /// No-op policy.
     pub fn none() -> Self {
         Self {

@@ -162,25 +162,6 @@ impl Dataset {
         }
     }
 
-    /// Splits off the first `n` samples into a new dataset (typically a
-    /// held-out test set), leaving the rest here.
-    ///
-    /// # Panics
-    /// Panics if `n > len()`.
-    pub fn split_off_front(&mut self, n: usize) -> Dataset {
-        assert!(n <= self.len(), "split beyond dataset size");
-        let per = self.sample_len();
-        let head_images = self.images.drain(..n * per).collect();
-        let head_labels = self.labels.drain(..n).collect();
-        Dataset {
-            name: format!("{}-head", self.name),
-            shape: self.shape.clone(),
-            classes: self.classes,
-            images: head_images,
-            labels: head_labels,
-        }
-    }
-
     /// Partitions the dataset into `p` contiguous shards (data
     /// parallelism, §2.3: “the dataset is partitioned into P parts and
     /// each machine only gets one part”). Shard sizes differ by at most 1.
@@ -282,16 +263,6 @@ mod tests {
         assert_eq!(sizes, vec![2, 2, 1, 1]);
         assert_eq!(shards[0].image(0), d.image(0));
         assert_eq!(shards[3].image(0), d.image(5));
-    }
-
-    #[test]
-    fn split_off_front_moves_samples() {
-        let mut d = tiny();
-        let head = d.split_off_front(2);
-        assert_eq!(head.len(), 2);
-        assert_eq!(d.len(), 4);
-        assert_eq!(head.image(0), &[0.0, 1.0]);
-        assert_eq!(d.image(0), &[4.0, 5.0]);
     }
 
     #[test]

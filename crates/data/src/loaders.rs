@@ -61,7 +61,14 @@ pub fn parse_idx_images(bytes: &[u8]) -> Result<(Vec<f32>, usize, usize, usize),
     let n = be_u32(bytes, 4)? as usize;
     let h = be_u32(bytes, 8)? as usize;
     let w = be_u32(bytes, 12)? as usize;
-    let need = 16 + n * h * w;
+    // Three untrusted u32s: their product can exceed any address space.
+    let need = n
+        .checked_mul(h)
+        .and_then(|p| p.checked_mul(w))
+        .and_then(|p| p.checked_add(16))
+        .ok_or_else(|| {
+            LoadError::Format(format!("idx3 header {n}x{h}x{w} overflows a byte count"))
+        })?;
     if bytes.len() < need {
         return Err(LoadError::Format(format!(
             "idx3 body too short: {} < {need}",
@@ -81,7 +88,9 @@ pub fn parse_idx_labels(bytes: &[u8]) -> Result<Vec<usize>, LoadError> {
         )));
     }
     let n = be_u32(bytes, 4)? as usize;
-    let need = 8 + n;
+    let need = n
+        .checked_add(8)
+        .ok_or_else(|| LoadError::Format(format!("idx1 header count {n} overflows")))?;
     if bytes.len() < need {
         return Err(LoadError::Format(format!(
             "idx1 body too short: {} < {need}",
@@ -207,6 +216,63 @@ mod tests {
         let mut f = idx3_fixture(2, 4, 4);
         f.truncate(f.len() - 1);
         assert!(parse_idx_images(&f).is_err());
+    }
+
+    #[test]
+    fn idx3_rejects_a_header_whose_size_overflows() {
+        let mut f = Vec::new();
+        f.extend_from_slice(&0x0000_0803u32.to_be_bytes());
+        for _ in 0..3 {
+            f.extend_from_slice(&u32::MAX.to_be_bytes());
+        }
+        f.extend_from_slice(&[7; 64]);
+        let err = parse_idx_images(&f).unwrap_err();
+        assert!(
+            matches!(&err, LoadError::Format(m) if m.contains("overflows")),
+            "{err}"
+        );
+    }
+
+    /// Every prefix, 1–16 extra bytes, and `flips` bit flips of `valid`
+    /// through `parse`: each gives `Ok` or a typed error — a panic fails
+    /// the test — and an `Ok` never holds more values than the input had
+    /// bytes (the header sizes an allocation only once the bytes exist).
+    fn hostile_variants<T>(
+        valid: &[u8],
+        parse: impl Fn(&[u8]) -> Result<T, LoadError>,
+        len_of: impl Fn(&T) -> usize,
+        flips: &[(usize, u32)],
+    ) {
+        let check = |bytes: &[u8]| match parse(bytes) {
+            Ok(v) => assert!(len_of(&v) <= bytes.len(), "output larger than input"),
+            Err(LoadError::Format(_) | LoadError::Io(_)) => {}
+        };
+        (0..valid.len()).for_each(|cut| check(&valid[..cut]));
+        for extra in 1..=16u8 {
+            let mut padded = valid.to_vec();
+            padded.extend((0..extra).map(|b| b.wrapping_mul(89)));
+            check(&padded);
+        }
+        let mut flipped = valid.to_vec();
+        for &(at, bit) in flips {
+            flipped[at % valid.len()] ^= 1 << (bit % 8);
+        }
+        check(&flipped);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn hostile_loader_bytes_are_ok_or_typed_errors(
+            at in 0usize..1 << 16,
+            bit in 0u32..8,
+            spread in 1usize..64,
+        ) {
+            // Flips land in the header too (`at % len` reaches byte 0).
+            let flips = [(at, bit), (at + spread, bit + 3), (at / 2, bit + 5)];
+            hostile_variants(&idx3_fixture(3, 4, 5), parse_idx_images, |v| v.0.len(), &flips);
+            hostile_variants(&idx1_fixture(&[3, 1, 4, 1, 5]), parse_idx_labels, Vec::len, &flips);
+            hostile_variants(&cifar_fixture(2), parse_cifar_batch, |v| v.0.len(), &flips);
+        }
     }
 
     #[test]

@@ -33,12 +33,6 @@ impl ComputeModel {
         }
     }
 
-    /// Intel Xeon Phi 7250 (KNL, 68 cores @ 1.4 GHz): 6 Tflops SP peak
-    /// (§1 of the paper).
-    pub fn knl_7250() -> Self {
-        Self::new("Intel Xeon Phi 7250 (KNL)", 6.0e12, 0.35)
-    }
-
     /// One GPU of an Nvidia Tesla K80 board (≈ 4.1 Tflops SP with boost,
     /// half the board).
     pub fn k80_half() -> Self {
@@ -48,18 +42,6 @@ impl ComputeModel {
     /// Nvidia Tesla M40: 7 Tflops SP peak.
     pub fn m40() -> Self {
         Self::new("Nvidia Tesla M40", 7.0e12, 0.45)
-    }
-
-    /// Intel Xeon E5-2698 v3 (Haswell, 16 cores @ 2.3 GHz): ≈ 1.2 Tflops
-    /// SP peak (Cori CPU partition, §10.4).
-    pub fn haswell_e5_2698() -> Self {
-        Self::new("Intel Xeon E5-2698 v3 (Haswell)", 1.2e12, 0.5)
-    }
-
-    /// Intel Knights Corner 7120 (KNC): ≈ 2 Tflops SP (the predecessor the
-    /// paper contrasts against in §1).
-    pub fn knc() -> Self {
-        Self::new("Intel Xeon Phi 7120 (KNC)", 2.0e12, 0.25)
     }
 
     /// Sustained flops/second.
@@ -72,12 +54,6 @@ impl ComputeModel {
         assert!(flops >= 0.0, "negative flops");
         flops / self.sustained_flops()
     }
-
-    /// Seconds per training iteration of a model at a batch size, given
-    /// the model's per-sample training flops.
-    pub fn iteration_time(&self, flops_train_per_sample: f64, batch: usize) -> f64 {
-        self.time(flops_train_per_sample * batch as f64)
-    }
 }
 
 #[cfg(test)]
@@ -85,36 +61,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn knl_peak_matches_paper_claim() {
-        // §1: "6 Tflops vs 2 Tflops for single precision" (KNL vs KNC).
-        assert!((ComputeModel::knl_7250().peak_flops - 6.0e12).abs() < 1.0);
-        assert!((ComputeModel::knc().peak_flops - 2.0e12).abs() < 1.0);
-    }
-
-    #[test]
     fn time_is_linear_in_flops() {
-        let m = ComputeModel::knl_7250();
-        assert!((m.time(2.0e12) - 2.0 * m.time(1.0e12)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn iteration_time_scales_with_batch() {
         let m = ComputeModel::m40();
-        let per_sample = 3.0e9;
-        assert!(
-            (m.iteration_time(per_sample, 128) - 2.0 * m.iteration_time(per_sample, 64)).abs()
-                < 1e-9
-        );
-    }
-
-    #[test]
-    fn googlenet_iteration_on_knl_is_order_seconds() {
-        // Plausibility anchor for Table 4: GoogLeNet train ≈ 9.6 GFLOP per
-        // sample; batch 256 on one KNL ≈ a few seconds — the paper
-        // measures 1533 s / 300 iterations ≈ 5.1 s per iteration.
-        let m = ComputeModel::knl_7250();
-        let t = m.iteration_time(3.0 * 3.2e9, 256);
-        assert!((0.5..10.0).contains(&t), "t = {t}");
+        assert!((m.time(2.0e12) - 2.0 * m.time(1.0e12)).abs() < 1e-9);
     }
 
     #[test]

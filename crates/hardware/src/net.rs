@@ -54,12 +54,6 @@ impl AlphaBeta {
         ]
     }
 
-    /// Cray Aries (Cori's interconnect, §10.4): sub-microsecond latency,
-    /// ~10 GB/s per-node injection bandwidth.
-    pub fn aries() -> Self {
-        Self::new("Cray Aries (Cori)", 0.6e-6, 0.1e-9)
-    }
-
     /// PCIe 3.0 ×16 through a switch (the multi-GPU node fabric, §10.4):
     /// ~12 GB/s effective, a few µs of driver + switch latency per
     /// transfer.
@@ -78,16 +72,6 @@ impl AlphaBeta {
             f64::INFINITY
         } else {
             1.0 / self.beta_s_per_byte
-        }
-    }
-
-    /// Message size at which latency and transfer cost are equal — below
-    /// this, batching messages is (more than) half the cost.
-    pub fn half_bandwidth_bytes(&self) -> f64 {
-        if self.beta_s_per_byte == 0.0 {
-            f64::INFINITY
-        } else {
-            self.alpha_s / self.beta_s_per_byte
         }
     }
 }
@@ -138,12 +122,6 @@ mod tests {
     fn bandwidth_inverts_beta() {
         let l = AlphaBeta::ten_gbe();
         assert!((l.bandwidth() - 1.0 / 0.9e-9).abs() / l.bandwidth() < 1e-12);
-    }
-
-    #[test]
-    fn half_bandwidth_point() {
-        let l = AlphaBeta::new("x", 1e-6, 1e-9);
-        assert!((l.half_bandwidth_bytes() - 1000.0).abs() < 1e-9);
     }
 
     #[test]

@@ -120,7 +120,7 @@ impl Layer for Dense {
             (_, w) => gemm_view(no, yes, b, n, k, 1.0, Operand::Stored(x), w, 0.0, y),
         }
         for row in y.chunks_mut(n) {
-            easgd_tensor::ops::add_assign(row, bias);
+            easgd_tensor::ops::fold_sum(row, &[bias]);
         }
         if !self.frozen {
             let cache = self.input_cache.get_or_insert_with(Tensor::default);
@@ -194,7 +194,7 @@ impl Layer for Dense {
         // gradB[j] += Σ_b gradY[b,j]
         let gb = grads.segment_mut(self.b_seg);
         for row in grad_out.as_slice().chunks(self.out_features) {
-            easgd_tensor::ops::add_assign(gb, row);
+            easgd_tensor::ops::fold_sum(gb, &[row]);
         }
     }
 

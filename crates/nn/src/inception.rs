@@ -281,7 +281,7 @@ impl Layer for Inception {
                     .copy_from_slice(src);
             }
             br.backward_into(params, grads, &self.gslice, scratch);
-            easgd_tensor::ops::add_assign(grad_in.as_mut_slice(), br.pong.as_slice());
+            easgd_tensor::ops::fold_sum(grad_in.as_mut_slice(), &[br.pong.as_slice()]);
             c_off += bc;
         }
     }

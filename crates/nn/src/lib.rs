@@ -19,7 +19,7 @@
 //!   for CIFAR, generic MLPs) at both paper scale and `tiny` scale for
 //!   fast experiments.
 //! * [`spec`] — full-size cost specifications (parameter and flop counts
-//!   per layer) of LeNet, AlexNet, GoogLeNet and VGG-16/19, used by the
+//!   per layer) of LeNet, AlexNet, GoogLeNet and VGG-19, used by the
 //!   weak-scaling and communication models (Table 4, Figure 10).
 //! * [`layout`] — packed vs per-layer communication schedules (§5.2).
 //! * [`gradcheck`] — finite-difference gradient verification used by the

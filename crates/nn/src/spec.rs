@@ -130,23 +130,6 @@ fn vgg_block(
     }
 }
 
-/// VGG-16 on 224×224 ImageNet (≈ 138 M parameters).
-pub fn spec_vgg16() -> ModelSpec {
-    let mut layers = Vec::new();
-    vgg_block(&mut layers, 1, 3, 64, 2, 224);
-    vgg_block(&mut layers, 2, 64, 128, 2, 112);
-    vgg_block(&mut layers, 3, 128, 256, 3, 56);
-    vgg_block(&mut layers, 4, 256, 512, 3, 28);
-    vgg_block(&mut layers, 5, 512, 512, 3, 14);
-    layers.push(fc("fc6", 512 * 7 * 7, 4096));
-    layers.push(fc("fc7", 4096, 4096));
-    layers.push(fc("fc8", 4096, 1000));
-    ModelSpec {
-        name: "VGG-16".to_string(),
-        layers,
-    }
-}
-
 /// VGG-19 on 224×224 ImageNet (≈ 144 M parameters ≈ 575 MB, the size the
 /// paper quotes when arguing weights fit on one GPU, §6.1.2). This is the
 /// Table 4 "VGG" workload.
@@ -239,12 +222,6 @@ mod tests {
         let mb = spec.weight_bytes() as f64 / 1e6;
         // The paper quotes 575 MB (§6.1.2).
         assert!((550.0..590.0).contains(&mb), "VGG-19 = {mb:.1} MB");
-    }
-
-    #[test]
-    fn vgg16_has_about_138m_params() {
-        let m = spec_vgg16().num_params() as f64 / 1e6;
-        assert!((135.0..142.0).contains(&m), "VGG-16 = {m:.1} M");
     }
 
     #[test]

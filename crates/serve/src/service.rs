@@ -46,12 +46,6 @@ impl ServiceModel {
         assert!(batch > 0, "empty batch has no service time");
         self.fixed_us + batch as f64 * self.per_sample_us
     }
-
-    /// Saturated single-server throughput at batch size `batch`,
-    /// in requests per second: `B / step(B)`.
-    pub fn capacity_qps(&self, batch: usize) -> f64 {
-        batch as f64 * 1e6 / self.step_us(batch)
-    }
 }
 
 #[cfg(test)]
@@ -63,17 +57,6 @@ mod tests {
         let m = ServiceModel::new(80.0, 5.0);
         assert_eq!(m.step_us(1), 85.0);
         assert_eq!(m.step_us(8), 120.0);
-    }
-
-    #[test]
-    fn batching_amortizes_fixed_cost() {
-        let m = ServiceModel::new(80.0, 5.0);
-        let ratio = m.capacity_qps(8) / m.capacity_qps(1);
-        assert!(ratio > 3.0, "α/β = 16 should batch well, got {ratio}");
-        // With no fixed cost there is nothing to amortize.
-        let flat = ServiceModel::new(0.0, 5.0);
-        let r = flat.capacity_qps(8) / flat.capacity_qps(1);
-        assert!((r - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -357,13 +357,6 @@ impl TrainScratch {
         self.tally(growth);
     }
 
-    /// [`ensure_f32`](Self::ensure_f32) followed by a zero fill — for
-    /// scatter-accumulate targets that relied on `Tensor::zeros`.
-    pub fn ensure_f32_zeroed(&mut self, buf: &mut Vec<f32>, len: usize) {
-        self.ensure_f32(buf, len);
-        buf.iter_mut().for_each(|x| *x = 0.0);
-    }
-
     /// `usize`-typed sibling of [`ensure_f32`](Self::ensure_f32) (pooling
     /// argmax indices and label buffers).
     pub fn ensure_usize(&mut self, buf: &mut Vec<usize>, len: usize) {
@@ -636,14 +629,6 @@ mod tests {
         s.ensure_f32(&mut buf, 0);
         assert!(buf.is_empty());
         assert_eq!(s.stats().requests(), 0);
-    }
-
-    #[test]
-    fn scratch_zeroed_variant_clears_dirty_capacity() {
-        let mut s = TrainScratch::default();
-        let mut buf = vec![7.0; 8];
-        s.ensure_f32_zeroed(&mut buf, 6);
-        assert_eq!(buf, vec![0.0; 6]);
     }
 
     #[test]

@@ -140,17 +140,6 @@ impl AtomicBuffer {
         }
     }
 
-    /// Overwrites all elements from a slice (element-wise atomic stores).
-    ///
-    /// # Panics
-    /// Panics if lengths differ.
-    pub fn store_all(&self, src: &[f32]) {
-        assert_eq!(src.len(), self.len(), "store length mismatch");
-        for (a, &v) in self.data.iter().zip(src) {
-            a.store(v);
-        }
-    }
-
     /// The lock-free Hogwild-EASGD center update for one arriving worker:
     /// `W̄ ← W̄ + ηρ(Wᵢ − W̄)`, applied component-wise with atomic
     /// read-modify-write and *no* lock across components.
@@ -268,12 +257,5 @@ mod tests {
         let buf = AtomicBuffer::from_slice(&[1.0, 1.0]);
         buf.sgd_update(0.5, &[2.0, -2.0]);
         assert_eq!(buf.snapshot(), vec![0.0, 2.0]);
-    }
-
-    #[test]
-    fn store_all_overwrites() {
-        let buf = AtomicBuffer::zeros(3);
-        buf.store_all(&[1.0, 2.0, 3.0]);
-        assert_eq!(buf.snapshot(), vec![1.0, 2.0, 3.0]);
     }
 }

@@ -11,29 +11,42 @@
 //! flops, or the floats the product streams:
 //!
 //! * **tiny** — a direct row loop; packing overhead would dominate.
-//! * **blocked serial** — the cache-blocked packed kernel: A- and
-//!   B-panels are packed once per `MC×KC` / `KC×NC` block into
-//!   contiguous, microkernel-ordered buffers, and the explicit `MR×NR`
-//!   broadcast-FMA register tile in [`crate::simd`] (hand-tiled AVX-512 /
-//!   AVX2 intrinsics behind a bit-identical scalar fallback — see
-//!   DESIGN.md §15) does the flops. All four [`Transpose`] combinations
-//!   are normalized away by the packing step, so the microkernel sees
-//!   one layout: an operand whose tile lanes are contiguous in memory is
-//!   copied in vector slivers, and one whose `k` runs are contiguous —
-//!   `B` stored transposed (every `Dense` forward's weights, conv
-//!   `gradW`'s `gy`) and `A` as stored — is transposed in 8×8 register
-//!   blocks by `simd::pack_transposed`. The packs are also the only
-//!   readers of an operand, so it need not be in memory: through
-//!   [`Operand`] they gather a convolution's im2col matrix tile by tile
-//!   from the padded image ([`Lowered`]), or borrow the tiles of a weight
-//!   packed once ([`Panels`]), and nothing upstream of them changes —
-//!   same blocks, same nests, same float chains. Skinny outputs (`m ≤ 64` — the
-//!   fully-connected layers of a small-batch step) switch to a
-//!   column-major nest that keeps the register tiles live across every
-//!   `KC` block, touching C once instead of `k/KC` times (the `vgg_fc6`
-//!   cliff fix, DESIGN.md §15). A short row block runs the fused
-//!   microkernel at its live rows only (`simd::microkernel_acc`'s
-//!   `R`): the `m = 2` of a small-batch step computes 2 rows, not 8.
+//! * **blocked serial** — one of three loop nests over an output window,
+//!   every one of them giving each element the same float chain:
+//!   - *standard* — the cache-blocked packed kernel: A- and B-panels are
+//!     packed once per `MC×KC` / `KC×NC` block into contiguous,
+//!     microkernel-ordered buffers, and the explicit `MR×NR`
+//!     broadcast-FMA register tile in [`crate::simd`] (hand-tiled
+//!     AVX-512 / AVX2 intrinsics behind a bit-identical scalar fallback
+//!     — see DESIGN.md §15) does the flops. Inside a block the tiles go
+//!     row strip by row strip when the packed B block fits L1
+//!     (`kcb·ncb ≤ ROW_ORDER_B_FLOATS`: a small-batch `Dense` weight
+//!     gradient, `k = 2`, writes C in `MR` contiguous rows rather than
+//!     down an `n`-float stride), column tile by column tile otherwise.
+//!     All four [`Transpose`] combinations are normalized away by the
+//!     packing step, so the microkernel sees one layout: an operand
+//!     whose tile lanes are contiguous in memory is copied in vector
+//!     slivers, and one whose `k` runs are contiguous — `B` stored
+//!     transposed (every `Dense` forward's weights, conv `gradW`'s `gy`)
+//!     and `A` as stored — is transposed in 8×8 register blocks by
+//!     `simd::pack_transposed`. The packs are also the only readers of
+//!     an operand, so it need not be in memory: through [`Operand`]
+//!     they gather a convolution's im2col matrix tile by tile from the
+//!     padded image ([`Lowered`]), or borrow the tiles of a weight packed
+//!     once ([`Panels`]), and nothing upstream of them changes — same
+//!     blocks, same nests, same float chains.
+//!   - *skinny* — outputs of `m ≤ 64` rows with `k > KC` (the
+//!     fully-connected layers of a small-batch step) keep the register
+//!     tiles live across every `KC` block in a column-major nest,
+//!     touching C once instead of `k/KC` times (the `vgg_fc6` cliff fix,
+//!     DESIGN.md §15). A short row block runs the fused microkernel at
+//!     its live rows only (`simd::microkernel_acc`'s `R`): the `m = 2`
+//!     of a small-batch step computes 2 rows, not 8.
+//!   - *stream* — at most `MR` rows against a B stored row-major and
+//!     untransposed (the `Dense` input gradient `gy·W`) packs nothing:
+//!     B's rows stream through once, in memory order, into per-`KC`-block
+//!     partial rows (`simd::fma_rows`), which land in C as the skinny
+//!     nest's tiles do.
 //! * **blocked fork-join** — at or above [`par::FORK_JOIN_FLOPS`] flops
 //!   or [`par::PAR_ELEMS`] streamed floats (`max(m·k, k·n, m·n)`: the
 //!   weight of a small-batch `Dense` layer is one DRAM-bound pass), when
@@ -267,39 +280,108 @@ const _: () = assert!(
 /// strip's row-`p` sliver to the same L1 set during the scatter.
 const STRIP_SKEW: usize = 16;
 
-/// Whether a `mc0`-row output window with inner dimension `k` should run
-/// the column-major skinny nest ([`skinny_accumulate`]) instead of the
-/// standard one. Skinny outputs lose most of their time in the standard
-/// nest re-reading and re-writing C once per `KC` block (`k/KC` sweeps of
-/// a tile that never leaves a handful of registers in the skinny nest);
-/// at `k ≤ KC` there is only one pass, so the nests are identical work.
-fn use_skinny_nest(mc0: usize, k: usize) -> bool {
-    #[cfg(test)]
-    if FORCE_STANDARD_NEST.with(|f| f.get()) {
-        return false;
+/// Floats of packed B (`kcb·ncb`) up to which the standard nest walks a
+/// block's tiles row strip by row strip: the B block then stays in L1
+/// across a strip, and C is written in `MR` contiguous rows instead of
+/// one `NR`-wide column tile at a time down an `n`-float row stride (the
+/// `k = 2` weight gradient of a small-batch `Dense` layer, DESIGN.md
+/// §8.1). A larger block runs column tiles outer, so one B strip stays
+/// in L1 across the rows that reuse it.
+const ROW_ORDER_B_FLOATS: usize = 8192;
+
+/// Floats of partial rows the stream nest keeps L1-resident while B's
+/// rows pass: a window wider than `STREAM_PART_FLOATS / mc0` columns is
+/// streamed one column block at a time.
+const STREAM_PART_FLOATS: usize = 4096;
+
+/// Which loop nest computes a window of the product.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+enum Nest {
+    /// [`blocked_accumulate_with`]'s packed `jc → pc → ic` nest.
+    Standard,
+    /// [`skinny_accumulate`]: register tiles live across every `KC` block.
+    Skinny,
+    /// [`stream_accumulate`]: no packs; B's rows stream into partial rows.
+    Stream,
+}
+
+/// The nest a `mc0`-row output window with inner dimension `k` runs.
+///
+/// * **stream** — at most one register tile of rows (`mc0 ≤ MR`, the
+///   `m = 2` or `8` of a small-batch step) against a B stored row-major
+///   and untransposed (the `Dense` input gradient `gy·W`): each row of B
+///   is read once, contiguously, and packing it would cost more than
+///   the flops it feeds.
+/// * **skinny** — `mc0 ≤ SKINNY_M` otherwise, with `k > KC`: skinny
+///   outputs lose most of their time in the standard nest re-reading and
+///   re-writing C once per `KC` block (`k/KC` sweeps of a tile that
+///   never leaves a handful of registers in the skinny nest); at
+///   `k ≤ KC` there is only one pass, so the nests are identical work.
+/// * **standard** — everything else.
+fn nest_for(mc0: usize, k: usize, tb: Transpose, a: Operand, b: Operand) -> Nest {
+    let force = overrides();
+    let stored = matches!((a, b), (Operand::Stored(_), Operand::Stored(_)));
+    if force.standard_nest {
+        Nest::Standard
+    } else if mc0 <= MR && tb == Transpose::No && stored && !force.staged {
+        Nest::Stream
+    } else if mc0 <= SKINNY_M && k > KC {
+        Nest::Skinny
+    } else {
+        Nest::Standard
     }
-    mc0 <= SKINNY_M && k > KC
+}
+
+/// Test-only routing overrides, so that every nest and visiting order
+/// can be compared bit for bit against the others on one shape. Outside
+/// tests they are all off.
+#[derive(Copy, Clone, Debug, Default)]
+struct Overrides {
+    /// Every window runs the standard nest.
+    standard_nest: bool,
+    /// The stream nest is skipped: a short window runs the nest it would
+    /// without it (skinny past `KC`, standard otherwise).
+    staged: bool,
+    /// The standard nest visits column tiles outer whatever the B block.
+    column_order: bool,
+}
+
+/// This thread's [`Overrides`]: all off outside tests.
+fn overrides() -> Overrides {
+    #[cfg(test)]
+    return OVERRIDES.with(std::cell::Cell::get);
+    #[cfg(not(test))]
+    Overrides::default()
 }
 
 #[cfg(test)]
 thread_local! {
-    /// Test-only override: route skinny shapes through the standard nest
-    /// so the two nests can be compared bit-for-bit.
-    static FORCE_STANDARD_NEST: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    /// This thread's [`Overrides`]; set only through [`with_overrides`].
+    static OVERRIDES: std::cell::Cell<Overrides> = std::cell::Cell::new(Overrides::default());
 }
 
-/// Runs `f` with the skinny nest disabled on this thread (test-only; see
-/// [`FORCE_STANDARD_NEST`]). Restores the previous state on unwind.
+/// Runs `f` with `force` routing this thread's products (test-only).
+/// Restores the previous state on unwind.
 #[cfg(test)]
-fn with_standard_nest<R>(f: impl FnOnce() -> R) -> R {
-    struct Reset(bool);
+fn with_overrides<R>(force: Overrides, f: impl FnOnce() -> R) -> R {
+    struct Reset(Overrides);
     impl Drop for Reset {
         fn drop(&mut self) {
-            FORCE_STANDARD_NEST.with(|flag| flag.set(self.0));
+            OVERRIDES.with(|o| o.set(self.0));
         }
     }
-    let _guard = Reset(FORCE_STANDARD_NEST.with(|flag| flag.replace(true)));
+    let _guard = Reset(OVERRIDES.with(|o| o.replace(force)));
     f()
+}
+
+/// Runs `f` with every window on the standard nest (test-only).
+#[cfg(test)]
+fn with_standard_nest<R>(f: impl FnOnce() -> R) -> R {
+    let force = Overrides {
+        standard_nest: true,
+        ..Overrides::default()
+    };
+    with_overrides(force, f)
 }
 
 /// Flop count of one GEMM call (each output element takes `k` fused
@@ -767,34 +849,47 @@ fn blocked_accumulate(
     // a warmed-up training step touches the allocator zero times. The
     // panels are fully overwritten by `pack_a`/`pack_b` (short tiles are
     // zero-padded explicitly), so dirty reuse is safe.
+    let nest = nest_for(mc0, k, tb, a, b);
     PACK_SCRATCH.with(|cell| {
         let (ap, bp) = &mut cell.borrow_mut().0;
         // The skinny nest packs *all* of op(A)'s K extent up front (the
         // whole row block is at most SKINNY_M·k floats — e.g. 512 KiB for
         // the 32×4096×4096 fc layer); the standard nest packs one MC×KC
-        // block at a time. A packed operand packs nothing.
-        let ap_len = match a {
-            Operand::Packed(..) => 0,
-            _ if use_skinny_nest(mc0, k) => mc0.div_ceil(MR) * MR * k,
-            _ => MC * KC,
+        // block at a time; the stream nest packs nothing. A packed
+        // operand packs nothing either.
+        let ap_len = match (nest, a) {
+            (Nest::Stream, _) | (_, Operand::Packed(..)) => 0,
+            (Nest::Skinny, _) => mc0.div_ceil(MR) * MR * k,
+            (Nest::Standard, _) => MC * KC,
         };
         if ap.len() < ap_len {
             ap.resize(ap_len, 0.0);
         }
         let bp_cols = NC.min(nc0.next_multiple_of(NR));
         // The skinny nest's staged strips carry a `STRIP_SKEW` pad each,
-        // so its panel needs slightly more than `KC·panel_cols` floats.
+        // so its panel needs slightly more than `KC·panel_cols` floats;
+        // the stream nest's partial rows take one column block.
         let skinny_tiles = nc0.div_ceil(NR).min(SKINNY_NC / NR);
-        let bp_len = match b {
-            Operand::Packed(..) => 0,
+        let bp_len = match (nest, b) {
+            (Nest::Stream, _) => STREAM_PART_FLOATS,
+            (_, Operand::Packed(..)) => 0,
             _ => (KC * bp_cols).max(skinny_tiles * (KC * NR + STRIP_SKEW)),
         };
         if bp.len() < bp_len {
             bp.resize(bp_len, 0.0);
         }
-        blocked_accumulate_with(
-            ta, tb, m, n, k, i0, mc0, j0, nc0, alpha, a, b, beta, c, ldc, ap, bp,
-        );
+        let (ap, bp) = (&mut ap[..], &mut bp[..]);
+        match (nest, a, b) {
+            (Nest::Stream, Operand::Stored(a), Operand::Stored(b)) => {
+                stream_accumulate(ta, m, n, k, i0, mc0, j0, nc0, alpha, a, b, beta, c, ldc, bp)
+            }
+            (Nest::Skinny, ..) => skinny_accumulate(
+                ta, tb, m, n, k, i0, mc0, j0, nc0, alpha, a, b, beta, c, ldc, ap, bp,
+            ),
+            _ => blocked_accumulate_with(
+                ta, tb, m, n, k, i0, mc0, j0, nc0, alpha, a, b, beta, c, ldc, ap, bp,
+            ),
+        }
     });
 }
 
@@ -832,7 +927,13 @@ thread_local! {
     ));
 }
 
-/// [`blocked_accumulate`] against caller-provided packing buffers.
+/// The standard nest of [`blocked_accumulate`], against its packing
+/// buffers: `jc → pc → ic` blocks, and inside a block the `MR×NR` tiles
+/// row strip by row strip when the packed B block fits L1
+/// ([`ROW_ORDER_B_FLOATS`]), column tile by column tile otherwise. The
+/// order only decides when a tile runs: each tile is one microkernel
+/// call per `KC` block and the same blend, in `pc` order, so both
+/// orders give every element the same operation sequence.
 #[allow(clippy::too_many_arguments)]
 fn blocked_accumulate_with(
     ta: Transpose,
@@ -853,13 +954,7 @@ fn blocked_accumulate_with(
     ap: &mut [f32],
     bp: &mut [f32],
 ) {
-    // `blocked_accumulate` sized `ap` for the nest `use_skinny_nest` picks.
-    if use_skinny_nest(mc0, k) {
-        skinny_accumulate(
-            ta, tb, m, n, k, i0, mc0, j0, nc0, alpha, a, b, beta, c, ldc, ap, bp,
-        );
-        return;
-    }
+    let column_order = overrides().column_order;
     let mut jc = j0;
     while jc < j0 + nc0 {
         let ncb = NC.min(j0 + nc0 - jc);
@@ -867,27 +962,31 @@ fn blocked_accumulate_with(
         while pc < k {
             let kcb = KC.min(k - pc);
             let bpanels = pack_b(tb, b, k, n, pc, kcb, jc, ncb, bp);
+            let rows_outer = kcb * ncb <= ROW_ORDER_B_FLOATS && !column_order;
             let mut ic = i0;
             while ic < i0 + mc0 {
                 let mcb = MC.min(i0 + mc0 - ic);
                 let apanels = pack_a(ta, a, m, k, ic, mcb, pc, kcb, ap);
                 let row_tiles = mcb.div_ceil(MR);
                 let col_tiles = ncb.div_ceil(NR);
-                for jt in 0..col_tiles {
+                let mut tile = |it: usize, jt: usize| {
                     let bpanel = &bpanels[jt * kcb * NR..(jt + 1) * kcb * NR];
-                    for it in 0..row_tiles {
-                        let apanel = &apanels[it * kcb * MR..(it + 1) * kcb * MR];
-                        let acc = simd::microkernel(apanel, bpanel);
-                        let row0 = ic - i0 + it * MR;
-                        let col0 = jc - j0 + jt * NR;
-                        let mr = MR.min(mcb - it * MR);
-                        let nr = NR.min(ncb - jt * NR);
-                        if pc == 0 {
-                            write_tile_blend(&acc, alpha, beta, c, ldc, row0, col0, mr, nr);
-                        } else {
-                            write_tile(&acc, alpha, c, ldc, row0, col0, mr, nr);
-                        }
+                    let apanel = &apanels[it * kcb * MR..(it + 1) * kcb * MR];
+                    let acc = simd::microkernel(apanel, bpanel);
+                    let row0 = ic - i0 + it * MR;
+                    let col0 = jc - j0 + jt * NR;
+                    let mr = MR.min(mcb - it * MR);
+                    let nr = NR.min(ncb - jt * NR);
+                    if pc == 0 {
+                        write_tile_blend(&acc, alpha, beta, c, ldc, row0, col0, mr, nr);
+                    } else {
+                        write_tile(&acc, alpha, c, ldc, row0, col0, mr, nr);
                     }
+                };
+                if rows_outer {
+                    (0..row_tiles).for_each(|it| (0..col_tiles).for_each(|jt| tile(it, jt)));
+                } else {
+                    (0..col_tiles).for_each(|jt| (0..row_tiles).for_each(|it| tile(it, jt)));
                 }
                 ic += mcb;
             }
@@ -1062,6 +1161,109 @@ fn tile_acc(
         2 => simd::microkernel_acc::<2>(apanel, bpanel, alpha, acc, seed),
         3 | 4 => simd::microkernel_acc::<4>(apanel, bpanel, alpha, acc, seed),
         _ => simd::microkernel_acc::<MR>(apanel, bpanel, alpha, acc, seed),
+    }
+}
+
+/// The stream nest: `C[i0.., j0..] ← α·op(A)·B + β·C` for a window of at
+/// most `MR` rows against a B stored row-major and untransposed, with
+/// neither operand packed, and `part` at least [`STREAM_PART_FLOATS`]
+/// long for its partial rows.
+///
+/// Per `KC` block `pc`, the block's rows of B stream through once, in
+/// memory order, and each is folded into every partial row:
+/// `t_i ← t_i + a[i][l]·B[l][·]` ([`simd::fma_rows`]), chains seeded at
+/// +0.0 and run in ascending `l` — the chain the microkernel runs for
+/// tile `t_p`. The block then lands in C exactly as the skinny nest's
+/// tiles do: `α·t₀ + β·C` (`α·t₀` at `β = 0`, C unread) on the first
+/// block, `+ α·t_p` after — so every element gets the standard nest's
+/// operation sequence, bit for bit.
+#[allow(clippy::too_many_arguments)]
+fn stream_accumulate(
+    ta: Transpose,
+    m: usize,
+    n: usize,
+    k: usize,
+    i0: usize,
+    mc0: usize,
+    j0: usize,
+    nc0: usize,
+    alpha: f32,
+    a: &[f32],
+    b: &[f32],
+    beta: f32,
+    c: &mut [f32],
+    ldc: usize,
+    part: &mut [f32],
+) {
+    /// Rows of B folded per pass over a partial row.
+    const LANES: usize = 4;
+    debug_assert!((1..=MR).contains(&mc0));
+    let a_at = |i: usize, l: usize| match ta {
+        Transpose::No => a[(i0 + i) * k + l],
+        Transpose::Yes => a[l * m + i0 + i],
+    };
+    // Column blocks of the window whose partial rows fit L1 together.
+    let width = (STREAM_PART_FLOATS / mc0).min(nc0);
+    for jb in (0..nc0).step_by(width) {
+        let w = width.min(nc0 - jb);
+        let part = &mut part[..mc0 * w];
+        let b_row = |l: usize| &b[l * n + j0 + jb..][..w];
+        for pc in (0..k).step_by(KC) {
+            let end = pc + KC.min(k - pc);
+            part.fill(0.0);
+            let mut l = pc;
+            while l < end {
+                if end - l >= LANES {
+                    fold_rows::<LANES>(part, w, l, &a_at, &b_row);
+                    l += LANES;
+                } else {
+                    fold_rows::<1>(part, w, l, &a_at, &b_row);
+                    l += 1;
+                }
+            }
+            for (i, t) in part.chunks_exact(w).enumerate() {
+                let crow = &mut c[i * ldc + jb..][..w];
+                if pc > 0 {
+                    crow.iter_mut()
+                        .zip(t)
+                        .for_each(|(cv, tv)| *cv += alpha * tv);
+                } else if beta == 0.0 {
+                    crow.iter_mut().zip(t).for_each(|(cv, tv)| *cv = alpha * tv);
+                } else {
+                    crow.iter_mut()
+                        .zip(t)
+                        .for_each(|(cv, tv)| *cv = alpha * tv + beta * *cv);
+                }
+            }
+        }
+    }
+}
+
+/// Folds rows `l..l + N` of B into every partial row of `part` (rows of
+/// width `w`), four, two, then one partial row at a time: the stream
+/// nest's step ([`simd::fma_rows`]).
+fn fold_rows<'b, const N: usize>(
+    part: &mut [f32],
+    w: usize,
+    l: usize,
+    a_at: &impl Fn(usize, usize) -> f32,
+    b_row: &impl Fn(usize) -> &'b [f32],
+) {
+    let b = std::array::from_fn(|q| b_row(l + q));
+    let coef = |i: usize| std::array::from_fn(|q| a_at(i, l + q));
+    let mut i = 0;
+    for t in part.chunks_mut(4 * w) {
+        match t.len() / w {
+            4 => simd::fma_rows::<N, 4>(t, w, std::array::from_fn(|r| coef(i + r)), b),
+            3 => {
+                let (t2, t1) = t.split_at_mut(2 * w);
+                simd::fma_rows::<N, 2>(t2, w, [coef(i), coef(i + 1)], b);
+                simd::fma_rows::<N, 1>(t1, w, [coef(i + 2)], b);
+            }
+            2 => simd::fma_rows::<N, 2>(t, w, [coef(i), coef(i + 1)], b),
+            _ => simd::fma_rows::<N, 1>(t, w, [coef(i)], b),
+        }
+        i += 4;
     }
 }
 
@@ -1597,6 +1799,7 @@ mod tests {
             (70, 90, KC + 37),     // standard nest, ragged tiles
             (32, 300, 2 * KC + 9), // skinny nest, k spanning 3 KC blocks
             (257, 65, 300),        // multi-MC rows
+            (MR - 3, 90, KC + 37), // stream nest under a row-major B
         ] {
             for (ta, a_len) in [(Transpose::No, m * k), (Transpose::Yes, k * m)] {
                 for (tb, b_len) in [(Transpose::No, k * n), (Transpose::Yes, n * k)] {
@@ -1655,6 +1858,95 @@ mod tests {
                             bits(&c_std),
                             "nest mismatch: m={m} n={n} k={k} ta={ta:?} tb={tb:?} beta={beta}"
                         );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn row_strip_order_is_bit_identical_to_column_order() {
+        // The standard nest's two visiting orders, one forced against the
+        // other. n = 31 keeps a KC-deep B block under ROW_ORDER_B_FLOATS
+        // (so k = 257 walks rows too); n = 101 and 1000 are ragged in NR,
+        // and 1000 at k ≤ 8 is the weight-gradient regime.
+        let order = |column_order| Overrides {
+            standard_nest: true,
+            column_order,
+            ..Overrides::default()
+        };
+        for m in [1, 7, 8, 33, 1024] {
+            for k in [1, 2, 8, 257] {
+                for n in [31, 101, 1000] {
+                    if n * k > 8 * 1000 && m > 33 {
+                        continue; // column order either way; covered at small m
+                    }
+                    for (ta, tb) in [
+                        (Transpose::No, Transpose::No),
+                        (Transpose::Yes, Transpose::No),
+                    ] {
+                        let a = rand_vec(m * k, (m + k) as u64);
+                        let b = rand_vec(k * n, (k * n) as u64);
+                        let c0 = rand_vec(m * n, (m * n + 1) as u64);
+                        for alpha in [1.0f32, 0.5] {
+                            for beta in [0.0f32, 1.0, 0.25] {
+                                let run = |column_order| {
+                                    let mut c = c0.clone();
+                                    with_overrides(order(column_order), || {
+                                        gemm_serial(ta, tb, m, n, k, alpha, &a, &b, beta, &mut c);
+                                    });
+                                    bits(&c)
+                                };
+                                assert_eq!(
+                                    run(false),
+                                    run(true),
+                                    "m={m} n={n} k={k} ta={ta:?} α={alpha} β={beta}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn stream_nest_is_bit_identical_to_the_staged_and_standard_nests() {
+        // Every short row count against a row-major B, k on both sides of
+        // one and four KC blocks: the stream nest against the nest the
+        // window ran before it (skinny past KC, standard at or below),
+        // against the standard nest, and split into column bands.
+        let staged = Overrides {
+            staged: true,
+            ..Overrides::default()
+        };
+        for m in 1..=MR {
+            for k in [KC - 1, KC, KC + 1, 4 * KC] {
+                let n = 2 * NR + 5;
+                for ta in [Transpose::No, Transpose::Yes] {
+                    let a = rand_vec(m * k, (3 * m + k) as u64);
+                    let b = rand_vec(k * n, (5 * k) as u64);
+                    let c0 = rand_vec(m * n, (7 * m * k) as u64);
+                    for beta in [0.0f32, 0.5, 1.0] {
+                        let no = Transpose::No;
+                        let run = |force: Overrides| {
+                            let mut c = c0.clone();
+                            with_overrides(force, || {
+                                gemm_serial(ta, no, m, n, k, -0.75, &a, &b, beta, &mut c)
+                            });
+                            bits(&c)
+                        };
+                        let stream = run(Overrides::default());
+                        let what = format!("m={m} k={k} ta={ta:?} beta={beta}");
+                        assert_eq!(stream, run(staged), "stream vs staged: {what}");
+                        let standard = Overrides {
+                            standard_nest: true,
+                            ..Overrides::default()
+                        };
+                        assert_eq!(stream, run(standard), "stream vs standard: {what}");
+                        let mut banded = c0.clone();
+                        gemm_fork_join(3, ta, no, m, n, k, -0.75, &a, &b, beta, &mut banded);
+                        assert_eq!(stream, bits(&banded), "stream vs column bands: {what}");
                     }
                 }
             }

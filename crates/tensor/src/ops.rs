@@ -116,16 +116,30 @@ pub fn sub(a: &[f32], b: &[f32], out: &mut [f32]) {
     );
 }
 
-/// Element-wise `a += b`.
+/// Element-wise `d ← ((d + p₁) + p₂) + … + p_c` over the partials in
+/// the order given: `d += p` for one partial, a reduction's fold of its
+/// children in one banded sweep for several. Each band folds every
+/// partial one L1-sized block at a time, so the block of `d` is read and
+/// written once per partial from cache rather than once per partial
+/// from memory; the per-element chain is exactly that of one `d += p`
+/// sweep per partial in turn.
 ///
 /// # Panics
-/// Panics if lengths differ.
-pub fn add_assign(a: &mut [f32], b: &[f32]) {
-    assert_eq!(a.len(), b.len(), "add_assign length mismatch");
-    let c = par::band_len(a.len());
-    par::fan_out(a.chunks_mut(c).zip(b.chunks(c)), |(ac, bc)| {
-        for (ai, bi) in ac.iter_mut().zip(bc) {
-            *ai += bi;
+/// Panics if a partial's length differs from `d`'s.
+pub fn fold_sum<P: AsRef<[f32]> + Sync>(d: &mut [f32], partials: &[P]) {
+    /// Floats of `d` folded against every partial before the next block.
+    const BLOCK: usize = 2048;
+    for p in partials {
+        assert_eq!(p.as_ref().len(), d.len(), "fold_sum length mismatch");
+    }
+    let c = par::band_len(d.len());
+    par::fan_out(d.chunks_mut(c).enumerate(), |(band, dc)| {
+        for (blk, db) in dc.chunks_mut(BLOCK).enumerate() {
+            let at = band * c + blk * BLOCK;
+            for p in partials {
+                let pb = &p.as_ref()[at..at + db.len()];
+                db.iter_mut().zip(pb).for_each(|(dv, pv)| *dv += pv);
+            }
         }
     });
 }
@@ -392,13 +406,13 @@ mod tests {
     }
 
     #[test]
-    fn sub_and_add_assign_are_inverse() {
+    fn sub_and_fold_sum_are_inverse() {
         let a = vec![5.0, 6.0];
         let b = vec![1.0, 2.0];
         let mut d = vec![0.0; 2];
         sub(&a, &b, &mut d);
         let mut r = b.clone();
-        add_assign(&mut r, &d);
+        fold_sum(&mut r, &[d]);
         assert_eq!(r, a);
     }
 
@@ -488,7 +502,6 @@ mod tests {
         ("axpy", |l, _, g, _| axpy(0.37, g, l)),
         ("scale", |l, _, _, _| scale(0.37, l)),
         ("sub", |l, _, g, c| sub(g, c, l)),
-        ("add_assign", |l, _, g, _| add_assign(l, g)),
         ("eq1", |l, _, g, c| {
             elastic_worker_update(0.05, 0.3, l, g, c)
         }),
@@ -501,6 +514,7 @@ mod tests {
             elastic_exchange(0.05, 0.3, l, v, g, c)
         }),
         ("dilution", |l, _, g, _| center_dilution(0.05, 0.3, l, g, 4)),
+        ("fold", |l, _, g, c| fold_sum(l, &[g, c])),
     ];
 
     /// `(start, grad, center)` operands of `n` elements.
@@ -575,6 +589,31 @@ mod tests {
                 assert_same_bits(&format!("{name} in-job primary"), l, &l_one);
                 assert_same_bits(&format!("{name} in-job secondary"), v, &v_one);
                 assert_eq!(*spawned, 0, "{name}: forked inside a fan_out job");
+            }
+        }
+    }
+
+    #[test]
+    fn fold_sum_is_one_add_per_partial_in_order() {
+        // Partials of different magnitudes, so any other association
+        // order would round differently; lengths straddle the band gate
+        // and end inside a block.
+        for n in [par::PAR_ELEMS - 3, par::PAR_ELEMS + 2053] {
+            let (start, grad, _) = operands(n);
+            let parts: Vec<Vec<f32>> = (0..10i32)
+                .map(|c| grad.iter().map(|g| g * 10f32.powi(c % 5 - 2)).collect())
+                .collect();
+            for children in 1..=parts.len() {
+                let mut sequential = start.clone();
+                for p in &parts[..children] {
+                    sequential.iter_mut().zip(p).for_each(|(d, v)| *d += v);
+                }
+                for threads in [1, 2, 3] {
+                    let mut folded = start.clone();
+                    par::with_budget(threads, || fold_sum(&mut folded, &parts[..children]));
+                    let what = format!("n={n} children={children} threads={threads}");
+                    assert_same_bits(&what, &folded, &sequential);
+                }
             }
         }
     }

@@ -140,16 +140,42 @@ pub fn active_tier() -> &'static str {
 /// separate multiply-add, which stays autovectorizable on any target.
 #[inline(always)]
 fn fma_row(mut acc: [f32; NR], a: f32, b: &[f32; NR]) -> [f32; NR] {
-    if cfg!(target_feature = "fma") {
-        for j in 0..NR {
-            acc[j] = b[j].mul_add(a, acc[j]);
-        }
-    } else {
-        for j in 0..NR {
-            acc[j] += a * b[j];
-        }
+    for j in 0..NR {
+        acc[j] = madd(acc[j], a, b[j]);
     }
     acc
+}
+
+/// `acc + a·b` as every GEMM chain in this build computes it: one fused
+/// `mul_add` where the build has FMA, a separate multiply and add where
+/// it does not (see [`fma_row`]).
+#[inline(always)]
+fn madd(acc: f32, a: f32, b: f32) -> f32 {
+    if cfg!(target_feature = "fma") {
+        b.mul_add(a, acc)
+    } else {
+        acc + a * b
+    }
+}
+
+/// Scalar [`fma_rows`]: one partial row at a time, each element's
+/// chain over the `N` rows of B in row order.
+fn fma_rows_scalar<const N: usize, const R: usize>(
+    t: &mut [f32],
+    w: usize,
+    a: [[f32; N]; R],
+    b: [&[f32]; N],
+) {
+    let b = b.map(|row| &row[..w]);
+    for (tr, ar) in t.chunks_exact_mut(w).zip(&a) {
+        for (j, tj) in tr.iter_mut().enumerate() {
+            let mut v = *tj;
+            for q in 0..N {
+                v = madd(v, ar[q], b[q][j]);
+            }
+            *tj = v;
+        }
+    }
 }
 
 /// The scalar register-tiled core: returns the `MR×NR` tile
@@ -434,6 +460,52 @@ mod x86 {
                 _mm512_storeu_ps(d, v0);
                 _mm512_storeu_ps(d.add(16), v1);
                 p += 1;
+            }
+        }
+    }
+
+    /// Vector [`super::fma_rows_scalar`]: per 16-lane chunk of the
+    /// partial rows, the `R` rows sit in registers while the `N` rows of
+    /// B are loaded once each and folded in row order, against the
+    /// `R·N` coefficients broadcast once per call; a masked chunk takes
+    /// the ragged end. Each lane is the scalar chain, one `vfmadd` per
+    /// step.
+    #[target_feature(enable = "avx512f")]
+    pub(super) fn fma_rows<const N: usize, const R: usize>(
+        t: &mut [f32],
+        w: usize,
+        a: [[f32; N]; R],
+        b: [&[f32]; N],
+    ) {
+        assert!(t.len() == R * w && b.iter().all(|row| row.len() >= w));
+        // SAFETY: chunk `j` touches lanes j..j+16 of row r (offset r·w)
+        // of `t` and lanes j..j+16 of each B row, all below `w` — full
+        // chunks by the loop bound, the last one through a mask of its
+        // `w − j` live lanes, which masked loads and stores never go
+        // past. Lengths are asserted above; unaligned intrinsics.
+        unsafe {
+            let coef: [[__m512; N]; R] =
+                std::array::from_fn(|r| std::array::from_fn(|q| _mm512_set1_ps(a[r][q])));
+            let tp = t.as_mut_ptr();
+            let mut j = 0;
+            while j < w {
+                let mask: __mmask16 = if w - j >= 16 {
+                    0xFFFF
+                } else {
+                    (1u16 << (w - j)) - 1
+                };
+                let mut acc: [__m512; R] =
+                    std::array::from_fn(|r| _mm512_maskz_loadu_ps(mask, tp.add(r * w + j)));
+                for q in 0..N {
+                    let bq = _mm512_maskz_loadu_ps(mask, b[q].as_ptr().add(j));
+                    for r in 0..R {
+                        acc[r] = _mm512_fmadd_ps(coef[r][q], bq, acc[r]);
+                    }
+                }
+                for (r, v) in acc.iter().enumerate() {
+                    _mm512_mask_storeu_ps(tp.add(r * w + j), mask, *v);
+                }
+                j += 16;
             }
         }
     }
@@ -868,6 +940,39 @@ pub(crate) fn microkernel_acc<const R: usize>(
         return;
     }
     microkernel_acc_scalar::<R>(apanel, bpanel, alpha, acc, seed);
+}
+
+/// The pack-free GEMM nest's inner loop: `R` partial rows of width `w`,
+/// back to back in `t`, each folded with `N` rows of a row-major B in
+/// row order — `t[r][j] ← (…(t[r][j] + a[r][0]·b₀[j]) + …) +
+/// a[r][N−1]·b_{N−1}[j]`, one multiply-add per step as [`fma_row`]
+/// does it: the chain the microkernel runs for one element, `N` steps
+/// of it per pass over `t`.
+///
+/// # Panics
+/// Panics unless `t` is `R·w` floats and every row of `b` at least `w`.
+#[inline]
+pub(crate) fn fma_rows<const N: usize, const R: usize>(
+    t: &mut [f32],
+    w: usize,
+    a: [[f32; N]; R],
+    b: [&[f32]; N],
+) {
+    assert_eq!(t.len(), R * w, "{R} partial rows of {w}");
+    #[cfg(all(
+        target_arch = "x86_64",
+        target_feature = "avx512f",
+        target_feature = "fma"
+    ))]
+    if !scalar_forced() {
+        // SAFETY: the `x86` module — and this call — are compiled only
+        // when AVX-512F and FMA are statically enabled for the entire
+        // binary (`cfg` above), so the CPU executing this code supports
+        // them.
+        unsafe { x86::fma_rows::<N, R>(t, w, a, b) };
+        return;
+    }
+    fma_rows_scalar::<N, R>(t, w, a, b);
 }
 
 /// Packs a full-width `rows × NR` strip of a row-major matrix into the

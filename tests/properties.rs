@@ -431,9 +431,7 @@ proptest! {
             .map(|_| (0..len).map(|_| rng.uniform_in(-1.0, 1.0)).collect())
             .collect();
         let mut expect = vec![0.0f32; len];
-        for v in &inputs {
-            ops::add_assign(&mut expect, v);
-        }
+        ops::fold_sum(&mut expect, &inputs);
         let inputs_ref = &inputs;
         let outs = VirtualCluster::run(&cfg, move |comm| {
             let mut sum = inputs_ref[comm.rank()].clone();
@@ -458,9 +456,7 @@ proptest! {
             .map(|_| (0..len).map(|_| rng.uniform_in(-2.0, 2.0)).collect())
             .collect();
         let mut expect = vec![0.0f32; len];
-        for v in &inputs {
-            ops::add_assign(&mut expect, v);
-        }
+        ops::fold_sum(&mut expect, &inputs);
         let inputs_ref = &inputs;
         let outs = VirtualCluster::run(&cfg, move |comm| {
             let mut ring = inputs_ref[comm.rank()].clone();
