@@ -22,7 +22,7 @@
 use crate::layer::{batch_of, Init, Layer, ParamSpec};
 use easgd_tensor::par;
 use easgd_tensor::{col2im, pad_image, Conv2dGeometry, Lowered, Operand};
-use easgd_tensor::{gemm, gemm_packs, gemm_row_band, gemm_view, Panels};
+use easgd_tensor::{gemm, gemm_view, Panels};
 use easgd_tensor::{ParamArena, Tensor, TrainScratch, Transpose};
 
 /// `gb[o] += Σ planes[o]` for `gb.len()` planes of `cols` floats, eight
@@ -84,10 +84,8 @@ pub struct Conv2d {
     /// Backward's weight gradient, transposed (`[col_rows, out_channels]`)
     /// so that a band of it is contiguous.
     grad_w_t: Vec<f32>,
-    /// Set by [`Layer::freeze`]: forward only.
-    frozen: bool,
-    /// Once frozen with a forward GEMM that packs: the filter bank's
-    /// layout in the arena, its A panels.
+    /// Once frozen ([`Layer::freeze`]): the filter bank's layout in the
+    /// arena, its A panels. A frozen layer runs forward only.
     w_panels: Option<Panels>,
 }
 
@@ -105,7 +103,6 @@ impl Conv2d {
             padded: Vec::new(),
             grad_col: Vec::new(),
             grad_w_t: Vec::new(),
-            frozen: false,
             w_panels: None,
         }
     }
@@ -255,13 +252,12 @@ impl Layer for Conv2d {
         self.backward_fork(params, grads, grad_out, None, scratch);
     }
 
-    /// The filter bank is the forward GEMM's A: packed once when that
-    /// product takes the packs, so no forward packs it again.
+    /// The filter bank is the forward GEMM's A: packed once, so no
+    /// forward packs it again.
     fn freeze(&mut self) -> Vec<Option<Panels>> {
         let (oc, rows) = (self.out_channels, self.geom.col_rows());
-        let packs = gemm_packs(oc, self.geom.col_cols(), rows);
-        self.w_panels = packs.then(|| Panels::a(Transpose::No, oc, rows));
-        (self.frozen, self.grad_col, self.grad_w_t) = (true, Vec::new(), Vec::new());
+        self.w_panels = Some(Panels::a(Transpose::No, oc, rows));
+        (self.grad_col, self.grad_w_t) = (Vec::new(), Vec::new());
         vec![self.w_panels, None]
     }
 
@@ -293,11 +289,13 @@ impl Conv2d {
     ///   through the transposed product
     ///   `gradWᵀ[band, oc] += col_s[band, :] · gy_sᵀ`, whose band is a
     ///   contiguous run of the layer's `gradWᵀ` panel and a run of rows
-    ///   of the lowered input the GEMM's A-pack gathers. `a·b` commutes
-    ///   inside every FMA, so element `(oc, r)` sees the very chain the
-    ///   untransposed per-sample GEMMs gave it ([`gemm_row_band`] keeps
-    ///   the unsplit product's kernel tier). The panel starts as the
-    ///   incoming gradient and is stored back after the join.
+    ///   of the lowered input: the band's GEMM reads its A through a row
+    ///   window of the lowering ([`Lowered::rows_from`]), and a band of a
+    ///   product is a product of a band — a GEMM output's chain depends on
+    ///   `k` alone. `a·b` commutes inside every FMA, so element `(oc, r)`
+    ///   sees the very chain the untransposed per-sample GEMMs gave it.
+    ///   The panel starts as the incoming gradient and is stored back
+    ///   after the join.
     /// * `gradB` likewise: the job owns a band of output channels and
     ///   adds their plane sums sample by sample (`add_plane_sums`).
     ///
@@ -318,7 +316,7 @@ impl Conv2d {
             (geom.input_len(), geom.padded_len(), self.output_len());
         let b = self.padded.len() / padded_len;
         assert!(b > 0, "backward called before forward");
-        assert!(!self.frozen, "conv '{}' is frozen", self.name);
+        assert!(self.w_panels.is_none(), "conv '{}' is frozen", self.name);
         assert_eq!(
             grad_out.len(),
             b * out_len,
@@ -392,20 +390,11 @@ impl Conv2d {
                             *v = seed[o * rows + i * band + r];
                         }
                     }
+                    let (no, yes, mc0) = (Transpose::No, Transpose::Yes, panel.len() / oc);
                     for (padded, gy) in padded.chunks(padded_len).zip(gys.chunks(out_len)) {
-                        gemm_row_band(
-                            Transpose::No,
-                            Transpose::Yes,
-                            rows,
-                            oc,
-                            cols,
-                            i * band,
-                            1.0,
-                            Operand::Lowered(Lowered::new(&geom, padded)),
-                            gy,
-                            1.0,
-                            panel,
-                        );
+                        let col = Lowered::new(&geom, padded).rows_from(i * band);
+                        let (col, gy) = (Operand::Lowered(col), Operand::Stored(gy));
+                        gemm_view(no, yes, mc0, oc, cols, 1.0, col, gy, 1.0, panel);
                     }
                 }
             },
@@ -603,7 +592,7 @@ mod tests {
             (3, 8, 8, 3, 3, 1, 1, 5),     // col rows 27 (not ×MR), cols 64 < KC
             (2, 18, 17, 3, 3, 1, 1, 9),   // cols 306: one KC block and a ragged second
             (2, 9, 8, 3, 2, 2, 1, 4),     // stride 2 with padding
-            (1, 6, 6, 3, 3, 1, 0, 4),     // under SMALL_FLOPS: the direct row loop
+            (1, 6, 6, 3, 3, 1, 0, 4),     // a 4x16x9 forward: one short tile
             (16, 10, 10, 3, 3, 1, 1, 12), // col rows 144: bands of whole and part tiles
             (32, 6, 6, 3, 3, 1, 1, 8),    // forward in the skinny nest: 8 rows, k = 288
             (3, 18, 17, 3, 3, 1, 1, 9),   // one-thread gradW in the skinny nest: 27 rows, k = 306
@@ -779,17 +768,6 @@ mod tests {
         let y8 = l.forward(&params, &Tensor::zeros([8, 2, 5, 5]), true);
         l.forward(&params, &Tensor::zeros([2, 2, 5, 5]), true);
         l.backward(&params, &mut grads, &y8);
-    }
-
-    #[test]
-    #[should_panic(expected = "conv 'c' is frozen")]
-    fn a_frozen_conv_refuses_backward_even_with_its_weights_row_major() {
-        // Too small a product to pack its filter bank: frozen all the same.
-        let mut l = Conv2d::new("c", small_geom(), 2);
-        let (params, mut grads) = build_arenas(&mut l, 1);
-        assert_eq!(l.freeze(), [None, None]);
-        let y = l.forward(&params, &Tensor::zeros([2, 2, 5, 5]), false);
-        l.backward(&params, &mut grads, &y);
     }
 
     /// VGG conv2: 32 → 32 channels, 3×3, pad 1, on 32×32 maps.

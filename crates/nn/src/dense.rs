@@ -1,7 +1,7 @@
 //! Fully-connected layer.
 
 use crate::layer::{batch_of, Init, Layer, ParamSpec};
-use easgd_tensor::{gemm, gemm_packs, gemm_rowstable, gemm_view, Operand, Panels};
+use easgd_tensor::{gemm, gemm_view, Operand, Panels};
 use easgd_tensor::{ParamArena, Tensor, TrainScratch, Transpose};
 
 /// Fully-connected (inner-product) layer: `Y = X·Wᵀ + b`.
@@ -19,10 +19,9 @@ pub struct Dense {
     w_seg: usize,
     b_seg: usize,
     input_cache: Option<Tensor>,
-    /// Set by [`Layer::freeze`]: forward only, nothing cached.
-    frozen: bool,
-    /// Once frozen with a row product that packs: the weight's layout in
-    /// the arena, the B panels of `Wᵀ`.
+    /// Once frozen ([`Layer::freeze`]): the weight's layout in the arena,
+    /// the B panels of `Wᵀ`. A frozen layer runs forward only and caches
+    /// nothing.
     w_panels: Option<Panels>,
 }
 
@@ -40,7 +39,6 @@ impl Dense {
             w_seg: usize::MAX,
             b_seg: usize::MAX,
             input_cache: None,
-            frozen: false,
             w_panels: None,
         }
     }
@@ -88,7 +86,7 @@ impl Layer for Dense {
         &mut self,
         params: &ParamArena,
         input: &Tensor,
-        train: bool,
+        _train: bool,
         out: &mut Tensor,
         scratch: &mut TrainScratch,
     ) {
@@ -105,24 +103,18 @@ impl Layer for Dense {
         let bias = params.segment(self.b_seg);
         scratch.shape_tensor(out, &[b, self.out_features]);
         // Y[B,out] = X[B,in] · Wᵀ  (W stored [out,in]; β = 0 never reads
-        // the reused buffer, so no zeroing is needed). Eval mode picks
-        // the kernel per row (`gemm_rowstable`) so a sample's logits are
-        // bit-identical at any serving batch size; training keeps the
-        // total-flops dispatch that the golden traces pin. Packed weights
-        // exist only where a row takes the packs, so there every
-        // dispatch is the same one.
+        // the reused buffer, so no zeroing is needed). A row's bits do not
+        // depend on its batch mates, so a sample's logits are the same at
+        // any serving batch size, packed weights or not.
         let (no, yes, panels) = (Transpose::No, Transpose::Yes, self.w_panels);
         let (n, k) = (self.out_features, self.in_features);
         let (x, y) = (input.as_slice(), out.as_mut_slice());
         let w = panels.map_or(Operand::Stored(w), |p| Operand::Packed(p, w));
-        match (train, w) {
-            (false, Operand::Stored(w)) => gemm_rowstable(no, yes, b, n, k, 1.0, x, w, 0.0, y),
-            (_, w) => gemm_view(no, yes, b, n, k, 1.0, Operand::Stored(x), w, 0.0, y),
-        }
+        gemm_view(no, yes, b, n, k, 1.0, Operand::Stored(x), w, 0.0, y);
         for row in y.chunks_mut(n) {
             easgd_tensor::ops::fold_sum(row, &[bias]);
         }
-        if !self.frozen {
+        if panels.is_none() {
             let cache = self.input_cache.get_or_insert_with(Tensor::default);
             scratch.shape_tensor(cache, input.shape().dims());
             cache.as_mut_slice().copy_from_slice(x);
@@ -198,12 +190,12 @@ impl Layer for Dense {
         }
     }
 
-    /// The weight is the forward GEMM's B, transposed: packed once when
-    /// one row's product takes the packs (`gemm_rowstable`'s rule).
+    /// The weight is the forward GEMM's B, transposed: packed once, so
+    /// no forward packs it again.
     fn freeze(&mut self) -> Vec<Option<Panels>> {
         let (n, k) = (self.out_features, self.in_features);
-        self.w_panels = gemm_packs(1, n, k).then(|| Panels::b(Transpose::Yes, k, n));
-        (self.frozen, self.input_cache) = (true, None);
+        self.w_panels = Some(Panels::b(Transpose::Yes, k, n));
+        self.input_cache = None;
         vec![self.w_panels, None]
     }
 

@@ -625,6 +625,7 @@ impl Network {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use easgd_tensor::{Panels, Transpose};
 
     fn tiny_net() -> Network {
         NetworkBuilder::new([1, 6, 6])
@@ -1059,15 +1060,34 @@ mod tests {
         let (row_major, want) = (net.size_bytes(), net.forward(&x, false));
         net.freeze();
         // The panels replace the row-major weights: only the padding of
-        // each packed matrix to whole tiles is added.
-        let frozen = net.size_bytes();
-        assert!(
-            frozen > row_major && frozen as f64 <= 1.03 * row_major as f64,
-            "{frozen} bytes frozen, {row_major} row-major"
-        );
+        // each packed matrix to whole tiles is added — the filter banks'
+        // rows to MR, the dense layers' outputs to NR (fc2's 10 to 32).
+        let (no, yes) = (Transpose::No, Transpose::Yes);
+        let padding: usize = [
+            (Panels::a(no, 20, 25), 20 * 25),
+            (Panels::a(no, 50, 500), 50 * 500),
+            (Panels::b(yes, 800, 500), 800 * 500),
+            (Panels::b(yes, 500, 10), 500 * 10),
+        ]
+        .iter()
+        .map(|(p, row_major)| p.floats() - row_major)
+        .sum();
+        let float_bytes = std::mem::size_of::<f32>();
+        assert_eq!(net.size_bytes(), row_major + padding * float_bytes);
         assert!(net.grads().is_empty());
         let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&net.clone().forward(&x, false)), bits(&want));
+    }
+
+    #[test]
+    #[should_panic(expected = "is frozen")]
+    fn a_frozen_networks_conv_refuses_backward_even_given_gradients() {
+        let mut net = frozen_tiny_net();
+        let x = Tensor::zeros([2, 1, 6, 6]);
+        let conv = &mut net.layers[0];
+        let y = conv.forward(&net.params, &x, false);
+        let mut grads = ParamArena::like(&net.params);
+        conv.backward(&net.params, &mut grads, &y);
     }
 
     fn frozen_tiny_net() -> Network {

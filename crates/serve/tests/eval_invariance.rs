@@ -6,9 +6,9 @@
 //! must produce the exact bits it would get in a batch of B. Every
 //! layer is per-sample in eval mode (batchnorm normalizes by *running*
 //! statistics, LRN by within-sample neighborhoods, dropout is the
-//! identity), and the GEMM kernels reduce each output row in a fixed
-//! k-order independent of the row count — so equality must be exact,
-//! not approximate. These tests pin that contract for the layer zoo and
+//! identity), and every GEMM output is one float chain that depends on
+//! `k` alone, never on the row count — so equality must be exact, not
+//! approximate, and holds for a training forward of the GEMM layers too. These tests pin that contract for the layer zoo and
 //! for LeNet through the real serving session — a frozen replica, whose
 //! weights are packed panels, against the unfrozen network.
 
@@ -52,30 +52,50 @@ fn warm_running_stats(net: &mut Network, sample_len: usize) {
     }
 }
 
+/// Every ragged window of a 7-sample batch, forwarded alone, reproduces
+/// the full batch's rows bit-for-bit.
+fn assert_rows_are_batch_size_invariant(net: &mut Network, train: bool) {
+    let sample_len: usize = net.input_shape().iter().product();
+    let full = 7usize;
+    let px = pixels(full * sample_len, 0.5);
+    let x_full = Tensor::from_vec([full, 2, 8, 8], px.clone());
+    let y_full = net.forward(&x_full, train);
+    let classes = net.num_classes();
+    for (start, k) in [(0usize, 1usize), (1, 3), (3, 4), (2, 5), (6, 1)] {
+        let sub = &px[start * sample_len..(start + k) * sample_len];
+        let y_sub = net.forward(&Tensor::from_vec([k, 2, 8, 8], sub.to_vec()), train);
+        assert_eq!(
+            y_sub.as_slice(),
+            &y_full.as_slice()[start * classes..(start + k) * classes],
+            "rows [{start}, {}) changed bits when forwarded as a batch of {k} (train {train})",
+            start + k
+        );
+    }
+}
+
 #[test]
 fn zoo_eval_rows_are_batch_size_invariant_bitwise() {
     let mut net = zoo_net();
     let sample_len: usize = net.input_shape().iter().product();
     warm_running_stats(&mut net, sample_len);
-
-    let full = 7usize;
-    let px = pixels(full * sample_len, 0.5);
-    let x_full = Tensor::from_vec([full, 2, 8, 8], px.clone());
-    let y_full = net.forward(&x_full, false);
-    let classes = net.num_classes();
-
-    // Every ragged window of the batch, served alone, must reproduce
-    // the full batch's rows bit-for-bit.
-    for (start, k) in [(0usize, 1usize), (1, 3), (3, 4), (2, 5), (6, 1)] {
-        let sub = &px[start * sample_len..(start + k) * sample_len];
-        let y_sub = net.forward(&Tensor::from_vec([k, 2, 8, 8], sub.to_vec()), false);
-        assert_eq!(
-            y_sub.as_slice(),
-            &y_full.as_slice()[start * classes..(start + k) * classes],
-            "rows [{start}, {}) changed bits when served as a batch of {k}",
-            start + k
-        );
-    }
+    assert_rows_are_batch_size_invariant(&mut net, false);
+    // A training forward too, where every layer is per-sample: a GEMM
+    // row's bits never depend on its batch mates, so `Conv2d` and `Dense`
+    // keep them in a training step as in serving — the 96 → 128 layer
+    // included: its full batch (172 kflop) and one row (25 kflop) sit on
+    // either side of the 2¹⁷-flop line where a direct row loop that
+    // rounded `mul` and `add` apart once took over.
+    let mut gemms = NetworkBuilder::new([2, 8, 8])
+        .conv2d(4, 3, 1, 1)
+        .relu()
+        .maxpool(2, 2)
+        .conv2d(6, 3, 1, 1)
+        .flatten()
+        .dense(128)
+        .tanh()
+        .dense(10)
+        .build(0xF00D);
+    assert_rows_are_batch_size_invariant(&mut gemms, true);
 }
 
 #[test]

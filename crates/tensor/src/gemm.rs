@@ -6,13 +6,19 @@
 //! so its efficiency decides whether the repo's benchmark ratios measure
 //! the paper's *communication* co-design or mere kernel waste.
 //!
-//! Three tiers (see DESIGN.md §8): the first two picked by a `2·m·n·k`
-//! flop count, the third by [`par::fork_threads`]' two-sided rule —
-//! flops, or the floats the product streams:
+//! Every product with `k ≥ 1` and `α ≠ 0` runs one of two tiers (see
+//! DESIGN.md §8), picked by [`par::fork_threads`]' two-sided rule —
+//! flops, or the floats the product streams — and both give each output
+//! element **one float chain**: `α·t₀ + β·C`, then `+ α·t_p` for every
+//! later `KC` block `p` in order, where `t_p` is a `mul_add` chain over
+//! that block seeded at +0.0. The chain depends on `k` and `KC` alone, so
+//! row `r`'s bits never depend on `m`, on the other rows of the product,
+//! on how the output is cut into bands, on the thread budget, or on
+//! whether an operand is stored, lowered or packed: a band of a product
+//! is a product of a band.
 //!
-//! * **tiny** — a direct row loop; packing overhead would dominate.
 //! * **blocked serial** — one of three loop nests over an output window,
-//!   every one of them giving each element the same float chain:
+//!   every one of them giving each element that chain:
 //!   - *standard* — the cache-blocked packed kernel: A- and B-panels are
 //!     packed once per `MC×KC` / `KC×NC` block into contiguous,
 //!     microkernel-ordered buffers, and the explicit `MR×NR`
@@ -57,11 +63,12 @@
 //!   contiguous in C and are written in place; column bands (skinny-M
 //!   layers) interleave in C's rows, so each computes into its `m×band`
 //!   window of a reused staging buffer that the caller copies back.
-//!   Either way every element runs the exact operation sequence of
-//!   `gemm_serial` — the result is bit-identical at any thread count.
+//!   Either way every element runs the serial nest's chain — the result
+//!   is bit-identical at any thread count.
 //!
 //! The seed's naive kernel is retained as [`gemm_naive`], the reference
-//! the tests compare against.
+//! the tests compare against: it rounds `mul` and `add` separately, so it
+//! agrees with the tiers to a tolerance, not to the bit.
 
 use crate::im2col::Lowered;
 use crate::par;
@@ -99,7 +106,7 @@ enum Side {
     B,
 }
 
-impl<'a> Operand<'a> {
+impl Operand<'_> {
     /// Panics unless the operand can serve as a `rows×cols` `op(X)`.
     fn check(&self, side: Side, t: Transpose, rows: usize, cols: usize) {
         match self {
@@ -121,28 +128,6 @@ impl<'a> Operand<'a> {
                 x.len()
             ),
         }
-    }
-
-    /// The operand as a matrix in memory: itself, or its lowering written
-    /// into `scratch` — for the direct row loop, whose whole product is
-    /// smaller than one pack block.
-    ///
-    /// # Panics
-    /// Panics on a packed operand: panels exist only for products that
-    /// take the packs ([`gemm_packs`]).
-    fn stored<'s>(self, scratch: &'s mut Vec<f32>) -> &'s [f32]
-    where
-        'a: 's,
-    {
-        let v = match self {
-            Self::Stored(x) => return x,
-            Self::Lowered(v) => v,
-            Self::Packed(..) => panic!("packed operands are only valid where gemm_packs holds"),
-        };
-        let len = v.rows() * v.cols();
-        scratch.resize(scratch.len().max(len), 0.0);
-        v.gather(0, v.rows(), 0, v.cols(), scratch, v.cols());
-        &scratch[..len]
     }
 }
 
@@ -237,17 +222,6 @@ const KC: usize = 256;
 /// Columns of packed B per outer block (multiple of `NR`); bounds the
 /// packed-B working set to `KC·NC` floats.
 const NC: usize = 2048;
-
-/// Below this many flops (`2·m·n·k`) the direct row loop wins: packing
-/// would touch more memory than the multiply itself.
-const SMALL_FLOPS: u64 = 1 << 17;
-
-/// Whether [`gemm_view`] runs an `m×n×k` product through its packs
-/// rather than the direct row loop — the products a [`Panels`] operand
-/// saves a pack in.
-pub fn gemm_packs(m: usize, n: usize, k: usize) -> bool {
-    gemm_flops(m, n, k) >= SMALL_FLOPS
-}
 
 // The microkernel spells out its MR row accumulators as straight-line
 // locals, so the row count is pinned at compile time.
@@ -471,8 +445,7 @@ pub fn gemm(
 /// # Panics
 /// Panics if an operand or `c` is smaller than its dimensions imply, a
 /// lowered operand is asked for transposed, or a packed one other than
-/// as packed or in a product that does not take the packs
-/// ([`gemm_packs`]).
+/// as packed.
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_view(
     ta: Transpose,
@@ -495,71 +468,11 @@ pub fn gemm_view(
         apply_beta(c, beta);
         return;
     }
-    if !gemm_packs(m, n, k) {
-        apply_beta(c, beta);
-        naive_rows(ta, tb, m, n, k, alpha, a, b, 0, c);
-        return;
-    }
     blocked_dispatch(ta, tb, m, n, k, alpha, a, b, beta, c);
 }
 
-/// `C ← α·op(A)·op(B) + β·C` with the kernel chosen by **per-row** work
-/// `2·n·k` instead of the total `2·m·n·k`.
-///
-/// [`gemm`]'s tiny/blocked split keys on total flops, so the same output
-/// row can be computed by the direct row loop in one call and the packed
-/// FMA kernel in another purely because the calls carry different row
-/// counts — the two kernels round differently (`mul_add` vs separate
-/// mul/add), so row bits depend on batch size. Serving dispatches
-/// *ragged* batches and promises a request the exact bits it would get
-/// in any other batch (the eval-mode batch-size-invariance contract, see
-/// `easgd-serve`), so its eval path needs a dispatch that is a pure
-/// function of the per-row shape `(n, k)`.
-///
-/// Every blocked variant (serial, skinny, SIMD tiers, fork-join) is
-/// pinned bit-identical per row, and both kernels compute row `r` from
-/// row `r` of `op(A)` alone, so per-row dispatch makes the whole result
-/// row-stable: parallelism may still engage by total flops without
-/// affecting bits.
-///
-/// # Panics
-/// Panics if any buffer is smaller than its dimensions imply.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_rowstable(
-    ta: Transpose,
-    tb: Transpose,
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: f32,
-    a: &[f32],
-    b: &[f32],
-    beta: f32,
-    c: &mut [f32],
-) {
-    let (a, b) = (Operand::Stored(a), Operand::Stored(b));
-    check_dims(ta, tb, m, n, k, a, b, c);
-    if m == 0 || n == 0 {
-        return;
-    }
-    let c = &mut c[..m * n];
-    if k == 0 || alpha == 0.0 {
-        apply_beta(c, beta);
-        return;
-    }
-    if !gemm_packs(1, n, k) {
-        apply_beta(c, beta);
-        naive_rows(ta, tb, m, n, k, alpha, a, b, 0, c);
-        return;
-    }
-    // Same fork-join gate as `gemm` (total-flops keyed): the banded
-    // path is bit-identical to the serial one, so this m-dependence
-    // cannot change bits.
-    blocked_dispatch(ta, tb, m, n, k, alpha, a, b, beta, c);
-}
-
-/// The blocked kernel forced onto the calling thread (no fork-join), for
-/// single-threaded A/B measurement against [`gemm_naive`].
+/// [`gemm`] under a budget of one thread: the serial nest, for
+/// single-threaded measurement against the forked tier.
 ///
 /// # Panics
 /// Panics if any buffer is smaller than its dimensions imply.
@@ -576,66 +489,7 @@ pub fn gemm_serial(
     beta: f32,
     c: &mut [f32],
 ) {
-    let (a, b) = (Operand::Stored(a), Operand::Stored(b));
-    check_dims(ta, tb, m, n, k, a, b, c);
-    if m == 0 || n == 0 {
-        return;
-    }
-    let c = &mut c[..m * n];
-    if k == 0 || alpha == 0.0 {
-        apply_beta(c, beta);
-        return;
-    }
-    blocked_accumulate(ta, tb, m, n, k, 0, m, 0, n, alpha, a, b, beta, c, n);
-}
-
-/// Rows `i0..i0 + c_band.len()/n` of `C ← α·op(A)·op(B) + β·C`, computed
-/// on the calling thread into `c_band` (those rows of C, contiguous).
-///
-/// `a` and `b` are the operands of the *whole* `m×n×k` product and the
-/// kernel tier is chosen from its flop count, so the band holds exactly
-/// the bits [`gemm`] would put in those rows: a caller that owns a
-/// fork-join of its own (the convolution's weight gradient, whose `a` is
-/// a [`Lowered`] input) can hand each thread a row band and keep the
-/// unsplit product's bits.
-///
-/// # Panics
-/// Panics if `a` or `b` is smaller than its dimensions imply, or
-/// `c_band` is not a whole number of rows inside `C`.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_row_band(
-    ta: Transpose,
-    tb: Transpose,
-    m: usize,
-    n: usize,
-    k: usize,
-    i0: usize,
-    alpha: f32,
-    a: Operand,
-    b: &[f32],
-    beta: f32,
-    c_band: &mut [f32],
-) {
-    if n == 0 || c_band.is_empty() {
-        return;
-    }
-    let mc0 = c_band.len() / n;
-    assert!(
-        c_band.len() == mc0 * n && i0 + mc0 <= m,
-        "row band {i0}+{}/{n} is not whole rows of a {m}x{n} C",
-        c_band.len()
-    );
-    let b = Operand::Stored(b);
-    a.check(Side::A, ta, m, k);
-    b.check(Side::B, tb, k, n);
-    if k == 0 || alpha == 0.0 {
-        apply_beta(c_band, beta);
-    } else if !gemm_packs(m, n, k) {
-        apply_beta(c_band, beta);
-        naive_rows(ta, tb, m, n, k, alpha, a, b, i0, c_band);
-    } else {
-        blocked_accumulate(ta, tb, m, n, k, i0, mc0, 0, n, alpha, a, b, beta, c_band, n);
-    }
+    par::with_budget(1, || gemm(ta, tb, m, n, k, alpha, a, b, beta, c));
 }
 
 // ---------------------------------------------------------------------------
@@ -1471,99 +1325,10 @@ fn fork_join_bands(
 // Retained naive baseline (the seed kernel) for in-repo A/B measurement.
 // ---------------------------------------------------------------------------
 
-/// The seed's row kernel — axpy/dot loops streaming strided operands
-/// straight from memory — over rows `i0..` of the product, as many as
-/// `c` holds. A lowered operand is written out into this thread's pack
-/// buffer first: the direct loop only runs products smaller than the
-/// buffer. A packed one panics ([`Operand::stored`]).
-#[allow(clippy::too_many_arguments)]
-fn naive_rows(
-    ta: Transpose,
-    tb: Transpose,
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: f32,
-    a: Operand,
-    b: Operand,
-    i0: usize,
-    c: &mut [f32],
-) {
-    let mut rows = |a: &[f32], b: &[f32]| {
-        for (i, c_row) in c.chunks_mut(n).enumerate() {
-            naive_row(ta, tb, m, n, k, alpha, a, b, i0 + i, c_row);
-        }
-    };
-    match (a, b) {
-        (Operand::Stored(a), Operand::Stored(b)) => rows(a, b),
-        _ => PACK_SCRATCH.with(|cell| {
-            let (ap, bp) = &mut cell.borrow_mut().0;
-            rows(a.stored(ap), b.stored(bp));
-        }),
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn naive_row(
-    ta: Transpose,
-    tb: Transpose,
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: f32,
-    a: &[f32],
-    b: &[f32],
-    i: usize,
-    c_row: &mut [f32],
-) {
-    match (ta, tb) {
-        (Transpose::No, Transpose::No) => {
-            // C[i,:] += α Σ_l A[i,l]·B[l,:]  (axpy over contiguous B rows)
-            for l in 0..k {
-                let ail = alpha * a[i * k + l];
-                if ail != 0.0 {
-                    let b_row = &b[l * n..l * n + n];
-                    for (cj, bj) in c_row.iter_mut().zip(b_row) {
-                        *cj += ail * bj;
-                    }
-                }
-            }
-        }
-        (Transpose::No, Transpose::Yes) => {
-            // C[i,j] += α·dot(A.row(i), B.row(j)); B stored n×k.
-            let a_row = &a[i * k..i * k + k];
-            for (j, cj) in c_row.iter_mut().enumerate() {
-                let b_row = &b[j * k..j * k + k];
-                *cj += alpha * crate::ops::dot(a_row, b_row);
-            }
-        }
-        (Transpose::Yes, Transpose::No) => {
-            // A stored k×m: C[i,j] += α Σ_l A[l,i]·B[l,j].
-            for l in 0..k {
-                let ali = alpha * a[l * m + i];
-                if ali != 0.0 {
-                    let b_row = &b[l * n..l * n + n];
-                    for (cj, bj) in c_row.iter_mut().zip(b_row) {
-                        *cj += ali * bj;
-                    }
-                }
-            }
-        }
-        (Transpose::Yes, Transpose::Yes) => {
-            // Rare; A stored k×m, B stored n×k.
-            for (j, cj) in c_row.iter_mut().enumerate() {
-                let mut acc = 0.0;
-                for l in 0..k {
-                    acc += a[l * m + i] * b[j * k + l];
-                }
-                *cj += alpha * acc;
-            }
-        }
-    }
-}
-
-/// The seed GEMM — the naive row kernel run serially — kept as the
-/// reference the tests compare the blocked kernels against.
+/// The seed GEMM — axpy/dot loops streaming strided operands straight
+/// from memory, `mul` and `add` rounded separately — kept as the
+/// reference the tests compare the blocked kernels against. Like them it
+/// follows IEEE: a zero coefficient times a NaN or an infinity is NaN.
 ///
 /// # Panics
 /// Panics if any buffer is smaller than its dimensions imply.
@@ -1580,8 +1345,7 @@ pub fn gemm_naive(
     beta: f32,
     c: &mut [f32],
 ) {
-    let (a, b) = (Operand::Stored(a), Operand::Stored(b));
-    check_dims(ta, tb, m, n, k, a, b, c);
+    check_dims(ta, tb, m, n, k, Operand::Stored(a), Operand::Stored(b), c);
     if m == 0 || n == 0 {
         return;
     }
@@ -1590,7 +1354,45 @@ pub fn gemm_naive(
     if k == 0 || alpha == 0.0 {
         return;
     }
-    naive_rows(ta, tb, m, n, k, alpha, a, b, 0, c);
+    for (i, c_row) in c.chunks_mut(n).enumerate() {
+        match (ta, tb) {
+            (Transpose::No, Transpose::No) => {
+                // C[i,:] += α Σ_l A[i,l]·B[l,:]  (axpy over contiguous B rows)
+                for l in 0..k {
+                    let ail = alpha * a[i * k + l];
+                    for (cj, bj) in c_row.iter_mut().zip(&b[l * n..][..n]) {
+                        *cj += ail * bj;
+                    }
+                }
+            }
+            (Transpose::No, Transpose::Yes) => {
+                // C[i,j] += α·dot(A.row(i), B.row(j)); B stored n×k.
+                let a_row = &a[i * k..][..k];
+                for (j, cj) in c_row.iter_mut().enumerate() {
+                    *cj += alpha * crate::ops::dot(a_row, &b[j * k..][..k]);
+                }
+            }
+            (Transpose::Yes, Transpose::No) => {
+                // A stored k×m: C[i,j] += α Σ_l A[l,i]·B[l,j].
+                for l in 0..k {
+                    let ali = alpha * a[l * m + i];
+                    for (cj, bj) in c_row.iter_mut().zip(&b[l * n..][..n]) {
+                        *cj += ali * bj;
+                    }
+                }
+            }
+            (Transpose::Yes, Transpose::Yes) => {
+                // Rare; A stored k×m, B stored n×k.
+                for (j, cj) in c_row.iter_mut().enumerate() {
+                    let mut acc = 0.0;
+                    for l in 0..k {
+                        acc += a[l * m + i] * b[j * k + l];
+                    }
+                    *cj += alpha * acc;
+                }
+            }
+        }
+    }
 }
 
 /// Convenience: `C = A·B` with fresh output.
@@ -2060,25 +1862,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "inside a 8-wide tile")]
     fn a_packed_operand_cannot_be_cut_inside_a_tile() {
-        let (m, n, k) = (16, 40, 300);
-        let p = Panels::a(Transpose::No, m, k);
+        let (no, yes, (m, n, k)) = (Transpose::No, Transpose::Yes, (16, 40, 300));
+        let p = Panels::a(no, m, k);
         let mut panels = vec![0.0; p.floats()];
         p.pack(&rand_vec(m * k, 3), &mut panels);
+        let (a, b) = (Operand::Packed(p, &panels), rand_vec(n * k, 4));
         let mut band = vec![0.0; 5 * n];
-        let b = rand_vec(n * k, 4);
-        gemm_row_band(
-            Transpose::No,
-            Transpose::Yes,
-            m,
-            n,
-            k,
-            3,
-            1.0,
-            Operand::Packed(p, &panels),
-            &b,
-            0.0,
-            &mut band,
-        );
+        let b = Operand::Stored(&b);
+        blocked_accumulate(no, yes, m, n, k, 3, 5, 0, n, 1.0, a, b, 0.0, &mut band, n);
     }
 
     #[test]
@@ -2106,65 +1897,10 @@ mod tests {
         assert_eq!(bits(&got), bits(&want));
     }
 
-    #[test]
-    #[should_panic(expected = "packed operands are only valid where gemm_packs holds")]
-    fn a_packed_operand_refuses_the_direct_row_loop() {
-        let (no, (m, n, k)) = (Transpose::No, (2, 8, 16));
-        assert!(!gemm_packs(m, n, k));
-        let p = Panels::a(no, m, k);
-        let mut panels = vec![0.0; p.floats()];
-        p.pack(&rand_vec(m * k, 7), &mut panels);
-        let (a, b) = (Operand::Packed(p, &panels), rand_vec(k * n, 8));
-        let mut c = vec![0.0; m * n];
-        gemm_view(no, no, m, n, k, 1.0, a, Operand::Stored(&b), 0.0, &mut c);
-    }
-
-    #[test]
-    fn row_band_holds_the_bits_of_the_unsplit_product() {
-        // One shape per tier: under SMALL_FLOPS (direct row loop — a band
-        // keyed on its own flops would pick it for the second shape too)
-        // and over it (packed kernel), bands not aligned to MR.
-        for &(m, n, k) in &[(27, 8, 64), (27, 40, 300)] {
-            let a = rand_vec(m * k, 11);
-            let b = rand_vec(n * k, 12);
-            let c0 = rand_vec(m * n, 13);
-            let mut whole = c0.clone();
-            gemm(
-                Transpose::No,
-                Transpose::Yes,
-                m,
-                n,
-                k,
-                1.0,
-                &a,
-                &b,
-                1.0,
-                &mut whole,
-            );
-            let mut banded = c0.clone();
-            for (i, band) in banded.chunks_mut(10 * n).enumerate() {
-                gemm_row_band(
-                    Transpose::No,
-                    Transpose::Yes,
-                    m,
-                    n,
-                    k,
-                    i * 10,
-                    1.0,
-                    Operand::Stored(&a),
-                    &b,
-                    1.0,
-                    band,
-                );
-            }
-            assert_eq!(bits(&banded), bits(&whole), "m={m} n={n} k={k}");
-        }
-    }
-
     /// `(forward, gradW)` of one conv sample computed the stored way —
     /// `im2col`, then [`gemm`] on the matrix — and through [`Lowered`]
-    /// operands, the weight gradient in two row bands: the view changes
-    /// where a pack reads, never a float chain.
+    /// operands, the weight gradient as one product per row window of the
+    /// lowering: the view changes where a pack reads, never a float chain.
     fn conv_products(g: &crate::Conv2dGeometry, oc: usize, forced_threads: usize) {
         use crate::im2col::{im2col, pad_image};
         let (rows, cols) = (g.col_rows(), g.col_cols());
@@ -2196,44 +1932,32 @@ mod tests {
             &mut y,
         );
         assert_eq!(bits(&y), bits(&want_y), "forward, {at}");
-        if gemm_packs(oc, cols, rows) {
-            // What `gemm_view` forks into above the gate: column bands
-            // when `oc < cols`, row bands otherwise.
-            y.fill(f32::NAN);
-            fork_join_bands(
-                forced_threads,
-                no,
-                no,
-                oc,
-                cols,
-                rows,
-                1.0,
-                Operand::Stored(&w),
-                lowered,
-                0.0,
-                &mut y,
-            );
-            assert_eq!(bits(&y), bits(&want_y), "forked forward, {at}");
-        }
+        // What `gemm_view` forks into above the gate: column bands when
+        // `oc < cols`, row bands otherwise.
+        y.fill(f32::NAN);
+        fork_join_bands(
+            forced_threads,
+            no,
+            no,
+            oc,
+            cols,
+            rows,
+            1.0,
+            Operand::Stored(&w),
+            lowered,
+            0.0,
+            &mut y,
+        );
+        assert_eq!(bits(&y), bits(&want_y), "forked forward, {at}");
 
         let mut want_gw = gw0.clone();
         gemm(no, yes, rows, oc, cols, 1.0, &col, &gy, 1.0, &mut want_gw);
         let mut gw = gw0.clone();
         let split = rows.div_ceil(forced_threads);
         for (i, band) in gw.chunks_mut(split * oc).enumerate() {
-            gemm_row_band(
-                no,
-                yes,
-                rows,
-                oc,
-                cols,
-                i * split,
-                1.0,
-                lowered,
-                &gy,
-                1.0,
-                band,
-            );
+            let window = Operand::Lowered(Lowered::new(g, &padded).rows_from(i * split));
+            let (b, mc0) = (Operand::Stored(&gy), band.len() / oc);
+            gemm_view(no, yes, mc0, oc, cols, 1.0, window, b, 1.0, band);
         }
         assert_eq!(bits(&gw), bits(&want_gw), "gradW, {at}");
     }
@@ -2248,7 +1972,7 @@ mod tests {
             (1, 28, 28, 5, 5, 1, 0, 20), // LeNet conv1: 24-wide output rows, pad 0
             (20, 12, 12, 5, 5, 1, 0, 50), // LeNet conv2: k = 500, 8-wide rows, 64-column last tile
             (2, 9, 8, 3, 2, 2, 1, 40),   // stride 2: the strided gather
-            (1, 6, 6, 3, 3, 1, 0, 4),    // under SMALL_FLOPS: the direct row loop
+            (1, 6, 6, 3, 3, 1, 0, 4),    // a 4x16x9 forward: one short tile
         ] {
             let g = crate::Conv2dGeometry {
                 in_channels: c,
@@ -2305,73 +2029,99 @@ mod tests {
         );
     }
 
-    #[test]
-    fn rowstable_rows_are_invariant_to_row_count() {
-        // Shapes on both sides of the per-row SMALL_FLOPS threshold, with
-        // batch sizes that make `gemm`'s *total*-flops dispatch straddle
-        // the naive/blocked split (the bug this entry exists to fix: the
-        // lenet fc layers served at ragged batch sizes).
-        for &(n, k) in &[(32, 288), (64, 700), (500, 800)] {
-            let b = rand_vec(k * n, 21);
-            let a_full = rand_vec(8 * k, 22);
-            let mut c_full = vec![0.0; 8 * n];
-            gemm_rowstable(
-                Transpose::No,
-                Transpose::Yes,
-                8,
-                n,
-                k,
-                1.0,
-                &a_full,
-                &b,
-                0.0,
-                &mut c_full,
-            );
-            for (start, rows) in [(0usize, 1usize), (3, 2), (7, 1), (2, 5)] {
-                let mut c_sub = vec![0.0; rows * n];
-                gemm_rowstable(
-                    Transpose::No,
-                    Transpose::Yes,
-                    rows,
-                    n,
-                    k,
-                    1.0,
-                    &a_full[start * k..(start + rows) * k],
-                    &b,
-                    0.0,
-                    &mut c_sub,
-                );
-                assert_eq!(
-                    bits(&c_sub),
-                    bits(&c_full[start * n..(start + rows) * n]),
-                    "n={n} k={k} rows {start}..{}",
-                    start + rows
-                );
-            }
+    /// `op(A)` of an `m×k` product as its stored matrix under `ta`, from
+    /// the rows of a row-major `m×k` matrix.
+    fn stored_as(ta: Transpose, rows: &[f32], m: usize, k: usize) -> Vec<f32> {
+        match ta {
+            Transpose::No => rows.to_vec(),
+            Transpose::Yes => (0..k * m).map(|x| rows[(x % m) * k + x / m]).collect(),
         }
     }
 
-    #[test]
-    fn rowstable_matches_reference_product() {
-        let (m, n, k) = (5, 40, 60);
-        let a = rand_vec(m * k, 31);
-        let b = rand_vec(k * n, 32);
-        let mut c = vec![0.0; m * n];
-        gemm_rowstable(
-            Transpose::No,
-            Transpose::No,
-            m,
-            n,
-            k,
-            1.0,
-            &a,
-            &b,
-            0.0,
-            &mut c,
-        );
-        let want = matmul(m, n, k, &a, &b);
-        for (got, want) in c.iter().zip(&want) {
-            assert!((got - want).abs() <= 1e-4 * want.abs().max(1.0));
+    proptest::proptest! {
+        /// The one-chain invariant: row `r` of an `m`-row product holds the
+        /// bits of that row computed alone — whatever `m` (across `MR`,
+        /// `SKINNY_M` and the old 2¹⁷-flop line), the transposes, the
+        /// thread budget, a forced fork into bands, the SIMD tier, and
+        /// whether `A` is stored, packed or a row window of a lowering,
+        /// or `B` stored or packed. The rows alone run stored, serial,
+        /// untransposed `A`, in the build's own tier.
+        #[test]
+        fn a_row_holds_the_bits_it_has_alone(
+            m in 1usize..71,
+            ki in 0usize..6,
+            threads in 1usize..4,
+            forked in proptest::prop::bool::ANY,
+            scalar in proptest::prop::bool::ANY,
+        ) {
+            use crate::im2col::{im2col, pad_image};
+            let k = [1, 27, 255, 256, 257, 800][ki];
+            let n = 37;
+            // A 3×3, pad-1 conv over a 1-row image `k` wide: its lowering
+            // is 72×k, and rows `72 - m..` of it are op(A).
+            let g = crate::Conv2dGeometry {
+                in_channels: 8,
+                in_h: 1,
+                in_w: k,
+                k_h: 3,
+                k_w: 3,
+                stride: 1,
+                pad: 1,
+            };
+            let image = rand_vec(g.input_len(), (m * k) as u64);
+            let (mut col, mut padded) = (vec![0.0; 72 * k], vec![0.0; g.padded_len()]);
+            im2col(&g, &image, &mut col);
+            pad_image(&g, &image, &mut padded);
+            let row0 = 72 - m;
+            let rows = &col[row0 * k..];
+            let b_rows = rand_vec(k * n, (k + n) as u64);
+            let c0 = rand_vec(m * n, (m + n) as u64);
+            let (alpha, beta) = (0.5f32, 0.75f32);
+            for (ta, tb) in [(false, false), (false, true), (true, false), (true, true)] {
+                let ta = if ta { Transpose::Yes } else { Transpose::No };
+                let tb = if tb { Transpose::Yes } else { Transpose::No };
+                let (a, b) = (stored_as(ta, rows, m, k), stored_as(tb, &b_rows, k, n));
+                let (pa, pb) = (Panels::a(ta, m, k), Panels::b(tb, k, n));
+                let (mut a_panels, mut b_panels) = (vec![0.0; pa.floats()], vec![0.0; pb.floats()]);
+                pa.pack(&a, &mut a_panels);
+                pb.pack(&b, &mut b_panels);
+                let mut alone = c0.clone();
+                for (r, c_row) in alone.chunks_mut(n).enumerate() {
+                    let a_row = &rows[r * k..][..k];
+                    gemm(Transpose::No, tb, 1, n, k, alpha, a_row, &b, beta, c_row);
+                }
+                let (a_stored, b_stored) = (Operand::Stored(&a), Operand::Stored(&b));
+                let mut operands = vec![
+                    (a_stored, b_stored, "stored"),
+                    (Operand::Packed(pa, &a_panels), b_stored, "packed A"),
+                    (a_stored, Operand::Packed(pb, &b_panels), "packed B"),
+                ];
+                if ta == Transpose::No {
+                    let window = Lowered::new(&g, &padded).rows_from(row0);
+                    operands.push((Operand::Lowered(window), b_stored, "lowered A"));
+                }
+                for (a, b, what) in operands {
+                    let mut c = c0.clone();
+                    let mut run = || if forked {
+                        fork_join_bands(threads, ta, tb, m, n, k, alpha, a, b, beta, &mut c);
+                    } else {
+                        par::with_budget(threads, || {
+                            gemm_view(ta, tb, m, n, k, alpha, a, b, beta, &mut c)
+                        });
+                    };
+                    if scalar {
+                        crate::simd::with_scalar_kernels(run);
+                    } else {
+                        run();
+                    }
+                    proptest::prop_assert_eq!(
+                        bits(&c),
+                        bits(&alone),
+                        "m={} k={} {:?} {:?} {} threads={} forked={} scalar={}",
+                        m, k, ta, tb, what, threads, forked, scalar
+                    );
+                }
+            }
         }
     }
 

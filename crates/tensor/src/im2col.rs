@@ -250,13 +250,17 @@ pub fn pad_image(geom: &Conv2dGeometry, image: &[f32], padded: &mut [f32]) {
 /// `stride` from `padded[c][oy·stride + ky][kx]` — no clipping and no
 /// zero fill, the border is in the image. The GEMM packs gather their
 /// tiles through it ([`crate::Operand::Lowered`]), so a convolution never
-/// materialises the matrix.
+/// materialises the matrix. A view may start at a later row
+/// ([`rows_from`](Self::rows_from)): a band of a product over the matrix
+/// is then a product over that window.
 #[derive(Copy, Clone, Debug)]
 pub struct Lowered<'a> {
     geom: &'a Conv2dGeometry,
     padded: &'a [f32],
     out_w: usize,
     cols: usize,
+    /// The lowered matrix's row that is this view's row 0.
+    row0: usize,
 }
 
 impl<'a> Lowered<'a> {
@@ -276,12 +280,30 @@ impl<'a> Lowered<'a> {
             padded,
             out_w: geom.out_w(),
             cols: geom.col_cols(),
+            row0: 0,
         }
     }
 
-    /// Rows of the lowered matrix.
+    /// The view's rows from `row` on, its row 0 the lowered matrix's row
+    /// `row` — the `A` of one band of a product over the whole matrix.
+    ///
+    /// # Panics
+    /// Panics if `row` is past the view's last row.
+    pub fn rows_from(self, row: usize) -> Self {
+        assert!(
+            row <= self.rows(),
+            "row {row} of a {}-row lowering",
+            self.rows()
+        );
+        Self {
+            row0: self.row0 + row,
+            ..self
+        }
+    }
+
+    /// Rows of the view: the lowered matrix's, less the ones it skips.
     pub fn rows(&self) -> usize {
-        self.geom.col_rows()
+        self.geom.col_rows() - self.row0
     }
 
     /// Columns of the lowered matrix (its row stride as a GEMM operand).
@@ -289,7 +311,7 @@ impl<'a> Lowered<'a> {
         self.cols
     }
 
-    /// `dst[p·ld + j] = lowered[row0 + p][col0 + j]` for `p < nrows`,
+    /// `dst[p·ld + j] = view[row0 + p][col0 + j]` for `p < nrows`,
     /// `j < ncols`; the other floats of `dst` are left alone.
     pub(crate) fn gather(
         &self,
@@ -313,7 +335,8 @@ impl<'a> Lowered<'a> {
         let plane = (g.in_h + 2 * g.pad) * pw;
         let (oy0, ox0) = (col0 / self.out_w, col0 % self.out_w);
         let first = (oy0 * pw + ox0) * g.stride;
-        let (mut c, mut ky, mut kx) = (row0 / (g.k_h * g.k_w), row0 / g.k_w % g.k_h, row0 % g.k_w);
+        let row = self.row0 + row0;
+        let (mut c, mut ky, mut kx) = (row / (g.k_h * g.k_w), row / g.k_w % g.k_h, row % g.k_w);
         for out in dst.chunks_mut(ld).take(nrows) {
             // Output row by output row: the first run starts at `ox0`,
             // every later one at the row's left edge.
@@ -705,7 +728,11 @@ mod tests {
             let (nrows, ncols) = (1 + window.2 % (rows - row0), 1 + window.3 % (cols - col0));
             let ld = ncols + slack;
             let mut got = vec![f32::NAN; nrows * ld];
-            lowered.gather(row0, nrows, col0, ncols, &mut got, ld);
+            // Part of the row offset is the view's own (a band's window),
+            // the rest the gather's.
+            let window = lowered.rows_from(row0 / 2);
+            proptest::prop_assert_eq!(window.rows(), rows - row0 / 2);
+            window.gather(row0 - row0 / 2, nrows, col0, ncols, &mut got, ld);
             for (p, out) in got.chunks(ld).enumerate() {
                 let want = &col[(row0 + p) * cols + col0..][..ncols];
                 proptest::prop_assert_eq!(

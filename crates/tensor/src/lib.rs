@@ -44,9 +44,12 @@ pub mod tensor;
 
 pub use arena::{BufGrowth, InferScratch, ParamArena, ScratchStats, Segment, TrainScratch};
 pub use atomic::{AtomicBuffer, AtomicF32};
+/// [`gemm()`](gemm::gemm) under its former name: every product's rows are
+/// now stable under any row count, so the per-row dispatch it named is
+/// the one dispatch. Kept for the benchmark package's probes.
+pub use gemm::gemm as gemm_rowstable;
 pub use gemm::{
-    gemm, gemm_fork_join, gemm_naive, gemm_packs, gemm_row_band, gemm_rowstable, gemm_serial,
-    gemm_view, matmul, Operand, Panels, Transpose,
+    gemm, gemm_fork_join, gemm_naive, gemm_serial, gemm_view, matmul, Operand, Panels, Transpose,
 };
 pub use im2col::{col2im, im2col, pad_image, Conv2dGeometry, Lowered};
 pub use ops::*;

@@ -70,6 +70,9 @@
 //! (an exemption with nothing left to exempt would silently sanction
 //! future unsafe).
 //!
+//! It also enforces `crates/xtask/gone.txt`, the record of what was
+//! deleted and must stay gone ([`gone_findings`]).
+//!
 //! The pass works on a *stripped* view of each file — comments, string
 //! and char literals blanked out — so tokens inside comments or strings
 //! never fire, while pragma and justification detection reads the raw
@@ -860,7 +863,8 @@ pub fn parse_allowlist(text: &str) -> BTreeSet<String> {
         .collect()
 }
 
-fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
+/// Every file under `dir`, `target/` and dot-directories skipped.
+fn collect_files(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
     let entries = fs::read_dir(dir).map_err(|e| format!("read_dir {}: {e}", dir.display()))?;
     for entry in entries {
         let entry = entry.map_err(|e| format!("read_dir entry: {e}"))?;
@@ -871,12 +875,18 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
             if name == "target" || name.starts_with('.') {
                 continue;
             }
-            collect_rs(&path, out)?;
-        } else if name.ends_with(".rs") {
+            collect_files(&path, out)?;
+        } else {
             out.push(path);
         }
     }
     Ok(())
+}
+
+/// `path` relative to `root`, with forward slashes.
+fn relative(root: &Path, path: &Path) -> String {
+    let rel = path.strip_prefix(root).unwrap_or(path);
+    rel.to_string_lossy().replace('\\', "/")
 }
 
 /// Lints every `.rs` file under `root`, returning all findings sorted by
@@ -891,15 +901,14 @@ pub fn lint_workspace(root: &Path) -> Result<Vec<Finding>, String> {
     let simd_allow = parse_allowlist(&simd_allow_text);
     let mut findings = stale_allow_findings(root, &allow_text);
     findings.extend(stale_simd_allow_findings(root, &simd_allow_text));
+    let gone_text = fs::read_to_string(root.join(GONE_LIST)).unwrap_or_default();
+    findings.extend(gone_findings(root, &gone_text)?);
     let mut files = Vec::new();
-    collect_rs(root, &mut files)?;
+    collect_files(root, &mut files)?;
+    files.retain(|f| f.extension().is_some_and(|e| e == "rs"));
     files.sort();
     for path in files {
-        let rel = path
-            .strip_prefix(root)
-            .unwrap_or(&path)
-            .to_string_lossy()
-            .replace('\\', "/");
+        let rel = relative(root, &path);
         let source =
             fs::read_to_string(&path).map_err(|e| format!("read {}: {e}", path.display()))?;
         let hot = is_hot_path(&rel) && !allow.contains(rel.as_str());
@@ -916,6 +925,63 @@ pub fn lint_workspace(root: &Path) -> Result<Vec<Finding>, String> {
             .then(a.line.cmp(&b.line))
             .then_with(|| a.rule.cmp(b.rule))
     });
+    Ok(findings)
+}
+
+/// Workspace-relative path of the what-must-stay-gone list.
+pub const GONE_LIST: &str = "crates/xtask/gone.txt";
+
+/// `gone` findings for every line of a [`GONE_LIST`] entry's paths that
+/// holds its literal. An entry is `literal | paths | PR | reason`, its
+/// paths space-separated files or directories (the list itself is never
+/// searched); `#` starts a comment line. A malformed entry, or a path
+/// that names no file, is a `stale-gone` finding.
+pub fn gone_findings(root: &Path, list: &str) -> Result<Vec<Finding>, String> {
+    let mut findings = Vec::new();
+    for (idx, entry) in list.lines().enumerate() {
+        let entry = entry.trim();
+        if entry.is_empty() || entry.starts_with('#') {
+            continue;
+        }
+        let stale = |message: String| Finding {
+            file: GONE_LIST.to_string(),
+            line: idx + 1,
+            rule: "stale-gone",
+            message,
+        };
+        let [literal, paths, pr, reason] = entry.split(" | ").collect::<Vec<_>>()[..] else {
+            findings.push(stale("not `literal | paths | PR | reason`".to_string()));
+            continue;
+        };
+        for path in paths.split_whitespace() {
+            let (full, mut files) = (root.join(path), Vec::new());
+            if full.is_dir() {
+                collect_files(&full, &mut files)?;
+            } else if full.is_file() {
+                files.push(full);
+            }
+            files.retain(|f| !f.ends_with(GONE_LIST));
+            if files.is_empty() {
+                findings.push(stale(format!("`{path}` names no file")));
+            }
+            for file in files {
+                let bytes = fs::read(&file).map_err(|e| format!("read {}: {e}", file.display()))?;
+                for (n, text) in String::from_utf8_lossy(&bytes).lines().enumerate() {
+                    if text.contains(literal) {
+                        findings.push(Finding {
+                            file: relative(root, &file),
+                            line: n + 1,
+                            rule: "gone",
+                            message: format!(
+                                "`{literal}` is back: {reason} (deleted in PR {pr}, {GONE_LIST}:{})",
+                                idx + 1
+                            ),
+                        });
+                    }
+                }
+            }
+        }
+    }
     Ok(findings)
 }
 
@@ -1436,6 +1502,51 @@ mod tests {
         let src = "fn f(x: Option<u32>) -> u32 { x.unwrap() }\nfn g() { unsafe {} }\n";
         let f = lint_source("crates/tensor/src/ops.rs", src, true);
         assert!(f.windows(2).all(|w| w[0].line <= w[1].line), "{f:?}");
+    }
+
+    #[test]
+    fn gone_literals_are_found_in_their_paths_only() {
+        // The literal is spelled at run time so this file never holds it.
+        let literal = ["gone", "_helper"].concat();
+        let root = std::env::temp_dir().join(format!("xtask-gone-{}", std::process::id()));
+        let write = |rel: &str, text: &str| {
+            let path = root.join(rel);
+            fs::create_dir_all(path.parent().expect("a parent")).expect("mkdir");
+            fs::write(path, text).expect("write");
+        };
+        write(
+            "crates/a/src/lib.rs",
+            &format!("fn f() {{}}\n// {literal}\n"),
+        );
+        write("crates/a/target/x.rs", &literal);
+        write("BENCH_x.json", &format!("{{\"{literal}\": 1}}"));
+        write("docs/other.md", &literal);
+        let list = format!(
+            "# a comment | with | bars | too\n\
+             {literal} | crates/ BENCH_x.json | 7 | a helper is back\n\
+             {literal} | missing/ | 7 | names nothing\n\
+             {literal} | crates/ | 7\n"
+        );
+        write(GONE_LIST, &list);
+        let found = gone_findings(&root, &list).expect("lint runs");
+        let _ = fs::remove_dir_all(&root);
+        let at: Vec<_> = found
+            .iter()
+            .map(|f| (f.file.as_str(), f.line, f.rule))
+            .collect();
+        assert_eq!(
+            at,
+            [
+                ("crates/a/src/lib.rs", 2, "gone"),
+                ("BENCH_x.json", 1, "gone"),
+                (GONE_LIST, 3, "stale-gone"),
+                (GONE_LIST, 4, "stale-gone"),
+            ],
+            "{found:?}"
+        );
+        assert!(found[0]
+            .message
+            .contains("a helper is back (deleted in PR 7"));
     }
 
     #[test]

@@ -23,7 +23,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo doc --workspace --no-deps with rustdoc warnings denied (no dangling intra-doc links)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
-echo "==> easgd-xtask lint"
+echo "==> easgd-xtask lint (the source rules, and crates/xtask/gone.txt: what was deleted stays gone)"
 cargo run -q -p easgd-xtask -- lint
 
 echo "==> golden-trace determinism suite (release, the recording profile)"
@@ -34,60 +34,6 @@ cargo run -q -p easgd-xtask -- explore
 
 echo "==> easgd-xtask explore --protocol --smoke (full suite runs nightly in CI)"
 cargo run -q -p easgd-xtask -- explore --protocol --smoke
-
-echo "==> the seed stays retired (its baselines and *_vs_seed keys were deleted, EXPERIMENTS.md has the frozen numbers)"
-if grep -rnE "gemm_naive_par|par_rows|SeedNet|_vs_seed" crates/ src/ BENCH_*.json; then
-  echo "error: a seed baseline is back (matches above)" >&2
-  exit 1
-fi
-
-echo "==> one fork-join (par::fan_out; the band helpers, their budget wrapper and the ops-side gate were deleted)"
-if grep -rnE "par_zip|par_chunks_mut|WorkerPool|with_pool|should_par" crates/ src/ tests/ examples/; then
-  echo "error: a deleted par helper is back (matches above)" >&2
-  exit 1
-fi
-
-echo "==> one source of Sync EASGD time (the priced hub mode and everything only it kept alive were deleted)"
-if grep -rnE "SyncExchange::Priced|broadcast_costed_into|center_dilution_from|dilution_from_band|tree_collective_time|trace_priced_exchange" crates/ src/ tests/ examples/; then
-  echo "error: a piece of the priced Sync EASGD mode is back (matches above)" >&2
-  exit 1
-fi
-
-echo "==> list-free tree roles (an all-ranks tree collective builds no per-call participant list; a rank's position is arithmetic)"
-if grep -rnF "(0..comm.size()).collect" crates/cluster/src/; then
-  echo "error: a per-call participant list is back (matches above)" >&2
-  exit 1
-fi
-
-echo "==> no column cache (Conv2d keeps the padded batch; the GEMM packs lower from it)"
-if grep -rn "col_cache" crates/nn/src/; then
-  echo "error: a column cache is back in the conv layer (matches above)" >&2
-  exit 1
-fi
-
-echo "==> gradient read in place (LocalStep keeps no copy of the network's gradient arena)"
-if grep -nE "grad\.copy_from_slice\(self\.net\.grads\(\)|grad: Vec<f32>" crates/core/src/engine/local.rs; then
-  echo "error: LocalStep's gradient copy is back (matches above)" >&2
-  exit 1
-fi
-
-echo "==> one §6.2 path (knl_partition_run; the executed chip partitioner, its pool type and KnlChip's unread modes were deleted)"
-if grep -rnE "PartitionedPool|partitioned_sync_easgd|partitioned_hogwild_easgd|with_group_threads|hogwild_easgd_exchange|McdramMode|ClusterMode|max_partitions" crates/ src/ tests/ examples/; then
-  echo "error: a piece of the executed chip partitioner is back (matches above)" >&2
-  exit 1
-fi
-
-echo "==> one async exchange rule (AsyncVariant; the per-method locked trainers and their gradient-push master were deleted)"
-if grep -rnE "GradCenter|original_easgd_turns|fn async_(sgd|msgd|easgd)\b" crates/ src/ tests/ examples/; then
-  echo "error: a per-method copy of the async exchange is back (matches above)" >&2
-  exit 1
-fi
-
-echo "==> one collective mechanism (collectives.rs; the hub collectives, their closed-form price and their tag range were deleted)"
-if grep -rnE "collective_into|CollOp|allreduce_sum_into|reduce_sum_costed_into|allgather_into|tags::hub|HUB_BASE|trace_hub_" crates/ src/ tests/ examples/ README.md DESIGN.md; then
-  echo "error: a piece of the hub collectives is back (matches above)" >&2
-  exit 1
-fi
 
 echo "==> kernel table (smoke: one iteration per row, no JSON; gemm_par_vs_serial on >= 2 threads, skip notice on 1; checked-in BENCH_kernels.json fork-join acceptance)"
 cargo run -q --release -p easgd-bench --bin kernels -- --smoke

@@ -12,6 +12,11 @@
 # parametrised layer without moving a bit holds per tier. So does the
 # property that a packed operand (a frozen serving replica's weights)
 # holds the bits of the stored one.
+# The avx2+fma leg also replays the golden digests: every GEMM output is
+# one fused chain, so an FMA build of any width gives the recorded bits.
+# The scalar leg does not: a build without FMA rounds `mul` and `add`
+# separately by design (DESIGN.md §8.3, `simd::madd`), so its
+# trainers' digests differ from the recorded ones.
 # scripts/check.sh and CI's simd-tiers job both run exactly this.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -27,5 +32,7 @@ leg() { # <rustflags> <target dir> <tier>
 
 leg "" target/scalar scalar
 if [[ "$(uname -m)" == "x86_64" ]]; then
-  leg "-C target-feature=+avx2,+fma" target/avx2 avx2+fma
+  avx2="-C target-feature=+avx2,+fma"
+  leg "$avx2" target/avx2 avx2+fma
+  RUSTFLAGS="$avx2" CARGO_TARGET_DIR=target/avx2 cargo test -q --test golden_traces
 fi

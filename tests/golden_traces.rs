@@ -7,7 +7,7 @@
 //! `tests/golden/digests.txt`; a mismatch means a change altered
 //! numerical behavior for a fixed seed.
 //!
-//! The file has two digest columns per method:
+//! The file has three digest columns per method:
 //!
 //! * `base` — fields that existed before the engine refactor (accuracy,
 //!   final loss, sim seconds, breakdown, accuracy trace). These were
@@ -16,6 +16,11 @@
 //! * `full` — `base` plus the engine-era observables (per-step loss
 //!   trace and final-center hash). These lock the ported trainers
 //!   against future regressions.
+//! * `time` — simulated time alone: sim seconds, the breakdown and the
+//!   trace timestamps. A change that moves only floats (a GEMM's
+//!   rounding, a fold order) re-records `base` and `full` and must leave
+//!   this column as it was; one that moves it changed what the
+//!   simulated cluster charges.
 //!
 //! Wall-clock trainers are digested at `workers = 1` (the only
 //! configuration where thread scheduling cannot reorder float ops);
@@ -29,7 +34,10 @@
 //! rewritten digest file.
 //!
 //! Caveat: digests assume one build environment (same libm, same
-//! target features). They are regenerated, not hand-edited.
+//! target features). They are regenerated, not hand-edited. Every FMA
+//! build — AVX-512, AVX2+FMA, the scalar fallback with `mul_add` in
+//! hardware — gives the same bits; a build without FMA rounds `mul` and
+//! `add` separately (DESIGN.md §8.3) and does not match them.
 
 use knl_easgd::algorithms as alg;
 use knl_easgd::prelude::*;
@@ -40,6 +48,7 @@ use alg::{
     SyncExchange,
 };
 use easgd_nn::LayoutKind;
+use knl_easgd::tensor::par;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -71,14 +80,8 @@ impl Fnv {
     }
 }
 
-/// Digest of the pre-engine observables of a run (everything except
-/// wall-clock time, which is real time and never reproducible).
-fn base_digest(r: &RunResult) -> u64 {
-    let mut h = Fnv::new();
-    h.bytes(r.method.as_bytes());
-    h.u64(r.iterations as u64);
-    h.f32_bits(r.accuracy);
-    h.f32_bits(r.final_loss);
+/// Hashes a run's simulated seconds, if it has any.
+fn hash_sim_seconds(h: &mut Fnv, r: &RunResult) {
     match r.sim_seconds {
         Some(s) => {
             h.u64(1);
@@ -86,6 +89,10 @@ fn base_digest(r: &RunResult) -> u64 {
         }
         None => h.u64(0),
     }
+}
+
+/// Hashes a run's per-category time breakdown, if it has one.
+fn hash_breakdown(h: &mut Fnv, r: &RunResult) {
     match &r.breakdown {
         Some(b) => {
             h.u64(1);
@@ -95,12 +102,38 @@ fn base_digest(r: &RunResult) -> u64 {
         }
         None => h.u64(0),
     }
+}
+
+/// Digest of the pre-engine observables of a run (everything except
+/// wall-clock time, which is real time and never reproducible).
+fn base_digest(r: &RunResult) -> u64 {
+    let mut h = Fnv::new();
+    h.bytes(r.method.as_bytes());
+    h.u64(r.iterations as u64);
+    h.f32_bits(r.accuracy);
+    h.f32_bits(r.final_loss);
+    hash_sim_seconds(&mut h, r);
+    hash_breakdown(&mut h, r);
     h.u64(r.trace.len() as u64);
     for p in &r.trace {
         h.u64(p.iteration as u64);
         h.f32_bits(p.accuracy);
         // Trace timestamps are digestible only on the simulated clock.
         if r.sim_seconds.is_some() {
+            h.f64_bits(p.seconds);
+        }
+    }
+    h.0
+}
+
+/// Digest of a run's simulated time alone: what [`base_digest`] hashes
+/// of the clock, none of the floats a model computes.
+fn time_digest(r: &RunResult) -> u64 {
+    let mut h = Fnv::new();
+    hash_sim_seconds(&mut h, r);
+    hash_breakdown(&mut h, r);
+    if r.sim_seconds.is_some() {
+        for p in &r.trace {
             h.f64_bits(p.seconds);
         }
     }
@@ -301,7 +334,11 @@ fn digest_path() -> PathBuf {
         .join("digests.txt")
 }
 
-fn parse_goldens(text: &str) -> BTreeMap<String, (u64, Option<u64>)> {
+/// A row's digests: `base`, then `full` and `time` where recorded.
+type Digests = (u64, Option<u64>, Option<u64>);
+
+fn parse_goldens(text: &str) -> BTreeMap<String, Digests> {
+    let hex = |s: &str| u64::from_str_radix(s.trim_start_matches("0x"), 16);
     let mut map = BTreeMap::new();
     for line in text.lines() {
         let line = line.trim();
@@ -312,25 +349,72 @@ fn parse_goldens(text: &str) -> BTreeMap<String, (u64, Option<u64>)> {
         let name = parts.next().expect("golden line missing name");
         let base = parts
             .next()
-            .and_then(|s| u64::from_str_radix(s.trim_start_matches("0x"), 16).ok())
+            .and_then(|s| hex(s).ok())
             .unwrap_or_else(|| panic!("bad base digest on line: {line}"));
-        let full = parts
-            .next()
-            .map(|s| u64::from_str_radix(s.trim_start_matches("0x"), 16).expect("bad full digest"));
-        map.insert(name.to_string(), (base, full));
+        let full = parts.next().map(|s| hex(s).expect("bad full digest"));
+        let time = parts.next().map(|s| hex(s).expect("bad time digest"));
+        map.insert(name.to_string(), (base, full, time));
     }
     map
 }
 
+/// Every golden case's digests, run on the calling thread's budget.
+fn actual_digests() -> BTreeMap<String, Digests> {
+    let mut actual: BTreeMap<String, Digests> = run_all()
+        .iter()
+        .map(|(k, r)| {
+            let digests = (base_digest(r), Some(full_digest(r)), Some(time_digest(r)));
+            (k.clone(), digests)
+        })
+        .collect();
+    actual.insert("knl_partition_w4".to_string(), (knl_digest(), None, None));
+    actual
+}
+
+fn checked_in_digests() -> BTreeMap<String, Digests> {
+    let text = std::fs::read_to_string(digest_path())
+        .expect("tests/golden/digests.txt missing — run with GOLDEN_RECORD=1 to create");
+    parse_goldens(&text)
+}
+
+/// One line per digest of `actual` that differs from `expected`, and per
+/// case either side lacks.
+fn mismatches(
+    actual: &BTreeMap<String, Digests>,
+    expected: &BTreeMap<String, Digests>,
+) -> Vec<String> {
+    let mut failures = Vec::new();
+    for (name, &(base, full, time)) in expected {
+        let Some(&(ab, af, at)) = actual.get(name) else {
+            failures.push(format!("{name}: golden present but case no longer runs"));
+            continue;
+        };
+        if ab != base {
+            failures.push(format!("{name}: base digest 0x{ab:016x} != 0x{base:016x}"));
+        }
+        for (column, want, got) in [("full", full, af), ("time", time, at)] {
+            if let (Some(want), Some(got)) = (want, got) {
+                if want != got {
+                    failures.push(format!(
+                        "{name}: {column} digest 0x{got:016x} != 0x{want:016x}"
+                    ));
+                }
+            }
+        }
+    }
+    for name in actual.keys() {
+        if !expected.contains_key(name) {
+            failures.push(format!(
+                "{name}: no golden recorded (GOLDEN_RECORD=1 to add)"
+            ));
+        }
+    }
+    failures
+}
+
 #[test]
 fn golden_digests_match() {
-    let results = run_all();
-    let mut actual: BTreeMap<String, (u64, Option<u64>)> = results
-        .iter()
-        .map(|(k, r)| (k.clone(), (base_digest(r), Some(full_digest(r)))))
-        .collect();
-    actual.insert("knl_partition_w4".to_string(), (knl_digest(), None));
-
+    let actual = actual_digests();
     if std::env::var_os("GOLDEN_RECORD").is_some() {
         // The header survives a re-record: it is where the reason for
         // each one is written down.
@@ -343,50 +427,43 @@ fn golden_digests_match() {
             Err(_) => String::from(
                 "# Golden fixed-seed digests — regenerate with\n\
                  # GOLDEN_RECORD=1 cargo test --test golden_traces\n\
-                 # name base_digest full_digest\n",
+                 # name base_digest full_digest time_digest\n",
             ),
         };
-        for (name, (base, full)) in &actual {
-            match full {
-                Some(f) => writeln!(text, "{name} 0x{base:016x} 0x{f:016x}").unwrap(),
-                None => writeln!(text, "{name} 0x{base:016x}").unwrap(),
+        for (name, digests) in &actual {
+            match digests {
+                (base, Some(f), Some(t)) => {
+                    writeln!(text, "{name} 0x{base:016x} 0x{f:016x} 0x{t:016x}").unwrap()
+                }
+                (base, ..) => writeln!(text, "{name} 0x{base:016x}").unwrap(),
             }
         }
         std::fs::write(digest_path(), text).expect("write golden digests");
         return;
     }
-
-    let text = std::fs::read_to_string(digest_path())
-        .expect("tests/golden/digests.txt missing — run with GOLDEN_RECORD=1 to create");
-    let expected = parse_goldens(&text);
-    let mut failures = Vec::new();
-    for (name, (base, full)) in &expected {
-        match actual.get(name) {
-            None => failures.push(format!("{name}: golden present but case no longer runs")),
-            Some((ab, af)) => {
-                if ab != base {
-                    failures.push(format!("{name}: base digest 0x{ab:016x} != 0x{base:016x}"));
-                }
-                if let (Some(ef), Some(af)) = (full, af) {
-                    if ef != af {
-                        failures.push(format!("{name}: full digest 0x{af:016x} != 0x{ef:016x}"));
-                    }
-                }
-            }
-        }
-    }
-    for name in actual.keys() {
-        if !expected.contains_key(name) {
-            failures.push(format!(
-                "{name}: no golden recorded (GOLDEN_RECORD=1 to add)"
-            ));
-        }
-    }
+    let failures = mismatches(&actual, &checked_in_digests());
     assert!(
         failures.is_empty(),
         "golden digest mismatches:\n  {}",
         failures.join("\n  ")
     );
+}
+
+/// The checked-in digests hold whatever the thread budget: every GEMM
+/// output keeps its float chain however the product is cut into bands,
+/// and every trainer's results are a function of its seed alone.
+#[test]
+fn golden_digests_hold_under_every_thread_budget() {
+    let expected = checked_in_digests();
+    for budget in [1, 2, 3, 8] {
+        let actual = par::with_budget(budget, actual_digests);
+        let failures = mismatches(&actual, &expected);
+        assert!(
+            failures.is_empty(),
+            "golden digest mismatches under a budget of {budget}:\n  {}",
+            failures.join("\n  ")
+        );
+    }
 }
 
 /// Every golden case must itself be run-to-run deterministic — if this

@@ -9,8 +9,8 @@ use knl_easgd::prelude::{
 };
 use knl_easgd::tensor::Rng;
 use knl_easgd::tensor::{
-    gemm, gemm_naive, gemm_packs, gemm_row_band, gemm_rowstable, gemm_serial, gemm_view, ops,
-    with_scalar_kernels, Operand, Panels, Transpose,
+    gemm, gemm_fork_join, gemm_naive, gemm_serial, gemm_view, ops, par, with_scalar_kernels,
+    Operand, Panels, Transpose,
 };
 use proptest::prelude::*;
 
@@ -41,40 +41,11 @@ fn transpose_of(t: bool) -> Transpose {
 /// Packing moves bytes, never arithmetic: on the skinny shapes serving and
 /// the MLP trainers issue — short row tiles (m < 8), a 20-column last
 /// tile (n = 500), `k` blocks that are not whole vectors (27, 244 = 500 −
-/// 256, 257) — every entry point gives the bits of its forced-scalar
-/// run, for all four transpose pairs; and row `r` of an 8-row NT
-/// `gemm_rowstable` is the 1-row product of that row (the serving
-/// contract at the tensor level). The grid is walked whole, which is why
-/// this is not one more draw of the sampled property below.
+/// 256, 257) — `gemm` gives the bits of its forced-scalar run, for all
+/// four transpose pairs. The grid is walked whole, which is why this is
+/// not one more draw of the sampled property below.
 #[test]
 fn gemm_entry_points_are_tier_invariant_on_skinny_ragged_shapes() {
-    type Entry = fn(Transpose, Transpose, usize, usize, usize, &[f32], &[f32], &mut [f32]);
-    let entries: [(&str, Entry); 3] = [
-        ("gemm", |ta, tb, m, n, k, a, b, c| {
-            gemm(ta, tb, m, n, k, 0.5, a, b, 1.0, c)
-        }),
-        ("gemm_rowstable", |ta, tb, m, n, k, a, b, c| {
-            gemm_rowstable(ta, tb, m, n, k, 0.5, a, b, 1.0, c)
-        }),
-        ("gemm_row_band", |ta, tb, m, n, k, a, b, c| {
-            let split = (m / 2) * n;
-            let (top, bottom) = c.split_at_mut(split);
-            gemm_row_band(ta, tb, m, n, k, 0, 0.5, Operand::Stored(a), b, 1.0, top);
-            gemm_row_band(
-                ta,
-                tb,
-                m,
-                n,
-                k,
-                m / 2,
-                0.5,
-                Operand::Stored(a),
-                b,
-                1.0,
-                bottom,
-            );
-        }),
-    ];
     let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
     let mut rng = Rng::new(20);
     for n in [10usize, 33, 500] {
@@ -85,32 +56,80 @@ fn gemm_entry_points_are_tier_invariant_on_skinny_ragged_shapes() {
             for m in 1..=9usize {
                 for (ta, tb) in [(false, false), (false, true), (true, false), (true, true)] {
                     let (ta, tb) = (transpose_of(ta), transpose_of(tb));
-                    for (name, entry) in entries {
-                        let mut fast = c0[..m * n].to_vec();
-                        entry(ta, tb, m, n, k, &a[..m * k], &b, &mut fast);
-                        let mut scalar = c0[..m * n].to_vec();
-                        with_scalar_kernels(|| {
-                            entry(ta, tb, m, n, k, &a[..m * k], &b, &mut scalar)
-                        });
-                        assert_eq!(
-                            bits(&fast),
-                            bits(&scalar),
-                            "{name} m={m} n={n} k={k} {ta:?} {tb:?}"
-                        );
-                    }
+                    let entry = |c: &mut [f32]| gemm(ta, tb, m, n, k, 0.5, &a[..m * k], &b, 1.0, c);
+                    let mut fast = c0[..m * n].to_vec();
+                    entry(&mut fast);
+                    let mut scalar = c0[..m * n].to_vec();
+                    with_scalar_kernels(|| entry(&mut scalar));
+                    assert_eq!(
+                        bits(&fast),
+                        bits(&scalar),
+                        "m={m} n={n} k={k} {ta:?} {tb:?}"
+                    );
                 }
             }
-            let (no, yes) = (Transpose::No, Transpose::Yes);
-            let mut batch = vec![0.0; 8 * n];
-            gemm_rowstable(no, yes, 8, n, k, 1.0, &a[..8 * k], &b, 0.0, &mut batch);
-            for r in 0..8 {
-                let mut alone = vec![0.0; n];
-                gemm_rowstable(no, yes, 1, n, k, 1.0, &a[r * k..][..k], &b, 0.0, &mut alone);
-                assert_eq!(
-                    bits(&alone),
-                    bits(&batch[r * n..][..n]),
-                    "row {r} n={n} k={k}"
-                );
+        }
+    }
+}
+
+/// IEEE in every product: a NaN or an infinity reaches every output it
+/// touches, even through a zero coefficient (`0·∞` and `0·NaN` are NaN),
+/// at every row count 1..=9 (the products once small enough for a direct
+/// row loop that skipped zero coefficients), all four transposes, the
+/// serial and the forked tier, and the naive reference. One operand
+/// holds the non-finite value at `(row, col)` of `op(X)`, the other a
+/// zero at every coefficient it meets it with; outputs it does not touch
+/// stay finite.
+#[test]
+fn non_finite_values_reach_every_output_they_touch() {
+    type Entry = fn(Transpose, Transpose, usize, usize, usize, &[f32], &[f32], &mut [f32]);
+    let entries: [(&str, Entry); 3] = [
+        ("serial", |ta, tb, m, n, k, a, b, c| {
+            par::with_budget(1, || gemm(ta, tb, m, n, k, 1.0, a, b, 0.0, c))
+        }),
+        ("forked", |ta, tb, m, n, k, a, b, c| {
+            gemm_fork_join(3, ta, tb, m, n, k, 1.0, a, b, 0.0, c)
+        }),
+        ("naive", |ta, tb, m, n, k, a, b, c| {
+            gemm_naive(ta, tb, m, n, k, 1.0, a, b, 0.0, c)
+        }),
+    ];
+    let (n, k) = (3usize, 4usize);
+    let at = |t: Transpose, rows: usize, cols: usize, r: usize, c: usize| match t {
+        Transpose::No => r * cols + c,
+        Transpose::Yes => c * rows + r,
+    };
+    for m in 1..=9usize {
+        for (ta, tb) in [(false, false), (false, true), (true, false), (true, true)] {
+            let (ta, tb) = (transpose_of(ta), transpose_of(tb));
+            for bad in [f32::NAN, f32::INFINITY] {
+                for in_a in [false, true] {
+                    let mut a = vec![1.5f32; m * k];
+                    let mut b = vec![0.25f32; k * n];
+                    let (i0, l0, j0) = (m / 2, 2, 1);
+                    if in_a {
+                        // op(A)[i0][l0] is bad; op(B)'s row l0 is zero.
+                        a[at(ta, m, k, i0, l0)] = bad;
+                        (0..n).for_each(|j| b[at(tb, k, n, l0, j)] = 0.0);
+                    } else {
+                        // op(B)[l0][j0] is bad; op(A)'s column l0 is zero.
+                        b[at(tb, k, n, l0, j0)] = bad;
+                        (0..m).for_each(|i| a[at(ta, m, k, i, l0)] = 0.0);
+                    }
+                    for (name, entry) in entries {
+                        let mut c = vec![0.0; m * n];
+                        entry(ta, tb, m, n, k, &a, &b, &mut c);
+                        for (x, v) in c.iter().enumerate() {
+                            let (i, j) = (x / n, x % n);
+                            let touched = if in_a { i == i0 } else { j == j0 };
+                            assert_eq!(
+                                v.is_nan(),
+                                touched,
+                                "{name} C[{i}][{j}] = {v}: m={m} {ta:?} {tb:?} {bad} in_a={in_a}"
+                            );
+                        }
+                    }
+                }
             }
         }
     }
@@ -157,9 +176,7 @@ proptest! {
 
     /// The blocked/packed GEMM agrees with the naive triple loop at and
     /// around every tile and cache-block boundary, for all four transpose
-    /// combinations and both β regimes. Shapes here are big enough to take
-    /// the packed path (unlike `gemm_matches_naive` above, which pins the
-    /// small-matrix fallback).
+    /// combinations and both β regimes.
     #[test]
     fn blocked_gemm_matches_naive_at_tile_boundaries(
         ma in 0usize..9, moff in 0usize..3,
@@ -222,19 +239,13 @@ proptest! {
         gemm(Transpose::No, Transpose::Yes, m, n, k, 1.0, &a, &b, 0.5, &mut c2);
         prop_assert_eq!(&c1, &c2);
 
-        // Below the small-matrix flop threshold `gemm` dispatches to the
-        // naive row loop, whose summation order legitimately differs from
-        // the blocked kernel — serial equivalence is a blocked-path claim.
-        if 2 * (m as u64) * (n as u64) * (k as u64) >= (1 << 17) {
-            let mut cs = c0;
-            gemm_serial(Transpose::No, Transpose::Yes, m, n, k, 1.0, &a, &b, 0.5, &mut cs);
-            prop_assert_eq!(&c1, &cs);
-        }
+        let mut cs = c0;
+        gemm_serial(Transpose::No, Transpose::Yes, m, n, k, 1.0, &a, &b, 0.5, &mut cs);
+        prop_assert_eq!(&c1, &cs);
     }
 
     /// A weight packed once reads as the matrix it was packed from. Around
-    /// every tile and block edge of a product that takes the packs — the
-    /// only products a packed operand is valid in — so in both nests, with
+    /// every tile and block edge — so in every nest, with
     /// either operand packed, under every transpose (freezing packs a
     /// conv's A as stored and a dense layer's B transposed), and in both β
     /// regimes, `gemm_view` over the packed operand holds the bits of
@@ -252,15 +263,13 @@ proptest! {
             boundary_dim(na, noff),
             boundary_dim(ka, koff),
         );
-        prop_assume!(gemm_packs(m, n, k));
         let mut rng = Rng::new(seed);
         let a: Vec<f32> = (0..m * k).map(|_| rng.uniform_in(-1.0, 1.0)).collect();
         let b: Vec<f32> = (0..k * n).map(|_| rng.uniform_in(-1.0, 1.0)).collect();
         let c0: Vec<f32> = (0..m * n).map(|_| rng.uniform_in(-1.0, 1.0)).collect();
         let (alpha, beta) = if accumulate { (0.5, 1.0) } else { (1.0, 0.0) };
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
-        // Few drawn shapes take the packs, so each runs every side and
-        // transpose rather than drawing them.
+        // Each shape runs every side and transpose rather than drawing them.
         for (ta, tb, pack_b) in (0..8).map(|i| (i & 1 != 0, i & 2 != 0, i & 4 != 0)) {
             let (ta, tb) = (transpose_of(ta), transpose_of(tb));
             let (panels, stored) = if pack_b {
