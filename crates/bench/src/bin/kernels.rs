@@ -10,6 +10,13 @@
 //! issue (`gemm_min_par_over_serial`), and the forced fork beside it
 //! shows the crossover the two constants were read from.
 //!
+//! The small-batch `Dense` forwards (`*_fwd_nt` at batch ≤ 8) also time
+//! the serial product over the weight pre-packed into panels, as a
+//! frozen replica reads it: `nt_stored_over_packed_b2` holds the stored
+//! weight's batch-2 forward within 1.25× of it. Every row prints the
+//! work its implementation counted for one call (`gemm::counts`): the
+//! nest, the floats of A and B it packed, and whether it forked.
+//!
 //! Peak GFLOP/s, im2col and the elastic kernels are `benchmark/`'s
 //! `tensor.*` probes, measured at the workloads' own shapes.
 //!
@@ -23,7 +30,9 @@
 //! warns when they are missing) and on ≥ 2 threads.
 
 use easgd_bench::report::{self, bench_row, Report};
-use easgd_tensor::{active_tier, gemm, gemm_fork_join, gemm_serial, par, Rng, Transpose};
+use easgd_tensor::gemm::{self as kernel, Counts};
+use easgd_tensor::{active_tier, gemm, gemm_fork_join, gemm_serial, gemm_view, par};
+use easgd_tensor::{Operand, Panels, Rng, Transpose};
 use std::time::Instant;
 
 fn rand_vec(n: usize, seed: u64) -> Vec<f32> {
@@ -75,11 +84,30 @@ struct Entry {
     threads: usize,
     ms: f64,
     flops: u64,
+    /// The work one call of the implementation counted.
+    counts: Counts,
+    /// On a `packed_w` row: the stored weight's serial time over this
+    /// row's, timed as one interleaved pair.
+    stored_over_packed: Option<f64>,
 }
 
 impl Entry {
     fn gflops(&self) -> f64 {
         self.flops as f64 / (self.ms / 1e3).max(1e-12) / 1e9
+    }
+
+    /// The nest the call ran.
+    fn nest(&self) -> &'static str {
+        let c = &self.counts;
+        [
+            (c.standard, "standard"),
+            (c.skinny, "skinny"),
+            (c.stream, "stream"),
+            (c.transposed_stream, "transposed"),
+        ]
+        .into_iter()
+        .find_map(|(nest, name)| (nest.calls > 0).then_some(name))
+        .unwrap_or("none")
     }
 }
 
@@ -130,16 +158,13 @@ fn par_vs_serial_shapes() -> Vec<Shape> {
         shapes.push((format!("{name}_dw_tn"), Yes, No, out, inp, b, sets));
         shapes.push((format!("{name}_dx_nn"), No, No, b, inp, out, sets));
     }
-    // The MLP's first layer, 784→1024: only its weight gradient runs.
-    shapes.push((
-        "mlp784_b2_dw_tn".to_string(),
-        Yes,
-        No,
-        1024,
-        784,
-        2,
-        REPLICA_SETS,
-    ));
+    // The MLP's first layer, 784→1024: its forward and its weight
+    // gradient (its input gradient feeds nothing).
+    let sets = REPLICA_SETS;
+    shapes.push(("mlp784_b2_fwd_nt".to_string(), No, Yes, 2, 1024, 784, sets));
+    shapes.push(("mlp784_b2_dw_tn".to_string(), Yes, No, 1024, 784, 2, sets));
+    // LeNet's 500→10 classifier on one sample.
+    shapes.push(("lenet_fc2_b1_fwd_nt".to_string(), No, Yes, 1, 10, 500, 1));
     shapes.push(("vgg_fc6_b32".to_string(), No, No, 32, 4096, 4096, 1));
     for s in [256, 384, 512, 768, 1024] {
         shapes.push((format!("cube{s}"), No, No, s, s, s, 1));
@@ -173,7 +198,7 @@ impl GateShape {
             "{} ({:.1} MFLOP, {:.2} Mi floats)",
             self.label,
             self.flops as f64 / 1e6,
-            self.floats as f64 / par::PAR_ELEMS as f64
+            self.floats as f64 / (1 << 20) as f64
         )
     }
 }
@@ -190,6 +215,9 @@ struct ParVsSerial {
     /// The shape nearest above that one along the rule (the fork won
     /// there and at everything further along).
     smallest_winning: Option<GateShape>,
+    /// Largest serial stored-over-packed-W time ratio among the
+    /// batch-2 `Dense` forwards.
+    nt_stored_over_packed_b2: f64,
 }
 
 /// `gemm` against `gemm_serial` at a two-thread budget, and the fork
@@ -206,6 +234,7 @@ fn bench_gemm_par_vs_serial(entries: &mut Vec<Entry>, smoke: bool) -> Option<Par
         return None;
     }
     let mut min_par_over_serial = f64::INFINITY;
+    let mut nt_stored_over_packed_b2 = 0.0f64;
     let mut forked_speed = Vec::new();
     for (label, ta, tb, m, n, k, sets) in par_vs_serial_shapes() {
         let (m, n, k) = if smoke {
@@ -233,41 +262,71 @@ fn bench_gemm_par_vs_serial(entries: &mut Vec<Entry>, smoke: bool) -> Option<Par
         // lands in physical memory moves a store-bound shape by more than
         // the 5 % the acceptance allows.
         let c = std::cell::RefCell::new(vec![vec![0.0f32; m * n]; sets]);
+        let serial_fn = |s: usize, c: &mut [f32]| {
+            gemm_serial(ta, tb, m, n, k, 1.0, &a[s], &b[s], 0.0, c);
+        };
+        let gated_fn = |s: usize, c: &mut [f32]| gemm(ta, tb, m, n, k, 1.0, &a[s], &b[s], 0.0, c);
+        let forked_fn = |s: usize, c: &mut [f32]| {
+            let (a, b) = (&a[s], &b[s]);
+            gemm_fork_join(PAR_TABLE_THREADS, ta, tb, m, n, k, 1.0, a, b, 0.0, c);
+        };
+        // `gemm_serial` against `f`, interleaved, ms per call.
         let pair = |f: &dyn Fn(usize, &mut [f32])| {
             let run = |f: &dyn Fn(usize, &mut [f32])| {
                 let mut c = c.borrow_mut();
                 (0..reps).for_each(|r| f(r % sets, &mut c[r % sets]));
             };
-            let serial =
-                |s: usize, c: &mut [f32]| gemm_serial(ta, tb, m, n, k, 1.0, &a[s], &b[s], 0.0, c);
             let (s, o) = par::with_budget(PAR_TABLE_THREADS, || {
-                time_pair_ms(smoke, 1.5, || run(&serial), || run(f))
+                time_pair_ms(smoke, 1.5, || run(&serial_fn), || run(f))
             });
             (s / reps as f64, o / reps as f64)
         };
-        let (serial, gated) = pair(&|s, c| gemm(ta, tb, m, n, k, 1.0, &a[s], &b[s], 0.0, c));
-        let (serial_again, forked) = pair(&|s, c| {
-            gemm_fork_join(
-                PAR_TABLE_THREADS,
-                ta,
-                tb,
-                m,
-                n,
-                k,
-                1.0,
-                &a[s],
-                &b[s],
-                0.0,
-                c,
-            )
-        });
+        // The work one call counts, at the table's budget.
+        let counted = |f: &dyn Fn(usize, &mut [f32])| {
+            par::with_budget(PAR_TABLE_THREADS, || {
+                let before = kernel::counts();
+                f(0, &mut c.borrow_mut()[0]);
+                kernel::counts().since(&before)
+            })
+        };
+        let (serial, gated) = pair(&gated_fn);
+        let (serial_again, forked) = pair(&forked_fn);
         min_par_over_serial = min_par_over_serial.min(serial / gated);
         forked_speed.push((shape, serial_again / forked));
-        for (implementation, threads, ms) in [
-            ("serial", 1, serial),
-            ("gemm", PAR_TABLE_THREADS, gated),
-            ("forked", PAR_TABLE_THREADS, forked),
-        ] {
+        let mut rows = vec![
+            ("serial", 1, serial, counted(&serial_fn), None),
+            ("gemm", PAR_TABLE_THREADS, gated, counted(&gated_fn), None),
+            (
+                "forked",
+                PAR_TABLE_THREADS,
+                forked,
+                counted(&forked_fn),
+                None,
+            ),
+        ];
+        // A small-batch `Dense` forward: the weight pre-packed once into
+        // the panels a frozen replica reads, against the stored weight.
+        if label.ends_with("_fwd_nt") && m <= 8 {
+            let panels = Panels::b(tb, k, n);
+            let packed: Vec<_> = (0..sets)
+                .map(|s| {
+                    let mut p = vec![0.0f32; panels.floats()];
+                    panels.pack(&b[s], &mut p);
+                    p
+                })
+                .collect();
+            let packed_fn = |s: usize, c: &mut [f32]| {
+                let (x, w) = (Operand::Stored(&a[s]), Operand::Packed(panels, &packed[s]));
+                par::with_budget(1, || gemm_view(ta, tb, m, n, k, 1.0, x, w, 0.0, c));
+            };
+            let (stored, over_packed) = pair(&packed_fn);
+            let ratio = stored / over_packed;
+            if label.contains("_b2_") {
+                nt_stored_over_packed_b2 = nt_stored_over_packed_b2.max(ratio);
+            }
+            rows.push(("packed_w", 1, over_packed, counted(&packed_fn), Some(ratio)));
+        }
+        for (implementation, threads, ms, counts, stored_over_packed) in rows {
             entries.push(Entry {
                 bench: "gemm_par_vs_serial",
                 shape: format!("{label}/{m}x{n}x{k}"),
@@ -275,6 +334,8 @@ fn bench_gemm_par_vs_serial(entries: &mut Vec<Entry>, smoke: bool) -> Option<Par
                 threads,
                 ms,
                 flops,
+                counts,
+                stored_over_packed,
             });
         }
     }
@@ -295,6 +356,7 @@ fn bench_gemm_par_vs_serial(entries: &mut Vec<Entry>, smoke: bool) -> Option<Par
         min_par_over_serial,
         largest_losing,
         smallest_winning,
+        nt_stored_over_packed_b2,
     })
 }
 
@@ -306,28 +368,51 @@ fn main() {
     let par_table = bench_gemm_par_vs_serial(&mut entries, smoke);
 
     println!(
-        "{:<18} {:<36} {:<16} {:>7} {:>10} {:>12}",
-        "bench", "shape", "impl", "threads", "ms", "GFLOP/s"
+        "{:<18} {:<36} {:<9} {:>7} {:>10} {:>9} {:<10} {:>9} {:>9} {:>5} {:>13}",
+        "bench",
+        "shape",
+        "impl",
+        "threads",
+        "ms",
+        "GFLOP/s",
+        "nest",
+        "A packed",
+        "B packed",
+        "forks",
+        "stored/packed"
     );
     for e in &entries {
+        let c = &e.counts;
+        let ratio = e.stored_over_packed.map(|r| format!("{r:.3}"));
         println!(
-            "{:<18} {:<36} {:<16} {:>7} {:>10.4} {:>12.2}",
+            "{:<18} {:<36} {:<9} {:>7} {:>10.4} {:>9.2} {:<10} {:>9} {:>9} {:>5} {:>13}",
             e.bench,
             e.shape,
             e.implementation,
             e.threads,
             e.ms,
             e.gflops(),
+            e.nest(),
+            c.a_packed,
+            c.b_packed,
+            c.forks,
+            ratio.as_deref().unwrap_or("-"),
         );
+        let ratio = ratio.map_or_else(String::new, |r| format!(", \"stored_over_packed\": {r}"));
         report.entry(bench_row(
             e.bench,
             &e.shape,
             e.implementation,
             &format!(
-                "\"threads\": {}, \"ms\": {:.4}, \"gflops\": {:.3}",
+                "\"threads\": {}, \"ms\": {:.4}, \"gflops\": {:.3}, \"nest\": \"{}\", \
+                 \"a_packed\": {}, \"b_packed\": {}, \"forks\": {}{ratio}",
                 e.threads,
                 e.ms,
-                e.gflops()
+                e.gflops(),
+                e.nest(),
+                c.a_packed,
+                c.b_packed,
+                c.forks
             ),
         ));
     }
@@ -348,12 +433,16 @@ fn main() {
         report.set("largest_losing_fork_floats", lost.map_or(0, |s| s.floats));
         report.set("smallest_winning_fork_flops", won.map_or(0, |s| s.flops));
         report.set("smallest_winning_fork_floats", won.map_or(0, |s| s.floats));
+        report.set(
+            "nt_stored_over_packed_b2",
+            format!("{:.3}", p.nt_stored_over_packed_b2),
+        );
         // One smoke iteration says nothing about where the fork pays.
         if !smoke {
             let none = || "none".to_string();
             println!(
                 "\nfork gate: flops >= FORK_JOIN_FLOPS = {} ({:.1} MFLOP) or floats >= PAR_ELEMS = {} \
-                 ({:.1} Mi); forced fork last lost at {}, won from {} up; min gemm/serial speed = {:.3}",
+                 ({:.2} Mi); forced fork last lost at {}, won from {} up; min gemm/serial speed = {:.3}",
                 par::FORK_JOIN_FLOPS,
                 par::FORK_JOIN_FLOPS as f64 / 1e6,
                 par::PAR_ELEMS,

@@ -83,6 +83,9 @@ pub const KERNELS: Artifact = Artifact {
         full_run("largest_losing_fork_floats", AtLeast(0.0)),
         full_run("smallest_winning_fork_flops", AtLeast(0.0)),
         full_run("smallest_winning_fork_floats", AtLeast(0.0)),
+        // A batch-2 `Dense` forward against its stored weight runs within
+        // 1.25× of the same product over pre-packed panels.
+        full_run("nt_stored_over_packed_b2", AtMost(1.25)),
     ],
 };
 
@@ -500,8 +503,8 @@ mod tests {
              \"acceptance\": {{\n    \"gemm_min_par_over_serial\": 0.957,\n    \
              \"fork_join_flops\": {},\n    \"par_elems\": {},\n    \
              \"largest_losing_fork_flops\": 1,\n    \"largest_losing_fork_floats\": 1,\n    \
-             \"smallest_winning_fork_flops\": 2,\n    \"smallest_winning_fork_floats\": 2\n  \
-             }},\n  \"entries\": [\n    \
+             \"smallest_winning_fork_flops\": 2,\n    \"smallest_winning_fork_floats\": 2,\n    \
+             \"nt_stored_over_packed_b2\": 1.0\n  }},\n  \"entries\": [\n    \
              {{\"bench\": \"partitioned_easgd\", \"shape\": \"lenet_tiny/P2\", \"threads\": 2}},\n    {p8}\n  ]\n}}\n",
             par::FORK_JOIN_FLOPS,
             par::PAR_ELEMS

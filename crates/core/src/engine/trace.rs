@@ -6,10 +6,11 @@ use easgd_cluster::TimeBreakdown;
 use easgd_data::Dataset;
 use easgd_nn::Network;
 
-/// Evaluates `weights` on the test set using a fresh replica of `proto`.
-/// Off-clock: the replica is thrown away and no trainer state is touched.
+/// Evaluates `weights` on the test set using a fresh forward-only
+/// replica of `proto` (no gradient arena). Off-clock: the replica is
+/// thrown away and no trainer state is touched.
 pub fn evaluate_center(proto: &Network, weights: &[f32], test: &Dataset) -> f32 {
-    let mut net = proto.clone();
+    let mut net = proto.forward_replica();
     net.set_params(weights);
     net.evaluate(&test.as_tensor(), test.labels(), 256)
 }

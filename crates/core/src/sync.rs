@@ -394,16 +394,26 @@ pub fn sync_easgd_sim_with(
     let outs = VirtualCluster::run(&cluster, |comm: &mut Comm| {
         let me = comm.rank();
         let mut rng = additive_rng(cfg.seed, me as u64);
-        let mut center = proto.params().as_slice().to_vec();
-        let n = center.len();
         // Rank 0 is the data-feeding CPU; GPUs carry a network replica.
         let mut local = (me != 0).then(|| LocalStep::new(proto));
         let mut recorder = TraceRecorder::new(trace_every);
         let is_participant = participants.contains(&me);
-        // Per-round scratch, allocated once: the exchange step itself is
-        // zero-allocation in steady state.
-        let mut center_t = vec![0.0f32; n];
-        let mut weight_sum = vec![0.0f32; n];
+        // Each rank holds only the arena-sized arrays its role reads:
+        // the centre rank the center, the participants their reduce
+        // input, and the pipelined tree's participants W̄_t. Allocated
+        // once: the exchange step itself is zero-allocation in steady
+        // state.
+        let arena = |holds: bool| {
+            let n = if holds { proto.params().len() } else { 0 };
+            vec![0.0f32; n]
+        };
+        let mut center = if me == center_rank {
+            proto.params().as_slice().to_vec()
+        } else {
+            Vec::new()
+        };
+        let mut center_t = arena(is_participant && pipelined_segments.is_some());
+        let mut weight_sum = arena(is_participant);
         let mut payload = Vec::new();
         let mut labels: Vec<usize> = Vec::new();
         let (update_cat, update_cost) = match variant {

@@ -184,8 +184,8 @@ impl Layer for BatchNorm {
                     dbeta += gy[idx];
                 }
             }
-            grads.segment_mut(self.gamma_seg)[c] += dgamma;
-            grads.segment_mut(self.beta_seg)[c] += dbeta;
+            grads.segment_mut(self.gamma_seg)[c] = dgamma;
+            grads.segment_mut(self.beta_seg)[c] = dbeta;
             // dx = γ·inv_std/n · (n·dy − Σdy − x̂·Σ(dy·x̂))
             let scale = gamma_c * self.batch_inv_std[c] / n;
             for s in 0..b {

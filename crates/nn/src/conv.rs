@@ -294,10 +294,10 @@ impl Conv2d {
     ///   product is a product of a band — a GEMM output's chain depends on
     ///   `k` alone. `a·b` commutes inside every FMA, so element `(oc, r)`
     ///   sees the very chain the untransposed per-sample GEMMs gave it.
-    ///   The panel starts as the incoming gradient and is stored back
-    ///   after the join.
-    /// * `gradB` likewise: the job owns a band of output channels and
-    ///   adds their plane sums sample by sample (`add_plane_sums`).
+    ///   The panel starts at +0.0 and is stored into the gradient after
+    ///   the join.
+    /// * `gradB` likewise: the job owns a band of output channels, zeroes
+    ///   it and adds their plane sums sample by sample (`add_plane_sums`).
     ///
     /// Without a `grad_in` (the params-only backward of a network's first
     /// parametrised layer) no job has a sample run, and the `Wᵀ·gy`
@@ -347,7 +347,7 @@ impl Conv2d {
         };
         scratch.ensure_f32(&mut self.grad_w_t, rows * oc);
         let (gw, gb) = grads.segment_pair_mut(self.w_seg, self.b_seg);
-        let (seed, padded) = (&*gw, &self.padded);
+        let padded = &self.padded;
         let sample_runs = gxs
             .chunks_mut(per * in_len)
             .zip(self.grad_col.chunks_mut(rows * cols))
@@ -376,20 +376,18 @@ impl Conv2d {
                         col2im(&geom, grad_col, gx);
                     }
                 }
-                // gradB[o] += Σ gy_s[o, :], s in order.
+                // gradB[o] = Σ gy_s[o, :], s in order, from +0.0.
                 if let Some((i, gb)) = gb_band {
+                    gb.fill(0.0);
                     for gy in gys.chunks(out_len) {
                         let planes = &gy[i * oc_band * cols..][..gb.len() * cols];
                         add_plane_sums(planes, cols, gb);
                     }
                 }
-                // gradWᵀ[rows, oc] += col_s[rows, cols] · gy_sᵀ[cols, oc], s in order.
+                // gradWᵀ[rows, oc] = Σ_s col_s[rows, cols] · gy_sᵀ[cols, oc],
+                // s in order, from +0.0.
                 if let Some((i, panel)) = gw_band {
-                    for (r, row) in panel.chunks_mut(oc).enumerate() {
-                        for (o, v) in row.iter_mut().enumerate() {
-                            *v = seed[o * rows + i * band + r];
-                        }
-                    }
+                    panel.fill(0.0);
                     let (no, yes, mc0) = (Transpose::No, Transpose::Yes, panel.len() / oc);
                     for (padded, gy) in padded.chunks(padded_len).zip(gys.chunks(out_len)) {
                         let col = Lowered::new(&geom, padded).rows_from(i * band);
@@ -516,7 +514,8 @@ mod tests {
     /// The serial per-sample loop the layer must reproduce bit for bit,
     /// spelled out over a materialised `im2col` matrix so that it shares
     /// no code with the layer: `(y, grad_in)`, with `gradW`/`gradB`
-    /// accumulated into `grads`.
+    /// accumulated into `grads` (zeroed by the caller, so that they are
+    /// the step's gradients).
     fn per_sample_reference(
         l: &Conv2d,
         params: &ParamArena,
@@ -610,16 +609,20 @@ mod tests {
             };
             let mut l = Conv2d::new("c", geom, oc);
             let (params, mut grads0) = build_arenas(&mut l, 40 + case as u64);
-            // A nonzero incoming gradient: the split must continue its
-            // chain, not start a fresh one and add.
-            easgd_tensor::Rng::new(50).fill_normal(grads0.as_mut_slice(), 0.0, 1.0);
+            // A poisoned incoming gradient: backward stores the step's
+            // gradient, so it must not read one element of the arena —
+            // a NaN that leaks reaches every bit it touches. The
+            // reference accumulates onto zeros.
+            grads0.as_mut_slice().fill(f32::NAN);
+            let mut zeroed = grads0.clone();
+            zeroed.zero();
             for b in [1usize, 2, 3, 8] {
                 let mut rng = easgd_tensor::Rng::new(60 + b as u64);
                 let mut x = Tensor::zeros([b, c, h, w]);
                 rng.fill_normal(x.as_mut_slice(), 0.0, 1.0);
                 let mut gy = Tensor::zeros([b, oc, geom.out_h(), geom.out_w()]);
                 rng.fill_normal(gy.as_mut_slice(), 0.0, 1.0);
-                let mut want_grads = grads0.clone();
+                let mut want_grads = zeroed.clone();
                 let (want_y, want_gx) = per_sample_reference(&l, &params, &mut want_grads, &x, &gy);
                 for threads in [1usize, 2, 3, 5] {
                     let mut grads = grads0.clone();
@@ -648,6 +651,41 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn a_conv_step_counts_the_same_gemm_flops_at_every_budget() {
+        // The batch fan-out runs the per-sample GEMMs on spawned
+        // threads; their counts come back to the caller. The `gradW`
+        // bands follow the budget, so the calls do too, but every nest's
+        // flops are the same at any budget.
+        use easgd_tensor::gemm::{counts, Counts};
+        let flops = |c: Counts| {
+            let nests = [c.standard, c.skinny, c.stream, c.transposed_stream];
+            nests.map(|n| n.flops)
+        };
+        let mut l = Conv2d::new("c", small_geom(), 4);
+        let (params, mut grads) = build_arenas(&mut l, 9);
+        let mut x = Tensor::zeros([3, 2, 5, 5]);
+        easgd_tensor::Rng::new(10).fill_normal(x.as_mut_slice(), 0.0, 1.0);
+        let mut step = |threads: usize| {
+            let before = counts();
+            ungated(threads, || {
+                let y = l.forward(&params, &x, true);
+                l.backward(&params, &mut grads, &y);
+            });
+            counts().since(&before)
+        };
+        let serial = flops(step(1));
+        assert!(serial.iter().sum::<u64>() > 0);
+        for threads in [2, 3] {
+            let spawned = par::threads_spawned();
+            assert_eq!(flops(step(threads)), serial, "threads={threads}");
+            assert!(
+                par::threads_spawned() > spawned,
+                "threads={threads} forked nothing"
+            );
         }
     }
 
@@ -711,6 +749,7 @@ mod tests {
             let mut gy = Tensor::zeros([b, oc, geom.out_h(), geom.out_w()]);
             rng.fill_normal(gy.as_mut_slice(), 0.0, 1.0);
             let mut want_grads = grads.clone();
+            want_grads.zero();
             let (want_y, want_gx) = per_sample_reference(&l, &params, &mut want_grads, &x, &gy);
             let (y, gx) = ungated(threads, || {
                 let y = l.forward(&params, &x, true);

@@ -170,7 +170,8 @@ impl Layer for Dense {
             "grad_out shape mismatch"
         );
 
-        // gradW[out,in] += Σ_b gradY[b,out]·X[b,in] = gradYᵀ · X
+        // gradW[out,in] = Σ_b gradY[b,out]·X[b,in] = gradYᵀ · X, stored
+        // (β = 0 never reads the segment).
         gemm(
             Transpose::Yes,
             Transpose::No,
@@ -180,11 +181,12 @@ impl Layer for Dense {
             1.0,
             grad_out.as_slice(),
             input.as_slice(),
-            1.0,
+            0.0,
             grads.segment_mut(self.w_seg),
         );
-        // gradB[j] += Σ_b gradY[b,j]
+        // gradB[j] = Σ_b gradY[b,j], folded onto +0.0
         let gb = grads.segment_mut(self.b_seg);
+        gb.fill(0.0);
         for row in grad_out.as_slice().chunks(self.out_features) {
             easgd_tensor::ops::fold_sum(gb, &[row]);
         }

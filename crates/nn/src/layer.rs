@@ -64,8 +64,9 @@ pub struct ParamSpec {
 ///   cache through the scratch's `ensure_*` helpers, so a warmed-up step
 ///   performs zero heap allocations (DESIGN.md §11).
 /// * [`backward_into`](Layer::backward_into) consumes `∂L/∂output`,
-///   **accumulates** `∂L/∂params` into `grads` (callers zero the arena
-///   per step), and writes `∂L/∂input` into `grad_in`.
+///   **stores** `∂L/∂params` into the layer's own `grads` segments —
+///   every element written, nothing read, so the arena needs no zeroing
+///   between steps — and writes `∂L/∂input` into `grad_in`.
 /// * [`forward`](Layer::forward) / [`backward`](Layer::backward) are
 ///   allocating shims over the `_into` kernels, provided for the
 ///   grad-checker and layer unit tests. A layer implements only the
@@ -100,8 +101,8 @@ pub trait Layer: Send + Sync {
         out
     }
 
-    /// Backward propagation: accumulates parameter gradients into `grads`
-    /// and returns the gradient with respect to the layer input.
+    /// Backward propagation: stores parameter gradients into `grads` and
+    /// returns the gradient with respect to the layer input.
     ///
     /// Allocating shim over [`backward_into`](Layer::backward_into); see
     /// [`forward`](Layer::forward).

@@ -292,13 +292,20 @@ pub struct Network {
 
 impl Clone for Network {
     fn clone(&self) -> Self {
+        // A replica's first step stores its gradients: the layout (empty
+        // on a stripped replica) is all it needs.
+        self.replica(ParamArena::like(&self.grads))
+    }
+}
+
+impl Network {
+    /// A copy of the layers and parameters over `grads`.
+    fn replica(&self, grads: ParamArena) -> Self {
         Self {
             layers: self.layers.clone(),
             first_param: self.first_param,
             params: self.params.clone(),
-            // A replica's first step zeroes and refills its gradients:
-            // the layout (empty on a stripped replica) is all it needs.
-            grads: ParamArena::like(&self.grads),
+            grads,
             loss: SoftmaxCrossEntropy,
             input_shape: self.input_shape.clone(),
             num_classes: self.num_classes,
@@ -308,9 +315,15 @@ impl Clone for Network {
             frozen: self.frozen,
         }
     }
-}
 
-impl Network {
+    /// A replica for forward passes only, such as an evaluation's: the
+    /// layers and parameters without a gradient arena, so
+    /// [`forward_backward`](Self::forward_backward) panics on it as on a
+    /// frozen network.
+    pub fn forward_replica(&self) -> Self {
+        self.replica(ParamArena::flat(0))
+    }
+
     /// Per-sample input shape.
     pub fn input_shape(&self) -> &[usize] {
         &self.input_shape
@@ -383,8 +396,9 @@ impl Network {
         cur
     }
 
-    /// One full training evaluation: forward, loss, backward. Gradients
-    /// are zeroed first, then accumulated into [`grads`](Self::grads).
+    /// One full training evaluation: forward, loss, backward. Every
+    /// parametrised layer stores its gradients into
+    /// [`grads`](Self::grads), so nothing zeroes the arena first.
     /// Backward ends at the first layer that has parameters, which runs
     /// its [`Layer::backward_params_into`]: no `∂L/∂input` is computed
     /// that no parameter gradient depends on.
@@ -427,7 +441,6 @@ impl Network {
         self.loss
             .backward_into(&probs, labels, &mut ping, &mut self.scratch);
 
-        self.grads.zero();
         // The first parametrised layer's input gradient, and everything
         // below it, would feed nothing.
         if let Some((first, later)) = self.layers[self.first_param..].split_first_mut() {
@@ -709,6 +722,72 @@ mod tests {
         assert_eq!(stats.batch, 4);
         let g = net.grads().as_slice();
         assert!(g.iter().any(|&v| v != 0.0), "gradients all zero");
+    }
+
+    #[test]
+    fn every_layer_stores_its_gradients_whatever_the_arena_held() {
+        // Backward stores each parametrised layer's segments, so a step
+        // from a NaN-filled arena gives the bits of a step from zeros: a
+        // NaN that any layer reads reaches every bit it touches.
+        use crate::models::{googlenet_tiny, mlp};
+        let conv = || NetworkBuilder::new([2, 6, 6]).conv2d(3, 3, 1, 1).relu();
+        let nets = [
+            ("dense", mlp(12, &[9], 4, 1)),
+            ("conv", conv().flatten().dense(4).build(2)),
+            ("batchnorm", conv().batchnorm().flatten().dense(4).build(3)),
+            ("inception", googlenet_tiny(4)),
+        ];
+        for (name, net) in nets {
+            let mut dims = vec![3];
+            dims.extend_from_slice(net.input_shape());
+            let mut x = Tensor::zeros(dims);
+            Rng::new(5).fill_normal(x.as_mut_slice(), 0.0, 1.0);
+            let labels: Vec<usize> = (0..3).map(|i| i % net.num_classes()).collect();
+            let step = |fill: f32| {
+                let mut net = net.clone();
+                net.grads.as_mut_slice().fill(fill);
+                net.forward_backward(&x, &labels);
+                let g = net.grads.as_slice();
+                g.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+            };
+            assert_eq!(step(f32::NAN), step(0.0), "{name}");
+        }
+    }
+
+    #[test]
+    fn a_small_batch_step_packs_no_weight_in_its_forward() {
+        // The MLP workload's step at batch 2: every forward `x·Wᵀ` runs
+        // the transposed stream nest against the stored weight. The
+        // counts repeat exactly, and but for forks at every budget.
+        use easgd_tensor::gemm::{counts, Counts};
+        use easgd_tensor::par;
+        let mut net = crate::models::mlp(784, &[1024, 1024], 10, 7);
+        let mut x = Tensor::zeros([2, 784]);
+        Rng::new(8).fill_normal(x.as_mut_slice(), 0.0, 1.0);
+        let labels = [3, 8];
+        net.forward_backward(&x, &labels);
+        let mut step = |budget: usize| {
+            par::with_budget(budget, || {
+                let before = counts();
+                net.forward(&x, true);
+                let forward = counts().since(&before);
+                net.forward_backward(&x, &labels);
+                (forward, counts().since(&before))
+            })
+        };
+        let (forward, serial) = step(1);
+        assert_eq!((forward.a_packed, forward.b_packed), (0, 0));
+        assert_eq!(forward.transposed_stream.calls, 3);
+        assert_eq!(
+            forward.transposed_stream.flops,
+            4 * (784 + 1024 + 10) * 1024
+        );
+        assert_eq!(serial.forks, 0);
+        for budget in 1..=3 {
+            let (first, again) = (step(budget).1, step(budget).1);
+            assert_eq!(first, again, "budget {budget}: runs differ");
+            assert_eq!(Counts { forks: 0, ..first }, serial, "budget {budget}");
+        }
     }
 
     #[test]

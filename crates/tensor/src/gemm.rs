@@ -17,7 +17,7 @@
 //! whether an operand is stored, lowered or packed: a band of a product
 //! is a product of a band.
 //!
-//! * **blocked serial** — one of three loop nests over an output window,
+//! * **blocked serial** — one of four loop nests over an output window,
 //!   every one of them giving each element that chain:
 //!   - *standard* — the cache-blocked packed kernel: A- and B-panels are
 //!     packed once per `MC×KC` / `KC×NC` block into contiguous,
@@ -53,6 +53,15 @@
 //!     B's rows stream through once, in memory order, into per-`KC`-block
 //!     partial rows (`simd::fma_rows`), which land in C as the skinny
 //!     nest's tiles do.
+//!   - *transposed stream* — at most `MR` rows of a stored A against a
+//!     stored B read transposed (every training `Dense` forward, `x·Wᵀ`)
+//!     packs nothing either: B's rows stream in once, `simd::TW` at a
+//!     time and each in memory order, and `simd::dot_tile` transposes
+//!     16×16 (AVX-512) or 8×8 (AVX2) blocks in registers straight into
+//!     the live accumulator rows, which land in C the same way.
+//!
+//!   Each call is counted once, on the calling thread, by the nest the
+//!   serial run takes ([`counts`]): calls, flops, floats packed, forks.
 //! * **blocked fork-join** — at or above [`par::FORK_JOIN_FLOPS`] flops
 //!   or [`par::PAR_ELEMS`] streamed floats (`max(m·k, k·n, m·n)`: the
 //!   weight of a small-batch `Dense` layer is one DRAM-bound pass), when
@@ -72,7 +81,7 @@
 
 use crate::im2col::Lowered;
 use crate::par;
-use crate::simd::{self, MR, NR};
+use crate::simd::{self, MR, NR, TW};
 
 /// Whether an operand is used as stored or transposed.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -277,6 +286,9 @@ enum Nest {
     Skinny,
     /// [`stream_accumulate`]: no packs; B's rows stream into partial rows.
     Stream,
+    /// [`transposed_stream_accumulate`]: no packs; a transposed B's rows
+    /// stream through register transposes into the accumulator rows.
+    TransposedStream,
 }
 
 /// The nest a `mc0`-row output window with inner dimension `k` runs.
@@ -286,19 +298,26 @@ enum Nest {
 ///   and untransposed (the `Dense` input gradient `gy·W`): each row of B
 ///   is read once, contiguously, and packing it would cost more than
 ///   the flops it feeds.
+/// * **transposed stream** — the same short window of a stored,
+///   untransposed A against a stored B read transposed (every training
+///   `Dense` forward, `x·Wᵀ`): B's rows are read once, contiguously, and
+///   transposed in registers instead of through a pack.
 /// * **skinny** — `mc0 ≤ SKINNY_M` otherwise, with `k > KC`: skinny
 ///   outputs lose most of their time in the standard nest re-reading and
 ///   re-writing C once per `KC` block (`k/KC` sweeps of a tile that
 ///   never leaves a handful of registers in the skinny nest); at
 ///   `k ≤ KC` there is only one pass, so the nests are identical work.
 /// * **standard** — everything else.
-fn nest_for(mc0: usize, k: usize, tb: Transpose, a: Operand, b: Operand) -> Nest {
+fn nest_for(mc0: usize, k: usize, ta: Transpose, tb: Transpose, a: Operand, b: Operand) -> Nest {
     let force = overrides();
     let stored = matches!((a, b), (Operand::Stored(_), Operand::Stored(_)));
+    let short = mc0 <= MR && stored && !force.staged;
     if force.standard_nest {
         Nest::Standard
-    } else if mc0 <= MR && tb == Transpose::No && stored && !force.staged {
+    } else if short && tb == Transpose::No {
         Nest::Stream
+    } else if short && ta == Transpose::No {
+        Nest::TransposedStream
     } else if mc0 <= SKINNY_M && k > KC {
         Nest::Skinny
     } else {
@@ -313,8 +332,8 @@ fn nest_for(mc0: usize, k: usize, tb: Transpose, a: Operand, b: Operand) -> Nest
 struct Overrides {
     /// Every window runs the standard nest.
     standard_nest: bool,
-    /// The stream nest is skipped: a short window runs the nest it would
-    /// without it (skinny past `KC`, standard otherwise).
+    /// Both stream nests are skipped: a short window runs the nest it
+    /// would without them (skinny past `KC`, standard otherwise).
     staged: bool,
     /// The standard nest visits column tiles outer whatever the B block.
     column_order: bool,
@@ -703,16 +722,16 @@ fn blocked_accumulate(
     // a warmed-up training step touches the allocator zero times. The
     // panels are fully overwritten by `pack_a`/`pack_b` (short tiles are
     // zero-padded explicitly), so dirty reuse is safe.
-    let nest = nest_for(mc0, k, tb, a, b);
+    let nest = nest_for(mc0, k, ta, tb, a, b);
     PACK_SCRATCH.with(|cell| {
         let (ap, bp) = &mut cell.borrow_mut().0;
         // The skinny nest packs *all* of op(A)'s K extent up front (the
         // whole row block is at most SKINNY_M·k floats — e.g. 512 KiB for
         // the 32×4096×4096 fc layer); the standard nest packs one MC×KC
-        // block at a time; the stream nest packs nothing. A packed
+        // block at a time; the stream nests pack nothing. A packed
         // operand packs nothing either.
         let ap_len = match (nest, a) {
-            (Nest::Stream, _) | (_, Operand::Packed(..)) => 0,
+            (Nest::Stream | Nest::TransposedStream, _) | (_, Operand::Packed(..)) => 0,
             (Nest::Skinny, _) => mc0.div_ceil(MR) * MR * k,
             (Nest::Standard, _) => MC * KC,
         };
@@ -722,11 +741,12 @@ fn blocked_accumulate(
         let bp_cols = NC.min(nc0.next_multiple_of(NR));
         // The skinny nest's staged strips carry a `STRIP_SKEW` pad each,
         // so its panel needs slightly more than `KC·panel_cols` floats;
-        // the stream nest's partial rows take one column block.
+        // the stream nest's partial rows take one column block, and the
+        // transposed stream nest's accumulators live in registers.
         let skinny_tiles = nc0.div_ceil(NR).min(SKINNY_NC / NR);
         let bp_len = match (nest, b) {
             (Nest::Stream, _) => STREAM_PART_FLOATS,
-            (_, Operand::Packed(..)) => 0,
+            (Nest::TransposedStream, _) | (_, Operand::Packed(..)) => 0,
             _ => (KC * bp_cols).max(skinny_tiles * (KC * NR + STRIP_SKEW)),
         };
         if bp.len() < bp_len {
@@ -736,6 +756,10 @@ fn blocked_accumulate(
         match (nest, a, b) {
             (Nest::Stream, Operand::Stored(a), Operand::Stored(b)) => {
                 stream_accumulate(ta, m, n, k, i0, mc0, j0, nc0, alpha, a, b, beta, c, ldc, bp)
+            }
+            (Nest::TransposedStream, Operand::Stored(a), Operand::Stored(b)) => {
+                let a = &a[i0 * k..];
+                transposed_stream_accumulate(k, mc0, j0, nc0, alpha, a, b, beta, c, ldc)
             }
             (Nest::Skinny, ..) => skinny_accumulate(
                 ta, tb, m, n, k, i0, mc0, j0, nc0, alpha, a, b, beta, c, ldc, ap, bp,
@@ -1076,18 +1100,86 @@ fn stream_accumulate(
                 }
             }
             for (i, t) in part.chunks_exact(w).enumerate() {
-                let crow = &mut c[i * ldc + jb..][..w];
-                if pc > 0 {
-                    crow.iter_mut()
-                        .zip(t)
-                        .for_each(|(cv, tv)| *cv += alpha * tv);
-                } else if beta == 0.0 {
-                    crow.iter_mut().zip(t).for_each(|(cv, tv)| *cv = alpha * tv);
-                } else {
-                    crow.iter_mut()
-                        .zip(t)
-                        .for_each(|(cv, tv)| *cv = alpha * tv + beta * *cv);
-                }
+                land(&mut c[i * ldc + jb..][..w], t, alpha, beta, pc == 0);
+            }
+        }
+    }
+}
+
+/// Lands `KC` block partials `t` in a run of C the way every nest lands
+/// its tiles: `α·t₀ + β·C` on the first block (`α·t₀` at `β = 0`, C
+/// unread), `+ α·t_p` after.
+fn land(crow: &mut [f32], t: &[f32], alpha: f32, beta: f32, first: bool) {
+    let pairs = crow.iter_mut().zip(t);
+    if !first {
+        pairs.for_each(|(cv, tv)| *cv += alpha * tv);
+    } else if beta == 0.0 {
+        pairs.for_each(|(cv, tv)| *cv = alpha * tv);
+    } else {
+        pairs.for_each(|(cv, tv)| *cv = alpha * tv + beta * *cv);
+    }
+}
+
+/// The transposed stream nest: `C[.., j0..] ← α·A·Bᵀ + β·C` for a
+/// window of `mc0 ≤ MR` rows of a stored, untransposed A (`a` starts at
+/// the window's first row) against a B stored `n×k` and read
+/// transposed, with neither operand packed — every training `Dense`
+/// forward, `x·Wᵀ`.
+///
+/// B's rows stream in `TW` at a time, each once and in memory order
+/// through every `KC` block: per block, [`simd::dot_tile`] transposes
+/// them in registers and folds them into the live accumulator rows,
+/// chains seeded at +0.0 and run in ascending `p` — the microkernel's
+/// chain for tile `t_p`. The block then lands in C as the other nests'
+/// tiles do ([`land`]), so every element gets the standard nest's
+/// operation sequence, bit for bit.
+#[allow(clippy::too_many_arguments)]
+fn transposed_stream_accumulate(
+    k: usize,
+    mc0: usize,
+    j0: usize,
+    nc0: usize,
+    alpha: f32,
+    a: &[f32],
+    b: &[f32],
+    beta: f32,
+    c: &mut [f32],
+    ldc: usize,
+) {
+    let w = (k, j0, nc0, alpha, a, b, beta);
+    match mc0 {
+        1 => transposed_stream::<1>(w, c, ldc),
+        2 => transposed_stream::<2>(w, c, ldc),
+        3 => transposed_stream::<3>(w, c, ldc),
+        4 => transposed_stream::<4>(w, c, ldc),
+        5 => transposed_stream::<5>(w, c, ldc),
+        6 => transposed_stream::<6>(w, c, ldc),
+        7 => transposed_stream::<7>(w, c, ldc),
+        _ => transposed_stream::<MR>(w, c, ldc),
+    }
+}
+
+/// [`transposed_stream_accumulate`] at `R` rows.
+fn transposed_stream<const R: usize>(
+    (k, j0, nc0, alpha, a, b, beta): (usize, usize, usize, f32, &[f32], &[f32], f32),
+    c: &mut [f32],
+    ldc: usize,
+) {
+    for jt in (0..nc0).step_by(TW) {
+        let cols = TW.min(nc0 - jt);
+        let b = &b[(j0 + jt) * k..];
+        for pc in (0..k).step_by(KC) {
+            let kcb = KC.min(k - pc);
+            let rows = std::array::from_fn(|i| &a[i * k + pc..][..kcb]);
+            let t = simd::dot_tile::<R>(rows, &b[pc..], k, cols, kcb);
+            for (i, t) in t.iter().enumerate() {
+                land(
+                    &mut c[i * ldc + jt..][..cols],
+                    &t[..cols],
+                    alpha,
+                    beta,
+                    pc == 0,
+                );
             }
         }
     }
@@ -1182,6 +1274,7 @@ fn blocked_dispatch(
     c: &mut [f32],
 ) {
     let threads = par::fork_threads(gemm_flops(m, n, k), gemm_floats(m, n, k));
+    count(ta, tb, m, n, k, a, b, threads);
     if threads > 1 {
         fork_join_bands(threads, ta, tb, m, n, k, alpha, a, b, beta, c);
     } else {
@@ -1246,6 +1339,7 @@ pub fn gemm_fork_join(
         apply_beta(c, beta);
         return;
     }
+    count(ta, tb, m, n, k, a, b, threads);
     fork_join_bands(threads, ta, tb, m, n, k, alpha, a, b, beta, c);
 }
 
@@ -1319,6 +1413,135 @@ fn fork_join_bands(
             }
         }
     });
+}
+
+// ---------------------------------------------------------------------------
+// Counted work.
+// ---------------------------------------------------------------------------
+
+/// Calls one nest ran and the flops they did.
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+pub struct NestCounts {
+    /// Products routed to the nest.
+    pub calls: u64,
+    /// Their flops, `2·m·n·k` each.
+    pub flops: u64,
+}
+
+/// The work this thread's GEMM calls did: counted once per call, from
+/// the call's shape, operands and nest — never per element — so the
+/// counts repeat exactly from run to run. A call counts as the serial
+/// nest over its whole output would run it, whatever its bands do, so
+/// the same calls count the same at every thread budget but for
+/// `forks`; and [`par::fan_out`] hands its jobs' counts back to the
+/// caller, so work done on spawned threads is not lost (a caller that
+/// cuts its own work by the budget, as the conv's `gradW` bands do,
+/// makes other calls, with the same flops).
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+pub struct Counts {
+    /// The standard nest.
+    pub standard: NestCounts,
+    /// The skinny nest.
+    pub skinny: NestCounts,
+    /// The stream nest (`gy·W`).
+    pub stream: NestCounts,
+    /// The transposed stream nest (`x·Wᵀ`).
+    pub transposed_stream: NestCounts,
+    /// Floats of `op(A)` the nests write into pack buffers, padding
+    /// included (a packed or streamed A writes none).
+    pub a_packed: u64,
+    /// Floats of `op(B)` likewise.
+    pub b_packed: u64,
+    /// Calls that forked over more than one thread.
+    pub forks: u64,
+}
+
+impl Counts {
+    /// `f` over every pair of fields.
+    fn zip(self, o: Self, f: impl Fn(u64, u64) -> u64) -> Self {
+        let nest = |x: NestCounts, y: NestCounts| NestCounts {
+            calls: f(x.calls, y.calls),
+            flops: f(x.flops, y.flops),
+        };
+        Self {
+            standard: nest(self.standard, o.standard),
+            skinny: nest(self.skinny, o.skinny),
+            stream: nest(self.stream, o.stream),
+            transposed_stream: nest(self.transposed_stream, o.transposed_stream),
+            a_packed: f(self.a_packed, o.a_packed),
+            b_packed: f(self.b_packed, o.b_packed),
+            forks: f(self.forks, o.forks),
+        }
+    }
+
+    /// The work done between `earlier` (a [`counts`] reading) and `self`.
+    pub fn since(&self, earlier: &Self) -> Self {
+        self.zip(*earlier, u64::wrapping_sub)
+    }
+}
+
+thread_local! {
+    /// This thread's [`Counts`].
+    static COUNTS: std::cell::Cell<Counts> = std::cell::Cell::new(Counts::default());
+}
+
+/// The work this thread's GEMM calls have done so far.
+pub fn counts() -> Counts {
+    COUNTS.with(std::cell::Cell::get)
+}
+
+/// Adds `more` to this thread's counts: a joined job's work
+/// ([`par::fan_out`]).
+pub(crate) fn absorb_counts(more: Counts) {
+    COUNTS.with(|c| c.set(c.get().zip(more, u64::wrapping_add)));
+}
+
+/// Counts one call that forks over `threads` (1: serial).
+#[allow(clippy::too_many_arguments)]
+fn count(
+    ta: Transpose,
+    tb: Transpose,
+    m: usize,
+    n: usize,
+    k: usize,
+    a: Operand,
+    b: Operand,
+    threads: usize,
+) {
+    let nest = nest_for(m, k, ta, tb, a, b);
+    // Σ over `block`-long blocks of `len` of each block padded to `tile`.
+    let padded = |len: usize, block: usize, tile: usize| {
+        (len / block * block + (len % block).next_multiple_of(tile)) as u64
+    };
+    // Floats per `k` step the nest packs of each operand.
+    let (a_lanes, b_lanes) = match nest {
+        Nest::Stream | Nest::TransposedStream => (0, 0),
+        Nest::Skinny => (m.next_multiple_of(MR) as u64, padded(n, SKINNY_NC, NR)),
+        Nest::Standard => (
+            (n.div_ceil(NC) as u64) * padded(m, MC, MR),
+            padded(n, NC, NR),
+        ),
+    };
+    let packs = |x: Operand, lanes: u64| match x {
+        Operand::Packed(..) => 0,
+        _ => lanes * k as u64,
+    };
+    let mut one = Counts {
+        a_packed: packs(a, a_lanes),
+        b_packed: packs(b, b_lanes),
+        forks: u64::from(threads > 1),
+        ..Counts::default()
+    };
+    *match nest {
+        Nest::Standard => &mut one.standard,
+        Nest::Skinny => &mut one.skinny,
+        Nest::Stream => &mut one.stream,
+        Nest::TransposedStream => &mut one.transposed_stream,
+    } = NestCounts {
+        calls: 1,
+        flops: gemm_flops(m, n, k),
+    };
+    absorb_counts(one);
 }
 
 // ---------------------------------------------------------------------------
@@ -1753,6 +1976,132 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn transposed_stream_nest_is_bit_identical_to_the_skinny_and_standard_nests() {
+        // Every short row count against a stored-transposed B, with k and
+        // n ragged around the 16-lane transpose, one KC block and a
+        // Dense layer's widths: the transposed stream nest at budgets
+        // 1–3 and forked into forced bands, against the nest the window
+        // ran before it (skinny past KC, standard at or below) and
+        // against the standard nest.
+        let (no, yes) = (Transpose::No, Transpose::Yes);
+        let force = |staged, standard_nest| Overrides {
+            staged,
+            standard_nest,
+            ..Overrides::default()
+        };
+        for m in 1..=MR {
+            for k in [1, 15, 16, 17, 255, 256, 257, 500, 784, 1024] {
+                for n in [1, 10, 15, 16, 17, 31, 33, 1024] {
+                    let a = rand_vec(m * k, (3 * m + k) as u64);
+                    let b = rand_vec(n * k, (5 * k + n) as u64);
+                    let c0 = rand_vec(m * n, (7 * m * n + k) as u64);
+                    for (alpha, beta) in [1.0f32, -0.75]
+                        .into_iter()
+                        .flat_map(|alpha| [0.0f32, 0.5, 1.0].map(|beta| (alpha, beta)))
+                    {
+                        let what = format!("m={m} k={k} n={n} α={alpha} β={beta}");
+                        let run = |f: &dyn Fn(&mut [f32])| {
+                            let mut c = c0.clone();
+                            f(&mut c);
+                            bits(&c)
+                        };
+                        let nest = |o: Overrides| {
+                            run(&|c| {
+                                with_overrides(o, || {
+                                    gemm_serial(no, yes, m, n, k, alpha, &a, &b, beta, c)
+                                })
+                            })
+                        };
+                        let want = nest(force(true, false));
+                        assert_eq!(want, nest(force(false, true)), "staged vs standard: {what}");
+                        assert_eq!(want, nest(Overrides::default()), "transposed: {what}");
+                        for budget in 2..=3 {
+                            let got = run(&|c| {
+                                par::with_budget(budget, || {
+                                    gemm(no, yes, m, n, k, alpha, &a, &b, beta, c)
+                                })
+                            });
+                            assert_eq!(want, got, "budget {budget}: {what}");
+                            let forked = run(&|c| {
+                                gemm_fork_join(budget, no, yes, m, n, k, alpha, &a, &b, beta, c)
+                            });
+                            assert_eq!(want, forked, "{budget} forced bands: {what}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn counts_follow_the_nest_and_not_the_budget() {
+        let (no, yes) = (Transpose::No, Transpose::Yes);
+        // (ta, tb, m, n, k): a Dense forward, input gradient and weight
+        // gradient at batch 2, a skinny product and a cube.
+        let shapes = [
+            (no, yes, 2, 1024, 1024),
+            (no, no, 2, 1024, 1024),
+            (yes, no, 1024, 784, 2),
+            (no, no, 32, 300, 2 * KC + 5),
+            (no, no, 300, 300, 300),
+        ];
+        let run = |budget: usize| {
+            let before = counts();
+            for (ta, tb, m, n, k) in shapes {
+                let (a, b) = (rand_vec(m * k, 1), rand_vec(k * n, 2));
+                let mut c = vec![0.0; m * n];
+                par::with_budget(budget, || gemm(ta, tb, m, n, k, 1.0, &a, &b, 0.0, &mut c));
+            }
+            counts().since(&before)
+        };
+        let serial = run(1);
+        let flops = |m: usize, n: usize, k: usize| 2 * (m * n * k) as u64;
+        let one = |m, n, k| NestCounts {
+            calls: 1,
+            flops: flops(m, n, k),
+        };
+        assert_eq!(serial.transposed_stream, one(2, 1024, 1024));
+        assert_eq!(serial.stream, one(2, 1024, 1024));
+        assert_eq!(serial.skinny, one(32, 300, 2 * KC + 5));
+        let standard = flops(1024, 784, 2) + flops(300, 300, 300);
+        assert_eq!(
+            serial.standard,
+            NestCounts {
+                calls: 2,
+                flops: standard
+            }
+        );
+        // Standard: every jc block packs its A rows, B once; skinny packs
+        // A once and B per panel — each padded to whole tiles.
+        let a_packed = (1024 * 2 + 32 * (2 * KC + 5) + 304 * 300) as u64;
+        let b_packed = (800 * 2 + (2 * KC + 5) * (224 + 96) + 300 * 320) as u64;
+        assert_eq!(
+            (serial.a_packed, serial.b_packed, serial.forks),
+            (a_packed, b_packed, 0)
+        );
+        for budget in 2..=3 {
+            let forked = run(budget);
+            assert!(forked.forks > 0, "budget {budget} forked nothing");
+            assert_eq!(Counts { forks: 0, ..forked }, serial, "budget {budget}");
+        }
+        // A packed B is read in place: nothing of it is packed.
+        let (k, n) = (300, 40);
+        let panels = Panels::b(no, k, n);
+        let (a, b) = (rand_vec(64 * k, 3), rand_vec(k * n, 4));
+        let mut packed = vec![0.0; panels.floats()];
+        panels.pack(&b, &mut packed);
+        let mut c = vec![0.0; 64 * n];
+        let before = counts();
+        let (a, b) = (Operand::Stored(&a), Operand::Packed(panels, &packed));
+        gemm_view(no, no, 64, n, k, 1.0, a, b, 0.0, &mut c);
+        let got = counts().since(&before);
+        assert_eq!(
+            (got.skinny.calls, got.a_packed, got.b_packed),
+            (1, 64 * k as u64, 0)
+        );
     }
 
     proptest::proptest! {
@@ -2238,7 +2587,7 @@ mod tests {
     #[test]
     fn a_skinny_gemm_forks_on_the_floats_it_streams() {
         // 2×1024×1024 — a small-batch `Dense` forward — is 4.2 MFLOP, far
-        // under the flop gate, but streams a 1 Mi-float weight: it forks
+        // under the flop gate, but streams a 4 MiB weight: it forks
         // once under a two-thread budget (one column band per thread, the
         // caller running the first), never under one, and keeps the bits
         // of the serial nest either way.
@@ -2257,7 +2606,7 @@ mod tests {
             assert_eq!(par::threads_spawned() - before, forks, "budget {threads}");
             assert_eq!(bits(&reference), bits(&c), "budget {threads}");
         }
-        // Under both gates: 2×512×512 streams a quarter of PAR_ELEMS.
+        // Under both gates: 2×512×512 streams a third of PAR_ELEMS.
         let (n, k) = (512, 512);
         assert!(gemm_floats(m, n, k) < par::PAR_ELEMS);
         let mut c = vec![0.0; m * n];

@@ -30,6 +30,7 @@
 //!   convolution, the GEMM band split and every banded update in
 //!   [`crate::ops`] are built on it.
 
+use crate::gemm;
 use std::cell::Cell;
 use std::num::NonZeroUsize;
 
@@ -83,12 +84,15 @@ pub fn fork_threads(flops: u64, floats: usize) -> usize {
 /// Floats a sweep must stream before it forks: the band gate of the
 /// mutating BLAS-1 kernels of [`crate::ops`] and of
 /// [`ParamArena::zero`](crate::ParamArena::zero), and the float side of
-/// [`fork_threads`]. 1 Mi floats = 4 MiB per
-/// operand: below this a single core's memory pass (~100 µs) is cheaper
+/// [`fork_threads`]. 0.75 Mi floats = 3 MiB per
+/// operand: below this a single core's memory pass (~75 µs) is cheaper
 /// than thread spawns; above it the kernel is DRAM-bound and splits
-/// near-linearly. The §5.2 packed arena of a VGG-class model (≈14.7 M
-/// params) qualifies; a LeNet-class arena (≈431 k) stays serial.
-pub const PAR_ELEMS: usize = 1 << 20;
+/// near-linearly. Read from `gemm_par_vs_serial`: the last forced fork
+/// that loses streams 0.5 Mi floats, and every one from the MLP's
+/// 784→1024 layer (0.77 Mi) up wins. The §5.2 packed arena of a
+/// VGG-class model (≈14.7 M params) qualifies; a LeNet-class arena
+/// (≈431 k) stays serial.
+pub const PAR_ELEMS: usize = 3 << 18;
 
 /// Band length for an `n`-element memory-bound sweep: callers cut their
 /// operands with `chunks_mut(band_len(n))` and hand the zipped chunks to
@@ -177,17 +181,23 @@ where
             .chain(jobs)
             .map(|job| {
                 SPAWNED.with(|n| n.set(n.get() + 1));
-                s.spawn(move || with_budget(1, || f(job)))
+                s.spawn(move || {
+                    with_budget(1, || f(job));
+                    gemm::counts()
+                })
             })
             .collect();
         with_budget(1, || f(first));
         // Joined one by one, not left to the scope: a join returns only
         // once the thread is gone, thread-locals destroyed — the next
         // fork then finds the buffers this one's threads handed back —
-        // and it keeps the job's own panic message.
+        // and it keeps the job's own panic message. A job's GEMM counts
+        // join the caller's, so work done on a spawned thread is counted
+        // once, by the caller, as if the caller had run it.
         for h in handles {
-            if let Err(payload) = h.join() {
-                std::panic::resume_unwind(payload);
+            match h.join() {
+                Ok(counts) => gemm::absorb_counts(counts),
+                Err(payload) => std::panic::resume_unwind(payload),
             }
         }
     });

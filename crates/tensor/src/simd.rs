@@ -58,6 +58,9 @@ pub(crate) const MR: usize = 8;
 /// 108 vs 71 GFLOP/s at 1024³ on an Ice-Lake-class Xeon; the tile sweep
 /// lives in DESIGN.md §8).
 pub(crate) const NR: usize = 32;
+/// Columns of C one [`dot_tile`] call produces: one zmm of lanes (two
+/// ymm on the AVX2 tier).
+pub(crate) const TW: usize = 16;
 
 /// The compile-time SIMD tier this build selected (see module docs).
 #[cfg(all(
@@ -178,6 +181,29 @@ fn fma_rows_scalar<const N: usize, const R: usize>(
     }
 }
 
+/// Scalar [`dot_tile`], the definition the vector tiers are tested
+/// against: one chain per element, seeded at +0.0 and run over `p` in
+/// ascending order.
+fn dot_tile_scalar<const R: usize>(
+    a: [&[f32]; R],
+    b: &[f32],
+    ldb: usize,
+    cols: usize,
+    len: usize,
+) -> [[f32; TW]; R] {
+    let mut t = [[0.0f32; TW]; R];
+    for (tr, ar) in t.iter_mut().zip(a) {
+        for (j, tj) in tr.iter_mut().enumerate().take(cols) {
+            let brow = &b[j * ldb..][..len];
+            *tj = ar[..len]
+                .iter()
+                .zip(brow)
+                .fold(0.0, |acc, (&x, &y)| madd(acc, x, y));
+        }
+    }
+    t
+}
+
 /// The scalar register-tiled core: returns the `MR×NR` tile
 /// `acc[r][j] = Σ_p ap[p][r] · bp[p][j]` accumulated over one packed
 /// A-panel (`kc×MR`) and B-panel (`kc×NR`), for rows `r < R`; rows
@@ -293,7 +319,7 @@ mod x86 {
     //! 512-bit kernels. Compiled only when AVX-512F and FMA are enabled
     //! for the *whole build* (`-C target-cpu=native` on such a host), so
     //! every call site in this binary may execute them.
-    use super::{MR, NR};
+    use super::{MR, NR, TW};
     use std::arch::x86_64::*;
 
     /// 8×32 microkernel: 16 zmm accumulators, two B loads and eight
@@ -510,6 +536,114 @@ mod x86 {
         }
     }
 
+    /// Vector [`super::dot_tile_scalar`]: per 16-step chunk of `p`, the
+    /// `cols` rows of B are loaded one zmm each, transposed in registers
+    /// ([`transpose16`]), and the 16 resulting `p` vectors are folded in
+    /// order into the `R` row accumulators against broadcasts of A —
+    /// each lane the scalar chain, one `vfmadd` per step. A ragged last
+    /// chunk loads through a mask of its live steps and folds only
+    /// those; dead B rows are zero registers, never loads.
+    #[target_feature(enable = "avx512f")]
+    pub(super) fn dot_tile<const R: usize>(
+        a: [&[f32]; R],
+        b: &[f32],
+        ldb: usize,
+        cols: usize,
+        len: usize,
+    ) -> [[f32; TW]; R] {
+        assert!(
+            (1..=TW).contains(&cols)
+                && a.iter().all(|row| row.len() >= len)
+                && (len == 0 || (cols - 1) * ldb + len <= b.len())
+        );
+        let mut out = [[0.0f32; TW]; R];
+        // SAFETY: a load reads b[j·ldb + l .. +16] for j < cols, through
+        // a mask of the `len − l` live steps when fewer than 16 remain
+        // (masked-off lanes are never read), so it ends at or before
+        // (cols−1)·ldb + len ≤ b.len(); a broadcast reads a[i][l + p]
+        // with l + p < len ≤ a[i].len(); the stores cover out[i]'s 16
+        // floats. All bounds are asserted above; unaligned intrinsics.
+        unsafe {
+            let mut acc = [_mm512_setzero_ps(); R];
+            let mut l = 0;
+            while l < len {
+                let live = (len - l).min(16);
+                let mask: __mmask16 = if live == 16 {
+                    0xFFFF
+                } else {
+                    (1u16 << live) - 1
+                };
+                let row = |j: usize| _mm512_maskz_loadu_ps(mask, b.as_ptr().add(j * ldb + l));
+                let rows: [__m512; 16] = if cols == TW {
+                    std::array::from_fn(row)
+                } else {
+                    std::array::from_fn(|j| {
+                        if j < cols {
+                            row(j)
+                        } else {
+                            _mm512_setzero_ps()
+                        }
+                    })
+                };
+                let t = transpose16(rows);
+                let step = |acc: &mut [__m512; R], p: usize| {
+                    for (i, acc) in acc.iter_mut().enumerate() {
+                        let av = _mm512_set1_ps(*a[i].as_ptr().add(l + p));
+                        *acc = _mm512_fmadd_ps(av, t[p], *acc);
+                    }
+                };
+                // A full chunk's step count is a constant, so `t` stays
+                // in registers; only the ragged tail indexes it.
+                if live == 16 {
+                    (0..16).for_each(|p| step(&mut acc, p));
+                } else {
+                    (0..live).for_each(|p| step(&mut acc, p));
+                }
+                l += 16;
+            }
+            for (o, v) in out.iter_mut().zip(acc) {
+                _mm512_storeu_ps(o.as_mut_ptr(), v);
+            }
+        }
+        out
+    }
+
+    /// 16×16 in-register transpose: `out[p]` lane `j` is `rows[j]` lane
+    /// `p`. Interleaves 32-bit, then 64-bit elements inside each 128-bit
+    /// lane, then exchanges 128-bit lanes twice — 64 shuffles.
+    #[target_feature(enable = "avx512f")]
+    fn transpose16(r: [__m512; 16]) -> [__m512; 16] {
+        // t[2g], t[2g+1]: rows 2g, 2g+1 interleaved (columns 4q, 4q+1 and
+        // 4q+2, 4q+3 of each 128-bit lane q).
+        let mut t = r;
+        for g in 0..8 {
+            t[2 * g] = _mm512_unpacklo_ps(r[2 * g], r[2 * g + 1]);
+            t[2 * g + 1] = _mm512_unpackhi_ps(r[2 * g], r[2 * g + 1]);
+        }
+        // u[4g + c]: column 4q + c of rows 4g..4g+4, in lane q.
+        let mut u = t;
+        for g in 0..4 {
+            let (x, y) = (4 * g, 4 * g + 2);
+            u[x] = _mm512_shuffle_ps::<0x44>(t[x], t[y]);
+            u[x + 1] = _mm512_shuffle_ps::<0xEE>(t[x], t[y]);
+            u[x + 2] = _mm512_shuffle_ps::<0x44>(t[x + 1], t[y + 1]);
+            u[x + 3] = _mm512_shuffle_ps::<0xEE>(t[x + 1], t[y + 1]);
+        }
+        // Gather lane q of u[c], u[4+c], u[8+c], u[12+c] into out[4q + c].
+        let mut out = u;
+        for c in 0..4 {
+            let v0 = _mm512_shuffle_f32x4::<0x88>(u[c], u[4 + c]);
+            let v1 = _mm512_shuffle_f32x4::<0xDD>(u[c], u[4 + c]);
+            let w0 = _mm512_shuffle_f32x4::<0x88>(u[8 + c], u[12 + c]);
+            let w1 = _mm512_shuffle_f32x4::<0xDD>(u[8 + c], u[12 + c]);
+            out[c] = _mm512_shuffle_f32x4::<0x88>(v0, w0);
+            out[8 + c] = _mm512_shuffle_f32x4::<0xDD>(v0, w0);
+            out[4 + c] = _mm512_shuffle_f32x4::<0x88>(v1, w1);
+            out[12 + c] = _mm512_shuffle_f32x4::<0xDD>(v1, w1);
+        }
+        out
+    }
+
     /// Generates one 16-lane elastic band kernel: the vector body applies
     /// the *same* mul/add/sub tree as the scalar expression (no FMA
     /// contraction), and the tail runs the scalar expression itself.
@@ -621,7 +755,7 @@ mod x86 {
 mod x86 {
     //! 256-bit kernels. Compiled only when AVX2 and FMA are enabled for
     //! the whole build and AVX-512F is not.
-    use super::{MR, NR};
+    use super::{MR, NR, TW};
     use std::arch::x86_64::*;
 
     /// 8×32 microkernel as two 8×16 half-passes over the same packed
@@ -771,6 +905,75 @@ mod x86 {
             }
         }
     }
+
+    /// Vector [`super::dot_tile_scalar`] as two 8-column halves: per
+    /// 8-step chunk of `p`, a half's rows of B are loaded one ymm each,
+    /// transposed in registers ([`super::x86_pack::transpose8`]), and the
+    /// 8 `p` vectors are folded in order into the `R` row accumulators —
+    /// each lane the scalar chain. A ragged last chunk loads through a
+    /// mask of its live steps and folds only those.
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) fn dot_tile<const R: usize>(
+        a: [&[f32]; R],
+        b: &[f32],
+        ldb: usize,
+        cols: usize,
+        len: usize,
+    ) -> [[f32; TW]; R] {
+        assert!(
+            (1..=TW).contains(&cols)
+                && a.iter().all(|row| row.len() >= len)
+                && (len == 0 || (cols - 1) * ldb + len <= b.len())
+        );
+        let mut out = [[0.0f32; TW]; R];
+        for j0 in (0..cols).step_by(8) {
+            let live_cols = (cols - j0).min(8);
+            // SAFETY: a load reads b[(j0 + j)·ldb + l .. +8] for
+            // j0 + j < cols, through a mask of the `len − l` live steps
+            // when fewer than 8 remain (masked-off lanes are never read),
+            // so it ends at or before (cols−1)·ldb + len ≤ b.len(); a
+            // broadcast reads a[i][l + p] with l + p < len ≤ a[i].len();
+            // the stores cover out[i][j0..j0 + 8], j0 + 8 ≤ TW. Bounds
+            // asserted above; unaligned intrinsics.
+            unsafe {
+                let mut acc = [_mm256_setzero_ps(); R];
+                let mut l = 0;
+                while l < len {
+                    let live = (len - l).min(8);
+                    let lanes = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+                    let mask = _mm256_cmpgt_epi32(_mm256_set1_epi32(live as i32), lanes);
+                    let row = |j: usize| {
+                        if j >= live_cols {
+                            return _mm256_setzero_ps();
+                        }
+                        let src = b.as_ptr().add((j0 + j) * ldb + l);
+                        if live == 8 {
+                            _mm256_loadu_ps(src)
+                        } else {
+                            _mm256_maskload_ps(src, mask)
+                        }
+                    };
+                    let t = super::x86_pack::transpose8(std::array::from_fn(row));
+                    let step = |acc: &mut [__m256; R], p: usize| {
+                        for (i, acc) in acc.iter_mut().enumerate() {
+                            let av = _mm256_set1_ps(*a[i].as_ptr().add(l + p));
+                            *acc = _mm256_fmadd_ps(av, t[p], *acc);
+                        }
+                    };
+                    if live == 8 {
+                        (0..8).for_each(|p| step(&mut acc, p));
+                    } else {
+                        (0..live).for_each(|p| step(&mut acc, p));
+                    }
+                    l += 8;
+                }
+                for (o, v) in out.iter_mut().zip(acc) {
+                    _mm256_storeu_ps(o.as_mut_ptr().add(j0), v);
+                }
+            }
+        }
+        out
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -836,29 +1039,39 @@ mod x86_pack {
                         } else {
                             (0..live).for_each(|i| r[i] = run(i));
                         }
-                        // Interleave 32-bit, then 64-bit, inside each
-                        // 128-bit half; the halves swap last, which
-                        // leaves the middle two rows of each four swapped.
-                        let (mut u, mut s) = (r, r);
-                        for i in [0, 2, 4, 6] {
-                            u[i] = _mm256_unpacklo_ps(r[i], r[i + 1]);
-                            u[i + 1] = _mm256_unpackhi_ps(r[i], r[i + 1]);
-                        }
-                        for i in [0, 1, 4, 5] {
-                            s[i] = _mm256_shuffle_ps::<0x44>(u[i], u[i + 2]);
-                            s[i + 2] = _mm256_shuffle_ps::<0xEE>(u[i], u[i + 2]);
-                        }
-                        for (i, row) in [0, 2, 1, 3].into_iter().enumerate() {
-                            let d = out.add((p + row) * W + j0);
-                            let (lo, hi) = (s[i], s[i + 4]);
-                            _mm256_storeu_ps(d, _mm256_permute2f128_ps::<0x20>(lo, hi));
-                            _mm256_storeu_ps(d.add(4 * W), _mm256_permute2f128_ps::<0x31>(lo, hi));
+                        for (i, v) in transpose8(r).into_iter().enumerate() {
+                            _mm256_storeu_ps(out.add((p + i) * W + j0), v);
                         }
                     }
                 }
             }
         }
         super::pack_transposed_scalar::<W>(src, off, ld, lanes, full, len, dst);
+    }
+
+    /// 8×8 in-register transpose: `out[p]` lane `j` is `r[j]` lane `p`.
+    /// Interleaves 32-bit, then 64-bit elements inside each 128-bit
+    /// half, then swaps the halves — 24 shuffles.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn transpose8(r: [__m256; 8]) -> [__m256; 8] {
+        let (mut u, mut s) = (r, r);
+        for i in [0, 2, 4, 6] {
+            u[i] = _mm256_unpacklo_ps(r[i], r[i + 1]);
+            u[i + 1] = _mm256_unpackhi_ps(r[i], r[i + 1]);
+        }
+        // s[i], s[i + 4]: column c of rows 0..4 and 4..8 in each half,
+        // with c = [0, 2, 1, 3][i].
+        for i in [0, 1, 4, 5] {
+            s[i] = _mm256_shuffle_ps::<0x44>(u[i], u[i + 2]);
+            s[i + 2] = _mm256_shuffle_ps::<0xEE>(u[i], u[i + 2]);
+        }
+        let mut out = r;
+        for (i, c) in [0, 2, 1, 3].into_iter().enumerate() {
+            let (lo, hi) = (s[i], s[i + 4]);
+            out[c] = _mm256_permute2f128_ps::<0x20>(lo, hi);
+            out[c + 4] = _mm256_permute2f128_ps::<0x31>(lo, hi);
+        }
+        out
     }
 }
 
@@ -973,6 +1186,50 @@ pub(crate) fn fma_rows<const N: usize, const R: usize>(
         return;
     }
     fma_rows_scalar::<N, R>(t, w, a, b);
+}
+
+/// The transposed stream nest's kernel: `R` rows of A against the
+/// `cols ≤ TW` rows of B that start `ldb` floats apart in `b`, both read
+/// as stored, contiguous in `p` — returns
+/// `t[r][j] = Σ_{p < len} a[r][p] · b[j·ldb + p]`, each element one
+/// chain seeded at +0.0 and run over `p` in ascending order, one
+/// multiply-add per step as [`fma_row`] does it: the chain the
+/// microkernel runs for a tile over the same `len` steps. Lanes
+/// `cols..TW` are unspecified. The vector tiers transpose B in registers,
+/// so no pack buffer is written or read.
+///
+/// # Panics
+/// Panics unless `1 ≤ cols ≤ TW`, every row of `a` holds `len` floats,
+/// and `b` holds the last row's `len` floats.
+#[inline]
+pub(crate) fn dot_tile<const R: usize>(
+    a: [&[f32]; R],
+    b: &[f32],
+    ldb: usize,
+    cols: usize,
+    len: usize,
+) -> [[f32; TW]; R] {
+    assert!(
+        (1..=TW).contains(&cols) && a.iter().all(|row| row.len() >= len),
+        "dot tile: {cols} columns of {TW}, {len} steps"
+    );
+    assert!(
+        len == 0 || (cols - 1) * ldb + len <= b.len(),
+        "dot tile reads past its B"
+    );
+    #[cfg(all(
+        target_arch = "x86_64",
+        target_feature = "fma",
+        any(target_feature = "avx512f", target_feature = "avx2")
+    ))]
+    if !scalar_forced() {
+        // SAFETY: the `x86` module — and this call — are compiled only
+        // when its required target features are statically enabled for
+        // the entire binary (`cfg` above), so the CPU executing this code
+        // supports them.
+        return unsafe { x86::dot_tile::<R>(a, b, ldb, cols, len) };
+    }
+    dot_tile_scalar::<R>(a, b, ldb, cols, len)
 }
 
 /// Packs a full-width `rows × NR` strip of a row-major matrix into the
@@ -1234,6 +1491,46 @@ mod tests {
     fn pack_transposed_matches_its_definition_on_every_tier() {
         check_pack_transposed::<MR>();
         check_pack_transposed::<NR>();
+    }
+
+    /// `dot_tile::<R>` on every tier against its definition, over ragged
+    /// column counts and step counts on both sides of a vector chunk, on
+    /// a B that ends exactly at the last float the tile may read. A NaN
+    /// follows every row of A and of B: a step past `len` that reached a
+    /// chain would poison it.
+    fn check_dot_tile<const R: usize>() {
+        for cols in [1usize, 7, 8, 9, 15, 16] {
+            for len in [1usize, 5, 8, 15, 16, 17, 33, 256] {
+                let ldb = len + 3;
+                let mut b = rand_vec((cols - 1) * ldb + len, (cols * len) as u64);
+                for row in b.chunks_mut(ldb) {
+                    row.iter_mut().skip(len).for_each(|v| *v = f32::NAN);
+                }
+                let mut a_store = rand_vec(R * (len + 1), (R + len) as u64);
+                for row in a_store.chunks_mut(len + 1) {
+                    row[len] = f32::NAN;
+                }
+                let a: [&[f32]; R] = std::array::from_fn(|r| &a_store[r * (len + 1)..][..len]);
+                let fast = dot_tile::<R>(a, &b, ldb, cols, len);
+                let slow = with_scalar_kernels(|| dot_tile::<R>(a, &b, ldb, cols, len));
+                for r in 0..R {
+                    let want: Vec<f32> = (0..cols)
+                        .map(|j| (0..len).fold(0.0, |acc, p| madd(acc, a[r][p], b[j * ldb + p])))
+                        .collect();
+                    let what = format!("R={R} cols={cols} len={len} row {r}");
+                    assert_bits_eq(&fast[r][..cols], &want, &what);
+                    assert_bits_eq(&slow[r][..cols], &want, &what);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dot_tile_matches_its_definition_on_every_tier() {
+        check_dot_tile::<1>();
+        check_dot_tile::<2>();
+        check_dot_tile::<3>();
+        check_dot_tile::<8>();
     }
 
     #[test]

@@ -9,7 +9,9 @@
 # tier three times and pass. The convolution's tests ride along: its
 # bits-equal-the-per-sample-loop properties are properties of the packs
 # underneath. So do the network's: that backward may stop at the first
-# parametrised layer without moving a bit holds per tier. So does the
+# parametrised layer without moving a bit holds per tier, and so does
+# that every layer stores its gradients whatever the arena held (the
+# tensor suite carries the transposed stream nest's twin). So does the
 # property that a packed operand (a frozen serving replica's weights)
 # holds the bits of the stored one.
 # The avx2+fma leg also replays the golden digests: every GEMM output is
