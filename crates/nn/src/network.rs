@@ -12,6 +12,7 @@ use crate::pool::{AvgPool2d, MaxPool2d};
 use easgd_tensor::{
     Conv2dGeometry, InferScratch, ParamArena, Rng, ScratchStats, Tensor, TrainScratch,
 };
+use std::sync::Arc;
 
 /// Statistics of one training step.
 #[derive(Clone, Copy, Debug)]
@@ -251,7 +252,7 @@ impl NetworkBuilder {
         Network {
             layers,
             first_param,
-            params,
+            params: Arc::new(params),
             grads,
             loss: SoftmaxCrossEntropy,
             input_shape: self.input_shape,
@@ -268,13 +269,17 @@ impl NetworkBuilder {
 /// All parameters live in one packed [`ParamArena`] (the §5.2 layout);
 /// gradients live in a second arena of identical layout. Every worker in a
 /// distributed run clones the network (data parallelism replicates the
-/// model, §2.3) — clones share nothing.
+/// model, §2.3) — a clone copies both arenas and shares nothing. Only the
+/// [`forward_replica`](Network::forward_replica) of a frozen network
+/// shares its original's parameter arena, which nobody writes again.
 pub struct Network {
     layers: Vec<Box<dyn Layer>>,
     /// Index of the first layer with parameters (`layers.len()` if none):
     /// nobody reads a gradient below it, so backward ends there.
     first_param: usize,
-    params: ParamArena,
+    /// Shared only between a frozen network and its forward replicas;
+    /// every write goes through [`Arc::make_mut`].
+    params: Arc<ParamArena>,
     grads: ParamArena,
     loss: SoftmaxCrossEntropy,
     input_shape: Vec<usize>,
@@ -294,17 +299,18 @@ impl Clone for Network {
     fn clone(&self) -> Self {
         // A replica's first step stores its gradients: the layout (empty
         // on a stripped replica) is all it needs.
-        self.replica(ParamArena::like(&self.grads))
+        let params = Arc::new(ParamArena::clone(&self.params));
+        self.replica(params, ParamArena::like(&self.grads))
     }
 }
 
 impl Network {
-    /// A copy of the layers and parameters over `grads`.
-    fn replica(&self, grads: ParamArena) -> Self {
+    /// A copy of the layers over `params` and `grads`.
+    fn replica(&self, params: Arc<ParamArena>, grads: ParamArena) -> Self {
         Self {
             layers: self.layers.clone(),
             first_param: self.first_param,
-            params: self.params.clone(),
+            params,
             grads,
             loss: SoftmaxCrossEntropy,
             input_shape: self.input_shape.clone(),
@@ -319,9 +325,16 @@ impl Network {
     /// A replica for forward passes only, such as an evaluation's: the
     /// layers and parameters without a gradient arena, so
     /// [`forward_backward`](Self::forward_backward) panics on it as on a
-    /// frozen network.
+    /// frozen network. A frozen network's replica reads the original's
+    /// parameter arena in place — no weight is copied — while an
+    /// unfrozen one's copies it, since its original may train on.
     pub fn forward_replica(&self) -> Self {
-        self.replica(ParamArena::flat(0))
+        let params = if self.frozen {
+            Arc::clone(&self.params)
+        } else {
+            Arc::new(ParamArena::clone(&self.params))
+        };
+        self.replica(params, ParamArena::flat(0))
     }
 
     /// Per-sample input shape.
@@ -355,7 +368,7 @@ impl Network {
     /// Panics on a frozen network (see [`freeze`](Self::freeze)).
     pub fn params_mut(&mut self) -> &mut ParamArena {
         self.assert_not_frozen("params_mut");
-        &mut self.params
+        Arc::make_mut(&mut self.params)
     }
 
     /// The gradient arena from the last [`forward_backward`](Self::forward_backward).
@@ -371,7 +384,8 @@ impl Network {
     /// Panics on a frozen network (see [`freeze`](Self::freeze)).
     pub fn params_and_grads_mut(&mut self) -> (&mut [f32], &mut [f32]) {
         self.assert_not_frozen("params_and_grads_mut");
-        (self.params.as_mut_slice(), self.grads.as_mut_slice())
+        let params = Arc::make_mut(&mut self.params);
+        (params.as_mut_slice(), self.grads.as_mut_slice())
     }
 
     /// Per-parameter-segment `(name, len)` pairs, in arena order — the
@@ -567,11 +581,15 @@ impl Network {
     /// in the parameter arena's own storage, so there is one copy of each.
     /// Forward results keep every bit; the layers keep nothing for a
     /// backward, and since a write to the parameters would miss the
-    /// panels, every entry point that writes them panics.
+    /// panels, every entry point that writes them panics. Freezing a
+    /// frozen network does nothing.
     pub fn freeze(&mut self) {
+        if self.frozen {
+            return;
+        }
         self.grads = ParamArena::flat(0);
         let panels: Vec<_> = self.layers.iter_mut().flat_map(|l| l.freeze()).collect();
-        self.params.pack_segments(&panels);
+        Arc::make_mut(&mut self.params).pack_segments(&panels);
         self.frozen = true;
     }
 
@@ -626,7 +644,9 @@ impl Network {
     pub fn set_params(&mut self, src: &[f32]) {
         self.assert_not_frozen("set_params");
         assert_eq!(src.len(), self.params.len(), "parameter length mismatch");
-        self.params.as_mut_slice().copy_from_slice(src);
+        Arc::make_mut(&mut self.params)
+            .as_mut_slice()
+            .copy_from_slice(src);
     }
 
     /// Layer count (diagnostics).
@@ -844,6 +864,26 @@ mod tests {
         let x = Tensor::zeros([1, 1, 6, 6]);
         let _ = a.forward(&x, false);
         let _ = b.forward(&x, false);
+    }
+
+    #[test]
+    fn only_a_frozen_networks_forward_replica_shares_its_arena() {
+        let shares = |a: &Network, b: &Network| Arc::ptr_eq(&a.params, &b.params);
+        let mut net = tiny_net();
+        assert!(!shares(&net, &net.clone()));
+        assert!(!shares(&net, &net.forward_replica()));
+        net.freeze();
+        assert!(!shares(&net, &net.clone()));
+        let mut replica = net.forward_replica();
+        assert!(shares(&net, &replica));
+        // Freezing the replica again leaves the shared panels as they are.
+        replica.freeze();
+        assert!(shares(&net, &replica));
+        let x = Tensor::full([2, 1, 6, 6], 0.5);
+        assert_eq!(
+            replica.forward(&x, false).as_slice(),
+            net.forward(&x, false).as_slice()
+        );
     }
 
     #[test]

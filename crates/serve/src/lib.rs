@@ -17,8 +17,12 @@
 //!   gradients, weights packed once into GEMM panels) plus a
 //!   forward-only [`InferScratch`], reaching the same
 //!   zero-allocations-per-request steady state as the training step;
-//!   [`ReplicaSet`] holds one replica per shard and runs them one after
-//!   another, each under a `max(1, ncores / shards)` thread budget.
+//!   [`ReplicaSet`] holds one replica per shard and runs the shards one
+//!   after another, each under the caller's whole thread budget: it
+//!   cuts a batch into contiguous sample runs, runs the first on the
+//!   engine thread and each other on a persistent lane thread whose
+//!   forward replica reads the shard's frozen weights in place, and
+//!   takes back any run no lane has started. The logits keep every bit.
 //! * [`batcher`] — the dynamic micro-batcher: per-shard FIFO queues with
 //!   the coalescing rule “close the batch at B requests or T µs,
 //!   whichever first”, and pooled (counted) request/pixel storage.
@@ -56,4 +60,4 @@ pub use batcher::{Batch, Batcher, BatcherConfig, Request};
 pub use engine::{Backend, Completion, DispatchRecord, NullBackend, ServeEngine};
 pub use harness::{percentile_us, summarize, LatencySummary};
 pub use service::ServiceModel;
-pub use session::{InferSession, ReplicaSet};
+pub use session::{InferSession, ReplicaCounts, ReplicaSet};

@@ -13,7 +13,10 @@
 # that every layer stores its gradients whatever the arena held (the
 # tensor suite carries the transposed stream nest's twin). So does the
 # property that a packed operand (a frozen serving replica's weights)
-# holds the bits of the stored one.
+# holds the bits of the stored one. Each leg also runs the thread/event
+# backend parity suite and the serve sessions' tests: a split batch keeps
+# every bit of one thread's forward only if the tier's rows do not depend
+# on their batch mates.
 # The avx2+fma leg also replays the golden digests: every GEMM output is
 # one fused chain, so an FMA build of any width gives the recorded bits.
 # The scalar leg does not: a build without FMA rounds `mul` and `add`
@@ -28,6 +31,8 @@ leg() { # <rustflags> <target dir> <tier>
   RUSTFLAGS="$1" CARGO_TARGET_DIR="$2" cargo test -q -p easgd-tensor
   RUSTFLAGS="$1" CARGO_TARGET_DIR="$2" cargo test -q -p easgd-nn --lib -- conv:: network::
   RUSTFLAGS="$1" CARGO_TARGET_DIR="$2" cargo test -q --test properties packed_operands
+  RUSTFLAGS="$1" CARGO_TARGET_DIR="$2" cargo test -q --test backend_parity
+  RUSTFLAGS="$1" CARGO_TARGET_DIR="$2" cargo test -q -p easgd-serve --lib session::
   RUSTFLAGS="$1" CARGO_TARGET_DIR="$2" cargo test -q -p easgd-tensor --lib \
     build_reports_its_simd_tier -- --nocapture | grep -x "simd tier under test: $3"
 }
