@@ -19,13 +19,18 @@
 //!   from the Table 4 rows at the five large-P points.
 //!
 //! ```text
-//! cargo run --release -p easgd-bench --bin cluster            # full run, writes JSON
-//! cargo run --release -p easgd-bench --bin cluster -- --smoke # P ≤ 512 + validate checked-in JSON
+//! cargo run --release -p easgd-bench --bin cluster            # the sweep to P = 8192, writes JSON
 //! cargo run --release -p easgd-bench --bin cluster -- --out p # write JSON to `p`
 //! ```
 //!
+//! The whole sweep takes about a second on one core, so there is no
+//! smoke subset: `scripts/check.sh` runs it and then requires the
+//! regenerated `BENCH_cluster.json` to equal the checked-in one byte for
+//! byte but for the `host` header line (every value is simulated time,
+//! so a value that moves is a bug).
+//!
 //! Acceptance (`easgd_bench::report::CLUSTER`; checked in as
-//! `BENCH_cluster.json`, re-validated by `--smoke` in CI): emergent-vs-model efficiency delta ≤ 1e-9 at every
+//! `BENCH_cluster.json`): emergent-vs-model efficiency delta ≤ 1e-9 at every
 //! point, GoogLeNet ≥ Intel Caffe's 0.87 and VGG ≥ 0.62 at 2176 cores,
 //! GoogLeNet above VGG at 8192 nodes, tree fit R² > 0.999 with the
 //! 512→8192 growth ratio < 2 (log, not linear), and Figure 13 speedup
@@ -55,18 +60,13 @@ const TREE_PAYLOAD: usize = 256;
 const SWEEP_STACK: usize = 512 * 1024;
 
 /// The paper's Cori node counts plus the large-P extrapolation points.
-fn table4_nodes(smoke: bool) -> Vec<usize> {
-    let mut nodes = vec![1, 2, 4, 8, 16, 32, 64, 512];
-    if !smoke {
-        nodes.extend([1024, 2048, 4096, 8192]);
-    }
-    nodes
+fn table4_nodes() -> Vec<usize> {
+    vec![1, 2, 4, 8, 16, 32, 64, 512, 1024, 2048, 4096, 8192]
 }
 
 /// Power-of-two rank counts for the executable tree sweep.
-fn tree_nodes(smoke: bool) -> Vec<usize> {
-    let top = if smoke { 9 } else { 13 }; // 512 or 8192
-    (1..=top).map(|k| 1usize << k).collect()
+fn tree_nodes() -> Vec<usize> {
+    (1..=13).map(|k| 1usize << k).collect()
 }
 
 /// One measured point (simulated time; the engine is deterministic, so a
@@ -122,11 +122,10 @@ fn run_table4_point(model: &WeakScalingModel, nodes: usize) -> Table4Point {
 
 fn bench_table4(
     entries: &mut Vec<Entry>,
-    smoke: bool,
     name: &'static str,
     model: &WeakScalingModel,
 ) -> Vec<Table4Point> {
-    table4_nodes(smoke)
+    table4_nodes()
         .into_iter()
         .map(|nodes| {
             let p = run_table4_point(model, nodes);
@@ -197,8 +196,8 @@ struct TreeFit {
     max_nodes: usize,
 }
 
-fn bench_tree(entries: &mut Vec<Entry>, smoke: bool) -> TreeFit {
-    let nodes = tree_nodes(smoke);
+fn bench_tree(entries: &mut Vec<Entry>) -> TreeFit {
+    let nodes = tree_nodes();
     let times: Vec<f64> = nodes.iter().map(|&p| run_tree_point(p)).collect();
     let logs: Vec<f64> = nodes.iter().map(|&p| (p as f64).log2()).collect();
     for ((&p, &t), &l) in nodes.iter().zip(&times).zip(&logs) {
@@ -253,14 +252,13 @@ fn bench_figure13(
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
     let mut entries = Vec::new();
 
     let googlenet = WeakScalingModel::googlenet_imagenet();
     let vgg = WeakScalingModel::vgg_imagenet();
-    let g_points = bench_table4(&mut entries, smoke, "googlenet", &googlenet);
-    let v_points = bench_table4(&mut entries, smoke, "vgg", &vgg);
-    let tree = bench_tree(&mut entries, smoke);
+    let g_points = bench_table4(&mut entries, "googlenet", &googlenet);
+    let v_points = bench_table4(&mut entries, "vgg", &vgg);
+    let tree = bench_tree(&mut entries);
     let g_speedups = bench_figure13(&mut entries, "googlenet", &g_points);
     let v_speedups = bench_figure13(&mut entries, "vgg", &v_points);
 
@@ -292,8 +290,6 @@ fn main() {
     );
     report.set("googlenet_efficiency_2176_cores", format!("{g2176:.4}"));
     report.set("vgg_efficiency_2176_cores", format!("{v2176:.4}"));
-    // The full sweep tops out at P = 8192; a smoke run's P = 512 values
-    // ride under the same names and are never written.
     report.set("googlenet_efficiency_p8192", format!("{g_max:.4}"));
     report.set("vgg_efficiency_p8192", format!("{v_max:.4}"));
     report.set("googlenet_above_vgg_at_p8192", g_max > v_max);
@@ -339,5 +335,5 @@ fn main() {
         tree.growth_ratio,
         tree.max_nodes.max(max_p),
     );
-    report.finish(smoke);
+    report.finish(false);
 }

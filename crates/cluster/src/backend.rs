@@ -1,25 +1,26 @@
 //! Execution backends hosting the ranks of a
 //! [`VirtualCluster`](crate::cluster::VirtualCluster).
 //!
-//! Everything in the cluster crate that assumes "rank = OS thread" lives
-//! behind this seam: the blocking channel receive, `std::thread::scope`,
-//! and the wake-up protocol between a sender and a blocked receiver.
-//! Two backends implement it:
+//! Everything in the cluster crate that depends on how a rank is hosted
+//! lives behind this seam: the blocking channel receive, the spawning
+//! and joining of ranks, and the wake-up protocol between a sender and a
+//! blocked receiver. Two backends implement it:
 //!
 //! * [`ClusterBackend::Threads`] — one OS thread per rank, preemptive,
 //!   blocking on its channel. The seed behavior; real parallelism,
 //!   practical up to ~tens of ranks.
 //! * [`ClusterBackend::Events`] — a single-token discrete-event engine.
-//!   Every rank still runs its real trainer code on its own (small,
-//!   lazily-committed) stack, but exactly **one** rank is runnable at a
-//!   time: a rank that must wait parks its fiber, names every message
-//!   it cannot proceed without, and hands the run token to the runnable
-//!   rank with the smallest `(simulated time, rank)` key in the event
-//!   queue; the delivery of the last message it named makes it runnable
-//!   again, nothing else does. Thousands
-//!   of ranks (the paper's 4352-core weak-scaling sweeps and beyond)
-//!   share one process with no lock contention and a deterministic
-//!   schedule.
+//!   Every rank runs its real trainer code as a [`Fiber`] — a small,
+//!   lazily-committed stack of its own — on the thread that called
+//!   [`VirtualCluster::run`](crate::VirtualCluster::run), and exactly
+//!   **one** rank runs at a time: a rank that must wait parks, names
+//!   every message it cannot proceed without, and switches in user space
+//!   to the host loop, which resumes the runnable rank with the smallest
+//!   `(simulated time, rank)` key in the event queue; the delivery of the
+//!   last message it named makes it runnable again, nothing else does.
+//!   Thousands of ranks (the paper's 4352-core weak-scaling sweeps and
+//!   beyond) share one thread with no OS scheduler between them and a
+//!   deterministic schedule.
 //!
 //! The dispatch order makes the event backend *more* faithful to the α-β
 //! model than threads: "first come" in `recv_any` is decided by
@@ -31,21 +32,26 @@
 //! not.
 //!
 //! Single-token scheduling is what makes the engine simple and safe: all
-//! scheduler transitions are serialized by token ownership, so there is
-//! no lost-wakeup window — whenever a fiber runs, every other live fiber
-//! is parked at a stable wait point.
+//! scheduler transitions happen on one thread, one rank at a time, so
+//! there is no lost-wakeup window — whenever a fiber runs, every other
+//! live fiber is parked at a stable wait point. All ranks share that
+//! thread's thread-locals; DESIGN.md §14.4 lists what each one shows a
+//! rank.
 
 use crate::channel::Receiver;
 use crate::cluster::Shared;
 use crate::comm::{Awaited, Comm, Message, WaitSet};
+use easgd_tensor::fiber::{self, Fiber};
 use easgd_tensor::par;
 use std::cell::Cell;
 use std::collections::BinaryHeap;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 
-/// Default per-fiber stack size for the event backend (2 MiB — the same
-/// order as `std::thread`'s default; pages are committed lazily, so 8192
-/// fibers cost virtual address space, not resident memory).
+/// Default per-rank fiber stack size for the event backend (2 MiB, the
+/// same as `std::thread`'s default). Each stack is a `MAP_NORESERVE`
+/// mapping whose pages are committed on first touch, below it a guard
+/// page, so 8192 fibers cost virtual address space, not resident
+/// memory; a rank that overflows its stack dies by SIGSEGV on the guard.
 pub const DEFAULT_EVENT_STACK_BYTES: usize = 2 * 1024 * 1024;
 
 /// Which execution substrate hosts the ranks of a virtual cluster.
@@ -53,8 +59,8 @@ pub const DEFAULT_EVENT_STACK_BYTES: usize = 2 * 1024 * 1024;
 pub enum ClusterBackend {
     /// One OS thread per rank (preemptive, blocking channels).
     Threads,
-    /// Single-threaded-at-a-time discrete-event engine over parked
-    /// fibers; scales to thousands of ranks in one process.
+    /// Discrete-event engine: every rank a fiber on the caller's thread,
+    /// one running at a time; scales to thousands of ranks.
     Events,
 }
 
@@ -171,7 +177,7 @@ enum RankState {
     Running,
     /// Parked until the last message its `waiting` set names is delivered.
     Blocked,
-    /// Returned from its trainer closure.
+    /// Its fiber has ended, by returning or by panicking.
     Done,
 }
 
@@ -188,18 +194,60 @@ struct SchedState {
     parks: Vec<u64>,
     queue: BinaryHeap<Runnable>,
     done: usize,
+    /// The rank that parked last: the one a deadlock report is raised in.
+    last_parked: usize,
     /// A rank panicked or the engine detected deadlock: every parked
-    /// fiber must wake and unwind so the host's joins can complete.
+    /// fiber is resumed into a panic, so every fiber ends.
     aborted: bool,
+    /// The deadlock report, until the rank it is addressed to takes it.
+    deadlock: Option<(usize, String)>,
+}
+
+impl SchedState {
+    /// Panics in `rank` if the cluster has been aborted: with the
+    /// deadlock report if it is addressed to `rank`, otherwise with the
+    /// abort notice.
+    fn check_abort(&mut self, rank: usize) {
+        if !self.aborted {
+            return;
+        }
+        match self.deadlock.take_if(|(to, _)| *to == rank) {
+            Some((_, report)) => panic!("{report}"),
+            None => panic!("event cluster aborted (a sibling rank panicked or deadlocked)"),
+        }
+    }
+
+    /// Builds the deadlock report (every blocked rank and every
+    /// `(tag, sender)` it still misses), addresses it to the rank that
+    /// parked last and aborts the cluster.
+    fn deadlock(&mut self) {
+        let describe = |Awaited { from, tag }| match from {
+            Some(from) => format!("tag {tag:#x} from rank {from}"),
+            None => format!("tag {tag:#x} from any rank"),
+        };
+        let blocked: Vec<String> = (0..self.status.len())
+            .filter(|&rank| self.status[rank] == RankState::Blocked)
+            .map(|rank| {
+                let missing: Vec<String> = self.waiting[rank].missing().map(describe).collect();
+                format!("rank {rank} ({})", missing.join("; "))
+            })
+            .collect();
+        let report = format!(
+            "event backend deadlock: no rank is runnable; blocked waiting for \
+             traffic that will never arrive: {}",
+            blocked.join(", ")
+        );
+        self.deadlock = Some((self.last_parked, report));
+        self.aborted = true;
+    }
 }
 
 /// The single-token cooperative scheduler behind
-/// [`ClusterBackend::Events`].
+/// [`ClusterBackend::Events`]. Every rank runs on the thread that called
+/// [`VirtualCluster::run`](crate::VirtualCluster::run); the lock is never
+/// contended, it only keeps [`Shared`] `Sync` for the thread backend.
 pub(crate) struct EventSched {
     state: Mutex<SchedState>,
-    /// One condvar per rank so dispatch wakes exactly the chosen fiber
-    /// (a shared condvar would thundering-herd all P fibers per event).
-    wake: Vec<Condvar>,
 }
 
 impl EventSched {
@@ -216,84 +264,59 @@ impl EventSched {
                 parks: vec![0; ranks],
                 queue,
                 done: 0,
+                last_parked: 0,
                 aborted: false,
+                deadlock: None,
             }),
-            wake: (0..ranks).map(|_| Condvar::new()).collect(),
         }
     }
 
-    /// Locks the scheduler, recovering from poisoning (the panicking
-    /// fiber's own panic is what surfaces to the caller, via the join).
+    /// Locks the scheduler, recovering from poisoning: the one panic
+    /// raised under the lock, [`SchedState::check_abort`]'s, comes before
+    /// any update.
     fn lock(&self) -> MutexGuard<'_, SchedState> {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Hands the run token to the runnable rank with the smallest
-    /// `(block time, rank)`. Called only while **no** rank is running
-    /// (the caller just parked or finished). An empty queue with live
-    /// ranks left is a deadlock: abort the cluster and panic in the
-    /// detecting fiber.
-    fn dispatch(&self, st: &mut SchedState) {
-        if let Some(next) = st.queue.pop() {
-            st.status[next.rank] = RankState::Running;
-            self.wake[next.rank].notify_all();
-        } else if st.done < st.status.len() && !st.aborted {
-            let describe = |Awaited { from, tag }| match from {
-                Some(from) => format!("tag {tag:#x} from rank {from}"),
-                None => format!("tag {tag:#x} from any rank"),
-            };
-            let blocked: Vec<String> = (0..st.status.len())
-                .filter(|&rank| st.status[rank] == RankState::Blocked)
-                .map(|rank| {
-                    let missing: Vec<String> = st.waiting[rank].missing().map(describe).collect();
-                    format!("rank {rank} ({})", missing.join("; "))
-                })
-                .collect();
-            st.aborted = true;
-            for cv in &self.wake {
-                cv.notify_all();
-            }
-            panic!(
-                "event backend deadlock: no rank is runnable; blocked waiting for \
-                 traffic that will never arrive: {}",
-                blocked.join(", ")
-            );
-        }
-    }
-
-    /// Fiber prologue: blocks until the scheduler hands this rank the
-    /// run token for the first time.
-    pub(crate) fn wait_turn(&self, rank: usize) {
+    /// The host loop's step: the rank to resume next, or `None` once
+    /// every rank is done. Called only while **no** rank is running.
+    ///
+    /// Normally that is the runnable rank with the smallest
+    /// `(block time, rank)`, which now holds the run token. An empty
+    /// queue with live ranks left is a deadlock: the cluster aborts, and
+    /// from then on every live rank is resumed in rank order, to panic
+    /// where it parked.
+    fn next(&self) -> Option<usize> {
         let mut st = self.lock();
-        while st.status[rank] != RankState::Running {
-            if st.aborted {
-                panic!("event cluster aborted (a sibling rank panicked or deadlocked)");
+        if !st.aborted {
+            if let Some(next) = st.queue.pop() {
+                st.status[next.rank] = RankState::Running;
+                return Some(next.rank);
             }
-            st = self.wake[rank].wait(st).unwrap_or_else(|e| e.into_inner());
+            if st.done == st.status.len() {
+                return None;
+            }
+            st.deadlock();
         }
+        st.status.iter().position(|&s| s != RankState::Done)
     }
 
     /// Parks the calling rank at simulated time `now` until everything
     /// `waiting` names has been delivered (the set trades places with
-    /// this rank's slot — whatever comes back is scratch), dispatches the
-    /// next runnable rank, and blocks until the scheduler hands the token
-    /// back.
+    /// this rank's slot — whatever comes back is scratch) and switches
+    /// to the host loop, which resumes it once it is dispatched again.
     pub(crate) fn park(&self, rank: usize, now: f64, waiting: &mut WaitSet) {
-        let mut st = self.lock();
-        if st.aborted {
-            panic!("event cluster aborted (a sibling rank panicked or deadlocked)");
+        {
+            let mut st = self.lock();
+            st.check_abort(rank);
+            st.status[rank] = RankState::Blocked;
+            st.block_time[rank] = now;
+            st.parks[rank] += 1;
+            st.last_parked = rank;
+            std::mem::swap(&mut st.waiting[rank], waiting);
         }
-        st.status[rank] = RankState::Blocked;
-        st.block_time[rank] = now;
-        st.parks[rank] += 1;
-        std::mem::swap(&mut st.waiting[rank], waiting);
-        self.dispatch(&mut st);
-        while st.status[rank] != RankState::Running {
-            if st.aborted {
-                panic!("event cluster aborted (a sibling rank panicked or deadlocked)");
-            }
-            st = self.wake[rank].wait(st).unwrap_or_else(|e| e.into_inner());
-        }
+        fiber::suspend();
+        self.lock().check_abort(rank);
     }
 
     /// Checks `from`'s `tag` message off what `rank` is parked for and
@@ -311,42 +334,24 @@ impl EventSched {
         }
     }
 
-    /// Fiber epilogue: releases the run token for good.
-    pub(crate) fn finish(&self, rank: usize) {
+    /// Records that `rank`'s fiber ended; a panic aborts the cluster.
+    fn retire(&self, rank: usize, panicked: bool) {
         let mut st = self.lock();
         st.status[rank] = RankState::Done;
         st.done += 1;
-        if st.done < st.status.len() {
-            self.dispatch(&mut st);
-        }
-    }
-
-    /// Wakes every parked fiber into a panic so the host's joins
-    /// complete (called when any fiber's trainer closure panicked).
-    pub(crate) fn abort(&self) {
-        let mut st = self.lock();
-        st.aborted = true;
-        for cv in &self.wake {
-            cv.notify_all();
-        }
-    }
-
-    /// Seeds execution: every rank starts ready at t = 0; rank 0 runs
-    /// first.
-    fn start(&self) {
-        let mut st = self.lock();
-        self.dispatch(&mut st);
+        st.aborted |= panicked;
     }
 }
 
 /// Hosts one cluster run on the backend recorded in `shared.exec` and
 /// returns the per-rank results in rank order.
 ///
-/// Each rank runs under its share of the caller's thread budget `B`
-/// ([`par::current_threads`]): `max(1, B/P)` on threads, where all `P`
-/// ranks compute at once, and all of `B` on the event backend, where one
-/// rank runs at a time. The kernels inside a rank's step fork within
-/// that share and no further.
+/// The ranks compute under the caller's thread budget `B`
+/// ([`par::current_threads`]): on threads, where all `P` ranks compute
+/// at once, each rank's thread installs `max(1, B/P)`; on the event
+/// backend one rank runs at a time and every rank shares the caller's
+/// thread, so one `B` is installed around the whole host loop. The
+/// kernels inside a rank's step fork within that share and no further.
 pub(crate) fn host<R, F>(shared: Arc<Shared>, receivers: Vec<Receiver<Message>>, f: F) -> Vec<R>
 where
     R: Send,
@@ -364,9 +369,7 @@ where
                 par::with_budget(share, || f(comm))
             })
         }
-        Some(sched) => host_events(sched, shared, receivers, &|comm: &mut Comm| {
-            par::with_budget(budget, || f(comm))
-        }),
+        Some(sched) => par::with_budget(budget, || host_events(&sched, shared, receivers, &f)),
     }
 }
 
@@ -392,57 +395,60 @@ where
     })
 }
 
-/// Event hosting: each rank is a fiber — an OS thread with a small
-/// lazily-committed stack that holds the run token while it executes and
-/// parks in [`EventSched`] whenever it must wait. A panicking fiber
-/// aborts the cluster (every parked sibling wakes and unwinds) so the
-/// joins below always complete; the first join surfaces the panic as
-/// "rank panicked", exactly like the thread backend.
+/// Event hosting: each rank is a [`Fiber`] on the calling thread, and
+/// this loop is the scheduler's other half. It resumes whichever rank
+/// [`EventSched::next`] names; the rank runs until it parks (and
+/// switches back here) or its fiber ends. A rank that panicked aborts
+/// the cluster: every parked sibling is resumed into a panic, so every
+/// fiber ends and every stack is unmapped; then the run panics with
+/// "rank panicked", exactly like the thread backend's join.
 fn host_events<R, F>(
-    sched: Arc<EventSched>,
+    sched: &EventSched,
     shared: Arc<Shared>,
     receivers: Vec<Receiver<Message>>,
     f: &F,
 ) -> Vec<R>
 where
-    R: Send,
-    F: Fn(&mut Comm) -> R + Send + Sync,
+    F: Fn(&mut Comm) -> R,
 {
     let stack = shared.config.event_stack_bytes;
-    std::thread::scope(|s| {
-        let mut handles = Vec::with_capacity(receivers.len());
-        for (rank, rx) in receivers.into_iter().enumerate() {
+    let results: Vec<Cell<Option<R>>> = receivers.iter().map(|_| Cell::new(None)).collect();
+    let mut fibers: Vec<Fiber<'_>> = receivers
+        .into_iter()
+        .zip(&results)
+        .enumerate()
+        .map(|(rank, (rx, slot))| {
             let shared = Arc::clone(&shared);
-            let sched = Arc::clone(&sched);
-            let handle = std::thread::Builder::new()
-                .name(format!("rank-{rank}"))
-                .stack_size(stack)
-                .spawn_scoped(s, move || {
-                    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        sched.wait_turn(rank);
-                        let mut comm = Comm::new(rank, rx, shared);
-                        f(&mut comm)
-                    }));
-                    match outcome {
-                        Ok(v) => {
-                            sched.finish(rank);
-                            v
-                        }
-                        Err(payload) => {
-                            sched.abort();
-                            std::panic::resume_unwind(payload)
-                        }
-                    }
-                })
-                .expect("failed to spawn event-backend fiber");
-            handles.push(handle);
+            Fiber::new(
+                stack,
+                Box::new(move || {
+                    // A rank first resumed after an abort runs none of its
+                    // own code.
+                    sched.lock().check_abort(rank);
+                    let mut comm = Comm::new(rank, rx, shared);
+                    slot.set(Some(f(&mut comm)));
+                }),
+            )
+        })
+        .collect();
+    let mut first_panic = None;
+    while let Some(rank) = sched.next() {
+        let fiber = &mut fibers[rank];
+        fiber.resume();
+        if fiber.is_done() {
+            let panic = fiber.take_panic();
+            sched.retire(rank, panic.is_some());
+            first_panic = first_panic.or(panic);
         }
-        sched.start();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("rank panicked"))
-            .collect()
-    })
+    }
+    drop(fibers);
+    if let Some(payload) = first_panic {
+        panic!("rank panicked: {payload:?}");
+    }
+    results
+        .into_iter()
+        .map(|slot| slot.into_inner().expect("a rank ended without a result"))
+        .collect()
 }
 
 #[cfg(test)]
@@ -486,6 +492,109 @@ mod tests {
             );
             assert_eq!(read(&events(p)), vec![budget; p], "events, B={budget}");
         }
+    }
+
+    #[test]
+    fn ranks_finishing_out_of_order_leave_the_callers_budget_alone() {
+        // Rank 0 starts first and finishes first while rank 1, started
+        // second, is still parked: per-rank budget guards would restore
+        // out of order and leave one installed on the caller's thread.
+        let body = |comm: &mut Comm| {
+            let peer = 1 - comm.rank();
+            if comm.rank() == 1 {
+                comm.send(peer, 1, &[1.0], TimeCategory::Other);
+            }
+            let got = recv(comm, peer, 1);
+            if comm.rank() == 0 {
+                comm.send(peer, 1, &[0.0], TimeCategory::Other);
+            }
+            (got, par::installed_budget())
+        };
+        assert_eq!(par::installed_budget(), None);
+        let out = VirtualCluster::run(&events(2), body);
+        let budget = Some(par::max_threads());
+        assert_eq!(out, vec![(vec![1.0], budget), (vec![0.0], budget)]);
+        assert_eq!(par::installed_budget(), None);
+    }
+
+    #[test]
+    fn event_ranks_see_the_callers_thread_locals_and_thread_ranks_start_fresh() {
+        use easgd_tensor::{active_tier, with_scalar_kernels};
+        let threads = |p| ClusterConfig::new(p).with_backend(ClusterBackend::Threads);
+        let native = active_tier();
+        // simd's scalar override.
+        let (on_events, on_threads) = with_scalar_kernels(|| {
+            (
+                VirtualCluster::run(&events(3), |_| active_tier()),
+                VirtualCluster::run(&threads(3), |_| active_tier()),
+            )
+        });
+        assert_eq!(on_events, vec!["scalar"; 3]);
+        assert_eq!(on_threads, vec![native; 3]);
+        // The default backend.
+        let (on_events, on_threads) = ClusterBackend::Events.with_default(|| {
+            let read = |_: &mut Comm| ClusterBackend::default_backend();
+            (
+                VirtualCluster::run(&events(2), read),
+                VirtualCluster::run(&threads(2), read),
+            )
+        });
+        assert_eq!(on_events, vec![ClusterBackend::Events; 2]);
+        assert_eq!(on_threads, vec![ClusterBackend::Threads; 2]);
+    }
+
+    #[test]
+    fn event_ranks_count_their_work_on_the_callers_thread() {
+        use easgd_tensor::{gemm, Transpose};
+        let calls = |c: gemm::Counts| {
+            [c.standard, c.skinny, c.stream, c.transposed_stream]
+                .iter()
+                .map(|n| n.calls)
+                .sum::<u64>()
+        };
+        // One 2×2×2 product and one two-job fork per rank.
+        let body = |_: &mut Comm| {
+            let mut c = [0.0f32; 4];
+            let (ta, tb) = (Transpose::No, Transpose::No);
+            gemm::gemm(ta, tb, 2, 2, 2, 1.0, &[1.0; 4], &[1.0; 4], 0.0, &mut c);
+            par::fan_out([0, 1], |_| {});
+            c
+        };
+        let read = || (gemm::counts(), par::threads_spawned());
+        let before = read();
+        let on_events = VirtualCluster::run(&events(3), body);
+        let after_events = read();
+        let on_threads = VirtualCluster::run(&ClusterConfig::new(3), body);
+        assert_eq!(on_events, vec![[2.0; 4]; 3]);
+        assert_eq!(on_threads, on_events);
+        // On events the three ranks' products and spawns land in the
+        // caller's counts; on threads they died with the rank threads.
+        assert_eq!(calls(after_events.0.since(&before.0)), 3);
+        assert_eq!(after_events.1 - before.1, 3);
+        assert_eq!(read(), after_events);
+    }
+
+    #[test]
+    fn a_rank_runs_an_inner_event_cluster() {
+        let inner = || {
+            VirtualCluster::run(&events(4), |comm| {
+                comm.charge(TimeCategory::ForwardBackward, comm.rank() as f64 * 0.5);
+                let mut sum = vec![comm.rank() as f32, 1.0];
+                tree_allreduce_sum(comm, &mut sum, TimeCategory::GpuGpuParam);
+                (sum, comm.now().to_bits())
+            })
+        };
+        let alone = inner();
+        let outs = VirtualCluster::run(&events(3), |comm| {
+            let mut before = vec![1.0f32];
+            tree_allreduce_sum(comm, &mut before, TimeCategory::GpuGpuParam);
+            let nested = (comm.rank() == 1).then(inner);
+            barrier(comm);
+            (before[0], nested)
+        });
+        assert_eq!(outs[0], (3.0, None));
+        assert_eq!(outs[1], (3.0, Some(alone)));
+        assert_eq!(outs[2], (3.0, None));
     }
 
     #[test]

@@ -11,17 +11,19 @@
 //! exactly the relative timings the paper analyses, without the physical
 //! cluster. Two execution [`backend`]s host the ranks: OS threads (the
 //! default, real parallelism at small P) or a single-token discrete-event
-//! engine (thousands of ranks in one process for the Table 4 / Figure 13
-//! weak-scaling sweeps) — trainer code is identical on both.
+//! engine that runs every rank as a fiber on the calling thread
+//! (thousands of ranks for the Table 4 / Figure 13 weak-scaling sweeps)
+//! — trainer code is identical on both.
 //!
 //! * [`backend`] — the thread/event execution seam
-//!   ([`backend::ClusterBackend`]) and the event scheduler.
+//!   ([`backend::ClusterBackend`]), the event scheduler and its host
+//!   loop.
 //! * [`clock`] — per-rank simulated time plus the Table 3 time-category
 //!   breakdown (`cpu-gpu para comm`, `for/backward`, …).
 //! * [`comm`] — the per-rank communicator: blocking and nonblocking
 //!   point-to-point send / recv / recv-any (FCFS) into caller buffers.
 //! * [`cluster`] — [`cluster::VirtualCluster::run`]:
-//!   spawns the ranks, hands each a [`comm::Comm`], joins results.
+//!   starts the ranks, hands each a [`comm::Comm`], collects results.
 //! * [`collectives`] — every collective: binomial-tree reduce /
 //!   broadcast / allreduce and a barrier, the ring allreduce and the
 //!   flat gather baseline, all message programs over `comm` whose

@@ -27,12 +27,15 @@
 //!   (DESIGN.md §11).
 //! * [`AtomicF32`] / [`AtomicBuffer`] — lock-free shared weights for the
 //!   Hogwild-style algorithms (§3.2, Hogwild EASGD).
+//! * [`fiber`] — stackful fibers on the calling thread (x86_64 Linux), the
+//!   rank host of the cluster crate's event backend.
 //! * [`Rng`] — a small deterministic xorshift generator with Box–Muller
 //!   normals and Xavier initialization, so every experiment is reproducible
 //!   bit-for-bit (the paper stresses Sync EASGD's determinism).
 
 pub mod arena;
 pub mod atomic;
+pub mod fiber;
 pub mod gemm;
 pub mod im2col;
 pub mod ops;

@@ -136,14 +136,16 @@ pub fn with_budget<R>(threads: usize, f: impl FnOnce() -> R) -> R {
     f()
 }
 
+/// The budget [`with_budget`] (or a [`fan_out`] job) installed on the
+/// calling thread, if any.
+pub fn installed_budget() -> Option<usize> {
+    NonZeroUsize::new(BUDGET.with(Cell::get)).map(NonZeroUsize::get)
+}
+
 /// Threads the calling thread's compute region may fan out over: the
-/// installed budget inside [`with_budget`] or a [`fan_out`] job,
-/// otherwise [`max_threads`].
+/// [`installed_budget`], otherwise [`max_threads`].
 pub fn current_threads() -> usize {
-    match BUDGET.with(Cell::get) {
-        0 => max_threads(),
-        n => n,
-    }
+    installed_budget().unwrap_or_else(max_threads)
 }
 
 /// Scoped threads the calling thread has spawned through [`fan_out`]
@@ -285,8 +287,11 @@ mod tests {
     #[test]
     fn with_budget_overrides_current_threads_and_restores() {
         assert_eq!(current_threads(), max_threads());
+        assert_eq!(installed_budget(), None);
         assert_eq!(with_budget(4, current_threads), 4);
+        assert_eq!(with_budget(4, installed_budget), Some(4));
         assert_eq!(current_threads(), max_threads());
+        assert_eq!(installed_budget(), None);
     }
 
     #[test]

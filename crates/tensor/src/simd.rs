@@ -36,11 +36,12 @@
 //!
 //! # Safety story
 //!
-//! This module is the **only** place in the workspace allowed to use
-//! `unsafe` (the tensor crate denies `unsafe_code`; this module opts out
-//! file-wide below, and `cargo run -p easgd-xtask -- lint` enforces that
-//! the allowlist stays exactly this file and that every `unsafe` site
-//! carries a `SAFETY:` justification). The public surface is entirely
+//! This module and [`crate::fiber`] are the only places in the workspace
+//! allowed to use `unsafe` (the tensor crate denies `unsafe_code`; this
+//! module opts out file-wide below, and `cargo run -p easgd-xtask --
+//! lint` enforces that the allowlist stays exactly these two files and
+//! that every `unsafe` site carries a `SAFETY:` justification). The
+//! public surface is entirely
 //! safe: slice lengths are asserted before any raw-pointer arithmetic,
 //! and `#[target_feature]` functions are only reachable through
 //! dispatchers that are compiled solely when the feature is statically
@@ -1623,5 +1624,21 @@ mod tests {
             |c, _| dilution_band(0.015, 4.0, c, &a),
             |c, _| dilution_band(0.015, 4.0, c, &a),
         );
+    }
+
+    /// AddressSanitizer's canary, compiled only by `scripts/sanitize.sh`
+    /// (under `--cfg easgd_asan_probe`, in a build of its own): one 64-byte
+    /// `_mm512_loadu_ps` wholly past the end of a 16-float heap buffer. A
+    /// sanitizer build that does not report it would pass every other leg
+    /// without checking anything.
+    #[cfg(all(easgd_asan_probe, target_feature = "avx512f"))]
+    #[test]
+    fn asan_probe_overreads_64_bytes() {
+        let buf = vec![1.0f32; 16];
+        let end = std::hint::black_box(buf.as_ptr_range().end);
+        // SAFETY: none: this load is out of bounds on purpose, and the
+        // cfg above keeps it out of every build but the sanitizer's probe.
+        let v = unsafe { std::arch::x86_64::_mm512_loadu_ps(end) };
+        std::hint::black_box(v);
     }
 }

@@ -7,11 +7,12 @@
 //! 1. **no-unsafe / simd-discipline** — the tree is `unsafe`-free and
 //!    must stay that way (also enforced at compile time via
 //!    `unsafe_code = "forbid"`; this pass catches it before a compile
-//!    and inside cfg'd-out code). The one sanctioned exception is the
-//!    explicit-SIMD microkernel module: files listed in
-//!    `crates/xtask/simd-allow.txt` may contain `unsafe`, but every
-//!    site must carry a `// SAFETY:` justification on the same line or
-//!    in the comment block directly above (the textual mirror of the
+//!    and inside cfg'd-out code). The sanctioned exceptions are the
+//!    two files listed in `crates/xtask/simd-allow.txt` (the
+//!    explicit-SIMD kernels and the event backend's fibers): they may
+//!    contain `unsafe`, but every site must carry a `// SAFETY:`
+//!    justification on the same line or in the comment block directly
+//!    above (the textual mirror of the
 //!    crate-level `clippy::undocumented_unsafe_blocks = "deny"`, so the
 //!    discipline also covers cfg'd-out tiers the compiler never sees).
 //! 2. **wall-clock** — `Instant::now`, `SystemTime` and `thread_rng`
@@ -481,9 +482,8 @@ pub fn lint_source_with(
                     file: file.to_string(),
                     line: lineno,
                     rule: "no-unsafe",
-                    message: "`unsafe` is banned workspace-wide (the tree is unsafe-free); \
-                              only the explicit-SIMD microkernel files in \
-                              crates/xtask/simd-allow.txt are exempt"
+                    message: "`unsafe` is banned workspace-wide; only the explicit-SIMD \
+                              kernels and the fibers (crates/xtask/simd-allow.txt) are exempt"
                         .to_string(),
                 });
             } else if !comment_justified(&raw_lines, idx, "SAFETY:") {
@@ -1103,6 +1103,27 @@ mod tests {
         assert!(lint_source_with("s.rs", same_line, false, true).is_empty());
         let above = "// SAFETY: pointer stays inside the packed panel.\nfn f() { unsafe { x() } }";
         assert!(lint_source_with("s.rs", above, false, true).is_empty());
+    }
+
+    #[test]
+    fn the_fiber_file_is_allowlisted_and_each_unsafe_still_needs_its_safety_line() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR"))
+            .ancestors()
+            .nth(2)
+            .expect("workspace root");
+        let text = fs::read_to_string(root.join("crates/xtask/simd-allow.txt")).expect("allowlist");
+        let allow = parse_allowlist(&text);
+        let fiber = "crates/tensor/src/fiber.rs";
+        assert_eq!(
+            allow.iter().map(String::as_str).collect::<Vec<_>>(),
+            ["crates/tensor/src/fiber.rs", "crates/tensor/src/simd.rs"]
+        );
+        let bare = "fn resume() {\n    unsafe { switch(save, load) };\n}\n";
+        let f = lint_source_with(fiber, bare, true, allow.contains(fiber));
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!((f[0].rule, f[0].line), ("simd-discipline", 2));
+        let justified = "fn resume() {\n    // SAFETY: the frame is suspended.\n    unsafe { switch(save, load) };\n}\n";
+        assert!(lint_source_with(fiber, justified, true, true).is_empty());
     }
 
     #[test]

@@ -41,8 +41,12 @@ cargo run -q --release -p easgd-bench --bin kernels -- --smoke
 echo "==> simulated exchange tables (smoke + checked-in BENCH_comm.json acceptance)"
 cargo run -q --release -p easgd-bench --bin comm -- --smoke
 
-echo "==> cluster harness on the event backend (smoke: P<=512 + checked-in BENCH_cluster.json acceptance; full P=8192 sweep runs nightly in CI)"
-cargo run -q --release -p easgd-bench --bin cluster -- --smoke
+# Every value in BENCH_cluster.json is simulated time, so the regenerated
+# file must equal the checked-in one byte for byte — all but its `host`
+# header line, which records the machine (cpus, malloc settings).
+echo "==> cluster harness on the event backend (the full sweep to P=8192; the regenerated BENCH_cluster.json must equal the checked-in one)"
+cargo run -q --release -p easgd-bench --bin cluster -- --out target/BENCH_cluster.json
+git diff --no-index --exit-code -I '^  "host": ' BENCH_cluster.json target/BENCH_cluster.json
 
 echo "==> logical-time serve sweep (smoke: short sweep + checked-in BENCH_serve.json acceptance; full latency sweep runs nightly in CI)"
 cargo run -q --release -p easgd-bench --bin serve -- --smoke
@@ -70,6 +74,9 @@ cargo test --workspace -q --features strict-invariants
 
 echo "==> SIMD tier bit-identity: the scalar and avx2+fma builds of easgd-tensor (scripts/simd_tiers.sh)"
 scripts/simd_tiers.sh
+
+echo "==> AddressSanitizer: the unsafe-holding code and its suites (scripts/sanitize.sh; SKIPPED without nightly)"
+scripts/sanitize.sh
 
 echo "==> non-test lines per crate (scripts/loc.sh)"
 scripts/loc.sh
