@@ -15,8 +15,7 @@
 //! |-----------------------------|------------------------------------------|
 //! | `0x0100_0000`               | Sync EASGD batch fan-out (CPU → GPUs)    |
 //! | `0x0200_0000..=0x0200_0002` | Original EASGD data / center / weight    |
-//! | `0x0300_0000`               | Async parameter-server requests          |
-//! | `0x0310_0000 + worker`      | Async parameter-server replies           |
+//! | `0x0300_0000..=0x0300_0001` | Async parameter-server request / reply   |
 //! | `0x0400_0000 + round % 4096`| Hierarchical intra-node reduce rounds    |
 //! | `0x4100_0000 \| mask`       | Binomial-tree reduce steps               |
 //! | `0x4200_0000 \| mask`       | Binomial-tree broadcast steps            |
@@ -38,21 +37,10 @@ pub const ORIG_WEIGHT: u32 = 0x0200_0002;
 /// Async parameter server: worker→master requests (gradients or
 /// weights, per `easgd::AsyncVariant`).
 pub const ASYNC_REQ: u32 = 0x0300_0000;
-/// Base of the async master→worker reply range; use [`async_reply`].
-pub const ASYNC_REPLY_BASE: u32 = 0x0310_0000;
-/// Width of the async reply range (one tag per worker rank).
-pub const ASYNC_REPLY_SPAN: u32 = 0x0001_0000;
-
-/// The async master's reply tag for `worker` (per-destination tags keep
-/// a slow worker's stale reply from being matched by a later request
-/// cycle on another rank).
-pub fn async_reply(worker: usize) -> u32 {
-    debug_assert!(
-        (worker as u32) < ASYNC_REPLY_SPAN,
-        "worker rank out of tag range"
-    );
-    ASYNC_REPLY_BASE + worker as u32
-}
+/// Async parameter server: master→worker replies. One tag serves every
+/// worker: a rank's inbox matches `(from, tag)`, so a reply is only ever
+/// received by the worker it was sent to.
+pub const ASYNC_REPLY: u32 = 0x0300_0001;
 
 /// Base of the hierarchical intra-node reduce range; use [`hier_round`].
 pub const HIER_ROUND_BASE: u32 = 0x0400_0000;
@@ -122,8 +110,7 @@ pub fn ring(phase: u32, step: usize) -> u32 {
 pub const RANGES: &[(&str, u32, u32)] = &[
     ("sync-data", SYNC_DATA, 1),
     ("orig-data", ORIG_DATA, 3),
-    ("async-req", ASYNC_REQ, 1),
-    ("async-reply", ASYNC_REPLY_BASE, ASYNC_REPLY_SPAN),
+    ("async-server", ASYNC_REQ, 2),
     ("hier-round", HIER_ROUND_BASE, HIER_ROUND_SPAN),
     ("tree-reduce", TREE_REDUCE, TREE_SPAN),
     ("tree-bcast", TREE_BCAST, TREE_SPAN),
@@ -160,8 +147,7 @@ mod tests {
 
     #[test]
     fn constructors_stay_inside_their_ranges() {
-        assert_eq!(owner_of(async_reply(0)), Some("async-reply"));
-        assert_eq!(owner_of(async_reply(65535)), Some("async-reply"));
+        assert_eq!(owner_of(ASYNC_REPLY), Some("async-server"));
         assert_eq!(owner_of(hier_round(0)), Some("hier-round"));
         assert_eq!(owner_of(hier_round(123_456)), Some("hier-round"));
         assert_eq!(owner_of(ring(0, 0)), Some("ring"));

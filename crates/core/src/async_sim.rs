@@ -1,7 +1,7 @@
-// xtask: allow(wall-clock) — wall-clock trainer/driver: measures real elapsed time by design.
 //! Asynchronous parameter server on the simulated cluster (Figure 5,
-//! §3.1, §5.1) — the message-passing counterpart of the shared-memory
-//! implementations in [`crate::shared`].
+//! §3.1, §5.1): a virtual cluster decides the order in which workers
+//! reach the master and what that costs, and the wall-clock locked
+//! server ([`crate::shared`]) replays the order and does every float.
 //!
 //! The master (rank 0) serves workers **first-come-first-served**: it
 //! receives whatever arrives next (`recv_any`), updates, and replies.
@@ -15,15 +15,15 @@
 //! doesn't — the mechanism this module makes measurable.
 
 use crate::config::TrainConfig;
-use crate::engine::{
-    assemble_sim, rank_rng, AsyncVariant, ElasticRule, LocalStep, RankOutcome, SALT_PHI,
-};
+use crate::engine::{rank_rng, AsyncVariant, SALT_JITTER};
 use crate::metrics::RunResult;
+use crate::shared::{locked_server, order_id, LockOrder};
 use crate::simcost::SimCosts;
-use easgd_cluster::{tags, ClusterConfig, Comm, TimeCategory, VirtualCluster};
+use easgd_cluster::{
+    tags, ClusterBackend, ClusterConfig, Comm, RankReport, TimeCategory, VirtualCluster,
+};
 use easgd_data::Dataset;
 use easgd_nn::Network;
-use std::time::Instant;
 
 /// The result name of `variant` on the simulated server.
 fn label(variant: AsyncVariant) -> &'static str {
@@ -35,10 +35,69 @@ fn label(variant: AsyncVariant) -> &'static str {
     }
 }
 
+/// The order in which `cfg.workers` simulated GPUs reach an FCFS master,
+/// `cfg.iterations` exchanges each, and the master's report: its clock
+/// and Table 3 breakdown. Worker compute is jittered per
+/// `costs.compute_jitter`; the elastic `variant`s also pay a GPU update.
+/// Hosted on the event backend, so the order is a pure function of the
+/// seed and the costs.
+pub fn fcfs_order(
+    cfg: &TrainConfig,
+    costs: &SimCosts,
+    variant: AsyncVariant,
+) -> (Vec<u16>, RankReport) {
+    let total = cfg.iterations * cfg.workers;
+    let xfer = costs.unpacked_weight_time();
+    let cluster = ClusterConfig::new(cfg.workers + 1).with_backend(ClusterBackend::Events);
+    let outs = VirtualCluster::run(&cluster, |comm: &mut Comm| {
+        // Requests and replies carry no floats: only their costs count.
+        let mut empty = Vec::new();
+        if comm.rank() == 0 {
+            // ---- master: serve whoever arrives next, total times.
+            let mut order = Vec::with_capacity(total);
+            for _ in 0..total {
+                let from =
+                    comm.recv_any_into(tags::ASYNC_REQ, TimeCategory::ForwardBackward, &mut empty);
+                order.push(order_id(from - 1));
+                // The inbound transfer crosses the host link.
+                comm.charge(TimeCategory::CpuGpuParam, xfer);
+                comm.charge(TimeCategory::CpuUpdate, costs.cpu_update);
+                comm.send_costed(
+                    from,
+                    tags::ASYNC_REPLY,
+                    &[],
+                    xfer,
+                    TimeCategory::CpuGpuParam,
+                );
+            }
+            Some((order, comm.report()))
+        } else {
+            // ---- worker: compute, push, pull, update.
+            let mut rng = rank_rng(cfg.seed, SALT_JITTER, comm.rank());
+            for _ in 0..cfg.iterations {
+                // Jittered compute: heterogeneity knob of the study.
+                let jit = 1.0 + costs.compute_jitter * rng.uniform() as f64;
+                comm.charge(TimeCategory::ForwardBackward, costs.fwd_bwd * jit);
+                comm.send_costed(0, tags::ASYNC_REQ, &[], 0.0, TimeCategory::Other);
+                comm.recv_into(0, tags::ASYNC_REPLY, TimeCategory::Other, &mut empty);
+                if variant.is_elastic() {
+                    // The elastic worker updates on its GPU.
+                    comm.charge(TimeCategory::GpuUpdate, costs.gpu_update);
+                }
+            }
+            None
+        }
+    });
+    match outs.into_iter().next() {
+        Some(Some(master)) => master,
+        _ => unreachable!("rank 0 is the master"),
+    }
+}
+
 /// Runs the FCFS parameter server on a simulated `cfg.workers`-GPU node,
 /// exchanging by `variant`'s rule. `cfg.iterations` steps per worker,
-/// each ending in an exchange, so `τ` must be 1. Worker compute is
-/// jittered per `costs.compute_jitter`.
+/// each ending in an exchange, so `τ` must be 1. The cluster's
+/// [`fcfs_order`] sets the clock; the locked server replays the order.
 pub fn async_server_sim(
     proto: &Network,
     train: &Dataset,
@@ -49,89 +108,20 @@ pub fn async_server_sim(
 ) -> RunResult {
     cfg.validate();
     cfg.refuse_comm_period("async_server_sim");
-    let g = cfg.workers;
-    let cluster = ClusterConfig::new(g + 1);
-    let total = cfg.iterations * g;
-    let xfer = costs.unpacked_weight_time();
-    let shards = train.partition(g);
-    let rule = ElasticRule::from_config(cfg);
-    let wall_start = Instant::now();
-
-    let outs = VirtualCluster::run(&cluster, |comm: &mut Comm| {
-        if comm.rank() == 0 {
-            // ---- master: serve whoever arrives next, total times.
-            let mut center = proto.params().as_slice().to_vec();
-            let mut velocity = Vec::new();
-            // Receive scratch, reused across requests.
-            let mut payload = Vec::new();
-            for _ in 0..total {
-                let from = comm.recv_any_into(
-                    tags::ASYNC_REQ,
-                    TimeCategory::ForwardBackward,
-                    &mut payload,
-                );
-                // The inbound transfer crosses the host link.
-                comm.charge(TimeCategory::CpuGpuParam, xfer);
-                variant.apply(&rule, &mut center, &mut velocity, &payload);
-                comm.charge(TimeCategory::CpuUpdate, costs.cpu_update);
-                comm.send_costed(
-                    from,
-                    tags::async_reply(from),
-                    &center,
-                    xfer,
-                    TimeCategory::CpuGpuParam,
-                );
-            }
-            RankOutcome::Center {
-                center,
-                report: comm.report(),
-                trace: Vec::new(),
-                loss_trace: Vec::new(),
-            }
-        } else {
-            // ---- worker: compute, push, pull, update.
-            let me = comm.rank();
-            let shard = &shards[me - 1];
-            let mut local = LocalStep::new(proto);
-            let mut rng = rank_rng(cfg.seed, SALT_PHI, me);
-            // Reply scratch, reused across rounds.
-            let mut reply = Vec::new();
-            for _ in 0..cfg.iterations {
-                let batch = shard.sample_batch(&mut rng, cfg.batch);
-                local.forward_backward(&batch);
-                // Jittered compute: heterogeneity knob of the study.
-                let jit = 1.0 + costs.compute_jitter * rng.uniform() as f64;
-                comm.charge(TimeCategory::ForwardBackward, costs.fwd_bwd * jit);
-                comm.send_costed(
-                    0,
-                    tags::ASYNC_REQ,
-                    variant.push(&local),
-                    0.0,
-                    TimeCategory::Other,
-                );
-                comm.recv_into(0, tags::async_reply(me), TimeCategory::Other, &mut reply);
-                variant.receive(&mut local, &reply);
-                variant.worker_update(&rule, &mut local);
-                if variant.is_elastic() {
-                    // The elastic worker updates on its GPU.
-                    comm.charge(TimeCategory::GpuUpdate, costs.gpu_update);
-                }
-            }
-            RankOutcome::Worker {
-                report: None,
-                last_loss: local.last_loss(),
-                loss_trace: local.take_loss_trace(),
-            }
-        }
-    });
-
-    let wall = wall_start.elapsed().as_secs_f64();
-    assemble_sim(label(variant), proto, test, cfg.iterations, wall, outs)
+    let (order, master) = fcfs_order(cfg, costs, variant);
+    let given = LockOrder::Given(&order);
+    let (run, _) = locked_server(label(variant), variant, given, proto, train, test, cfg);
+    RunResult {
+        sim_seconds: Some(master.time),
+        breakdown: Some(master.breakdown),
+        ..run
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lineage::MethodId;
     use crate::original::{original_easgd_sim, OriginalMode};
     use easgd_data::SyntheticSpec;
     use easgd_nn::models::lenet_tiny;
@@ -144,6 +134,44 @@ mod tests {
 
     fn cfg(iters: usize) -> TrainConfig {
         TrainConfig::figure6(iters).with_seed(151)
+    }
+
+    #[test]
+    fn a_lone_simulated_worker_trains_as_the_wall_clock_one() {
+        // One worker has one order, so the simulated server's centre is
+        // the wall-clock locked server's.
+        let (net, train, test) = setup();
+        let costs = SimCosts::mnist_lenet_4gpu();
+        let c = cfg(20).with_workers(1).with_eta(0.02);
+        for (v, m) in [
+            (AsyncVariant::Sgd, MethodId::AsyncSgd),
+            (AsyncVariant::Msgd, MethodId::AsyncMsgd),
+            (AsyncVariant::Easgd, MethodId::AsyncEasgd),
+            (AsyncVariant::Measgd, MethodId::AsyncMeasgd),
+        ] {
+            let sim = async_server_sim(&net, &train, &test, &c, &costs, v);
+            let wall = crate::run_method(m, &net, &train, &test, &c);
+            assert_eq!(sim.center_hash, wall.center_hash, "{v:?}");
+        }
+    }
+
+    #[test]
+    fn the_fcfs_order_is_a_function_of_the_seed() {
+        // Compute-dominated and jittered, as in the heterogeneity test.
+        let mut costs = SimCosts::mnist_lenet_4gpu();
+        costs.compute_jitter = 8.0;
+        costs.fwd_bwd = 20e-3;
+        let c = cfg(30);
+        let (order, master) = fcfs_order(&c, &costs, AsyncVariant::Easgd);
+        assert_eq!((order.clone(), master.time), {
+            let (o, m) = fcfs_order(&c, &costs, AsyncVariant::Easgd);
+            (o, m.time)
+        });
+        for w in 0..4 {
+            assert_eq!(order.iter().filter(|&&x| x == w).count(), 30, "worker {w}");
+        }
+        // Jittered workers do not arrive in turn.
+        assert!(order.chunks(4).any(|round| round != [0, 1, 2, 3]));
     }
 
     #[test]

@@ -10,12 +10,13 @@ use crate::config::TrainConfig;
 use crate::engine::AsyncVariant;
 use crate::lineage::MethodId;
 use crate::metrics::RunResult;
-use crate::shared::{locked_server, LockOrder};
+use crate::shared::{locked_server, order_id, LockOrder};
 use easgd_data::Dataset;
 use easgd_nn::Network;
 
 /// Runs the shared-memory (wall-clock) implementation of `method`; the
-/// five locked ones are one server, given a variant and a lock order.
+/// five locked ones are one server, given a variant and a lock order
+/// (Original EASGD's is the cyclic one).
 ///
 /// Momentum methods are sensitive to the raw learning rate (the
 /// effective rate is `η/(1−µ)`); callers comparing across methods
@@ -28,9 +29,17 @@ pub fn run_method(
     test: &Dataset,
     cfg: &TrainConfig,
 ) -> RunResult {
-    let locked = |variant, order| locked_server(method, variant, order, proto, train, test, cfg);
+    let locked =
+        |variant, order| locked_server(method.name(), variant, order, proto, train, test, cfg).0;
     match method {
-        MethodId::OriginalEasgd => locked(AsyncVariant::Easgd, LockOrder::RoundRobin),
+        MethodId::OriginalEasgd => {
+            // Refuse a zero τ by name before it divides.
+            cfg.validate();
+            // The round-robin turn: exchange t is worker t mod P's.
+            let exchanges = cfg.iterations / cfg.comm_period * cfg.workers;
+            let turns: Vec<u16> = (0..exchanges).map(|t| order_id(t % cfg.workers)).collect();
+            locked(AsyncVariant::Easgd, LockOrder::Given(&turns))
+        }
         MethodId::AsyncSgd => locked(AsyncVariant::Sgd, LockOrder::Fcfs),
         MethodId::AsyncMsgd => locked(AsyncVariant::Msgd, LockOrder::Fcfs),
         MethodId::AsyncEasgd => locked(AsyncVariant::Easgd, LockOrder::Fcfs),

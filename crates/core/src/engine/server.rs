@@ -1,8 +1,8 @@
 //! The asynchronous exchange rule — Async SGD, MSGD, EASGD and MEASGD
-//! (§3.1, §5.1) — declared once for the wall-clock locked server
-//! ([`crate::shared`]) and the simulated FCFS server
-//! ([`crate::async_sim`]). A worker pushes, the master updates the centre
-//! and replies with it, the worker takes the reply:
+//! (§3.1, §5.1) — declared once and read by the one locked server
+//! ([`crate::shared`]), which also replays the simulated FCFS server's
+//! order ([`crate::async_sim`]). A worker pushes, the master updates the
+//! centre and replies with it, the worker takes the reply:
 //!
 //! | variant  | pushes   | master applies                   | worker takes the reply |
 //! |----------|----------|----------------------------------|------------------------|

@@ -11,7 +11,8 @@
 //!   not replay the locked runs' sample sequences).
 //! * [`rank_rng`] — `seed ⊕ rank·salt`, the simulated-cluster rule where
 //!   rank 0 is the master (so computing ranks start at 1 and no `+1`
-//!   offset is needed).
+//!   offset is needed); the FCFS server's jitter draws from it under
+//!   [`SALT_JITTER`].
 //! * [`additive_rng`] — `seed + offset`, the synchronous simulators'
 //!   rule.
 //!
@@ -27,6 +28,11 @@ pub const SALT_PHI: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Salt of the Hogwild (lock-free) family.
 pub const SALT_HOGWILD: u64 = 0xA24B_AED4_963E_E407;
+
+/// Salt of the simulated FCFS server's compute jitter: a stream of its
+/// own, so the draws leave each worker's batch stream (`SALT_PHI`) as
+/// the locked server reads it.
+pub const SALT_JITTER: u64 = 0xD6E8_FEB8_6659_FD93;
 
 /// The seed-derivation rule: stream `i` draws from `seed ⊕ i·salt`.
 pub fn derive_seed(seed: u64, salt: u64, stream: u64) -> u64 {

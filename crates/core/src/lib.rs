@@ -26,7 +26,10 @@
 //!   EASGD1/2/3, the FCFS server under every [`AsyncVariant`]) run on
 //!   `easgd-cluster`'s virtual ranks with α-β-priced
 //!   communication, reproducing the Table 3 / Figure 11 time breakdowns
-//!   and the Figure 13 scaling curves.
+//!   and the Figure 13 scaling curves. The FCFS server's ranks decide
+//!   only the order and the clock: the wall-clock [`locked_server`]
+//!   replays that [`LockOrder`] and does the float work, as it does
+//!   for Original EASGD's turn and for a recorded FCFS run.
 //!
 //! Plus the two co-design studies:
 //!
@@ -55,7 +58,7 @@ pub mod straggler;
 pub mod sync;
 pub mod weak_scaling;
 
-pub use async_sim::async_server_sim;
+pub use async_sim::{async_server_sim, fcfs_order};
 pub use config::TrainConfig;
 pub use convex::QuadraticProblem;
 pub use dispatch::{run_comparison, run_method};
@@ -69,7 +72,7 @@ pub use model_parallel::model_parallel_speedup;
 pub use original::{original_easgd_sim, OriginalMode};
 pub use schedule::LrSchedule;
 pub use serial::{serial_sgd, SerialConfig};
-pub use shared::{async_measgd, sync_easgd_shared};
+pub use shared::{async_measgd, locked_server, sync_easgd_shared, LockOrder};
 pub use simcost::SimCosts;
 pub use straggler::{straggler_study, StragglerConfig, StragglerOutcome};
 pub use sync::{sync_easgd_sim, sync_easgd_sim_with, sync_sgd_sim, SyncExchange, SyncVariant};

@@ -187,31 +187,14 @@ fn sync_sgd_layouts_are_backend_identical_at_w2() {
 }
 
 #[test]
-fn async_server_is_backend_identical_at_w1() {
-    // FCFS arrival order is racy for >1 thread-backed worker, so the
-    // thread-vs-event comparison pins the w=1 config. Event-side
-    // determinism above it is covered below and by the golden rows.
-    let (net, train, test) = task();
-    let costs = SimCosts::mnist_lenet_4gpu();
-    for v in AsyncVariant::ALL {
-        parity(&format!("async_{v:?}_w1"), || {
-            async_server_sim(&net, &train, &test, &cfg(1, 15), &costs, v)
-        });
-    }
-}
-
-#[test]
 fn async_server_at_w4_is_deterministic_on_the_event_backend() {
-    // Where the thread backend is wall-clock-racy, the event engine's
-    // schedule is a pure function of the config: two w=4 FCFS runs must
-    // agree bit-for-bit.
+    // The FCFS server takes its order from the event engine, whose
+    // schedule is a pure function of the config, whatever the default
+    // backend: two w=4 FCFS runs must agree bit-for-bit.
     let (net, train, test) = task();
     let costs = SimCosts::mnist_lenet_4gpu();
     for v in [AsyncVariant::Easgd, AsyncVariant::Measgd] {
-        let run = || {
-            ClusterBackend::Events
-                .with_default(|| async_server_sim(&net, &train, &test, &cfg(4, 12), &costs, v))
-        };
+        let run = || async_server_sim(&net, &train, &test, &cfg(4, 12), &costs, v);
         let a = run();
         let b = run();
         assert_bit_identical(&format!("async_{v:?}_w4_events_rerun"), &a, &b);

@@ -22,12 +22,14 @@
 //!   this column as it was; one that moves it changed what the
 //!   simulated cluster charges.
 //!
-//! Wall-clock trainers are digested at `workers = 1` (the only
-//! configuration where thread scheduling cannot reorder float ops);
-//! the simulated-clock trainers are deterministic at any rank count and
-//! are digested at multiple workers — the FCFS server on the event
-//! backend, where the order requests reach the master is a pure
-//! function of the seed. Wall-clock *seconds* are never digested.
+//! Wall-clock trainers are digested at `workers = 1`, where thread
+//! scheduling cannot reorder float ops, and the locked server also at
+//! `workers = 4` under a given lock order: its run is a function of the
+//! order. The simulated-clock trainers are deterministic at any rank
+//! count and are digested at multiple workers — the FCFS server takes
+//! its order from the event backend, where the order requests reach the
+//! master is a pure function of the seed. Wall-clock *seconds* are
+//! never digested.
 //!
 //! To regenerate after an intentional numerical change:
 //! `GOLDEN_RECORD=1 cargo test --test golden_traces` and commit the
@@ -43,9 +45,9 @@ use knl_easgd::algorithms as alg;
 use knl_easgd::prelude::*;
 
 use alg::{
-    async_server_sim, hierarchical_sync_easgd, knl_partition_run, run_method, serial_sgd,
-    AsyncVariant, GpuClusterTopology, LrSchedule, MethodId, OriginalMode, RunResult, SerialConfig,
-    SyncExchange,
+    async_server_sim, hierarchical_sync_easgd, knl_partition_run, locked_server, run_method,
+    serial_sgd, AsyncVariant, GpuClusterTopology, LockOrder, LrSchedule, MethodId, OriginalMode,
+    RunResult, SerialConfig, SyncExchange,
 };
 use easgd_nn::LayoutKind;
 use knl_easgd::tensor::par;
@@ -200,6 +202,29 @@ fn run_all() -> BTreeMap<String, RunResult> {
         let name = format!("wall_{}_w1", m.slug());
         put(&name, run_method(m, &net, &train, &test, &cfg(1, 30)));
     }
+    // The locked server at P > 1 is a function of its lock order: Original
+    // EASGD's round-robin turn as is, and the FCFS four replaying a seeded
+    // uniform interleaving of their exchanges.
+    let c = cfg(4, 12);
+    put(
+        "wall_original_w4",
+        run_method(MethodId::OriginalEasgd, &net, &train, &test, &c),
+    );
+    let mut order: Vec<u16> = (0..c.workers * c.iterations)
+        .map(|t| (t % c.workers) as u16)
+        .collect();
+    Rng::new(0x4de2).shuffle(&mut order);
+    for (m, v) in [
+        (MethodId::AsyncSgd, AsyncVariant::Sgd),
+        (MethodId::AsyncMsgd, AsyncVariant::Msgd),
+        (MethodId::AsyncEasgd, AsyncVariant::Easgd),
+        (MethodId::AsyncMeasgd, AsyncVariant::Measgd),
+    ] {
+        let given = LockOrder::Given(&order);
+        let (r, ran) = locked_server(m.name(), v, given, &net, &train, &test, &c);
+        assert_eq!(ran, order, "{m} ran another order than it was given");
+        put(&format!("wall_{}_w4", m.slug()), r);
+    }
 
     // Simulated cluster family: deterministic at any rank count.
     for (suffix, mode) in [
@@ -258,9 +283,9 @@ fn run_all() -> BTreeMap<String, RunResult> {
             put(&format!("sim_sync_sgd_{suffix}_w{p}"), r);
         }
     }
-    // FCFS server. On the event backend the order in which requests
-    // reach the master is a pure function of the seed, so every P > 1 is
-    // pinned there; w1 has one order on either backend.
+    // FCFS server. Its order comes from the event backend, where the
+    // order in which requests reach the master is a pure function of the
+    // seed, so every P is pinned.
     for (suffix, v) in [
         ("sgd", AsyncVariant::Sgd),
         ("msgd", AsyncVariant::Msgd),
@@ -270,8 +295,7 @@ fn run_all() -> BTreeMap<String, RunResult> {
         let r = async_server_sim(&net, &train, &test, &cfg(1, 30), &costs, v);
         put(&format!("sim_async_{suffix}_w1"), r);
         for p in [2usize, 4, 8] {
-            let r = ClusterBackend::Events
-                .with_default(|| async_server_sim(&net, &train, &test, &cfg(p, 12), &costs, v));
+            let r = async_server_sim(&net, &train, &test, &cfg(p, 12), &costs, v);
             put(&format!("sim_async_{suffix}_w{p}"), r);
         }
     }
