@@ -31,6 +31,7 @@ use easgd_data::Dataset;
 use easgd_hardware::collective::ceil_log2;
 use easgd_hardware::net::AlphaBeta;
 use easgd_nn::Network;
+use easgd_tensor::ops::fold_sum;
 use std::time::Instant;
 
 /// Topology of the simulated GPU cluster.
@@ -150,9 +151,7 @@ pub fn hierarchical_sync_easgd(
                 node_sum.copy_from_slice(local.params());
                 for member in leader_rank + 1..leader_rank + g {
                     comm.recv_into(member, tag, TimeCategory::GpuGpuParam, &mut wbuf);
-                    for (a, b) in node_sum.iter_mut().zip(&wbuf) {
-                        *a += b;
-                    }
+                    fold_sum(&mut node_sum, &[&wbuf]);
                 }
                 // Tree depth, not member count, prices the reduce.
                 comm.charge(TimeCategory::GpuGpuParam, intra_tree);

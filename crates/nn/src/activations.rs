@@ -1,5 +1,5 @@
-//! Element-wise non-linearities: ReLU, Tanh, Sigmoid (§2.2 lists exactly
-//! these as the non-linear transforms of a CNN).
+//! The element-wise non-linearity of the paper's networks: ReLU (§2.2
+//! also lists tanh and the sigmoid, which none of them runs).
 
 use crate::layer::Layer;
 use easgd_tensor::{ParamArena, Tensor, TrainScratch};
@@ -77,151 +77,6 @@ impl Layer for Relu {
     }
 }
 
-/// Hyperbolic tangent.
-#[derive(Clone, Debug)]
-pub struct Tanh {
-    name: String,
-    shape: Vec<usize>,
-    /// Cached outputs (tanh'(x) = 1 − tanh²(x)).
-    out_cache: Vec<f32>,
-}
-
-impl Tanh {
-    /// Tanh over per-sample shape `shape`.
-    pub fn new(name: impl Into<String>, shape: Vec<usize>) -> Self {
-        Self {
-            name: name.into(),
-            shape,
-            out_cache: Vec::new(),
-        }
-    }
-}
-
-impl Layer for Tanh {
-    fn name(&self) -> String {
-        self.name.clone()
-    }
-
-    fn out_shape(&self) -> Vec<usize> {
-        self.shape.clone()
-    }
-
-    fn forward_into(
-        &mut self,
-        _params: &ParamArena,
-        input: &Tensor,
-        _train: bool,
-        out: &mut Tensor,
-        scratch: &mut TrainScratch,
-    ) {
-        scratch.shape_tensor(out, input.shape().dims());
-        out.as_mut_slice().copy_from_slice(input.as_slice());
-        for v in out.as_mut_slice() {
-            *v = v.tanh();
-        }
-        scratch.ensure_f32(&mut self.out_cache, out.len());
-        self.out_cache.copy_from_slice(out.as_slice());
-    }
-
-    fn backward_into(
-        &mut self,
-        _params: &ParamArena,
-        _grads: &mut ParamArena,
-        grad_out: &Tensor,
-        grad_in: &mut Tensor,
-        scratch: &mut TrainScratch,
-    ) {
-        assert_eq!(
-            grad_out.len(),
-            self.out_cache.len(),
-            "backward before forward"
-        );
-        scratch.shape_tensor(grad_in, grad_out.shape().dims());
-        grad_in.as_mut_slice().copy_from_slice(grad_out.as_slice());
-        for (gi, &y) in grad_in.as_mut_slice().iter_mut().zip(&self.out_cache) {
-            *gi *= 1.0 - y * y;
-        }
-    }
-
-    fn boxed_clone(&self) -> Box<dyn Layer> {
-        let mut c = self.clone();
-        c.out_cache = Vec::new();
-        Box::new(c)
-    }
-}
-
-/// Logistic sigmoid `1 / (1 + e^{-x})`.
-#[derive(Clone, Debug)]
-pub struct Sigmoid {
-    name: String,
-    shape: Vec<usize>,
-    out_cache: Vec<f32>,
-}
-
-impl Sigmoid {
-    /// Sigmoid over per-sample shape `shape`.
-    pub fn new(name: impl Into<String>, shape: Vec<usize>) -> Self {
-        Self {
-            name: name.into(),
-            shape,
-            out_cache: Vec::new(),
-        }
-    }
-}
-
-impl Layer for Sigmoid {
-    fn name(&self) -> String {
-        self.name.clone()
-    }
-
-    fn out_shape(&self) -> Vec<usize> {
-        self.shape.clone()
-    }
-
-    fn forward_into(
-        &mut self,
-        _params: &ParamArena,
-        input: &Tensor,
-        _train: bool,
-        out: &mut Tensor,
-        scratch: &mut TrainScratch,
-    ) {
-        scratch.shape_tensor(out, input.shape().dims());
-        out.as_mut_slice().copy_from_slice(input.as_slice());
-        for v in out.as_mut_slice() {
-            *v = 1.0 / (1.0 + (-*v).exp());
-        }
-        scratch.ensure_f32(&mut self.out_cache, out.len());
-        self.out_cache.copy_from_slice(out.as_slice());
-    }
-
-    fn backward_into(
-        &mut self,
-        _params: &ParamArena,
-        _grads: &mut ParamArena,
-        grad_out: &Tensor,
-        grad_in: &mut Tensor,
-        scratch: &mut TrainScratch,
-    ) {
-        assert_eq!(
-            grad_out.len(),
-            self.out_cache.len(),
-            "backward before forward"
-        );
-        scratch.shape_tensor(grad_in, grad_out.shape().dims());
-        grad_in.as_mut_slice().copy_from_slice(grad_out.as_slice());
-        for (gi, &y) in grad_in.as_mut_slice().iter_mut().zip(&self.out_cache) {
-            *gi *= y * (1.0 - y);
-        }
-    }
-
-    fn boxed_clone(&self) -> Box<dyn Layer> {
-        let mut c = self.clone();
-        c.out_cache = Vec::new();
-        Box::new(c)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -247,33 +102,9 @@ mod tests {
     }
 
     #[test]
-    fn tanh_gradcheck() {
-        let mut l = Tanh::new("t", vec![6]);
-        let (params, grads) = build_arenas(&mut l, 1);
-        check_layer(&mut l, params, grads, &[6], 3, 1e-2, 5);
-    }
-
-    #[test]
-    fn sigmoid_gradcheck() {
-        let mut l = Sigmoid::new("s", vec![6]);
-        let (params, grads) = build_arenas(&mut l, 1);
-        check_layer(&mut l, params, grads, &[6], 3, 1e-2, 6);
-    }
-
-    #[test]
     fn relu_gradcheck() {
         let mut l = Relu::new("r", vec![8]);
         let (params, grads) = build_arenas(&mut l, 1);
         check_layer(&mut l, params, grads, &[8], 2, 1e-2, 7);
-    }
-
-    #[test]
-    fn sigmoid_range_is_unit_interval() {
-        let mut l = Sigmoid::new("s", vec![3]);
-        let x = Tensor::from_vec([1, 3], vec![-100.0, 0.0, 100.0]);
-        let y = l.forward(&ParamArena::flat(0), &x, true);
-        assert!(y.as_slice()[0] >= 0.0 && y.as_slice()[0] < 1e-6);
-        assert!((y.as_slice()[1] - 0.5).abs() < 1e-6);
-        assert!(y.as_slice()[2] > 1.0 - 1e-6 && y.as_slice()[2] <= 1.0);
     }
 }

@@ -41,30 +41,12 @@ fn loss(c: &[f32], y: &Tensor) -> f64 {
 /// * `tol` — relative tolerance (1e-2 is appropriate for `f32` kernels).
 /// * `seed` — RNG seed; the check is deterministic.
 ///
-/// The layer must be deterministic across repeated forwards (pass
-/// `train = false` semantics internally if needed); stochastic layers
-/// (dropout in train mode) need bespoke tests.
+/// The layer must be deterministic across repeated forwards, as every
+/// layer of this crate is: none reads the `train` flag of its forward.
 ///
 /// # Panics
 /// Panics with a diagnostic if any probed coordinate disagrees.
 pub fn check_layer(
-    layer: &mut dyn Layer,
-    params: ParamArena,
-    grads: ParamArena,
-    in_shape: &[usize],
-    batch: usize,
-    tol: f64,
-    seed: u64,
-) {
-    check_layer_mode(layer, params, grads, in_shape, batch, tol, seed, false)
-}
-
-/// [`check_layer`] with an explicit train/eval mode. Use `train = true`
-/// for layers whose backward depends on training-mode statistics (batch
-/// normalization); the layer must still be deterministic across repeated
-/// forwards in that mode.
-#[allow(clippy::too_many_arguments)]
-pub fn check_layer_mode(
     layer: &mut dyn Layer,
     mut params: ParamArena,
     mut grads: ParamArena,
@@ -72,7 +54,6 @@ pub fn check_layer_mode(
     batch: usize,
     tol: f64,
     seed: u64,
-    train: bool,
 ) {
     let mut rng = Rng::new(seed);
     let mut full_shape = vec![batch];
@@ -83,7 +64,7 @@ pub fn check_layer_mode(
     rng.fill_normal(x.as_mut_slice(), 0.0, 1.0);
 
     // Forward once to learn the output size, then draw the probe functional.
-    let y0 = layer.forward(&params, &x, train);
+    let y0 = layer.forward(&params, &x, false);
     let mut c = vec![0.0f32; y0.len()];
     rng.fill_normal(&mut c, 0.0, 1.0);
 
@@ -106,9 +87,9 @@ pub fn check_layer_mode(
             let idx = rng.below(params.len());
             let orig = params.as_slice()[idx];
             params.as_mut_slice()[idx] = orig + eps;
-            let lp = loss(&c, &layer.forward(&params, &x, train));
+            let lp = loss(&c, &layer.forward(&params, &x, false));
             params.as_mut_slice()[idx] = orig - eps;
-            let lm = loss(&c, &layer.forward(&params, &x, train));
+            let lm = loss(&c, &layer.forward(&params, &x, false));
             params.as_mut_slice()[idx] = orig;
             let probe = Probe {
                 analytic: grads.as_slice()[idx] as f64,
@@ -123,7 +104,7 @@ pub fn check_layer_mode(
             );
         }
         // Restore the forward cache to the unperturbed input.
-        let _ = layer.forward(&params, &x, train);
+        let _ = layer.forward(&params, &x, false);
     }
 
     // Probe input coordinates.
@@ -131,9 +112,9 @@ pub fn check_layer_mode(
         let idx = rng.below(in_len);
         let orig = x.as_slice()[idx];
         x.as_mut_slice()[idx] = orig + eps;
-        let lp = loss(&c, &layer.forward(&params, &x, train));
+        let lp = loss(&c, &layer.forward(&params, &x, false));
         x.as_mut_slice()[idx] = orig - eps;
-        let lm = loss(&c, &layer.forward(&params, &x, train));
+        let lm = loss(&c, &layer.forward(&params, &x, false));
         x.as_mut_slice()[idx] = orig;
         let probe = Probe {
             analytic: grad_in.as_slice()[idx] as f64,

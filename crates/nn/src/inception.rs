@@ -9,7 +9,7 @@
 //! sums the branch input-gradients.
 
 use crate::conv::Conv2d;
-use crate::layer::{batch_of, Layer, ParamSpec};
+use crate::layer::{batch_of, forward_chain, Layer, ParamSpec};
 use easgd_tensor::{Conv2dGeometry, ParamArena, Tensor, TrainScratch};
 
 /// One parallel branch: a sequential stack of sub-layers.
@@ -17,32 +17,14 @@ struct Branch {
     layers: Vec<Box<dyn Layer>>,
     /// Output channels of the branch (spatial dims match the module's).
     out_channels: usize,
-    /// Ping/pong activation slots for the sequential chain; after a
-    /// `forward_into`/`backward_into` pass the result sits in `pong`.
+    /// Ping/pong activation slots for the sequential chain. A pass leaves
+    /// its result in `pong`, and `balance_slots` gives each slot the same
+    /// part on every call.
     ping: Tensor,
     pong: Tensor,
 }
 
 impl Branch {
-    fn forward_into(
-        &mut self,
-        params: &ParamArena,
-        input: &Tensor,
-        train: bool,
-        scratch: &mut TrainScratch,
-    ) {
-        let mut first = true;
-        for l in &mut self.layers {
-            if first {
-                l.forward_into(params, input, train, &mut self.pong, scratch);
-                first = false;
-            } else {
-                std::mem::swap(&mut self.ping, &mut self.pong);
-                l.forward_into(params, &self.ping, train, &mut self.pong, scratch);
-            }
-        }
-    }
-
     fn backward_into(
         &mut self,
         params: &ParamArena,
@@ -50,6 +32,8 @@ impl Branch {
         grad_out: &Tensor,
         scratch: &mut TrainScratch,
     ) {
+        // Traded first, the slots end where they began, result in `pong`.
+        balance_slots(self.layers.len(), &mut self.ping, &mut self.pong);
         let mut first = true;
         for l in self.layers.iter_mut().rev() {
             if first {
@@ -60,6 +44,17 @@ impl Branch {
                 l.backward_into(params, grads, &self.ping, &mut self.pong, scratch);
             }
         }
+    }
+}
+
+/// Trades `ping` and `pong` when a chain over `layers` layers (forward or
+/// backward) trades them an odd number of times. Done once before or
+/// after such a chain, it leaves each slot where the chain found it, so
+/// each slot holds the same activations on every call and one call at
+/// the largest batch sizes both for good.
+fn balance_slots(layers: usize, ping: &mut Tensor, pong: &mut Tensor) {
+    if layers.saturating_sub(1) % 2 == 1 {
+        std::mem::swap(ping, pong);
     }
 }
 
@@ -221,7 +216,7 @@ impl Layer for Inception {
         &mut self,
         params: &ParamArena,
         input: &Tensor,
-        train: bool,
+        _train: bool,
         out: &mut Tensor,
         scratch: &mut TrainScratch,
     ) {
@@ -241,7 +236,14 @@ impl Layer for Inception {
         scratch.shape_tensor(out, &[b, out_c, self.h, self.w]);
         let mut c_off = 0;
         for br in &mut self.branches {
-            br.forward_into(params, input, train, scratch);
+            forward_chain(
+                &mut br.layers,
+                params,
+                input,
+                &mut br.ping,
+                &mut br.pong,
+                scratch,
+            );
             let bc = br.out_channels;
             let t = br.pong.as_slice();
             let dst = out.as_mut_slice();
@@ -250,6 +252,7 @@ impl Layer for Inception {
                 let d = &mut dst[s * out_c * plane + c_off * plane..][..bc * plane];
                 d.copy_from_slice(src);
             }
+            balance_slots(br.layers.len(), &mut br.ping, &mut br.pong);
             c_off += bc;
         }
     }

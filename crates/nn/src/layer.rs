@@ -88,8 +88,9 @@ pub trait Layer: Send + Sync {
     /// Output shape (excluding the batch dimension).
     fn out_shape(&self) -> Vec<usize>;
 
-    /// Forward propagation on a batch. `train` distinguishes training
-    /// from inference (dropout behaves differently).
+    /// Forward propagation on a batch. No layer reads `train`: each
+    /// runs the same forward in training and serving, and the flag stays
+    /// only for the callers that pass it.
     ///
     /// Allocating shim over [`forward_into`](Layer::forward_into); the
     /// throwaway scratch means every call pays fresh allocations. Hot
@@ -181,6 +182,29 @@ pub trait Layer: Send + Sync {
 impl Clone for Box<dyn Layer> {
     fn clone(&self) -> Self {
         self.boxed_clone()
+    }
+}
+
+/// Runs `layers` forward on `x`, the forward of both the training step
+/// and serving: activations ping-pong between `ping` and `pong`, and the
+/// output ends in `pong`. An empty stack's output is `x` itself.
+pub(crate) fn forward_chain(
+    layers: &mut [Box<dyn Layer>],
+    params: &ParamArena,
+    x: &Tensor,
+    ping: &mut Tensor,
+    pong: &mut Tensor,
+    scratch: &mut TrainScratch,
+) {
+    let Some((first, later)) = layers.split_first_mut() else {
+        scratch.shape_tensor(pong, x.shape().dims());
+        pong.as_mut_slice().copy_from_slice(x.as_slice());
+        return;
+    };
+    first.forward_into(params, x, false, pong, scratch);
+    for layer in later {
+        std::mem::swap(ping, pong);
+        layer.forward_into(params, ping, false, pong, scratch);
     }
 }
 

@@ -8,9 +8,10 @@
 //! schedules; every worker still runs real forward/backward propagation
 //! (§2.2). This crate provides that per-worker compute path:
 //!
-//! * [`layer`] — the [`layer::Layer`] trait plus concrete layers:
-//!   [`dense::Dense`], [`conv::Conv2d`], pooling,
-//!   activations, dropout, local response normalization.
+//! * [`layer`] — the [`layer::Layer`] trait plus the layers the paper's
+//!   networks run (LeNet, AlexNet, GoogLeNet, VGG; Table 2):
+//!   [`dense::Dense`], [`conv::Conv2d`], max and average pooling, ReLU,
+//!   local response normalization and the inception module.
 //! * [`loss`] — softmax cross-entropy with analytic gradient.
 //! * [`network`] — [`network::Network`]: a layer stack whose
 //!   parameters live in a single packed `ParamArena` (the §5.2
@@ -26,11 +27,9 @@
 //!   test-suite to certify every layer's backward pass.
 
 pub mod activations;
-pub mod batchnorm;
 pub mod checkpoint;
 pub mod conv;
 pub mod dense;
-pub mod dropout;
 pub mod eval;
 pub mod flatten;
 pub mod gradcheck;
@@ -44,12 +43,10 @@ pub mod network;
 pub mod pool;
 pub mod spec;
 
-pub use activations::{Relu, Sigmoid, Tanh};
-pub use batchnorm::BatchNorm;
+pub use activations::Relu;
 pub use checkpoint::{load_network, save_network};
 pub use conv::Conv2d;
 pub use dense::Dense;
-pub use dropout::Dropout;
 pub use eval::{evaluate_topk, ConfusionMatrix, TopKAccuracy};
 pub use flatten::Flatten;
 pub use inception::{Inception, InceptionConfig};

@@ -1,11 +1,10 @@
 //! Networks: layer stacks over one packed parameter arena.
 
-use crate::activations::{Relu, Sigmoid, Tanh};
+use crate::activations::Relu;
 use crate::conv::Conv2d;
 use crate::dense::Dense;
-use crate::dropout::Dropout;
 use crate::flatten::Flatten;
-use crate::layer::Layer;
+use crate::layer::{forward_chain, Layer};
 use crate::loss::SoftmaxCrossEntropy;
 use crate::lrn::LocalResponseNorm;
 use crate::pool::{AvgPool2d, MaxPool2d};
@@ -109,22 +108,6 @@ impl NetworkBuilder {
         self
     }
 
-    /// Appends a Tanh.
-    pub fn tanh(mut self) -> Self {
-        let name = self.next_name("tanh");
-        let layer = Tanh::new(name, self.cur.clone());
-        self.layers.push(Box::new(layer));
-        self
-    }
-
-    /// Appends a Sigmoid.
-    pub fn sigmoid(mut self) -> Self {
-        let name = self.next_name("sigmoid");
-        let layer = Sigmoid::new(name, self.cur.clone());
-        self.layers.push(Box::new(layer));
-        self
-    }
-
     /// Appends max pooling.
     pub fn maxpool(mut self, size: usize, stride: usize) -> Self {
         let (c, h, w) = self.chw();
@@ -141,23 +124,6 @@ impl NetworkBuilder {
         let name = self.next_name("pool");
         let layer = AvgPool2d::new(name, c, h, w, size, stride);
         self.cur = layer.out_shape();
-        self.layers.push(Box::new(layer));
-        self
-    }
-
-    /// Appends batch normalization over the current shape (per-channel
-    /// for `[C,H,W]` maps, per-feature for flat activations).
-    pub fn batchnorm(mut self) -> Self {
-        let (channels, plane) = match self.cur.len() {
-            1 => (self.cur[0], 1),
-            3 => (self.cur[0], self.cur[1] * self.cur[2]),
-            _ => panic!(
-                "batchnorm expects [C,H,W] or [features], got {:?}",
-                self.cur
-            ),
-        };
-        let name = self.next_name("bn");
-        let layer = crate::batchnorm::BatchNorm::new(name, channels, plane);
         self.layers.push(Box::new(layer));
         self
     }
@@ -205,14 +171,6 @@ impl NetworkBuilder {
         let name = self.next_name("fc");
         let layer = Dense::new(name, self.cur[0], out_features);
         self.cur = layer.out_shape();
-        self.layers.push(Box::new(layer));
-        self
-    }
-
-    /// Appends dropout with drop probability `p`.
-    pub fn dropout(mut self, p: f32) -> Self {
-        let name = self.next_name("drop");
-        let layer = Dropout::new(name, self.cur.clone(), p, 0xD0_u64 + self.n as u64);
         self.layers.push(Box::new(layer));
         self
     }
@@ -433,22 +391,8 @@ impl Network {
         let mut ping = self.scratch.take_ping();
         let mut pong = self.scratch.take_pong();
         let mut probs = self.scratch.take_probs();
-
-        let mut first = true;
-        for layer in &mut self.layers {
-            if first {
-                layer.forward_into(&self.params, x, true, &mut pong, &mut self.scratch);
-                first = false;
-            } else {
-                std::mem::swap(&mut ping, &mut pong);
-                layer.forward_into(&self.params, &ping, true, &mut pong, &mut self.scratch);
-            }
-        }
-        if first {
-            // Layer-less network: the logits are the input itself.
-            self.scratch.shape_tensor(&mut pong, x.shape().dims());
-            pong.as_mut_slice().copy_from_slice(x.as_slice());
-        }
+        let s = &mut self.scratch;
+        forward_chain(&mut self.layers, &self.params, x, &mut ping, &mut pong, s);
         let (loss, correct) = self
             .loss
             .forward_into(&pong, labels, &mut probs, &mut self.scratch);
@@ -489,17 +433,7 @@ impl Network {
         pixels: &[f32],
         labels: &[usize],
     ) -> StepStats {
-        let per: usize = self.input_shape.iter().product();
-        assert_eq!(
-            pixels.len(),
-            batch * per,
-            "flat batch length mismatch: {} pixels for {batch} samples of {per}",
-            pixels.len()
-        );
-        let mut x = self.scratch.take_batch();
-        self.batch_dims[0] = batch;
-        self.scratch.shape_tensor(&mut x, &self.batch_dims);
-        x.as_mut_slice().copy_from_slice(pixels);
+        let x = load_batch(&mut self.batch_dims, batch, pixels, &mut self.scratch);
         let stats = self.forward_backward(&x, labels);
         self.scratch.put_batch(x);
         stats
@@ -507,9 +441,9 @@ impl Network {
 
     /// Forward-only inference on a batch `[B, …input_shape]`, writing
     /// logits `[B, classes]` into `logits` — the pooled counterpart of
-    /// the allocating [`forward`](Self::forward) shim, in eval mode
-    /// (`train = false`: dropout is the identity and consumes no RNG
-    /// draws, batch normalization uses running statistics).
+    /// the allocating [`forward`](Self::forward) shim. It runs the
+    /// forward of [`forward_backward`](Self::forward_backward): no
+    /// layer's forward depends on training or serving.
     ///
     /// All transient buffers are sized through the caller's
     /// [`InferScratch`], not the network's training scratch, so an
@@ -521,21 +455,7 @@ impl Network {
         let s = scratch.train_scratch();
         let mut ping = s.take_ping();
         let mut pong = s.take_pong();
-        let mut first = true;
-        for layer in &mut self.layers {
-            if first {
-                layer.forward_into(&self.params, x, false, &mut pong, s);
-                first = false;
-            } else {
-                std::mem::swap(&mut ping, &mut pong);
-                layer.forward_into(&self.params, &ping, false, &mut pong, s);
-            }
-        }
-        if first {
-            // Layer-less network: the logits are the input itself.
-            s.shape_tensor(&mut pong, x.shape().dims());
-            pong.as_mut_slice().copy_from_slice(x.as_slice());
-        }
+        forward_chain(&mut self.layers, &self.params, x, &mut ping, &mut pong, s);
         s.shape_tensor(logits, pong.shape().dims());
         logits.as_mut_slice().copy_from_slice(pong.as_slice());
         s.put_ping(ping);
@@ -557,19 +477,7 @@ impl Network {
         logits: &mut Tensor,
         scratch: &mut InferScratch,
     ) {
-        let per: usize = self.input_shape.iter().product();
-        assert_eq!(
-            pixels.len(),
-            batch * per,
-            "flat batch length mismatch: {} pixels for {batch} samples of {per}",
-            pixels.len()
-        );
-        let mut x = scratch.train_scratch().take_batch();
-        self.batch_dims[0] = batch;
-        scratch
-            .train_scratch()
-            .shape_tensor(&mut x, &self.batch_dims);
-        x.as_mut_slice().copy_from_slice(pixels);
+        let x = load_batch(&mut self.batch_dims, batch, pixels, scratch.train_scratch());
         self.infer_into(&x, logits, scratch);
         scratch.train_scratch().put_batch(x);
     }
@@ -608,13 +516,15 @@ impl Network {
     }
 
     /// Classification accuracy over a labelled set, evaluated in batches
-    /// of `batch` (inference mode: dropout off).
+    /// of `batch`.
     ///
     /// # Panics
-    /// Panics if `images` and `labels` disagree on the sample count.
+    /// Panics if `images` and `labels` disagree on the sample count, or
+    /// if `batch` is 0.
     pub fn evaluate(&mut self, images: &Tensor, labels: &[usize], batch: usize) -> f32 {
         let n = labels.len();
         assert!(n > 0, "empty evaluation set");
+        assert!(batch > 0, "evaluate: batch must be at least 1");
         let per: usize = self.input_shape.iter().product();
         assert_eq!(images.len(), n * per, "evaluate: images/labels mismatch");
         let mut correct = 0usize;
@@ -653,6 +563,26 @@ impl Network {
     pub fn num_layers(&self) -> usize {
         self.layers.len()
     }
+}
+
+/// Checks the batch tensor out of `s`, shaped `[batch, …input_shape]`
+/// (`dims` with its batch slot patched), with `pixels` copied in.
+///
+/// # Panics
+/// Panics if `pixels.len()` disagrees with `batch` samples.
+fn load_batch(dims: &mut [usize], batch: usize, pixels: &[f32], s: &mut TrainScratch) -> Tensor {
+    let per: usize = dims[1..].iter().product();
+    assert_eq!(
+        pixels.len(),
+        batch * per,
+        "flat batch length mismatch: {} pixels for {batch} samples of {per}",
+        pixels.len()
+    );
+    dims[0] = batch;
+    let mut x = s.take_batch();
+    s.shape_tensor(&mut x, dims);
+    x.as_mut_slice().copy_from_slice(pixels);
+    x
 }
 
 #[cfg(test)]
@@ -724,6 +654,14 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "batch must be at least 1")]
+    fn evaluate_refuses_a_zero_batch() {
+        // A zero batch never advances through the set.
+        let mut net = tiny_net();
+        net.evaluate(&Tensor::zeros([2, 1, 6, 6]), &[0, 1], 0);
+    }
+
+    #[test]
     fn forward_shape_is_batch_by_classes() {
         let mut net = tiny_net();
         let x = Tensor::zeros([5, 1, 6, 6]);
@@ -754,7 +692,6 @@ mod tests {
         let nets = [
             ("dense", mlp(12, &[9], 4, 1)),
             ("conv", conv().flatten().dense(4).build(2)),
-            ("batchnorm", conv().batchnorm().flatten().dense(4).build(3)),
             ("inception", googlenet_tiny(4)),
         ];
         for (name, net) in nets {
@@ -1135,6 +1072,28 @@ mod tests {
         for (a, b) in logits.as_slice().iter().zip(reference.as_slice()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
+    }
+
+    #[test]
+    fn one_pass_at_a_batch_warms_every_inception_slot() {
+        // An inception branch's ping-pong slots play one part on every
+        // call, so a second pass at the warmed batch allocates nothing,
+        // forward-only or training: a two-layer branch trades them once
+        // each way.
+        let mut net = crate::models::googlenet_tiny(3);
+        let mut x = Tensor::zeros([4, 3, 16, 16]);
+        Rng::new(4).fill_normal(x.as_mut_slice(), 0.0, 1.0);
+        let (mut scratch, mut logits) = (InferScratch::new(), Tensor::default());
+        net.infer_into(&x, &mut logits, &mut scratch);
+        let warm = scratch.stats();
+        net.infer_into(&x, &mut logits, &mut scratch);
+        assert_eq!(scratch.stats().since(&warm).allocations(), 0, "inference");
+        let labels = [0, 1, 2, 3];
+        net.forward_backward(&x, &labels);
+        let warm = net.scratch_stats();
+        net.forward_backward(&x, &labels);
+        let step = net.scratch_stats().since(&warm);
+        assert_eq!(step.allocations(), 0, "training");
     }
 
     #[test]

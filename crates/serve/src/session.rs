@@ -450,7 +450,7 @@ fn claimant() -> Claimant {
 mod tests {
     use super::*;
     use crate::batcher::{Batcher, BatcherConfig};
-    use easgd_nn::{models, NetworkBuilder};
+    use easgd_nn::{models, InceptionConfig, NetworkBuilder};
     use std::cell::Cell;
 
     thread_local! {
@@ -481,23 +481,28 @@ mod tests {
             .build(seed)
     }
 
-    /// The engine's zoo (`tests/eval_invariance.rs`): every
-    /// eval-mode-sensitive layer.
+    /// The engine's zoo (`tests/eval_invariance.rs`): every layer type
+    /// the paper's networks run.
     fn zoo_net() -> Network {
         NetworkBuilder::new([2, 8, 8])
             .conv2d(4, 3, 1, 1)
-            .batchnorm()
             .relu()
             .lrn()
             .maxpool(2, 2)
             .conv2d(4, 3, 1, 1)
-            .tanh()
+            .relu()
+            .inception(InceptionConfig {
+                c1: 2,
+                c3_reduce: 2,
+                c3: 3,
+                c5_reduce: 1,
+                c5: 2,
+                pool_proj: 1,
+            })
             .avgpool(2, 2)
             .flatten()
             .dense(16)
-            .batchnorm()
-            .sigmoid()
-            .dropout(0.5)
+            .relu()
             .dense(10)
             .build(0xBEEF)
     }

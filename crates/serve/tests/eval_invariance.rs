@@ -4,36 +4,39 @@
 //! the cap or deadline hit. That is only sound if eval-mode forward is
 //! batch-size invariant *bitwise*: serving a request in a batch of k
 //! must produce the exact bits it would get in a batch of B. Every
-//! layer is per-sample in eval mode (batchnorm normalizes by *running*
-//! statistics, LRN by within-sample neighborhoods, dropout is the
-//! identity), and every GEMM output is one float chain that depends on
-//! `k` alone, never on the row count — so equality must be exact, not
-//! approximate, and holds for a training forward of the GEMM layers too. These tests pin that contract for the layer zoo and
-//! for LeNet through the real serving session — a frozen replica, whose
+//! layer is per-sample (LRN normalizes over within-sample
+//! neighborhoods), and every GEMM output is one float chain that depends
+//! on `k` alone, never on the row count — so equality must be exact, not
+//! approximate. These tests pin that contract for the layer zoo and for
+//! LeNet through the real serving session — a frozen replica, whose
 //! weights are packed panels, against the unfrozen network.
 
-use easgd_nn::{models, Network, NetworkBuilder};
+use easgd_nn::{models, InceptionConfig, Network, NetworkBuilder};
 use easgd_serve::InferSession;
 use easgd_tensor::{with_scalar_kernels, Tensor};
 
-/// A network exercising every eval-mode-sensitive layer in the zoo:
-/// batchnorm (conv and dense placements), LRN, dropout, both pools,
-/// and all three activations.
+/// A network with every layer type the paper's networks run: conv,
+/// ReLU, LRN, both pools, an inception module and dense.
 fn zoo_net() -> Network {
     NetworkBuilder::new([2, 8, 8])
         .conv2d(4, 3, 1, 1)
-        .batchnorm()
         .relu()
         .lrn()
         .maxpool(2, 2)
         .conv2d(4, 3, 1, 1)
-        .tanh()
+        .relu()
+        .inception(InceptionConfig {
+            c1: 2,
+            c3_reduce: 2,
+            c3: 3,
+            c5_reduce: 1,
+            c5: 2,
+            pool_proj: 1,
+        })
         .avgpool(2, 2)
         .flatten()
         .dense(16)
-        .batchnorm()
-        .sigmoid()
-        .dropout(0.5)
+        .relu()
         .dense(10)
         .build(0xBEEF)
 }
@@ -42,32 +45,22 @@ fn pixels(n: usize, phase: f32) -> Vec<f32> {
     (0..n).map(|i| (i as f32 * 0.37 + phase).sin()).collect()
 }
 
-/// Runs a few train-mode forwards so batchnorm running statistics move
-/// away from their (0, 1) init — eval must then depend on them, not on
-/// batch statistics.
-fn warm_running_stats(net: &mut Network, sample_len: usize) {
-    for step in 0..3 {
-        let x = Tensor::from_vec([5, 2, 8, 8], pixels(5 * sample_len, step as f32));
-        let _ = net.forward(&x, true);
-    }
-}
-
 /// Every ragged window of a 7-sample batch, forwarded alone, reproduces
 /// the full batch's rows bit-for-bit.
-fn assert_rows_are_batch_size_invariant(net: &mut Network, train: bool) {
+fn assert_rows_are_batch_size_invariant(net: &mut Network) {
     let sample_len: usize = net.input_shape().iter().product();
     let full = 7usize;
     let px = pixels(full * sample_len, 0.5);
     let x_full = Tensor::from_vec([full, 2, 8, 8], px.clone());
-    let y_full = net.forward(&x_full, train);
+    let y_full = net.forward(&x_full, false);
     let classes = net.num_classes();
     for (start, k) in [(0usize, 1usize), (1, 3), (3, 4), (2, 5), (6, 1)] {
         let sub = &px[start * sample_len..(start + k) * sample_len];
-        let y_sub = net.forward(&Tensor::from_vec([k, 2, 8, 8], sub.to_vec()), train);
+        let y_sub = net.forward(&Tensor::from_vec([k, 2, 8, 8], sub.to_vec()), false);
         assert_eq!(
             y_sub.as_slice(),
             &y_full.as_slice()[start * classes..(start + k) * classes],
-            "rows [{start}, {}) changed bits when forwarded as a batch of {k} (train {train})",
+            "rows [{start}, {}) changed bits when forwarded as a batch of {k}",
             start + k
         );
     }
@@ -75,16 +68,11 @@ fn assert_rows_are_batch_size_invariant(net: &mut Network, train: bool) {
 
 #[test]
 fn zoo_eval_rows_are_batch_size_invariant_bitwise() {
-    let mut net = zoo_net();
-    let sample_len: usize = net.input_shape().iter().product();
-    warm_running_stats(&mut net, sample_len);
-    assert_rows_are_batch_size_invariant(&mut net, false);
-    // A training forward too, where every layer is per-sample: a GEMM
-    // row's bits never depend on its batch mates, so `Conv2d` and `Dense`
-    // keep them in a training step as in serving — the 96 → 128 layer
-    // included: its full batch (172 kflop) and one row (25 kflop) sit on
-    // either side of the 2¹⁷-flop line where a direct row loop that
-    // rounded `mul` and `add` apart once took over.
+    assert_rows_are_batch_size_invariant(&mut zoo_net());
+    // A GEMM row's bits never depend on its batch mates — the 96 → 128
+    // layer included: its full batch (172 kflop) and one row (25 kflop)
+    // sit on either side of the 2¹⁷-flop line where a direct row loop
+    // that rounded `mul` and `add` apart once took over.
     let mut gemms = NetworkBuilder::new([2, 8, 8])
         .conv2d(4, 3, 1, 1)
         .relu()
@@ -92,17 +80,16 @@ fn zoo_eval_rows_are_batch_size_invariant_bitwise() {
         .conv2d(6, 3, 1, 1)
         .flatten()
         .dense(128)
-        .tanh()
+        .relu()
         .dense(10)
         .build(0xF00D);
-    assert_rows_are_batch_size_invariant(&mut gemms, true);
+    assert_rows_are_batch_size_invariant(&mut gemms);
 }
 
 #[test]
 fn zoo_session_matches_full_batch_rows_bitwise() {
     let mut net = zoo_net();
     let sample_len: usize = net.input_shape().iter().product();
-    warm_running_stats(&mut net, sample_len);
 
     let full = 6usize;
     let px = pixels(full * sample_len, 2.0);
@@ -125,9 +112,8 @@ fn zoo_session_matches_full_batch_rows_bitwise() {
 
 #[test]
 fn zoo_session_ragged_schedule_is_zero_alloc_once_warm() {
-    let mut net = zoo_net();
+    let net = zoo_net();
     let sample_len: usize = net.input_shape().iter().product();
-    warm_running_stats(&mut net, sample_len);
     let mut session = InferSession::new(net);
     let px = pixels(8 * sample_len, 1.0);
 

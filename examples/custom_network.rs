@@ -1,5 +1,6 @@
-//! Building a custom architecture with the network builder — batch norm,
-//! an inception module, dropout — training it distributed, and
+//! Building a custom architecture with the network builder from the
+//! paper's layers — local response normalization (AlexNet), an inception
+//! module (GoogLeNet), average pooling — training it distributed, and
 //! checkpointing the result.
 //!
 //! ```sh
@@ -14,11 +15,12 @@ fn main() {
     let task = SyntheticSpec::cifar_small().task(0xC057);
     let (train, test) = task.train_test(1_500, 400, 0xC058);
 
-    // A custom stack: conv stem → BN → inception → classifier.
+    // A custom stack: conv stem → LRN → inception → average pool →
+    // classifier.
     let net = NetworkBuilder::new([3, 16, 16])
         .conv2d(8, 3, 1, 1)
-        .batchnorm()
         .relu()
+        .lrn()
         .maxpool(2, 2)
         .inception(InceptionConfig {
             c1: 4,
@@ -29,8 +31,8 @@ fn main() {
             pool_proj: 3,
         })
         .relu()
+        .avgpool(2, 2)
         .flatten()
-        .dropout(0.25)
         .dense(64)
         .relu()
         .dense(10)

@@ -77,14 +77,14 @@ fn inception_network_end_to_end_gradient() {
 
 #[test]
 fn deep_stack_with_every_layer_kind_has_exact_gradients() {
-    // Conv, LRN, pooling (max + avg), tanh, sigmoid, dense — one stack.
+    // Conv, LRN, pooling (max + avg), ReLU, dense — one stack.
     let net = NetworkBuilder::new([1, 10, 10])
         .conv2d(4, 3, 1, 1)
         .lrn()
-        .tanh()
+        .relu()
         .maxpool(2, 2)
         .conv2d(6, 3, 1, 1)
-        .sigmoid()
+        .relu()
         .avgpool(5, 5)
         .flatten()
         .dense(8)

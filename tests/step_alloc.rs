@@ -6,10 +6,7 @@
 use knl_easgd::nn::gradcheck::build_arenas;
 use knl_easgd::nn::inception::{Inception, InceptionConfig};
 use knl_easgd::nn::models::lenet_tiny;
-use knl_easgd::nn::{
-    AvgPool2d, BatchNorm, Conv2d, Dense, Dropout, Flatten, Layer, LocalResponseNorm, MaxPool2d,
-    Relu, Sigmoid, Tanh,
-};
+use knl_easgd::nn::{AvgPool2d, Conv2d, Dense, Flatten, Layer, LocalResponseNorm, MaxPool2d, Relu};
 use knl_easgd::prelude::*;
 use knl_easgd::tensor::{Conv2dGeometry, TrainScratch};
 use proptest::prelude::*;
@@ -18,8 +15,8 @@ use proptest::prelude::*;
 /// and re-growth of every cached buffer.
 const BATCHES: [usize; 5] = [1, 2, 3, 5, 8];
 
-/// One instance of every deterministic layer type, with its per-sample
-/// input shape. Index range is `LAYER_KINDS`.
+/// One instance of every layer type, with its per-sample input shape.
+/// Index range is `LAYER_KINDS`.
 fn make_layer(kind: usize) -> (Box<dyn Layer>, Vec<usize>) {
     let geom = Conv2dGeometry {
         in_channels: 2,
@@ -32,25 +29,22 @@ fn make_layer(kind: usize) -> (Box<dyn Layer>, Vec<usize>) {
     };
     match kind {
         0 => (Box::new(Relu::new("relu", vec![3, 4, 4])), vec![3, 4, 4]),
-        1 => (Box::new(Tanh::new("tanh", vec![3, 4, 4])), vec![3, 4, 4]),
-        2 => (Box::new(Sigmoid::new("sig", vec![3, 4, 4])), vec![3, 4, 4]),
-        3 => (Box::new(Dense::new("fc", 12, 7)), vec![12]),
-        4 => (Box::new(Conv2d::new("conv", geom, 4)), vec![2, 6, 6]),
-        5 => (
+        1 => (Box::new(Dense::new("fc", 12, 7)), vec![12]),
+        2 => (Box::new(Conv2d::new("conv", geom, 4)), vec![2, 6, 6]),
+        3 => (
             Box::new(MaxPool2d::new("max", 2, 6, 6, 2, 2)),
             vec![2, 6, 6],
         ),
-        6 => (
+        4 => (
             Box::new(AvgPool2d::new("avg", 2, 6, 6, 2, 2)),
             vec![2, 6, 6],
         ),
-        7 => (Box::new(BatchNorm::new("bn", 3, 16)), vec![3, 4, 4]),
-        8 => (
+        5 => (
             Box::new(LocalResponseNorm::new("lrn", 3, 4, 4)),
             vec![3, 4, 4],
         ),
-        9 => (Box::new(Flatten::new("flat", vec![3, 4, 4])), vec![3, 4, 4]),
-        10 => (
+        6 => (Box::new(Flatten::new("flat", vec![3, 4, 4])), vec![3, 4, 4]),
+        7 => (
             Box::new(Inception::new(
                 "inc",
                 4,
@@ -71,7 +65,7 @@ fn make_layer(kind: usize) -> (Box<dyn Layer>, Vec<usize>) {
     }
 }
 
-const LAYER_KINDS: usize = 11;
+const LAYER_KINDS: usize = 8;
 
 fn assert_bits_eq(a: &[f32], b: &[f32], what: &str) {
     assert_eq!(a.len(), b.len(), "{what}: length mismatch");
@@ -143,20 +137,6 @@ proptest! {
         let (mut pooled, in_shape) = make_layer(kind);
         let (mut shim, _) = make_layer(kind);
         check_rounds(pooled.as_mut(), shim.as_mut(), &in_shape, &batches, seed);
-    }
-
-    /// Dropout draws its mask from a layer-owned RNG; two instances with
-    /// the same seed and input sequence must agree bitwise between the
-    /// pooled and allocating paths.
-    #[test]
-    fn pooled_dropout_matches_allocating_shim(
-        picks in proptest::collection::vec(0usize..BATCHES.len(), 2..6),
-        seed in 1u64..1000,
-    ) {
-        let batches: Vec<usize> = picks.iter().map(|&i| BATCHES[i]).collect();
-        let mut pooled = Dropout::new("drop", vec![3, 4, 4], 0.4, 77);
-        let mut shim = Dropout::new("drop", vec![3, 4, 4], 0.4, 77);
-        check_rounds(&mut pooled, &mut shim, &[3, 4, 4], &batches, seed);
     }
 }
 
