@@ -43,6 +43,7 @@ use crate::cluster::Shared;
 use crate::comm::{Awaited, Comm, Message, WaitSet};
 use easgd_tensor::fiber::{self, Fiber};
 use easgd_tensor::par;
+use std::any::Any;
 use std::cell::Cell;
 use std::collections::BinaryHeap;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -123,9 +124,20 @@ impl Executor {
         match self {
             Executor::Threads => Some(rx.recv().expect("all senders hung up")),
             Executor::Events(sched) => {
-                sched.park(rank, now, waiting);
+                sched.park(rank, now, waiting, None);
                 None
             }
+        }
+    }
+
+    /// The scheduler of a [`VirtualCluster::explore`] run, whose
+    /// `recv_any`s the host resolves; `None` on every `run`.
+    ///
+    /// [`VirtualCluster::explore`]: crate::VirtualCluster::explore
+    pub(crate) fn branching(&self) -> Option<Arc<EventSched>> {
+        match self {
+            Executor::Events(sched) if sched.lock().branching.is_some() => Some(Arc::clone(sched)),
+            _ => None,
         }
     }
 
@@ -201,6 +213,47 @@ struct SchedState {
     aborted: bool,
     /// The deadlock report, until the rank it is addressed to takes it.
     deadlock: Option<(usize, String)>,
+    /// `VirtualCluster::explore`'s branch points; `None` on every `run`.
+    branching: Option<Branching>,
+}
+
+/// The branch points of one [`VirtualCluster::explore`] run: every
+/// `recv_any` parks, and once no rank can run the host resolves one of
+/// them by the next pick.
+///
+/// [`VirtualCluster::explore`]: crate::VirtualCluster::explore
+struct Branching {
+    /// The pick for each branch point in turn; 0 once they run out, and
+    /// the last option for an entry past it.
+    picks: Vec<usize>,
+    /// How many options each branch point so far had.
+    options: Vec<usize>,
+    /// Per rank parked in a `recv_any`: its tag, and the senders of the
+    /// matching messages it holds, oldest first.
+    open: Vec<Option<(u32, Vec<usize>)>>,
+    /// The sender picked for the rank resolved last, which runs next.
+    picked: Option<usize>,
+}
+
+impl Branching {
+    /// Resolves one parked `recv_any` — the rank and the sender that the
+    /// next pick names among every rank's options, in rank then arrival
+    /// order — and returns the rank; `None` if no rank has an option.
+    fn resolve(&mut self) -> Option<usize> {
+        let offers = || {
+            self.open.iter().enumerate().flat_map(|(rank, open)| {
+                open.iter()
+                    .flat_map(move |(_, senders)| senders.iter().map(move |&from| (rank, from)))
+            })
+        };
+        let options = offers().count();
+        let pick = self.picks.get(self.options.len()).copied().unwrap_or(0);
+        let (rank, from) = offers().nth(pick.min(options.checked_sub(1)?))?;
+        self.options.push(options);
+        self.open[rank] = None;
+        self.picked = Some(from);
+        Some(rank)
+    }
 }
 
 impl SchedState {
@@ -251,6 +304,31 @@ pub(crate) struct EventSched {
 }
 
 impl EventSched {
+    /// The scheduler of a [`VirtualCluster::explore`] run that takes
+    /// `picks` at its branch points.
+    ///
+    /// [`VirtualCluster::explore`]: crate::VirtualCluster::explore
+    pub(crate) fn branching(ranks: usize, picks: &[usize]) -> Self {
+        let sched = Self::new(ranks);
+        sched.lock().branching = Some(Branching {
+            // xtask: allow(payload-copy) — a few picks, not a payload.
+            picks: picks.to_vec(),
+            options: Vec::new(),
+            open: vec![None; ranks],
+            picked: None,
+        });
+        sched
+    }
+
+    /// How many options each branch point of an explore run had.
+    pub(crate) fn options(&self) -> Vec<usize> {
+        let mut st = self.lock();
+        st.branching
+            .as_mut()
+            .map(|b| std::mem::take(&mut b.options))
+            .unwrap_or_default()
+    }
+
     pub(crate) fn new(ranks: usize) -> Self {
         let mut queue = BinaryHeap::with_capacity(ranks);
         for rank in 0..ranks {
@@ -267,6 +345,7 @@ impl EventSched {
                 last_parked: 0,
                 aborted: false,
                 deadlock: None,
+                branching: None,
             }),
         }
     }
@@ -282,10 +361,11 @@ impl EventSched {
     /// every rank is done. Called only while **no** rank is running.
     ///
     /// Normally that is the runnable rank with the smallest
-    /// `(block time, rank)`, which now holds the run token. An empty
-    /// queue with live ranks left is a deadlock: the cluster aborts, and
-    /// from then on every live rank is resumed in rank order, to panic
-    /// where it parked.
+    /// `(block time, rank)`, which now holds the run token. With the
+    /// queue empty, an explore run resolves a parked `recv_any`. Else,
+    /// with live ranks left, it is a deadlock: the cluster aborts, and
+    /// from then on every live rank is resumed, the deadlock report's
+    /// addressee first and then in rank order, to panic where it parked.
     fn next(&self) -> Option<usize> {
         let mut st = self.lock();
         if !st.aborted {
@@ -296,16 +376,31 @@ impl EventSched {
             if st.done == st.status.len() {
                 return None;
             }
+            if let Some(rank) = st.branching.as_mut().and_then(Branching::resolve) {
+                st.status[rank] = RankState::Running;
+                return Some(rank);
+            }
             st.deadlock();
         }
-        st.status.iter().position(|&s| s != RankState::Done)
+        let addressee = st.deadlock.as_ref().map(|&(to, _)| to);
+        addressee.or_else(|| st.status.iter().position(|&s| s != RankState::Done))
     }
 
     /// Parks the calling rank at simulated time `now` until everything
     /// `waiting` names has been delivered (the set trades places with
     /// this rank's slot — whatever comes back is scratch) and switches
     /// to the host loop, which resumes it once it is dispatched again.
-    pub(crate) fn park(&self, rank: usize, now: f64, waiting: &mut WaitSet) {
+    ///
+    /// A `recv_any` of an explore run passes `open`: its tag and the
+    /// senders of the matches it holds. It waits for the host's pick,
+    /// not for a delivery, and gets the picked sender back.
+    pub(crate) fn park(
+        &self,
+        rank: usize,
+        now: f64,
+        waiting: &mut WaitSet,
+        open: Option<(u32, Vec<usize>)>,
+    ) -> Option<usize> {
         {
             let mut st = self.lock();
             st.check_abort(rank);
@@ -314,9 +409,14 @@ impl EventSched {
             st.parks[rank] += 1;
             st.last_parked = rank;
             std::mem::swap(&mut st.waiting[rank], waiting);
+            if let Some(branching) = st.branching.as_mut() {
+                branching.open[rank] = open;
+            }
         }
         fiber::suspend();
-        self.lock().check_abort(rank);
+        let mut st = self.lock();
+        st.check_abort(rank);
+        st.branching.as_mut().and_then(|b| b.picked.take())
     }
 
     /// Checks `from`'s `tag` message off what `rank` is parked for and
@@ -325,9 +425,19 @@ impl EventSched {
     /// parked rank did not name: it drains its channel before it next
     /// parks, so nothing is lost). The caller keeps the run token; the
     /// woken rank resumes at its own recorded block time once dispatched.
+    /// A rank parked in an explore run's `recv_any` gains an option
+    /// instead, if the message matches.
     pub(crate) fn signal(&self, rank: usize, from: usize, tag: u32) {
         let mut st = self.lock();
-        if st.status[rank] == RankState::Blocked && st.waiting[rank].deliver(from, tag) {
+        if st.status[rank] != RankState::Blocked {
+            return;
+        }
+        let open = st.branching.as_mut().and_then(|b| b.open[rank].as_mut());
+        if let Some((want, senders)) = open {
+            if *want == tag && !senders.contains(&from) {
+                senders.push(from);
+            }
+        } else if st.waiting[rank].deliver(from, tag) {
             st.status[rank] = RankState::Ready;
             let time = st.block_time[rank];
             st.queue.push(Runnable { time, rank });
@@ -344,7 +454,9 @@ impl EventSched {
 }
 
 /// Hosts one cluster run on the backend recorded in `shared.exec` and
-/// returns the per-rank results in rank order.
+/// returns the per-rank results in rank order, or the message of the
+/// first rank panic. Every rank that returns passes
+/// [`Comm::check_exit`] first.
 ///
 /// The ranks compute under the caller's thread budget `B`
 /// ([`par::current_threads`]): on threads, where all `P` ranks compute
@@ -352,7 +464,11 @@ impl EventSched {
 /// backend one rank runs at a time and every rank shares the caller's
 /// thread, so one `B` is installed around the whole host loop. The
 /// kernels inside a rank's step fork within that share and no further.
-pub(crate) fn host<R, F>(shared: Arc<Shared>, receivers: Vec<Receiver<Message>>, f: F) -> Vec<R>
+pub(crate) fn host<R, F>(
+    shared: Arc<Shared>,
+    receivers: Vec<Receiver<Message>>,
+    f: F,
+) -> Result<Vec<R>, String>
 where
     R: Send,
     F: Fn(&mut Comm) -> R + Send + Sync,
@@ -374,7 +490,11 @@ where
 }
 
 /// The seed hosting model: one preemptive OS thread per rank.
-fn host_threads<R, F>(shared: Arc<Shared>, receivers: Vec<Receiver<Message>>, f: &F) -> Vec<R>
+fn host_threads<R, F>(
+    shared: Arc<Shared>,
+    receivers: Vec<Receiver<Message>>,
+    f: &F,
+) -> Result<Vec<R>, String>
 where
     R: Send,
     F: Fn(&mut Comm) -> R + Send + Sync,
@@ -385,14 +505,28 @@ where
             let shared = Arc::clone(&shared);
             handles.push(s.spawn(move || {
                 let mut comm = Comm::new(rank, rx, shared);
-                f(&mut comm)
+                let result = f(&mut comm);
+                comm.check_exit();
+                result
             }));
         }
-        handles
+        let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
+        joined
             .into_iter()
-            .map(|h| h.join().expect("rank panicked"))
-            .collect()
+            .collect::<Result<_, _>>()
+            .map_err(panic_message)
     })
+}
+
+/// The text of a panic payload (`panic!` with a message carries one).
+fn panic_message(panic: Box<dyn Any + Send>) -> String {
+    match panic.downcast::<String>() {
+        Ok(text) => *text,
+        Err(panic) => match panic.downcast_ref::<&str>() {
+            Some(text) => text.to_string(),
+            None => "a panic without a message".to_string(),
+        },
+    }
 }
 
 /// Event hosting: each rank is a [`Fiber`] on the calling thread, and
@@ -400,14 +534,14 @@ where
 /// [`EventSched::next`] names; the rank runs until it parks (and
 /// switches back here) or its fiber ends. A rank that panicked aborts
 /// the cluster: every parked sibling is resumed into a panic, so every
-/// fiber ends and every stack is unmapped; then the run panics with
-/// "rank panicked", exactly like the thread backend's join.
+/// fiber ends and every stack is unmapped; then the run fails with the
+/// first panic's message, exactly like the thread backend's join.
 fn host_events<R, F>(
     sched: &EventSched,
     shared: Arc<Shared>,
     receivers: Vec<Receiver<Message>>,
     f: &F,
-) -> Vec<R>
+) -> Result<Vec<R>, String>
 where
     F: Fn(&mut Comm) -> R,
 {
@@ -426,7 +560,9 @@ where
                     // own code.
                     sched.lock().check_abort(rank);
                     let mut comm = Comm::new(rank, rx, shared);
-                    slot.set(Some(f(&mut comm)));
+                    let result = f(&mut comm);
+                    comm.check_exit();
+                    slot.set(Some(result));
                 }),
             )
         })
@@ -442,13 +578,13 @@ where
         }
     }
     drop(fibers);
-    if let Some(payload) = first_panic {
-        panic!("rank panicked: {payload:?}");
+    if let Some(panic) = first_panic {
+        return Err(panic_message(panic));
     }
-    results
+    Ok(results
         .into_iter()
         .map(|slot| slot.into_inner().expect("a rank ended without a result"))
-        .collect()
+        .collect())
 }
 
 #[cfg(test)]
@@ -457,6 +593,7 @@ mod tests {
     use crate::clock::TimeCategory;
     use crate::cluster::{ClusterConfig, VirtualCluster};
     use crate::collectives::{barrier, tree_allreduce_sum, tree_broadcast, tree_reduce_sum};
+    use crate::trace::TraceOp;
 
     impl EventSched {
         /// How often `rank` has parked so far.
@@ -886,6 +1023,85 @@ mod tests {
                 assert_eq!(a, vec![p as f32]);
                 assert!((t - want_time).abs() < 1e-12, "p={p}: {t} vs {want_time}");
             }
+        }
+    }
+
+    #[test]
+    fn explore_defers_every_recv_any_and_run_never_does() {
+        // Rank 0's recv_any finds rank 1's message queued; rank 2's is
+        // still to come. `run` takes the queued one at once; `explore`
+        // parks until no rank can run, then lets the pick decide.
+        let tag = 3;
+        let body = |comm: &mut Comm| match comm.rank() {
+            0 => {
+                let _ = recv(comm, 1, tag + 1);
+                let first = comm.recv_any_into(tag, TimeCategory::Other, &mut Vec::new());
+                let second = comm.recv_any_into(tag, TimeCategory::Other, &mut Vec::new());
+                vec![first, second]
+            }
+            me => {
+                comm.send(0, tag, &[], TimeCategory::Other);
+                if me == 1 {
+                    comm.send(0, tag + 1, &[], TimeCategory::Other);
+                }
+                Vec::new()
+            }
+        };
+        assert_eq!(VirtualCluster::run(&events(3), body)[0], [1, 2]);
+        // A pick past the last option takes the last.
+        for (picks, order) in [(vec![], [1, 2]), (vec![1], [2, 1]), (vec![7, 7], [2, 1])] {
+            let run = VirtualCluster::explore(&events(3), &picks, body);
+            assert_eq!(run.options, [2, 1], "{picks:?}");
+            assert_eq!(run.outcome.expect("the run passes")[0], order);
+            let any = |from| TraceOp::RecvAny { from, tag };
+            assert!(run.traces[0].ends_with(&[any(order[1]), TraceOp::Recycle]));
+        }
+        // Whatever the backend `config` names, explore runs on events.
+        let wildcard_free = VirtualCluster::explore(&ClusterConfig::new(4), &[], |comm| {
+            let mut sum = vec![1.0f32];
+            tree_allreduce_sum(comm, &mut sum, TimeCategory::Other);
+            sum[0]
+        });
+        assert!(wildcard_free.options.is_empty());
+        assert_eq!(wildcard_free.outcome, Ok(vec![4.0; 4]));
+    }
+
+    #[test]
+    fn explore_reports_the_deadlock_instead_of_panicking() {
+        let run = VirtualCluster::explore(&events(2), &[], |comm| {
+            let peer = 1 - comm.rank();
+            recv(comm, peer, 9)
+        });
+        assert!(run.options.is_empty());
+        let report = run.outcome.expect_err("both ranks wait for each other");
+        for waiter in [
+            "rank 0 (tag 0x9 from rank 1)",
+            "rank 1 (tag 0x9 from rank 0)",
+        ] {
+            assert!(report.contains(waiter), "{report}");
+        }
+        assert_eq!(run.traces, [Vec::new(), Vec::new()]);
+    }
+
+    #[test]
+    fn an_unreceived_message_fails_the_run_on_both_backends() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        for backend in [ClusterBackend::Threads, ClusterBackend::Events] {
+            let cfg = ClusterConfig::new(2).with_backend(backend);
+            let run = catch_unwind(AssertUnwindSafe(|| {
+                VirtualCluster::run(&cfg, |comm| {
+                    if comm.rank() == 0 {
+                        comm.send(1, 1, &[1.0], TimeCategory::Other);
+                        comm.send(1, 2, &[2.0], TimeCategory::Other);
+                    } else {
+                        let _ = recv(comm, 0, 2);
+                    }
+                })
+            }));
+            let panic = run.expect_err("the leftover fails the run");
+            let message = panic.downcast_ref::<String>().expect("a formatted panic");
+            let want = "rank 1 exited with 1 unreceived message(s): tag 0x1 from rank 0";
+            assert!(message.contains(want), "{backend:?}: {message}");
         }
     }
 

@@ -112,6 +112,14 @@ impl<T> Receiver<T> {
     pub fn try_recv(&self) -> Result<T, RecvError> {
         self.0.lock().queue.pop_front().ok_or(RecvError)
     }
+
+    /// Hangs up: every later send fails, and what is still queued is
+    /// returned — atomically, so no message slips in between.
+    pub fn hang_up(&self) -> VecDeque<T> {
+        let mut inner = self.0.lock();
+        inner.receiver_alive = false;
+        std::mem::take(&mut inner.queue)
+    }
 }
 
 impl<T> Drop for Receiver<T> {
@@ -159,6 +167,16 @@ mod tests {
         let (tx, rx) = unbounded();
         drop(rx);
         assert_eq!(tx.send(3), Err(SendError));
+    }
+
+    #[test]
+    fn hang_up_returns_the_queue_and_refuses_later_sends() {
+        let (tx, rx) = unbounded();
+        tx.send(1).unwrap();
+        tx.send(2).unwrap();
+        assert_eq!(rx.hang_up(), [1, 2]);
+        assert_eq!(tx.send(3), Err(SendError));
+        assert_eq!(rx.try_recv(), Err(RecvError));
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! Cluster configuration and construction.
 
-use crate::backend::{self, ClusterBackend, Executor};
+use crate::backend::{self, ClusterBackend, EventSched, Executor};
 use crate::channel;
 use crate::comm::{Comm, Message};
 use crate::pool::BufferPool;
+use crate::trace::TraceOp;
 use easgd_hardware::net::AlphaBeta;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Configuration of a virtual cluster.
 ///
@@ -95,28 +96,96 @@ impl VirtualCluster {
     /// cluster's [`ClusterConfig`]. Whether the ranks are preemptive OS
     /// threads or event-scheduled fibers is the backend's business — the
     /// closure cannot tell the difference (see [`crate::backend`]).
+    ///
+    /// # Panics
+    /// Panics with `rank panicked` and the first rank panic's message if
+    /// a rank panics, deadlocks (event backend), or returns with a
+    /// message it never received.
     pub fn run<R, F>(config: &ClusterConfig, f: F) -> Vec<R>
     where
         R: Send,
         F: Fn(&mut Comm) -> R + Send + Sync,
     {
-        let p = config.ranks;
-        let mut senders = Vec::with_capacity(p);
-        let mut receivers = Vec::with_capacity(p);
-        for _ in 0..p {
-            let (tx, rx) = channel::unbounded();
-            senders.push(tx);
-            receivers.push(rx);
-        }
-        let config = Arc::new(config.handle());
-        let shared = Arc::new(Shared {
-            exec: config.backend.executor(p),
-            config,
-            senders,
-            pool: BufferPool::new(),
-        });
-        backend::host(shared, receivers, f)
+        let exec = config.backend.executor(config.ranks);
+        host(config, exec, f).unwrap_or_else(|panic| panic!("rank panicked: {panic}"))
     }
+
+    /// One run of `f` on the event backend (whatever `config` names)
+    /// that lets `picks` decide every order a run can observe — the
+    /// protocol checker's seam (DESIGN.md §12).
+    ///
+    /// Sends never block and every other receive names its sender, so
+    /// only a `recv_any` can see the schedule. Here a `recv_any` parks
+    /// even when a match is queued. Once no rank can run, the host
+    /// resolves one parked `recv_any`: entry `i` of `picks` (0 past the
+    /// end) names the rank that goes and the sender whose oldest
+    /// matching message it takes, counting every rank's senders in rank
+    /// order and then arrival order. [`VirtualCluster::run`] never
+    /// defers: it takes the oldest match.
+    pub fn explore<R, F>(config: &ClusterConfig, picks: &[usize], f: F) -> Explored<R>
+    where
+        R: Send,
+        F: Fn(&mut Comm) -> R + Send + Sync,
+    {
+        let p = config.ranks;
+        let sched = Arc::new(EventSched::branching(p, picks));
+        let traces: Vec<Mutex<Vec<TraceOp>>> = (0..p).map(|_| Mutex::default()).collect();
+        let outcome = host(config, Executor::Events(Arc::clone(&sched)), |comm| {
+            comm.trace_start();
+            let result = f(comm);
+            *traces[comm.rank()]
+                .lock()
+                .unwrap_or_else(|e| e.into_inner()) = comm.trace_take();
+            result
+        });
+        Explored {
+            options: sched.options(),
+            outcome,
+            traces: traces
+                .into_iter()
+                .map(|t| t.into_inner().unwrap_or_else(|e| e.into_inner()))
+                .collect(),
+        }
+    }
+}
+
+/// What one [`VirtualCluster::explore`] run did.
+#[derive(Debug)]
+pub struct Explored<R> {
+    /// How many options each branch point had, in the order the host
+    /// met them: a run branches only at a `recv_any`.
+    pub options: Vec<usize>,
+    /// The ranks' results in rank order, or the message of the panic
+    /// that ended the run: a rank's own, the host's deadlock report, or
+    /// its exit check's unreceived message.
+    pub outcome: Result<Vec<R>, String>,
+    /// Each rank's recorded operations; empty for a rank that did not
+    /// return.
+    pub traces: Vec<Vec<TraceOp>>,
+}
+
+/// Builds the channels and shared state of one run on `exec` and hosts
+/// `f` on every rank.
+fn host<R, F>(config: &ClusterConfig, exec: Executor, f: F) -> Result<Vec<R>, String>
+where
+    R: Send,
+    F: Fn(&mut Comm) -> R + Send + Sync,
+{
+    let p = config.ranks;
+    let mut senders = Vec::with_capacity(p);
+    let mut receivers = Vec::with_capacity(p);
+    for _ in 0..p {
+        let (tx, rx) = channel::unbounded();
+        senders.push(tx);
+        receivers.push(rx);
+    }
+    let shared = Arc::new(Shared {
+        exec,
+        config: Arc::new(config.handle()),
+        senders,
+        pool: BufferPool::new(),
+    });
+    backend::host(shared, receivers, f)
 }
 
 #[cfg(test)]

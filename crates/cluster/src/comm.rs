@@ -10,8 +10,7 @@
 //! There is one transport and no collective here: the collectives in
 //! [`crate::collectives`] are message programs over these point-to-point
 //! primitives, so the pool, the trace recorder, the FIFO checks, the
-//! protocol model checker and the event scheduler see every inter-rank
-//! byte, and every simulated second is what those messages cost.
+//! protocol checker and the event scheduler see every inter-rank byte, and every simulated second is what those messages cost.
 
 use crate::clock::{RankReport, SimClock, TimeCategory};
 use crate::cluster::Shared;
@@ -78,8 +77,7 @@ pub(crate) struct Message {
     /// α-β send cost).
     pub(crate) arrival: f64,
     /// Per-(sender, receiver) post sequence number, for the
-    /// strict-invariants per-(src,dst,tag) FIFO delivery check — the
-    /// runtime mirror of the xtask protocol checker's FIFO invariant.
+    /// strict-invariants per-(src,dst,tag) FIFO delivery check.
     #[cfg(feature = "strict-invariants")]
     pub(crate) seq: u64,
 }
@@ -148,8 +146,8 @@ pub struct Comm {
     /// shared mutex.
     local_free: FreeList,
     /// When `Some`, every comm operation appends its [`TraceOp`] — the
-    /// trace-recording shim behind the xtask protocol model checker
-    /// (DESIGN.md §12). `None` (the default) costs one branch per op.
+    /// trace-recording shim whose ops the xtask protocol checker's ledger
+    /// reads (DESIGN.md §12). `None` (the default) costs one branch per op.
     trace: Option<Vec<TraceOp>>,
     /// Simulated time at which this rank's NIC finishes injecting its
     /// last posted message. Nonblocking sends queue behind it (their
@@ -205,12 +203,12 @@ impl Comm {
     }
 
     // ------------------------------------------------------------------
-    // Trace recording (the protocol model checker's shim)
+    // Trace recording (the protocol checker's shim)
     // ------------------------------------------------------------------
 
-    /// Starts recording every comm operation as a [`TraceOp`]. The xtask
-    /// protocol checker runs production collectives under this shim so
-    /// its per-rank programs are generated from the shipped code paths.
+    /// Starts recording every comm operation as a [`TraceOp`].
+    /// [`VirtualCluster::explore`](crate::VirtualCluster::explore)
+    /// records every rank this way.
     pub fn trace_start(&mut self) {
         self.trace = Some(Vec::new());
     }
@@ -391,16 +389,20 @@ impl Comm {
             *next += 1;
             *next
         };
-        self.shared.senders[to]
-            .send(Message {
-                from: self.rank,
-                tag,
-                data,
-                arrival,
-                #[cfg(feature = "strict-invariants")]
-                seq,
-            })
-            .expect("receiver hung up");
+        let msg = Message {
+            from: self.rank,
+            tag,
+            data,
+            arrival,
+            #[cfg(feature = "strict-invariants")]
+            seq,
+        };
+        if self.shared.senders[to].send(msg).is_err() {
+            panic!(
+                "rank {} sent tag {tag:#x} to rank {to}, which has already exited",
+                self.rank
+            );
+        }
         // On the event backend the destination may be a parked fiber —
         // the channel alone cannot wake it.
         self.shared.exec.notify_delivery(to, self.rank, tag);
@@ -639,13 +641,33 @@ impl Comm {
     /// *any* rank — the FCFS order of a parameter server (§3.1). Returns
     /// the sender.
     pub fn recv_any_into(&mut self, tag: u32, category: TimeCategory, out: &mut Vec<f32>) -> usize {
-        let msg = self.next_matching(Awaited { from: None, tag });
+        let from = self.picked_sender(tag);
+        let msg = self.next_matching(Awaited { from, tag });
         self.check_fifo(&msg);
-        self.note(TraceOp::RecvAny { tag });
-        self.clock.advance_to(msg.arrival, category);
         let from = msg.from;
+        self.note(TraceOp::RecvAny { from, tag });
+        self.clock.advance_to(msg.arrival, category);
         self.payload_into(msg.data, out);
         from
+    }
+
+    /// The sender a `recv_any` for `tag` takes. Under
+    /// [`VirtualCluster::explore`](crate::VirtualCluster::explore) the
+    /// rank parks even when a match is queued, and the host picks one of
+    /// the senders with a match; on every other run `None`: the oldest
+    /// match, FCFS.
+    fn picked_sender(&mut self, tag: u32) -> Option<usize> {
+        let sched = self.shared.exec.branching()?;
+        self.drain();
+        let mut queued = Vec::new();
+        for m in self.pending.iter().filter(|m| m.tag == tag) {
+            if !queued.contains(&m.from) {
+                queued.push(m.from);
+            }
+        }
+        self.waiting.reset([(None, tag)]);
+        let now = self.clock.now();
+        sched.park(self.rank, now, &mut self.waiting, Some((tag, queued)))
     }
 
     // ------------------------------------------------------------------
@@ -811,29 +833,28 @@ impl Comm {
         self.recv_into(from, tag, wait_category, out);
         self.clock.charge(transfer_category, seconds);
     }
-}
 
-/// No-message-loss check: a message that was pulled off the channel and
-/// buffered in `pending` but never matched by any `recv` means a rank
-/// ended with a tag/peer mismatch in its protocol — a silent loss the
-/// trainer would otherwise never notice. In-flight messages still in the
-/// channel at shutdown are NOT flagged: an asynchronous master legitimately
-/// stops consuming once training converges.
-#[cfg(feature = "strict-invariants")]
-impl Drop for Comm {
-    fn drop(&mut self) {
-        if !std::thread::panicking() {
-            debug_assert!(
-                self.pending.is_empty(),
-                "rank {} dropped {} buffered-but-unmatched message(s): {:?}",
-                self.rank,
-                self.pending.len(),
-                self.pending
-                    .iter()
-                    .map(|m| (m.from, m.tag))
-                    .collect::<Vec<_>>()
-            );
+    /// The host's exit check, run when this rank's closure returns: hangs
+    /// up its channel (a later send to this rank panics, naming both
+    /// ranks) and panics if anything sent to it was never received,
+    /// naming this rank and each message's sender and tag: a message
+    /// left behind is a tag or peer mismatch, lost without a trace.
+    pub(crate) fn check_exit(&mut self) {
+        self.pending.extend(self.rx.hang_up());
+        if self.pending.is_empty() {
+            return;
         }
+        let unreceived: Vec<String> = self
+            .pending
+            .iter()
+            .map(|m| format!("tag {:#x} from rank {}", m.tag, m.from))
+            .collect();
+        panic!(
+            "rank {} exited with {} unreceived message(s): {}",
+            self.rank,
+            unreceived.len(),
+            unreceived.join(", ")
+        );
     }
 }
 
@@ -993,24 +1014,6 @@ mod tests {
             }
         });
         assert_eq!(out[0], vec![1, 2, 3]);
-    }
-
-    #[test]
-    #[cfg(feature = "strict-invariants")]
-    #[should_panic(expected = "rank panicked")]
-    fn unmatched_pending_message_is_flagged_at_shutdown() {
-        // Rank 0 sends tags 1 then 2; rank 1 only ever matches tag 2, so
-        // the tag-1 message is buffered in `pending` and never consumed —
-        // the strict-invariants Drop must flag it.
-        let cfg = ClusterConfig::new(2);
-        let _ = VirtualCluster::run(&cfg, |comm| {
-            if comm.rank() == 0 {
-                comm.send(1, 1, &[1.0], TimeCategory::Other);
-                comm.send(1, 2, &[2.0], TimeCategory::Other);
-            } else {
-                let _ = recv(comm, 0, 2, TimeCategory::Other);
-            }
-        });
     }
 
     #[test]

@@ -33,8 +33,8 @@
 //! * [`tags`] — the named tag-range registry every subsystem draws its
 //!   point-to-point tags from (enforced by xtask lint rule 7).
 //! * [`trace`] — the comm-operation vocabulary behind [`comm::Comm`]'s
-//!   trace-recording shim and the xtask protocol model checker
-//!   (DESIGN.md §12).
+//!   trace-recording shim, which the xtask protocol checker's ledger
+//!   reads (DESIGN.md §12).
 //!
 //! ```
 //! use easgd_cluster::{tree_allreduce_sum, ClusterConfig, TimeCategory, VirtualCluster};
@@ -62,7 +62,7 @@ pub mod trace;
 
 pub use backend::ClusterBackend;
 pub use clock::{RankReport, SimClock, TimeBreakdown, TimeCategory};
-pub use cluster::{ClusterConfig, VirtualCluster};
+pub use cluster::{ClusterConfig, Explored, VirtualCluster};
 pub use codec::{BatchMsg, CodecError};
 pub use collectives::{
     flat_gather_sum, ring_allreduce_sum, tree_allreduce_sum, tree_allreduce_sum_among,

@@ -22,8 +22,8 @@
 //!   message's own buffer, and recycles the posted one in its place.
 //! * waiting twice on the same request is a bug and panics; dropping a
 //!   request without waiting is flagged by a debug assertion (a lost
-//!   completion — the runtime mirror of the protocol checker's
-//!   outstanding-request ledger).
+//!   completion; the protocol checker's ledger pairs every `Irecv` with
+//!   a `Wait` in release builds too).
 //!
 //! [`Comm::isend`]: crate::Comm::isend
 //! [`Comm::isend_from`]: crate::Comm::isend_from

@@ -1,12 +1,10 @@
-//! The abstract comm-operation vocabulary shared between [`Comm`]'s
-//! trace recorder and the xtask protocol model checker.
+//! The comm-operation vocabulary of [`Comm`]'s trace recorder, which
+//! the xtask protocol checker's ledger reads (DESIGN.md §12).
 //!
 //! A [`TraceOp`] is one observable communicator action, abstracted away
 //! from payload contents and simulated time. [`Comm::trace_start`] /
-//! [`Comm::trace_take`] record the exact sequence a rank executes, so
-//! the model checker's per-rank programs are *generated from the
-//! production code paths* rather than hand-transcribed — the model can
-//! never drift from the implementation (DESIGN.md §12).
+//! [`Comm::trace_take`] record the exact sequence a rank executes; the
+//! checker records every rank of every run it explores.
 //!
 //! The buffer-ledger reading of the ops: `TakeBuf` acquires one pooled
 //! buffer; `Send` moves a held buffer into the in-flight message (the
@@ -21,10 +19,10 @@
 //! release cluster-wide discharges the obligation. `Isend`
 //! consumes a held buffer at post time exactly like `Send`; an `Irecv`'s
 //! obligation materializes at its `Wait`, which acquires the matched
-//! message's buffer and recycles the posted one. In every terminal state
-//! the checker requires each rank to hold no buffer and no payload
-//! reference, a balanced ledger, and every posted `Irecv` discharged by
-//! a `Wait` (no lost completions).
+//! message's buffer and recycles the posted one. When a run ends the
+//! ledger requires each rank to hold no buffer and no payload
+//! reference, and every posted `Irecv` discharged by a `Wait` (no lost
+//! completions).
 //!
 //! [`Comm`]: crate::Comm
 //! [`Comm::trace_start`]: crate::Comm::trace_start
@@ -32,8 +30,7 @@
 
 use std::fmt;
 
-/// One communicator operation, as recorded by the trace shim and
-/// replayed by the xtask protocol model checker.
+/// One communicator operation, as recorded by the trace shim.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TraceOp {
     /// [`Comm::take_buffer`](crate::Comm::take_buffer): acquire one
@@ -60,19 +57,20 @@ pub enum TraceOp {
     Release,
     /// A blocking source- and tag-selective receive completed.
     Recv { from: usize, tag: u32 },
-    /// A blocking tag-selective FCFS receive from any source completed.
-    RecvAny { tag: u32 },
+    /// A blocking tag-selective receive from any source completed; it
+    /// took `from`'s message.
+    RecvAny { from: usize, tag: u32 },
     /// [`Comm::isend`](crate::Comm::isend) /
     /// [`Comm::isend_from`](crate::Comm::isend_from): a nonblocking send
     /// posted. The message is deposited *at post time* (consuming one
     /// held buffer, exactly like `Send`); only the sender's completion
-    /// wait is deferred, which is a pure clock effect the model does not
-    /// track. Waiting on a send request therefore records nothing.
+    /// wait is deferred, which is a pure clock effect. Waiting on a send
+    /// request therefore records nothing.
     Isend { to: usize, tag: u32 },
     /// [`Comm::irecv_into`](crate::Comm::irecv_into): a nonblocking
-    /// receive posted. Matching is deferred to the `Wait`, so this op is
-    /// rank-local; the model counts it against the rank's outstanding
-    /// requests so a dropped (never-waited) completion is detected.
+    /// receive posted. Matching is deferred to the `Wait`; the ledger
+    /// counts it against the rank's outstanding requests so a dropped
+    /// (never-waited) completion is detected.
     Irecv { from: usize, tag: u32 },
     /// [`Comm::wait`](crate::Comm::wait) completing a posted `Irecv`:
     /// matches the oldest in-flight `(from, tag)` message exactly like
@@ -90,30 +88,11 @@ impl fmt::Display for TraceOp {
             TraceOp::Fork => write!(f, "fork"),
             TraceOp::Release => write!(f, "release"),
             TraceOp::Recv { from, tag } => write!(f, "recv(from={from}, tag={tag:#x})"),
-            TraceOp::RecvAny { tag } => write!(f, "recv_any(tag={tag:#x})"),
+            TraceOp::RecvAny { from, tag } => write!(f, "recv_any(from={from}, tag={tag:#x})"),
             TraceOp::Isend { to, tag } => write!(f, "isend(to={to}, tag={tag:#x})"),
             TraceOp::Irecv { from, tag } => write!(f, "irecv(from={from}, tag={tag:#x})"),
             TraceOp::Wait { from, tag } => write!(f, "wait(from={from}, tag={tag:#x})"),
         }
-    }
-}
-
-impl TraceOp {
-    /// Whether this op is purely rank-local (no message-queue effect):
-    /// the model checker folds local ops into the preceding scheduling
-    /// point, since they commute with every other rank's ops. `Irecv` is
-    /// local — posting a receive is invisible to other ranks; the
-    /// blocking point is its `Wait`.
-    pub fn is_local(&self) -> bool {
-        matches!(
-            self,
-            TraceOp::TakeBuf
-                | TraceOp::Recycle
-                | TraceOp::Share
-                | TraceOp::Fork
-                | TraceOp::Release
-                | TraceOp::Irecv { .. }
-        )
     }
 }
 
@@ -189,6 +168,7 @@ mod tests {
             traces[1],
             vec![
                 TraceOp::RecvAny {
+                    from: 0,
                     tag: crate::tags::SYNC_DATA
                 },
                 TraceOp::Recycle

@@ -13,6 +13,13 @@
 //! appears when worker compute times vary (`compute_jitter` in
 //! [`SimCosts`]): round-robin convoys behind the slow worker, FCFS
 //! doesn't — the mechanism this module makes measurable.
+//!
+//! The cluster's rank closure is [`fcfs_rank`]. Its master's
+//! `recv_any` is the one place in the library where the order messages
+//! arrive in changes what a program does, so the xtask protocol checker
+//! runs this same closure once per order the master can see, and checks
+//! that every worker is served its exchanges and every request answered
+//! (DESIGN.md §12).
 
 use crate::config::TrainConfig;
 use crate::engine::{rank_rng, AsyncVariant, SALT_JITTER};
@@ -46,51 +53,62 @@ pub fn fcfs_order(
     costs: &SimCosts,
     variant: AsyncVariant,
 ) -> (Vec<u16>, RankReport) {
-    let total = cfg.iterations * cfg.workers;
-    let xfer = costs.unpacked_weight_time();
     let cluster = ClusterConfig::new(cfg.workers + 1).with_backend(ClusterBackend::Events);
-    let outs = VirtualCluster::run(&cluster, |comm: &mut Comm| {
-        // Requests and replies carry no floats: only their costs count.
-        let mut empty = Vec::new();
-        if comm.rank() == 0 {
-            // ---- master: serve whoever arrives next, total times.
-            let mut order = Vec::with_capacity(total);
-            for _ in 0..total {
-                let from =
-                    comm.recv_any_into(tags::ASYNC_REQ, TimeCategory::ForwardBackward, &mut empty);
-                order.push(order_id(from - 1));
-                // The inbound transfer crosses the host link.
-                comm.charge(TimeCategory::CpuGpuParam, xfer);
-                comm.charge(TimeCategory::CpuUpdate, costs.cpu_update);
-                comm.send_costed(
-                    from,
-                    tags::ASYNC_REPLY,
-                    &[],
-                    xfer,
-                    TimeCategory::CpuGpuParam,
-                );
-            }
-            Some((order, comm.report()))
-        } else {
-            // ---- worker: compute, push, pull, update.
-            let mut rng = rank_rng(cfg.seed, SALT_JITTER, comm.rank());
-            for _ in 0..cfg.iterations {
-                // Jittered compute: heterogeneity knob of the study.
-                let jit = 1.0 + costs.compute_jitter * rng.uniform() as f64;
-                comm.charge(TimeCategory::ForwardBackward, costs.fwd_bwd * jit);
-                comm.send_costed(0, tags::ASYNC_REQ, &[], 0.0, TimeCategory::Other);
-                comm.recv_into(0, tags::ASYNC_REPLY, TimeCategory::Other, &mut empty);
-                if variant.is_elastic() {
-                    // The elastic worker updates on its GPU.
-                    comm.charge(TimeCategory::GpuUpdate, costs.gpu_update);
-                }
-            }
-            None
-        }
-    });
+    let outs = VirtualCluster::run(&cluster, |comm| fcfs_rank(comm, cfg, costs, variant));
     match outs.into_iter().next() {
         Some(Some(master)) => master,
         _ => unreachable!("rank 0 is the master"),
+    }
+}
+
+/// One rank of [`fcfs_order`]'s cluster: rank 0 is the master, which
+/// returns the order it served and its report; every other rank is a
+/// worker and returns `None`. The protocol checker runs this closure
+/// under every order its `recv_any` can see.
+pub fn fcfs_rank(
+    comm: &mut Comm,
+    cfg: &TrainConfig,
+    costs: &SimCosts,
+    variant: AsyncVariant,
+) -> Option<(Vec<u16>, RankReport)> {
+    let total = cfg.iterations * cfg.workers;
+    let xfer = costs.unpacked_weight_time();
+    // Requests and replies carry no floats: only their costs count.
+    let mut empty = Vec::new();
+    if comm.rank() == 0 {
+        // ---- master: serve whoever arrives next, total times.
+        let mut order = Vec::with_capacity(total);
+        for _ in 0..total {
+            let from =
+                comm.recv_any_into(tags::ASYNC_REQ, TimeCategory::ForwardBackward, &mut empty);
+            order.push(order_id(from - 1));
+            // The inbound transfer crosses the host link.
+            comm.charge(TimeCategory::CpuGpuParam, xfer);
+            comm.charge(TimeCategory::CpuUpdate, costs.cpu_update);
+            comm.send_costed(
+                from,
+                tags::ASYNC_REPLY,
+                &[],
+                xfer,
+                TimeCategory::CpuGpuParam,
+            );
+        }
+        Some((order, comm.report()))
+    } else {
+        // ---- worker: compute, push, pull, update.
+        let mut rng = rank_rng(cfg.seed, SALT_JITTER, comm.rank());
+        for _ in 0..cfg.iterations {
+            // Jittered compute: heterogeneity knob of the study.
+            let jit = 1.0 + costs.compute_jitter * rng.uniform() as f64;
+            comm.charge(TimeCategory::ForwardBackward, costs.fwd_bwd * jit);
+            comm.send_costed(0, tags::ASYNC_REQ, &[], 0.0, TimeCategory::Other);
+            comm.recv_into(0, tags::ASYNC_REPLY, TimeCategory::Other, &mut empty);
+            if variant.is_elastic() {
+                // The elastic worker updates on its GPU.
+                comm.charge(TimeCategory::GpuUpdate, costs.gpu_update);
+            }
+        }
+        None
     }
 }
 

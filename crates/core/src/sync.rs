@@ -108,9 +108,8 @@ const EASGD3_SEGMENTS: usize = 2;
 /// `_center_t` is unused — W̄_t lives in the payload — and stays in the
 /// signature for the hosted replays (`benchmark/`) that call it.
 ///
-/// Extracted so the xtask protocol model checker can record the *same*
-/// production code path it verifies (DESIGN.md §12) instead of a
-/// hand-transcribed copy.
+/// Extracted so the xtask protocol checker runs the *same* production
+/// code path (DESIGN.md §12) instead of a hand-transcribed copy.
 #[allow(clippy::too_many_arguments)]
 pub fn tree_exchange_round<F>(
     comm: &mut Comm,

@@ -10,11 +10,11 @@
 //! * [`interleave`] — a bounded, exhaustive, deterministic interleaving
 //!   explorer for the Hogwild CAS kernels (`fetch_add`, elastic center
 //!   update), with a deliberately racy kernel as a negative self-test.
-//! * [`protocol`] — a protocol model checker for the comm layer: per-rank
-//!   programs recorded from the *production* collectives and trainer
-//!   exchanges are exhaustively interleaved (with sleep-set partial-order
-//!   reduction) and every terminal state is checked for deadlock,
-//!   message loss, buffer-pool leaks, and FIFO delivery (DESIGN.md §12).
+//! * [`protocol`] — a protocol checker for the comm layer: the
+//!   *production* collectives, trainer exchanges and FCFS server run on
+//!   the event backend once per order their `recv_any`s can see, and
+//!   every execution is checked for deadlock, unreceived messages,
+//!   buffer-pool leaks and lost completions (DESIGN.md §12).
 
 pub mod interleave;
 pub mod lint;

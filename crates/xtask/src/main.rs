@@ -4,8 +4,7 @@
 //! cargo run -p easgd-xtask -- lint                      # lint every workspace .rs file
 //! cargo run -p easgd-xtask -- lint --json               # findings as JSON
 //! cargo run -p easgd-xtask -- explore                   # CAS interleaving scenarios
-//! cargo run -p easgd-xtask -- explore --protocol        # comm protocol model checker
-//! cargo run -p easgd-xtask -- explore --protocol --smoke  # P=4 subset (per-push CI)
+//! cargo run -p easgd-xtask -- explore --protocol        # comm protocol checker
 //! ```
 //!
 //! `lint` exits non-zero if any finding is reported; `explore` exits
@@ -129,51 +128,24 @@ fn run_explore() -> ExitCode {
     }
 }
 
-/// Runs the comm-protocol model-checking suite. For each production
-/// scenario: the reduced (sleep-set) exhaustive search must pass, and —
-/// where `compare_naive` — the unreduced search is run too so the
-/// partial-order-reduction factor can be reported. Negative controls
-/// must fail, and their minimal counterexample schedule is printed.
-fn run_explore_protocol(smoke: bool) -> ExitCode {
-    let mode = if smoke { "smoke (P=4)" } else { "full" };
-    println!("protocol model checker — {mode} suite");
+/// Runs the comm-protocol suite: each scenario's rank closure under every
+/// order its `recv_any`s can see. Production scenarios must pass;
+/// negative controls must fail, and their counterexample with the
+/// fewest picks is printed.
+fn run_explore_protocol() -> ExitCode {
+    println!("protocol checker — the shipped rank closures on the event backend");
+    // The negatives panic on purpose: the verdicts below report them.
+    std::panic::set_hook(Box::new(|_| {}));
     let mut failed = false;
-    for sc in protocol::suite(smoke) {
-        let reduced = protocol::check(&sc.programs, true, Some(protocol::REDUCED_CAP));
-        let stats = *reduced.stats();
-        if stats.truncated {
-            println!(
-                "FAIL {}: reduced search truncated at {} executions — not exhaustive",
-                sc.name, stats.executions
-            );
-            failed = true;
-            continue;
-        }
-        match (&reduced, sc.expect_pass) {
-            (protocol::Outcome::Pass(_), true) => {
-                let reduction = if sc.compare_naive {
-                    let naive = protocol::check(&sc.programs, false, Some(protocol::NAIVE_CAP));
-                    let n = naive.stats().executions.max(1);
-                    let r = stats.executions.max(1);
-                    let bound = if naive.stats().truncated { "≥ " } else { "" };
-                    format!(
-                        ", naive {} {n} → reduction {bound}{:.0}x",
-                        if naive.stats().truncated {
-                            "(capped)"
-                        } else {
-                            "executions"
-                        },
-                        n as f64 / r as f64
-                    )
-                } else {
-                    String::new()
-                };
-                println!(
-                    "ok   {}: {} schedules verified deadlock-, loss-, and leak-free \
-                     ({} steps, {} slept{reduction})",
-                    sc.name, stats.executions, stats.steps, stats.slept
-                );
-            }
+    for sc in protocol::suite() {
+        let outcome = sc.check();
+        let stats = *outcome.stats();
+        match (&outcome, sc.expect_pass) {
+            (protocol::Outcome::Pass(_), true) => println!(
+                "ok   {}: {} schedules verified deadlock-, loss-, and leak-free \
+                 ({} branch points)",
+                sc.name, stats.executions, stats.branch_points
+            ),
             (protocol::Outcome::Fail(v, _), false) => {
                 println!(
                     "ok   {}: violation found after {} schedule(s): {}",
@@ -181,17 +153,11 @@ fn run_explore_protocol(smoke: bool) -> ExitCode {
                     stats.executions,
                     v.message.lines().next().unwrap_or("")
                 );
-                match protocol::shortest_violation(&sc.programs, 1_000_000) {
-                    Some(minimal) => println!(
-                        "     minimal counterexample schedule ({} visible steps): {:?}",
-                        minimal.schedule.len(),
-                        minimal.schedule
-                    ),
-                    None => {
-                        println!("FAIL {}: no minimal counterexample within BFS cap", sc.name);
-                        failed = true;
-                    }
-                }
+                println!(
+                    "     minimal counterexample ({} picks): {:?}",
+                    v.picks.len(),
+                    v.picks
+                );
             }
             (protocol::Outcome::Fail(v, _), true) => {
                 println!("FAIL {}: {v}", sc.name);
@@ -199,8 +165,8 @@ fn run_explore_protocol(smoke: bool) -> ExitCode {
             }
             (protocol::Outcome::Pass(_), false) => {
                 println!(
-                    "FAIL {}: exhaustive search ({} schedules) found no violation in a \
-                     protocol that is broken by construction",
+                    "FAIL {}: every one of {} schedules passed a protocol that is broken \
+                     by construction",
                     sc.name, stats.executions
                 );
                 failed = true;
@@ -219,10 +185,10 @@ fn main() -> ExitCode {
     let flag = |name: &str| args.iter().any(|a| a == name);
     match args.first().map(String::as_str) {
         Some("lint") => run_lint(flag("--json")),
-        Some("explore") if flag("--protocol") => run_explore_protocol(flag("--smoke")),
+        Some("explore") if flag("--protocol") => run_explore_protocol(),
         Some("explore") => run_explore(),
         _ => {
-            eprintln!("usage: easgd-xtask <lint [--json] | explore [--protocol [--smoke]]>");
+            eprintln!("usage: easgd-xtask <lint [--json] | explore [--protocol]>");
             ExitCode::FAILURE
         }
     }

@@ -32,8 +32,8 @@ cargo test -q --release --test golden_traces
 echo "==> easgd-xtask explore"
 cargo run -q -p easgd-xtask -- explore
 
-echo "==> easgd-xtask explore --protocol --smoke (full suite runs nightly in CI)"
-cargo run -q -p easgd-xtask -- explore --protocol --smoke
+echo "==> easgd-xtask explore --protocol (the shipped rank closures under every recv_any order)"
+cargo run -q -p easgd-xtask -- explore --protocol
 
 echo "==> kernel table (smoke: one iteration per row, no JSON; gemm_par_vs_serial on >= 2 threads, skip notice on 1; checked-in BENCH_kernels.json fork-join acceptance)"
 cargo run -q --release -p easgd-bench --bin kernels -- --smoke

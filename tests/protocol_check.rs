@@ -1,33 +1,44 @@
-//! Model-checks the comm layer via the xtask protocol checker: per-rank
-//! programs recorded from the *production* collectives and the Sync
-//! EASGD exchange (serial and nonblocking-pipelined) are exhaustively
-//! interleaved, and every terminal state is checked for deadlock,
-//! message loss, pool leaks, FIFO delivery, and lost completions.
+//! Checks the comm layer with the xtask protocol checker: the shipped
+//! collectives, the Sync EASGD exchange rounds (serial and
+//! nonblocking-pipelined) and the FCFS parameter server run on the event
+//! backend under every order a `recv_any` can see, and each execution is
+//! checked for deadlock, message loss, pool leaks and lost completions.
 //!
 //! The negative controls keep the harness honest: deliberately broken
-//! protocols must produce a violation with a minimal counterexample
-//! schedule.
+//! rank closures must fail, with a counterexample counted in picks.
 
 use easgd_xtask::protocol::{
     check, negative_cyclic_pair, negative_leaky_reduce, negative_lost_message,
     negative_recv_any_starvation, negative_unmatched_wait, negative_unreleased_forward,
-    shortest_violation, suite, trace_pipelined_exchange, trace_sync_exchange, trace_tree_allreduce,
-    trace_tree_broadcast, trace_tree_reduce, Outcome, NAIVE_CAP, REDUCED_CAP,
+    pipelined_exchange_rank, suite, sync_exchange_rank, tree_allreduce_rank, tree_broadcast_rank,
+    Outcome, Violation,
 };
-use knl_easgd::cluster::TraceOp;
+use knl_easgd::cluster::{ClusterConfig, Comm, TraceOp, VirtualCluster};
 
-// --- Production scenarios: exhaustively verified -------------------------
+fn pass(_: &[()]) -> Result<(), String> {
+    Ok(())
+}
+
+fn violation(p: usize, body: fn(&mut Comm)) -> Violation {
+    match check(p, body, pass) {
+        Outcome::Fail(v, _) => *v,
+        Outcome::Pass(stats) => panic!("broken protocol passed ({stats:?})"),
+    }
+}
+
+/// Each rank's recorded ops from one run of `body` on `p` ranks.
+fn traces(p: usize, body: impl Fn(&mut Comm) + Send + Sync) -> Vec<Vec<TraceOp>> {
+    let run = VirtualCluster::explore(&ClusterConfig::new(p), &[], body);
+    assert!(run.outcome.is_ok(), "{:?}", run.outcome);
+    run.traces
+}
+
+// --- Production scenarios: every execution verified ----------------------
 
 #[test]
 fn production_collectives_and_exchange_verify_at_p4() {
-    for sc in suite(true) {
-        let outcome = check(&sc.programs, true, Some(REDUCED_CAP));
-        assert!(
-            !outcome.stats().truncated,
-            "{}: exploration truncated — not exhaustive",
-            sc.name
-        );
-        match (sc.expect_pass, &outcome) {
+    for sc in suite() {
+        match (sc.expect_pass, sc.check()) {
             (true, Outcome::Pass(_)) | (false, Outcome::Fail(..)) => {}
             (true, Outcome::Fail(v, _)) => panic!("{}: {v}", sc.name),
             (false, Outcome::Pass(s)) => {
@@ -38,46 +49,11 @@ fn production_collectives_and_exchange_verify_at_p4() {
 }
 
 #[test]
-fn exchange_has_a_nontrivial_schedule_space() {
-    // The reduced search may collapse to few representatives; the naive
-    // count certifies the schedule space the reduction stands in for.
-    let programs = trace_sync_exchange(3);
-    let naive = check(&programs, false, Some(NAIVE_CAP));
-    assert!(
-        matches!(naive, Outcome::Pass(_)),
-        "naive search must agree: {:?}",
-        naive.stats()
-    );
-    assert!(
-        naive.stats().executions > 100 || naive.stats().truncated,
-        "expected a non-trivial schedule space, got {:?}",
-        naive.stats()
-    );
-}
-
-#[test]
-fn reduction_preserves_the_verdict_and_prunes_work() {
-    for programs in [trace_tree_reduce(4, 0), trace_tree_allreduce(4)] {
-        let naive = check(&programs, false, None);
-        let reduced = check(&programs, true, None);
-        assert!(matches!(naive, Outcome::Pass(_)));
-        assert!(matches!(reduced, Outcome::Pass(_)));
-        assert!(
-            reduced.stats().executions <= naive.stats().executions,
-            "reduction explored more than naive: {:?} vs {:?}",
-            reduced.stats(),
-            naive.stats()
-        );
-        assert!(reduced.stats().slept > 0, "no pruning happened");
-    }
-}
-
-#[test]
 fn recorded_programs_are_deterministic_and_send_recv_balanced() {
-    let a = trace_sync_exchange(3);
+    let a = traces(4, sync_exchange_rank(3));
     assert_eq!(
         a,
-        trace_sync_exchange(3),
+        traces(4, sync_exchange_rank(3)),
         "trace recording must be deterministic"
     );
     let count = |pred: fn(&TraceOp) -> bool| a.iter().flatten().filter(|op| pred(op)).count();
@@ -106,7 +82,7 @@ fn recorded_programs_are_deterministic_and_send_recv_balanced() {
 fn tree_broadcast_is_one_shared_payload() {
     // P ranks, one pooled copy: the root takes + shares once, every edge
     // is a fork riding a send, every rank releases exactly once.
-    let programs = trace_tree_broadcast(4, 0);
+    let programs = traces(4, tree_broadcast_rank(0));
     let count =
         |pred: fn(&TraceOp) -> bool| programs.iter().flatten().filter(|op| pred(op)).count();
     assert_eq!(count(|op| matches!(op, TraceOp::TakeBuf)), 1);
@@ -130,42 +106,37 @@ fn tree_broadcast_is_one_shared_payload() {
 
 #[test]
 fn cyclic_pair_deadlocks_with_cycle_and_empty_minimal_schedule() {
-    let programs = negative_cyclic_pair();
-    let Outcome::Fail(v, _) = check(&programs, true, None) else {
-        panic!("cyclic send/recv pair must deadlock");
-    };
+    // The host's report names both waits: 0 waits for 1, 1 for 0.
+    let v = violation(2, negative_cyclic_pair);
     assert!(v.message.contains("deadlock"), "{v}");
-    assert!(v.message.contains("wait-for cycle"), "{v}");
-    let minimal = shortest_violation(&programs, 10_000).expect("minimal counterexample");
     assert!(
-        minimal.schedule.is_empty(),
-        "deadlocked before any visible step"
+        v.message.contains("rank 0 (tag 0x1000000 from rank 1)"),
+        "{v}"
     );
+    assert!(
+        v.message.contains("rank 1 (tag 0x1000000 from rank 0)"),
+        "{v}"
+    );
+    assert!(v.picks.is_empty(), "deadlocked before any branch point");
 }
 
 #[test]
 fn schedule_dependent_starvation_is_found_even_under_reduction() {
-    let programs = negative_recv_any_starvation();
-    for reduce in [false, true] {
-        let Outcome::Fail(v, _) = check(&programs, reduce, None) else {
-            panic!("starvation must be found (reduce={reduce})");
-        };
-        assert!(v.message.contains("deadlock"), "{v}");
-    }
-    let minimal = shortest_violation(&programs, 100_000).expect("minimal counterexample");
-    assert_eq!(minimal.schedule.len(), 3, "schedule {:?}", minimal.schedule);
+    // Branching only at recv_any still reaches the one failing order:
+    // the recv_any takes rank 1's message, the first pick.
+    let Outcome::Fail(v, stats) = check(3, negative_recv_any_starvation, pass) else {
+        panic!("starvation must be found");
+    };
+    assert!(v.message.contains("deadlock"), "{v}");
+    assert_eq!(stats.executions, 2, "one execution per sender");
+    assert_eq!(v.picks, [0], "minimal counterexample");
 }
 
 #[test]
 fn pool_leak_in_a_production_trace_is_caught() {
-    let Outcome::Fail(v, _) = check(&negative_leaky_reduce(), true, None) else {
-        panic!("leaking reduce must fail");
-    };
+    let v = violation(4, negative_leaky_reduce);
     assert!(v.message.contains("holding"), "{v}");
-    assert!(
-        shortest_violation(&negative_leaky_reduce(), 100_000).is_some(),
-        "leak needs a counterexample schedule"
-    );
+    assert!(v.picks.is_empty());
 }
 
 #[test]
@@ -173,37 +144,29 @@ fn forwarded_but_unreleased_payload_is_a_pool_leak() {
     // Rank 2 forwards the shared payload to rank 3 and keeps its own
     // reference forever: all three other holders release, so only the
     // last-release rule can notice the buffer never comes back.
-    let programs = negative_unreleased_forward();
-    for reduce in [false, true] {
-        let Outcome::Fail(v, _) = check(&programs, reduce, None) else {
-            panic!("unreleased payload must fail (reduce={reduce})");
-        };
-        assert!(
-            v.message
-                .contains("rank 2 finished still holding 1 shared payload reference"),
-            "{v}"
-        );
-        assert!(v.message.contains("never returns to the pool"), "{v}");
-    }
-    // Minimal counterexample: the leak is only visible in a terminal
-    // state, so the shortest schedule is exactly the three sends and
-    // three receives of the broadcast — nothing shorter reaches it.
-    let minimal = shortest_violation(&programs, 100_000).expect("minimal counterexample");
-    assert_eq!(minimal.schedule.len(), 6, "schedule {:?}", minimal.schedule);
-    assert!(minimal.message.contains("shared payload reference"));
+    let v = violation(4, negative_unreleased_forward);
+    assert!(
+        v.message
+            .contains("rank 2 finished still holding 1 shared payload reference"),
+        "{v}"
+    );
+    assert!(v.message.contains("never returns to the pool"), "{v}");
+    assert!(v.picks.is_empty(), "no recv_any, so no pick");
 }
 
 #[test]
 fn undelivered_message_is_caught() {
-    let Outcome::Fail(v, _) = check(&negative_lost_message(), true, None) else {
-        panic!("lost message must fail");
-    };
-    assert!(v.message.contains("never received"), "{v}");
+    let v = violation(2, negative_lost_message);
+    assert!(
+        v.message
+            .contains("rank 1 exited with 1 unreceived message(s)"),
+        "{v}"
+    );
 }
 
 #[test]
 fn pipelined_exchange_records_nonblocking_ops_and_verifies() {
-    let programs = trace_pipelined_exchange(3, 2);
+    let programs = traces(4, pipelined_exchange_rank(3, 2));
     let count =
         |pred: fn(&TraceOp) -> bool| programs.iter().flatten().filter(|op| pred(op)).count();
     let irecvs = count(|op| matches!(op, TraceOp::Irecv { .. }));
@@ -214,34 +177,25 @@ fn pipelined_exchange_records_nonblocking_ops_and_verifies() {
     );
     assert!(irecvs > 0, "pipelined exchange must pre-post irecvs");
     assert_eq!(irecvs, waits, "every irecv must be waited exactly once");
-    let outcome = check(&programs, true, Some(REDUCED_CAP));
-    assert!(!outcome.stats().truncated, "not exhaustive");
-    assert!(matches!(outcome, Outcome::Pass(_)), "{:?}", outcome.stats());
+    let outcome = check(4, pipelined_exchange_rank(3, 2), pass);
+    assert!(matches!(outcome, Outcome::Pass(_)), "{outcome:?}");
 }
 
 #[test]
 fn unmatched_wait_deadlocks_with_empty_minimal_schedule() {
-    let programs = negative_unmatched_wait();
-    let Outcome::Fail(v, _) = check(&programs, true, None) else {
-        panic!("unmatched wait must deadlock");
-    };
+    let v = violation(2, negative_unmatched_wait);
     assert!(v.message.contains("deadlock"), "{v}");
-    assert!(v.message.contains("wait(irecv"), "{v}");
-    let minimal = shortest_violation(&programs, 10_000).expect("minimal counterexample");
-    assert!(
-        minimal.schedule.is_empty(),
-        "wait deadlocks before any visible step"
-    );
+    assert!(v.message.contains("from rank 1"), "{v}");
+    assert!(v.picks.is_empty(), "wait deadlocks before any branch point");
 }
 
 #[test]
 fn checker_is_deterministic() {
-    let programs = trace_tree_allreduce(4);
-    let a = check(&programs, true, None);
-    let b = check(&programs, true, None);
+    let a = check(4, tree_allreduce_rank, pass);
+    let b = check(4, tree_allreduce_rank, pass);
     assert_eq!(
         a.stats(),
         b.stats(),
-        "same programs must explore identically"
+        "same closures must explore identically"
     );
 }
