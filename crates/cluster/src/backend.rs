@@ -143,8 +143,10 @@ impl Executor {
 
     /// Called by `Comm` right after handing `from`'s `tag` message to
     /// `to`'s channel. A no-op on threads (the channel's own condvar
-    /// wakes the receiver); on events it checks the message off what a
-    /// parked receiver waits for.
+    /// wakes the receiver if it sleeps in `recv`); on events it checks
+    /// the message off what a parked receiver waits for. An event rank
+    /// never sleeps in `recv`, so its sends signal no condvar and make
+    /// no system call: the whole hand-off is this check and a queue push.
     pub(crate) fn notify_delivery(&self, to: usize, from: usize, tag: u32) {
         if let Executor::Events(sched) = self {
             sched.signal(to, from, tag);
@@ -600,6 +602,11 @@ mod tests {
         pub(crate) fn parks(&self, rank: usize) -> u64 {
             self.lock().parks[rank]
         }
+
+        /// The allocated capacity of `rank`'s wait-set slot.
+        pub(crate) fn waiting_capacity(&self, rank: usize) -> usize {
+            self.lock().waiting[rank].capacity()
+        }
     }
 
     fn events(p: usize) -> ClusterConfig {
@@ -933,6 +940,26 @@ mod tests {
                 assert_eq!(n, (ROUNDS * waits) as u64, "p={p} rank {rank}");
             }
         }
+    }
+
+    #[test]
+    fn an_event_host_hands_off_without_a_condvar_wake() {
+        // Event ranks park in the scheduler, never in the channel's
+        // recv, so no send has a sleeper to wake; the fibers run on this
+        // thread, so its wake count is theirs.
+        const ROUNDS: usize = 3;
+        let p = 64;
+        let before = crate::channel::wakes();
+        let parks = VirtualCluster::run(&events(p), |comm| {
+            for _ in 0..ROUNDS {
+                let mut data = vec![1.0f32; 8];
+                tree_allreduce_sum(comm, &mut data, TimeCategory::GpuGpuParam);
+            }
+            comm.parks()
+        });
+        assert_eq!(crate::channel::wakes() - before, 0);
+        let per_round = (p - 1) + p / 2;
+        assert_eq!(parks.iter().sum::<u64>(), (ROUNDS * per_round) as u64);
     }
 
     #[test]

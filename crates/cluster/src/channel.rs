@@ -6,6 +6,14 @@
 //! unbounded channel: FIFO per sender, cloneable senders, blocking
 //! `recv` that errors once every sender is gone, and non-blocking
 //! `try_recv`.
+//!
+//! A send or the last sender's drop signals the condvar only while a
+//! receiver sleeps in `recv`. The receiver records that it sleeps under
+//! the mutex before it waits and clears it under the same mutex after,
+//! and the sender reads the record under that mutex, so no wake-up is
+//! lost. A receiver that never blocks here — an event-hosted rank parks
+//! in the scheduler instead — costs its senders no system call: std's
+//! condvar makes one on every notify, waiter or not.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
@@ -23,6 +31,9 @@ struct Inner<T> {
     queue: VecDeque<T>,
     senders: usize,
     receiver_alive: bool,
+    /// How many threads wait in `recv` right now (0 or 1: there is one
+    /// receiver, but `&Receiver` is `Sync`, so it is counted, not flagged).
+    sleepers: usize,
 }
 
 struct Shared<T> {
@@ -43,6 +54,7 @@ pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
             queue: VecDeque::new(),
             senders: 1,
             receiver_alive: true,
+            sleepers: 0,
         }),
         cv: Condvar::new(),
     });
@@ -57,6 +69,26 @@ impl<T> Shared<T> {
     }
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Condvar notifies this thread has made (test builds only).
+    static WAKES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// How many condvar notifies the calling thread has made so far; event
+/// ranks are fibers on the thread that runs the cluster, so this counts
+/// theirs too.
+#[cfg(test)]
+pub(crate) fn wakes() -> u64 {
+    WAKES.with(std::cell::Cell::get)
+}
+
+/// Counts one condvar notify against the calling thread.
+fn count_wake() {
+    #[cfg(test)]
+    WAKES.with(|w| w.set(w.get() + 1));
+}
+
 impl<T> Sender<T> {
     /// Enqueues `value`; fails if the receiver has been dropped.
     pub fn send(&self, value: T) -> Result<(), SendError> {
@@ -65,8 +97,12 @@ impl<T> Sender<T> {
             return Err(SendError);
         }
         inner.queue.push_back(value);
+        let sleeps = inner.sleepers > 0;
         drop(inner);
-        self.0.cv.notify_one();
+        if sleeps {
+            count_wake();
+            self.0.cv.notify_one();
+        }
         Ok(())
     }
 }
@@ -82,11 +118,12 @@ impl<T> Drop for Sender<T> {
     fn drop(&mut self) {
         let mut inner = self.0.lock();
         inner.senders -= 1;
-        let last = inner.senders == 0;
+        let wake = inner.senders == 0 && inner.sleepers > 0;
         drop(inner);
-        if last {
+        if wake {
             // Wake a receiver blocked in recv() so it can observe
             // disconnection.
+            count_wake();
             self.0.cv.notify_all();
         }
     }
@@ -104,7 +141,9 @@ impl<T> Receiver<T> {
             if inner.senders == 0 {
                 return Err(RecvError);
             }
+            inner.sleepers += 1;
             inner = self.0.cv.wait(inner).unwrap_or_else(|e| e.into_inner());
+            inner.sleepers -= 1;
         }
     }
 
@@ -188,6 +227,78 @@ mod tests {
                 tx.send(42u64).unwrap();
             });
             assert_eq!(rx.recv(), Ok(42));
+        });
+    }
+
+    /// Whether a thread waits in `rx.recv()` with nothing queued: the
+    /// next send must wake it.
+    fn asleep(rx: &Receiver<u64>) -> bool {
+        let inner = rx.0.lock();
+        inner.sleepers > 0 && inner.queue.is_empty()
+    }
+
+    #[test]
+    fn a_send_wakes_a_sleeping_receiver_and_only_a_sleeping_one() {
+        const N: u64 = 2_000;
+        let (tx, rx) = unbounded();
+        let rx = &rx;
+        // The receiver is blocked in recv() before every send: each send
+        // wakes it, and none is lost.
+        let wakes_sent = std::thread::scope(|s| {
+            let tx = tx.clone();
+            let sender = s.spawn(move || {
+                for i in 0..N {
+                    while !asleep(rx) {
+                        std::thread::yield_now();
+                    }
+                    tx.send(i).unwrap();
+                }
+                wakes()
+            });
+            for i in 0..N {
+                assert_eq!(rx.recv(), Ok(i));
+            }
+            sender.join().unwrap()
+        });
+        assert_eq!(wakes_sent, N);
+        // Every send arrives before the receiver asks: no send wakes it.
+        let wakes_sent = std::thread::scope(|s| {
+            let sender = s.spawn(move || {
+                for i in 0..N {
+                    tx.send(i).unwrap();
+                    while !rx.0.lock().queue.is_empty() {
+                        std::thread::yield_now();
+                    }
+                }
+                wakes()
+            });
+            for i in 0..N {
+                while rx.0.lock().queue.is_empty() {
+                    std::thread::yield_now();
+                }
+                assert_eq!(rx.recv(), Ok(i));
+            }
+            sender.join().unwrap()
+        });
+        assert_eq!(wakes_sent, 0);
+    }
+
+    #[test]
+    fn the_last_senders_drop_wakes_a_blocked_recv() {
+        let (tx, rx) = unbounded::<u64>();
+        let tx2 = tx.clone();
+        let before = wakes();
+        std::thread::scope(|s| {
+            let rx = &rx;
+            let receiver = s.spawn(move || rx.recv());
+            while !asleep(rx) {
+                std::thread::yield_now();
+            }
+            drop(tx);
+            assert_eq!(wakes() - before, 0, "a sender is left: no wake");
+            drop(tx2);
+            assert_eq!(wakes() - before, 1);
+            assert_eq!(receiver.join().unwrap(), Err(RecvError));
         });
     }
 

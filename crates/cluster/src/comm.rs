@@ -19,7 +19,7 @@ use crate::request::{ReqState, Request, RequestCollection};
 use crate::trace::TraceOp;
 #[cfg(feature = "strict-invariants")]
 use std::collections::HashMap;
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// How many recycled buffers a rank keeps privately before spilling to
@@ -100,29 +100,59 @@ impl Awaited {
 /// the backend when the rank blocks. The event engine checks deliveries
 /// off it, makes the rank runnable on the one that empties it, and names
 /// what is left in its deadlock report.
+///
+/// A sorted vector whose entries are marked done, never removed: it
+/// trades places with the scheduler's slot at every park, so both keep
+/// their capacity and a warm park allocates nothing.
 #[derive(Debug, Default)]
-pub(crate) struct WaitSet(BTreeSet<Awaited>);
+pub(crate) struct WaitSet {
+    /// Every named `(from, tag)` once, in order, and whether it has
+    /// been delivered.
+    entries: Vec<(Awaited, bool)>,
+    /// How many entries are not delivered yet.
+    remaining: usize,
+}
 
 impl WaitSet {
     fn reset(&mut self, wanted: impl IntoIterator<Item = (Option<usize>, u32)>) {
-        self.0.clear();
-        for (from, tag) in wanted {
-            self.0.insert(Awaited { from, tag });
-        }
+        self.entries.clear();
+        let named = wanted
+            .into_iter()
+            .map(|(from, tag)| (Awaited { from, tag }, false));
+        self.entries.extend(named);
+        self.entries.sort_unstable();
+        self.entries.dedup();
+        self.remaining = self.entries.len();
     }
 
-    /// Checks a delivered `(from, tag)` off — O(log P) even for a gather
-    /// missing thousands of senders. True when it was the last one
-    /// missing; a repeat, or traffic the set does not name, changes
-    /// nothing.
+    /// Whether everything named has been delivered.
+    fn is_complete(&self) -> bool {
+        self.remaining == 0
+    }
+
+    /// Checks a delivered `(from, tag)` off — `Some(from)` first, then
+    /// the wildcard — in O(log k) even for a gather missing thousands of
+    /// senders. True when it was the last one missing; a repeat, or
+    /// traffic the set does not name, changes nothing.
     pub(crate) fn deliver(&mut self, from: usize, tag: u32) -> bool {
-        let named = [Some(from), None].map(|from| Awaited { from, tag });
-        named.iter().any(|a| self.0.remove(a)) && self.0.is_empty()
+        for from in [Some(from), None] {
+            let key = Awaited { from, tag };
+            if let Ok(i) = self.entries.binary_search_by_key(&key, |&(a, _)| a) {
+                if !std::mem::replace(&mut self.entries[i].1, true) {
+                    self.remaining -= 1;
+                    return self.remaining == 0;
+                }
+            }
+        }
+        false
     }
 
     /// What has not been delivered yet, in `(from, tag)` order.
     pub(crate) fn missing(&self) -> impl Iterator<Item = Awaited> + '_ {
-        self.0.iter().copied()
+        self.entries
+            .iter()
+            .filter(|(_, done)| !done)
+            .map(|&(a, _)| a)
     }
 }
 
@@ -562,7 +592,7 @@ impl Comm {
         let wanted = wanted.into_iter().map(|(from, tag)| (Some(from), tag));
         self.waiting.reset(wanted);
         self.drain();
-        let mut complete = self.waiting.0.is_empty();
+        let mut complete = self.waiting.is_complete();
         for m in &self.pending {
             complete |= self.waiting.deliver(m.from, m.tag);
         }
@@ -1527,5 +1557,110 @@ mod tests {
         let _ = VirtualCluster::run(&cfg, |comm| {
             comm.send(0, TAG, &[1.0], TimeCategory::Other);
         });
+    }
+
+    impl WaitSet {
+        /// The entries' allocated capacity.
+        pub(crate) fn capacity(&self) -> usize {
+            self.entries.capacity()
+        }
+    }
+
+    fn wait_set(wanted: &[(Option<usize>, u32)]) -> WaitSet {
+        let mut set = WaitSet::default();
+        set.reset(wanted.iter().copied());
+        set
+    }
+
+    fn missing(set: &WaitSet) -> Vec<(Option<usize>, u32)> {
+        set.missing().map(|a| (a.from, a.tag)).collect()
+    }
+
+    #[test]
+    fn a_wait_set_names_each_message_once() {
+        let mut set = wait_set(&[(Some(2), 7), (Some(1), 7), (Some(2), 7)]);
+        assert_eq!(missing(&set), [(Some(1), 7), (Some(2), 7)]);
+        assert!(!set.deliver(2, 7));
+        assert!(set.deliver(1, 7), "the duplicate is not still missing");
+    }
+
+    #[test]
+    fn a_repeat_or_an_unnamed_delivery_changes_nothing() {
+        let mut set = wait_set(&[(Some(1), 7), (Some(2), 7)]);
+        assert!(!set.deliver(1, 7));
+        for (from, tag) in [(1, 7), (2, 8), (3, 7), (1, 7)] {
+            assert!(!set.deliver(from, tag), "({from}, {tag}) completed the set");
+            assert!(!set.is_complete());
+            assert_eq!(missing(&set), [(Some(2), 7)]);
+        }
+        assert!(set.deliver(2, 7));
+        assert!(set.is_complete());
+        assert!(!set.deliver(2, 7), "a repeat after completion");
+    }
+
+    #[test]
+    fn a_wildcard_entry_is_completed_by_any_sender() {
+        for from in [0, 5, 4095] {
+            let mut set = wait_set(&[(None, 9)]);
+            assert!(!set.deliver(from, 8), "another tag");
+            assert!(set.deliver(from, 9), "rank {from}");
+        }
+        // A named sender is checked off before the wildcard.
+        let mut set = wait_set(&[(None, 9), (Some(3), 9)]);
+        assert!(!set.deliver(3, 9));
+        assert_eq!(missing(&set), [(None, 9)]);
+        assert!(set.deliver(3, 9));
+    }
+
+    #[test]
+    fn missing_yields_from_then_tag_order() {
+        let set = wait_set(&[
+            (Some(4), 1),
+            (Some(2), 9),
+            (None, 5),
+            (Some(2), 3),
+            (None, 2),
+        ]);
+        assert_eq!(
+            missing(&set),
+            [
+                (None, 2),
+                (None, 5),
+                (Some(2), 3),
+                (Some(2), 9),
+                (Some(4), 1)
+            ]
+        );
+    }
+
+    #[test]
+    fn a_wait_set_that_trades_places_at_every_park_does_not_regrow() {
+        // Every rank's set and its scheduler slot swap at each park, so
+        // it takes two rounds before each has held the largest set.
+        let sizes = |comm: &Comm| {
+            let crate::backend::Executor::Events(sched) = &comm.shared.exec else {
+                unreachable!("an event cluster")
+            };
+            (comm.waiting.capacity(), sched.waiting_capacity(comm.rank))
+        };
+        let cfg = ClusterConfig::new(64).with_backend(crate::ClusterBackend::Events);
+        let out = VirtualCluster::run(&cfg, |comm| {
+            let mut data = vec![1.0f32; 4];
+            let mut round = |comm: &mut Comm| {
+                tree_allreduce_sum(comm, &mut data, TimeCategory::GpuGpuParam);
+            };
+            round(comm);
+            round(comm);
+            let warm = sizes(comm);
+            let parks = comm.parks();
+            for _ in 0..3 {
+                round(comm);
+            }
+            (warm, sizes(comm), comm.parks() > parks)
+        });
+        for (rank, (warm, after, parked)) in out.into_iter().enumerate() {
+            assert_eq!(warm, after, "rank {rank}");
+            assert!(parked || rank == 0, "rank {rank} never parked");
+        }
     }
 }
